@@ -4,11 +4,15 @@
 communication avoids all-to-all between FFT stages.  Only sparse samples
 are exchanged at the end of the computation."  (paper §3.1)
 
-Two entry points:
+Three entry points:
 
 - :func:`accumulate_global` — serial: sum the interpolated reconstructions
   of every sub-domain's compressed result into the dense grid (testing /
   single-node use).
+- :func:`accumulate_boxes` — the rank-side half of the distributed step:
+  sum every field restricted to each of a rank's *own* sub-domain boxes.
+  The real rank loop (:mod:`repro.dist.worker`), the pool's recovery job
+  and :class:`Accumulator` all accumulate through it.
 - :class:`Accumulator` — distributed: each rank broadcasts its compressed
   fields in ONE allgather round (the only collective in the whole
   pipeline), then reconstructs every field restricted to its *own*
@@ -17,7 +21,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +47,31 @@ def accumulate_global(
             )
         reconstruct_box(f, (0, 0, 0), (n, n, n), method=method, out=out)
     return out
+
+
+def accumulate_boxes(
+    fields: Mapping[int, CompressedField],
+    targets: Iterable[SubDomain],
+    method: str = "linear",
+) -> Dict[int, np.ndarray]:
+    """Accumulate every field over each target sub-domain's own box.
+
+    ``fields`` maps sub-domain index to that sub-domain's compressed
+    result.  Each block sums the fields in sub-domain index order — the
+    order ``run_serial`` adds them in — so a block is bitwise the matching
+    slice of :func:`accumulate_global`, whichever rank computed it and
+    whatever order the fields arrived in.  Returns the dense ``k^3``
+    block per target, keyed by sub-domain index.
+    """
+    ordered = [fields[index] for index in sorted(fields)]
+    blocks: Dict[int, np.ndarray] = {}
+    for target in targets:
+        shape = (target.size,) * 3
+        acc = np.zeros(shape, dtype=np.float64)
+        for field in ordered:
+            reconstruct_box(field, target.corner, shape, method=method, out=acc)
+        blocks[target.index] = acc
+    return blocks
 
 
 class Accumulator:
@@ -102,21 +131,14 @@ class Accumulator:
 
         # Every rank now (logically) has every field; rank r reconstructs
         # only over its own sub-domains' boxes.
-        all_fields: List[Tuple[SubDomain, CompressedField]] = [
-            pair for rank_fields in fields_by_rank for pair in rank_fields
-        ]
-        assignment = self.decomposition.assign_round_robin(comm.size)
-
+        all_fields = {
+            sub.index: field
+            for rank_fields in fields_by_rank
+            for sub, field in rank_fields
+        }
         blocks: Dict[int, np.ndarray] = {}
-        k = self.decomposition.k
-        for rank_subs in assignment:
-            for target in rank_subs:
-                acc = np.zeros((k, k, k), dtype=np.float64)
-                for _src, field in all_fields:
-                    reconstruct_box(
-                        field, target.corner, (k, k, k), method=self.method, out=acc
-                    )
-                blocks[target.index] = acc
+        for rank_subs in self.decomposition.assign_round_robin(comm.size):
+            blocks.update(accumulate_boxes(all_fields, rank_subs, self.method))
         return blocks
 
     def assemble(self, blocks: Dict[int, np.ndarray]) -> np.ndarray:

@@ -165,12 +165,17 @@ def assemble_blocks(
     disjoint by construction (each sub-domain belongs to exactly one
     rank), so placement order cannot matter — the result is bitwise
     whatever order the rank reports arrived in.
+
+    Placing a rank's blocks *moves* them: ``result.blocks`` is emptied,
+    so a report that keeps its ``rank_results`` holds the grid once (in
+    ``approx``), not twice.
     """
     decomp = DomainDecomposition(n=config.n, k=config.k)
     approx = np.zeros((config.n,) * 3, dtype=np.float64)
     for result in results.values():
         for index, block in result.blocks.items():
             approx[decomp.subdomain(index).slices()] = block
+        result.blocks.clear()
     return approx
 
 

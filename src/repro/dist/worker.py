@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.accumulate import accumulate_boxes
 from repro.core.checkpoint import (
     checkpoint_from_bytes,
     checkpoint_segments,
@@ -49,7 +50,6 @@ from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.wire import Segments
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
-from repro.octree.interpolate import reconstruct_box
 from repro.serve.loadgen import parse_policy
 
 #: Stages at which an injected failure can trigger (see ``DistConfig``).
@@ -134,7 +134,11 @@ class RankResult:
     """One rank's contribution, returned to the driver."""
 
     rank: int
-    #: accumulated dense ``k^3`` blocks for this rank's sub-domains
+    #: accumulated dense ``k^3`` blocks for this rank's sub-domains —
+    #: the rank-to-driver payload only: ``assemble_blocks`` empties it as
+    #: it places the blocks into ``approx``, so a stored report's
+    #: ``rank_results`` carry the numbers below and no second copy of
+    #: the grid
     blocks: Dict[int, np.ndarray]
     #: sub-domains this rank actually convolved (zero chunks skipped)
     num_chunks: int
@@ -282,22 +286,9 @@ def rank_main(
 
     # Accumulate over this rank's own sub-domain boxes, fields in
     # sub-domain index order (the run_serial order — bitwise identity).
-    ordered = [merged[i] for i in sorted(merged)]
-    kk = config.k
-    blocks: Dict[int, np.ndarray] = {}
-    for sub in pipeline.decomposition:
-        if sub.index % size != rank:
-            continue
-        acc = np.zeros((kk, kk, kk), dtype=np.float64)
-        for compressed in ordered:
-            reconstruct_box(
-                compressed,
-                sub.corner,
-                (kk, kk, kk),
-                method=config.interpolation,
-                out=acc,
-            )
-        blocks[sub.index] = acc
+    blocks = accumulate_boxes(
+        merged, _own_subdomains(pipeline, rank, size), config.interpolation
+    )
 
     return RankResult(
         rank=rank,

@@ -173,7 +173,7 @@ class SamplingPattern:
             return np.empty((0, 3), dtype=np.intp)
         return np.concatenate([c.sample_coords() for c in self.cells], axis=0)
 
-    @property
+    @cached_property
     def sample_count(self) -> int:
         return sum(c.sample_count for c in self.cells)
 
@@ -224,6 +224,18 @@ class SamplingPattern:
     def cell_sizes(self) -> np.ndarray:
         """Edge lengths parallel to the packed metadata (cached, read-only)."""
         return self._packed_sizes
+
+    @cached_property
+    def geometry_key(self) -> Tuple[int, bytes, bytes]:
+        """Hashable content key of the cell geometry: ``(n, metadata
+        bytes, sizes bytes)``.
+
+        Equal for congruent patterns however they were built or decoded;
+        what data-independent per-pattern work (reconstruction plans) is
+        cached under.  The sub-domain fields are not part of it: they
+        label the pattern, the cells alone decide where samples sit.
+        """
+        return (self.n, self.metadata().tobytes(), self.cell_sizes().tobytes())
 
     def metadata_nbytes(self) -> int:
         """Bytes of octree metadata (int32 layout)."""

@@ -35,6 +35,7 @@ from repro.octree.cell import METADATA_INTS_PER_CELL, decode_metadata
 from repro.octree.compress import CompressedField
 from repro.octree.sampling import SamplingPattern
 from repro.util import copytrack
+from repro.util.lru import WeightedLRU
 
 #: magic number: 'LC3D' as little-endian int
 _MAGIC = 0x4C433344
@@ -169,6 +170,20 @@ def _decode_values(
     return values
 
 
+#: Decoded :class:`SamplingPattern` objects, interned by content.  Peers
+#: re-send the same few patterns job after job (one per sub-domain), and a
+#: pattern carries everything derived from its geometry — coordinate sets,
+#: packed metadata, the key reconstruction plans are cached under — so
+#: decoding the same bytes again returns the same object instead of
+#: rebuilding the cell list.  The key is the exact ``(n, k, corner,
+#: metadata bytes, sizes bytes)``: a hit means byte-identical input, for
+#: which every check already ran and passed; bytes not seen before (one
+#: flipped bit included) go through :func:`decode_metadata` like any first
+#: decode.  Bounded by cells held: 2^18 is ~1000 banded patterns at n=64 /
+#: k=16 (a job there has 64) and well under 100 MB of cell objects.
+_PATTERNS: "WeightedLRU[SamplingPattern]" = WeightedLRU(max_weight=1 << 18)
+
+
 def _decode_body(
     view: memoryview,
     offset: int,
@@ -190,20 +205,31 @@ def _decode_body(
             f"{num_cells} cells needing {meta_bytes + sizes_bytes} metadata "
             f"bytes at offset {offset}"
         )
-    meta = np.frombuffer(view[offset : offset + meta_bytes], dtype=np.int32)
-    offset += meta_bytes
-    sizes = np.frombuffer(view[offset : offset + sizes_bytes], dtype=np.int32)
-    offset += sizes_bytes
-
-    cells = decode_metadata(meta, sizes)
-    pattern = SamplingPattern(
-        n=n,
-        cells=cells,
-        subdomain_corner=corner,
-        subdomain_size=k,
-    )
+    sizes_offset = offset + meta_bytes
+    values_offset = sizes_offset + sizes_bytes
+    # The two geometry sections (24 bytes a cell, never the values) are
+    # copied out as the intern key; on a hit that copy is all the decode
+    # costs, where it used to rebuild every cell object from them.
+    meta = bytes(view[offset:sizes_offset])  # repro-lint: disable=WIRE002
+    sizes = bytes(view[sizes_offset:values_offset])  # repro-lint: disable=WIRE002
+    key = (n, k, corner, meta, sizes)
+    pattern = _PATTERNS.get(key)
+    if pattern is None:
+        try:
+            cells = decode_metadata(
+                np.frombuffer(meta, dtype=np.int32),
+                np.frombuffer(sizes, dtype=np.int32),
+            )
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"{exc} (cell metadata at offset {offset})"
+            ) from None
+        pattern = SamplingPattern(
+            n=n, cells=cells, subdomain_corner=corner, subdomain_size=k
+        )
+        pattern = _PATTERNS.put(key, pattern, len(cells))
     values = _decode_values(
-        view, offset, value_dtype, pattern.sample_count, out
+        view, values_offset, value_dtype, pattern.sample_count, out
     )
     return CompressedField(pattern=pattern, values=values)
 

@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.accumulate import accumulate_boxes
 from repro.core.checkpoint import (
     checkpoint_from_bytes,
     checkpoint_segments,
@@ -81,7 +82,6 @@ from repro.errors import (
 )
 from repro.fft.pruned_plan import default_cache
 from repro.octree.compress import CompressedField
-from repro.octree.interpolate import reconstruct_box
 from repro.serve.clock import Clock, MonotonicClock
 
 __all__ = [
@@ -396,22 +396,9 @@ def _recovery_rank_main(
         if len(payload):
             merged.update(checkpoint_from_bytes(payload))
 
-    ordered = [merged[i] for i in sorted(merged)]
-    kk = config.k
-    blocks: Dict[int, np.ndarray] = {}
-    for sub in pipeline.decomposition:
-        if sub.index % size != rank:
-            continue
-        acc = np.zeros((kk, kk, kk), dtype=np.float64)
-        for compressed in ordered:
-            reconstruct_box(
-                compressed,
-                sub.corner,
-                (kk, kk, kk),
-                method=config.interpolation,
-                out=acc,
-            )
-        blocks[sub.index] = acc
+    blocks = accumulate_boxes(
+        merged, _own_subdomains(pipeline, rank, size), config.interpolation
+    )
 
     return RankResult(
         rank=rank,

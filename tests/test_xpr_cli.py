@@ -5,12 +5,28 @@ expansion, real trial execution through the default registry, store
 append, gate evaluation — runs in well under a second.
 """
 
+import functools
+
 import pytest
 
 from repro.cli import main
+from repro.serve.clock import ManualClock
+from repro.xpr import cli as xpr_cli
 from repro.xpr.cli import xpr_main
 from repro.xpr.grid import EXPERIMENTS, ExperimentGrid, define_experiment
+from repro.xpr.runner import Runner
 from repro.xpr.store import TrajectoryStore
+
+
+class _SteppingClock(ManualClock):
+    """A manual clock that advances ``step`` seconds at every reading."""
+
+    def __init__(self, step: float):
+        super().__init__()
+        self.step = step
+
+    def now(self) -> float:
+        return self.advance(self.step)
 
 
 @pytest.fixture
@@ -48,8 +64,16 @@ class TestRunVerb:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_run_records_and_gate_passes(
-        self, micro_experiment, tmp_path, capsys
+        self, micro_experiment, tmp_path, capsys, monkeypatch
     ):
+        # The trials run for real, but on an injected clock that moves a
+        # quarter second per reading: every recorded ``elapsed_s`` is
+        # exactly 0.25, so the gate's timing tier compares equal numbers
+        # instead of two ~14 ms wall-clock samples from a noisy host.
+        clock = _SteppingClock(step=0.25)
+        monkeypatch.setattr(
+            xpr_cli, "Runner", functools.partial(Runner, clock=clock)
+        )
         store_path = tmp_path / "t.jsonl"
         args = ["--experiment", micro_experiment, "--store", str(store_path)]
         # first run: everything is new; gate has nothing to compare
@@ -68,7 +92,7 @@ class TestRunVerb:
         records = TrajectoryStore(store_path).records()
         assert len(records) == 4
         assert all(r.status == "ok" for r in records)
-        assert all("elapsed_s" in r.metrics for r in records)
+        assert all(r.metrics["elapsed_s"] == 0.25 for r in records)
 
 
 class TestReportVerb:
