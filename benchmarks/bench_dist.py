@@ -15,7 +15,7 @@ measured exchange wire bytes, the exact Eq 6 value-byte prediction, and
 their ratio (the acceptance bar is ratio <= 1.05 at this configuration).
 
 Zero-copy accounting columns: every configuration records the per-rank
-:class:`~repro.dist.copytrack.CopyLedger` totals (``copied_wire_bytes``
+:class:`~repro.util.copytrack.CopyLedger` totals (``copied_wire_bytes``
 must be 0 on the TCP transport for float64 — the data plane's counted
 invariant; loopback rank threads share one process ledger, so their
 totals overlap), and a ``serialization`` section reports the codec's

@@ -42,11 +42,7 @@ from repro.core.distributed_runner import (
 from repro.core.worker import PoolRunResult, Worker, WorkerPool, WorkerStats
 from repro.core.autotune import AutotuneResult, autotune
 from repro.core.batch import BatchConvolver, BatchResult
-from repro.core.checkpoint import (
-    checkpoint_from_bytes,
-    checkpoint_to_bytes,
-    recover_missing,
-)
+from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.linear_conv import (
     LinearConvolution3D,
     embed_kernel_freespace,
@@ -102,5 +98,4 @@ __all__ = [
     "reference_linear_convolve",
     "checkpoint_to_bytes",
     "checkpoint_from_bytes",
-    "recover_missing",
 ]

@@ -3,7 +3,9 @@
 A sub-domain's compressed convolution result is small (that is the whole
 point), so checkpointing the accumulation inputs is cheap: if a rank dies
 mid-run, only *its* chunks need recomputing — everyone else's compressed
-results restore from the checkpoint.  The container format is a simple
+results restore from the checkpoint, and the rest come from
+:meth:`~repro.core.pipeline.LowCommConvolution3D.convolve_chunks` over
+the sub-domains the checkpoint lacks.  The container format is a simple
 length-prefixed concatenation of the :mod:`repro.octree.serialize` wire
 records, one per (sub-domain index, field).
 """
@@ -12,8 +14,6 @@ from __future__ import annotations
 
 import struct
 from typing import Dict, List, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.core.decomposition import SubDomain
 from repro.errors import ConfigurationError
@@ -135,28 +135,3 @@ def checkpoint_from_bytes(blob: Blob) -> Dict[int, CompressedField]:
         )
     return out
 
-
-def recover_missing(
-    checkpoint: Dict[int, CompressedField],
-    decomposition,
-    field: np.ndarray,
-    local_conv,
-    policy,
-) -> List[Tuple[SubDomain, CompressedField]]:
-    """Rebuild the full per-domain result list from a partial checkpoint.
-
-    Sub-domains present in the checkpoint are restored; missing ones (the
-    failed rank's chunks) are recomputed with ``local_conv``.  Zero chunks
-    are skipped exactly as the pipeline does.
-    """
-    out: List[Tuple[SubDomain, CompressedField]] = []
-    for sub in decomposition:
-        block = decomposition.extract(field, sub)
-        if not np.any(block):
-            continue
-        if sub.index in checkpoint:
-            out.append((sub, checkpoint[sub.index]))
-        else:
-            pattern = policy.pattern_for(decomposition.n, sub.size, sub.corner)
-            out.append((sub, local_conv.convolve(block, sub.corner, pattern=pattern)))
-    return out

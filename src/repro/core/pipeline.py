@@ -25,7 +25,7 @@ Three execution modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,35 +150,50 @@ class LowCommConvolution3D:
             raise ShapeError(f"field shape {field.shape} != grid ({self.n},)*3")
         return field
 
-    def _convolve_subdomains(
-        self, field: np.ndarray
-    ) -> List[Tuple[SubDomain, CompressedField]]:
-        field = self._check_field(field)
-        results: List[Tuple[SubDomain, CompressedField]] = []
-        for sub in self.decomposition:
+    def active_subdomains(
+        self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
+    ) -> List[SubDomain]:
+        """The members of ``subdomains`` (default: the whole decomposition)
+        whose block of ``field`` holds any non-zero sample.
+
+        All-zero blocks contribute nothing (implicit sparsity), so they
+        are skipped everywhere: never convolved, checkpointed or
+        exchanged.
+        """
+        if subdomains is None:
+            subdomains = self.decomposition
+        return [sub for sub in subdomains if np.any(field[sub.slices()])]
+
+    def convolve_chunks(
+        self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
+    ) -> Iterator[Tuple[SubDomain, CompressedField]]:
+        """Lazily convolve ``subdomains`` one chunk at a time, in order.
+
+        The per-sub-domain step every execution mode iterates: extract
+        the block, convolve it locally against the cached sampling
+        pattern, yield ``(sub-domain, compressed result)``.
+        ``subdomains`` must come from :meth:`active_subdomains` (the
+        default is every active sub-domain of ``field``, which must
+        already be a float64 ``n^3`` array).
+        """
+        if subdomains is None:
+            subdomains = self.active_subdomains(field)
+        for sub in subdomains:
             block = self.decomposition.extract(field, sub)
-            if not np.any(block):
-                continue  # zero chunks contribute nothing (implicit sparsity)
-            compressed = self.local.convolve(
+            yield sub, self.local.convolve(
                 block, sub.corner, pattern=self._pattern(sub.corner)
             )
-            results.append((sub, compressed))
-        return results
 
     def _convolve_subdomains_parallel(
         self, field: np.ndarray, max_workers: Optional[int]
     ) -> List[Tuple[SubDomain, CompressedField]]:
-        """Parallel counterpart of :meth:`_convolve_subdomains`.
+        """Process-pool counterpart of :meth:`convolve_chunks`.
 
         Workers return only sample values; patterns come from the parent's
         cache, so the resulting pairs match the serial ones bitwise.
         """
         field = self._check_field(field)
-        active = [
-            sub
-            for sub in self.decomposition
-            if np.any(field[sub.slices()])  # implicit sparsity, as in serial
-        ]
+        active = self.active_subdomains(field)
         pairs = convolve_subdomains_parallel(
             field,
             self.n,
@@ -235,7 +250,7 @@ class LowCommConvolution3D:
     def run_serial(self, field: np.ndarray) -> ConvolutionResult:
         """Process all sub-domains on one worker; return the dense result."""
         with WallTimer() as timer:
-            per_domain = self._convolve_subdomains(field)
+            per_domain = list(self.convolve_chunks(self._check_field(field)))
             approx = self._accumulate(per_domain)
         return self._result(approx, per_domain, timer.elapsed)
 
@@ -284,7 +299,7 @@ class LowCommConvolution3D:
             if max_workers is not None:
                 per_domain = self._convolve_subdomains_parallel(field, max_workers)
             else:
-                per_domain = self._convolve_subdomains(field)
+                per_domain = list(self.convolve_chunks(self._check_field(field)))
             by_rank: List[List[Tuple[SubDomain, CompressedField]]] = [
                 [] for _ in range(comm.size)
             ]

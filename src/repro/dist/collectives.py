@@ -8,15 +8,22 @@ endpoint with the operations the pipeline needs:
 - ``broadcast`` — root fans a payload to every rank (input distribution);
 - ``sparse_allgather`` — every rank ships its payload to every peer and
   receives all of theirs: *the* single sparse accumulation exchange of
-  the paper (Fig 1(b)), implemented deadlock-free on the transport's
-  ``exchange`` primitive;
+  the paper (Fig 1(b)); sends drain on a pump thread while this thread
+  receives, so it cannot deadlock on full socket buffers;
+- ``sparse_allgather_stream`` — the same exchange fed chunk by chunk
+  while compute is still running (:class:`StreamedAllgather`);
 - ``alltoall`` — per-destination payloads, for baselines and tests;
 - ``barrier`` — empty exchange.
 
-The library's algorithms are bulk-synchronous (one collective in flight
-per phase, discriminated by tag), which keeps matching simple: frames
-from an unexpected phase are a protocol error, not a reordering case.
-Heartbeat frames are consumed here and fed to the
+Every receive in this module goes through one loop,
+:meth:`Communicator._next_frame`, the only caller of ``transport.recv``.
+Collectives run in the same order on every rank and both transports keep
+per-pair FIFO order, so matching on (source, tag) is sufficient — but
+ranks are not in lock-step: a fast rank's frames for the *next*
+collective (or the next pool job) can land while this rank still drains
+the current one.  Such frames are parked, never dropped, and every
+receive consults the parked list before touching the wire.  Heartbeat
+frames are consumed there too and fed to the
 :class:`~repro.dist.heartbeat.HeartbeatMonitor`, so prolonged peer
 silence surfaces as :class:`~repro.errors.RankFailure` even while a
 receive is blocked.
@@ -24,8 +31,7 @@ receive is blocked.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional
+from typing import Collection, List, Optional, Set
 
 from repro.dist.heartbeat import HeartbeatMonitor, HeartbeatSender
 from repro.dist.ledger import (
@@ -36,7 +42,13 @@ from repro.dist.ledger import (
 )
 from repro.dist.transport import Transport
 from repro.dist.wire import Frame, FrameKind, FramePayload
-from repro.errors import CommunicationError, RankFailure, TransportError
+from repro.errors import (
+    CommunicationError,
+    IdleTimeout,
+    RankFailure,
+    TransportError,
+)
+from repro.serve.clock import Clock, MonotonicClock
 
 #: Tags for the pipeline's bulk-synchronous phases.  This block is the
 #: *central wire-tag registry* (TAG001): every ``TAG_*`` constant lives
@@ -49,8 +61,8 @@ TAG_BARRIER = 4
 #: End-of-stream marker for the streamed exchange: one empty frame per
 #: peer closes that peer's chunk stream.
 TAG_EXCHANGE_END = 5
-#: Broadcast tag for the merged checkpoint blob of a pool recovery job
-#: (used by ``repro.pool.jobs``, re-exported there for compatibility).
+#: Broadcast tag for the merged checkpoint a resumed job restores from
+#: (``repro.dist.worker.rank_main``; only the standing pool resumes jobs).
 TAG_POOL_CHECKPOINT = 6
 
 #: Slice size for receive waits so the heartbeat monitor is consulted
@@ -71,6 +83,8 @@ class Communicator:
         Beacon interval; ``None`` disables heartbeating (the EOF-based
         crash detection in the transports still applies).  When enabled,
         peers silent for ``4 *`` this interval are declared failed.
+    clock:
+        Time source for receive deadlines (injectable for tests).
     """
 
     def __init__(
@@ -78,17 +92,20 @@ class Communicator:
         transport: Transport,
         recv_timeout_s: float = 30.0,
         heartbeat_s: Optional[float] = None,
+        clock: Optional[Clock] = None,
     ):
         self.transport = transport
         self.recv_timeout_s = float(recv_timeout_s)
+        self.clock = clock if clock is not None else MonotonicClock()
         self.monitor: Optional[HeartbeatMonitor] = None
         self._sender: Optional[HeartbeatSender] = None
-        peers = [r for r in range(transport.size) if r != transport.rank]
+        peers = self._peers()
         if heartbeat_s is not None and peers:
             self.monitor = HeartbeatMonitor(peers, timeout_s=4.0 * heartbeat_s)
             self._sender = HeartbeatSender(transport, heartbeat_s)
             self._sender.start()
-        #: out-of-phase frames parked until their phase asks for them
+        #: DATA frames that arrived ahead of the receive that wants them,
+        #: in arrival order
         self._parked: List[Frame] = []
 
     @property
@@ -100,6 +117,63 @@ class Communicator:
     def size(self) -> int:
         """Number of ranks in the job."""
         return self.transport.size
+
+    def _peers(self) -> List[int]:
+        return [r for r in range(self.size) if r != self.rank]
+
+    # -- the receive loop ---------------------------------------------------
+    def _next_frame(
+        self,
+        awaited: Collection[int],
+        tags: Collection[int],
+        deadline: float,
+        category: str,
+    ) -> Frame:
+        """The next DATA frame from a rank in ``awaited`` tagged one of
+        ``tags`` — parked frames first, then the wire.
+
+        The one receive loop: it polls in :data:`_POLL_SLICE_S` slices so
+        the heartbeat monitor is checked while the fabric is quiet,
+        consumes HEARTBEAT frames, treats BYE from an awaited rank as
+        that rank's failure, and parks every other DATA frame for the
+        receive it belongs to.  Only :class:`IdleTimeout` is retried; any
+        other transport error means a stream broke and propagates at
+        once.  ``deadline`` is on :attr:`clock`.
+        """
+        for i, parked in enumerate(self._parked):
+            if parked.src in awaited and parked.tag in tags:
+                return self._parked.pop(i)
+        while True:
+            remaining = deadline - self.clock.now()
+            if remaining <= 0:
+                raise TransportError(
+                    f"rank {self.rank}: receive of tag {sorted(tags)} timed "
+                    f"out with ranks {sorted(awaited)} still silent"
+                )
+            try:
+                frame = self.transport.recv(
+                    min(remaining, _POLL_SLICE_S),
+                    category,
+                    frame_timeout=remaining,
+                )
+            except IdleTimeout:
+                if self.monitor is not None:
+                    self.monitor.check()
+                continue
+            if self.monitor is not None:
+                self.monitor.record(frame.src)
+            if frame.kind == FrameKind.HEARTBEAT:
+                continue
+            if frame.kind == FrameKind.BYE:
+                if frame.src in awaited:
+                    raise RankFailure(
+                        f"rank {frame.src} said BYE while rank {self.rank} "
+                        f"still expected tag {sorted(tags)} from it"
+                    )
+                continue
+            if frame.src in awaited and frame.tag in tags:
+                return frame
+            self._parked.append(frame)
 
     # -- point-to-point -----------------------------------------------------
     def send_payload(
@@ -126,41 +200,12 @@ class Communicator:
     ) -> bytes:
         """Receive the payload tagged ``tag`` from ``src``.
 
-        Heartbeats are consumed silently; out-of-phase data frames are
-        parked for a later matching receive.  Raises
-        :class:`TransportError` on deadline, :class:`RankFailure` on peer
-        death or heartbeat silence.
+        Raises :class:`TransportError` on deadline or a broken stream,
+        :class:`RankFailure` on peer death, BYE or heartbeat silence.
         """
-        deadline_budget = self.recv_timeout_s if timeout is None else float(timeout)
-        for i, parked in enumerate(self._parked):
-            if parked.src == src and parked.tag == tag:
-                return self._parked.pop(i).payload
-        import time as _time
-
-        deadline = _time.monotonic() + deadline_budget
-        while True:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                raise TransportError(
-                    f"rank {self.rank}: receive of tag {tag} from rank {src} "
-                    f"timed out after {deadline_budget}s"
-                )
-            try:
-                frame = self.transport.recv(min(remaining, _POLL_SLICE_S), category)
-            except TransportError:
-                if self.monitor is not None:
-                    self.monitor.check()
-                continue  # re-check overall deadline
-            self._note(frame)
-            if frame.kind in (FrameKind.HEARTBEAT, FrameKind.BYE):
-                continue
-            if frame.src == src and frame.tag == tag:
-                return frame.payload
-            self._parked.append(frame)
-
-    def _note(self, frame: Frame) -> None:
-        if self.monitor is not None:
-            self.monitor.record(frame.src)
+        budget = self.recv_timeout_s if timeout is None else float(timeout)
+        deadline = self.clock.now() + budget
+        return self._next_frame((src,), (tag,), deadline, category).payload
 
     # -- collectives --------------------------------------------------------
     def broadcast(
@@ -185,6 +230,36 @@ class Communicator:
             return payload
         return self.recv_payload(root, tag, category=category)
 
+    def _swap(
+        self, payloads: List[FramePayload], tag: int, category: str
+    ) -> List[FramePayload]:
+        """Send ``payloads[dst]`` to every peer, receive one ``tag`` frame
+        from each; returns per-source payloads (own slot passed through).
+
+        Sends drain through a one-batch send window on a pump thread
+        while this thread receives, so full kernel socket buffers can
+        never deadlock the collective, whatever the payload size.
+        """
+        result = list(payloads)
+        pending: Set[int] = set(self._peers())
+        if not pending:
+            return result
+        with self.transport.send_window(window=1, name="exchange").closing(
+            timeout=self.recv_timeout_s
+        ) as window:
+            window.submit(
+                [
+                    (dst, Frame(FrameKind.DATA, self.rank, tag, payloads[dst]), category)
+                    for dst in sorted(pending)
+                ]
+            )
+            deadline = self.clock.now() + self.recv_timeout_s
+            while pending:
+                frame = self._next_frame(pending, (tag,), deadline, category)
+                result[frame.src] = frame.payload
+                pending.discard(frame.src)
+        return result
+
     def sparse_allgather(
         self,
         payload: FramePayload,
@@ -200,25 +275,7 @@ class Communicator:
         counted under the ``exchange`` category — these are exactly the
         bytes Eq 6 models.
         """
-        peers = {r for r in range(self.size) if r != self.rank}
-        outgoing = {
-            dst: Frame(FrameKind.DATA, self.rank, tag, payload) for dst in peers
-        }
-        got = self.transport.exchange(
-            outgoing, peers, self.recv_timeout_s, category
-        )
-        for src, frame in got.items():
-            if frame.tag != tag:
-                raise CommunicationError(
-                    f"rank {self.rank}: exchange frame from rank {src} has "
-                    f"tag {frame.tag}, expected {tag}"
-                )
-            self._note(frame)
-        result: List[bytes] = [b""] * self.size
-        result[self.rank] = payload
-        for src, frame in got.items():
-            result[src] = frame.payload
-        return result
+        return self._swap([payload] * self.size, tag, category)
 
     def sparse_allgather_stream(
         self,
@@ -250,30 +307,18 @@ class Communicator:
         payloads: List[FramePayload],
         tag: int = TAG_EXCHANGE,
         category: str = CATEGORY_DATA,
-    ) -> List[bytes]:
+    ) -> List[FramePayload]:
         """Variable payload per destination; returns per-source payloads."""
         if len(payloads) != self.size:
             raise CommunicationError(
                 f"alltoall needs one payload per rank ({self.size}), "
                 f"got {len(payloads)}"
             )
-        peers = {r for r in range(self.size) if r != self.rank}
-        outgoing = {
-            dst: Frame(FrameKind.DATA, self.rank, tag, payloads[dst])
-            for dst in peers
-        }
-        got = self.transport.exchange(outgoing, peers, self.recv_timeout_s, category)
-        result: List[bytes] = [b""] * self.size
-        result[self.rank] = payloads[self.rank]
-        for src, frame in got.items():
-            self._note(frame)
-            result[src] = frame.payload
-        return result
+        return self._swap(payloads, tag, category)
 
     def barrier(self, tag: int = TAG_BARRIER) -> None:
         """Block until every rank has entered the barrier."""
-        if self.size > 1:
-            self.alltoall([b""] * self.size, tag=tag, category=CATEGORY_CONTROL)
+        self._swap([b""] * self.size, tag, CATEGORY_CONTROL)
 
     def close(self) -> None:
         """Stop heartbeating and close the transport gracefully."""
@@ -317,7 +362,7 @@ class StreamedAllgather:
         self.end_tag = end_tag
         self.category = category
         self.name = name
-        self._peers = [r for r in range(comm.size) if r != comm.rank]
+        self._peers = comm._peers()
         self._own: List[FramePayload] = []
         self._seq = 0
         self._finished = False
@@ -379,68 +424,26 @@ class StreamedAllgather:
         if self._finished:
             raise CommunicationError("stream already finished")
         self._finished = True
-        budget = self.comm.recv_timeout_s if timeout is None else float(timeout)
-        result: List[List[FramePayload]] = [[] for _ in range(self.comm.size)]
-        result[self.comm.rank] = list(self._own)
+        comm = self.comm
+        budget = comm.recv_timeout_s if timeout is None else float(timeout)
+        result: List[List[FramePayload]] = [[] for _ in range(comm.size)]
+        result[comm.rank] = list(self._own)
         if self._window is None:
             return result
-        end = Frame(FrameKind.DATA, self.comm.rank, self.end_tag, b"")
+        end = Frame(FrameKind.DATA, comm.rank, self.end_tag, b"")
         self._window.submit(
             [(dst, end, self.category) for dst in self._peers],
             label=f"{self.name}:end",
         )
-        try:
-            self._drain(result, budget)
-        except BaseException:
-            # receive-side failure is primary; still reap the pump thread
-            try:
-                self._window.close(timeout=budget)
-            except (TransportError, RankFailure, CommunicationError):
-                pass
-            raise
-        self._window.close(timeout=budget)
+        with self._window.closing(timeout=budget):
+            streaming = set(self._peers)
+            deadline = comm.clock.now() + budget
+            while streaming:
+                frame = comm._next_frame(
+                    streaming, (self.tag, self.end_tag), deadline, self.category
+                )
+                if frame.tag == self.tag:
+                    result[frame.src].append(frame.payload)
+                else:
+                    streaming.discard(frame.src)
         return result
-
-    def _drain(self, result: List[List[FramePayload]], budget: float) -> None:
-        pending = set(self._peers)
-        # out-of-phase frames parked earlier may already hold our chunks
-        for parked in list(self.comm._parked):
-            if parked.tag == self.tag and parked.src in pending:
-                self.comm._parked.remove(parked)
-                result[parked.src].append(parked.payload)
-            elif parked.tag == self.end_tag and parked.src in pending:
-                self.comm._parked.remove(parked)
-                pending.discard(parked.src)
-        deadline = time.monotonic() + budget
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportError(
-                    f"rank {self.comm.rank}: streamed exchange timed out "
-                    f"after {budget}s with ranks {sorted(pending)} still "
-                    "streaming"
-                )
-            try:
-                frame = self.comm.transport.recv(
-                    min(remaining, _POLL_SLICE_S), self.category
-                )
-            except TransportError:
-                if self.comm.monitor is not None:
-                    self.comm.monitor.check()
-                continue  # re-check overall deadline
-            self.comm._note(frame)
-            if frame.kind == FrameKind.HEARTBEAT:
-                continue
-            if frame.kind == FrameKind.BYE:
-                if frame.src in pending:
-                    raise RankFailure(
-                        f"rank {frame.src} said BYE while rank "
-                        f"{self.comm.rank} still expected its chunk stream"
-                    )
-                continue
-            if frame.tag == self.tag and frame.src in pending:
-                result[frame.src].append(frame.payload)
-            elif frame.tag == self.end_tag and frame.src in pending:
-                pending.discard(frame.src)
-            else:
-                self.comm._parked.append(frame)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.cluster.comm import SimulatedComm
 from repro.cluster.cost import sparse_sample_count
 from repro.core.accumulate import accumulate_global
-from repro.core.checkpoint import checkpoint_from_bytes, recover_missing
+from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.dist.ledger import merge_wire_snapshots
 from repro.dist.runtime import run_spmd
@@ -213,13 +213,15 @@ def _recover(
     merged: Dict[int, CompressedField] = {}
     for blob in checkpoint_blobs:
         merged.update(checkpoint_from_bytes(blob))
-    per_domain = recover_missing(
-        merged, pipeline.decomposition, field, pipeline.local, pipeline.policy
-    )
-    if not per_domain:
+    missing = [
+        sub for sub in pipeline.active_subdomains(field) if sub.index not in merged
+    ]
+    for sub, compressed in pipeline.convolve_chunks(field, missing):
+        merged[sub.index] = compressed
+    if not merged:
         return np.zeros((config.n,) * 3, dtype=np.float64)
     return accumulate_global(
-        [f for _sub, f in per_domain], method=config.interpolation
+        [merged[index] for index in sorted(merged)], method=config.interpolation
     )
 
 

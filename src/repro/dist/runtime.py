@@ -30,12 +30,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.dist import copytrack
 from repro.dist.collectives import Communicator
 from repro.dist.tcp import TcpTransport
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, RankResult, rank_main
 from repro.errors import TransportError
+from repro.util import copytrack
 
 #: Wall-clock backstop for a whole SPMD run (bootstrap + compute + exchange).
 RUN_DEADLINE_S = 120.0

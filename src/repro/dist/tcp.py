@@ -17,12 +17,10 @@ deterministic jitter until the mesh deadline.  All dial-side waiting
 goes through an injected :class:`~repro.serve.clock.Clock`, so the
 retry schedule is unit-testable without wall-clock sleeps.
 
-Concurrency: frames may be written by the application thread and the
-heartbeat thread simultaneously, so each peer socket has a write lock and
-each frame is written while holding it (frames never interleave).
-:meth:`TcpTransport.exchange` runs its sends on a helper thread while the
-caller drains receives — the all-to-peers exchange can therefore never
-deadlock on full kernel socket buffers, whatever the payload size.
+Concurrency: frames may be written by the application thread, the
+heartbeat thread and a :class:`~repro.dist.transport.SendWindow` pump
+simultaneously, so each peer socket has a write lock and each frame is
+written while holding it (frames never interleave).
 
 Zero-copy data plane: sends go out with ``socket.sendmsg`` scatter-gather
 over the frame's header/payload views (header packed into a per-peer
@@ -31,10 +29,13 @@ receives land in a reusable :class:`~repro.dist.transport.RecvArena` via
 ``recv_into``.  A received DATA payload is a ``memoryview`` over an arena
 slab whose ownership passes to the consumer.
 
-Failure mapping: receive deadline exceeded →
-:class:`~repro.errors.TransportError`; peer EOF without a prior ``BYE``
-→ :class:`~repro.errors.RankFailure` naming the dead rank; EOF mid-frame
-→ :class:`~repro.errors.TransportError` with the truncation offset.
+Failure mapping: nothing inbound within the idle wait →
+:class:`~repro.errors.IdleTimeout` (stream intact, poll again); peer EOF
+without a prior ``BYE`` → :class:`~repro.errors.RankFailure` naming the
+dead rank; a frame that stalls, ends or fails validation part-way →
+:class:`~repro.errors.TransportError` with the offset reached, and that
+connection is closed — its byte stream has no frame boundary left to
+resume from.
 """
 
 from __future__ import annotations
@@ -54,7 +55,13 @@ from repro.dist.wire import (
     FrameKind,
     decode_header,
 )
-from repro.errors import CommunicationError, ConfigurationError, RankFailure, TransportError
+from repro.errors import (
+    CommunicationError,
+    ConfigurationError,
+    IdleTimeout,
+    RankFailure,
+    TransportError,
+)
 from repro.serve.clock import Clock, MonotonicClock
 
 #: Default wall-clock budget for building the full mesh.
@@ -373,13 +380,25 @@ class TcpTransport(Transport):
             ) from exc
         self.ledger.record_send(category, frame.nbytes)
 
-    def recv(self, timeout: float, category: str = CATEGORY_DATA) -> Frame:
-        """Return the next frame from any peer (selector-multiplexed)."""
-        deadline = time.monotonic() + timeout
+    def recv(
+        self,
+        timeout: float,
+        category: str = CATEGORY_DATA,
+        frame_timeout: Optional[float] = None,
+    ) -> Frame:
+        """Return the next frame from any peer (selector-multiplexed).
+
+        ``timeout`` is spent only in ``select``, waiting for a frame to
+        start; a readable socket is then read to the end of its frame
+        under ``frame_timeout`` (see :meth:`Transport.recv`).
+        """
+        start = time.monotonic()
+        idle_deadline = start + timeout
+        frame_deadline = start + (timeout if frame_timeout is None else frame_timeout)
         while True:
-            remaining = deadline - time.monotonic()
+            remaining = idle_deadline - time.monotonic()
             if remaining <= 0:
-                raise TransportError(
+                raise IdleTimeout(
                     f"rank {self.rank}: receive timed out after {timeout}s "
                     "(message dropped or peer stalled)"
                 )
@@ -388,11 +407,13 @@ class TcpTransport(Transport):
                 continue
             key = events[0][0]
             sock, src = key.fileobj, key.data
-            frame = self._read_frame_blocking(sock, deadline, src)
+            try:
+                frame = self._read_frame_blocking(sock, frame_deadline, src)
+            except TransportError:
+                self._drop_peer(src)  # mid-frame: no boundary to resume from
+                raise
             if frame is None:  # EOF at frame boundary
-                self._selector.unregister(sock)
-                sock.close()
-                self._peers.pop(src, None)
+                self._drop_peer(src)
                 if src in self._bye_from:
                     continue  # graceful close; keep waiting for real traffic
                 raise RankFailure(
@@ -406,52 +427,12 @@ class TcpTransport(Transport):
             self.ledger.record_recv(category, frame.nbytes)
             return frame
 
-    def exchange(
-        self,
-        outgoing: Dict[int, Frame],
-        expect: Set[int],
-        timeout: float,
-        category: str = CATEGORY_DATA,
-    ) -> Dict[int, Frame]:
-        """Windowed sends + multiplexed receives; immune to buffer deadlock.
-
-        The all-to-peers sends drain through a
-        :class:`~repro.dist.transport.SendWindow` pump thread while this
-        thread receives, so full kernel socket buffers can never deadlock
-        the collective, whatever the payload size.
-        """
-        window = self.send_window(window=1, name="exchange")
-        got: Dict[int, Frame] = {}
-        pending = set(expect)
-        try:
-            if outgoing:
-                window.submit(
-                    [(dst, frame, category) for dst, frame in outgoing.items()]
-                )
-            while pending:
-                frame = self.recv(timeout, category)
-                if frame.kind == FrameKind.HEARTBEAT:
-                    continue
-                if frame.kind == FrameKind.BYE:
-                    if frame.src in pending:
-                        raise RankFailure(
-                            f"rank {frame.src} said BYE while rank {self.rank} "
-                            "still expected its exchange payload"
-                        )
-                    continue
-                if frame.src in pending:
-                    pending.discard(frame.src)
-                    got[frame.src] = frame
-        except BaseException:
-            # the receive-side failure is the primary error; still reap
-            # the pump so its thread never outlives the exchange
-            try:
-                window.close(timeout=timeout)
-            except (TransportError, RankFailure, CommunicationError):
-                pass
-            raise
-        window.close(timeout=timeout)
-        return got
+    def _drop_peer(self, src: int) -> None:
+        """Close and forget the connection to ``src`` (idempotent)."""
+        sock = self._peers.pop(src, None)
+        if sock is not None:
+            self._selector.unregister(sock)
+            sock.close()
 
     def close(self) -> None:
         """Send ``BYE`` everywhere reachable, then close all sockets."""
@@ -461,13 +442,7 @@ class TcpTransport(Transport):
         for dst in list(self._peers):
             try:
                 self.send(dst, Frame(FrameKind.BYE, self.rank, 0), CATEGORY_CONTROL)
-            except (TransportError, RankFailure, CommunicationError):
+            except CommunicationError:
                 pass
-            sock = self._peers.pop(dst, None)
-            if sock is not None:
-                try:
-                    self._selector.unregister(sock)
-                except KeyError:  # pragma: no cover - already unregistered
-                    pass
-                sock.close()
+            self._drop_peer(dst)
         self._selector.close()

@@ -12,10 +12,12 @@ ranks and counts every frame's wire bytes into a
 - :class:`~repro.dist.tcp.TcpTransport` — real localhost sockets, one OS
   process per rank.
 
-Failure semantics shared by both: a receive that exceeds its timeout
-raises :class:`~repro.errors.TransportError`; end-of-stream from a peer
-that did not first send ``BYE`` raises
-:class:`~repro.errors.RankFailure` naming the dead rank.
+Failure semantics shared by both: a receive during which no frame starts
+to arrive raises :class:`~repro.errors.IdleTimeout` (the only transport
+error worth polling again on); any other
+:class:`~repro.errors.TransportError` means a frame broke part-way and
+the stream is lost; end-of-stream from a peer that did not first send
+``BYE`` raises :class:`~repro.errors.RankFailure` naming the dead rank.
 """
 
 from __future__ import annotations
@@ -24,11 +26,17 @@ import abc
 import queue
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.dist.ledger import CATEGORY_CONTROL, CATEGORY_DATA, WireLedger
 from repro.dist.wire import HEADER_BYTES, Frame, FrameKind, decode_frame, encode_frame
-from repro.errors import CommunicationError, RankFailure, TransportError
+from repro.errors import (
+    CommunicationError,
+    IdleTimeout,
+    RankFailure,
+    TransportError,
+)
 
 
 class RecvArena:
@@ -118,8 +126,8 @@ class RecvArena:
 class Transport(abc.ABC):
     """Moves frames between ``size`` ranks; counts bytes into a ledger.
 
-    Subclasses implement :meth:`send`, :meth:`recv`, :meth:`exchange`, and
-    :meth:`close`; all of them must record traffic on ``self.ledger``.
+    Subclasses implement :meth:`send`, :meth:`recv` and :meth:`close`;
+    all of them must record traffic on ``self.ledger``.
     """
 
     def __init__(self, rank: int, size: int, ledger: Optional[WireLedger] = None):
@@ -136,24 +144,23 @@ class Transport(abc.ABC):
         """Deliver ``frame`` to rank ``dst`` (blocking)."""
 
     @abc.abstractmethod
-    def recv(self, timeout: float, category: str = CATEGORY_DATA) -> Frame:
-        """Return the next incoming frame from any source.
-
-        Raises :class:`TransportError` after ``timeout`` seconds with no
-        frame, :class:`RankFailure` if a peer's stream ended abruptly.
-        """
-
-    @abc.abstractmethod
-    def exchange(
+    def recv(
         self,
-        outgoing: Dict[int, Frame],
-        expect: Set[int],
         timeout: float,
         category: str = CATEGORY_DATA,
-    ) -> Dict[int, Frame]:
-        """Send one frame per entry of ``outgoing`` while receiving one DATA
-        frame from every rank in ``expect`` — deadlock-free even when
-        payloads exceed transport buffering.  Returns ``{src: frame}``.
+        frame_timeout: Optional[float] = None,
+    ) -> Frame:
+        """Return the next incoming frame from any source.
+
+        ``timeout`` bounds only the wait for a frame to *start*: with
+        nothing inbound for that long the call raises
+        :class:`IdleTimeout` and the stream is untouched.  A frame whose
+        first byte has arrived is read to completion, for at most
+        ``frame_timeout`` seconds from the call (default: ``timeout``) —
+        the caller's own deadline, so a poll slice never cuts a large
+        payload in half.  A frame that stalls or breaks part-way raises a
+        plain :class:`TransportError` and costs the connection it was on;
+        a peer's stream ending abruptly raises :class:`RankFailure`.
         """
 
     @abc.abstractmethod
@@ -288,6 +295,24 @@ class SendWindow:
             )
         self._raise_pending()
 
+    @contextmanager
+    def closing(self, timeout: Optional[float] = None) -> Iterator["SendWindow"]:
+        """Close the window when the block ends, whatever happens in it.
+
+        The block is the receive half of a collective: a failure there is
+        the primary error, so the pump thread is still reaped but a send
+        failure discovered while doing so must not mask it.
+        """
+        try:
+            yield self
+        except BaseException:
+            try:
+                self.close(timeout=timeout)
+            except CommunicationError:
+                pass
+            raise
+        self.close(timeout=timeout)
+
     def sent_seconds_before(self, t_monotonic: float) -> float:
         """Total pump send time that elapsed before ``t_monotonic``.
 
@@ -382,12 +407,18 @@ class LocalTransport(Transport):
         self.fabric._deliver(self.rank, dst, data)
         self.ledger.record_send(category, len(data))
 
-    def recv(self, timeout: float, category: str = CATEGORY_DATA) -> Frame:
-        """Dequeue, decode, and count the next incoming frame."""
+    def recv(
+        self,
+        timeout: float,
+        category: str = CATEGORY_DATA,
+        frame_timeout: Optional[float] = None,
+    ) -> Frame:
+        """Dequeue, decode, and count the next incoming frame (frames
+        arrive whole here, so ``frame_timeout`` never applies)."""
         try:
             kind, src, data = self.fabric._inboxes[self.rank].get(timeout=timeout)
         except queue.Empty:
-            raise TransportError(
+            raise IdleTimeout(
                 f"rank {self.rank}: receive timed out after {timeout}s "
                 "(message dropped or peer stalled)"
             ) from None
@@ -406,34 +437,6 @@ class LocalTransport(Transport):
             return frame
         self.ledger.record_recv(category, frame.nbytes)
         return frame
-
-    def exchange(
-        self,
-        outgoing: Dict[int, Frame],
-        expect: Set[int],
-        timeout: float,
-        category: str = CATEGORY_DATA,
-    ) -> Dict[int, Frame]:
-        """Queue-backed exchange: sends never block, then drain receives."""
-        for dst, frame in outgoing.items():
-            self.send(dst, frame, category)
-        got: Dict[int, Frame] = {}
-        pending = set(expect)
-        while pending:
-            frame = self.recv(timeout, category)
-            if frame.kind == FrameKind.HEARTBEAT:
-                continue
-            if frame.kind == FrameKind.BYE:
-                if frame.src in pending:
-                    raise RankFailure(
-                        f"rank {frame.src} said BYE while rank {self.rank} "
-                        "still expected its exchange payload"
-                    )
-                continue
-            if frame.src in pending:
-                pending.discard(frame.src)
-                got[frame.src] = frame
-        return got
 
     def close(self) -> None:
         """Send ``BYE`` to every peer (once) and mark the endpoint closed."""

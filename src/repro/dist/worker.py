@@ -1,14 +1,20 @@
 """What one rank executes: the SPMD body of the low-comm pipeline.
 
-:func:`rank_main` is the same for every rank and for both transports:
+:func:`rank_main` is the same for every rank, both transports, both
+exchange modes and both fresh and resumed jobs:
 
-1. rank 0 broadcasts the kernel spectrum and the input field;
+1. rank 0 broadcasts the kernel spectrum and the input field — and, for a
+   job resumed from a failed attempt, the merged checkpoint of that
+   attempt;
 2. the rank convolves its round-robin share of sub-domains locally with
-   the warm pruned-plan path (zero communication — the paper's claim);
-3. the compressed results are packed into a
-   :mod:`repro.core.checkpoint` blob, posted to the driver (this is the
-   fault-tolerance state), and shipped to every peer in ONE
-   ``sparse_allgather`` — the single sparse exchange of Eq 6;
+   the warm pruned-plan path (zero communication — the paper's claim),
+   skipping whatever the checkpoint already holds;
+3. the compressed results are packed into
+   :mod:`repro.core.checkpoint` blobs, posted to the driver (this is the
+   fault-tolerance state), and shipped to every peer in the single
+   sparse exchange of Eq 6 — one blob in ONE ``sparse_allgather`` after
+   the loop (barrier mode), or one blob per chunk pushed onto a streamed
+   exchange from inside the loop (``overlap`` mode);
 4. the rank reconstructs the accumulated result restricted to its *own*
    sub-domain boxes.
 
@@ -39,10 +45,10 @@ from repro.core.checkpoint import (
     join_checkpoint_segments,
 )
 from repro.core.pipeline import LowCommConvolution3D
-from repro.dist import copytrack
 from repro.dist.collectives import (
     TAG_EXCHANGE,
     TAG_FIELD,
+    TAG_POOL_CHECKPOINT,
     TAG_SPECTRUM,
     Communicator,
 )
@@ -51,10 +57,11 @@ from repro.dist.wire import Segments
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
 from repro.serve.loadgen import parse_policy
+from repro.util import copytrack
 
 #: Stages at which an injected failure can trigger (see ``DistConfig``).
-#: The first three are the barrier-mode stages; the last three only fire
-#: in overlap mode, at the streaming pipeline's new interleaving points.
+#: The first three fire in both modes; the last three only in overlap
+#: mode, at the streaming pipeline's interleaving points.
 FAIL_STAGES = (
     "before_checkpoint",
     "before_exchange",
@@ -162,7 +169,7 @@ class RankResult:
     #: total wire send time of the stream, hidden + visible (0 in
     #: barrier mode, where sends are folded into ``exchange_s``)
     exchange_send_s: float = 0.0
-    #: this rank's :class:`~repro.dist.copytrack.CopyLedger` snapshot —
+    #: this rank's :class:`~repro.util.copytrack.CopyLedger` snapshot —
     #: exact per-rank under the TCP transport (one process per rank,
     #: ledger reset at child start); under the loopback transport the
     #: ledger is process-global, so rank threads see shared totals
@@ -213,18 +220,6 @@ def build_pipeline(
     )
 
 
-def _maybe_fail(
-    config: DistConfig, rank: int, stage: str, abort: Optional[Callable[[], None]]
-) -> None:
-    if config.fail_rank == rank and config.fail_stage == stage:
-        if abort is None:
-            raise ConfigurationError(
-                "failure injection requested but the runtime supplied no "
-                "abort hook"
-            )
-        abort()
-
-
 def rank_main(
     comm: Communicator,
     config: DistConfig,
@@ -233,6 +228,8 @@ def rank_main(
     post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
     plans=None,
+    checkpoint: Optional[bytes] = None,
+    resumed: bool = False,
 ) -> RankResult:
     """Run one rank of the SPMD job; returns the rank's result.
 
@@ -246,222 +243,146 @@ def rank_main(
         Supplied on rank 0 only; other ranks receive them by broadcast.
     post:
         Driver-side mailbox: ``post(kind, rank, payload)``.  The rank
-        posts its checkpoint blob here before the exchange, which is the
-        state the driver recovers from if a rank dies.
+        posts every checkpoint blob here before it reaches a peer
+        (``"checkpoint"`` once in barrier mode, ``"chunk"`` per chunk in
+        overlap mode) — the state the driver recovers from if a rank
+        dies.
     abort:
         Crash hook for fault injection (never called unless this rank is
         ``config.fail_rank``).
     plans:
         Optional shared plan cache, forwarded to :func:`build_pipeline`
         (the standing pool's warm-plan path).
+    checkpoint, resumed:
+        ``resumed`` (set on every rank) marks a job that continues a
+        failed attempt; ``checkpoint`` (rank 0 only) is that attempt's
+        merged checkpoint blob.  Each rank then computes and exchanges
+        only its own sub-domains *absent* from it — a survivor usually
+        nothing, a replacement exactly the dead rank's unfinished share —
+        and the merge holds the same per-sub-domain fields as a clean
+        run, so the result is still bitwise ``run_serial``'s.
     """
     rank, size = comm.rank, comm.size
     if rank == 0:
-        if field is None or spectrum is None:
-            raise ConfigurationError("rank 0 must be given the field and spectrum")
+        if field is None or spectrum is None or (resumed and checkpoint is None):
+            raise ConfigurationError(
+                "rank 0 must be given the field and spectrum (and the "
+                "merged checkpoint of the attempt a resumed job continues)"
+            )
         spectrum = np.asarray(spectrum)
         field = np.asarray(field, dtype=np.float64)
         comm.broadcast(array_to_bytes(spectrum), root=0, tag=TAG_SPECTRUM)
         comm.broadcast(array_to_bytes(field), root=0, tag=TAG_FIELD)
+        if resumed:
+            comm.broadcast(checkpoint, root=0, tag=TAG_POOL_CHECKPOINT)
     else:
         spectrum = array_from_bytes(comm.broadcast(None, root=0, tag=TAG_SPECTRUM))
         field = array_from_bytes(comm.broadcast(None, root=0, tag=TAG_FIELD))
+        if resumed:
+            checkpoint = comm.broadcast(None, root=0, tag=TAG_POOL_CHECKPOINT)
 
     pipeline = build_pipeline(config, spectrum, plans=plans)
-
-    if config.overlap:
-        phases = _streamed_phases(comm, config, pipeline, field, post, abort)
-    else:
-        phases = _barrier_phases(comm, config, pipeline, field, post, abort)
-    (
-        own,
-        merged,
-        compute_s,
-        exchange_s,
-        payload_bytes,
-        frames,
-        hidden_s,
-        send_s,
-    ) = phases
-
-    # Accumulate over this rank's own sub-domain boxes, fields in
-    # sub-domain index order (the run_serial order — bitwise identity).
-    blocks = accumulate_boxes(
-        merged, _own_subdomains(pipeline, rank, size), config.interpolation
+    restored: Dict[int, CompressedField] = (
+        checkpoint_from_bytes(checkpoint) if resumed else {}
+    )
+    own_subdomains = pipeline.decomposition.assign_round_robin(size)[rank]
+    todo = pipeline.active_subdomains(
+        field, [sub for sub in own_subdomains if sub.index not in restored]
     )
 
-    return RankResult(
-        rank=rank,
-        blocks=blocks,
-        num_chunks=len(own),
-        total_samples=sum(f.pattern.sample_count for _s, f in own),
-        compressed_bytes=sum(f.nbytes for _s, f in own),
-        exchange_payload_bytes=payload_bytes,
-        compute_s=compute_s,
-        exchange_s=exchange_s,
-        wire=comm.transport.ledger.snapshot(),
-        overlap=config.overlap,
-        exchange_frames_per_peer=frames,
-        exchange_hidden_s=hidden_s,
-        exchange_send_s=send_s,
-        copies=copytrack.ledger().snapshot(),
+    def fail(stage: str) -> None:
+        if config.fail_rank == rank and config.fail_stage == stage:
+            if abort is None:
+                raise ConfigurationError(
+                    "failure injection requested but the runtime supplied "
+                    "no abort hook"
+                )
+            abort()
+
+    #: contiguous copies of every checkpoint this rank ships: the driver's
+    #: mailbox needs one (it crosses a pipe), and they double as this
+    #: rank's own slot in the merge, so float32 round-trips identically
+    #: on every rank.  The wire carries the zero-copy segments instead.
+    own_blobs: List[bytes] = []
+
+    def checkpointed(kind: str, pairs) -> Segments:
+        segments = checkpoint_segments(pairs, precision=config.precision)
+        own_blobs.append(join_checkpoint_segments(segments))
+        if post is not None:
+            post(kind, rank, own_blobs[-1])
+        return Segments(segments)
+
+    fail("before_checkpoint")
+    stream = (
+        comm.sparse_allgather_stream(tag=TAG_EXCHANGE, window=config.window)
+        if config.overlap
+        else None
     )
-
-
-def _own_subdomains(pipeline: LowCommConvolution3D, rank: int, size: int):
-    """This rank's round-robin share of the decomposition."""
-    return [sub for sub in pipeline.decomposition if sub.index % size == rank]
-
-
-def _convolve_chunk(
-    pipeline: LowCommConvolution3D, field: np.ndarray, sub
-) -> Optional[CompressedField]:
-    """One chunk's local convolution; ``None`` for all-zero blocks
-    (implicit sparsity, exactly as ``run_serial``)."""
-    block = pipeline.decomposition.extract(field, sub)
-    if not np.any(block):
-        return None
-    return pipeline.local.convolve(
-        block, sub.corner, pattern=pipeline._pattern(sub.corner)
-    )
-
-
-def _barrier_phases(
-    comm: Communicator,
-    config: DistConfig,
-    pipeline: LowCommConvolution3D,
-    field: np.ndarray,
-    post: Optional[Callable[[str, int, bytes], None]],
-    abort: Optional[Callable[[], None]],
-):
-    """Original phase structure: all compute, one checkpoint, ONE exchange."""
-    rank = comm.rank
-
-    # Phase 1: zero-communication local convolutions of this rank's share.
-    t0 = time.perf_counter()
+    mid_chunk = max(1, len(todo) // 2)
     own: List[Tuple[object, CompressedField]] = []
-    for sub in _own_subdomains(pipeline, rank, comm.size):
-        compressed = _convolve_chunk(pipeline, field, sub)
-        if compressed is not None:
-            own.append((sub, compressed))
-    compute_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for sub, compressed in pipeline.convolve_chunks(field, todo):
+        own.append((sub, compressed))
+        if stream is None:
+            continue
+        # overlap mode: this chunk streams while the next one computes
+        wire = checkpointed("chunk", [(sub, compressed)])
+        if len(own) == 1:
+            # driver holds this chunk's checkpoint; peers never see it
+            fail("post_chunk_checkpoint")
+        stream.push(wire)
+        if len(own) == 1:
+            # first chunk is (at least partially) on the wire
+            fail("stream_send")
+        if len(own) == mid_chunk:
+            # die with the send window half-way through the chunk stream
+            fail("mid_window")
+    compute_end = time.perf_counter()
+    if stream is None:
+        wire = checkpointed("checkpoint", own)
 
-    _maybe_fail(config, rank, "before_checkpoint", abort)
-
-    # Phase 2: checkpoint, then the ONE sparse exchange.  The wire path
-    # carries the zero-copy segments; the contiguous blob exists only for
-    # the driver's fault-tolerance mailbox (and doubles as this rank's
-    # own slot in the merge, keeping float32 round-trip semantics
-    # identical on every rank).
-    segments = checkpoint_segments(own, precision=config.precision)
-    blob = join_checkpoint_segments(segments)
-    if post is not None:
-        post("checkpoint", rank, blob)
-
-    _maybe_fail(config, rank, "before_exchange", abort)
-    if config.fail_rank == rank and config.fail_stage == "mid_exchange":
+    fail("before_exchange")
+    if stream is None and (config.fail_rank, config.fail_stage) == (rank, "mid_exchange"):
         # die half-way through the exchange: lower-ranked peers receive
         # the payload, higher-ranked ones see an abrupt end-of-stream.
         for dst in range(rank):
-            comm.send_payload(dst, blob, TAG_EXCHANGE, category=CATEGORY_EXCHANGE)
-        _maybe_fail(config, rank, "mid_exchange", abort)
+            comm.send_payload(
+                dst, own_blobs[0], TAG_EXCHANGE, category=CATEGORY_EXCHANGE
+            )
+    fail("mid_exchange")
 
+    # The ONE sparse exchange (barrier), or the drain that is all of it
+    # that still blocks (overlap).
     t1 = time.perf_counter()
-    blobs = comm.sparse_allgather(Segments(segments), tag=TAG_EXCHANGE)
+    if stream is None:
+        payloads = comm.sparse_allgather(wire, tag=TAG_EXCHANGE)
+        payloads[rank] = own_blobs[0]
+    else:
+        per_rank = stream.finish()
+        per_rank[rank] = own_blobs
+        payloads = [chunk for chunks in per_rank for chunk in chunks]
     exchange_s = time.perf_counter() - t1
-    blobs[rank] = blob  # same bytes as the segments, already contiguous
 
-    merged: Dict[int, CompressedField] = {}
-    for payload in blobs:
-        if len(payload):
-            merged.update(checkpoint_from_bytes(payload))
-    return own, merged, compute_s, exchange_s, len(blob), 1, 0.0, 0.0
+    merged = dict(restored)
+    for payload in payloads:
+        merged.update(checkpoint_from_bytes(payload))
 
-
-def _streamed_phases(
-    comm: Communicator,
-    config: DistConfig,
-    pipeline: LowCommConvolution3D,
-    field: np.ndarray,
-    post: Optional[Callable[[str, int, bytes], None]],
-    abort: Optional[Callable[[], None]],
-):
-    """Overlap mode: each finished chunk streams while the next computes.
-
-    Per completed chunk, in order: serialize to a single-entry checkpoint
-    blob, post it to the driver (per-chunk fault-tolerance state), push it
-    onto the streamed exchange's bounded send window.  Communication
-    therefore proceeds concurrently with the remaining chunks' compute;
-    only the final drain (:meth:`StreamedAllgather.finish`) still blocks.
-    """
-    rank = comm.rank
-    subs = _own_subdomains(pipeline, rank, comm.size)
-
-    _maybe_fail(config, rank, "before_checkpoint", abort)
-    stream = comm.sparse_allgather_stream(
-        tag=TAG_EXCHANGE, window=config.window
-    )
-    active = [
-        sub
-        for sub in subs
-        if np.any(pipeline.decomposition.extract(field, sub))
-    ]
-    mid_chunk = max(1, len(active) // 2)
-    own: List[Tuple[object, CompressedField]] = []
-    #: contiguous copies of the pushed chunk segments (mailbox + self slot)
-    own_blobs: List[bytes] = []
-    t0 = time.perf_counter()
-    for sub in active:
-        compressed = _convolve_chunk(pipeline, field, sub)
-        if compressed is None:
-            continue
-        own.append((sub, compressed))
-        chunk_segments = checkpoint_segments(
-            [(sub, compressed)], precision=config.precision
-        )
-        chunk_blob = join_checkpoint_segments(chunk_segments)
-        own_blobs.append(chunk_blob)
-        if post is not None:
-            post("chunk", rank, chunk_blob)
-        if len(own) == 1:
-            # driver holds this chunk's checkpoint; peers never see it
-            _maybe_fail(config, rank, "post_chunk_checkpoint", abort)
-        stream.push(Segments(chunk_segments))
-        if len(own) == 1:
-            # first chunk is (at least partially) on the wire
-            _maybe_fail(config, rank, "stream_send", abort)
-        if len(own) == mid_chunk:
-            # die with the send window half-way through the chunk stream
-            _maybe_fail(config, rank, "mid_window", abort)
-    compute_end = time.perf_counter()
-    compute_s = compute_end - t0
-
-    _maybe_fail(config, rank, "before_exchange", abort)
-    _maybe_fail(config, rank, "mid_exchange", abort)
-
-    t1 = time.perf_counter()
-    per_rank_chunks = stream.finish()
-    exchange_s = time.perf_counter() - t1
-    hidden_s = stream.hidden_seconds(compute_end)
-    send_s = stream.send_seconds()
-    # this rank's slot holds the pushed Segments; substitute the
-    # byte-identical contiguous blobs so the merge decodes one format
-    per_rank_chunks[rank] = own_blobs
-
-    merged: Dict[int, CompressedField] = {}
-    for chunks in per_rank_chunks:
-        for payload in chunks:
-            merged.update(checkpoint_from_bytes(payload))
-    payload_bytes = sum(len(c) for c in per_rank_chunks[rank])
-    # each peer got every chunk frame plus the end-of-stream marker
-    frames = stream.chunks_pushed + 1
-    return (
-        own,
-        merged,
-        compute_s,
-        exchange_s,
-        payload_bytes,
-        frames,
-        hidden_s,
-        send_s,
+    return RankResult(
+        rank=rank,
+        # accumulated over this rank's own boxes, fields in sub-domain
+        # index order (the run_serial order — bitwise identity)
+        blocks=accumulate_boxes(merged, own_subdomains, config.interpolation),
+        num_chunks=len(own),
+        total_samples=sum(f.pattern.sample_count for _s, f in own),
+        compressed_bytes=sum(f.nbytes for _s, f in own),
+        exchange_payload_bytes=sum(len(blob) for blob in own_blobs),
+        compute_s=compute_end - t0,
+        exchange_s=exchange_s,
+        wire=comm.transport.ledger.snapshot(),
+        overlap=config.overlap,
+        # each peer got every chunk frame plus the end-of-stream marker
+        exchange_frames_per_peer=1 if stream is None else stream.chunks_pushed + 1,
+        exchange_hidden_s=0.0 if stream is None else stream.hidden_seconds(compute_end),
+        exchange_send_s=0.0 if stream is None else stream.send_seconds(),
+        copies=copytrack.ledger().snapshot(),
     )

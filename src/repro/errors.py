@@ -60,6 +60,16 @@ class TransportError(CommunicationError):
     """
 
 
+class IdleTimeout(TransportError):
+    """No frame *started* arriving within a receive's idle wait.
+
+    The one transport error a receive loop may answer by polling again:
+    the stream is intact and merely quiet.  Every other
+    :class:`TransportError` (a frame that stalled or broke part-way, bad
+    magic) means the stream can no longer be trusted.
+    """
+
+
 class PoolError(ReproError):
     """A standing rank-pool operation failed (bootstrap, membership, job).
 

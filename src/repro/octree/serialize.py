@@ -25,7 +25,6 @@ counted join of the segments.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Union
 
 import numpy as np
@@ -41,7 +40,6 @@ from repro.util.lru import WeightedLRU
 _MAGIC = 0x4C433344
 _VERSION = 2
 _HEADER_FIELDS = 9  # magic, version, n, k, cx, cy, cz, num_cells, precision
-_LEGACY_HEADER_FIELDS = 6  # n, k, cx, cy, cz, num_cells (pre-magic format)
 
 #: precision codes carried in the header
 _PRECISION_CODES = {"float64": 0, "float32": 1}
@@ -234,83 +232,25 @@ def _decode_body(
     return CompressedField(pattern=pattern, values=values)
 
 
-def _deserialize_legacy(
-    view: memoryview, out: "np.ndarray | None" = None
-) -> CompressedField:
-    """Decode the pre-magic headerless format (6 x int64, float64 values).
-
-    Early serializations led directly with the geometry fields and carried
-    no magic, version, or precision code.  The geometry is strictly
-    validated, so garbage bytes are rejected rather than misparsed.
-    """
-    header_bytes = _LEGACY_HEADER_FIELDS * 8
-    if view.nbytes < header_bytes:
-        raise ConfigurationError(
-            f"payload of {view.nbytes} bytes is shorter than the "
-            f"{header_bytes}-byte legacy header"
-        )
-    n, k, cx, cy, cz, num_cells = (
-        int(v) for v in np.frombuffer(view[:header_bytes], dtype=np.int64)
-    )
-    if not 0 < n <= (1 << 20):
-        raise ConfigurationError(f"implausible grid size {n} at offset 0")
-    if not 0 < k <= n:
-        raise ConfigurationError(f"implausible sub-domain size {k} at offset 8")
-    for field_idx, c in enumerate((cx, cy, cz)):
-        if not 0 <= c < n:
-            raise ConfigurationError(
-                f"corner coordinate {c} at offset {16 + 8 * field_idx} "
-                f"outside grid of size {n}"
-            )
-    if not 0 <= num_cells <= n**3:
-        raise ConfigurationError(
-            f"implausible cell count {num_cells} at offset 40"
-        )
-    try:
-        return _decode_body(
-            view, header_bytes, n, k, (cx, cy, cz), num_cells, np.float64, out
-        )
-    except ConfigurationError:
-        raise
-    except Exception as exc:  # decode_metadata etc. on garbage bytes
-        raise ConfigurationError(
-            f"undecodable legacy payload body at offset {header_bytes}: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-
-
 def _deserialize(
     payload: Payload, out: "np.ndarray | None" = None
 ) -> CompressedField:
     view = _as_view(payload)
     header_bytes = _HEADER_FIELDS * 8
     if view.nbytes < header_bytes:
-        # Too short for a v2 header — it may still be a tiny legacy record.
-        try:
-            field = _deserialize_legacy(view, out)
-        except ConfigurationError:
-            raise ConfigurationError(
-                f"payload of {view.nbytes} bytes shorter than the "
-                f"{header_bytes}-byte header and not a legacy record"
-            ) from None
-        _warn_legacy()
-        return field
+        raise ConfigurationError(
+            f"payload of {view.nbytes} bytes shorter than the "
+            f"{header_bytes}-byte header"
+        )
     header = np.frombuffer(view[:header_bytes], dtype=np.int64)
     magic, version, n, k, cx, cy, cz, num_cells, prec_code = (
         int(v) for v in header
     )
     if magic != _MAGIC:
-        # No magic: either the legacy headerless format or garbage.
-        try:
-            field = _deserialize_legacy(view, out)
-        except ConfigurationError as legacy_exc:
-            raise ConfigurationError(
-                f"bad magic 0x{magic & 0xFFFFFFFFFFFFFFFF:016X} at offset 0 "
-                f"(expected 0x{_MAGIC:08X}) and payload does not decode as a "
-                f"legacy headerless record ({legacy_exc})"
-            ) from None
-        _warn_legacy()
-        return field
+        raise ConfigurationError(
+            f"bad magic 0x{magic & 0xFFFFFFFFFFFFFFFF:016X} at offset 0 "
+            f"(expected 0x{_MAGIC:08X})"
+        )
     if version != _VERSION:
         raise ConfigurationError(
             f"unsupported format version {version} at offset 8 "
@@ -347,11 +287,10 @@ def deserialize_compressed(payload: Payload) -> CompressedField:
     a frame's payload slab to the decoded field for exactly this reason).
 
     Validates the magic number, version, counts, and total length, and
-    re-checks the octree cumulative-count invariant during decoding.
-    Legacy headerless payloads (pre-magic format) are still accepted, with
-    a :class:`DeprecationWarning`; anything else that fails validation
-    raises :class:`~repro.errors.ConfigurationError` naming the byte
-    offset of the first problem.
+    re-checks the octree cumulative-count invariant during decoding;
+    anything that fails validation raises
+    :class:`~repro.errors.ConfigurationError` naming the byte offset of
+    the first problem.
     """
     return _deserialize(payload)
 
@@ -377,12 +316,3 @@ def deserialize_into(payload: Payload, out: np.ndarray) -> CompressedField:
         )
     return _deserialize(payload, out)
 
-
-def _warn_legacy() -> None:
-    warnings.warn(
-        "decoded a legacy headerless compressed-field payload; "
-        "re-serialize with serialize_compressed() to add the magic/version "
-        "header",
-        DeprecationWarning,
-        stacklevel=4,
-    )

@@ -17,8 +17,8 @@ Layers:
   :class:`Roster`: late-join admission, eviction, replacement seating,
   and stale-generation fencing.
 - :mod:`repro.pool.jobs` — job execution on the standing mesh:
-  parked-frame-safe collectives, per-job ledger deltas, and the
-  checkpoint-handoff recovery job.
+  per-job ledger deltas, warm plans, and the checkpoint-handoff recovery
+  job (a resumed :func:`~repro.dist.worker.rank_main`).
 - :mod:`repro.pool.agent` — the long-lived rank agent process.
 - :mod:`repro.pool.pool` — :class:`RankPool`: the controller
   (``spawn``/``connect``/``submit``/``grow``/``down``) and the
@@ -30,7 +30,7 @@ joins, and mid-job rank death with checkpoint handoff alike.
 """
 
 from repro.pool.agent import PoolAgent, agent_main, spawn_local_agents
-from repro.pool.jobs import PoolCommunicator, PoolJob, execute_job
+from repro.pool.jobs import PoolJob, execute_job
 from repro.pool.membership import Member, Roster
 from repro.pool.pool import JOB_DEADLINE_S, PoolJobReport, RankPool, pool_executor
 from repro.pool.rendezvous import (
@@ -51,7 +51,6 @@ __all__ = [
     "JOB_DEADLINE_S",
     "Member",
     "PoolAgent",
-    "PoolCommunicator",
     "PoolJob",
     "PoolJobReport",
     "RankPool",

@@ -14,7 +14,7 @@ connections:
 ``mesh (generation, endpoints)``
     Dial the full mesh (:class:`~repro.dist.tcp.TcpTransport` with the
     backoff dialer — agents reach this step at different times) and
-    stand up a :class:`~repro.pool.jobs.PoolCommunicator` on it.
+    stand up a :class:`~repro.dist.collectives.Communicator` on it.
 ``job (PoolJob)``
     Fence the job's generation against the agent's own, then run
     :func:`~repro.pool.jobs.execute_job` on the warm communicator.
@@ -37,9 +37,10 @@ import socket
 from multiprocessing.connection import Connection, Listener
 from typing import Callable, List, Optional, Tuple
 
+from repro.dist.collectives import Communicator
 from repro.dist.tcp import TcpTransport
 from repro.errors import ReproError, StaleGenerationError
-from repro.pool.jobs import PoolCommunicator, PoolJob, execute_job
+from repro.pool.jobs import PoolJob, execute_job
 from repro.pool.membership import fence_generation
 from repro.pool.rendezvous import (
     AgentCard,
@@ -77,7 +78,7 @@ class PoolAgent:
         self.agent_id = new_agent_id()
         self.generation = 0
         self.rank = -1
-        self.comm: Optional[PoolCommunicator] = None
+        self.comm: Optional[Communicator] = None
         self._pending_form: Optional[
             Tuple[int, int, int, float, Optional[float]]
         ] = None
@@ -153,7 +154,7 @@ class PoolAgent:
                     self._data_listener,
                     clock=self.clock,
                 )
-                self.comm = PoolCommunicator(
+                self.comm = Communicator(
                     transport,
                     recv_timeout_s=recv_timeout_s,
                     heartbeat_s=heartbeat_s,
@@ -182,7 +183,6 @@ class PoolAgent:
                     job,
                     post=lambda kind, rank, blob: send((kind, rank, blob)),
                     abort=self._abort,
-                    clock=self.clock,
                 )
                 send(("result", self.rank, result, extras))
             except StaleGenerationError as exc:

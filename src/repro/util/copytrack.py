@@ -24,8 +24,7 @@ Sites are dotted strings whose first component names the plane:
 
 This module lives in ``repro.util`` so the octree codec and the core
 checkpoint container can record into it without importing ``repro.dist``
-(which would be an import cycle); :mod:`repro.dist.copytrack` re-exports
-it as the public distributed-runtime API next to the wire ledger.
+(which would be an import cycle).
 """
 
 from __future__ import annotations

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.accumulate import accumulate_global
-from repro.core.checkpoint import (
-    checkpoint_from_bytes,
-    checkpoint_to_bytes,
-    recover_missing,
-)
-from repro.core.decomposition import DomainDecomposition
-from repro.core.local_conv import LocalConvolution
+from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.errors import ConfigurationError
@@ -59,6 +53,13 @@ class TestCheckpointRoundtrip:
         assert checkpoint_from_bytes(blob) == {}
 
 
+def _missing(pipeline, field, restored):
+    """What recovery recomputes: active sub-domains the checkpoint lacks."""
+    return [
+        sub for sub in pipeline.active_subdomains(field) if sub.index not in restored
+    ]
+
+
 class TestFailureRecovery:
     def test_recompute_only_missing(self, run):
         """Drop one rank's chunks from the checkpoint; recovery recomputes
@@ -73,31 +74,20 @@ class TestFailureRecovery:
         restored = checkpoint_from_bytes(blob)
         assert lost.isdisjoint(restored)
 
-        decomp = DomainDecomposition(n, k)
-        lc = LocalConvolution(n, spec, pol, batch=64)
-        recovered = recover_missing(restored, decomp, field, lc, pol)
-        assert {s.index for s, _f in recovered} == {
-            s.index for s, _f in result.per_domain
-        }
-        total = accumulate_global([f for _s, f in recovered])
-        np.testing.assert_allclose(total, result.approx, atol=1e-12)
+        fresh = LowCommConvolution3D(n, k, spec, pol, batch=64)
+        recomputed = dict(fresh.convolve_chunks(field, _missing(fresh, field, restored)))
+        assert {s.index for s in recomputed} == lost
+        restored.update({s.index: f for s, f in recomputed.items()})
+        total = accumulate_global([restored[i] for i in sorted(restored)])
+        np.testing.assert_array_equal(total, result.approx)
 
     def test_full_checkpoint_recomputes_nothing(self, run):
         n, k, spec, pol, field, pipe, result = run
         blob = checkpoint_to_bytes(result.per_domain)
         restored = checkpoint_from_bytes(blob)
 
-        calls = []
-        lc = LocalConvolution(n, spec, pol, batch=64)
-        original = lc.convolve
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        lc.convolve = counting  # type: ignore[method-assign]
-        recover_missing(restored, DomainDecomposition(n, k), field, lc, pol)
-        assert not calls
+        assert _missing(pipe, field, restored) == []
+        assert list(pipe.convolve_chunks(field, [])) == []
 
 
 class TestCheckpointCorruption:

@@ -1,14 +1,23 @@
-"""Communicator tests: collectives, tag matching, heartbeat liveness."""
+"""Communicator tests: collectives, tag matching, the receive loop,
+heartbeat liveness."""
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.dist.collectives import Communicator
+from repro.dist.collectives import (
+    TAG_EXCHANGE,
+    TAG_EXCHANGE_END,
+    Communicator,
+)
 from repro.dist.heartbeat import HeartbeatMonitor
+from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.transport import LocalFabric
+from repro.dist.wire import Frame, FrameKind, encode_frame
 from repro.errors import CommunicationError, RankFailure, TransportError
+from tests.test_dist_transport import _tcp_mesh
 
 
 def _communicators(size, **kwargs):
@@ -44,6 +53,15 @@ class TestPointToPoint:
         _fabric, (_a, b) = _communicators(2)
         with pytest.raises(TransportError, match="timed out"):
             b.recv_payload(0, tag=1, timeout=0.1)
+
+    def test_bye_from_awaited_source_fails_promptly(self):
+        # the broadcast root closed gracefully: nothing more will come
+        _fabric, (a, b) = _communicators(2)
+        b.close()
+        t0 = time.monotonic()
+        with pytest.raises(RankFailure, match="rank 1 said BYE"):
+            a.recv_payload(1, tag=7, timeout=5.0)
+        assert time.monotonic() - t0 < 1.0
 
     def test_rank_size_properties(self):
         _fabric, (a, b) = _communicators(2)
@@ -135,6 +153,101 @@ class TestCollectives:
             return True
 
         assert _run_all(comms[:2], run) == [True, True]
+
+
+def _write_in_halves(sock, frame, then=(), gap_s=0.4):
+    """Put ``frame`` on a raw socket in two writes ``gap_s`` apart — longer
+    than the collectives' poll slice, far shorter than any deadline — and
+    the ``then`` frames whole after it."""
+    data = encode_frame(frame)
+    sock.sendall(data[: len(data) // 2])
+    time.sleep(gap_s)
+    sock.sendall(data[len(data) // 2 :])
+    for after in then:
+        sock.sendall(encode_frame(after))
+
+
+class TestReceiveLoop:
+    """The one receive loop, against the ways a real socket misbehaves."""
+
+    PAYLOAD = b"\xcd" * (1 << 20)
+
+    @pytest.mark.parametrize("how", ["recv_payload", "sparse_allgather", "finish"])
+    def test_frame_arriving_in_two_halves_is_delivered(self, how):
+        # the poll slice bounds the wait for a frame to start, not the
+        # frame: a payload still in flight when a slice ends is read on
+        a, b = transports = _tcp_mesh(2)
+        try:
+            comm = Communicator(b, recv_timeout_s=5.0)
+            chunk = Frame(FrameKind.DATA, 0, TAG_EXCHANGE, self.PAYLOAD)
+            end = Frame(FrameKind.DATA, 0, TAG_EXCHANGE_END)
+            writer = threading.Thread(
+                target=_write_in_halves,
+                args=(a._peers[1], chunk, [end] if how == "finish" else []),
+            )
+            writer.start()
+            if how == "recv_payload":
+                got = comm.recv_payload(0, tag=TAG_EXCHANGE)
+            elif how == "sparse_allgather":
+                got = comm.sparse_allgather(b"mine")[0]
+            else:
+                (got,) = comm.sparse_allgather_stream().finish()[0]
+            writer.join(timeout=5)
+            assert got == self.PAYLOAD
+        finally:
+            for t in transports:
+                t.close()
+
+    def test_garbage_header_surfaces_at_once(self):
+        a, b = transports = _tcp_mesh(2)
+        try:
+            a._peers[1].sendall(b"not a frame header!!")
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="bad frame magic .* at offset 0"):
+                Communicator(b).recv_payload(0, tag=1, timeout=5.0)
+            assert time.monotonic() - t0 < 1.0
+            # the stream has no frame boundary left: the connection is gone
+            assert 0 not in b._peers
+        finally:
+            for t in transports:
+                t.close()
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_next_collective_frame_is_parked_not_dropped(self, transport):
+        # rank 2 feeds collective A to rank 0 first and to rank 1 late, so
+        # rank 0 finishes A and its collective-B frame reaches rank 1
+        # while rank 1 still waits for A from rank 2
+        tag_a, tag_b = 11, 12
+        if transport == "tcp":
+            transports = _tcp_mesh(3)
+        else:
+            fabric = LocalFabric(3)
+            transports = [fabric.endpoint(r) for r in range(3)]
+        comms = [Communicator(t, recv_timeout_s=5.0) for t in transports]
+
+        def run(comm):
+            mine = f"a{comm.rank}".encode()
+            if comm.rank < 2:
+                first = comm.sparse_allgather(mine, tag=tag_a)
+            else:
+                comm.send_payload(0, mine, tag_a, CATEGORY_EXCHANGE)
+                time.sleep(0.3)
+                comm.send_payload(1, mine, tag_a, CATEGORY_EXCHANGE)
+                first = [
+                    bytes(comm.recv_payload(0, tag_a)),
+                    bytes(comm.recv_payload(1, tag_a)),
+                    mine,
+                ]
+            second = comm.sparse_allgather(f"b{comm.rank}".encode(), tag=tag_b)
+            return [bytes(p) for p in first], [bytes(p) for p in second]
+
+        try:
+            for first, second in _run_all(comms, run):
+                assert first == [b"a0", b"a1", b"a2"]
+                assert second == [b"b0", b"b1", b"b2"]
+        finally:
+            for comm in comms:
+                comm.close()
 
 
 class TestHeartbeatMonitor:

@@ -12,7 +12,6 @@ stays within 1% of the Eq 6 prediction.
 import numpy as np
 import pytest
 
-from repro.dist import copytrack as dist_copytrack
 from repro.dist.collectives import TAG_EXCHANGE
 from repro.dist.launcher import default_spectrum, dist_run
 from repro.dist.wire import Frame, FrameKind, encode_frame
@@ -71,28 +70,13 @@ class TestCopyLedger:
         assert blob == b"abcd"
         assert copytrack.ledger().bytes_copied("wire.frame_join") == 4
 
-    def test_dist_reexport_is_the_same_ledger(self):
-        assert dist_copytrack.ledger() is copytrack.ledger()
-        assert dist_copytrack.SITE_FRAME_JOIN == copytrack.SITE_FRAME_JOIN
-        assert dist_copytrack.CopyLedger is copytrack.CopyLedger
-
 
 def _own_fields(config, field, spectrum, rank):
     """The compressed fields rank ``rank`` would ship (driver-side replay)."""
     pipeline = build_pipeline(config, spectrum)
-    own = []
-    for sub in pipeline.decomposition:
-        if sub.index % config.num_ranks != rank:
-            continue
-        block = pipeline.decomposition.extract(field, sub)
-        if not np.any(block):
-            continue
-        own.append(
-            pipeline.local.convolve(
-                block, sub.corner, pattern=pipeline._pattern(sub.corner)
-            )
-        )
-    return own
+    own = pipeline.decomposition.assign_round_robin(config.num_ranks)[rank]
+    chunks = pipeline.convolve_chunks(field, pipeline.active_subdomains(field, own))
+    return [compressed for _sub, compressed in chunks]
 
 
 def _measured_legacy_wire_copies(own, blob_len, peers):

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.dist.collectives import Communicator
 from repro.dist.ledger import (
     CATEGORY_CONTROL,
     CATEGORY_EXCHANGE,
@@ -84,22 +85,16 @@ class TestLocalTransport:
 
     def test_exchange_all_pairs(self):
         fabric = LocalFabric(3)
-        endpoints = [fabric.endpoint(r) for r in range(3)]
+        comms = [Communicator(fabric.endpoint(r), recv_timeout_s=5.0) for r in range(3)]
 
         def run(rank):
-            peers = {r for r in range(3) if r != rank}
-            outgoing = {
-                dst: Frame(FrameKind.DATA, rank, 7, f"from{rank}".encode())
-                for dst in peers
-            }
-            return endpoints[rank].exchange(outgoing, peers, timeout=5.0)
+            payloads = [f"{rank}->{dst}".encode() for dst in range(3)]
+            return comms[rank].alltoall(payloads, tag=7)
 
         with ThreadPoolExecutor(max_workers=3) as pool:
             got = list(pool.map(run, range(3)))
         for rank, result in enumerate(got):
-            assert set(result) == {r for r in range(3) if r != rank}
-            for src, frame in result.items():
-                assert frame.payload == f"from{src}".encode()
+            assert result == [f"{src}->{rank}".encode() for src in range(3)]
 
     def test_self_send_rejected(self):
         fabric = LocalFabric(2)
@@ -182,24 +177,21 @@ class TestTcpTransport:
             b.recv(timeout=0.05)
 
     def test_exchange_large_payloads_no_deadlock(self):
-        # bigger than typical kernel socket buffers: the threaded-send
+        # bigger than typical kernel socket buffers: the pumped-send
         # exchange must not deadlock on everyone sending first
         transports = _tcp_mesh(3)
         try:
             payload = b"\xab" * (1 << 20)
 
             def run(rank):
-                peers = {r for r in range(3) if r != rank}
-                outgoing = {
-                    dst: Frame(FrameKind.DATA, rank, 1, payload) for dst in peers
-                }
-                return transports[rank].exchange(outgoing, peers, timeout=30.0)
+                comm = Communicator(transports[rank], recv_timeout_s=30.0)
+                return comm.sparse_allgather(payload, tag=1)
 
             with ThreadPoolExecutor(max_workers=3) as pool:
                 results = list(pool.map(run, range(3)))
-            for rank, got in enumerate(results):
-                assert all(f.payload == payload for f in got.values())
-                assert set(got) == {r for r in range(3) if r != rank}
+            for got in results:
+                assert len(got) == 3
+                assert all(p == payload for p in got)
         finally:
             for t in transports:
                 t.close()
@@ -211,11 +203,8 @@ class TestTcpTransport:
             # rank 0 dies without sending its exchange payload
             for sock in a._peers.values():
                 sock.close()
-            peers = {0}
             with pytest.raises(RankFailure):
-                b.exchange(
-                    {0: Frame(FrameKind.DATA, 1, 1, b"mine")}, peers, timeout=5.0
-                )
+                Communicator(b, recv_timeout_s=5.0).sparse_allgather(b"mine", tag=1)
         finally:
             for t in transports:
                 t.close()
@@ -265,10 +254,10 @@ def test_heartbeats_are_skipped_by_exchange():
     done = {}
 
     def run_b():
-        done["got"] = b.exchange({0: Frame(FrameKind.DATA, 1, 1, b"back")}, {0}, 5.0)
+        done["got"] = Communicator(b, recv_timeout_s=5.0).sparse_allgather(b"back", tag=1)
 
     t = threading.Thread(target=run_b)
     t.start()
     t.join(timeout=10)
     assert not t.is_alive()
-    assert done["got"][0].payload == b"real"
+    assert done["got"] == [b"real", b"back"]

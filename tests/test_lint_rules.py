@@ -275,11 +275,13 @@ class TestWireTagRule:
 
     def test_real_registry_is_the_single_home(self):
         # the shipped tree keeps every TAG_* in dist/collectives.py,
-        # including the pool checkpoint tag this rule forced home
+        # including the pool checkpoint tag this rule forced home, and
+        # no other module re-exports one under its own name
         from repro.dist import collectives
         from repro.pool import jobs
 
-        assert jobs.TAG_POOL_CHECKPOINT == collectives.TAG_POOL_CHECKPOINT
+        assert collectives.TAG_POOL_CHECKPOINT == 6
+        assert not hasattr(jobs, "TAG_POOL_CHECKPOINT")
 
 
 class TestGenerationFenceRule:

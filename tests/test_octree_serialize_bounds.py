@@ -132,41 +132,30 @@ def _legacy_payload(cf):
 
 
 class TestLegacyFormat:
-    def test_legacy_payload_accepted_with_warning(self, compressed_field):
-        payload = _legacy_payload(compressed_field)
-        with pytest.warns(DeprecationWarning, match="legacy headerless"):
-            back = deserialize_compressed(payload)
-        np.testing.assert_array_equal(back.values, compressed_field.values)
-        assert back.pattern.cells == compressed_field.pattern.cells
-        assert back.pattern.subdomain_corner == (4, 8, 0)
+    """Nothing ever wrote the headerless format; it is not a format."""
 
-    def test_reserialized_legacy_has_header(self, compressed_field):
-        with pytest.warns(DeprecationWarning):
-            back = deserialize_compressed(_legacy_payload(compressed_field))
-        fresh = serialize_compressed(back)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no DeprecationWarning expected
-            again = deserialize_compressed(fresh)
-        np.testing.assert_array_equal(again.values, compressed_field.values)
-
-    def test_garbage_rejected_with_offset_context(self):
-        garbage = bytes(range(256)) * 3
-        with pytest.raises(ConfigurationError, match="offset 0"):
-            deserialize_compressed(garbage)
+    def test_legacy_payload_rejected_with_bad_magic(self, compressed_field):
+        with pytest.raises(ConfigurationError, match="bad magic .* at offset 0"):
+            deserialize_compressed(_legacy_payload(compressed_field))
 
     def test_implausible_legacy_geometry_rejected(self, compressed_field):
+        # no fallback reads a headerless record's geometry fields: whatever
+        # they hold, the payload stops at the magic check
         payload = bytearray(_legacy_payload(compressed_field))
         payload[8:16] = np.int64(999).tobytes()  # k = 999 > n = 16
-        with pytest.raises(ConfigurationError, match="offset 8"):
+        with pytest.raises(ConfigurationError, match="bad magic .* at offset 0"):
             deserialize_compressed(bytes(payload))
 
     def test_legacy_corner_out_of_grid(self, compressed_field):
         payload = bytearray(_legacy_payload(compressed_field))
         payload[16:24] = np.int64(-3).tobytes()  # cx < 0
-        with pytest.raises(ConfigurationError, match="offset 16"):
+        with pytest.raises(ConfigurationError, match="bad magic .* at offset 0"):
             deserialize_compressed(bytes(payload))
+
+    def test_garbage_rejected_with_offset_context(self):
+        garbage = bytes(range(256)) * 3
+        with pytest.raises(ConfigurationError, match="offset 0"):
+            deserialize_compressed(garbage)
 
     def test_version_mismatch_names_offset(self, compressed_field):
         payload = bytearray(serialize_compressed(compressed_field))
@@ -176,7 +165,7 @@ class TestLegacyFormat:
 
     def test_truncated_legacy_body_rejected(self, compressed_field):
         payload = _legacy_payload(compressed_field)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="shorter than the 72-byte header"):
             deserialize_compressed(payload[: 6 * 8 + 4])
 
 

@@ -11,7 +11,7 @@ The data-plane refactor's codec-level contracts:
 - :func:`deserialize_into` decodes into caller-owned storage with one
   counted copy;
 - edge cases decode or fail loudly: empty fields, single cells, ragged
-  cell sizes, legacy headerless payloads (with a DeprecationWarning),
+  cell sizes, legacy headerless payloads (rejected: bad magic),
   and truncation at every segment boundary names the right offset.
 """
 
@@ -213,7 +213,7 @@ class TestEdgeCases:
         assert back.pattern.cells == cells
         np.testing.assert_array_equal(back.values, field.values)
 
-    def test_legacy_headerless_payload_warns_and_decodes(self, field):
+    def test_legacy_headerless_payload_is_rejected(self, field):
         pattern = field.pattern
         header = np.array(
             [
@@ -230,10 +230,8 @@ class TestEdgeCases:
             + pattern.cell_sizes().tobytes()
             + np.ascontiguousarray(field.values).tobytes()
         )
-        with pytest.warns(DeprecationWarning, match="legacy headerless"):
-            back = deserialize_compressed(legacy)
-        np.testing.assert_array_equal(back.values, field.values)
-        assert back.pattern.cells == pattern.cells
+        with pytest.raises(ConfigurationError, match="bad magic .* at offset 0"):
+            deserialize_compressed(legacy)
 
 
 class TestTruncationOffsets:
