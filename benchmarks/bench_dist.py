@@ -49,7 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dist.launcher import default_spectrum, dist_run, simulated_crosscheck
+from repro.core.distributed_runner import DistributedLowCommConvolution
+from repro.core.policy import parse_policy
+from repro.dist.launcher import default_spectrum, dist_run
 from repro.dist.worker import DistConfig, build_pipeline, composite_field
 from repro.octree.compress import CompressedField
 from repro.octree.sampling import build_flat_pattern
@@ -208,14 +210,9 @@ def main(
                 )
 
     sim_ranks = max(rank_counts)
-    sim = simulated_crosscheck(
-        DistConfig(
-            n=N, k=K, sigma=SIGMA, policy=POLICY, seed=SEED,
-            num_ranks=sim_ranks,
-        ),
-        field=field,
-        spectrum=spectrum,
-    )
+    sim = DistributedLowCommConvolution(
+        N, K, spectrum, parse_policy(POLICY)
+    ).run(field, sim_ranks)
 
     top = max(rank_counts)
     report = bench_envelope(
@@ -234,8 +231,8 @@ def main(
             for t in transports
         },
         crosscheck={
-            "simulated_allgather_bytes": sim["allgather_bytes"],
-            "simulated_allgather_rounds": sim["allgather_rounds"],
+            "simulated_allgather_bytes": sim.comm_bytes,
+            "simulated_allgather_rounds": sim.comm_rounds,
             f"predicted_value_bytes_p{sim_ranks}": results[headline][
                 "predicted_value_bytes"
             ],
@@ -286,7 +283,7 @@ def main(
     print(
         f"\n{headline} wire/model {ratio:.4f} (bar: <= 1.05), "
         f"sim allgather == model: "
-        f"{sim['allgather_bytes'] == results[headline]['predicted_value_bytes']}"
+        f"{sim.comm_bytes == results[headline]['predicted_value_bytes']}"
         f" -> {out.name}"
     )
     if overlap:

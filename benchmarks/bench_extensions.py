@@ -1,7 +1,8 @@
 """Benchmarks for the extension features built beyond the paper's POC:
 content-adaptive decomposition (the paper's "irregular partitions" remark),
-worker-pool batch processing (§3.1/§5.1), the wire serialization of
-compressed fields, and the a-priori error bound (§5.3 future work).
+worker batch processing on the simulated cluster (§3.1/§5.1), the wire
+serialization of compressed fields, and the a-priori error bound (§5.3
+future work).
 """
 
 import numpy as np
@@ -10,10 +11,10 @@ from conftest import emit
 from repro.cluster.device import V100_32GB
 from repro.core.adaptive import AdaptiveConvolution
 from repro.core.decomposition import DomainDecomposition
+from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve, reference_subdomain_convolve
 from repro.core.local_conv import LocalConvolution
-from repro.core.worker import WorkerPool
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.error_bounds import pipeline_error_bound
 from repro.octree.interpolate import reconstruct_dense
@@ -48,20 +49,21 @@ def test_worker_pool_batching(benchmark):
     rng = np.random.default_rng(0)
     spec = GaussianKernel(n=n, sigma=1.2).spectrum()
     d = DomainDecomposition(n, k)
-    chunks = [(d.subdomain(i), rng.standard_normal((k, k, k))) for i in range(16)]
-
-    def run():
-        pool = WorkerPool(
-            4, n, spec, SamplingPolicy.flat_rate(2), V100_32GB, batch=64
-        )
-        return pool.run(chunks)
-
-    res = benchmark(run)
-    emit(
-        f"4 workers x {res.total_chunks // 4} chunks each, "
-        f"modeled makespan {res.makespan_s * 1e3:.2f} ms"
+    field = np.zeros((n, n, n))
+    for i in range(16):
+        field[d.subdomain(i).slices()] = rng.standard_normal((k, k, k))
+    runner = DistributedLowCommConvolution(
+        n, k, spec, SamplingPolicy.flat_rate(2), device=V100_32GB, batch=64
     )
-    assert res.total_chunks == 16
+
+    rep = benchmark(runner.run, field, 4)
+    compute = max(rep.per_rank_compute_s)
+    emit(
+        f"4 workers x 4 chunks each, modeled makespan {rep.makespan_s * 1e3:.2f} ms "
+        f"(compute {compute * 1e3:.2f} ms), peak device memory "
+        f"{runner.pipeline.memory.peak_bytes / 1e6:.2f} MB"
+    )
+    assert compute == max(runner.run(field, 1).per_rank_compute_s) / 4
 
 
 def test_wire_serialization_roundtrip(benchmark):

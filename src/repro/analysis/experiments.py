@@ -27,8 +27,8 @@ from repro.cluster.cufft_model import CufftWorkspaceModel
 from repro.cluster.device import Device, V100_16GB, V100_32GB, XEON_GOLD_6148
 from repro.cluster.network import Link
 from repro.core.costmodel import table1_rows
+from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.local_conv import LocalConvolution
-from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve, reference_subdomain_convolve
 from repro.kernels.gaussian import GaussianKernel
@@ -270,14 +270,14 @@ def run_fig1_comm_rounds(
     trad = TraditionalDistributedConvolution(n, comm_trad, mode="pencil")
     res_trad = trad.convolve(field, spec)
 
-    comm_ours = SimulatedComm(p)
-    pipe = LowCommConvolution3D(n, k, spec, SamplingPolicy.flat_rate(r), batch=n)
-    res_ours = pipe.run_distributed(field, comm_ours)
+    res_ours = DistributedLowCommConvolution(
+        n, k, spec, SamplingPolicy.flat_rate(r), batch=n
+    ).run(field, p)
 
     return CommRoundsResult(
         traditional_rounds=res_trad.alltoall_rounds,
         traditional_bytes=res_trad.comm_bytes,
-        ours_rounds=comm_ours.ledger.alltoall_rounds,  # all-to-alls: expect 0
+        ours_rounds=res_ours.alltoall_rounds,  # all-to-alls: expect 0
         ours_bytes=res_ours.comm_bytes,
         results_match=bool(np.allclose(res_trad.result, exact, atol=1e-9)),
         approx_error=l2_relative_error(res_ours.approx, exact),

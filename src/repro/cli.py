@@ -347,8 +347,9 @@ def _serve(args: argparse.Namespace) -> int:
 
     import numpy as np
 
+    from repro.core.policy import parse_policy
     from repro.serve.dist_backend import PoolBackend
-    from repro.serve.loadgen import LoadSpec, parse_policy, run_batched_server
+    from repro.serve.loadgen import LoadSpec, run_batched_server
     from repro.serve.request import DEFAULT_TENANT
     from repro.serve.server import ConvolutionServer, ServerConfig
 

@@ -17,8 +17,6 @@ algorithm code runs against:
 - :mod:`repro.cluster.comm` — a simulated MPI-style communicator: P ranks,
   real numpy buffer exchange, a traffic ledger counting rounds and bytes
   (the evidence behind Fig 1), and alpha-beta time charging.
-- :mod:`repro.cluster.mpi_shim` — an in-process SPMD phase runner with
-  failure injection.
 - :mod:`repro.cluster.cufft_model` — cuFFT plan workspace estimator
   (the estimated-vs-actual gap of Table 4).
 - :mod:`repro.cluster.cost` — closed-form cost models: Eqs 1, 2, 6 and
@@ -46,7 +44,6 @@ from repro.cluster.device import (
     get_device,
 )
 from repro.cluster.memory import Allocation, MemoryTracker
-from repro.cluster.mpi_shim import RankSet, spmd_phase
 from repro.cluster.network import Link, Network
 from repro.cluster.trace import (
     ComputeCommBreakdown,
@@ -75,8 +72,6 @@ __all__ = [
     "DGX2_CPU",
     "Allocation",
     "MemoryTracker",
-    "RankSet",
-    "spmd_phase",
     "Link",
     "Network",
     "ComputeCommBreakdown",

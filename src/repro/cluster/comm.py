@@ -1,11 +1,14 @@
 """Simulated MPI-style communicator with a traffic ledger.
 
-Algorithms in this library are written in a *bulk-synchronous* SPMD style:
-a phase of per-rank local compute (see :mod:`repro.cluster.mpi_shim`)
-followed by a collective on the :class:`SimulatedComm`.  Collectives take a
-sequence of per-rank inputs and return the per-rank outputs, performing the
-*actual* numpy data movement — so a distributed FFT baseline run on this
-communicator computes the same bits a real MPI run would — while recording:
+This is a traffic and time *model*, not a runtime: the FFT baselines
+(:mod:`repro.baselines`) run their bulk-synchronous phases on it — per-rank
+local compute written as a plain loop, then a collective — and the
+low-communication pipeline books its single exchange on it after the fact
+(:func:`repro.core.distributed_runner.book_exchange`).  The pipeline's real
+rank runtime is :mod:`repro.dist`.  Collectives take a sequence of per-rank
+inputs and return the per-rank outputs, performing the *actual* numpy data
+movement — so a distributed FFT baseline run on this communicator computes
+the same bits a real MPI run would — while recording:
 
 - the number of collective *rounds* by type (the evidence behind Fig 1's
   "several all-to-all steps" vs "one sparse exchange"), and
@@ -114,59 +117,55 @@ class SimulatedComm:
             )
 
     # -- collectives ----------------------------------------------------------
-    def alltoall(self, send: Sequence[Sequence[np.ndarray]]) -> List[List[np.ndarray]]:
-        """All-to-all: ``send[i][j]`` goes from rank i to rank j.
+    def _alltoall(
+        self, kind: str, send: Sequence[Sequence[np.ndarray]]
+    ) -> tuple[List[List[np.ndarray]], List[int]]:
+        """Shared body of both all-to-alls: validate, move, record bytes.
 
-        Returns ``recv`` with ``recv[j][i] = send[i][j]``.  Counts one
-        all-to-all round; bytes = all off-diagonal traffic.
+        Returns ``recv`` (``recv[j][i] = send[i][j]``) and the byte size
+        of every off-diagonal message, from which each flavour derives
+        its own time rule.
         """
         self._check_alive()
-        self._check_participants(send, "alltoall send")
+        self._check_participants(send, f"{kind} send")
         for i, row in enumerate(send):
             if len(row) != self.size:
                 raise CommunicationError(
-                    f"rank {i} alltoall row has {len(row)} entries, expected {self.size}"
+                    f"rank {i} {kind} row has {len(row)} entries, expected {self.size}"
                 )
         recv: List[List[np.ndarray]] = [
             [np.asarray(send[i][j]) for i in range(self.size)] for j in range(self.size)
         ]
-        wire = sum(
+        pair_bytes = [
             _nbytes(send[i][j])
             for i in range(self.size)
             for j in range(self.size)
             if i != j
-        )
-        self.ledger.record("alltoall", wire)
-        per_pair = wire // max(1, self.size * (self.size - 1)) if self.size > 1 else 0
+        ]
+        self.ledger.record(kind, sum(pair_bytes))
+        return recv, pair_bytes
+
+    def alltoall(self, send: Sequence[Sequence[np.ndarray]]) -> List[List[np.ndarray]]:
+        """All-to-all: ``send[i][j]`` goes from rank i to rank j.
+
+        Returns ``recv`` with ``recv[j][i] = send[i][j]``.  Counts one
+        all-to-all round; bytes = all off-diagonal traffic; time is charged
+        at the mean pair size.
+        """
+        recv, pair_bytes = self._alltoall("alltoall", send)
+        per_pair = sum(pair_bytes) // len(pair_bytes) if pair_bytes else 0
         self.clock.advance(self.network.alltoall_time(per_pair), category="comm")
         return recv
 
     def alltoallv(
         self, send: Sequence[Sequence[np.ndarray]]
     ) -> List[List[np.ndarray]]:
-        """Variable-size all-to-all; identical semantics, separate ledger key."""
-        self._check_alive()
-        self._check_participants(send, "alltoallv send")
-        recv: List[List[np.ndarray]] = [
-            [np.asarray(send[i][j]) for i in range(self.size)] for j in range(self.size)
-        ]
-        wire = sum(
-            _nbytes(send[i][j])
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j
+        """Variable-size all-to-all; identical semantics, separate ledger
+        key, time charged at the largest pair size."""
+        recv, pair_bytes = self._alltoall("alltoallv", send)
+        self.clock.advance(
+            self.network.alltoall_time(max(pair_bytes, default=0)), category="comm"
         )
-        self.ledger.record("alltoallv", wire)
-        max_pair = max(
-            (
-                _nbytes(send[i][j])
-                for i in range(self.size)
-                for j in range(self.size)
-                if i != j
-            ),
-            default=0,
-        )
-        self.clock.advance(self.network.alltoall_time(max_pair), category="comm")
         return recv
 
     def allgather(self, send: Sequence[np.ndarray]) -> List[List[np.ndarray]]:

@@ -11,7 +11,9 @@ The pipeline (paper §3, Fig 2):
    results; interpolation + summation yields the approximate global
    convolution.
 4. :mod:`repro.core.pipeline` — :class:`LowCommConvolution3D` ties it
-   together, serially or over the simulated communicator.
+   together, serially or over a process pool;
+   :mod:`repro.core.distributed_runner` books a finished run's traffic
+   and modeled time on the simulated cluster.
 
 Support:
 
@@ -24,7 +26,7 @@ Support:
   budgets (§5.4).
 """
 
-from repro.core.accumulate import Accumulator, accumulate_global
+from repro.core.accumulate import accumulate_global
 from repro.core.adaptive import (
     AdaptiveConvolution,
     AdaptiveConvolutionResult,
@@ -39,7 +41,6 @@ from repro.core.distributed_runner import (
     parallel_efficiency,
     strong_scaling_curve,
 )
-from repro.core.worker import PoolRunResult, Worker, WorkerPool, WorkerStats
 from repro.core.autotune import AutotuneResult, autotune
 from repro.core.batch import BatchConvolver, BatchResult
 from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
@@ -66,10 +67,6 @@ __all__ = [
     "AdaptiveConvolution",
     "AdaptiveConvolutionResult",
     "decompose_by_content",
-    "Worker",
-    "WorkerPool",
-    "WorkerStats",
-    "PoolRunResult",
     "DistributedLowCommConvolution",
     "DistributedRunReport",
     "ScalingPoint",
@@ -79,7 +76,6 @@ __all__ = [
     "parallel_efficiency",
     "SamplingPolicy",
     "LocalConvolution",
-    "Accumulator",
     "accumulate_global",
     "LowCommConvolution3D",
     "ConvolutionResult",

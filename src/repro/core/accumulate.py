@@ -4,30 +4,27 @@
 communication avoids all-to-all between FFT stages.  Only sparse samples
 are exchanged at the end of the computation."  (paper §3.1)
 
-Three entry points:
+Two entry points, one per runtime:
 
-- :func:`accumulate_global` — serial: sum the interpolated reconstructions
-  of every sub-domain's compressed result into the dense grid (testing /
-  single-node use).
-- :func:`accumulate_boxes` — the rank-side half of the distributed step:
-  sum every field restricted to each of a rank's *own* sub-domain boxes.
-  The real rank loop (:mod:`repro.dist.worker`), the pool's recovery job
-  and :class:`Accumulator` all accumulate through it.
-- :class:`Accumulator` — distributed: each rank broadcasts its compressed
-  fields in ONE allgather round (the only collective in the whole
-  pipeline), then reconstructs every field restricted to its *own*
-  sub-domain boxes and sums.  No rank ever holds the global dense grid.
+- :func:`accumulate_global` — in-process (``run_serial`` /
+  ``run_parallel``, driver-side recovery): sum the interpolated
+  reconstructions of every sub-domain's compressed result into the dense
+  grid.
+- :func:`accumulate_boxes` — the rank-side half of the distributed step
+  (:func:`repro.dist.worker.rank_main`, after the single sparse exchange):
+  sum every field restricted to each of a rank's *own* sub-domain boxes,
+  so no rank ever holds the global dense grid.
+  :func:`repro.dist.launcher.assemble_blocks` places the blocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.cluster.comm import SimulatedComm
-from repro.core.decomposition import DomainDecomposition, SubDomain
-from repro.errors import CommunicationError, ConfigurationError
+from repro.core.decomposition import SubDomain
+from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
 from repro.octree.interpolate import reconstruct_box
 
@@ -72,81 +69,3 @@ def accumulate_boxes(
             reconstruct_box(field, target.corner, shape, method=method, out=acc)
         blocks[target.index] = acc
     return blocks
-
-
-class Accumulator:
-    """Distributed accumulation over a simulated communicator.
-
-    Parameters
-    ----------
-    decomposition:
-        The sub-domain layout (also defines the rank ownership map via
-        round-robin assignment).
-    method:
-        Interpolation method for reconstruction.
-    """
-
-    def __init__(self, decomposition: DomainDecomposition, method: str = "linear"):
-        self.decomposition = decomposition
-        self.method = method
-
-    def exchange_and_accumulate(
-        self,
-        fields_by_rank: Sequence[Sequence[Tuple[SubDomain, CompressedField]]],
-        comm: SimulatedComm,
-    ) -> Dict[int, np.ndarray]:
-        """One allgather of compressed samples, then local interpolation.
-
-        Parameters
-        ----------
-        fields_by_rank:
-            ``fields_by_rank[r]`` is rank r's list of (sub-domain,
-            compressed result) pairs for the sub-domains it processed.
-        comm:
-            The simulated communicator (its ledger records exactly one
-            allgather round — the Fig 1(b) claim).
-
-        Returns
-        -------
-        Mapping from sub-domain index to the accumulated dense ``k^3``
-        block for that sub-domain.
-        """
-        if len(fields_by_rank) != comm.size:
-            raise CommunicationError(
-                f"fields for {len(fields_by_rank)} ranks, communicator "
-                f"has {comm.size}"
-            )
-
-        # Wire format per rank: the concatenated sample values of all its
-        # fields.  Patterns are deterministic from (n, k, corner, policy),
-        # so peers rebuild them locally; only values + lightweight metadata
-        # cross the network (the paper's compressed representation).
-        payloads = [
-            np.concatenate([f.values for _sub, f in rank_fields])
-            if rank_fields
-            else np.empty(0, dtype=np.float64)
-            for rank_fields in fields_by_rank
-        ]
-        comm.allgather(payloads)  # the single sparse exchange
-
-        # Every rank now (logically) has every field; rank r reconstructs
-        # only over its own sub-domains' boxes.
-        all_fields = {
-            sub.index: field
-            for rank_fields in fields_by_rank
-            for sub, field in rank_fields
-        }
-        blocks: Dict[int, np.ndarray] = {}
-        for rank_subs in self.decomposition.assign_round_robin(comm.size):
-            blocks.update(accumulate_boxes(all_fields, rank_subs, self.method))
-        return blocks
-
-    def assemble(self, blocks: Dict[int, np.ndarray]) -> np.ndarray:
-        """Stitch per-sub-domain blocks into the global dense grid
-        (driver-side convenience for validation and output)."""
-        n = self.decomposition.n
-        out = np.zeros((n, n, n), dtype=np.float64)
-        for index, block in blocks.items():
-            sub = self.decomposition.subdomain(index)
-            out[sub.slices()] = block
-        return out

@@ -10,7 +10,7 @@ worker").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,6 +95,21 @@ class DomainDecomposition:
         if field.shape != (self.n,) * 3:
             raise ShapeError(f"field shape {field.shape} != grid ({self.n},)*3")
         return field[sub.slices()].copy()
+
+    def active_subdomains(
+        self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
+    ) -> List[SubDomain]:
+        """The members of ``subdomains`` (default: every sub-domain) whose
+        block of ``field`` holds any non-zero sample.
+
+        All-zero blocks contribute nothing (implicit sparsity), so they
+        are skipped everywhere: never convolved, checkpointed, exchanged
+        or counted by the Eq 6 accounting.  This is the one statement of
+        that rule.
+        """
+        if subdomains is None:
+            subdomains = self
+        return [sub for sub in subdomains if np.any(field[sub.slices()])]
 
     def assign_round_robin(self, num_workers: int) -> List[List[SubDomain]]:
         """Round-robin assignment of sub-domains to workers."""

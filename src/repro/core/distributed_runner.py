@@ -1,19 +1,20 @@
-"""Full multi-node execution of the pipeline on the simulated cluster.
+"""The pipeline's multi-node cost on the simulated cluster.
 
 The paper's §4: "based on the results, we can justify deploying the
-algorithm on multi-node platforms in the future."  This module *is* that
-deployment, on the simulated substrate: P ranks, each with its own device
-model and memory tracker, process their round-robin sub-domains locally
-(modeled compute time), perform the single sparse allgather (alpha-beta
-time on the shared network), and accumulate.  Small grids execute the real
-numerics end to end; :func:`strong_scaling_curve` evaluates the same cost
-structure closed-form at the paper's scale against the traditional
-distributed convolution.
+algorithm on multi-node platforms in the future."  The deployment itself
+is :mod:`repro.dist` (real ranks, real transports).  This module is the
+*model* beside it, evaluated on a finished in-process result: P ranks own
+the sub-domains round-robin, each chunk charges modeled compute time to
+its owner's device, and the single sparse allgather is booked on a
+:class:`~repro.cluster.comm.SimulatedComm` (bytes and rounds on its
+ledger, alpha-beta time on its clock).  :func:`strong_scaling_curve`
+evaluates the same cost structure closed-form at the paper's scale against
+the traditional distributed convolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,12 +27,14 @@ from repro.cluster.cost import (
     pruned_conv_time,
 )
 from repro.cluster.device import Device, V100_32GB
+from repro.cluster.memory import MemoryTracker
 from repro.cluster.network import Link, Network
-from repro.core.decomposition import DomainDecomposition
+from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.local_conv import KernelSpectrum
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.errors import ConfigurationError
+from repro.octree.compress import CompressedField
 
 
 @dataclass
@@ -44,6 +47,8 @@ class DistributedRunReport:
     comm_s: float
     comm_bytes: int
     alltoall_rounds: int
+    #: collective rounds of any kind (the Fig 1(b) claim: exactly one)
+    comm_rounds: int
 
     @property
     def makespan_s(self) -> float:
@@ -51,12 +56,38 @@ class DistributedRunReport:
         return max(self.per_rank_compute_s, default=0.0) + self.comm_s
 
 
-class DistributedLowCommConvolution:
-    """The pipeline deployed across P simulated ranks.
+def book_exchange(
+    comm: SimulatedComm, per_domain: Sequence[Tuple[SubDomain, CompressedField]]
+) -> None:
+    """Book the pipeline's single sparse exchange on ``comm``.
 
-    Numerics run for real (small n); compute time per rank is charged from
-    the device model per processed chunk; communication time comes from
-    the alpha-beta network via the communicator's clock.
+    Wire format per rank: the concatenated sample values of the
+    sub-domains it owns (round-robin by index, as in the real rank loop).
+    Patterns are deterministic from (n, k, corner, policy), so peers
+    rebuild them locally; only values cross the network.  One allgather —
+    the only collective in the whole pipeline — lands on the ledger and
+    the clock; a dead rank raises :class:`~repro.errors.RankFailure`.
+    """
+    by_rank: List[List[np.ndarray]] = [[] for _ in range(comm.size)]
+    for sub, compressed in per_domain:
+        by_rank[sub.index % comm.size].append(compressed.values)
+    comm.allgather(
+        [
+            np.concatenate(values) if values else np.empty(0, dtype=np.float64)
+            for values in by_rank
+        ]
+    )
+
+
+class DistributedLowCommConvolution:
+    """The pipeline's cost on P simulated ranks, evaluated on a real result.
+
+    Numerics run for real, in-process (``run_serial``, small n), under the
+    device's memory budget; compute time per rank is charged from the
+    device model per owned chunk; communication bytes, rounds and
+    alpha-beta time come from booking the single exchange on a
+    :class:`SimulatedComm`.  For actual ranks on an actual transport use
+    :func:`repro.dist.dist_run`.
     """
 
     def __init__(
@@ -71,52 +102,39 @@ class DistributedLowCommConvolution:
         real_kernel: Optional[bool] = None,
     ):
         self.pipeline = LowCommConvolution3D(
-            n, k, kernel_spectrum, policy, batch=batch, real_kernel=real_kernel
+            n,
+            k,
+            kernel_spectrum,
+            policy,
+            batch=batch,
+            memory=MemoryTracker(
+                capacity_bytes=device.memory_bytes, device_name=device.name
+            ),
+            real_kernel=real_kernel,
         )
         self.device = device
         self.link = link or Link()
         self.policy = self.pipeline.policy
 
-    def run(
-        self,
-        field: np.ndarray,
-        num_ranks: int,
-        max_workers: Optional[int] = None,
-        transport: str = "simulated",
-    ) -> DistributedRunReport:
-        """Run across ``num_ranks`` ranks.
+    def run(self, field: np.ndarray, num_ranks: int) -> DistributedRunReport:
+        """Run the pipeline, then cost it across ``num_ranks`` ranks.
 
-        ``transport`` selects the substrate: ``"simulated"`` (default)
-        keeps the in-process :class:`SimulatedComm` with modeled compute
-        and alpha-beta communication time; ``"local"`` / ``"tcp"`` hand
-        the job to the real rank runtime (:mod:`repro.dist`) — one
-        thread/process per rank, actual bytes on an actual transport —
-        and the report's ``comm_bytes`` / timings become *measured*
-        quantities.  ``max_workers`` (simulated transport only) executes
-        the local numerics on a real process pool via
-        :meth:`LowCommConvolution3D.run_parallel`'s machinery; the
-        simulated communication accounting is unchanged.
+        Raises :class:`~repro.errors.DeviceMemoryError` if one local
+        convolution's working set exceeds the device's memory.
         """
         if num_ranks < 1:
             raise ConfigurationError(f"need >= 1 rank, got {num_ranks}")
-        if transport in ("local", "tcp"):
-            return self._run_real(field, num_ranks, transport)
-        if transport != "simulated":
-            raise ConfigurationError(
-                "transport must be 'simulated', 'local', or 'tcp', "
-                f"got {transport!r}"
-            )
-        n = self.pipeline.n
-        k = self.pipeline.k
-        comm = SimulatedComm(
-            num_ranks, network=Network(num_ranks, self.link)
-        )
-        result = self.pipeline.run_distributed(field, comm, max_workers=max_workers)
+        result = self.pipeline.run_serial(field)
+        comm = SimulatedComm(num_ranks, network=Network(num_ranks, self.link))
+        book_exchange(comm, result.per_domain)
 
         # Charge modeled per-chunk compute time to each owning rank.
-        r = self.policy.average_rate()
         chunk_time = pruned_conv_time(
-            self.device, n, k, r, batch=self.pipeline.local.batch
+            self.device,
+            self.pipeline.n,
+            self.pipeline.k,
+            self.policy.average_rate(),
+            batch=self.pipeline.local.batch,
         )
         per_rank = [0.0] * num_ranks
         for sub, _cf in result.per_domain:
@@ -127,47 +145,9 @@ class DistributedLowCommConvolution:
             num_ranks=num_ranks,
             per_rank_compute_s=per_rank,
             comm_s=comm.clock.category_total("comm"),
-            comm_bytes=result.comm_bytes,
+            comm_bytes=comm.ledger.total_bytes,
             alltoall_rounds=comm.ledger.alltoall_rounds,
-        )
-
-    def _run_real(
-        self, field: np.ndarray, num_ranks: int, transport: str
-    ) -> DistributedRunReport:
-        """Hand the job to the real rank runtime; report measured numbers."""
-        # Imported here: repro.dist builds on repro.core, not the reverse.
-        from repro.dist.launcher import dist_run
-        from repro.dist.worker import DistConfig
-        from repro.serve.loadgen import policy_spec
-
-        spectrum = self.pipeline._kernel_spectrum
-        if not isinstance(spectrum, np.ndarray):
-            raise ConfigurationError(
-                "real transports need a dense kernel spectrum (it is "
-                "broadcast to the ranks); on-the-fly pencil callables are "
-                "simulated-transport only"
-            )
-        config = DistConfig(
-            n=self.pipeline.n,
-            k=self.pipeline.k,
-            policy=policy_spec(self.policy),
-            interpolation=self.pipeline.interpolation,
-            batch=self.pipeline.local.batch,
-            real_kernel=self.pipeline._real_kernel_arg,
-            num_ranks=num_ranks,
-            transport=transport,
-        )
-        report = dist_run(config, field=field, spectrum=spectrum)
-        per_rank = [0.0] * num_ranks
-        for rank, result in report.rank_results.items():
-            per_rank[rank] = result.compute_s
-        return DistributedRunReport(
-            approx=report.approx,
-            num_ranks=num_ranks,
-            per_rank_compute_s=per_rank,
-            comm_s=report.max_exchange_s,
-            comm_bytes=report.exchange_wire_bytes,
-            alltoall_rounds=0,
+            comm_rounds=comm.ledger.total_rounds,
         )
 
 

@@ -6,7 +6,9 @@
 - local pruned compressed convolution of each sub-domain,
 - one sparse exchange + interpolation to accumulate.
 
-Three execution modes:
+Two in-process execution modes (the pipeline's other runtime is the
+real rank loop, :func:`repro.dist.worker.rank_main`, which iterates the
+same :meth:`~LowCommConvolution3D.convolve_chunks`):
 
 - :meth:`run_serial` — one worker processes sub-domains sequentially
   ("For the sake of preliminary results, the GPU sequentially processes
@@ -17,9 +19,10 @@ Three execution modes:
   and kernel spectrum shipped once via shared memory
   (:mod:`repro.core.parallel`).  Results are bitwise identical to
   :meth:`run_serial`.
-- :meth:`run_distributed` — P simulated ranks, round-robin sub-domain
-  ownership, a single allgather in the accumulation step; the
-  communicator's ledger documents the Fig 1(b) communication pattern.
+
+The simulated cluster is not a third mode: it books the Fig 1(b) traffic
+and a modeled time on a finished :class:`ConvolutionResult`
+(:mod:`repro.core.distributed_runner`).
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.comm import SimulatedComm
 from repro.cluster.memory import MemoryTracker
-from repro.core.accumulate import Accumulator, accumulate_global
+from repro.core.accumulate import accumulate_global
 from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.local_conv import KernelSpectrum, LocalConvolution
 from repro.fft.pruned_plan import PlanCache
@@ -154,15 +156,9 @@ class LowCommConvolution3D:
         self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
     ) -> List[SubDomain]:
         """The members of ``subdomains`` (default: the whole decomposition)
-        whose block of ``field`` holds any non-zero sample.
-
-        All-zero blocks contribute nothing (implicit sparsity), so they
-        are skipped everywhere: never convolved, checkpointed or
-        exchanged.
-        """
-        if subdomains is None:
-            subdomains = self.decomposition
-        return [sub for sub in subdomains if np.any(field[sub.slices()])]
+        that are not all-zero in ``field``
+        (:meth:`DomainDecomposition.active_subdomains`)."""
+        return self.decomposition.active_subdomains(field, subdomains)
 
     def convolve_chunks(
         self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
@@ -220,8 +216,6 @@ class LowCommConvolution3D:
         approx: np.ndarray,
         per_domain: List[Tuple[SubDomain, CompressedField]],
         elapsed_s: float,
-        comm_rounds: int = 0,
-        comm_bytes: int = 0,
     ) -> ConvolutionResult:
         return ConvolutionResult(
             approx=approx,
@@ -231,8 +225,6 @@ class LowCommConvolution3D:
             total_samples=sum(f.pattern.sample_count for _s, f in per_domain),
             compressed_bytes=sum(f.nbytes for _s, f in per_domain),
             elapsed_s=elapsed_s,
-            comm_rounds=comm_rounds,
-            comm_bytes=comm_bytes,
             peak_memory_bytes=self.memory.peak_bytes if self.memory else 0,
             per_domain=per_domain,
         )
@@ -277,41 +269,3 @@ class LowCommConvolution3D:
             per_domain = self._convolve_subdomains_parallel(field, max_workers)
             approx = self._accumulate(per_domain)
         return self._result(approx, per_domain, timer.elapsed)
-
-    def run_distributed(
-        self,
-        field: np.ndarray,
-        comm: SimulatedComm,
-        max_workers: Optional[int] = None,
-    ) -> ConvolutionResult:
-        """Run over ``comm.size`` simulated ranks.
-
-        Sub-domains are assigned round-robin; each rank convolves its
-        chunks locally (no communication), then ONE sparse allgather
-        accumulates.  The returned result carries the communicator's
-        traffic counters for the run.  When ``max_workers`` is set the
-        local numerics execute on a real process pool (the simulated
-        communication accounting is unchanged).
-        """
-        rounds_before = comm.ledger.total_rounds
-        bytes_before = comm.ledger.total_bytes
-        with WallTimer() as timer:
-            if max_workers is not None:
-                per_domain = self._convolve_subdomains_parallel(field, max_workers)
-            else:
-                per_domain = list(self.convolve_chunks(self._check_field(field)))
-            by_rank: List[List[Tuple[SubDomain, CompressedField]]] = [
-                [] for _ in range(comm.size)
-            ]
-            for sub, compressed in per_domain:
-                by_rank[sub.index % comm.size].append((sub, compressed))
-            accumulator = Accumulator(self.decomposition, method=self.interpolation)
-            blocks = accumulator.exchange_and_accumulate(by_rank, comm)
-            approx = accumulator.assemble(blocks)
-        return self._result(
-            approx,
-            per_domain,
-            timer.elapsed,
-            comm_rounds=comm.ledger.total_rounds - rounds_before,
-            comm_bytes=comm.ledger.total_bytes - bytes_before,
-        )

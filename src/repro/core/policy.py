@@ -131,3 +131,35 @@ class SamplingPolicy:
             boundary_rate=self.boundary_rate,
             min_cell=self.min_cell,
         )
+
+
+def parse_policy(spec: str) -> SamplingPolicy:
+    """Parse a policy spec string: ``"banded"`` or ``"flat:R"``."""
+    if spec == "banded":
+        return SamplingPolicy()
+    if spec.startswith("flat:"):
+        try:
+            rate = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigurationError(f"bad flat policy spec {spec!r}") from None
+        return SamplingPolicy.flat_rate(rate)
+    raise ConfigurationError(
+        f"policy spec must be 'banded' or 'flat:R', got {spec!r}"
+    )
+
+
+def policy_spec(policy: SamplingPolicy) -> str:
+    """Inverse of :func:`parse_policy`: the spec string for a policy.
+
+    Only policies expressible as a spec can cross process boundaries (the
+    distributed runtime ships configs, not objects); anything customized
+    beyond ``banded`` defaults or a flat rate is rejected.
+    """
+    if policy.flat is not None:
+        return f"flat:{policy.flat}"
+    if policy == SamplingPolicy():
+        return "banded"
+    raise ConfigurationError(
+        "policy is not expressible as a spec string ('banded' or 'flat:R'); "
+        "customized banded rates cannot be shipped to distributed ranks"
+    )

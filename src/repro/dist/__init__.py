@@ -44,7 +44,6 @@ from repro.dist.launcher import (
     dist_run,
     expected_exchange_value_bytes,
     recover_from_checkpoints,
-    simulated_crosscheck,
 )
 from repro.dist.ledger import (
     TenantLedger,
@@ -80,5 +79,4 @@ __all__ = [
     "normalize_endpoints",
     "recover_from_checkpoints",
     "sent_wire_bytes",
-    "simulated_crosscheck",
 ]

@@ -13,10 +13,10 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
   cost model: the exchanged *value* bytes are predicted exactly
   (``(P-1) * itemsize * total sample count``), and the full wire volume
   (octree metadata + frame headers included) must stay within a few
-  percent of that prediction;
-- compares against the :class:`~repro.cluster.comm.SimulatedComm`
-  substrate, whose allgather ledger bytes equal the exact value-byte
-  prediction (:func:`simulated_crosscheck`).
+  percent of that prediction.  The simulated cluster model books that
+  same number: :class:`~repro.core.distributed_runner.DistributedLowCommConvolution`
+  reports ``comm_bytes == expected_exchange_value_bytes`` exactly, so
+  model, simulated ledger and real wire triangulate.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.comm import SimulatedComm
 from repro.cluster.cost import sparse_sample_count
 from repro.core.accumulate import accumulate_global
 from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
+from repro.core.policy import parse_policy
 from repro.dist.ledger import merge_wire_snapshots
 from repro.dist.runtime import run_spmd
 from repro.dist.worker import (
@@ -43,7 +43,6 @@ from repro.dist.worker import (
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.compress import CompressedField
-from repro.serve.loadgen import parse_policy
 
 _PRECISION_BYTES = {"float64": 8, "float32": 4}
 
@@ -86,18 +85,6 @@ class DistRunReport:
         return self.exchange_wire_bytes / self.predicted_value_bytes
 
 
-def active_subdomain_indices(config: DistConfig, field: np.ndarray) -> List[int]:
-    """Indices of sub-domains with any non-zero sample in ``field``.
-
-    These are the sub-domains that compute, checkpoint, and exchange;
-    all-zero boxes are skipped everywhere (worker, recovery, and the Eq 6
-    accounting all agree on this set).
-    """
-    decomp = DomainDecomposition(n=config.n, k=config.k)
-    field = np.asarray(field)
-    return [sub.index for sub in decomp if np.any(field[sub.slices()])]
-
-
 def expected_exchange_value_bytes(
     config: DistConfig,
     field: np.ndarray,
@@ -107,7 +94,8 @@ def expected_exchange_value_bytes(
 
     Every active (non-zero) sub-domain contributes its sampling pattern's
     ``sample_count`` values; each value crosses the wire once per peer.
-    This is exact: the SimulatedComm allgather ledger reports precisely
+    This is exact: the simulated cluster's allgather ledger
+    (:func:`repro.core.distributed_runner.book_exchange`) reports precisely
     this number, and the real transports move it plus small bounded
     framing/metadata overhead.
 
@@ -123,14 +111,12 @@ def expected_exchange_value_bytes(
         )
     policy = parse_policy(config.policy)
     decomp = DomainDecomposition(n=config.n, k=config.k)
-    field = np.asarray(field)
     skip = exclude_indices or frozenset()
-    samples = 0
-    for sub in decomp:
-        if sub.index in skip:
-            continue
-        if np.any(field[sub.slices()]):
-            samples += policy.pattern_for(config.n, config.k, sub.corner).sample_count
+    samples = sum(
+        policy.pattern_for(config.n, config.k, sub.corner).sample_count
+        for sub in decomp.active_subdomains(np.asarray(field))
+        if sub.index not in skip
+    )
     return (config.num_ranks - 1) * itemsize * samples
 
 
@@ -185,22 +171,6 @@ def recover_from_checkpoints(
     spectrum: np.ndarray,
     checkpoint_blobs: List[bytes],
 ) -> np.ndarray:
-    """Public alias of the driver-side recovery path (see :func:`_recover`).
-
-    The pool controller falls back to this when a job loses so many
-    ranks that in-mesh handoff is impossible (e.g. the roster cannot be
-    refilled); it produces the same bitwise-identical result from
-    whatever checkpoints were posted.
-    """
-    return _recover(config, field, spectrum, checkpoint_blobs)
-
-
-def _recover(
-    config: DistConfig,
-    field: np.ndarray,
-    spectrum: np.ndarray,
-    checkpoint_blobs: List[bytes],
-) -> np.ndarray:
     """Driver-side recovery: restore from checkpoints, recompute the rest.
 
     ``checkpoint_blobs`` mixes whole-run blobs (barrier mode) and
@@ -208,6 +178,11 @@ def _recover(
     more sub-domains, and whatever is missing is recomputed.  A rank that
     died mid-exchange in overlap mode therefore only costs recomputing
     the chunks it had not yet posted.
+
+    :func:`dist_run` takes this path when a rank died; the pool
+    controller falls back to it when a job loses so many ranks that
+    in-mesh handoff is impossible (e.g. the roster cannot be refilled).
+    Either way the result is bitwise identical to ``run_serial``.
     """
     pipeline = build_pipeline(config, spectrum)
     merged: Dict[int, CompressedField] = {}
@@ -248,7 +223,7 @@ def dist_run(
         approx = assemble_blocks(config, outcome.results)
         recovered = False
     else:
-        approx = _recover(
+        approx = recover_from_checkpoints(
             config, field, spectrum, outcome.all_checkpoint_blobs()
         )
         recovered = True
@@ -279,31 +254,3 @@ def dist_run(
             default=0.0,
         ),
     )
-
-
-def simulated_crosscheck(
-    config: DistConfig,
-    field: Optional[np.ndarray] = None,
-    spectrum: Optional[np.ndarray] = None,
-) -> dict:
-    """Run the same job on the simulated substrate for cross-validation.
-
-    Returns the simulated result and its ledger numbers: the allgather
-    bytes are exactly :func:`expected_exchange_value_bytes`, so simulated
-    accounting, real wire accounting, and the Eq 6 model triangulate.
-    """
-    if field is None:
-        field = composite_field(config.n, config.seed)
-    field = np.asarray(field, dtype=np.float64)
-    if spectrum is None:
-        spectrum = default_spectrum(config)
-    pipeline = build_pipeline(config, spectrum)
-    comm = SimulatedComm(config.num_ranks)
-    result = pipeline.run_distributed(field, comm)
-    return {
-        "approx": result.approx,
-        "comm_bytes": result.comm_bytes,
-        "comm_rounds": result.comm_rounds,
-        "allgather_bytes": comm.ledger.bytes_by_type.get("allgather", 0),
-        "allgather_rounds": comm.ledger.rounds_by_type.get("allgather", 0),
-    }

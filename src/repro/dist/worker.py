@@ -45,6 +45,7 @@ from repro.core.checkpoint import (
     join_checkpoint_segments,
 )
 from repro.core.pipeline import LowCommConvolution3D
+from repro.core.policy import parse_policy
 from repro.dist.collectives import (
     TAG_EXCHANGE,
     TAG_FIELD,
@@ -56,7 +57,6 @@ from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.wire import Segments
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
-from repro.serve.loadgen import parse_policy
 from repro.util import copytrack
 
 #: Stages at which an injected failure can trigger (see ``DistConfig``).

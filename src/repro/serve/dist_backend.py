@@ -52,8 +52,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.pipeline import ConvolutionResult
+from repro.core.policy import policy_spec
 from repro.errors import ConfigurationError, StaleGenerationError
-from repro.serve.loadgen import policy_spec
 from repro.serve.metrics import DEFAULT_SIZE_BUCKETS
 from repro.serve.request import CompatKey, RequestState
 from repro.serve.scheduler import Batch

@@ -29,45 +29,14 @@ import numpy as np
 
 from repro.core.parallel import resolve_workers
 from repro.core.pipeline import LowCommConvolution3D
-from repro.core.policy import SamplingPolicy
+from repro.core.policy import SamplingPolicy, parse_policy
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 from repro.serve.clock import Clock, MonotonicClock
+from repro.serve.dist_backend import PoolBackend
 from repro.serve.request import DEFAULT_TENANT
 from repro.serve.server import ConvolutionServer, ServerConfig
 from repro.util.validation import check_positive_int
-
-
-def parse_policy(spec: str) -> SamplingPolicy:
-    """Parse a policy spec string: ``"banded"`` or ``"flat:R"``."""
-    if spec == "banded":
-        return SamplingPolicy()
-    if spec.startswith("flat:"):
-        try:
-            rate = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigurationError(f"bad flat policy spec {spec!r}") from None
-        return SamplingPolicy.flat_rate(rate)
-    raise ConfigurationError(
-        f"policy spec must be 'banded' or 'flat:R', got {spec!r}"
-    )
-
-
-def policy_spec(policy: SamplingPolicy) -> str:
-    """Inverse of :func:`parse_policy`: the spec string for a policy.
-
-    Only policies expressible as a spec can cross process boundaries (the
-    distributed runtime ships configs, not objects); anything customized
-    beyond ``banded`` defaults or a flat rate is rejected.
-    """
-    if policy.flat is not None:
-        return f"flat:{policy.flat}"
-    if policy == SamplingPolicy():
-        return "banded"
-    raise ConfigurationError(
-        "policy is not expressible as a spec string ('banded' or 'flat:R'); "
-        "customized banded rates cannot be shipped to distributed ranks"
-    )
 
 
 @dataclass(frozen=True)
@@ -257,9 +226,6 @@ def run_pool_backed_server(
     :class:`~repro.serve.dist_backend.PoolBackend`.  Returns
     ``(elapsed_s, results, server)`` like :func:`run_batched_server`.
     """
-    # Local import: dist_backend imports this module for policy_spec.
-    from repro.serve.dist_backend import PoolBackend
-
     clock = clock or MonotonicClock()
     config = config or ServerConfig()
     config.n, config.k = spec.n, spec.k

@@ -275,10 +275,10 @@ def run_serve_pool_trial(spec: TrialSpec) -> Dict[str, float]:
 
     import numpy as np
 
+    from repro.core.policy import parse_policy
     from repro.pool.pool import RankPool
     from repro.serve.loadgen import (
         LoadSpec,
-        parse_policy,
         run_batched_server,
         run_pool_backed_server,
     )

@@ -1,9 +1,11 @@
 """API-surface hygiene: docstrings everywhere, exports resolvable, no
 import cycles.  A library release gate, enforced as tests."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,41 @@ def test_all_exports_resolve(pkg_name):
     pkg = importlib.import_module(pkg_name)
     for name in getattr(pkg, "__all__", []):
         assert hasattr(pkg, name), f"{pkg_name}.__all__ lists missing {name!r}"
+
+
+#: the library proper, bottom-up; nothing here may know about a runtime
+LOWER_LAYERS = (
+    "util", "fft", "octree", "kernels", "cluster", "core", "massif",
+    "baselines", "fftx",
+)
+#: the runtimes and front ends built on top of it
+UPPER_LAYERS = ("dist", "pool", "serve", "xpr")
+
+
+def test_lower_layers_do_not_import_runtimes():
+    """No module of the numerical library imports a runtime package.
+
+    An AST scan, so function-level imports (the way a cycle usually gets
+    papered over) count too.
+    """
+    banned = tuple(f"repro.{name}." for name in UPPER_LAYERS)
+    root = Path(repro.__file__).parent
+    offenders = []
+    for layer in LOWER_LAYERS:
+        for path in sorted((root / layer).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(root)}:{node.lineno} imports {name}"
+                    for name in names
+                    if f"{name}.".startswith(banned)
+                ]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_version_exposed():

@@ -1,10 +1,9 @@
-"""Tests for the simulated communicator and SPMD shim."""
+"""Tests for the simulated communicator."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.comm import SimulatedComm, TrafficLedger
-from repro.cluster.mpi_shim import RankSet, spmd_phase
 from repro.cluster.network import Link, Network
 from repro.errors import CommunicationError, RankFailure
 from repro.util.timing import SimClock
@@ -61,6 +60,30 @@ class TestAlltoall:
         with pytest.raises(CommunicationError):
             comm.alltoall([[np.zeros(1)] * 3] * 2)
 
+    @pytest.mark.parametrize("name", ["alltoall", "alltoallv"])
+    def test_ragged_row_is_a_typed_error(self, name):
+        """Both flavours validate row lengths before touching an entry
+        (a bare IndexError would hide which rank sent the short row)."""
+        comm = SimulatedComm(3)
+        send = [[np.zeros(1)] * 3, [np.zeros(1)] * 2, [np.zeros(1)] * 3]
+        with pytest.raises(
+            CommunicationError, match=f"rank 1 {name} row has 2 entries, expected 3"
+        ):
+            getattr(comm, name)(send)
+        assert comm.ledger.total_rounds == 0
+
+    def test_alltoallv_charges_largest_pair(self):
+        """The one difference between the flavours besides the ledger key:
+        ``alltoall`` is timed at the mean pair size, ``alltoallv`` at the max."""
+        send = [[np.zeros(1), np.zeros(100)], [np.zeros(1), np.zeros(1)]]
+        mean, largest = SimulatedComm(2), SimulatedComm(2)
+        mean.alltoall(send)
+        largest.alltoallv(send)
+        assert mean.ledger.total_bytes == largest.ledger.total_bytes == 808
+        assert largest.ledger.rounds_by_type == {"alltoallv": 1}
+        assert mean.clock.now == mean.network.alltoall_time(404)
+        assert largest.clock.now == largest.network.alltoall_time(800)
+
 
 class TestOtherCollectives:
     def test_allgather(self):
@@ -114,31 +137,3 @@ class TestFailureInjection:
     def test_kill_bad_rank(self):
         with pytest.raises(CommunicationError):
             SimulatedComm(2).kill_rank(5)
-
-
-class TestSPMDShim:
-    def test_phase_runs_all_ranks(self):
-        ranks = RankSet(4)
-        results = spmd_phase(ranks, lambda s: s.rank * 2)
-        assert results == [0, 2, 4, 6]
-
-    def test_rank_state_storage(self):
-        ranks = RankSet(2)
-
-        def init(state):
-            state["x"] = state.rank + 10
-
-        spmd_phase(ranks, init)
-        got = spmd_phase(ranks, lambda s: s["x"])
-        assert got == [10, 11]
-        assert "x" in ranks.ranks[0]
-
-    def test_failed_rank_raises(self):
-        ranks = RankSet(3)
-        ranks.fail_rank(1)
-        with pytest.raises(RankFailure, match="rank 1"):
-            spmd_phase(ranks, lambda s: None, name="compute")
-
-    def test_zero_ranks_rejected(self):
-        with pytest.raises(CommunicationError):
-            RankSet(0)

@@ -1,18 +1,24 @@
-"""Tests for content-adaptive decomposition and the worker pool."""
+"""Tests for content-adaptive decomposition and the simulated runner's
+worker-pool model (device memory budget, per-rank load, makespan)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.cluster.cost import pruned_conv_time
 from repro.cluster.device import V100_32GB
+from repro.core.accumulate import accumulate_global
 from repro.core.adaptive import (
     AdaptiveConvolution,
     decompose_by_content,
 )
 from repro.core.decomposition import DomainDecomposition
+from repro.core.distributed_runner import DistributedLowCommConvolution
+from repro.core.local_conv import LocalConvolution
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve
-from repro.core.worker import Worker, WorkerPool
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeviceMemoryError
 from repro.kernels.gaussian import GaussianKernel
 from repro.util.arrays import l2_relative_error
 
@@ -124,61 +130,69 @@ class TestAdaptiveConvolution:
 
 
 class TestWorkerPool:
-    def _chunks(self, n=16, k=4, count=6, rng=None):
-        rng = rng or np.random.default_rng(0)
-        d = DomainDecomposition(n, k)
-        chunks = []
+    """The simulated runner is the worker pool: P devices batch-processing
+    a decomposition's chunks under a memory budget, on a modeled clock."""
+
+    N, K = 16, 4
+
+    def _setup(self, count, device=V100_32GB):
+        """A runner plus a field whose first ``count`` sub-domains are active."""
+        rng = np.random.default_rng(0)
+        d = DomainDecomposition(self.N, self.K)
+        field = np.zeros((self.N,) * 3)
         for i in range(count):
-            sub = d.subdomain(i)
-            chunks.append((sub, rng.standard_normal((k, k, k))))
-        return n, chunks
+            field[d.subdomain(i).slices()] = rng.standard_normal((self.K,) * 3)
+        spec = GaussianKernel(n=self.N, sigma=1.2).spectrum()
+        runner = DistributedLowCommConvolution(
+            self.N, self.K, spec, SamplingPolicy.flat_rate(2), device=device, batch=64
+        )
+        return runner, field
+
+    def _chunk_time(self):
+        return pruned_conv_time(V100_32GB, self.N, self.K, 2.0, batch=64)
 
     def test_all_chunks_processed(self):
-        n, chunks = self._chunks()
-        spec = GaussianKernel(n=n, sigma=1.2).spectrum()
-        pool = WorkerPool(3, n, spec, SamplingPolicy.flat_rate(2), V100_32GB, batch=64)
-        res = pool.run(chunks)
-        assert res.total_chunks == len(chunks)
-        assert len(res.fields) == len(chunks)
+        runner, field = self._setup(6)
+        rep = runner.run(field, 3)
+        assert sum(rep.per_rank_compute_s) == pytest.approx(6 * self._chunk_time())
 
     def test_load_balanced(self):
-        n, chunks = self._chunks(count=8)
-        spec = GaussianKernel(n=n, sigma=1.2).spectrum()
-        pool = WorkerPool(4, n, spec, SamplingPolicy.flat_rate(2), V100_32GB, batch=64)
-        res = pool.run(chunks)
-        counts = [s.chunks_processed for s in res.worker_stats.values()]
-        assert max(counts) - min(counts) <= 1
+        runner, field = self._setup(7)
+        loads = runner.run(field, 4).per_rank_compute_s
+        assert max(loads) - min(loads) == pytest.approx(self._chunk_time())
 
     def test_makespan_shrinks_with_more_workers(self):
-        n, chunks = self._chunks(count=8)
-        spec = GaussianKernel(n=n, sigma=1.2).spectrum()
-        m1 = WorkerPool(1, n, spec, SamplingPolicy.flat_rate(2), V100_32GB, batch=64).run(chunks).makespan_s
-        m4 = WorkerPool(4, n, spec, SamplingPolicy.flat_rate(2), V100_32GB, batch=64).run(chunks).makespan_s
-        assert m4 == pytest.approx(m1 / 4, rel=0.01)
+        runner, field = self._setup(8)
+        m1 = max(runner.run(field, 1).per_rank_compute_s)
+        m4 = max(runner.run(field, 4).per_rank_compute_s)
+        assert m4 == pytest.approx(m1 / 4, rel=1e-12)
 
     def test_results_match_direct_pipeline(self):
-        n, chunks = self._chunks(count=4)
-        spec = GaussianKernel(n=n, sigma=1.2).spectrum()
-        pol = SamplingPolicy.flat_rate(2)
-        pool = WorkerPool(2, n, spec, pol, V100_32GB, batch=64)
-        res = pool.run(chunks)
-        from repro.core.local_conv import LocalConvolution
-
-        lc = LocalConvolution(n, spec, pol, batch=64)
-        for (sub, block), (_sub2, got) in zip(chunks, res.fields):
-            expected = lc.convolve(block, sub.corner)
-            np.testing.assert_allclose(got.values, expected.values, atol=1e-12)
+        runner, field = self._setup(4)
+        lc = LocalConvolution(
+            self.N, runner.pipeline._kernel_spectrum, runner.policy, batch=64
+        )
+        d = runner.pipeline.decomposition
+        direct = [
+            lc.convolve(d.extract(field, d.subdomain(i)), d.subdomain(i).corner)
+            for i in range(4)
+        ]
+        assert np.array_equal(runner.run(field, 2).approx, accumulate_global(direct))
 
     def test_memory_enforced(self):
-        n, chunks = self._chunks()
-        spec = GaussianKernel(n=n, sigma=1.2).spectrum()
-        worker = Worker(0, n, spec, SamplingPolicy.flat_rate(2), V100_32GB, batch=64)
-        sub, block = chunks[0]
-        worker.process(sub, block)
-        assert worker.stats.peak_memory_bytes > 0
-        assert worker.memory.current_bytes == 0
+        """Every local convolution is charged to the device's memory: a
+        device one byte short of a chunk's working set cannot run it."""
+        runner, field = self._setup(2)
+        runner.run(field, 2)
+        peak = runner.pipeline.memory.peak_bytes
+        assert peak > 0 and runner.pipeline.memory.current_bytes == 0
+        small = replace(V100_32GB, name="too-small", memory_bytes=peak - 1)
+        with pytest.raises(DeviceMemoryError, match="too-small"):
+            self._setup(2, device=small)[0].run(field, 2)
+        exact = replace(V100_32GB, memory_bytes=peak)
+        self._setup(2, device=exact)[0].run(field, 2)  # no raise
 
     def test_zero_workers_rejected(self):
-        spec = GaussianKernel(n=8, sigma=1.0).spectrum()
-        with pytest.raises(ConfigurationError):
-            WorkerPool(0, 8, spec, SamplingPolicy.flat_rate(2), V100_32GB)
+        runner, field = self._setup(1)
+        with pytest.raises(ConfigurationError, match=">= 1 rank"):
+            runner.run(field, 0)

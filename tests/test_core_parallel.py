@@ -4,6 +4,7 @@ the pipeline level."""
 import numpy as np
 import pytest
 
+from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.local_conv import LocalConvolution
 from repro.core.parallel import convolve_subdomains_parallel, default_workers
 from repro.core.pipeline import LowCommConvolution3D
@@ -102,14 +103,17 @@ class TestRunParallel:
 
 class TestRunDistributedParallel:
     def test_matches_serial_numerics(self, setup32):
-        from repro.cluster.comm import SimulatedComm
-
+        """Both in-process modes and the simulated cluster's booked result
+        are one computation: bitwise equal, with a single exchange round."""
         n, k, spec, field = setup32
-        pipe = LowCommConvolution3D(n, k, spec, SamplingPolicy.flat_rate(2), batch=64)
-        serial = pipe.run_serial(field)
-        comm = SimulatedComm(4)
-        dist = pipe.run_distributed(field, comm, max_workers=2)
-        np.testing.assert_allclose(dist.approx, serial.approx, atol=1e-12)
+        runner = DistributedLowCommConvolution(
+            n, k, spec, SamplingPolicy.flat_rate(2), batch=64
+        )
+        dist = runner.run(field, 4)
+        assert np.array_equal(dist.approx, runner.pipeline.run_serial(field).approx)
+        assert np.array_equal(
+            dist.approx, runner.pipeline.run_parallel(field, max_workers=2).approx
+        )
         assert dist.comm_rounds == 1
 
 

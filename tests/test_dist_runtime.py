@@ -16,12 +16,12 @@ import pytest
 
 from repro.cli import main
 from repro.core.distributed_runner import DistributedLowCommConvolution
+from repro.core.policy import parse_policy
 from repro.dist.launcher import (
     default_spectrum,
     dist_run,
     expected_exchange_value_bytes,
     naive_eq6_bytes,
-    simulated_crosscheck,
 )
 from repro.dist.wire import HEADER_BYTES
 from repro.dist.worker import DistConfig, build_pipeline, composite_field
@@ -128,56 +128,71 @@ class TestWireAccounting:
             expected_exchange_value_bytes(config, composite_field(16, 0))
 
 
+def _runner(config, spectrum=None):
+    """The simulated cluster model configured like ``config``."""
+    if spectrum is None:
+        spectrum = default_spectrum(config)
+    return DistributedLowCommConvolution(
+        config.n, config.k, spectrum, parse_policy(config.policy)
+    )
+
+
+def _model_and_real(config):
+    """The same job costed by the simulated model and run on real ranks;
+    they must agree on the bits and on the bytes the wire is held to."""
+    field, spectrum, serial = _serial(config)
+    sim = _runner(config, spectrum).run(field, config.num_ranks)
+    real = dist_run(config, field=field, spectrum=spectrum)
+    assert np.array_equal(sim.approx, serial.approx)
+    assert np.array_equal(sim.approx, real.approx)
+    assert sim.comm_bytes == real.predicted_value_bytes > 0
+    return sim, real
+
+
 class TestSimulatedCrosscheck:
     def test_ledger_equals_eq6_exactly(self):
         config = DistConfig(num_ranks=4, transport="local", **SMALL)
         field = composite_field(config.n, config.seed)
-        sim = simulated_crosscheck(config, field=field)
-        assert sim["allgather_bytes"] == expected_exchange_value_bytes(
-            config, field
-        )
-        assert sim["allgather_rounds"] == 1
+        sim = _runner(config).run(field, config.num_ranks)
+        assert sim.comm_bytes == expected_exchange_value_bytes(config, field)
+        assert (sim.comm_rounds, sim.alltoall_rounds) == (1, 0)
 
     def test_simulated_result_close_to_real(self):
-        config = DistConfig(num_ranks=2, transport="local", **SMALL)
-        field, spectrum, serial = _serial(config)
-        sim = simulated_crosscheck(config, field=field, spectrum=spectrum)
-        # the simulated accumulator sums in rank-grouped order, so only
-        # allclose — the real runtime sorts by sub-domain index and is
-        # bitwise (TestBitwiseIdentity)
-        np.testing.assert_allclose(sim["approx"], serial.approx, atol=1e-12)
+        _model_and_real(DistConfig(num_ranks=2, transport="local", **SMALL))
 
 
 class TestDistributedRunnerSelector:
-    def _runner(self, spectrum=None):
-        if spectrum is None:
-            spectrum = GaussianKernel(n=16, sigma=2.0).spectrum()
-        return DistributedLowCommConvolution(n=16, k=4, kernel_spectrum=spectrum)
+    """The runner is the simulated model only; ``dist_run`` is the door to
+    the real transports, and the two agree bit for bit and byte for byte."""
 
     def test_local_transport_bitwise(self):
-        runner = self._runner()
-        field = composite_field(16, 0)
-        serial = runner.pipeline.run_serial(field)
-        report = runner.run(field, num_ranks=2, transport="local")
-        assert np.array_equal(report.approx, serial.approx)
-        assert report.comm_bytes > 0
-        assert len(report.per_rank_compute_s) == 2
+        """Also against the streamed exchange, at a rank count that does
+        not divide the sub-domain count."""
+        sim, real = _model_and_real(
+            DistConfig(
+                num_ranks=3, transport="local", n=16, k=4, policy="banded",
+                overlap=True,
+            )
+        )
+        assert len(sim.per_rank_compute_s) == len(real.rank_results) == 3
 
     def test_simulated_default_unchanged(self):
-        runner = self._runner()
-        field = composite_field(16, 0)
-        report = runner.run(field, num_ranks=2)
-        assert report.alltoall_rounds == 0 or report.comm_bytes > 0
-
-    def test_unknown_transport_rejected(self):
-        runner = self._runner()
-        with pytest.raises(ConfigurationError, match="transport"):
-            runner.run(composite_field(16, 0), num_ranks=2, transport="mpi")
+        config = DistConfig(num_ranks=2, n=16, k=4, policy="banded")
+        report = _runner(config).run(composite_field(16, 0), num_ranks=2)
+        assert report.alltoall_rounds == 0 and report.comm_bytes > 0
+        assert report.comm_s > 0
 
     def test_callable_spectrum_needs_simulated(self):
-        runner = self._runner(spectrum=lambda kz, ky: kz)
-        with pytest.raises(ConfigurationError, match="dense kernel spectrum"):
-            runner.run(composite_field(16, 0), num_ranks=2, transport="local")
+        """An on-the-fly pencil callable cannot be broadcast to real ranks;
+        the in-process model takes it like ``run_serial`` does."""
+        n = 16
+        dense = GaussianKernel(n=n, sigma=2.0).spectrum()
+        field = composite_field(n, 0)
+        runner = DistributedLowCommConvolution(
+            n, 4, lambda ix, iy: dense[ix, iy, :], real_kernel=True
+        )
+        expected = DistributedLowCommConvolution(n, 4, dense).run(field, 2)
+        assert np.array_equal(runner.run(field, 2).approx, expected.approx)
 
 
 class TestConfigValidation:

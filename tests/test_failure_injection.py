@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.comm import SimulatedComm
 from repro.cluster.memory import MemoryTracker
-from repro.cluster.mpi_shim import RankSet, spmd_phase
+from repro.core.distributed_runner import book_exchange
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.errors import DeviceMemoryError, RankFailure
@@ -65,17 +65,22 @@ class TestRankDeath:
         field = np.zeros((n, n, n))
         field[:k, :k, :k] = 1.0
         pipe = LowCommConvolution3D(n, k, spec, SamplingPolicy.flat_rate(2), batch=64)
+        per_domain = pipe.run_serial(field).per_domain
         comm = SimulatedComm(4)
         comm.kill_rank(2)
         with pytest.raises(RankFailure):
-            pipe.run_distributed(field, comm)
+            book_exchange(comm, per_domain)
+        assert comm.ledger.total_rounds == 0
 
     def test_death_between_phases_detected(self):
-        ranks = RankSet(3)
-        spmd_phase(ranks, lambda s: s.data.setdefault("n", 0))
-        ranks.fail_rank(0)
-        with pytest.raises(RankFailure):
-            spmd_phase(ranks, lambda s: s["n"])
+        """A rank that dies after one bulk-synchronous phase completed
+        fails the next collective, not the finished one."""
+        comm = SimulatedComm(3)
+        comm.allgather([np.zeros(1)] * 3)
+        comm.kill_rank(0)
+        with pytest.raises(RankFailure, match=r"dead ranks \[0\]"):
+            comm.allgather([np.zeros(1)] * 3)
+        assert comm.ledger.total_rounds == 1
 
     def test_traditional_conv_also_aborts(self, rng):
         from repro.baselines.traditional_conv import TraditionalDistributedConvolution

@@ -9,8 +9,8 @@ low-communication machinery; and MASSIF Algorithm 1 vs 2 agreement.
 import numpy as np
 import pytest
 
-from repro.cluster.comm import SimulatedComm
 from repro.cluster.memory import MemoryTracker
+from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve
@@ -87,10 +87,11 @@ class TestDistributedEquivalence:
         n, k = 16, 4
         spec = GaussianKernel(n=n, sigma=1.2).spectrum()
         field = rng.standard_normal((n, n, n))
-        pipe = LowCommConvolution3D(n, k, spec, SamplingPolicy.flat_rate(2), batch=64)
-        serial = pipe.run_serial(field).approx
-        dist = pipe.run_distributed(field, SimulatedComm(p)).approx
-        np.testing.assert_allclose(dist, serial, atol=1e-12)
+        runner = DistributedLowCommConvolution(
+            n, k, spec, SamplingPolicy.flat_rate(2), batch=64
+        )
+        serial = runner.pipeline.run_serial(field).approx
+        assert np.array_equal(runner.run(field, p).approx, serial)
 
 
 class TestFFTXAgainstPipeline:

@@ -155,7 +155,7 @@ class TestDistributedRunner:
         runner, field, _ = setup
         rep = runner.run(field, num_ranks=4)
         serial = runner.pipeline.run_serial(field)
-        np.testing.assert_allclose(rep.approx, serial.approx, atol=1e-12)
+        assert np.array_equal(rep.approx, serial.approx)
 
     def test_zero_alltoalls(self, setup):
         runner, field, _ = setup
