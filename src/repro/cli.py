@@ -28,9 +28,12 @@ Usage::
     python -m repro pool up --rendezvous file:///tmp/rdv --ranks 4
                                     # standing rank pool (see pool --help)
 
-Exit codes: 0 on success, 1 when ``lint`` reports findings, 2 on bad
-arguments or configuration errors (argparse errors also exit 2), with a
-one-line message on stderr — never a traceback for a user mistake.
+Exit codes: 0 on success; 1 when ``lint`` reports findings or when an
+audit fails — ``dist-run``, ``serve-bench`` or ``serve`` printing a
+``bitwise identical`` row that is ``False`` (or ``serve`` a failed
+request); 2 on bad arguments or configuration errors (argparse errors
+also exit 2), with a one-line message on stderr — never a traceback for
+a user mistake.
 """
 
 from __future__ import annotations
@@ -197,8 +200,8 @@ def _pipeline(args: argparse.Namespace) -> None:
     )
 
 
-def _dist_run(args: argparse.Namespace) -> None:
-    """Run the pipeline as a real SPMD job and validate it end to end."""
+def _dist_run(args: argparse.Namespace) -> int:
+    """Run the pipeline as a real SPMD job; exit 1 unless bitwise serial."""
     import numpy as np
 
     from repro.dist.launcher import default_spectrum, dist_run
@@ -240,6 +243,7 @@ def _dist_run(args: argparse.Namespace) -> None:
         ["elapsed (s)", f"{report.elapsed_s:.3f}"],
     ]
     print(format_table(["quantity", "value"], rows, title="dist-run"))
+    return 0 if bitwise else 1
 
 
 def _lint(args: argparse.Namespace) -> int:
@@ -257,15 +261,17 @@ def _lint(args: argparse.Namespace) -> int:
     return 1 if any(f.severity == "error" for f in findings) else 0
 
 
-def _serve_bench(args: argparse.Namespace) -> None:
-    """Benchmark batched serving against the naive per-request baseline."""
-    from repro.serve.loadgen import (
-        LoadSpec,
-        bench_report_json,
-        run_serve_benchmark,
-    )
+def _serve_bench(args: argparse.Namespace) -> int:
+    """Audit batched serving against the naive per-request baseline.
+
+    Prints the naive / batched (/ pool-backed, with ``--pool``) A/B and
+    exits 1 when any served result differs bitwise from the naive one.
+    """
+    import contextlib
+
+    from repro.pool.pool import RankPool, private_pool
+    from repro.serve.loadgen import LoadSpec, run_serve_benchmark
     from repro.serve.server import ServerConfig
-    from repro.xpr.store import write_bench
 
     spec = LoadSpec(
         n=args.n,
@@ -284,28 +290,15 @@ def _serve_bench(args: argparse.Namespace) -> None:
         mode="parallel" if args.mode == "parallel" else "serial",
         max_workers=args.workers,
     )
-    pool = None
-    own_pool = False
-    if args.pool:
-        from repro.pool.pool import RankPool
-
+    with contextlib.ExitStack() as stack:
+        pool = None
         if args.pool == "auto":
-            import tempfile
-
-            rendezvous = f"file://{tempfile.mkdtemp(prefix='serve-bench-pool-')}"
-            pool = RankPool(rendezvous)
-            pool.spawn(args.pool_ranks)
-            own_pool = True
-        else:
+            pool = stack.enter_context(private_pool(args.pool_ranks))
+        elif args.pool:
             pool = RankPool(args.pool)
-        pool.connect(args.pool_ranks)
-    try:
+            pool.connect(args.pool_ranks)
+            stack.callback(pool.disconnect)
         report = run_serve_benchmark(spec, config, pool=pool)
-    finally:
-        if pool is not None:
-            pool.down() if own_pool else pool.disconnect()
-    payload = bench_report_json(spec, report, config)
-    out = write_bench(payload, args.output)
     rows = [
         ["requests (kernels)", f"{spec.num_requests} ({spec.num_kernels})"],
         ["n / k / policy", f"{spec.n} / {spec.k} / {spec.policy}"],
@@ -316,6 +309,7 @@ def _serve_bench(args: argparse.Namespace) -> None:
         ["mean batch size", f"{report.batch_size_mean:.1f}"],
         ["bitwise identical", report.bitwise_identical],
     ]
+    ok = report.bitwise_identical
     pool_row = report.extras.get("pool_backed")
     if pool_row:
         rows += [
@@ -324,7 +318,7 @@ def _serve_bench(args: argparse.Namespace) -> None:
             ["pool-backed bitwise", pool_row["bitwise_identical"]],
             ["pool-backed plan misses", pool_row["plan_misses"]],
         ]
-    rows.append(["report", str(out)])
+        ok = ok and pool_row["bitwise_identical"]
     print(
         format_table(
             ["quantity", "value"],
@@ -332,6 +326,7 @@ def _serve_bench(args: argparse.Namespace) -> None:
             title="serve-bench: batched serving vs naive executor",
         )
     )
+    return 0 if ok else 1
 
 
 def _serve(args: argparse.Namespace) -> int:
@@ -348,10 +343,10 @@ def _serve(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core.policy import parse_policy
+    from repro.pool.pool import RankPool
     from repro.serve.dist_backend import PoolBackend
     from repro.serve.loadgen import LoadSpec, run_batched_server
-    from repro.serve.request import DEFAULT_TENANT
-    from repro.serve.server import ConvolutionServer, ServerConfig
+    from repro.serve.server import ServerConfig
 
     spec = LoadSpec(
         n=args.n,
@@ -370,11 +365,10 @@ def _serve(args: argparse.Namespace) -> int:
             k=args.k,
             max_batch_size=args.max_batch_size,
             max_wait_s=args.max_wait,
-            default_policy=policy,
         )
 
     # In-process reference pass: the bitwise audit target.
-    _, local_results, _ = run_batched_server(spec, policy, server_config())
+    _, local, _ = run_batched_server(spec, policy, server_config())
     if args.backend == "local":
         print("backend 'local' is the reference path itself; nothing to audit")
         return 0
@@ -395,32 +389,22 @@ def _serve(args: argparse.Namespace) -> int:
                 config, fail_rank=args.kill_rank, fail_stage=args.kill_stage
             )
 
-    from repro.pool.pool import RankPool
-
     pool = RankPool(rendezvous)
     pool.connect(args.ranks)
     try:
-        backend = PoolBackend({"pool0": pool}, job_hook=job_hook)
-        server = ConvolutionServer(server_config(), executor=backend)
-        for name, spectrum in spec.kernels().items():
-            server.register_kernel(name, spectrum)
-        handles = [
-            server.submit(
-                item["field"],
-                kernel=item["kernel"],
-                tenant=item.get("tenant", DEFAULT_TENANT),
-            )
-            for item in spec.requests()
-        ]
-        server.drain()
+        _, handles, server = run_batched_server(
+            spec,
+            policy,
+            server_config(),
+            executor=PoolBackend({"pool0": pool}, job_hook=job_hook),
+        )
         failed = [h for h in handles if h.exception() is not None]
-        results = {
-            i: h.result(timeout=0).approx
-            for i, h in enumerate(handles)
-            if h.exception() is None
-        }
         bitwise = all(
-            np.array_equal(results[i], local_results[i]) for i in results
+            np.array_equal(
+                h.result(timeout=0).approx, ref.result(timeout=0).approx
+            )
+            for h, ref in zip(handles, local)
+            if h.exception() is None
         )
         snap = server.snapshot()
         server.shutdown()
@@ -476,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv[:1] == ["xpr"]:
         # The xpr verb owns its own sub-command surface (run/report/gate/
-        # seed); hand it the rest of the argv before the experiment
+        # list); hand it the rest of the argv before the experiment
         # parser can reject its flags.
         from repro.xpr.cli import xpr_main
 
@@ -592,11 +576,6 @@ def main(argv: list[str] | None = None) -> int:
         help="max seconds a partial batch waits before flushing",
     )
     serve.add_argument(
-        "--output",
-        default="BENCH_serve.json",
-        help="where to write the benchmark report JSON",
-    )
-    serve.add_argument(
         "--pool",
         default=None,
         help="serve-bench: also A/B the pool-backed path — 'auto' spawns "
@@ -657,9 +636,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.experiment == "serve":
             return _serve(args)
         elif args.experiment == "serve-bench":
-            _serve_bench(args)
+            return _serve_bench(args)
         elif args.experiment == "dist-run":
-            _dist_run(args)
+            return _dist_run(args)
         elif args.experiment == "all":
             for name in sorted(COMMANDS):
                 print(f"\n================ {name} ================")

@@ -21,8 +21,8 @@ Layers:
   job (a resumed :func:`~repro.dist.worker.rank_main`).
 - :mod:`repro.pool.agent` — the long-lived rank agent process.
 - :mod:`repro.pool.pool` — :class:`RankPool`: the controller
-  (``spawn``/``connect``/``submit``/``grow``/``down``) and the
-  :func:`pool_executor` seam for the xpr runner.
+  (``spawn``/``connect``/``submit``/``grow``/``down``) and
+  :func:`private_pool`, a throwaway pool that cleans up after itself.
 - :mod:`repro.pool.cli` — ``python -m repro pool up|status|submit|down``.
 
 Everything is bitwise identical to ``run_serial`` — clean jobs, late
@@ -32,7 +32,7 @@ joins, and mid-job rank death with checkpoint handoff alike.
 from repro.pool.agent import PoolAgent, agent_main, spawn_local_agents
 from repro.pool.jobs import PoolJob, execute_job
 from repro.pool.membership import Member, Roster
-from repro.pool.pool import JOB_DEADLINE_S, PoolJobReport, RankPool, pool_executor
+from repro.pool.pool import JOB_DEADLINE_S, PoolJobReport, RankPool, private_pool
 from repro.pool.rendezvous import (
     AgentCard,
     CoordinatorServer,
@@ -61,7 +61,7 @@ __all__ = [
     "execute_job",
     "new_agent_id",
     "parse_rendezvous",
-    "pool_executor",
+    "private_pool",
     "spawn_local_agents",
     "wait_for_cards",
 ]

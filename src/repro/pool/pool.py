@@ -30,9 +30,11 @@ decisive death signal is the control connection's EOF.
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
 from multiprocessing.connection import Client, Connection, wait as connection_wait
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from repro.pool.rendezvous import (
 )
 from repro.serve.clock import Clock, MonotonicClock
 
-__all__ = ["JOB_DEADLINE_S", "PoolJobReport", "RankPool", "pool_executor"]
+__all__ = ["JOB_DEADLINE_S", "PoolJobReport", "RankPool", "private_pool"]
 
 #: Overall deadline for one job on the mesh (mirrors the cold runtime's).
 JOB_DEADLINE_S = 120.0
@@ -609,20 +611,21 @@ class RankPool:
         )
 
 
-def pool_executor(pool: RankPool):
-    """The xpr :class:`~repro.xpr.runner.Runner` executor seam adapter.
+@contextmanager
+def private_pool(ranks: int) -> Iterator[RankPool]:
+    """A connected throwaway pool of ``ranks`` locally-spawned agents.
 
-    Trials whose mode is ``pool`` are shipped to the standing
-    ``pool`` (via the registry's pool trial runner); every other mode
-    falls through to the normal in-process entry point — so one runner
-    can mix pool and non-pool trials in a single grid.
+    The pool lives on a ``file://`` rendezvous in a fresh temporary
+    directory; leaving the block shuts the agents down and removes the
+    directory, also when the body (or the bring-up itself) raises.
     """
-
-    def execute(entry_point, spec):
-        if getattr(spec, "mode", None) != "pool":
-            return entry_point(spec)
-        from repro.xpr.registry import pool_trial_metrics
-
-        return pool_trial_metrics(pool, spec)
-
-    return execute
+    with tempfile.TemporaryDirectory(
+        prefix="repro-pool-", ignore_cleanup_errors=True
+    ) as directory:
+        pool = RankPool(f"file://{directory}")
+        try:
+            pool.spawn(ranks)
+            pool.connect(ranks)
+            yield pool
+        finally:
+            pool.down()

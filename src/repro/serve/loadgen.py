@@ -14,10 +14,9 @@ serves the same stream two ways and compares throughput:
 
 Both paths produce bitwise-identical results (verified per request), so
 the speedup is pure fixed-cost amortization — the paper's batch-processing
-claim measured end to end.  The report schema matches
-``benchmarks/bench_parallel_pipeline.py`` (shared top-level keys: ``n``,
-``k``, ``cpu_count``, ``workers_used``, ``python``, ``results``,
-``speedup``) so bench files stay machine-comparable across PRs.
+claim measured end to end.  ``python -m repro serve-bench`` prints the
+audit; the pinned numbers for the serving tier are the
+``serve_open_loop`` workload of ``python3 bench/run.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.parallel import resolve_workers
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy, parse_policy
 from repro.errors import ConfigurationError
@@ -144,8 +142,6 @@ class BenchReport:
     bitwise_identical: bool
     batches: int
     batch_size_mean: float
-    metrics: dict
-    results_equal_direct: bool = True
     extras: dict = dataclass_field(default_factory=dict)
 
     @property
@@ -179,10 +175,14 @@ def run_batched_server(
     policy: SamplingPolicy,
     config: Optional[ServerConfig] = None,
     clock: Optional[Clock] = None,
+    executor=None,
 ) -> tuple:
-    """Serve the stream through the batching server.
+    """Serve the stream through the batching server (the one stream driver).
 
-    Returns ``(elapsed_s, results, server)``; elapsed covers submit
+    ``executor`` replaces the server's in-process batch executor — pass a
+    :class:`~repro.serve.dist_backend.PoolBackend` to run every batch on
+    a standing rank pool.  Returns ``(elapsed_s, handles, server)`` with
+    the handles in stream order and all terminal; elapsed covers submit
     through last completion (the server is constructed outside the timed
     region, matching the naive baseline, which also pays construction
     per request *inside* its loop — that asymmetry is the point).
@@ -191,7 +191,7 @@ def run_batched_server(
     config = config or ServerConfig()
     config.n, config.k = spec.n, spec.k
     config.default_policy = policy
-    server = ConvolutionServer(config, clock=clock)
+    server = ConvolutionServer(config, clock=clock, executor=executor)
     for name, spectrum in spec.kernels().items():
         server.register_kernel(name, spectrum)
     stream = spec.requests()
@@ -206,49 +206,7 @@ def run_batched_server(
         for item in stream
     ]
     server.drain()
-    results = [h.result(timeout=0) for h in handles]
-    elapsed = clock.now() - t0
-    return elapsed, [r.approx for r in results], server
-
-
-def run_pool_backed_server(
-    spec: LoadSpec,
-    policy: SamplingPolicy,
-    pool,
-    config: Optional[ServerConfig] = None,
-    clock: Optional[Clock] = None,
-    job_hook=None,
-) -> tuple:
-    """Serve the stream through a server backed by a standing rank pool.
-
-    ``pool`` is a *connected* :class:`~repro.pool.RankPool`; the server
-    routes every batch onto it via
-    :class:`~repro.serve.dist_backend.PoolBackend`.  Returns
-    ``(elapsed_s, results, server)`` like :func:`run_batched_server`.
-    """
-    clock = clock or MonotonicClock()
-    config = config or ServerConfig()
-    config.n, config.k = spec.n, spec.k
-    config.default_policy = policy
-    backend = PoolBackend({"pool0": pool}, job_hook=job_hook)
-    server = ConvolutionServer(config, clock=clock, executor=backend)
-    for name, spectrum in spec.kernels().items():
-        server.register_kernel(name, spectrum)
-    stream = spec.requests()
-    t0 = clock.now()
-    handles = [
-        server.submit(
-            item["field"],
-            kernel=item["kernel"],
-            tenant=item.get("tenant", DEFAULT_TENANT),
-            timeout_s=item.get("timeout_s"),
-        )
-        for item in stream
-    ]
-    server.drain()
-    results = [h.result(timeout=0) for h in handles]
-    elapsed = clock.now() - t0
-    return elapsed, [r.approx for r in results], server
+    return clock.now() - t0, handles, server
 
 
 def run_serve_benchmark(
@@ -278,7 +236,8 @@ def run_serve_benchmark(
     run_naive_baseline(warm, policy)
 
     naive_s, naive_results = run_naive_baseline(spec, policy)
-    batched_s, batched_results, server = run_batched_server(spec, policy, config)
+    batched_s, handles, server = run_batched_server(spec, policy, config)
+    batched_results = [h.result(timeout=0).approx for h in handles]
 
     identical = all(
         np.array_equal(a, b) for a, b in zip(naive_results, batched_results)
@@ -287,21 +246,19 @@ def run_serve_benchmark(
     sizes = snap["histograms"].get("batch.size", {})
     extras: dict = {}
     if pool is not None:
-        pool_s, pool_results, pool_server = run_pool_backed_server(
-            spec, policy, pool, config
+        pool_s, pool_handles, pool_server = run_batched_server(
+            spec, policy, config, executor=PoolBackend({"pool0": pool})
         )
-        pool_snap = pool_server.snapshot()
         extras["pool_backed"] = {
             "elapsed_s": pool_s,
-            "throughput_rps": spec.num_requests / pool_s if pool_s else 0.0,
             "bitwise_identical": all(
-                np.array_equal(a, b)
-                for a, b in zip(batched_results, pool_results)
+                np.array_equal(a, h.result(timeout=0).approx)
+                for a, h in zip(batched_results, pool_handles)
             ),
             "ranks": pool.roster.size if pool.roster else 0,
-            "plan_misses": pool_snap["counters"].get("pool.plan_misses", 0),
-            "recoveries": pool_snap["counters"].get("pool.recoveries", 0),
-            "backend": pool_snap.get("backend", {}),
+            "plan_misses": pool_server.snapshot()["counters"].get(
+                "pool.plan_misses", 0
+            ),
         }
     return BenchReport(
         naive_s=naive_s,
@@ -309,73 +266,5 @@ def run_serve_benchmark(
         bitwise_identical=identical,
         batches=snap["counters"].get("batches_executed", 0),
         batch_size_mean=float(sizes.get("mean", 0.0)),
-        metrics=snap,
         extras=extras,
-    )
-
-
-def bench_report_json(spec: LoadSpec, report: BenchReport,
-                      config: ServerConfig) -> dict:
-    """Assemble the ``BENCH_serve.json`` payload (shared bench schema).
-
-    The envelope (``bench``/``n``/``k``/``cpu_count``/``workers_used``/
-    ``python``/``results``) comes from
-    :func:`repro.xpr.store.bench_envelope`, the one writer all bench
-    reports share.
-    """
-    from repro.xpr.store import bench_envelope
-
-    requests = spec.num_requests
-    workers_used = (
-        resolve_workers((spec.n // spec.k) ** 3, config.max_workers)
-        if config.mode == "parallel"
-        else 1
-    )
-    results = {
-        "naive": {
-            "median_s": report.naive_s,
-            "times_s": [report.naive_s],
-            "throughput_rps": requests / report.naive_s,
-        },
-        "batched": {
-            "median_s": report.batched_s,
-            "times_s": [report.batched_s],
-            "throughput_rps": requests / report.batched_s,
-        },
-    }
-    speedup = {"batched_vs_naive": report.speedup}
-    pool_row = report.extras.get("pool_backed")
-    if pool_row:
-        results["pool_backed"] = {
-            "median_s": pool_row["elapsed_s"],
-            "times_s": [pool_row["elapsed_s"]],
-            "throughput_rps": pool_row["throughput_rps"],
-        }
-        if pool_row["elapsed_s"]:
-            speedup["pool_backed_vs_naive"] = (
-                report.naive_s / pool_row["elapsed_s"]
-            )
-    return bench_envelope(
-        "serve",
-        n=spec.n,
-        k=spec.k,
-        repeats=1,
-        workers_used=workers_used,
-        sigma=spec.sigma,
-        policy=spec.policy,
-        results=results,
-        speedup=speedup,
-        serve={
-            "requests": requests,
-            "num_kernels": spec.num_kernels,
-            "seed": spec.seed,
-            "mode": config.mode,
-            "max_batch_size": config.max_batch_size,
-            "max_wait_s": config.max_wait_s,
-            "batches_executed": report.batches,
-            "batch_size_mean": report.batch_size_mean,
-            "bitwise_identical": report.bitwise_identical,
-            "pool_backed": pool_row,
-            "metrics": report.metrics,
-        },
     )

@@ -6,7 +6,7 @@ The subsystem that watches the benchmarks: declare a parameter grid
 trajectory store (:mod:`~repro.xpr.store`), render trend reports
 (:mod:`~repro.xpr.report`), and fail the build when a metric regresses
 past its threshold (:mod:`~repro.xpr.gate`).  Driven by
-``python -m repro xpr run|report|gate|seed``.
+``python -m repro xpr run|report|gate|list``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from repro.xpr.grid import (
     expand_experiment,
     experiment_names,
 )
-from repro.xpr.registry import (
-    BenchRegistry,
-    bench_argument_parser,
-    default_registry,
-)
+from repro.xpr.registry import BenchRegistry, default_registry
 from repro.xpr.report import TrajectoryReport
 from repro.xpr.runner import (
     Runner,
@@ -39,14 +35,7 @@ from repro.xpr.runner import (
     TrialTimeoutError,
     record_outcomes,
 )
-from repro.xpr.store import (
-    TrajectoryStore,
-    TrialRecord,
-    bench_envelope,
-    git_revision,
-    seed_from_bench_files,
-    write_bench,
-)
+from repro.xpr.store import TrajectoryStore, TrialRecord, git_revision
 
 __all__ = [
     "EXPERIMENTS",
@@ -62,8 +51,6 @@ __all__ = [
     "TrialRecord",
     "TrialSpec",
     "TrialTimeoutError",
-    "bench_argument_parser",
-    "bench_envelope",
     "content_id",
     "default_registry",
     "define_experiment",
@@ -72,7 +59,5 @@ __all__ = [
     "experiment_names",
     "git_revision",
     "record_outcomes",
-    "seed_from_bench_files",
     "trial_label",
-    "write_bench",
 ]

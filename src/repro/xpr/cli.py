@@ -5,7 +5,6 @@ Verbs::
     python -m repro xpr run --experiment ref-quick   # drain a grid
     python -m repro xpr report [--format html]       # trend tables
     python -m repro xpr gate [--experiment NAME]     # enforce thresholds
-    python -m repro xpr seed BENCH_*.json            # import bench files
     python -m repro xpr list                         # known experiments
 
 All verbs share ``--store`` (default ``TRAJECTORY.jsonl`` in the current
@@ -26,7 +25,7 @@ from repro.xpr.gate import GateConfig, evaluate_gate
 from repro.xpr.grid import expand_experiment, experiment_names
 from repro.xpr.report import TrajectoryReport
 from repro.xpr.runner import Runner, record_outcomes
-from repro.xpr.store import TrajectoryStore, seed_from_bench_files
+from repro.xpr.store import TrajectoryStore
 
 #: Default trajectory path: the committed baseline at the repo root.
 DEFAULT_STORE = "TRAJECTORY.jsonl"
@@ -106,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline = median of up to this many prior runs (default 5)",
     )
 
-    seed = sub.add_parser(
-        "seed", help="import BENCH_*.json files into the trajectory"
-    )
-    seed.add_argument("benches", nargs="+", help="bench report files")
-    _add_store_option(seed)
-
     sub.add_parser("list", help="print the registered experiments")
     return parser
 
@@ -179,16 +172,6 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_seed(args: argparse.Namespace) -> int:
-    store = TrajectoryStore(args.store)
-    records = seed_from_bench_files(store, args.benches)
-    print(
-        f"seeded {len(records)} record(s) from {len(args.benches)} "
-        f"bench file(s) -> {store.path}"
-    )
-    return 0
-
-
 def xpr_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``xpr`` verb; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -199,8 +182,6 @@ def xpr_main(argv: Optional[List[str]] = None) -> int:
             return _cmd_report(args)
         if args.verb == "gate":
             return _cmd_gate(args)
-        if args.verb == "seed":
-            return _cmd_seed(args)
         for name in experiment_names():
             trials = expand_experiment(name)
             print(f"{name}: {len(trials)} trial(s)")

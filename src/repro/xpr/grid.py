@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from repro.errors import ConfigurationError
 
 #: Execution modes the trial registry knows how to run.
-MODES = ("serial", "parallel", "dist", "serve", "pool", "serve-pool")
+MODES = ("serial", "parallel", "dist", "serve", "pool")
 
 #: Rank transports valid for ``mode="dist"`` trials.
 TRANSPORTS = ("local", "tcp")
@@ -230,9 +230,9 @@ define_experiment(
         },
     ),
     # The standing-pool trial: a rendezvous-bootstrapped 2-rank TCP mesh
-    # runs the job twice through the pool_executor seam, so the gate
-    # watches both correctness (bitwise, wire/model) and pool warmth
-    # (warm resubmission must not rebuild plans).
+    # runs the job twice, so the gate watches both correctness (bitwise,
+    # wire/model) and pool warmth (warm resubmission must not rebuild
+    # plans).
     ExperimentGrid(
         "ref-quick",
         fixed={

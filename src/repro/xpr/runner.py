@@ -18,12 +18,6 @@ trial kill the sweep:
 All timing flows through an injected :class:`repro.serve.clock.Clock`
 (monotonic by default), so tests drive the runner with a
 :class:`~repro.serve.clock.ManualClock` and assert exact durations.
-
-The **executor seam**: the runner calls ``executor(entry_point, spec)``
-to perform one execution.  The default executes in-process (on the
-timeout thread); a later PR can pass an executor that ships the spec to
-a standing :mod:`repro.dist` rank pool instead — nothing else in the
-runner changes.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import queue
 import statistics
 import threading
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import RankFailure, ReproError, TransportError
 from repro.serve.clock import Clock, MonotonicClock
@@ -53,10 +47,6 @@ class TrialTimeoutError(ReproError):
     """A trial execution exceeded the runner's per-trial timeout."""
 
 
-#: One execution of a trial's entry point (the dist-routing seam).
-Executor = Callable[[TrialRunner, TrialSpec], Dict[str, float]]
-
-
 @dataclass
 class TrialOutcome:
     """What happened to one trial: status, metrics, timing, attempts."""
@@ -75,13 +65,6 @@ class TrialOutcome:
         return self.status == "ok"
 
 
-def _local_executor(
-    fn: TrialRunner, spec: TrialSpec
-) -> Dict[str, float]:
-    """The default executor: run the entry point in this process."""
-    return fn(spec)
-
-
 class Runner:
     """Drains trial specs through pull workers (see module docstring)."""
 
@@ -91,7 +74,6 @@ class Runner:
         clock: Optional[Clock] = None,
         workers: int = 2,
         timeout_s: Optional[float] = None,
-        executor: Optional[Executor] = None,
     ):
         if workers < 1:
             raise ReproError(f"need >= 1 worker, got {workers}")
@@ -99,7 +81,6 @@ class Runner:
         self.clock = clock or MonotonicClock()
         self.workers = workers
         self.timeout_s = timeout_s
-        self.executor = executor or _local_executor
 
     def run(self, specs: Sequence[TrialSpec]) -> List[TrialOutcome]:
         """Execute every spec; outcomes come back in input order."""
@@ -190,14 +171,14 @@ class Runner:
     def _execute(
         self, fn: TrialRunner, spec: TrialSpec
     ) -> Dict[str, float]:
-        """One execution through the executor seam, timeout-guarded."""
+        """One execution of the entry point, timeout-guarded."""
         if self.timeout_s is None:
-            return self.executor(fn, spec)
+            return fn(spec)
         box: Dict[str, object] = {}
 
         def target() -> None:
             try:
-                box["metrics"] = self.executor(fn, spec)
+                box["metrics"] = fn(spec)
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 box["error"] = exc
 

@@ -1,4 +1,4 @@
-"""Append-only JSONL trajectory store + the shared bench-report writer.
+"""Append-only JSONL trajectory store.
 
 The **trajectory** is the repository's perf memory: one JSON object per
 line, each recording one trial execution keyed by ``(experiment,
@@ -7,41 +7,21 @@ is never rewritten, so the gate can always compare the newest record of
 a trial against the median of its predecessors.  The file is committed
 (``TRAJECTORY.jsonl`` at the repository root) so every checkout carries
 its own baseline.
-
-This module also owns the **shared bench schema**: every
-``BENCH_*.json`` writer (``bench_parallel_pipeline.py``, the serve-bench
-CLI path, ``bench_dist.py``, ``bench_serialize.py``) assembles its
-payload with :func:`bench_envelope` and writes it with
-:func:`write_bench`, so the common envelope keys (``bench``, ``n``,
-``k``, ``repeats``, ``cpu_count``, ``workers_used``, ``python``,
-``results``) are enforced in one place instead of four.
-:func:`seed_from_bench_files` converts those files into trajectory
-records, which is how the store got its day-one baseline.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
-import os
-import platform
 import subprocess
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
-from repro.xpr.grid import content_id
 
 #: Version stamped into every trajectory record.
 SCHEMA_VERSION = 1
-
-#: Envelope keys every BENCH_*.json report must carry.
-BENCH_ENVELOPE_KEYS = frozenset(
-    {"bench", "n", "k", "repeats", "cpu_count", "workers_used", "python",
-     "results"}
-)
 
 
 def git_revision(root: Optional[Path] = None) -> str:
@@ -176,117 +156,3 @@ class TrajectoryStore:
             for r in self.records()
             if r.experiment == experiment and r.trial_id == trial_id
         ]
-
-
-def bench_envelope(
-    bench: str,
-    *,
-    n: int,
-    k: int,
-    repeats: int,
-    results: Mapping[str, object],
-    workers_used: int = 1,
-    **extra: object,
-) -> dict:
-    """Assemble a BENCH_*.json payload with the shared envelope.
-
-    ``cpu_count`` and ``python`` are filled in here so no writer can
-    forget them; anything bench-specific rides along via ``extra``.
-    """
-    doc = {
-        "bench": bench,
-        "n": n,
-        "k": k,
-        "repeats": repeats,
-        "cpu_count": os.cpu_count(),
-        "workers_used": workers_used,
-        "python": platform.python_version(),
-        "results": dict(results),
-    }
-    doc.update(extra)
-    return doc
-
-
-def write_bench(payload: Mapping[str, object], path: Path | str) -> Path:
-    """Validate the shared envelope and write one BENCH_*.json report."""
-    missing = sorted(BENCH_ENVELOPE_KEYS - set(payload))
-    if missing:
-        raise ConfigurationError(
-            f"bench report is missing envelope keys {missing}; assemble "
-            "payloads with repro.xpr.store.bench_envelope()"
-        )
-    out = Path(path)
-    out.write_text(json.dumps(dict(payload), indent=2) + "\n")
-    return out
-
-
-def _numeric_leaves(doc: Mapping[str, object]) -> Dict[str, float]:
-    """Flat numeric metrics from one bench result entry (lists skipped)."""
-    out: Dict[str, float] = {}
-    for key, value in doc.items():
-        if isinstance(value, bool):
-            out[key] = float(value)
-        elif isinstance(value, numbers.Real):
-            out[key] = float(value)
-        elif isinstance(value, Mapping):
-            for sub, subval in _numeric_leaves(value).items():
-                out[f"{key}.{sub}"] = subval
-    return out
-
-
-def seed_from_bench_files(
-    store: TrajectoryStore,
-    paths: Sequence[Path | str],
-    *,
-    git_rev: Optional[str] = None,
-    ts: Optional[str] = None,
-) -> List[TrialRecord]:
-    """Convert BENCH_*.json files into trajectory records and append them.
-
-    Each entry of a report's ``results`` section becomes one trial of
-    the experiment ``bench-<name>``; its id is the content hash of the
-    identifying parameters (bench name, configuration key, n, k), so
-    re-seeding from a regenerated file lands on the same trial history.
-    Returns the appended records.
-    """
-    git_rev = git_rev or git_revision()
-    ts = ts if ts is not None else wall_timestamp()
-    records = []
-    for path in paths:
-        p = Path(path)
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot seed from {p}: {exc}") from None
-        bench = doc.get("bench") or p.stem.replace("BENCH_", "")
-        results = doc.get("results")
-        if not isinstance(results, Mapping):
-            raise ConfigurationError(
-                f"{p} has no 'results' section to seed from"
-            )
-        for config_name in sorted(results):
-            entry = results[config_name]
-            if not isinstance(entry, Mapping):
-                continue
-            params = {
-                "bench": bench,
-                "config": config_name,
-                "n": doc.get("n"),
-                "k": doc.get("k"),
-            }
-            metrics = _numeric_leaves(entry)
-            if not metrics:
-                continue
-            records.append(
-                TrialRecord(
-                    experiment=f"bench-{bench}",
-                    trial_id=content_id(params),
-                    git_rev=git_rev,
-                    ts=ts,
-                    status="ok",
-                    params=params,
-                    metrics=metrics,
-                )
-            )
-    store.extend(records)
-    return records

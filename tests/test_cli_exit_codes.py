@@ -1,15 +1,25 @@
 """CLI contract tests: exit codes and usable error messages.
 
-The CLI promises: 0 on success, 2 on bad arguments/configuration, with a
-one-line message on stderr rather than a traceback.  Also smoke-tests the
-``serve-bench`` command on a tiny configuration.
+The CLI promises: 0 on success, 1 on a failed audit, 2 on bad
+arguments/configuration, with a one-line message on stderr rather than a
+traceback.  Also smoke-tests the ``serve-bench`` command on a tiny
+configuration.
 """
 
-import json
+import re
 
 import pytest
 
 from repro.cli import main
+
+
+def table_row(out, quantity):
+    """The value column of one printed ``quantity | value`` row."""
+    match = re.search(
+        rf"^{re.escape(quantity)}\s*\|\s*(.*?)\s*$", out, re.MULTILINE
+    )
+    assert match, f"no {quantity!r} row in:\n{out}"
+    return match.group(1)
 
 
 class TestExitCodes:
@@ -32,10 +42,10 @@ class TestExitCodes:
         assert rc == 2
         assert captured.err.startswith("error:")
 
-    def test_serve_bench_bad_policy_exits_2(self, capsys, tmp_path):
+    def test_serve_bench_bad_policy_exits_2(self, capsys):
         rc = main([
             "serve-bench", "--n", "16", "--k", "4", "--requests", "2",
-            "--policy", "bogus", "--output", str(tmp_path / "x.json"),
+            "--policy", "bogus",
         ])
         captured = capsys.readouterr()
         assert rc == 2
@@ -47,9 +57,53 @@ class TestExitCodes:
         assert "pipeline run" in capsys.readouterr().out
 
 
+class TestFailedAuditExits1:
+    """A printed ``bitwise identical ... | False`` must fail the process:
+    CI's dist-run and serve-bench steps key on the exit code."""
+
+    def test_dist_run_mismatch_exits_1(self, capsys, monkeypatch):
+        from repro.core.pipeline import LowCommConvolution3D
+
+        run_serial = LowCommConvolution3D.run_serial
+
+        def off_by_one(self, field):
+            result = run_serial(self, field)
+            result.approx[0, 0, 0] += 1.0
+            return result
+
+        # dist_run never calls run_serial: only the reference is skewed
+        monkeypatch.setattr(LowCommConvolution3D, "run_serial", off_by_one)
+        rc = main([
+            "dist-run", "--ranks", "2", "--transport", "local",
+            "--n", "16", "--k", "4", "--policy", "flat:2",
+        ])
+        out = capsys.readouterr().out
+        assert table_row(out, "bitwise identical to run_serial") == "False"
+        assert rc == 1
+
+    def test_serve_bench_mismatch_exits_1(self, capsys, monkeypatch):
+        from repro.serve import loadgen
+
+        run_naive_baseline = loadgen.run_naive_baseline
+
+        def off_by_one(spec, policy, clock=None):
+            elapsed, results = run_naive_baseline(spec, policy, clock)
+            results[-1][0, 0, 0] += 1.0
+            return elapsed, results
+
+        monkeypatch.setattr(loadgen, "run_naive_baseline", off_by_one)
+        rc = main([
+            "serve-bench", "--n", "16", "--k", "4", "--requests", "2",
+            "--policy", "flat:2", "--max-wait", "0.01",
+        ])
+        out = capsys.readouterr().out
+        assert table_row(out, "bitwise identical") == "False"
+        assert rc == 1
+
+
 class TestServeBenchSmoke:
-    def test_tiny_serve_bench_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_serve.json"
+    def test_tiny_serve_bench_prints_audit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         rc = main([
             "serve-bench",
             "--n", "32", "--k", "8",
@@ -57,18 +111,12 @@ class TestServeBenchSmoke:
             "--policy", "flat:4",
             "--max-batch-size", "4",
             "--max-wait", "0.01",
-            "--output", str(out),
         ])
+        out = capsys.readouterr().out
         assert rc == 0
-        assert "serve-bench" in capsys.readouterr().out
-        report = json.loads(out.read_text())
-        assert report["bench"] == "serve"
-        assert report["n"] == 32 and report["k"] == 8
-        assert report["cpu_count"] >= 1
-        assert report["workers_used"] >= 1
-        assert report["serve"]["bitwise_identical"] is True
-        assert report["serve"]["requests"] == 4
-        assert set(report["results"]) == {"naive", "batched"}
-        for entry in report["results"].values():
-            assert entry["median_s"] > 0
-            assert entry["throughput_rps"] > 0
+        assert "serve-bench" in out
+        assert table_row(out, "requests (kernels)") == "4 (1)"
+        assert table_row(out, "bitwise identical") == "True"
+        assert float(table_row(out, "naive (s)")) > 0
+        assert float(table_row(out, "batched (s)")) > 0
+        assert list(tmp_path.iterdir()) == []  # the audit writes no file

@@ -10,11 +10,15 @@ The acceptance bar, as tests:
 - a rank killed mid-job is replaced in-mesh via the checkpoint handoff
   and the recovered result is still bitwise identical;
 - late joiners grow the roster and the next job spreads across them;
-- a job stamped with a dead generation is fenced, never executed.
+- a job stamped with a dead generation is fenced, never executed;
+- a private pool (the xpr ``pool`` trial, ``serve-bench --pool auto``)
+  leaves no rendezvous directory behind, also when its user raises.
 
 Each test stands up its own pool over a private ``file://`` rendezvous
 and tears it down, so tests never share agent processes.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from repro.dist.worker import DistConfig, build_pipeline, composite_field
 from repro.errors import ConfigurationError, PoolError
 from repro.pool.jobs import PoolJob
 from repro.pool.pool import RankPool
+from repro.xpr.grid import TrialSpec
+from repro.xpr.registry import run_pool_trial
 
 #: the calibrated reference shape shared with the dist acceptance tests
 REFERENCE = dict(n=32, k=8, sigma=2.0, policy="flat:2")
@@ -157,3 +163,34 @@ class TestRankDeathRecovery:
         config = _config(2, fail_rank=1, fail_stage="before_checkpoint")
         with pytest.raises(PoolError, match="failed on ranks"):
             pool.submit(config, recover=False)
+
+
+class TestPrivatePoolCleanup:
+    SPEC = TrialSpec("t", mode="pool", n=16, k=4, transport="tcp", ranks=2)
+
+    @pytest.fixture
+    def tmpdir_root(self, tmp_path, monkeypatch):
+        """An empty directory standing in for ``$TMPDIR``."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_pool_trial_removes_its_rendezvous_directory(self, tmpdir_root):
+        metrics = run_pool_trial(self.SPEC)
+        assert metrics["bitwise_vs_serial"] == 1.0
+        assert metrics["warm_plan_misses"] == 0.0
+        assert list(tmpdir_root.iterdir()) == []
+
+    def test_directory_is_removed_when_the_trial_raises(
+        self, tmpdir_root, monkeypatch
+    ):
+        seen = []
+
+        def submit(pool, *args, **kwargs):
+            seen.extend(tmpdir_root.iterdir())
+            raise PoolError("injected")
+
+        monkeypatch.setattr(RankPool, "submit", submit)
+        with pytest.raises(PoolError, match="injected"):
+            run_pool_trial(self.SPEC)
+        assert len(seen) == 1  # the directory did exist while the pool was up
+        assert list(tmpdir_root.iterdir()) == []

@@ -195,25 +195,6 @@ class TestClockAndMetrics:
         assert outcome.metrics == {"value": 2.0}
 
 
-class TestExecutorSeam:
-    def test_custom_executor_intercepts_execution(self):
-        routed = []
-
-        def run(s):  # registered but never called directly
-            raise AssertionError("executor should intercept")
-
-        def executor(fn, s):
-            routed.append((fn, s.trial_id))
-            return {"routed": 1.0}
-
-        outcome = Runner(
-            registry_with(run), executor=executor
-        ).run_trial(spec())
-        assert outcome.ok
-        assert outcome.metrics == {"routed": 1.0}
-        assert routed and routed[0][0] is run
-
-
 class TestRecordOutcomes:
     def test_failures_are_recorded_too(self, tmp_path):
         store = TrajectoryStore(tmp_path / "t.jsonl")

@@ -1,8 +1,4 @@
-"""Trajectory store: round-trips, append-only-ness, the shared bench schema.
-
-Also covers seeding from the committed BENCH_*.json reports — the path
-that gave the repository's trajectory its day-one baseline.
-"""
+"""Trajectory store: round-trips, append-only-ness, the committed baseline."""
 
 import json
 from pathlib import Path
@@ -10,14 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.xpr.store import (
-    BENCH_ENVELOPE_KEYS,
-    TrajectoryStore,
-    TrialRecord,
-    bench_envelope,
-    seed_from_bench_files,
-    write_bench,
-)
+from repro.xpr.store import TrajectoryStore, TrialRecord
 
 REPO = Path(__file__).parent.parent
 
@@ -95,90 +84,12 @@ class TestRoundTrip:
         assert store.experiments() == ["exp", "other"]
 
 
-class TestBenchSchema:
-    def test_envelope_fills_environment_fields(self):
-        doc = bench_envelope(
-            "demo", n=32, k=8, repeats=3, results={"a": {}}, sigma=2.0
-        )
-        assert BENCH_ENVELOPE_KEYS <= set(doc)
-        assert doc["cpu_count"] >= 1
-        assert doc["python"].count(".") == 2
-        assert doc["sigma"] == 2.0  # extras ride along
-
-    def test_write_bench_rejects_partial_envelopes(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cpu_count"):
-            write_bench({"bench": "demo"}, tmp_path / "out.json")
-
-    def test_write_bench_round_trips(self, tmp_path):
-        doc = bench_envelope("demo", n=32, k=8, repeats=1, results={})
-        out = write_bench(doc, tmp_path / "out.json")
-        assert json.loads(out.read_text()) == doc
-
-
-class TestSeeding:
-    def test_seed_flattens_nested_numeric_leaves(self, tmp_path):
-        bench = tmp_path / "BENCH_demo.json"
-        bench.write_text(
-            json.dumps(
-                {
-                    "bench": "demo",
-                    "n": 32,
-                    "k": 8,
-                    "results": {
-                        "cfg": {
-                            "median_s": 0.5,
-                            "bitwise": True,
-                            "times_s": [0.4, 0.5],  # lists are skipped
-                            "copies": {"total_bytes": 0},
-                        }
-                    },
-                }
-            )
-        )
-        store = TrajectoryStore(tmp_path / "t.jsonl")
-        (seeded,) = seed_from_bench_files(
-            store, [bench], git_rev="abc", ts="2026-01-01T00:00:00+00:00"
-        )
-        assert seeded.experiment == "bench-demo"
-        assert seeded.params == {
-            "bench": "demo", "config": "cfg", "n": 32, "k": 8,
-        }
-        assert seeded.metrics == {
-            "median_s": 0.5, "bitwise": 1.0, "copies.total_bytes": 0.0,
-        }
-
-    def test_reseeding_lands_on_the_same_trial_ids(self, tmp_path):
-        bench = tmp_path / "BENCH_demo.json"
-        bench.write_text(
-            json.dumps(
-                {"bench": "demo", "n": 32, "k": 8,
-                 "results": {"cfg": {"median_s": 0.5}}}
-            )
-        )
-        store = TrajectoryStore(tmp_path / "t.jsonl")
-        first = seed_from_bench_files(store, [bench])
-        second = seed_from_bench_files(store, [bench])
-        assert [r.trial_id for r in first] == [r.trial_id for r in second]
-        assert len(store.history("bench-demo", first[0].trial_id)) == 2
-
-    def test_seed_rejects_reports_without_results(self, tmp_path):
-        bench = tmp_path / "BENCH_bad.json"
-        bench.write_text('{"bench": "bad"}')
-        with pytest.raises(ConfigurationError, match="results"):
-            seed_from_bench_files(
-                TrajectoryStore(tmp_path / "t.jsonl"), [bench]
-            )
-
-    def test_committed_bench_reports_seed_cleanly(self, tmp_path):
-        # The five committed BENCH_*.json files must stay seedable: they
-        # are the provenance of the committed TRAJECTORY.jsonl baseline.
-        paths = sorted(REPO.glob("BENCH_*.json"))
-        assert len(paths) == 5
-        store = TrajectoryStore(tmp_path / "t.jsonl")
-        records = seed_from_bench_files(store, paths)
-        # 21 = the historical 20 + the pool_backed serve A/B row
-        assert len(records) == 21
-        assert {r.experiment for r in records} == {
-            "bench-dist", "bench-pipeline", "bench-pool",
-            "bench-serialize", "bench-serve",
-        }
+class TestCommittedTrajectory:
+    def test_store_reads_the_committed_baseline_and_it_is_all_ref_quick(self):
+        # The rows seeded from the retired bench reports are gone; what
+        # the CI gate compares against is ref-quick history only.
+        store = TrajectoryStore(REPO / "TRAJECTORY.jsonl")
+        records = store.records()
+        assert records
+        assert store.experiments() == ["ref-quick"]
+        assert all(r.status == "ok" and r.metrics for r in records)
