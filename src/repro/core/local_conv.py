@@ -6,18 +6,22 @@ This is the operation Fig 2 draws inside one worker:
    pruned-input FFT; zero padding stays implicit in the 1D calls);
 2. the slab's z-pencils are processed in batches of ``B``: forward 1D FFT
    (pruned input), pointwise multiply with the kernel spectrum pencil
-   (cuFFT-callback role), and a *pruned-output* inverse that evaluates the
+   (cuFFT-callback role), and a *pruned-output* inverse that keeps the
    result only at the octree-retained z coordinates — the compression
    callback, so the ``N^3`` cube never materializes;
 3. the remaining inverse y and x stages are equally pruned to the
    octree-retained coordinate sets, the intermediate shrinking each stage;
 4. the octree samples are gathered from the final box into a
-   :class:`~repro.octree.compress.CompressedField`.
+   :class:`~repro.octree.compress.CompressedField`, through the pattern's
+   cached :attr:`~repro.octree.sampling.SamplingPattern.box_gather_index`.
 
-All data-independent state (partial-iDFT matrices, pad scratch buffers,
-the resolved backend, pencil index arrays) lives in a
-:class:`~repro.fft.pruned_plan.PrunedPlan`, built once per (pattern,
-backend) configuration and shared across congruent sub-domains.
+All data-independent state (how each inverse stage is computed — a
+partial-iDFT matrix product while few coordinates are retained, a full
+inverse FFT plus a take of the retained ones past the plan's crossover —
+the matrices that needs, pad scratch buffers, the resolved backend, pencil
+index arrays) lives in a :class:`~repro.fft.pruned_plan.PrunedPlan`, built
+once per (pattern, backend) configuration and shared across congruent
+sub-domains.
 
 When the kernel spectrum is real (Green's-function kernels — detected
 automatically for dense spectra, or asserted with ``real_kernel=True``),
@@ -123,6 +127,10 @@ class LocalConvolution:
                 )
             else:
                 self.real_kernel = bool(real_kernel)
+            if self.real_kernel:
+                # the Hermitian path multiplies by real pencils: drop the
+                # (zero) imaginary part here, not once per batch
+                spec = np.real(spec)
             # Flat (n*n, n) view: pencil batches are contiguous row
             # slices, so the z-stage multiply slices without fancy
             # indexing.  The Hermitian path's half rows [0, (n//2+1)*n)
@@ -171,12 +179,10 @@ class LocalConvolution:
 
         box = self._staged_convolve(sub, corner, plan)
 
-        # Gather the octree samples out of the (|X|, |Y|, |Z|) box.
-        sc = pattern.sample_coords
-        ax = np.searchsorted(plan.coords_x, sc[:, 0])
-        ay = np.searchsorted(plan.coords_y, sc[:, 1])
-        az = np.searchsorted(plan.coords_z, sc[:, 2])
-        values = box[ax, ay, az]
+        # Gather the octree samples out of the (|X|, |Y|, |Z|) box: the
+        # plan's axis sets are the pattern's, so the pattern's cached flat
+        # index addresses this box.
+        values = np.take(box.reshape(-1), pattern.box_gather_index)
         return CompressedField(pattern=pattern, values=np.real(values))
 
     def convolve_dense_debug(
@@ -207,12 +213,9 @@ class LocalConvolution:
 
     def _kernel_pencils(self, plan: PrunedPlan, sl: slice) -> np.ndarray:
         if self._kernel_flat is not None:
-            kp = self._kernel_flat[sl]
-        else:
-            kp = self._kernel_fn(plan.pencil_ix[sl], plan.pencil_iy[sl])
-        if plan.hermitian:
-            kp = np.real(kp)
-        return kp
+            return self._kernel_flat[sl]
+        kp = self._kernel_fn(plan.pencil_ix[sl], plan.pencil_iy[sl])
+        return np.real(kp) if plan.hermitian else kp
 
     def _staged_convolve(
         self,
@@ -229,26 +232,34 @@ class LocalConvolution:
             slab = plan.forward_slab(sub, corner)
             flat = slab.reshape(plan.num_pencils, k)
 
+            # An "fft" stage computes full-length pencils before keeping
+            # the retained coordinates: one more (B, n) buffer per z batch,
+            # one (n, |Z|) plane at a time in the y stage.
             sz = plan.mz
+            z_full = COMPLEX_BYTES * self.batch * n if plan.strategy.z == "fft" else 0
+            y_full = COMPLEX_BYTES * n * sz if plan.strategy.y == "fft" else 0
             with self._charge("z_sampled", COMPLEX_BYTES * plan.num_pencils * sz):
                 zred = np.empty((plan.num_pencils, sz), dtype=np.complex128)
-                with self._charge("pencil_batch", COMPLEX_BYTES * self.batch * n * 2):
+                with self._charge(
+                    "pencil_batch", COMPLEX_BYTES * self.batch * n * 2
+                ), self._charge("z_full_batch", z_full):
                     for sl in pencil_batches(plan.num_pencils, self.batch):
                         spec = plan.zstage(flat[sl], cz)
                         spec *= self._kernel_pencils(plan, sl)
-                        zred[sl] = plan.idft_z(spec)
+                        plan.idft_z(spec, out=zred[sl])
 
-                zred = zred.reshape(rows, n, sz)
                 # Inverse y stage, pruned to the retained y coordinates.
                 sy = plan.my
                 with self._charge("y_sampled", COMPLEX_BYTES * rows * sy * sz):
-                    yred = plan.idft_y(zred)
+                    with self._charge("y_full_plane", y_full):
+                        yred = plan.idft_y(zred.reshape(rows, n, sz))
                     # Inverse x stage, pruned to the retained x coordinates
-                    # (Hermitian-aware on the fast path: real output).
+                    # (Hermitian-aware on the fast path: real output, its
+                    # stacked operand built in the spent z-stage buffer).
                     sx = plan.mx
                     out_bytes = REAL_BYTES if plan.hermitian else COMPLEX_BYTES
                     with self._charge("x_sampled", out_bytes * sx * sy * sz):
-                        box = plan.idft_x(yred)
+                        box = plan.idft_x(yred, work=zred)
         return box
 
     # -- helpers -------------------------------------------------------------

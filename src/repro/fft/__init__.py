@@ -18,7 +18,8 @@ compression on the way out).  This package provides:
   the reusable :class:`~repro.fft.pruned.PadScratch` pad buffers.
 - :mod:`repro.fft.pruned_plan` — :class:`~repro.fft.pruned_plan.PrunedPlan`
   precomputes all data-independent state of a pruned staged convolution
-  (partial-iDFT matrices, pad scratch, resolved backend, pencil indices);
+  (the per-axis inverse strategy — partial-iDFT GEMM or inverse FFT + take
+  — and its matrices, pad scratch, resolved backend, pencil indices);
   :class:`~repro.fft.pruned_plan.PlanCache` shares plans across congruent
   sampling patterns.
 - :mod:`repro.fft.backend` — backend registry (``"native"`` = ours,
@@ -39,6 +40,7 @@ from repro.fft.pruned import (
     PadScratch,
     hermitian_partial_idft,
     hermitian_partial_idft_matrix,
+    hermitian_real_idft_matrix,
     partial_idft,
     partial_idft_matrix,
     pencil_batches,
@@ -50,10 +52,13 @@ from repro.fft.pruned import (
     slab_from_subcube,
 )
 from repro.fft.pruned_plan import (
+    FFT_CROSSOVER,
+    InverseStrategy,
     PlanCache,
     PrunedPlan,
     default_cache,
     get_plan,
+    inverse_strategy,
     reset_default_cache,
 )
 from repro.fft.real import half_length, hermitian_weights, irfft1d, rfft1d
@@ -88,8 +93,12 @@ __all__ = [
     "partial_idft_matrix",
     "hermitian_partial_idft",
     "hermitian_partial_idft_matrix",
+    "hermitian_real_idft_matrix",
     "PadScratch",
     "PrunedPlan",
+    "InverseStrategy",
+    "inverse_strategy",
+    "FFT_CROSSOVER",
     "PlanCache",
     "get_plan",
     "default_cache",

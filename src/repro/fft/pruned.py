@@ -15,8 +15,12 @@ materialized:
    ``N^3`` spectrum never exists at once.
 3. **Pruned-output inverse** — on the way back, a *partial* inverse DFT
    evaluates the result only at octree-sampled output coordinates (the
-   compression callback of Fig 4), implemented as a small dense matrix
-   product with the selected DFT rows.
+   compression callback of Fig 4).  The functions here are the reference
+   form: a dense matrix product with the selected DFT rows, ``O(n*m)`` per
+   pencil.  The production path (:class:`repro.fft.pruned_plan.PrunedPlan`)
+   uses that product only while ``m`` is small; past a measured crossover
+   a full inverse FFT followed by a take of the retained coordinates is
+   cheaper, and the plan picks per axis from the shape.
 
 All stages are backend-agnostic (see :mod:`repro.fft.backend`).
 """
@@ -272,10 +276,12 @@ def _cached_matrix(kind: str, n: int, coords: np.ndarray) -> np.ndarray:
         if kind == "full":
             f = np.arange(n, dtype=np.float64)[None, :]
             mat = np.exp(2j * np.pi * c * f / n) / n
-        else:  # "hermitian": weighted half-spectrum rows
+        else:  # "hermitian*": weighted half-spectrum rows
             f = np.arange(half_length(n), dtype=np.float64)[None, :]
             mat = np.exp(2j * np.pi * c * f / n) / n
             mat *= hermitian_weights(n)[None, :]
+            if kind == "hermitian_real":
+                mat = np.concatenate([mat.real, -mat.imag], axis=1)
         mat.setflags(write=False)
         if len(_MATRIX_CACHE) >= _MATRIX_CACHE_SIZE:
             _MATRIX_CACHE.pop(next(iter(_MATRIX_CACHE)))
@@ -297,6 +303,17 @@ def hermitian_partial_idft_matrix(n: int, coords: Sequence[int]) -> np.ndarray:
     coefficients folded in via :func:`repro.fft.real.hermitian_weights`.
     ``Re(half_spec @ M.T)`` equals the real full-length partial inverse."""
     return _cached_matrix("hermitian", n, _coords_array(coords, n))
+
+
+def hermitian_real_idft_matrix(n: int, coords: Sequence[int]) -> np.ndarray:
+    """The half-spectrum inverse as one *real* matrix: ``(m, 2*(n//2+1))``.
+
+    With ``M = hermitian_partial_idft_matrix(n, coords)`` this is
+    ``[Re M | -Im M]``, so ``Re(M @ Y) = R @ [Re Y ; Im Y]`` — a real
+    GEMM with half the multiplies of the complex product whose imaginary
+    half would be thrown away.
+    """
+    return _cached_matrix("hermitian_real", n, _coords_array(coords, n))
 
 
 def partial_idft(

@@ -18,6 +18,7 @@ rate used by the paper's Tables 3/4 configurations (where a single average
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -200,6 +201,31 @@ class SamplingPattern:
         if not 0 <= axis < 3:
             raise ConfigurationError(f"axis must be 0, 1 or 2, got {axis}")
         return self._axis_coordinate_sets[axis]
+
+    @cached_property
+    def box_gather_index(self) -> np.ndarray:
+        """Where each sample sits in the pruned result box, sample order.
+
+        The staged inverse evaluates the result on the C-ordered
+        ``(|X|, |Y|, |Z|)`` box spanned by the three axis coordinate sets;
+        entry ``i`` is sample ``i``'s flat offset into it, so extraction is
+        one ``np.take``.  A pure function of the pattern, hence cached;
+        read-only, in the narrowest unsigned dtype that holds the box size
+        (a pattern can carry several hundred thousand samples).
+        """
+        sets = self._axis_coordinate_sets
+        coords = self.sample_coords
+        index = np.zeros(len(coords), dtype=np.intp)
+        for axis, retained in enumerate(sets):
+            # position of each grid coordinate within the sorted retained set
+            rank = np.zeros(self.n, dtype=np.intp)
+            rank[retained] = np.arange(len(retained), dtype=np.intp)
+            index *= len(retained)
+            index += rank[coords[:, axis]]
+        box_size = math.prod(len(retained) for retained in sets)
+        index = index.astype(np.min_scalar_type(box_size - 1))
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def _packed_metadata(self) -> np.ndarray:

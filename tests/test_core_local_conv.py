@@ -6,11 +6,14 @@ import pytest
 from repro.cluster.memory import MemoryTracker
 from repro.core.local_conv import LocalConvolution
 from repro.core.policy import SamplingPolicy
-from repro.core.reference import reference_subdomain_convolve
+from repro.core.reference import reference_convolve, reference_subdomain_convolve
 from repro.errors import DeviceMemoryError, ShapeError
 from repro.kernels.gaussian import GaussianKernel
+from repro.octree.compress import CompressedField
 from repro.octree.interpolate import reconstruct_dense
-from repro.util.arrays import l2_relative_error
+from repro.octree.sampling import build_box_pattern
+from repro.octree.serialize import deserialize_compressed, serialize_compressed
+from repro.util.arrays import embed_subcube, l2_relative_error
 
 
 @pytest.fixture
@@ -147,3 +150,128 @@ class TestMemoryCharging:
         with pytest.raises(DeviceMemoryError):
             lc.convolve(sub, (4, 4, 4))
         assert mt.current_bytes == 0  # everything released on unwind
+
+    @staticmethod
+    def _tracked(n, k, corner, batch):
+        spec = GaussianKernel(n=n, sigma=2.0).spectrum()
+        mt = MemoryTracker()
+        lc = LocalConvolution(
+            n, spec, SamplingPolicy.flat_rate(2), batch=batch, memory=mt
+        )
+        cf = lc.convolve(np.ones((k, k, k)), corner)
+        sets = [cf.pattern.axis_coordinate_set(axis) for axis in range(3)]
+        m = len(sets[0])
+        assert all(len(retained) == m for retained in sets)
+        plan = lc.plans.get(n, *sets, hermitian=True)  # a hit: the plan it ran
+        assert lc.plans.misses == 1 and mt.current_bytes == 0
+        return mt, m, plan.strategy
+
+    def test_gemm_shape_peak_unchanged(self):
+        """n=32 / flat:2 stays on the GEMM: the tracked peak is still
+        slab + z + y + x (477 952 B before the strategies existed) — the
+        real GEMM stacks its operand in the spent z buffer, not a new one."""
+        n, k = 32, 8
+        mt, m, strategy = self._tracked(n, k, (8, 16, 8), batch=None)
+        assert strategy == ("gemm", "gemm", "real_gemm")
+        rows = n // 2 + 1
+        expected = 16 * rows * n * k + 16 * rows * n * m + 16 * rows * m * m + 8 * m**3
+        assert mt.peak_bytes == expected == 477952
+        charged = {name: nbytes for op, name, nbytes in mt.events if op == "alloc"}
+        assert charged["z_full_batch"] == charged["y_full_plane"] == 0
+
+    @pytest.mark.parametrize("batch", [64, 1024])
+    def test_fft_shape_peak_is_the_hand_computed_sum(self, batch):
+        """n=64 / flat:2 (m = 42) runs z and y as inverse FFT + take: one
+        more full-length (B, n) buffer per z batch, one (n, m) plane in the
+        y stage, both on the ledger."""
+        n, k = 64, 16
+        mt, m, strategy = self._tracked(n, k, (16, 32, 16), batch=batch)
+        assert m == 42 and strategy == ("fft", "fft", "real_gemm")
+        rows = n // 2 + 1
+        slab, zred = 16 * rows * n * k, 16 * rows * n * m
+        yred, box = 16 * rows * m * m, 8 * m**3
+        z_loop = slab + zred + 2 * 16 * batch * n + 16 * batch * n
+        y_stage = slab + zred + yred + 16 * n * m
+        x_stage = slab + zred + yred + box
+        assert mt.peak_bytes == max(z_loop, y_stage, x_stage)
+        # the large batch is where the new z temporary decides the peak
+        assert (mt.peak_bytes == z_loop) == (batch == 1024)
+        charged = {name: nbytes for op, name, nbytes in mt.events if op == "alloc"}
+        assert charged["z_full_batch"] == 16 * batch * n
+        assert charged["y_full_plane"] == 16 * n * m
+
+
+def _searchsorted_gather_index(pattern):
+    """The per-solve computation the cached index replaced."""
+    xs, ys, zs = (pattern.axis_coordinate_set(axis) for axis in range(3))
+    sc = pattern.sample_coords
+    ax = np.searchsorted(xs, sc[:, 0])
+    ay = np.searchsorted(ys, sc[:, 1])
+    az = np.searchsorted(zs, sc[:, 2])
+    return (ax * len(ys) + ay) * len(zs) + az
+
+
+class TestBoxGatherIndex:
+    PATTERNS = {
+        "banded": lambda: SamplingPolicy().pattern_for(32, 8, (8, 16, 0)),
+        "banded-min-cell": lambda: SamplingPolicy(min_cell=2).pattern_for(
+            64, 16, (48, 0, 16)
+        ),
+        "flat:1": lambda: SamplingPolicy.flat_rate(1).pattern_for(16, 4, (4, 4, 4)),
+        "flat:2": lambda: SamplingPolicy.flat_rate(2).pattern_for(32, 8, (24, 8, 0)),
+        "flat:4": lambda: SamplingPolicy.flat_rate(4).pattern_for(32, 8, (0, 0, 0)),
+        # the shapes of tests/test_irregular_partitions.py
+        "box": lambda: build_box_pattern(32, (8, 16, 4), (4, 8, 12), min_cell=1),
+        "box-lossy": lambda: build_box_pattern(
+            32, (8, 16, 4), (4, 8, 12), r_near=2, r_mid=4, r_far=8
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_matches_searchsorted_oracle(self, name):
+        pattern = self.PATTERNS[name]()
+        index = pattern.box_gather_index
+        np.testing.assert_array_equal(index, _searchsorted_gather_index(pattern))
+        box_size = np.prod([len(pattern.axis_coordinate_set(a)) for a in range(3)])
+        # narrowest unsigned dtype that addresses the box; shared, so frozen
+        assert index.dtype == np.min_scalar_type(int(box_size) - 1)
+        assert not index.flags.writeable
+        assert pattern.box_gather_index is index
+
+    def test_rectangular_axis_sets_differ(self):
+        """The rectangular case is the one where a transposed box layout
+        would show: its three axis sets have different lengths."""
+        pattern = self.PATTERNS["box-lossy"]()
+        assert len({len(pattern.axis_coordinate_set(a)) for a in range(3)}) > 1
+
+    @pytest.mark.parametrize("name", ["banded", "flat:2"])
+    def test_decoded_pattern_yields_the_same_index(self, name, rng):
+        pattern = self.PATTERNS[name]()
+        cf = CompressedField(
+            pattern=pattern, values=rng.standard_normal(pattern.sample_count)
+        )
+        blob = serialize_compressed(cf)
+        decoded = deserialize_compressed(blob).pattern
+        assert decoded is not pattern
+        np.testing.assert_array_equal(
+            decoded.box_gather_index, pattern.box_gather_index
+        )
+        # a second decode is served the interned pattern, index and all
+        again = deserialize_compressed(blob).pattern
+        assert again is decoded
+        assert again.box_gather_index is decoded.box_gather_index
+
+    def test_convolve_gathers_through_the_index(self, setup16):
+        """End to end on a rectangular box: the gathered values are the
+        exact result at the sample coordinates."""
+        n, _k, spec, _sub = setup16
+        shape, corner = (4, 8, 2), (2, 4, 6)
+        pattern = build_box_pattern(n, shape, corner, r_near=2, r_mid=2, r_far=4)
+        sub = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        lc = LocalConvolution(n, spec, SamplingPolicy(), batch=32)
+        cf = lc.convolve(sub, corner, pattern=pattern)
+        exact = reference_convolve(embed_subcube(sub, (n,) * 3, corner), spec)
+        sc = pattern.sample_coords
+        np.testing.assert_allclose(
+            cf.values, exact[sc[:, 0], sc[:, 1], sc[:, 2]], atol=1e-10
+        )

@@ -2,10 +2,19 @@
 (half-spectrum) pruned transform building blocks."""
 
 import dataclasses
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.policy import parse_policy
 from repro.errors import ShapeError
 from repro.fft.backend import backend_rfft, get_backend
 from repro.fft.pruned import (
@@ -19,7 +28,14 @@ from repro.fft.pruned import (
     rslab_from_subcube,
     slab_from_subcube,
 )
-from repro.fft.pruned_plan import PlanCache, PrunedPlan, get_plan
+from repro.fft.pruned_plan import (
+    FFT_CROSSOVER,
+    InverseStrategy,
+    PlanCache,
+    PrunedPlan,
+    get_plan,
+    inverse_strategy,
+)
 from repro.fft.real import half_length, hermitian_weights
 
 
@@ -200,7 +216,9 @@ class TestPrunedPlan:
         plan = PrunedPlan(n, coords, coords, coords, hermitian=True)
         assert plan.slab_rows == half_length(n)
         assert plan.num_pencils == half_length(n) * n
-        assert plan.mat_x.shape == (n, half_length(n))
+        # one real matrix [Re M | -Im M] over the stacked real and imaginary rows
+        assert plan.mat_x.shape == (n, 2 * half_length(n))
+        assert plan.mat_x.dtype == np.float64
 
     def test_pencil_index_hoisting(self):
         n = 8
@@ -208,6 +226,134 @@ class TestPrunedPlan:
         ix, iy = np.divmod(np.arange(n * n), n)
         np.testing.assert_array_equal(plan.pencil_ix, ix)
         np.testing.assert_array_equal(plan.pencil_iy, iy)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_rel(got, want, tol=1e-12):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+class TestInverseStrategies:
+    """Every inverse stage under every strategy against the reference
+    partial iDFT — strategies installed by hand, so each is exercised at
+    every m whatever the rule would pick there."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        # powers of two, odd, 2 * prime
+        n=st.sampled_from([4, 8, 16, 32, 5, 9, 15, 27, 6, 10, 14, 22]),
+        backend=st.sampled_from(["numpy", "native"]),
+        hermitian=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_stages_match_the_oracle_at_every_retained_size(
+        self, n, backend, hermitian, seed
+    ):
+        rng = np.random.default_rng(seed)
+        rows = half_length(n) if hermitian else n
+        spec = _complex(rng, (5, n))
+        zred = _complex(rng, (3, n, 4))
+        yred = _complex(rng, (rows, 3, 4))
+        for m in range(1, n + 1):  # includes m = n and the crossover +- 1
+            coords = np.sort(rng.choice(n, size=m, replace=False))
+            plan = PrunedPlan(
+                n, coords, coords, coords, backend=backend, hermitian=hermitian
+            )
+            want_z = partial_idft(spec, coords, axis=-1)
+            want_y = partial_idft(zred, coords, axis=1)
+            if hermitian:
+                want_x = hermitian_partial_idft(yred, coords, n, axis=0)
+            else:
+                want_x = partial_idft(yred, coords, axis=0)
+            for form in ("gemm", "fft"):
+                plan._set_strategy(InverseStrategy(form, form, plan.strategy.x))
+                assert (plan.mat_z is None) == (plan.mat_y is None) == (form == "fft")
+                got_z = plan.idft_z(spec)
+                _assert_rel(got_z, want_z)
+                out = np.full_like(got_z, np.nan)
+                assert plan.idft_z(spec, out=out) is out
+                assert out.tobytes() == got_z.tobytes()
+                _assert_rel(plan.idft_y(zred), want_y)
+            got_x = plan.idft_x(yred)
+            _assert_rel(got_x, want_x)
+            assert got_x.flags.c_contiguous
+            work = np.empty(yred.size + 7, dtype=np.complex128)
+            assert plan.idft_x(yred, work=work).tobytes() == got_x.tobytes()
+
+    def test_rule_is_the_documented_threshold(self):
+        numpy_be, native_be = get_backend("numpy"), get_backend("native")
+        for n in (16, 32, 64, 128, 256):
+            edge = FFT_CROSSOVER * math.log2(n)
+            for m in range(1, n + 1):
+                form = "fft" if m > edge else "gemm"
+                assert inverse_strategy(n, m, m, m, True, numpy_be) == (
+                    form, form, "real_gemm",
+                )
+                assert inverse_strategy(n, 1, m, n, False, numpy_be) == (
+                    "fft" if n > edge else "gemm", form, "gemm",
+                )
+                # the native transforms are vectorised Python: never faster
+                assert inverse_strategy(n, m, m, m, True, native_be) == (
+                    "gemm", "gemm", "real_gemm",
+                )
+
+    def test_matrices_built_only_for_axes_that_use_them(self):
+        n = 64
+        few, many = np.arange(0, n, 4), np.arange(n)
+        plan = PrunedPlan(n, few, many, few, hermitian=True)
+        assert plan.strategy == ("gemm", "fft", "real_gemm")
+        assert plan.mat_y is None
+        assert plan.mat_z.shape == (len(few), n)
+        assert plan.mat_x.shape == (len(few), 2 * half_length(n))
+
+
+#: (n, k, policy) of BENCHMARK.json's four workloads (two share a shape)
+BENCHMARK_SHAPES = [(64, 16, "banded"), (128, 32, "flat:2"), (32, 8, "flat:2")]
+
+
+def benchmark_shape_strategies():
+    """``{shape: [strategy of the plan for each probed sub-domain]}`` —
+    also run by :func:`test_strategy_identical_in_a_fresh_process`'s child."""
+    out = {}
+    for n, k, spec in BENCHMARK_SHAPES:
+        policy = parse_policy(spec)
+        picked = []
+        for corner in [(0, 0, 0), (n // 2, n // 2 - k, n - k)]:
+            pattern = policy.pattern_for(n, k, corner)
+            sets = [pattern.axis_coordinate_set(axis) for axis in range(3)]
+            picked.append(list(PrunedPlan(n, *sets, hermitian=True).strategy))
+        out[f"{n}/{k}/{spec}"] = picked
+    return out
+
+
+def test_strategy_identical_in_a_fresh_process():
+    """Cross-mode bitwise identity rests on every process picking the same
+    arithmetic: the strategy must be a function of the shape alone."""
+    here = benchmark_shape_strategies()
+    # where the benchmark's workloads sit relative to the crossover
+    assert all(s == ["gemm", "gemm", "real_gemm"] for s in here["32/8/flat:2"])
+    assert all(s == ["gemm", "gemm", "real_gemm"] for s in here["64/16/banded"])
+    assert all(s == ["fft", "fft", "real_gemm"] for s in here["128/32/flat:2"])
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json; from tests.test_fft_pruned_plan import "
+            "benchmark_shape_strategies as f; print(json.dumps(f()))",
+        ],
+        capture_output=True, text=True, timeout=120, env=env, cwd=str(root),
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert json.loads(child.stdout) == here
 
 
 class TestPlanCache:
@@ -235,6 +381,23 @@ class TestPlanCache:
             coords = np.arange(m + 1)
             cache.get(16, coords, coords, coords)
         assert len(cache) == 2
+
+    def test_hit_refreshes_recency(self):
+        """Eviction is least-recently-*used*: a plan that was just asked
+        for must outlive one that was only built earlier."""
+        cache = PlanCache(max_plans=4)
+        sets = [np.arange(m + 1) for m in range(5)]
+        plans = [cache.get(16, c, c, c) for c in sets[:4]]
+        assert cache.get(16, sets[0], sets[0], sets[0]) is plans[0]  # touch the oldest
+        cache.get(16, sets[4], sets[4], sets[4])  # one over capacity
+        assert len(cache) == 4 and cache.misses == 5
+        assert cache.get(16, sets[0], sets[0], sets[0]) is plans[0]
+        assert cache.misses == 5  # the touched plan survived
+        for c, plan in zip(sets[2:4], plans[2:4]):
+            assert cache.get(16, c, c, c) is plan
+        assert cache.misses == 5
+        assert cache.get(16, sets[1], sets[1], sets[1]) is not plans[1]
+        assert cache.misses == 6  # exactly one plan was rebuilt
 
     def test_plans_share_scratch(self):
         cache = PlanCache()
