@@ -20,8 +20,8 @@ collects:
 - **receive evidence** — passed to a call whose name contains ``recv``,
   or compared against a ``.tag`` attribute (the dispatch test);
 - **symmetric evidence** — passed to (or used as a parameter default
-  of) a collective — ``broadcast``/``allgather``/``alltoall``/
-  ``barrier``/``exchange``, matched against the function *and* enclosing
+  of) a collective — ``broadcast``/``scatter``/``allgather``/
+  ``alltoall``/``barrier``/``exchange``, matched against the function *and* enclosing
   class name — which both sends and receives by construction.
 
 After the last file, duplicates, out-of-registry definitions, and
@@ -47,6 +47,7 @@ REGISTRY_BASENAME = "collectives.py"
 #: Name fragments of operations that are symmetric by construction.
 _SYMMETRIC_HINTS = (
     "broadcast",
+    "scatter",
     "allgather",
     "alltoall",
     "barrier",

@@ -204,7 +204,7 @@ def _dist_run(args: argparse.Namespace) -> int:
     """Run the pipeline as a real SPMD job; exit 1 unless bitwise serial."""
     import numpy as np
 
-    from repro.dist.launcher import default_spectrum, dist_run
+    from repro.dist.launcher import dist_run
     from repro.dist.worker import DistConfig, build_pipeline, composite_field
 
     config = DistConfig(
@@ -220,9 +220,8 @@ def _dist_run(args: argparse.Namespace) -> int:
         window=args.window,
     )
     field = composite_field(config.n, config.seed)
-    spectrum = default_spectrum(config)
-    report = dist_run(config, field=field, spectrum=spectrum)
-    serial = build_pipeline(config, spectrum).run_serial(field)
+    report = dist_run(config, field=field)
+    serial = build_pipeline(config).run_serial(field)
     bitwise = bool(np.array_equal(report.approx, serial.approx))
     rows = [
         ["transport / ranks", f"{config.transport} / {config.num_ranks}"],
@@ -237,6 +236,8 @@ def _dist_run(args: argparse.Namespace) -> int:
         ["exchange wire bytes (measured)", report.exchange_wire_bytes],
         ["exchange value bytes (Eq 6 exact)", report.predicted_value_bytes],
         ["wire / model ratio", f"{report.wire_over_model:.4f}"],
+        ["input wire bytes (measured)", report.input_wire_bytes],
+        ["input block bytes (exact)", report.predicted_input_bytes],
         ["slowest rank compute (s)", f"{report.max_compute_s:.3f}"],
         ["slowest rank exchange (s)", f"{report.max_exchange_s:.3f}"],
         ["exchange hidden behind compute (s)", f"{report.max_exchange_hidden_s:.3f}"],

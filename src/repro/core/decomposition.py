@@ -111,6 +111,15 @@ class DomainDecomposition:
             subdomains = self
         return [sub for sub in subdomains if np.any(field[sub.slices()])]
 
+    def active_blocks(
+        self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
+    ) -> Iterator[Tuple[SubDomain, np.ndarray]]:
+        """``(sub-domain, copy of its block)`` for every active member of
+        ``subdomains``, in order — how a dense field enters
+        :meth:`~repro.core.pipeline.LowCommConvolution3D.convolve_chunks`."""
+        for sub in self.active_subdomains(field, subdomains):
+            yield sub, self.extract(field, sub)
+
     def assign_round_robin(self, num_workers: int) -> List[List[SubDomain]]:
         """Round-robin assignment of sub-domains to workers."""
         check_positive_int(num_workers, "num_workers")

@@ -161,21 +161,19 @@ class LowCommConvolution3D:
         return self.decomposition.active_subdomains(field, subdomains)
 
     def convolve_chunks(
-        self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
+        self, chunks: Iterable[Tuple[SubDomain, np.ndarray]]
     ) -> Iterator[Tuple[SubDomain, CompressedField]]:
-        """Lazily convolve ``subdomains`` one chunk at a time, in order.
+        """Lazily convolve ``(sub-domain, k^3 block)`` pairs, in order.
 
-        The per-sub-domain step every execution mode iterates: extract
-        the block, convolve it locally against the cached sampling
-        pattern, yield ``(sub-domain, compressed result)``.
-        ``subdomains`` must come from :meth:`active_subdomains` (the
-        default is every active sub-domain of ``field``, which must
-        already be a float64 ``n^3`` array).
+        The per-sub-domain step every execution mode iterates: convolve
+        the block locally against the cached sampling pattern, yield
+        ``(sub-domain, compressed result)``.  The caller supplies the
+        blocks — cut from a dense field by
+        :meth:`DomainDecomposition.active_blocks`, or received off the
+        wire by a rank that never holds the field — and leaves out
+        all-zero ones.
         """
-        if subdomains is None:
-            subdomains = self.active_subdomains(field)
-        for sub in subdomains:
-            block = self.decomposition.extract(field, sub)
+        for sub, block in chunks:
             yield sub, self.local.convolve(
                 block, sub.corner, pattern=self._pattern(sub.corner)
             )
@@ -242,7 +240,8 @@ class LowCommConvolution3D:
     def run_serial(self, field: np.ndarray) -> ConvolutionResult:
         """Process all sub-domains on one worker; return the dense result."""
         with WallTimer() as timer:
-            per_domain = list(self.convolve_chunks(self._check_field(field)))
+            blocks = self.decomposition.active_blocks(self._check_field(field))
+            per_domain = list(self.convolve_chunks(blocks))
             approx = self._accumulate(per_domain)
         return self._result(approx, per_domain, timer.elapsed)
 

@@ -21,7 +21,11 @@ Layers, bottom up:
 - :mod:`repro.dist.heartbeat` — liveness tracking for rank-failure
   detection.
 - :mod:`repro.dist.collectives` — :class:`Communicator`: tagged
-  point-to-point plus ``broadcast`` / ``sparse_allgather`` / ``alltoall``.
+  point-to-point plus ``broadcast`` / ``scatter`` / ``sparse_allgather``
+  / ``alltoall``.
+- :mod:`repro.dist.inputs` — input distribution: each rank is scattered
+  only the ``k^3`` blocks it convolves, and kernel spectra stay rank-side
+  under a content digest.
 - :mod:`repro.dist.worker` — what one rank executes: warm
   pruned-plan local convolutions of its round-robin sub-domains, octree
   compression, :mod:`repro.octree.serialize` payloads through the wire,
@@ -43,6 +47,7 @@ from repro.dist.launcher import (
     assemble_blocks,
     dist_run,
     expected_exchange_value_bytes,
+    predicted_input_bytes,
     recover_from_checkpoints,
 )
 from repro.dist.ledger import (
@@ -77,6 +82,7 @@ __all__ = [
     "expected_exchange_value_bytes",
     "merge_wire_snapshots",
     "normalize_endpoints",
+    "predicted_input_bytes",
     "recover_from_checkpoints",
     "sent_wire_bytes",
 ]

@@ -5,7 +5,9 @@ endpoint with the operations the pipeline needs:
 
 - ``send_payload`` / ``recv_payload`` — tagged point-to-point payloads
   (bytes-like or :class:`~repro.dist.wire.Segments` scatter-gather lists);
-- ``broadcast`` — root fans a payload to every rank (input distribution);
+- ``broadcast`` — root fans one payload to every rank;
+- ``scatter`` — root sends each rank its own payload (input distribution:
+  a rank receives only the blocks it convolves);
 - ``sparse_allgather`` — every rank ships its payload to every peer and
   receives all of theirs: *the* single sparse accumulation exchange of
   the paper (Fig 1(b)); sends drain on a pump thread while this thread
@@ -54,7 +56,9 @@ from repro.serve.clock import Clock, MonotonicClock
 #: *central wire-tag registry* (TAG001): every ``TAG_*`` constant lives
 #: here, values are unique, and every tag is paired with a receive-side
 #: dispatch somewhere in ``dist/`` or ``pool/``.
+#: A kernel spectrum array, to a rank whose table misses it.
 TAG_SPECTRUM = 1
+#: The scattered input: each rank's own ``(index, k^3 block)`` pairs.
 TAG_FIELD = 2
 TAG_EXCHANGE = 3
 TAG_BARRIER = 4
@@ -64,6 +68,10 @@ TAG_EXCHANGE_END = 5
 #: Broadcast tag for the merged checkpoint a resumed job restores from
 #: (``repro.dist.worker.rank_main``; only the standing pool resumes jobs).
 TAG_POOL_CHECKPOINT = 6
+#: Rank 0 announces the job's kernel: a descriptor or a content digest.
+TAG_SPECTRUM_KEY = 7
+#: A rank's have / need answer to an announced digest.
+TAG_SPECTRUM_NEED = 8
 
 #: Slice size for receive waits so the heartbeat monitor is consulted
 #: even while blocked on a quiet fabric.
@@ -210,25 +218,44 @@ class Communicator:
     # -- collectives --------------------------------------------------------
     def broadcast(
         self,
-        payload: Optional[bytes],
+        payload: Optional[FramePayload],
         root: int = 0,
         tag: int = TAG_FIELD,
         category: str = CATEGORY_BCAST,
-    ) -> bytes:
+    ) -> FramePayload:
         """Fan ``payload`` from ``root`` to every rank; returns the payload.
 
         Non-root ranks pass ``payload=None`` and receive the root's bytes.
         """
+        if self.rank == root and payload is None:
+            raise CommunicationError("broadcast root needs a payload")
+        payloads = None if payload is None else [payload] * self.size
+        return self.scatter(payloads, root=root, tag=tag, category=category)
+
+    def scatter(
+        self,
+        payloads: Optional[List[FramePayload]],
+        root: int = 0,
+        tag: int = TAG_FIELD,
+        category: str = CATEGORY_BCAST,
+    ) -> FramePayload:
+        """Send ``payloads[dst]`` from ``root`` to each rank ``dst``;
+        returns this rank's own payload.
+
+        Non-root ranks pass ``payloads=None``.  Traffic is counted under
+        the ``bcast`` category by default: this is input distribution.
+        """
         if not 0 <= root < self.size:
-            raise CommunicationError(f"broadcast root {root} out of range")
-        if self.rank == root:
-            if payload is None:
-                raise CommunicationError("broadcast root needs a payload")
-            for dst in range(self.size):
-                if dst != root:
-                    self.send_payload(dst, payload, tag, category)
-            return payload
-        return self.recv_payload(root, tag, category=category)
+            raise CommunicationError(f"scatter root {root} out of range")
+        if self.rank != root:
+            return self.recv_payload(root, tag, category=category)
+        if payloads is None or len(payloads) != self.size:
+            raise CommunicationError(
+                f"scatter root needs one payload per rank ({self.size})"
+            )
+        for dst in self._peers():
+            self.send_payload(dst, payloads[dst], tag, category)
+        return payloads[root]
 
     def _swap(
         self, payloads: List[FramePayload], tag: int, category: str
@@ -367,7 +394,7 @@ class StreamedAllgather:
         self._seq = 0
         self._finished = False
         self._window = (
-            comm.transport.send_window(window=window, name=name)
+            comm.transport.send_window(window=window, name=name, now=comm.clock.now)
             if self._peers
             else None
         )
@@ -398,7 +425,8 @@ class StreamedAllgather:
         self._seq += 1
 
     def hidden_seconds(self, until: float) -> float:
-        """Send time that elapsed before perf-counter instant ``until``.
+        """Send time that elapsed before instant ``until`` on the
+        communicator's clock.
 
         With ``until`` = the moment local compute ended, this is the wire
         time the stream hid behind compute.

@@ -16,7 +16,10 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
   percent of that prediction.  The simulated cluster model books that
   same number: :class:`~repro.core.distributed_runner.DistributedLowCommConvolution`
   reports ``comm_bytes == expected_exchange_value_bytes`` exactly, so
-  model, simulated ledger and real wire triangulate.
+  model, simulated ledger and real wire triangulate;
+- audits input distribution the same way: the scattered blocks are
+  predicted exactly (:func:`predicted_input_bytes`) and measured under
+  the ``bcast`` wire category.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from repro.dist.worker import (
     composite_field,
 )
 from repro.errors import ConfigurationError
-from repro.kernels.gaussian import GaussianKernel
 from repro.octree.compress import CompressedField
 
 _PRECISION_BYTES = {"float64": 8, "float32": 4}
@@ -67,6 +69,11 @@ class DistRunReport:
     predicted_value_bytes: int = 0
     #: naive Eq 6 closed form (``flat:R`` policies only, else 0)
     naive_eq6_bytes: int = 0
+    #: measured: total bytes-on-wire of input distribution (scattered
+    #: blocks, kernel announcements and misses), all ranks
+    input_wire_bytes: int = 0
+    #: exact: the ``k^3`` float64 blocks rank 0 scatters to its peers
+    predicted_input_bytes: int = 0
     max_compute_s: float = 0.0
     max_exchange_s: float = 0.0
     #: slowest rank's streamed-send time hidden behind compute (overlap
@@ -136,9 +143,31 @@ def naive_eq6_bytes(config: DistConfig) -> int:
     return int((config.num_ranks - 1) * itemsize * points)
 
 
-def default_spectrum(config: DistConfig) -> np.ndarray:
-    """The job's default kernel spectrum (Gaussian of ``config.sigma``)."""
-    return GaussianKernel(n=config.n, sigma=config.sigma).spectrum()
+def predicted_input_bytes(
+    config: DistConfig,
+    field: np.ndarray,
+    exclude_indices: Optional[frozenset] = None,
+) -> int:
+    """Exact accounting for the scattered input's *value* payload.
+
+    Rank 0 sends each peer the float64 ``k^3`` block of every active
+    sub-domain that peer owns (its own blocks never touch the wire), so
+    the input side of the audit is a count of blocks.  The kernel is not
+    in it: a warm rank holds the spectrum and a default kernel is never
+    shipped.  ``exclude_indices`` as in
+    :func:`expected_exchange_value_bytes` — a resumed job scatters only
+    the blocks its checkpoint lacks.
+    """
+    decomp = DomainDecomposition(n=config.n, k=config.k)
+    skip = exclude_indices or frozenset()
+    peers_own = [
+        sub
+        for share in decomp.assign_round_robin(config.num_ranks)[1:]
+        for sub in share
+        if sub.index not in skip
+    ]
+    blocks = len(decomp.active_subdomains(np.asarray(field), peers_own))
+    return 8 * config.k**3 * blocks
 
 
 def assemble_blocks(
@@ -168,7 +197,7 @@ def assemble_blocks(
 def recover_from_checkpoints(
     config: DistConfig,
     field: np.ndarray,
-    spectrum: np.ndarray,
+    spectrum: Optional[np.ndarray],
     checkpoint_blobs: List[bytes],
 ) -> np.ndarray:
     """Driver-side recovery: restore from checkpoints, recompute the rest.
@@ -188,10 +217,11 @@ def recover_from_checkpoints(
     merged: Dict[int, CompressedField] = {}
     for blob in checkpoint_blobs:
         merged.update(checkpoint_from_bytes(blob))
-    missing = [
-        sub for sub in pipeline.active_subdomains(field) if sub.index not in merged
-    ]
-    for sub, compressed in pipeline.convolve_chunks(field, missing):
+    decomp = pipeline.decomposition
+    missing = decomp.active_blocks(
+        field, [sub for sub in decomp if sub.index not in merged]
+    )
+    for sub, compressed in pipeline.convolve_chunks(missing):
         merged[sub.index] = compressed
     if not merged:
         return np.zeros((config.n,) * 3, dtype=np.float64)
@@ -208,13 +238,12 @@ def dist_run(
     """Run the pipeline as a real SPMD job; returns the full report.
 
     ``field`` defaults to the CLI's composite input for ``config.seed``;
-    ``spectrum`` defaults to a Gaussian kernel of width ``config.sigma``.
+    ``spectrum`` defaults to a Gaussian kernel of width ``config.sigma``,
+    which every rank evaluates for itself — no kernel bytes travel.
     """
     if field is None:
         field = composite_field(config.n, config.seed)
     field = np.asarray(field, dtype=np.float64)
-    if spectrum is None:
-        spectrum = default_spectrum(config)
 
     t0 = time.perf_counter()
     outcome = run_spmd(config, field, spectrum)
@@ -243,6 +272,8 @@ def dist_run(
         exchange_wire_bytes=wire_totals.get("sent.exchange.bytes", 0),
         predicted_value_bytes=expected_exchange_value_bytes(config, field),
         naive_eq6_bytes=naive_eq6_bytes(config),
+        input_wire_bytes=wire_totals.get("sent.bcast.bytes", 0),
+        predicted_input_bytes=predicted_input_bytes(config, field),
         max_compute_s=max(
             (r.compute_s for r in outcome.results.values()), default=0.0
         ),

@@ -72,9 +72,10 @@ class SpmdOutcome:
 
 
 def run_spmd(
-    config: DistConfig, field: np.ndarray, spectrum: np.ndarray
+    config: DistConfig, field: np.ndarray, spectrum: Optional[np.ndarray]
 ) -> SpmdOutcome:
-    """Run the full SPMD job on the configured transport."""
+    """Run the full SPMD job on the configured transport (``spectrum=None``
+    is the default kernel of ``config``, evaluated rank-side)."""
     if config.transport == "tcp":
         return _run_tcp(config, field, spectrum)
     return _run_local(config, field, spectrum)
@@ -85,7 +86,7 @@ class _InjectedCrash(Exception):
 
 
 def _run_local(
-    config: DistConfig, field: np.ndarray, spectrum: np.ndarray
+    config: DistConfig, field: np.ndarray, spectrum: Optional[np.ndarray]
 ) -> SpmdOutcome:
     fabric = LocalFabric(config.num_ranks)
     outcome = SpmdOutcome()
@@ -199,7 +200,7 @@ def _mp_context():
 
 
 def _run_tcp(
-    config: DistConfig, field: np.ndarray, spectrum: np.ndarray
+    config: DistConfig, field: np.ndarray, spectrum: Optional[np.ndarray]
 ) -> SpmdOutcome:
     ctx = _mp_context()
     conns = []

@@ -27,7 +27,7 @@ import queue
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.dist.ledger import CATEGORY_CONTROL, CATEGORY_DATA, WireLedger
 from repro.dist.wire import HEADER_BYTES, Frame, FrameKind, decode_frame, encode_frame
@@ -167,16 +167,22 @@ class Transport(abc.ABC):
     def close(self) -> None:
         """Gracefully tear down (sends ``BYE`` to peers where applicable)."""
 
-    def send_window(self, window: int = 2, name: str = "stream") -> "SendWindow":
+    def send_window(
+        self,
+        window: int = 2,
+        name: str = "stream",
+        now: Callable[[], float] = time.perf_counter,
+    ) -> "SendWindow":
         """Open a non-blocking send path with a bounded in-flight window.
 
         Both transports' :meth:`send` are safe to call from a helper
         thread concurrently with the owning thread's receives (the TCP
         endpoint serializes writers per peer socket, the loopback endpoint
         enqueues atomically), so the returned :class:`SendWindow` can
-        drain sends behind the caller's compute.
+        drain sends behind the caller's compute.  ``now`` is the time
+        source its send spans are read from.
         """
-        return SendWindow(self, window=window, name=name)
+        return SendWindow(self, window=window, name=name, now=now)
 
     def _check_peer(self, dst: int) -> None:
         if not 0 <= dst < self.size:
@@ -206,20 +212,27 @@ class SendWindow:
     fabric) are captured and re-raised from the next :meth:`submit` or
     from :meth:`close` — never swallowed.
 
-    The pump also records its active send spans (monotonic start/stop
-    pairs) so callers can measure how much wire time was hidden behind
-    compute.
+    The pump also records its active send spans (start/stop pairs read
+    from ``now``) so callers can measure how much wire time was hidden
+    behind compute.
     """
 
-    def __init__(self, transport: Transport, window: int = 2, name: str = "stream"):
+    def __init__(
+        self,
+        transport: Transport,
+        window: int = 2,
+        name: str = "stream",
+        now: Callable[[], float] = time.perf_counter,
+    ):
         if window < 1:
             raise CommunicationError(f"send window must be >= 1, got {window}")
         self.transport = transport
         self.name = name
+        self._now = now
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=window)
         self._errors: List[Exception] = []
         self._closed = False
-        #: (start, stop) monotonic spans during which the pump was sending
+        #: (start, stop) spans on ``now`` during which the pump was sending
         self.send_spans: List[Tuple[float, float]] = []
         self._thread = threading.Thread(
             target=self._pump,
@@ -234,7 +247,7 @@ class SendWindow:
             if item is _WINDOW_CLOSE:
                 return
             sends, label = item
-            t0 = time.perf_counter()
+            t0 = self._now()
             try:
                 if label is not None:
                     with self.transport.ledger.window(label):
@@ -247,7 +260,7 @@ class SendWindow:
                 self._errors.append(exc)
                 return
             finally:
-                self.send_spans.append((t0, time.perf_counter()))
+                self.send_spans.append((t0, self._now()))
 
     def _raise_pending(self) -> None:
         if self._errors:

@@ -3,12 +3,15 @@
 :func:`rank_main` is the same for every rank, both transports, both
 exchange modes and both fresh and resumed jobs:
 
-1. rank 0 broadcasts the kernel spectrum and the input field — and, for a
-   job resumed from a failed attempt, the merged checkpoint of that
-   attempt;
-2. the rank convolves its round-robin share of sub-domains locally with
-   the warm pruned-plan path (zero communication — the paper's claim),
-   skipping whatever the checkpoint already holds;
+1. input distribution (:mod:`repro.dist.inputs`): the ranks agree on the
+   kernel spectrum — by descriptor or content digest, the array itself
+   travels only to a rank whose spectrum table misses it — rank 0
+   broadcasts the merged checkpoint of the failed attempt when the job
+   resumes one, and *scatters* the field: each rank receives the ``k^3``
+   blocks of its own active sub-domains that the checkpoint does not
+   already hold, never the ``n^3`` field;
+2. the rank convolves those blocks locally with the warm pruned-plan
+   path (zero communication — the paper's claim);
 3. the compressed results are packed into
    :mod:`repro.core.checkpoint` blobs, posted to the driver (this is the
    fault-tolerance state), and shipped to every peer in the single
@@ -31,8 +34,6 @@ recovery path is tested end to end.
 
 from __future__ import annotations
 
-import io
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,16 +49,16 @@ from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import parse_policy
 from repro.dist.collectives import (
     TAG_EXCHANGE,
-    TAG_FIELD,
     TAG_POOL_CHECKPOINT,
-    TAG_SPECTRUM,
     Communicator,
 )
+from repro.dist.inputs import default_spectrum, scatter_blocks, share_spectrum
 from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.wire import Segments
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
 from repro.util import copytrack
+from repro.util.lru import WeightedLRU
 
 #: Stages at which an injected failure can trigger (see ``DistConfig``).
 #: The first three fire in both modes; the last three only in overlap
@@ -185,25 +186,15 @@ def composite_field(n: int, seed: int = 0) -> np.ndarray:
     return field
 
 
-def array_to_bytes(arr: np.ndarray) -> bytes:
-    """Serialize an array (dtype + shape preserved, no pickle)."""
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
-    return buf.getvalue()
-
-
-def array_from_bytes(data: bytes) -> np.ndarray:
-    """Inverse of :func:`array_to_bytes`."""
-    return np.load(io.BytesIO(data), allow_pickle=False)
-
-
 def build_pipeline(
     config: DistConfig,
-    spectrum: np.ndarray,
+    spectrum: Optional[np.ndarray] = None,
     plans=None,
 ) -> LowCommConvolution3D:
     """The pipeline object every rank (and the driver) constructs.
 
+    ``spectrum=None`` is the job's default kernel,
+    :func:`~repro.dist.inputs.default_spectrum` of ``config``.
     ``plans`` optionally shares a :class:`~repro.fft.pruned_plan
     .PlanCache` across pipelines — the standing rank pool passes its
     process-wide cache so FFT plans survive from job to job.
@@ -211,7 +202,7 @@ def build_pipeline(
     return LowCommConvolution3D(
         config.n,
         config.k,
-        spectrum,
+        default_spectrum(config) if spectrum is None else spectrum,
         policy=parse_policy(config.policy),
         batch=config.batch,
         interpolation=config.interpolation,
@@ -230,17 +221,22 @@ def rank_main(
     plans=None,
     checkpoint: Optional[bytes] = None,
     resumed: bool = False,
+    spectra: Optional[WeightedLRU] = None,
 ) -> RankResult:
     """Run one rank of the SPMD job; returns the rank's result.
 
     Parameters
     ----------
     comm:
-        The rank's communicator.
+        The rank's communicator; its clock times ``compute_s`` and
+        ``exchange_s``.
     config:
         Job parameters (identical on every rank).
     field, spectrum:
-        Supplied on rank 0 only; other ranks receive them by broadcast.
+        Supplied on rank 0 only.  Other ranks receive their own blocks of
+        the field by scatter and the spectrum by key (see ``spectra``);
+        ``spectrum=None`` on rank 0 selects the default kernel of
+        ``config``, which every rank evaluates for itself.
     post:
         Driver-side mailbox: ``post(kind, rank, payload)``.  The rank
         posts every checkpoint blob here before it reaches a peer
@@ -256,39 +252,38 @@ def rank_main(
     checkpoint, resumed:
         ``resumed`` (set on every rank) marks a job that continues a
         failed attempt; ``checkpoint`` (rank 0 only) is that attempt's
-        merged checkpoint blob.  Each rank then computes and exchanges
-        only its own sub-domains *absent* from it — a survivor usually
-        nothing, a replacement exactly the dead rank's unfinished share —
-        and the merge holds the same per-sub-domain fields as a clean
-        run, so the result is still bitwise ``run_serial``'s.
+        merged checkpoint blob.  Each rank then receives, computes and
+        exchanges only its own sub-domains *absent* from it — a survivor
+        usually nothing, a replacement exactly the dead rank's unfinished
+        share — and the merge holds the same per-sub-domain fields as a
+        clean run, so the result is still bitwise ``run_serial``'s.
+    spectra:
+        This rank's standing spectrum table, kept by the caller from job
+        to job exactly as ``plans`` is; a kernel found in it does not
+        travel.  ``None`` (the cold runtime) is an empty table, so the
+        spectrum ships once.
     """
     rank, size = comm.rank, comm.size
-    if rank == 0:
-        if field is None or spectrum is None or (resumed and checkpoint is None):
-            raise ConfigurationError(
-                "rank 0 must be given the field and spectrum (and the "
-                "merged checkpoint of the attempt a resumed job continues)"
-            )
-        spectrum = np.asarray(spectrum)
-        field = np.asarray(field, dtype=np.float64)
-        comm.broadcast(array_to_bytes(spectrum), root=0, tag=TAG_SPECTRUM)
-        comm.broadcast(array_to_bytes(field), root=0, tag=TAG_FIELD)
-        if resumed:
-            comm.broadcast(checkpoint, root=0, tag=TAG_POOL_CHECKPOINT)
-    else:
-        spectrum = array_from_bytes(comm.broadcast(None, root=0, tag=TAG_SPECTRUM))
-        field = array_from_bytes(comm.broadcast(None, root=0, tag=TAG_FIELD))
-        if resumed:
-            checkpoint = comm.broadcast(None, root=0, tag=TAG_POOL_CHECKPOINT)
-
-    pipeline = build_pipeline(config, spectrum, plans=plans)
+    if rank == 0 and (field is None or (resumed and checkpoint is None)):
+        raise ConfigurationError(
+            "rank 0 must be given the field (and the merged checkpoint of "
+            "the attempt a resumed job continues)"
+        )
+    if spectra is None:
+        spectra = WeightedLRU(max_weight=0)
+    spectrum = share_spectrum(comm, config, spectrum, spectra)
+    if resumed:
+        checkpoint = comm.broadcast(checkpoint, root=0, tag=TAG_POOL_CHECKPOINT)
     restored: Dict[int, CompressedField] = (
         checkpoint_from_bytes(checkpoint) if resumed else {}
     )
-    own_subdomains = pipeline.decomposition.assign_round_robin(size)[rank]
-    todo = pipeline.active_subdomains(
-        field, [sub for sub in own_subdomains if sub.index not in restored]
-    )
+    pipeline = build_pipeline(config, spectrum, plans=plans)
+    if rank == 0:
+        field = np.asarray(field, dtype=np.float64)
+    shares = pipeline.decomposition.assign_round_robin(size)
+    todo = scatter_blocks(comm, pipeline.decomposition, shares, field, skip=restored)
+    own_subdomains = shares[rank]
+    now = comm.clock.now
 
     def fail(stage: str) -> None:
         if config.fail_rank == rank and config.fail_stage == stage:
@@ -320,8 +315,8 @@ def rank_main(
     )
     mid_chunk = max(1, len(todo) // 2)
     own: List[Tuple[object, CompressedField]] = []
-    t0 = time.perf_counter()
-    for sub, compressed in pipeline.convolve_chunks(field, todo):
+    t0 = now()
+    for sub, compressed in pipeline.convolve_chunks(todo):
         own.append((sub, compressed))
         if stream is None:
             continue
@@ -337,7 +332,7 @@ def rank_main(
         if len(own) == mid_chunk:
             # die with the send window half-way through the chunk stream
             fail("mid_window")
-    compute_end = time.perf_counter()
+    compute_end = now()
     if stream is None:
         wire = checkpointed("checkpoint", own)
 
@@ -353,7 +348,7 @@ def rank_main(
 
     # The ONE sparse exchange (barrier), or the drain that is all of it
     # that still blocks (overlap).
-    t1 = time.perf_counter()
+    t1 = now()
     if stream is None:
         payloads = comm.sparse_allgather(wire, tag=TAG_EXCHANGE)
         payloads[rank] = own_blobs[0]
@@ -361,7 +356,7 @@ def rank_main(
         per_rank = stream.finish()
         per_rank[rank] = own_blobs
         payloads = [chunk for chunks in per_rank for chunk in chunks]
-    exchange_s = time.perf_counter() - t1
+    exchange_s = now() - t1
 
     merged = dict(restored)
     for payload in payloads:

@@ -70,6 +70,20 @@ class IdleTimeout(TransportError):
     """
 
 
+class InputFrameError(CommunicationError):
+    """An input-distribution payload (scattered blocks, a kernel spectrum
+    or its announcement) failed validation.
+
+    Raised before anything is allocated from the payload's own lengths;
+    ``offset`` is the byte offset of the field that was rejected.
+    """
+
+    def __init__(self, message: str, *, offset: int = 0):
+        super().__init__(f"{message} (offset {offset})")
+        #: byte offset within the payload of the rejected field
+        self.offset = int(offset)
+
+
 class PoolError(ReproError):
     """A standing rank-pool operation failed (bootstrap, membership, job).
 

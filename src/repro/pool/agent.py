@@ -24,9 +24,10 @@ connections:
     Withdraw the card, tear down, exit the serve loop.
 
 The agent survives controller disconnects: when a control connection
-drops it simply re-accepts, keeping mesh, plans, and process state warm
-for the next controller.  That is what makes resubmission warm — nothing
-about the agent's life is scoped to one job or one controller.
+drops it simply re-accepts, keeping mesh, plans, kernel spectra and
+process state warm for the next controller.  That is what makes
+resubmission warm — nothing about the agent's life is scoped to one job
+or one controller.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from multiprocessing.connection import Connection, Listener
 from typing import Callable, List, Optional, Tuple
 
 from repro.dist.collectives import Communicator
+from repro.dist.inputs import SPECTRUM_TABLE_BYTES
 from repro.dist.tcp import TcpTransport
 from repro.errors import ReproError, StaleGenerationError
 from repro.pool.jobs import PoolJob, execute_job
@@ -49,6 +51,7 @@ from repro.pool.rendezvous import (
     parse_rendezvous,
 )
 from repro.serve.clock import Clock, MonotonicClock
+from repro.util.lru import WeightedLRU
 
 __all__ = ["PoolAgent", "agent_main", "spawn_local_agents"]
 
@@ -79,6 +82,9 @@ class PoolAgent:
         self.generation = 0
         self.rank = -1
         self.comm: Optional[Communicator] = None
+        #: kernel spectra this agent has been sent, by content key; it
+        #: outlives jobs and meshes like the plan cache does
+        self.spectra: WeightedLRU = WeightedLRU(SPECTRUM_TABLE_BYTES)
         self._pending_form: Optional[
             Tuple[int, int, int, float, Optional[float]]
         ] = None
@@ -183,6 +189,7 @@ class PoolAgent:
                     job,
                     post=lambda kind, rank, blob: send((kind, rank, blob)),
                     abort=self._abort,
+                    spectra=self.spectra,
                 )
                 send(("result", self.rank, result, extras))
             except StaleGenerationError as exc:

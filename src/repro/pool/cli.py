@@ -171,7 +171,6 @@ def _status(args: argparse.Namespace) -> int:
 def _submit(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.dist.launcher import default_spectrum
     from repro.dist.worker import DistConfig, build_pipeline, composite_field
     from repro.pool.pool import RankPool
 
@@ -185,24 +184,24 @@ def _submit(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     field = composite_field(config.n, config.seed)
-    spectrum = default_spectrum(config)
     pool = RankPool(args.rendezvous)
     pool.connect(args.ranks, timeout_s=args.timeout)
     failed = False
     try:
         for attempt in range(max(1, args.repeats)):
-            report = pool.submit(config, field=field, spectrum=spectrum)
+            report = pool.submit(config, field=field)
             line = (
                 f"job {report.job_id} generation {report.generation} "
                 f"{'warm' if report.warm else 'cold'}: "
                 f"wire/model {report.wire_over_model:.4f}, "
+                f"input {report.input_wire_bytes} B, "
                 f"plan misses {report.plan_misses}, "
                 f"{report.elapsed_s:.3f}s"
             )
             if report.failed_ranks:
                 line += f", recovered from ranks {report.failed_ranks}"
             if not args.no_check:
-                serial = build_pipeline(config, spectrum).run_serial(field)
+                serial = build_pipeline(config).run_serial(field)
                 bitwise = bool(np.array_equal(report.approx, serial.approx))
                 line += f", bitwise={bitwise}"
                 failed = failed or not bitwise

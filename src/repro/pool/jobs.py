@@ -20,9 +20,15 @@ module adds is the bracketing a long-lived rank needs around it:
    plan cache; the cache's hit/miss difference over the job is returned
    as evidence that plans persisted.
 
-3. **Checkpoint handoff.**  A recovery job (``PoolJob.checkpoint`` set)
+3. **Standing kernels.**  The agent's spectrum table
+   (:data:`~repro.dist.inputs.SPECTRUM_TABLE_BYTES`, keyed on content)
+   is handed to every job, so a kernel a rank has seen does not travel
+   again; a replacement agent starts with an empty table and simply
+   misses once.
+
+4. **Checkpoint handoff.**  A recovery job (``PoolJob.checkpoint`` set)
    is a *resumed* ``rank_main``: the merged checkpoint of the failed
-   attempt is broadcast with the inputs and every rank computes only its
+   attempt is broadcast, and every rank is sent and computes only its
    own sub-domains missing from it — survivors restore everything they
    already did, while the replacement rank (seated at the dead member's
    rank) computes exactly the dead rank's unfinished share, in whichever
@@ -40,6 +46,7 @@ from repro.dist.collectives import Communicator
 from repro.dist.worker import DistConfig, RankResult, rank_main
 from repro.fft.pruned_plan import default_cache
 from repro.util import copytrack
+from repro.util.lru import WeightedLRU
 
 __all__ = ["PoolJob", "execute_job", "wire_delta"]
 
@@ -49,8 +56,9 @@ class PoolJob:
     """One unit of work shipped to the standing mesh.
 
     ``field``/``spectrum`` ride only on the rank-0 copy (every other
-    rank receives them by in-mesh broadcast, exactly like the cold
-    runtime).  ``checkpoint`` marks a recovery job: the merged
+    rank is scattered its own blocks in-mesh, exactly like the cold
+    runtime; ``spectrum=None`` is the config's default kernel, which no
+    one ships).  ``checkpoint`` marks a recovery job: the merged
     checkpoint blob of the failed attempt this job resumes from.
     """
 
@@ -114,8 +122,11 @@ def execute_job(
     job: PoolJob,
     post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
+    spectra: Optional[WeightedLRU] = None,
 ) -> Tuple[RankResult, Dict[str, float]]:
     """Run one rank's share of ``job`` on a warm communicator.
+
+    ``spectra`` is the agent's standing spectrum table.
 
     Returns the rank result (with per-job wire accounting — the
     transport ledger's before/after difference) plus an ``extras`` dict
@@ -137,6 +148,7 @@ def execute_job(
         plans=cache,  # the warm path: plans survive from job to job
         checkpoint=job.checkpoint,
         resumed=job.recovery,
+        spectra=spectra,
     )
     result.wire = wire_delta(wire0, comm.transport.ledger.snapshot())
     extras = {

@@ -43,8 +43,8 @@ from repro.core.decomposition import DomainDecomposition
 from repro.dist.heartbeat import HeartbeatMonitor
 from repro.dist.launcher import (
     assemble_blocks,
-    default_spectrum,
     expected_exchange_value_bytes,
+    predicted_input_bytes,
     recover_from_checkpoints,
 )
 from repro.dist.ledger import merge_wire_snapshots
@@ -99,6 +99,13 @@ class PoolJobReport:
     #: exact Eq 6 accounting for this job (recovery jobs exclude the
     #: sub-domains restored from the checkpoint)
     predicted_value_bytes: int = 0
+    #: measured: this job's input-distribution bytes-on-wire (scattered
+    #: blocks, kernel announcements and misses; a resumed job's
+    #: checkpoint broadcast too)
+    input_wire_bytes: int = 0
+    #: exact: the ``k^3`` blocks this job scatters (recovery jobs exclude
+    #: the sub-domains restored from the checkpoint)
+    predicted_input_bytes: int = 0
     #: True when the mesh survived from a previous job (no re-formation)
     warm: bool = False
     #: plan-cache hits/misses across ranks attributable to this job —
@@ -283,6 +290,10 @@ class RankPool:
         (checkpoint handoff to a replacement agent), else the failure is
         raised as :class:`~repro.errors.PoolError`.
 
+        ``spectrum=None`` is the default kernel of ``config``: every rank
+        evaluates it for itself and nothing ships.  A spectrum that is
+        given travels only to ranks whose standing table lacks it.
+
         ``metadata`` rides on the job and is echoed back on the report
         (tenant attribution for serving tiers); ``expected_generation``
         fences the submission at the serve boundary — a caller that
@@ -302,8 +313,6 @@ class RankPool:
         if field is None:
             field = composite_field(config.n, config.seed)
         field = np.asarray(field, dtype=np.float64)
-        if spectrum is None:
-            spectrum = default_spectrum(config)
 
         t0 = self.clock.now()
         # warm = at least one job already ran on this mesh: the agents'
@@ -463,7 +472,7 @@ class RankPool:
         job: PoolJob,
         outcome: _JobOutcome,
         field: np.ndarray,
-        spectrum: np.ndarray,
+        spectrum: Optional[np.ndarray],
         t0: float,
     ) -> PoolJobReport:
         """Replace the dead, re-form, resubmit with the merged checkpoint."""
@@ -602,6 +611,10 @@ class RankPool:
             wire_totals=wire_totals,
             exchange_wire_bytes=wire_totals.get("sent.exchange.bytes", 0),
             predicted_value_bytes=expected_exchange_value_bytes(
+                job.config, field, exclude_indices=exclude_indices or None
+            ),
+            input_wire_bytes=wire_totals.get("sent.bcast.bytes", 0),
+            predicted_input_bytes=predicted_input_bytes(
                 job.config, field, exclude_indices=exclude_indices or None
             ),
             warm=warm,

@@ -87,11 +87,10 @@ def _dist_config(spec: TrialSpec, **overrides):
 @REGISTRY.register("serial")
 def run_serial_trial(spec: TrialSpec) -> Dict[str, float]:
     """One in-process serial pipeline run on the composite field."""
-    from repro.dist.launcher import default_spectrum
     from repro.dist.worker import build_pipeline, composite_field
 
     config = _dist_config(spec)
-    pipeline = build_pipeline(config, default_spectrum(config))
+    pipeline = build_pipeline(config)
     result = pipeline.run_serial(composite_field(spec.n, spec.seed))
     return {
         "total_samples": float(result.total_samples),
@@ -105,11 +104,10 @@ def run_parallel_trial(spec: TrialSpec) -> Dict[str, float]:
     """One process-pool parallel run, bitwise-checked against serial."""
     import numpy as np
 
-    from repro.dist.launcher import default_spectrum
     from repro.dist.worker import build_pipeline, composite_field
 
     config = _dist_config(spec)
-    pipeline = build_pipeline(config, default_spectrum(config))
+    pipeline = build_pipeline(config)
     field = composite_field(spec.n, spec.seed)
     result = pipeline.run_parallel(field)
     serial = pipeline.run_serial(field)
@@ -127,7 +125,7 @@ def run_dist_trial(spec: TrialSpec) -> Dict[str, float]:
     """One SPMD job (transport/ranks/overlap from the spec) + wire audit."""
     import numpy as np
 
-    from repro.dist.launcher import default_spectrum, dist_run
+    from repro.dist.launcher import dist_run
     from repro.dist.worker import build_pipeline, composite_field
 
     config = _dist_config(
@@ -138,9 +136,8 @@ def run_dist_trial(spec: TrialSpec) -> Dict[str, float]:
         window=spec.window,
     )
     field = composite_field(spec.n, spec.seed)
-    spectrum = default_spectrum(config)
-    report = dist_run(config, field=field, spectrum=spectrum)
-    serial = build_pipeline(config, spectrum).run_serial(field)
+    report = dist_run(config, field=field)
+    serial = build_pipeline(config).run_serial(field)
     metrics = {
         "exchange_wire_bytes": float(report.exchange_wire_bytes),
         "wire_over_model": float(report.wire_over_model),
@@ -202,7 +199,6 @@ def run_pool_trial(spec: TrialSpec) -> Dict[str, float]:
     """
     import numpy as np
 
-    from repro.dist.launcher import default_spectrum
     from repro.dist.worker import build_pipeline, composite_field
     from repro.pool.pool import private_pool
     from repro.serve.clock import MonotonicClock
@@ -210,15 +206,14 @@ def run_pool_trial(spec: TrialSpec) -> Dict[str, float]:
     clock = MonotonicClock()
     config = _dist_config(spec, num_ranks=spec.ranks, transport="tcp")
     field = composite_field(spec.n, spec.seed)
-    spectrum = default_spectrum(config)
     with private_pool(spec.ranks) as pool:
         t0 = clock.now()
-        first = pool.submit(config, field=field, spectrum=spectrum)
+        first = pool.submit(config, field=field)
         first_s = clock.now() - t0
         t1 = clock.now()
-        second = pool.submit(config, field=field, spectrum=spectrum)
+        second = pool.submit(config, field=field)
         warm_s = clock.now() - t1
-    serial = build_pipeline(config, spectrum).run_serial(field)
+    serial = build_pipeline(config).run_serial(field)
     bitwise = np.array_equal(first.approx, serial.approx) and np.array_equal(
         second.approx, serial.approx
     )

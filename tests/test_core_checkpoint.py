@@ -54,10 +54,14 @@ class TestCheckpointRoundtrip:
 
 
 def _missing(pipeline, field, restored):
-    """What recovery recomputes: active sub-domains the checkpoint lacks."""
-    return [
-        sub for sub in pipeline.active_subdomains(field) if sub.index not in restored
-    ]
+    """What recovery recomputes: the blocks of the active sub-domains the
+    checkpoint lacks."""
+    decomp = pipeline.decomposition
+    return list(
+        decomp.active_blocks(
+            field, [sub for sub in decomp if sub.index not in restored]
+        )
+    )
 
 
 class TestFailureRecovery:
@@ -75,7 +79,7 @@ class TestFailureRecovery:
         assert lost.isdisjoint(restored)
 
         fresh = LowCommConvolution3D(n, k, spec, pol, batch=64)
-        recomputed = dict(fresh.convolve_chunks(field, _missing(fresh, field, restored)))
+        recomputed = dict(fresh.convolve_chunks(_missing(fresh, field, restored)))
         assert {s.index for s in recomputed} == lost
         restored.update({s.index: f for s, f in recomputed.items()})
         total = accumulate_global([restored[i] for i in sorted(restored)])
@@ -87,7 +91,7 @@ class TestFailureRecovery:
         restored = checkpoint_from_bytes(blob)
 
         assert _missing(pipe, field, restored) == []
-        assert list(pipe.convolve_chunks(field, [])) == []
+        assert list(pipe.convolve_chunks([])) == []
 
 
 class TestCheckpointCorruption:

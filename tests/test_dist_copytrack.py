@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.dist.collectives import TAG_EXCHANGE
-from repro.dist.launcher import default_spectrum, dist_run
+from repro.dist.inputs import default_spectrum
+from repro.dist.launcher import dist_run
 from repro.dist.wire import Frame, FrameKind, encode_frame
 from repro.dist.worker import DistConfig, build_pipeline, composite_field
 from repro.octree.serialize import serialize_compressed
@@ -75,7 +76,7 @@ def _own_fields(config, field, spectrum, rank):
     """The compressed fields rank ``rank`` would ship (driver-side replay)."""
     pipeline = build_pipeline(config, spectrum)
     own = pipeline.decomposition.assign_round_robin(config.num_ranks)[rank]
-    chunks = pipeline.convolve_chunks(field, pipeline.active_subdomains(field, own))
+    chunks = pipeline.convolve_chunks(pipeline.decomposition.active_blocks(field, own))
     return [compressed for _sub, compressed in chunks]
 
 

@@ -11,7 +11,8 @@ what is missing, and still produce output bitwise identical to
 import numpy as np
 import pytest
 
-from repro.dist.launcher import default_spectrum, dist_run
+from repro.dist.inputs import default_spectrum
+from repro.dist.launcher import dist_run
 from repro.dist.worker import (
     BARRIER_FAIL_STAGES,
     STREAM_FAIL_STAGES,

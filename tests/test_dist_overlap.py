@@ -26,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.launcher import default_spectrum, dist_run
+from repro.dist.inputs import default_spectrum
+from repro.dist.launcher import dist_run
 from repro.dist.wire import HEADER_BYTES
 from repro.dist.worker import DistConfig, build_pipeline, composite_field
 

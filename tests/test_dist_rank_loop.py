@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.checkpoint import checkpoint_to_bytes
 from repro.dist.collectives import Communicator
-from repro.dist.launcher import assemble_blocks, default_spectrum
+from repro.dist.inputs import default_spectrum
+from repro.dist.launcher import assemble_blocks
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, build_pipeline, composite_field, rank_main
 from tests.test_dist_transport import _tcp_mesh
@@ -32,9 +33,10 @@ def reference():
     return field, spectrum, serial
 
 
-def _run_ranks(transports, config, field, spectrum, checkpoint):
-    """Run ``rank_main`` on one thread per transport endpoint."""
-    comms = [Communicator(t, recv_timeout_s=10.0) for t in transports]
+def _run_ranks(transports, config, field, spectrum, checkpoint=None, tables=None):
+    """Run ``rank_main`` on one thread per transport endpoint; ``tables``
+    are the ranks' standing spectrum tables (``None``: a cold job)."""
+    comms = [Communicator(t, recv_timeout_s=20.0) for t in transports]
 
     def run(comm):
         root = comm.rank == 0
@@ -45,6 +47,7 @@ def _run_ranks(transports, config, field, spectrum, checkpoint):
             spectrum=spectrum if root else None,
             checkpoint=checkpoint if root else None,
             resumed=checkpoint is not None,
+            spectra=None if tables is None else tables[comm.rank],
         )
 
     try:

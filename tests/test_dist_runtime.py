@@ -17,8 +17,8 @@ import pytest
 from repro.cli import main
 from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.policy import parse_policy
+from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import (
-    default_spectrum,
     dist_run,
     expected_exchange_value_bytes,
     naive_eq6_bytes,

@@ -9,6 +9,9 @@ The acceptance bar, as tests:
   (``plan_misses == 0``);
 - a rank killed mid-job is replaced in-mesh via the checkpoint handoff
   and the recovered result is still bitwise identical;
+- input distribution: a kernel ships to a rank once, a default kernel
+  never, and a replacement agent (empty spectrum table) misses exactly
+  once — at every fail stage, for a non-root rank and for rank 0;
 - late joiners grow the roster and the next job spreads across them;
 - a job stamped with a dead generation is fenced, never executed;
 - a private pool (the xpr ``pool`` trial, ``serve-bench --pool auto``)
@@ -23,8 +26,15 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.dist.launcher import default_spectrum
-from repro.dist.worker import DistConfig, build_pipeline, composite_field
+from repro.dist.inputs import default_spectrum
+from repro.dist.wire import HEADER_BYTES
+from repro.dist.worker import (
+    FAIL_STAGES,
+    STREAM_FAIL_STAGES,
+    DistConfig,
+    build_pipeline,
+    composite_field,
+)
 from repro.errors import ConfigurationError, PoolError
 from repro.pool.jobs import PoolJob
 from repro.pool.pool import RankPool
@@ -163,6 +173,79 @@ class TestRankDeathRecovery:
         config = _config(2, fail_rank=1, fail_stage="before_checkpoint")
         with pytest.raises(PoolError, match="failed on ranks"):
             pool.submit(config, recover=False)
+
+
+class TestInputDistribution:
+    SHAPE = dict(n=16, k=4, policy="flat:2")
+
+    def test_kernel_ships_once_then_stays_rank_side(self, pool_at):
+        ranks = 3
+        pool = pool_at(ranks)
+        config = _config(ranks, **self.SHAPE)
+        field = composite_field(config.n, config.seed)
+        spectrum = default_spectrum(config)
+        shipped = (ranks - 1) * (HEADER_BYTES + 32 + spectrum.nbytes)
+
+        cold = pool.submit(config, field=field, spectrum=spectrum)
+        warm = pool.submit(config, field=field, spectrum=spectrum)
+        assert cold.predicted_input_bytes == warm.predicted_input_bytes > 0
+        framing = warm.input_wire_bytes - warm.predicted_input_bytes
+        # per peer: announcement, have/need answer, scatter frame + indices
+        assert 0 < framing <= (ranks - 1) * 160
+        assert cold.input_wire_bytes == warm.input_wire_bytes + shipped
+        assert warm.input_wire_bytes < field.nbytes  # no dense field either
+
+        # no spectrum given: the default kernel is evaluated rank-side and
+        # nothing ships, even to ranks that never saw it
+        other = _config(ranks, **{**self.SHAPE, "sigma": 1.25})
+        default = pool.submit(other, field=field)
+        assert default.input_wire_bytes < warm.input_wire_bytes
+        assert np.array_equal(
+            default.approx, _serial(other, field, default_spectrum(other))
+        )
+
+    @pytest.mark.parametrize("victim", [1, 0], ids=["non-root", "root"])
+    def test_kill_at_every_stage_on_a_warm_pool(self, pool_at, victim):
+        ranks = 3
+        pool = pool_at(ranks)
+        clean = _config(ranks, **self.SHAPE)
+        field = composite_field(clean.n, clean.seed)
+        spectrum = default_spectrum(clean)
+        expected = _serial(clean, field, spectrum)
+        fresh = pool.submit(clean, field=field, spectrum=spectrum)
+        block_bytes = 8 * clean.k**3
+
+        for stage in FAIL_STAGES:
+            config = _config(
+                ranks,
+                fail_rank=victim,
+                fail_stage=stage,
+                overlap=stage in STREAM_FAIL_STAGES,
+                **self.SHAPE,
+            )
+            report = pool.submit(config, field=field, spectrum=spectrum)
+            assert report.recovered and not report.driver_fallback, stage
+            assert report.replaced_ranks == [victim], stage
+            assert np.array_equal(report.approx, expected), stage
+            # the resumed job scatters only what its checkpoint lacks,
+            # which is exactly what the non-root ranks then convolve
+            scattered = sum(
+                r.num_chunks for rank, r in report.rank_results.items() if rank
+            )
+            assert report.predicted_input_bytes == block_bytes * scattered, stage
+            assert report.predicted_input_bytes <= fresh.predicted_input_bytes
+            # rank 0 sends each peer an announcement, the checkpoint and a
+            # scatter frame; the kernel itself only to a replacement
+            # agent, whose table starts empty (a replaced rank 0 is
+            # handed the spectrum with the job, and the survivors hold it)
+            root_sent = report.rank_results[0].wire["counters"]
+            ships = 1 if victim else 0
+            assert root_sent["sent.bcast.frames"] == 3 * (ranks - 1) + ships, stage
+
+            after = pool.submit(clean, field=field, spectrum=spectrum)
+            assert not after.recovered, stage
+            assert after.input_wire_bytes < spectrum.nbytes, stage
+            assert np.array_equal(after.approx, expected), stage
 
 
 class TestPrivatePoolCleanup:
