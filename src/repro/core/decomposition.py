@@ -90,17 +90,19 @@ class DomainDecomposition:
         return self.subdomain(index)
 
     def extract(self, field: np.ndarray, sub: SubDomain) -> np.ndarray:
-        """Copy the sub-domain's block out of a global field."""
+        """Copy the sub-domain's block out of a global field (leading
+        component axes are kept)."""
         field = np.asarray(field)
-        if field.shape != (self.n,) * 3:
+        if field.shape[-3:] != (self.n,) * 3:
             raise ShapeError(f"field shape {field.shape} != grid ({self.n},)*3")
-        return field[sub.slices()].copy()
+        return field[(...,) + sub.slices()].copy()
 
     def active_subdomains(
         self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None
     ) -> List[SubDomain]:
         """The members of ``subdomains`` (default: every sub-domain) whose
-        block of ``field`` holds any non-zero sample.
+        block of ``field`` holds any non-zero sample, in any component
+        when ``field`` has leading component axes.
 
         All-zero blocks contribute nothing (implicit sparsity), so they
         are skipped everywhere: never convolved, checkpointed, exchanged
@@ -109,7 +111,7 @@ class DomainDecomposition:
         """
         if subdomains is None:
             subdomains = self
-        return [sub for sub in subdomains if np.any(field[sub.slices()])]
+        return [sub for sub in subdomains if np.any(field[(...,) + sub.slices()])]
 
     def active_blocks(
         self, field: np.ndarray, subdomains: Optional[Iterable[SubDomain]] = None

@@ -30,6 +30,21 @@ the **Hermitian fast path** runs the whole staged transform on the
 z-pencils and pointwise multiplies, and a Hermitian-aware final x stage —
 roughly halving flops and the ``8*N*N*k`` slab working set of Table 1.
 
+**Components and the pointwise seam.**  ``sub`` may be a ``(C, k, k, k)``
+stack of components over one box: it runs the same stages (one slab call,
+one z-stage call per pencil batch, one y stage) and comes back as ``C``
+compressed fields on one pattern.  Stages keep per-component GEMM and FFT
+shapes, so component ``c`` is bitwise the one-component call on
+``sub[c]``.  The one step that differs between callers is the pointwise
+one (PAPER.md §6's sub-plan): the scalar kernel multiply by default, or a
+:class:`PencilOperator` that maps the ``(C, B, n)`` pencil batch and may
+mix components (MASSIF's ``Gamma_hat : tau``,
+:func:`repro.kernels.green_massif.gamma_pencil_operator`).
+``real_kernel=True`` with an operator promises that it commutes with the
+conjugate mirror — ``op(conj(tau(-xi)))(-xi) == conj(op(tau)(xi))``, true
+of any contraction whose coefficients are real and even in ``xi`` — so a
+real input has a real result and the ``n//2 + 1`` stored x rows suffice.
+
 An optional :class:`~repro.cluster.memory.MemoryTracker` is charged for
 every buffer, so running this on a simulated GPU reproduces the
 memory-capacity behaviour of Tables 2 and 4 with the *real* allocation
@@ -38,7 +53,8 @@ sequence.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,10 +72,24 @@ from repro.util.validation import check_positive_int
 COMPLEX_BYTES = 16
 REAL_BYTES = 8
 
-#: Kernel spectrum: either the dense ``n^3`` array or a callable
+
+@dataclass(frozen=True)
+class PencilOperator:
+    """A pointwise step that is not a scalar multiply: ``apply(spec, ix,
+    iy)`` maps the ``(C, B, n)`` z-spectra of a pencil batch, given each
+    pencil's x and y frequency index, to the ``(C, B, n)`` result (it may
+    overwrite ``spec``)."""
+
+    apply: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+#: Kernel spectrum: the dense ``n^3`` array, a callable
 #: ``(ix, iy) -> (len(ix), n)`` returning spectrum pencils on the fly
-#: (the paper's "computed on-the-fly during convolution" mode).
-KernelSpectrum = Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
+#: (the paper's "computed on-the-fly during convolution" mode), or a
+#: :class:`PencilOperator` standing in for the multiply altogether.
+KernelSpectrum = Union[
+    np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray], PencilOperator
+]
 
 
 class LocalConvolution:
@@ -70,7 +100,8 @@ class LocalConvolution:
     n:
         Global grid edge.
     kernel_spectrum:
-        Dense ``n^3`` spectrum or an on-the-fly pencil callable.
+        Dense ``n^3`` spectrum, an on-the-fly pencil callable, or a
+        :class:`PencilOperator`.
     policy:
         Compression hyperparameters (r-schedule).
     backend:
@@ -84,7 +115,8 @@ class LocalConvolution:
         the half-spectrum fast path; ``False`` forces the complex path;
         ``None`` (default) auto-detects for dense spectra via
         :func:`~repro.kernels.properties.spectrum_is_hermitian_real`
-        (callables default to the complex path).
+        (callables and operators default to the complex path; see the
+        module docstring for what ``True`` promises of an operator).
     plans:
         Optional shared :class:`~repro.fft.pruned_plan.PlanCache`; one is
         created per instance otherwise.
@@ -108,7 +140,11 @@ class LocalConvolution:
         self.memory = memory
         self.plans = plans if plans is not None else PlanCache()
         self._kernel_flat: Optional[np.ndarray] = None
-        if callable(kernel_spectrum):
+        self._kernel_fn = self._operator = None
+        if isinstance(kernel_spectrum, PencilOperator):
+            self._operator = kernel_spectrum.apply
+            self.real_kernel = bool(real_kernel)
+        elif callable(kernel_spectrum):
             self._kernel_fn = kernel_spectrum
             self.real_kernel = bool(real_kernel) if real_kernel is not None else False
         else:
@@ -136,16 +172,6 @@ class LocalConvolution:
             # indexing.  The Hermitian path's half rows [0, (n//2+1)*n)
             # occupy a prefix of the same layout.
             self._kernel_flat = spec.reshape(n * n, n)
-            self._kernel_fn = self._make_array_kernel_fn(spec)
-
-    @staticmethod
-    def _make_array_kernel_fn(
-        spec: np.ndarray,
-    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        def pencils(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-            return spec[ix, iy, :]
-
-        return pencils
 
     # -- public API -------------------------------------------------------------
     def convolve(
@@ -153,50 +179,59 @@ class LocalConvolution:
         sub: np.ndarray,
         corner: Sequence[int],
         pattern: Optional[SamplingPattern] = None,
-    ) -> CompressedField:
+    ) -> Union[CompressedField, List[CompressedField]]:
         """Convolve ``sub`` (at ``corner``) with the kernel; return the
         compressed result over the full grid.
 
-        ``sub`` may be a rectangular box (the paper's "irregular
+        ``sub`` is one block, or a ``(C, ...)`` stack of components over
+        the same box; a stack returns the list of its ``C`` compressed
+        fields, all on one pattern.
+
+        A block may be a rectangular box (the paper's "irregular
         partitions"); a matching ``pattern`` (e.g. from
         :func:`~repro.octree.sampling.build_box_pattern`) must then be
         supplied, since the policy's cubic band schedule does not apply.
         """
         sub, corner = self._validate(sub, corner)
-        k = sub.shape[0]
+        kx, ky, kz = sub.shape[-3:]
         if pattern is None:
-            if not (sub.shape[0] == sub.shape[1] == sub.shape[2]):
+            if not (kx == ky == kz):
                 raise ConfigurationError(
                     "rectangular sub-domains need an explicit sampling "
                     "pattern (see build_box_pattern)"
                 )
-            pattern = self.policy.pattern_for(self.n, k, corner)
+            pattern = self.policy.pattern_for(self.n, kx, corner)
         plan = self._plan_for(
             pattern.axis_coordinate_set(0),
             pattern.axis_coordinate_set(1),
             pattern.axis_coordinate_set(2),
         )
 
-        box = self._staged_convolve(sub, corner, plan)
-
-        # Gather the octree samples out of the (|X|, |Y|, |Z|) box: the
+        # Gather the octree samples out of each (|X|, |Y|, |Z|) box: the
         # plan's axis sets are the pattern's, so the pattern's cached flat
-        # index addresses this box.
-        values = np.take(box.reshape(-1), pattern.box_gather_index)
-        return CompressedField(pattern=pattern, values=np.real(values))
+        # index addresses the box.
+        fields = [
+            CompressedField(
+                pattern=pattern,
+                values=np.real(np.take(box.reshape(-1), pattern.box_gather_index)),
+            )
+            for box in self._staged_convolve(sub, corner, plan)
+        ]
+        return fields[0] if sub.ndim == 3 else fields
 
     def convolve_dense_debug(
         self, sub: np.ndarray, corner: Sequence[int]
     ) -> np.ndarray:
-        """Uncompressed local convolution (full ``n^3`` result).
+        """Uncompressed local convolution (full ``n^3`` result per
+        component).
 
         Validation-only: this is exactly the dense cube the production path
         avoids materializing.
         """
         sub, corner = self._validate(sub, corner)
         full = np.arange(self.n, dtype=np.intp)
-        box = self._staged_convolve(sub, corner, self._plan_for(full, full, full))
-        return np.real(box)
+        boxes = self._staged_convolve(sub, corner, self._plan_for(full, full, full))
+        return np.real(boxes[0] if sub.ndim == 3 else np.stack(boxes))
 
     # -- stages -------------------------------------------------------------
     def _plan_for(
@@ -211,68 +246,89 @@ class LocalConvolution:
             hermitian=self.real_kernel,
         )
 
-    def _kernel_pencils(self, plan: PrunedPlan, sl: slice) -> np.ndarray:
+    def _pointwise(self, spec: np.ndarray, plan: PrunedPlan, sl: slice) -> np.ndarray:
+        """The pointwise step on the ``(C, B, n)`` spectra of batch ``sl``."""
         if self._kernel_flat is not None:
-            return self._kernel_flat[sl]
-        kp = self._kernel_fn(plan.pencil_ix[sl], plan.pencil_iy[sl])
-        return np.real(kp) if plan.hermitian else kp
+            spec *= self._kernel_flat[sl]
+            return spec
+        ix, iy = plan.pencil_ix[sl], plan.pencil_iy[sl]
+        if self._operator is None:
+            kp = self._kernel_fn(ix, iy)
+            spec *= np.real(kp) if plan.hermitian else kp
+            return spec
+        out = self._operator(spec, ix, iy)
+        if out.shape != spec.shape:
+            raise ShapeError(
+                f"pointwise operator returned {out.shape} for a {spec.shape} batch"
+            )
+        return out
 
     def _staged_convolve(
         self,
         sub: np.ndarray,
         corner: Tuple[int, int, int],
         plan: PrunedPlan,
-    ) -> np.ndarray:
+    ) -> List[np.ndarray]:
+        """The ``(|X|, |Y|, |Z|)`` result box of each component of ``sub``."""
         n = self.n
-        k = sub.shape[2]  # slab keeps the z extent spatial
+        comps = 1 if sub.ndim == 3 else sub.shape[0]
+        k = sub.shape[-1]  # slab keeps the z extent spatial
         cz = corner[2]
         rows = plan.slab_rows  # n, or n//2+1 on the Hermitian fast path
+        cbytes = COMPLEX_BYTES * comps
 
-        with self._charge("slab", COMPLEX_BYTES * rows * n * k):
+        with self._charge("slab", cbytes * rows * n * k):
             slab = plan.forward_slab(sub, corner)
-            flat = slab.reshape(plan.num_pencils, k)
+            flat = slab.reshape(comps, plan.num_pencils, k)
 
             # An "fft" stage computes full-length pencils before keeping
             # the retained coordinates: one more (B, n) buffer per z batch,
             # one (n, |Z|) plane at a time in the y stage.
             sz = plan.mz
-            z_full = COMPLEX_BYTES * self.batch * n if plan.strategy.z == "fft" else 0
+            z_full = cbytes * self.batch * n if plan.strategy.z == "fft" else 0
             y_full = COMPLEX_BYTES * n * sz if plan.strategy.y == "fft" else 0
-            with self._charge("z_sampled", COMPLEX_BYTES * plan.num_pencils * sz):
-                zred = np.empty((plan.num_pencils, sz), dtype=np.complex128)
+            with self._charge("z_sampled", cbytes * plan.num_pencils * sz):
+                zred = np.empty((comps, plan.num_pencils, sz), dtype=np.complex128)
                 with self._charge(
-                    "pencil_batch", COMPLEX_BYTES * self.batch * n * 2
+                    "pencil_batch", cbytes * self.batch * n * 2
                 ), self._charge("z_full_batch", z_full):
                     for sl in pencil_batches(plan.num_pencils, self.batch):
-                        spec = plan.zstage(flat[sl], cz)
-                        spec *= self._kernel_pencils(plan, sl)
-                        plan.idft_z(spec, out=zred[sl])
+                        # components stack along the batch axis: one call
+                        spec = plan.zstage(flat[:, sl].reshape(-1, k), cz)
+                        spec = self._pointwise(spec.reshape(comps, -1, n), plan, sl)
+                        for c in range(comps):
+                            plan.idft_z(spec[c], out=zred[c, sl])
 
                 # Inverse y stage, pruned to the retained y coordinates.
                 sy = plan.my
-                with self._charge("y_sampled", COMPLEX_BYTES * rows * sy * sz):
+                with self._charge("y_sampled", cbytes * rows * sy * sz):
                     with self._charge("y_full_plane", y_full):
-                        yred = plan.idft_y(zred.reshape(rows, n, sz))
+                        yred = plan.idft_y(zred.reshape(comps * rows, n, sz))
                     # Inverse x stage, pruned to the retained x coordinates
                     # (Hermitian-aware on the fast path: real output, its
                     # stacked operand built in the spent z-stage buffer).
                     sx = plan.mx
                     out_bytes = REAL_BYTES if plan.hermitian else COMPLEX_BYTES
-                    with self._charge("x_sampled", out_bytes * sx * sy * sz):
-                        box = plan.idft_x(yred, work=zred)
-        return box
+                    with self._charge("x_sampled", out_bytes * comps * sx * sy * sz):
+                        boxes = [
+                            plan.idft_x(comp, work=work)
+                            for comp, work in zip(
+                                yred.reshape(comps, rows, sy, sz), zred
+                            )
+                        ]
+        return boxes
 
     # -- helpers -------------------------------------------------------------
     def _validate(
         self, sub: np.ndarray, corner: Sequence[int]
     ) -> Tuple[np.ndarray, Tuple[int, int, int]]:
         sub = np.asarray(sub, dtype=np.float64)
-        if sub.ndim != 3:
-            raise ShapeError(f"sub-domain must be rank 3, got shape {sub.shape}")
+        if sub.ndim not in (3, 4):
+            raise ShapeError(f"sub-domain must be rank 3 or 4, got shape {sub.shape}")
         corner = tuple(int(c) for c in corner)
         if len(corner) != 3:
             raise ConfigurationError(f"corner must have 3 components, got {corner}")
-        for c, extent in zip(corner, sub.shape):
+        for c, extent in zip(corner, sub.shape[-3:]):
             if c < 0 or c + extent > self.n:
                 raise ShapeError(
                     f"sub-domain of shape {sub.shape} at corner {corner} "

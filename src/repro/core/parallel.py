@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.decomposition import DomainDecomposition
-from repro.core.local_conv import KernelSpectrum, LocalConvolution
+from repro.core.local_conv import KernelSpectrum, LocalConvolution, PencilOperator
 from repro.core.policy import SamplingPolicy
 from repro.errors import ConfigurationError
 
@@ -96,7 +96,7 @@ def _init_worker(
     )
 
 
-def _convolve_subdomain(index: int) -> Tuple[int, np.ndarray]:
+def _convolve_one(index: int) -> Tuple[int, np.ndarray]:
     """Task body: convolve one sub-domain, return its compressed values."""
     decomp: DomainDecomposition = _WORKER_STATE["decomp"]
     sub = decomp.subdomain(index)
@@ -139,13 +139,13 @@ def convolve_subdomains_parallel(
         return []
     workers = resolve_workers(len(indices), max_workers)
 
-    if callable(kernel_spectrum):
+    if callable(kernel_spectrum) or isinstance(kernel_spectrum, PencilOperator):
         try:
             kernel_blob = pickle.dumps(kernel_spectrum)
         except Exception as exc:
             raise ConfigurationError(
-                "run_parallel needs a picklable kernel callable (or a dense "
-                f"spectrum array, which ships via shared memory): {exc}"
+                "run_parallel needs a picklable kernel callable or operator (or "
+                f"a dense spectrum array, which ships via shared memory): {exc}"
             ) from exc
         kernel_shm, kernel_meta = None, None
     else:
@@ -171,7 +171,7 @@ def convolve_subdomains_parallel(
         ) as pool:
             chunksize = max(1, len(indices) // (4 * workers))
             results = list(
-                pool.map(_convolve_subdomain, sorted(indices), chunksize=chunksize)
+                pool.map(_convolve_one, sorted(indices), chunksize=chunksize)
             )
     finally:
         field_shm.close()

@@ -28,7 +28,7 @@ and a modeled time on a finished :class:`ConvolutionResult`
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,7 +79,9 @@ class LowCommConvolution3D:
     k:
         Sub-domain edge (must divide ``n``).
     kernel_spectrum:
-        Dense ``n^3`` spectrum or on-the-fly pencil callable.
+        Dense ``n^3`` spectrum, on-the-fly pencil callable, or a
+        :class:`~repro.core.local_conv.PencilOperator` (tensor-valued
+        fields enter through :meth:`convolve_chunks`, not ``run_*``).
     policy:
         Compression hyperparameters.
     backend, batch:
@@ -162,7 +164,7 @@ class LowCommConvolution3D:
 
     def convolve_chunks(
         self, chunks: Iterable[Tuple[SubDomain, np.ndarray]]
-    ) -> Iterator[Tuple[SubDomain, CompressedField]]:
+    ) -> Iterator[Tuple[SubDomain, Union[CompressedField, List[CompressedField]]]]:
         """Lazily convolve ``(sub-domain, k^3 block)`` pairs, in order.
 
         The per-sub-domain step every execution mode iterates: convolve
@@ -171,14 +173,15 @@ class LowCommConvolution3D:
         blocks — cut from a dense field by
         :meth:`DomainDecomposition.active_blocks`, or received off the
         wire by a rank that never holds the field — and leaves out
-        all-zero ones.
+        all-zero ones.  A ``(C, k, k, k)`` block (a tensor-valued field's
+        components) yields the list of its ``C`` compressed results.
         """
         for sub, block in chunks:
             yield sub, self.local.convolve(
                 block, sub.corner, pattern=self._pattern(sub.corner)
             )
 
-    def _convolve_subdomains_parallel(
+    def _convolve_in_pool(
         self, field: np.ndarray, max_workers: Optional[int]
     ) -> List[Tuple[SubDomain, CompressedField]]:
         """Process-pool counterpart of :meth:`convolve_chunks`.
@@ -265,6 +268,6 @@ class LowCommConvolution3D:
             Process count; defaults to all available cores.
         """
         with WallTimer() as timer:
-            per_domain = self._convolve_subdomains_parallel(field, max_workers)
+            per_domain = self._convolve_in_pool(field, max_workers)
             approx = self._accumulate(per_domain)
         return self._result(approx, per_domain, timer.elapsed)

@@ -45,7 +45,6 @@ from repro.fft.pruned import (
     partial_idft_matrix,
     pencil_batches,
     pruned_fft3,
-    pruned_fft_slab,
     pruned_input_fft,
     pruned_input_rfft,
     rslab_from_subcube,
@@ -83,7 +82,6 @@ __all__ = [
     "fft3",
     "ifft3",
     "pruned_fft3",
-    "pruned_fft_slab",
     "pencil_batches",
     "pruned_input_fft",
     "pruned_input_rfft",

@@ -158,14 +158,15 @@ def slab_from_subcube(
 
     Returns the complex slab ``S[fx, fy, z]`` where ``z`` indexes the ``k``
     still-spatial planes of the sub-domain (their absolute z position,
-    ``corner[2]``, is applied at the pencil stage).
+    ``corner[2]``, is applied at the pencil stage).  Leading axes of
+    ``sub`` (a stack of components over the same box) pass through.
     """
     sub = np.asarray(sub)
-    if sub.ndim != 3:
-        raise ShapeError(f"sub-domain must be rank 3, got ndim={sub.ndim}")
+    if sub.ndim < 3:
+        raise ShapeError(f"sub-domain must be rank 3 or more, got ndim={sub.ndim}")
     cx, cy, _cz = (int(c) for c in corner)
-    stage_x = pruned_input_fft(sub, cx, n, axis=0, backend=backend, scratch=scratch)
-    return pruned_input_fft(stage_x, cy, n, axis=1, backend=backend, scratch=scratch)
+    stage_x = pruned_input_fft(sub, cx, n, axis=-3, backend=backend, scratch=scratch)
+    return pruned_input_fft(stage_x, cy, n, axis=-2, backend=backend, scratch=scratch)
 
 
 def rslab_from_subcube(
@@ -181,14 +182,15 @@ def rslab_from_subcube(
     ``fx`` rows are kept; the y stage is the usual complex pruned-input
     FFT.  The full slab is recoverable from 3D Hermitian symmetry
     ``S[-fx, -fy, z] = conj(S[fx, fy, z])``, so downstream stages operate
-    on half the pencils — the Hermitian fast path's 2x saving.
+    on half the pencils — the Hermitian fast path's 2x saving.  Leading
+    axes of ``sub`` pass through, as in :func:`slab_from_subcube`.
     """
     sub = np.asarray(sub)
-    if sub.ndim != 3:
-        raise ShapeError(f"sub-domain must be rank 3, got ndim={sub.ndim}")
+    if sub.ndim < 3:
+        raise ShapeError(f"sub-domain must be rank 3 or more, got ndim={sub.ndim}")
     cx, cy, _cz = (int(c) for c in corner)
-    stage_x = pruned_input_rfft(sub, cx, n, axis=0, backend=backend, scratch=scratch)
-    return pruned_input_fft(stage_x, cy, n, axis=1, backend=backend, scratch=scratch)
+    stage_x = pruned_input_rfft(sub, cx, n, axis=-3, backend=backend, scratch=scratch)
+    return pruned_input_fft(stage_x, cy, n, axis=-2, backend=backend, scratch=scratch)
 
 
 def pencil_batches(total: int, batch: int) -> Iterator[slice]:
@@ -354,13 +356,3 @@ def hermitian_partial_idft(
     out = (moved @ mat.T).real
     return np.moveaxis(out, -1, axis)
 
-
-def pruned_fft_slab(
-    sub: np.ndarray,
-    corner: Sequence[int],
-    n: int,
-    backend: str | Backend = "numpy",
-) -> np.ndarray:
-    """Alias of :func:`slab_from_subcube` matching the paper's terminology
-    ("the small domain undergoes a 2D transform to a slab")."""
-    return slab_from_subcube(sub, corner, n, backend=backend)

@@ -183,7 +183,8 @@ class PrunedPlan:
 
     # -- forward stages ------------------------------------------------------
     def forward_slab(self, sub: np.ndarray, corner: Sequence[int]) -> np.ndarray:
-        """x/y stages: ``(slab_rows, n, k)`` slab (half rows if Hermitian)."""
+        """x/y stages: ``(slab_rows, n, k)`` slab (half rows if Hermitian);
+        leading component axes of ``sub`` pass through."""
         if self.hermitian:
             return rslab_from_subcube(
                 sub, corner, self.n, backend=self.backend, scratch=self.scratch

@@ -70,7 +70,7 @@ def massif_convolution_plan(
         plan_guru_dft_r2c(dims, "small_cube", "slab", backend=backend, batch=batch),
         plan_guru_pointwise_c2c("slab", "scaled", kernel_spectrum),
         plan_guru_dft_c2r("scaled", "sampled_box", coords),
-        plan_guru_copy("sampled_box", "out", pattern, coords),
+        plan_guru_copy("sampled_box", "out", pattern),
     ]
     plan = fftx_plan_compose(
         plans, input_name="small_cube", output_name="out", label=MY_PLAN_LABEL

@@ -5,6 +5,14 @@ environment and writing another — the structure of Fig 5, where four
 sub-plans (pruned r2c, pointwise, pruned c2r with sampling, copy-out)
 compose into the MASSIF convolution.  Sub-plans also carry flop/workspace
 estimates for the optimizer.
+
+The sub-plans spell :class:`~repro.core.local_conv.LocalConvolution`'s
+stages declaratively; they do not re-implement them: the compressed
+inverse runs the complex :class:`~repro.fft.pruned_plan.PrunedPlan`'s
+``idft_z`` / ``idft_y`` / ``idft_x`` and the copy-out gathers through the
+pattern's ``box_gather_index``.  Only the forward sub-plan differs in
+kind: it publishes the whole ``n^3`` spectrum as a named buffer, which the
+pipeline never materializes.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, PlanError
-from repro.fft.pruned import partial_idft, pruned_fft3
+from repro.fft.pruned import pruned_fft3
+from repro.fft.pruned_plan import get_plan
 from repro.fftx.callbacks import get_callback
 from repro.fftx.iodim import IODim
 from repro.octree.compress import CompressedField
@@ -123,11 +132,11 @@ class DftC2RPlan(SubPlan):
 
     def apply(self, env: Env) -> None:
         spectrum = np.asarray(self._read(env), dtype=np.complex128)
-        cx, cy, cz = (np.asarray(c, dtype=np.intp) for c in self.coords)
-        out = partial_idft(spectrum, cz, axis=2)
-        out = partial_idft(out, cy, axis=1)
-        out = partial_idft(out, cx, axis=0)
-        env[self.out_name] = np.real(out)
+        n = spectrum.shape[0]
+        plan = get_plan(n, *self.coords)
+        zred = plan.idft_z(spectrum.reshape(n * n, n))
+        yred = plan.idft_y(zred.reshape(n, n, plan.mz))
+        env[self.out_name] = np.real(plan.idft_x(yred))
 
     def flops_estimate(self) -> float:
         # one dense matmul per axis over the shrinking intermediate
@@ -153,16 +162,12 @@ class CopyPlan(SubPlan):
         if self.pattern is None:
             raise PlanError("copy sub-plan needs a sampling pattern")
         pattern = self.pattern
-        coords = pattern.sample_coords
-        cx = np.asarray(self.params["coords_x"], dtype=np.intp)
-        cy = np.asarray(self.params["coords_y"], dtype=np.intp)
-        cz = np.asarray(self.params["coords_z"], dtype=np.intp)
-        ax = np.searchsorted(cx, coords[:, 0])
-        ay = np.searchsorted(cy, coords[:, 1])
-        az = np.searchsorted(cz, coords[:, 2])
         values = np.empty(pattern.sample_count, dtype=np.float64)
-        flat = (ax * len(cy) + ay) * len(cz) + az
-        get_callback(self.callback)(values, box.ravel()[flat], np.arange(values.size))
+        get_callback(self.callback)(
+            values,
+            np.take(box.reshape(-1), pattern.box_gather_index),
+            np.arange(values.size),
+        )
         env[self.out_name] = CompressedField(pattern=pattern, values=values)
 
 
@@ -231,19 +236,14 @@ def plan_guru_copy(
     in_name: str,
     out_name: str,
     pattern: SamplingPattern,
-    coords: Tuple[Sequence[int], Sequence[int], Sequence[int]],
     flags: int = 0,
 ) -> CopyPlan:
-    """Plan the sample copy-out (Fig 5, plans[3])."""
+    """Plan the sample copy-out (Fig 5, plans[3]): the box being copied
+    from must span ``pattern``'s per-axis coordinate sets."""
     return CopyPlan(
         kind="copy",
         in_name=in_name,
         out_name=out_name,
         flags=flags,
         pattern=pattern,
-        params={
-            "coords_x": coords[0],
-            "coords_y": coords[1],
-            "coords_z": coords[2],
-        },
     )

@@ -28,7 +28,7 @@ is defined as zero on all Nyquist planes (like the mean mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -145,78 +145,77 @@ def apply_gamma_generic(
     with np.errstate(divide="ignore", invalid="ignore"):
         inv2 = np.where(keep, 1.0 / np.where(norm2 > 0, norm2, 1.0), 0.0)
 
-    a = [sum(tau_hat[i, l] * xi[l] for l in range(3)) for i in range(3)]
-    b = [sum(xi[k] * tau_hat[k, i] for k in range(3)) for i in range(3)]
-    ab = [a[i] + b[i] for i in range(3)]
-    quad = sum(xi[k] * a[k] for k in range(3))
+    # With a_i = tau_il xi_l, b_i = xi_k tau_ki and q = xi . tau . xi,
+    #   (Gamma : tau)_ij = (xi_j (a_i + b_i) + xi_i (a_j + b_j)) / (4 mu |xi|^2)
+    #                      - coef2 xi_i xi_j q / |xi|^4
+    #                    = xi_j w_i + xi_i w_j,
+    #   w_i = (a_i + b_i) / (4 mu |xi|^2) - xi_i coef2 q / (2 |xi|^4):
+    # three fields carry both terms, and the result is symmetric in (i, j)
+    # whatever tau_hat is.
+    x0, x1, x2 = xi
+    a = [tau_hat[i, 0] * x0 + tau_hat[i, 1] * x1 + tau_hat[i, 2] * x2 for i in range(3)]
+    b = [x0 * tau_hat[0, i] + x1 * tau_hat[1, i] + x2 * tau_hat[2, i] for i in range(3)]
+    q = (x0 * a[0] + x1 * a[1] + x2 * a[2]) * (0.5 * lame.coef2 * inv2 * inv2)
+    inv2 = inv2 / (4.0 * lame.mu)
+    w = [(a[i] + b[i]) * inv2 - xi[i] * q for i in range(3)]
 
     out = np.empty(
         (3, 3) + np.broadcast_shapes(tau_hat.shape[2:], norm2.shape),
         dtype=np.result_type(tau_hat.dtype, np.float64),
     )
     for i in range(3):
-        for j in range(3):
-            term1 = (xi[j] * ab[i] + xi[i] * ab[j]) * (inv2 / (4.0 * lame.mu))
-            term2 = lame.coef2 * xi[i] * xi[j] * quad * (inv2 * inv2)
-            out[i, j] = term1 - term2
+        for j in range(i, 3):
+            out[i, j] = xi[j] * w[i] + xi[i] * w[j]
+            if i != j:
+                out[j, i] = out[i, j]
     return out
 
 
-def apply_gamma_hat(
-    tau_hat: np.ndarray, lame: LameParameters, zero_mean: bool = True
-) -> np.ndarray:
-    """Contract ``Gamma_hat_ijkl(xi) tau_hat_kl(xi)`` on the fly.
-
-    Parameters
-    ----------
-    tau_hat:
-        Fourier-space rank-2 tensor field, shape ``(3, 3, n, n, n)``
-        (complex).
-    lame:
-        Reference-medium coefficients.
-    zero_mean:
-        Zero the xi=0 mode of the result (default; matches the scheme).
-
-    Implementation: with ``a_i = tau_il xi_l`` and ``b_i = xi_k tau_ki``,
-
-        (Gamma : tau)_ij = (xi_j (a_i + b_i) + xi_i (a_j + b_j))
-                            / (4 mu |xi|^2)
-                         - coef2 * xi_i xi_j (xi . tau . xi) / |xi|^4
-
-    which is 9 + 3 field multiplies instead of 81, and never forms the
-    rank-4 tensor — the "on-the-fly" evaluation the paper highlights.
+def apply_gamma_hat(tau_hat: np.ndarray, lame: LameParameters) -> np.ndarray:
+    """Contract ``Gamma_hat_ijkl(xi) tau_hat_kl(xi)`` on the fly over the
+    dense grid: :func:`apply_gamma_generic` at the grid's own frequencies,
+    for a Fourier-space tensor field of shape ``(3, 3, n, n, n)``.  The
+    rank-4 tensor is never formed — the "on-the-fly" evaluation the paper
+    highlights.
     """
     tau_hat = np.asarray(tau_hat)
-    if tau_hat.ndim != 5 or tau_hat.shape[:2] != (3, 3):
+    n = tau_hat.shape[-1]
+    if tau_hat.shape != (3, 3, n, n, n):
         raise ShapeError(
             f"tau_hat must have shape (3, 3, n, n, n), got {tau_hat.shape}"
         )
-    n = tau_hat.shape[2]
-    if tau_hat.shape[2:] != (n, n, n):
-        raise ShapeError(f"tau_hat field part must be a cube, got {tau_hat.shape[2:]}")
+    return apply_gamma_generic(tau_hat, _xi_components(n), lame, n=n)
 
-    xi = _xi_components(n)
-    norm2 = frequency_norm2(n)
-    keep = (norm2 > 0) & ~nyquist_mask(xi, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv2 = np.where(keep, 1.0 / np.where(norm2 > 0, norm2, 1.0), 0.0)
 
-    # a_i = tau_il xi_l ; b_i = xi_k tau_ki
-    a = [sum(tau_hat[i, l] * xi[l] for l in range(3)) for i in range(3)]
-    b = [sum(xi[k] * tau_hat[k, i] for k in range(3)) for i in range(3)]
-    ab = [a[i] + b[i] for i in range(3)]
-    # xi . tau . xi
-    quad = sum(xi[k] * a[k] for k in range(3))
+#: Independent components of a symmetric rank-2 tensor, in stacking order.
+SYM_COMPONENTS: Tuple[Tuple[int, int], ...] = (
+    (0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1),
+)
+_SYM_I, _SYM_J = (list(axis) for axis in zip(*SYM_COMPONENTS))
+_SYM_INDEX = np.zeros((3, 3), dtype=np.intp)  # (i, j) -> position in the stack
+_SYM_INDEX[_SYM_I, _SYM_J] = _SYM_INDEX[_SYM_J, _SYM_I] = np.arange(6)
 
-    out = np.empty_like(tau_hat)
-    for i in range(3):
-        for j in range(3):
-            term1 = (xi[j] * ab[i] + xi[i] * ab[j]) * (inv2 / (4.0 * lame.mu))
-            term2 = lame.coef2 * xi[i] * xi[j] * quad * (inv2 * inv2)
-            out[i, j] = term1 - term2
-    if zero_mean:
-        out[:, :, 0, 0, 0] = 0.0
-    return out
+
+def gamma_pencil_operator(
+    lame: LameParameters, n: int
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """``Gamma_hat : tau`` as the staged transform's pointwise step.
+
+    ``apply(tau, ix, iy)`` maps the ``(6, B, n)`` z-spectra of a symmetric
+    ``tau``'s :data:`SYM_COMPONENTS` over ``B`` pencils (x / y frequency
+    indices ``ix``, ``iy``) to those of ``Gamma_hat : tau``, Eq 3 evaluated
+    from the pencil's frequencies.  ``Gamma_hat`` is real and even in
+    ``xi``, which is what ``real_kernel=True`` asks of an operator given to
+    :class:`~repro.core.local_conv.LocalConvolution`.
+    """
+    freqs = np.fft.fftfreq(n, d=1.0 / n)
+    xi_z = freqs.reshape(1, n)
+
+    def apply(tau: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        xi = (freqs[ix].reshape(-1, 1), freqs[iy].reshape(-1, 1), xi_z)
+        return apply_gamma_generic(tau[_SYM_INDEX], xi, lame, n=n)[_SYM_I, _SYM_J]
+
+    return apply
 
 
 def _xi_components(n: int):

@@ -26,5 +26,5 @@ def gamma_convolve_dense(sigma: np.ndarray, lame: LameParameters) -> np.ndarray:
     if sigma.ndim != 5 or sigma.shape[:2] != (3, 3):
         raise ShapeError(f"sigma must be (3, 3, n, n, n), got {sigma.shape}")
     sigma_hat = np.fft.fftn(sigma, axes=(2, 3, 4))
-    deps_hat = apply_gamma_hat(sigma_hat, lame, zero_mean=True)
+    deps_hat = apply_gamma_hat(sigma_hat, lame)
     return np.real(np.fft.ifftn(deps_hat, axes=(2, 3, 4)))

@@ -1,16 +1,21 @@
 """The proposed MASSIF inner loop — Algorithm 2 (low-communication).
 
 Identical fixed-point structure to Algorithm 1, but the Gamma convolution
-(steps 3-5) is computed domain-by-domain with in-pipeline compression:
+(steps 3-5) runs on the library's in-process low-communication runtime —
+the one ``run_serial`` runs on — with a tensor-valued field:
 
-- per sub-domain ``d``: local pruned FFT of the 6 independent stress
-  components (slab stage), pencil-batched z transform, the *on-the-fly*
-  ``Gamma_hat`` contraction per pencil batch (Eq 3 evaluated from the
-  pencil's frequencies — no kernel array is ever materialized), and a
-  compressed staged inverse onto the octree sampling pattern;
-- one sparse exchange (an allgather of compressed samples when a
-  communicator is supplied) and interpolation accumulate
-  ``Delta eps`` (Alg 2 line 6);
+- the six independent stress components of every sub-domain that is not
+  all zero go, as one ``(6, k, k, k)`` block, through
+  :meth:`~repro.core.pipeline.LowCommConvolution3D.convolve_chunks`: the
+  pruned staged transform on the Hermitian half spectrum, its pointwise
+  step the *on-the-fly* ``Gamma_hat`` contraction
+  (:func:`~repro.kernels.green_massif.gamma_pencil_operator`; Eq 3 from
+  each pencil's frequencies, no kernel array is ever materialized),
+  compressed onto the sub-domain's octree pattern, one field a component;
+- one sparse exchange (booked on the simulated communicator when one is
+  supplied) and interpolation accumulate ``Delta eps`` component by
+  component (:func:`~repro.core.accumulate.accumulate_global`; Alg 2
+  line 6);
 - strain/stress updates proceed exactly as in Algorithm 1 (lines 7-8).
 
 Approximation error enters only through the sampling/interpolation of each
@@ -21,26 +26,25 @@ iterations" — reproduced by the convergence benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.comm import SimulatedComm
-from repro.core.decomposition import DomainDecomposition
+from repro.core.accumulate import accumulate_global
+from repro.core.decomposition import SubDomain
+from repro.core.distributed_runner import book_exchange
+from repro.core.local_conv import PencilOperator
+from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
-from repro.fft.backend import Backend, get_backend
-from repro.fft.pruned import partial_idft, pencil_batches, slab_from_subcube, zstage_batch
-from repro.kernels.green_massif import LameParameters, apply_gamma_generic
+from repro.kernels.green_massif import (
+    SYM_COMPONENTS,
+    LameParameters,
+    gamma_pencil_operator,
+)
 from repro.massif.elasticity import StiffnessField
 from repro.massif.solver import MassifSolver
 from repro.octree.compress import CompressedField
-from repro.octree.interpolate import reconstruct_box
-from repro.octree.sampling import SamplingPattern
-
-#: Independent components of a symmetric rank-2 tensor.
-SYM_COMPONENTS: Tuple[Tuple[int, int], ...] = (
-    (0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1),
-)
 
 
 class LowCommMassifSolver(MassifSolver):
@@ -82,7 +86,7 @@ class LowCommMassifSolver(MassifSolver):
         tol: float = 1e-6,
         max_iter: int = 200,
         batch: Optional[int] = None,
-        backend: str | Backend = "numpy",
+        backend: str = "numpy",
         interpolation: str = "linear",
         comm: Optional[SimulatedComm] = None,
         stall_window: int = 0,
@@ -97,110 +101,45 @@ class LowCommMassifSolver(MassifSolver):
             stall_window=stall_window,
         )
         n = stiffness.n
-        self.decomposition = DomainDecomposition(n=n, k=k)
         self.policy = policy or SamplingPolicy.flat_rate(2)
-        self.batch = int(batch) if batch else n
-        self.backend = get_backend(backend)
-        self.interpolation = interpolation
+        self.pipeline = LowCommConvolution3D(
+            n,
+            k,
+            PencilOperator(gamma_pencil_operator(self.reference, n)),
+            policy=self.policy,
+            backend=backend,
+            batch=batch,
+            interpolation=interpolation,
+            real_kernel=True,
+        )
+        self.decomposition = self.pipeline.decomposition
         self.comm = comm
-        self._patterns: Dict[Tuple[int, int, int], SamplingPattern] = {}
-        self._freqs = np.fft.fftfreq(n, d=1.0 / n)
 
-    # -- pattern cache ---------------------------------------------------------
-    def _pattern(self, corner: Tuple[int, int, int]) -> SamplingPattern:
-        if corner not in self._patterns:
-            self._patterns[corner] = self.policy.pattern_for(
-                self.decomposition.n, self.decomposition.k, corner
-            )
-        return self._patterns[corner]
+    def _convolve_components(
+        self, sigma: np.ndarray
+    ) -> List[Tuple[SubDomain, List[CompressedField]]]:
+        """Compressed ``Gamma : sigma_d`` of every active sub-domain ``d``:
+        one field per :data:`SYM_COMPONENTS` entry, on one pattern."""
+        components = np.stack([sigma[i, j] for i, j in SYM_COMPONENTS])
+        blocks = self.decomposition.active_blocks(components)
+        return list(self.pipeline.convolve_chunks(blocks))
 
     # -- the overridden convolution step ----------------------------------------
     def _gamma_correction(self, sigma: np.ndarray) -> np.ndarray:
         """Domain-local compressed evaluation of ``ifft(Gamma : fft(sigma))``."""
-        return self._lowcomm_convolve(sigma)
-
-    def _lowcomm_convolve(self, sigma: np.ndarray) -> np.ndarray:
-        n = self.decomposition.n
-        per_domain: List[Tuple[Tuple[int, int, int], List[CompressedField]]] = []
-        for sub in self.decomposition:
-            block = sigma[(slice(None), slice(None)) + sub.slices()]
-            if not np.any(block):
-                continue
-            fields = self._convolve_subdomain(block, sub.corner)
-            per_domain.append((sub.corner, fields))
-
+        per_domain = self._convolve_components(sigma)
         if self.comm is not None and per_domain:
-            # The single sparse exchange: all compressed component samples.
-            payload = np.concatenate(
-                [f.values for _c, fields in per_domain for f in fields]
+            # The single sparse exchange: every rank's own sub-domains'
+            # samples, all six components.
+            book_exchange(
+                self.comm,
+                [(sub, f) for sub, fields in per_domain for f in fields],
             )
-            sends = [payload if r == 0 else np.empty(0) for r in range(self.comm.size)]
-            self.comm.allgather(sends)
-
         deps = np.zeros_like(sigma)
-        for _corner, fields in per_domain:
-            for comp_idx, (i, j) in enumerate(SYM_COMPONENTS):
-                rec = reconstruct_box(
-                    fields[comp_idx], (0, 0, 0), (n, n, n), method=self.interpolation
+        if per_domain:
+            for comp, (i, j) in enumerate(SYM_COMPONENTS):
+                deps[i, j] = deps[j, i] = accumulate_global(
+                    [fields[comp] for _sub, fields in per_domain],
+                    method=self.pipeline.interpolation,
                 )
-                deps[i, j] += rec
-                if i != j:
-                    deps[j, i] += rec
         return deps
-
-    def _convolve_subdomain(
-        self, block: np.ndarray, corner: Tuple[int, int, int]
-    ) -> List[CompressedField]:
-        """Compressed ``Gamma : sigma_d`` for one sub-domain's 6 components."""
-        n = self.decomposition.n
-        k = self.decomposition.k
-        cz = corner[2]
-        pattern = self._pattern(corner)
-        coords_x = pattern.axis_coordinate_set(0)
-        coords_y = pattern.axis_coordinate_set(1)
-        coords_z = pattern.axis_coordinate_set(2)
-        sz = len(coords_z)
-
-        # Slab stage for all 9 components (symmetric input: build from 6).
-        slabs = np.empty((3, 3, n * n, k), dtype=np.complex128)
-        for (i, j) in SYM_COMPONENTS:
-            s = slab_from_subcube(block[i, j], corner, n, backend=self.backend)
-            slabs[i, j] = s.reshape(n * n, k)
-            if i != j:
-                slabs[j, i] = slabs[i, j]
-
-        ix_all, iy_all = np.divmod(np.arange(n * n, dtype=np.intp), n)
-        f = self._freqs
-        xi_z = f.reshape(1, n)
-
-        zred = np.empty((3, 3, n * n, sz), dtype=np.complex128)
-        for sl in pencil_batches(n * n, self.batch):
-            b = sl.stop - sl.start
-            tau = np.empty((3, 3, b, n), dtype=np.complex128)
-            for (i, j) in SYM_COMPONENTS:
-                tau[i, j] = zstage_batch(slabs[i, j][sl], cz, n, backend=self.backend)
-                if i != j:
-                    tau[j, i] = tau[i, j]
-            xi = (
-                f[ix_all[sl]].reshape(b, 1),
-                f[iy_all[sl]].reshape(b, 1),
-                xi_z,
-            )
-            deps_hat = apply_gamma_generic(tau, xi, self.reference, n=n)
-            for (i, j) in SYM_COMPONENTS:
-                zred[i, j, sl] = partial_idft(deps_hat[i, j], coords_z, axis=1)
-                if i != j:
-                    zred[j, i, sl] = zred[i, j, sl]
-
-        fields: List[CompressedField] = []
-        sc = pattern.sample_coords
-        ax = np.searchsorted(coords_x, sc[:, 0])
-        ay = np.searchsorted(coords_y, sc[:, 1])
-        az = np.searchsorted(coords_z, sc[:, 2])
-        for (i, j) in SYM_COMPONENTS:
-            comp = zred[i, j].reshape(n, n, sz)
-            yred = partial_idft(comp, coords_y, axis=1)
-            box = partial_idft(yred, coords_x, axis=0)
-            values = np.real(box[ax, ay, az])
-            fields.append(CompressedField(pattern=pattern, values=values))
-        return fields

@@ -23,9 +23,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import ConvergenceError, ShapeError
-from repro.kernels.green_massif import LameParameters, apply_gamma_hat
+from repro.kernels.green_massif import LameParameters
 from repro.massif.convergence import equilibrium_residual, strain_change
 from repro.massif.elasticity import StiffnessField
+from repro.massif.green_operator import gamma_convolve_dense
 
 
 @dataclass
@@ -94,9 +95,7 @@ class MassifSolver:
         Overridden by the low-communication solver; everything else in the
         loop is shared.
         """
-        sigma_hat = np.fft.fftn(sigma, axes=(2, 3, 4))
-        deps_hat = apply_gamma_hat(sigma_hat, self.reference, zero_mean=True)
-        return np.real(np.fft.ifftn(deps_hat, axes=(2, 3, 4)))
+        return gamma_convolve_dense(sigma, self.reference)
 
     def _on_solve_start(self) -> None:
         """Hook for subclasses to reset per-solve state."""

@@ -121,6 +121,51 @@ def test_lower_layers_do_not_import_runtimes():
     assert not offenders, "\n".join(offenders)
 
 
+def _imports(path):
+    """``(line, module, imported name or None)`` for every absolute import."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name, None
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                yield node.lineno, node.module, alias.name
+
+
+#: what the paper's use cases may still take from ``repro.fft.pruned``: the
+#: full-spectrum forward reference transform the FFTX r2c sub-plan publishes
+#: as a named buffer (no plan stage produces the ``n^3`` spectrum)
+PRUNED_ALLOWED = {"pruned_fft3"}
+
+
+def test_use_cases_reach_the_stages_through_the_plan():
+    """``massif/`` and ``fftx/`` run the staged transform through
+    ``LocalConvolution`` / ``PrunedPlan``: importing a stage primitive
+    (``partial_idft``, ``zstage_batch``, ``slab_from_subcube``, ...) is how
+    a hand copy of the pipeline starts."""
+    from repro.fft import pruned
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for layer in ("massif", "fftx"):
+        for path in sorted((root / layer).rglob("*.py")):
+            for lineno, module, name in _imports(path):
+                direct = module == "repro.fft.pruned"
+                via_package = module == "repro.fft" and hasattr(pruned, name or "")
+                if (direct or via_package) and name not in PRUNED_ALLOWED:
+                    offenders.append(
+                        f"{path.relative_to(root)}:{lineno} imports "
+                        f"{module}.{name or '*'}"
+                    )
+    solver = root / "massif" / "lowcomm_solver.py"
+    offenders += [
+        f"massif/lowcomm_solver.py:{lineno} imports {module}"
+        for lineno, module, _name in _imports(solver)
+        if f"{module}.".startswith("repro.fft.")
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
 def test_version_exposed():
     assert isinstance(repro.__version__, str)
     assert repro.__version__.count(".") >= 1

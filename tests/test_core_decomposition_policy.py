@@ -52,6 +52,24 @@ class TestDomainDecomposition:
         with pytest.raises(ShapeError):
             d.extract(np.zeros((4, 4, 4)), d.subdomain(0))
 
+    def test_leading_component_axes(self, rng):
+        """A tensor-valued field is cut block by block with its component
+        axes kept; a block is active if any component is non-zero."""
+        d = DomainDecomposition(n=8, k=4)
+        field = np.zeros((2, 3, 8, 8, 8))
+        field[1, 2, 5, 1, 6] = 1.0  # one sample, one component
+        (active,) = d.active_subdomains(field)
+        assert active.corner == (4, 0, 4)
+        ((sub, block),) = d.active_blocks(field)
+        assert sub == active and block.shape == (2, 3, 4, 4, 4)
+        assert block[1, 2, 1, 1, 2] == 1.0 and block.sum() == 1.0
+        dense = rng.standard_normal((2, 8, 8, 8))
+        block = d.extract(dense, active)
+        assert np.array_equal(block[1], d.extract(dense[1], active))
+        assert not np.shares_memory(block, dense)
+        with pytest.raises(ShapeError):
+            d.extract(np.zeros((2, 8, 8, 4)), active)
+
     def test_round_robin_covers_all(self):
         d = DomainDecomposition(n=16, k=4)
         buckets = d.assign_round_robin(3)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.memory import MemoryTracker
-from repro.core.local_conv import LocalConvolution
-from repro.core.policy import SamplingPolicy
+from repro.core.local_conv import LocalConvolution, PencilOperator
+from repro.core.policy import SamplingPolicy, parse_policy
 from repro.core.reference import reference_convolve, reference_subdomain_convolve
 from repro.errors import DeviceMemoryError, ShapeError
+from repro.fft.pruned import pencil_batches
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.compress import CompressedField
 from repro.octree.interpolate import reconstruct_dense
@@ -275,3 +276,149 @@ class TestBoxGatherIndex:
         np.testing.assert_allclose(
             cf.values, exact[sc[:, 0], sc[:, 1], sc[:, 2]], atol=1e-10
         )
+
+
+def _single_component_oracle(lc, spectrum, sub, corner):
+    """``LocalConvolution.convolve`` as it was before the component axis,
+    numpy call for numpy call, driven through the plan the convolution
+    itself uses: the scalar path's reference."""
+    n = lc.n
+    pattern = lc.policy.pattern_for(n, sub.shape[0], corner)
+    sets = [pattern.axis_coordinate_set(axis) for axis in range(3)]
+    plan = lc.plans.get(n, *sets, backend=lc.backend, hermitian=lc.real_kernel)
+    kernel = (np.real(spectrum) if lc.real_kernel else spectrum).reshape(n * n, n)
+    k = sub.shape[2]
+    flat = plan.forward_slab(sub, corner).reshape(plan.num_pencils, k)
+    zred = np.empty((plan.num_pencils, plan.mz), dtype=np.complex128)
+    for sl in pencil_batches(plan.num_pencils, lc.batch):
+        spec = plan.zstage(flat[sl], corner[2])
+        spec *= kernel[sl]
+        plan.idft_z(spec, out=zred[sl])
+    yred = plan.idft_y(zred.reshape(plan.slab_rows, n, plan.mz))
+    box = plan.idft_x(yred, work=zred)
+    return plan, np.real(np.take(box.reshape(-1), pattern.box_gather_index))
+
+
+class TestComponentAxis:
+    """The transform is tensor-valued; one component is the old scalar
+    path bit for bit, and a stack is its components side by side."""
+
+    #: policy x (GEMM-, FFT-strategy shape); each runs Hermitian and complex
+    SHAPES = [
+        ("flat:2", 32, 8, (8, 16, 8), "gemm"),
+        ("flat:2", 64, 16, (16, 32, 16), "fft"),
+        ("banded", 32, 8, (8, 0, 24), "gemm"),
+        ("banded", 64, 32, (0, 32, 0), "fft"),
+    ]
+
+    @staticmethod
+    def _conv(policy, n, real_kernel, **kwargs):
+        spectrum = GaussianKernel(n=n, sigma=2.0).spectrum()
+        lc = LocalConvolution(
+            n, spectrum, parse_policy(policy), real_kernel=real_kernel, **kwargs
+        )
+        return lc, spectrum
+
+    @pytest.mark.parametrize("real_kernel", [True, False], ids=["hermitian", "complex"])
+    @pytest.mark.parametrize("policy,n,k,corner,form", SHAPES)
+    def test_scalar_path_unchanged(self, policy, n, k, corner, form, real_kernel, rng):
+        sub = rng.standard_normal((k, k, k))
+        mt = MemoryTracker()
+        lc, spectrum = self._conv(policy, n, real_kernel, batch=48, memory=mt)
+        got = lc.convolve(sub, corner)
+        peak = mt.peak_bytes
+        plan, expected = _single_component_oracle(lc, spectrum, sub, corner)
+        assert plan.strategy[:2] == (form, form)
+        assert got.values.dtype == expected.dtype
+        assert np.array_equal(got.values, expected)
+        # the same block as a stack of one: same bytes, same tracked peak
+        (stacked,) = lc.convolve(sub[None], corner)
+        assert np.array_equal(stacked.values, expected)
+        assert mt.peak_bytes == peak and mt.current_bytes == 0
+
+    @pytest.mark.parametrize("real_kernel", [True, False], ids=["hermitian", "complex"])
+    @pytest.mark.parametrize("policy,n,k,corner,form", SHAPES[:2])
+    def test_stack_equals_separate_calls_bitwise(
+        self, policy, n, k, corner, form, real_kernel, rng
+    ):
+        """Every stage keeps the per-component GEMM / FFT shapes, so a
+        shared scalar kernel over C components is C one-component calls."""
+        subs = rng.standard_normal((3, k, k, k))
+        lc, _spectrum = self._conv(policy, n, real_kernel, batch=40)
+        stacked = lc.convolve(subs, corner)
+        assert len(stacked) == 3
+        for sub, field in zip(subs, stacked):
+            assert np.array_equal(field.values, lc.convolve(sub, corner).values)
+            assert field.pattern is stacked[0].pattern
+        dense = lc.convolve_dense_debug(subs, corner)
+        assert dense.shape == (3, n, n, n)
+        assert np.array_equal(dense[1], lc.convolve_dense_debug(subs[1], corner))
+
+    def test_stack_charges_every_component(self):
+        n, k, corner = 32, 8, (8, 16, 8)
+        peaks = []
+        for comps in (1, 4):
+            mt = MemoryTracker()
+            lc, _ = self._conv("flat:2", n, True, memory=mt)
+            lc.convolve(np.ones((comps, k, k, k)), corner)
+            peaks.append(mt.peak_bytes)
+        assert peaks[1] == 4 * peaks[0]  # no y_full_plane on a GEMM shape
+
+    def test_operator_multiplying_by_the_kernel_is_the_scalar_path(self, rng):
+        n, k, corner = 32, 8, (0, 8, 16)
+        subs = rng.standard_normal((2, k, k, k))
+        lc, spectrum = self._conv("flat:2", n, True)
+        kernel = np.real(spectrum)
+        seen = []
+
+        def multiply(spec, ix, iy):
+            seen.append((spec.shape, ix.copy(), iy.copy()))
+            spec *= kernel[ix, iy, :]
+            return spec
+
+        op = LocalConvolution(
+            n, PencilOperator(multiply), lc.policy, real_kernel=True, batch=40
+        )
+        assert op.real_kernel
+        for a, b in zip(op.convolve(subs, corner), lc.convolve(subs, corner)):
+            assert np.array_equal(a.values, b.values)
+        # half-spectrum pencils, batch by batch, with their frequency rows
+        rows = n // 2 + 1
+        assert sum(shape[1] for shape, _ix, _iy in seen) == rows * n
+        assert all(shape == (2, len(ix), n) for shape, ix, _iy in seen)
+        assert max(ix.max() for _s, ix, _iy in seen) == rows - 1
+        # without the promise an operator runs the complex path
+        assert not LocalConvolution(n, PencilOperator(multiply), lc.policy).real_kernel
+
+    def test_operator_may_mix_components(self, rng):
+        n, k, corner = 16, 4, (4, 8, 0)
+        subs = rng.standard_normal((2, k, k, k))
+        spectrum = GaussianKernel(n=n, sigma=1.2).spectrum()
+        policy = SamplingPolicy.flat_rate(1)
+
+        def swap_and_multiply(spec, ix, iy):
+            return spec[::-1] * spectrum[ix, iy, :]
+
+        swapped = LocalConvolution(n, PencilOperator(swap_and_multiply), policy)
+        plain = LocalConvolution(n, spectrum, policy)
+        got = swapped.convolve(subs, corner)
+        for field, sub in zip(got, subs[::-1]):
+            np.testing.assert_allclose(
+                field.values, plain.convolve(sub, corner).values, atol=1e-12
+            )
+
+    def test_operator_must_keep_the_batch_shape(self, rng):
+        lc = LocalConvolution(
+            16, PencilOperator(lambda spec, ix, iy: spec[:1]), SamplingPolicy()
+        )
+        with pytest.raises(ShapeError, match="pointwise operator"):
+            lc.convolve(rng.standard_normal((2, 4, 4, 4)), (0, 0, 0))
+
+    def test_rank_is_three_or_four(self, setup16):
+        n, k, spec, sub = setup16
+        lc = LocalConvolution(n, spec, SamplingPolicy())
+        for bad in (sub[0], sub[None, None]):
+            with pytest.raises(ShapeError):
+                lc.convolve(bad, (0, 0, 0))
+        with pytest.raises(ShapeError):  # bounds are checked on the box axes
+            lc.convolve(sub[None], (n - 1, 0, 0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributed_runner import DistributedLowCommConvolution
-from repro.core.local_conv import LocalConvolution
+from repro.core.local_conv import LocalConvolution, PencilOperator
 from repro.core.parallel import convolve_subdomains_parallel, default_workers
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
@@ -80,6 +80,13 @@ class TestRunParallel:
         n, k, _spec, field = setup32
         local_fn = lambda ix, iy: np.ones((len(ix), n))  # noqa: E731
         pipe = LowCommConvolution3D(n, k, local_fn, SamplingPolicy.flat_rate(4))
+        with pytest.raises(ConfigurationError, match="picklable"):
+            pipe.run_parallel(field, max_workers=2)
+
+    def test_unpicklable_operator_rejected(self, setup32):
+        n, k, _spec, field = setup32
+        op = PencilOperator(lambda spec, ix, iy: spec)
+        pipe = LowCommConvolution3D(n, k, op, SamplingPolicy.flat_rate(4))
         with pytest.raises(ConfigurationError, match="picklable"):
             pipe.run_parallel(field, max_workers=2)
 

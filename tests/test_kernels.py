@@ -7,10 +7,12 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.kernels.freq import frequency_grid, frequency_norm2
 from repro.kernels.gaussian import GaussianKernel
 from repro.kernels.green_massif import (
+    SYM_COMPONENTS,
     LameParameters,
     apply_gamma_generic,
     apply_gamma_hat,
     gamma_hat_tensor,
+    gamma_pencil_operator,
 )
 from repro.kernels.poisson import PoissonKernel
 from repro.kernels.properties import (
@@ -210,7 +212,7 @@ class TestGammaOperator:
         tau = rng.standard_normal((3, 3, n, n, n)) + 1j * rng.standard_normal(
             (3, 3, n, n, n)
         )
-        dense = apply_gamma_hat(tau, lame, zero_mean=False)
+        dense = apply_gamma_hat(tau, lame)
         f = np.fft.fftfreq(n, 1 / n)
         # pencils along z for rows (ix=2, iy=3)
         pencil_tau = tau[:, :, 2, 3, :].reshape(3, 3, 1, n)
@@ -248,6 +250,44 @@ class TestGammaOperator:
         lame = LameParameters(lam=1.0, mu=1.0)
         with pytest.raises(ShapeError):
             apply_gamma_hat(np.zeros((2, 2, 4, 4, 4)), lame)
+        with pytest.raises(ShapeError):  # the field part must be a cube
+            apply_gamma_hat(np.zeros((3, 3, 4, 4, 6)), lame)
+
+    def test_dense_form_is_the_generic_form_on_the_grid(self, rng):
+        lame = LameParameters.from_young_poisson(1.0, 0.3)
+        n = 8
+        tau = rng.standard_normal((3, 3, n, n, n)) + 1j * rng.standard_normal(
+            (3, 3, n, n, n)
+        )
+        assert np.array_equal(
+            apply_gamma_hat(tau, lame),
+            apply_gamma_generic(tau, frequency_grid(n), lame, n=n),
+        )
+
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_pencil_operator_on_half_spectrum_matches_dense(self, n, rng):
+        """The staged transform's pointwise step — six symmetric components
+        of the n//2+1 non-redundant x rows, pencil batch by pencil batch —
+        against the dense-grid oracle (even n: Nyquist planes included)."""
+        lame = LameParameters.from_young_poisson(2.0, 0.25)
+        sigma = rng.standard_normal((3, 3, n, n, n))
+        sigma = sigma + sigma.transpose(1, 0, 2, 3, 4)
+        sigma_hat = np.fft.fftn(sigma, axes=(2, 3, 4))
+        dense = apply_gamma_hat(sigma_hat, lame)
+        i, j = (list(axis) for axis in zip(*SYM_COMPONENTS))
+        rows = n // 2 + 1
+        apply = gamma_pencil_operator(lame, n)
+        ix, iy = np.divmod(np.arange(rows * n), n)
+        for start in range(0, rows * n, 10):  # batches that straddle rows
+            sl = slice(start, start + 10)
+            tau = sigma_hat[i, j][:, ix[sl], iy[sl], :]
+            got = apply(tau, ix[sl], iy[sl])
+            assert got.shape == tau.shape
+            np.testing.assert_allclose(
+                got, dense[i, j][:, ix[sl], iy[sl], :], atol=1e-12
+            )
+            if n % 2 == 0:
+                assert np.abs(got[:, ix[sl] == n // 2]).max(initial=0.0) == 0.0
 
 
 class TestProperties:

@@ -312,7 +312,7 @@ class TestPlanReuse:
         sigma = sigma + sigma.transpose(1, 0, 2, 3, 4)
         table = interpolate._PLANS
         misses, hits = table.misses, table.hits
-        solver._lowcomm_convolve(sigma)
+        solver._gamma_correction(sigma)
         subdomains = (n // k) ** 3
         assert table.misses - misses <= subdomains
         assert (table.hits - hits) + (table.misses - misses) == 6 * subdomains
