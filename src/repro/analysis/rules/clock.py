@@ -1,7 +1,7 @@
 """CLK001: direct wall-clock reads inside clock-injected layers.
 
-Everything in :mod:`repro.serve`, :mod:`repro.xpr`, and
-:mod:`repro.pool` is specified to read time through the injectable
+Everything in :mod:`repro.serve`, :mod:`repro.xpr`, :mod:`repro.pool`
+and :mod:`repro.dist` is specified to read time through the injectable
 :class:`repro.serve.clock.Clock` so scheduler flushes, deadlines, trial
 timings, rendezvous waits, and gate evaluation are testable with a
 :class:`~repro.serve.clock.ManualClock` and zero real sleeps.  One
@@ -11,9 +11,9 @@ up as a flaky deadline test months later.
 
 This rule flags every call to ``time.time`` / ``time.monotonic`` /
 ``time.sleep`` / ``time.perf_counter`` (module-qualified or imported
-bare) in any file under a ``serve/``, ``xpr/``, or ``pool/`` directory,
-except ``serve/clock.py`` itself — the one sanctioned adapter between
-the :class:`Clock` interface and the real clock.
+bare) in any file under a ``serve/``, ``xpr/``, ``pool/`` or ``dist/``
+directory, except ``serve/clock.py`` itself — the one sanctioned adapter
+between the :class:`Clock` interface and the real clock.
 """
 
 from __future__ import annotations
@@ -28,19 +28,19 @@ from repro.analysis.rules.base import Rule
 _CLOCK_FUNCS = frozenset({"time", "monotonic", "sleep", "perf_counter"})
 
 #: Directory names whose Python files are held to the injectable-Clock
-#: contract (the serving layer, the experiment orchestrator, and the
-#: standing rank pool).
-_CLOCKED_TREES = frozenset({"serve", "xpr", "pool"})
+#: contract (the serving layer, the experiment orchestrator, the
+#: standing rank pool, and the cross-rank runtime beneath it).
+_CLOCKED_TREES = frozenset({"serve", "xpr", "pool", "dist"})
 
 
 class InjectableClockRule(Rule):
     """CLK001: clock-injected trees must use the Clock, not ``time.*``."""
 
     rule_id = "CLK001"
-    description = "serve/, xpr/, and pool/ read time only through serve.clock"
+    description = "serve/, xpr/, pool/ and dist/ read time only through serve.clock"
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        """Flag direct wall-clock calls in serve/, xpr/, and pool/ modules."""
+        """Flag direct wall-clock calls in serve/, xpr/, pool/ and dist/ modules."""
         if not _CLOCKED_TREES & set(ctx.parts) or (
             "serve" in ctx.parts and ctx.parts[-1] == "clock.py"
         ):

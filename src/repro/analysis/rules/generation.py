@@ -1,4 +1,4 @@
-"""GEN001: generation-fence conformance for the rank pool.
+"""GEN001: generation-fence conformance for the rank runtime.
 
 The standing pool survives membership churn through one invariant pair
 (PR 8): every :class:`~repro.pool.membership.Roster` mutation bumps the
@@ -6,7 +6,8 @@ roster ``generation``, and every job path that touches roster state
 checks the job's stamped generation against the agent's *before* running
 — otherwise a rank evicted mid-job keeps computing against a stale mesh
 and the bitwise guarantee silently dies.  GEN001 proves both halves
-statically for every file under ``pool/``:
+statically for every file under ``pool/`` (the roster) and ``dist/`` (the
+job handler every rank process runs, :mod:`repro.dist.agent`):
 
 **Mutation ⇒ bump.**  Inside a class, any method that mutates a
 members-map attribute (subscript assign/delete on, or a mutating method
@@ -49,6 +50,10 @@ _MUTATING_METHODS = frozenset(
 
 #: The fact proven by the must-analysis.
 _FENCED = "fenced"
+
+#: Directory names whose files are checked: the pool's roster and the
+#: job handler shared with the cold launcher.
+_SCOPE = frozenset({"pool", "dist"})
 
 
 def _is_members_attr(expr: ast.expr) -> bool:
@@ -147,8 +152,8 @@ class GenerationFenceRule(Rule):
     description = "roster mutations bump generation; job paths fence first"
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        """Check both fence invariants over one ``pool/`` file."""
-        if "pool" not in ctx.parts[:-1]:
+        """Check both fence invariants over one ``pool/`` or ``dist/`` file."""
+        if not _SCOPE & set(ctx.parts[:-1]):
             return []
         findings: List[Finding] = []
         findings += self._check_mutations(ctx)

@@ -30,11 +30,14 @@ Layers, bottom up:
   pruned-plan local convolutions of its round-robin sub-domains, octree
   compression, :mod:`repro.octree.serialize` payloads through the wire,
   block accumulation (bitwise identical to ``run_serial``).
-- :mod:`repro.dist.runtime` — spawns the ranks (threads for ``local``,
-  processes for ``tcp``) and shuttles bootstrap/checkpoint/result
-  messages.
-- :mod:`repro.dist.launcher` — :func:`dist_run`: the driver; survives a
-  rank death by recovering from the shipped checkpoints, cross-validates
+- :mod:`repro.dist.jobs` / :mod:`repro.dist.agent` — the rank process:
+  one job with exact per-job ledgers inside the ``form`` / ``mesh`` /
+  ``job`` control loop a cold rank and a standing pool agent both serve.
+- :mod:`repro.dist.runtime` — the job driver: rank threads for ``local``;
+  for ``tcp``, processes forked for one job and driven by the mesh
+  formation, dispatch and post-draining :mod:`repro.pool` also calls.
+- :mod:`repro.dist.launcher` — :func:`dist_run`: the front door; survives
+  a rank death by recovering from the shipped checkpoints, cross-validates
   measured wire bytes against the Eq 6 cost model.
 
 ``python -m repro dist-run --ranks 4 --transport tcp`` runs the whole

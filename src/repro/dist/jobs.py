@@ -1,8 +1,9 @@
-"""Job execution on a standing mesh: warm ranks, exact per-job accounting.
+"""Job execution on a formed mesh: exact per-job accounting, warm ranks.
 
-A pool job is a ``dist_run``-shaped unit of work (:class:`PoolJob`
-wraps a :class:`~repro.dist.worker.DistConfig`) executed by agents that
-*outlive* it.  The rank body is the unmodified
+A job is a ``dist_run``-shaped unit of work (:class:`PoolJob` wraps a
+:class:`~repro.dist.worker.DistConfig`) executed by a rank process that
+may *outlive* it: a pool agent serves a stream of them, a cold
+``dist_run`` rank exactly one.  The rank body is the unmodified
 :func:`~repro.dist.worker.rank_main` on a plain
 :class:`~repro.dist.collectives.Communicator` (whose parked-frame
 matching is what makes back-to-back jobs on one mesh safe); what this
@@ -17,8 +18,8 @@ module adds is the bracketing a long-lived rank needs around it:
    so it is simply reset at job start.
 
 2. **Warm plans.**  Every job builds its pipeline on the process-wide
-   plan cache; the cache's hit/miss difference over the job is returned
-   as evidence that plans persisted.
+   plan cache; the cache's hit/miss difference over the job rides on the
+   result as evidence that plans persisted.
 
 3. **Standing kernels.**  The agent's spectrum table
    (:data:`~repro.dist.inputs.SPECTRUM_TABLE_BYTES`, keyed on content)
@@ -38,22 +39,42 @@ module adds is the bracketing a long-lived rank needs around it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.dist.collectives import Communicator
 from repro.dist.worker import DistConfig, RankResult, rank_main
+from repro.errors import StaleGenerationError
 from repro.fft.pruned_plan import default_cache
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
 
-__all__ = ["PoolJob", "execute_job", "wire_delta"]
+__all__ = ["PoolJob", "execute_job", "fence_generation", "wire_delta"]
+
+
+def fence_generation(seen: int, current: int) -> None:
+    """Reject work stamped with any generation but ``current``.
+
+    The standalone form of :meth:`repro.pool.membership.Roster.fence`,
+    for call sites that hold a generation number without holding a
+    roster (a rank fencing an incoming job against the generation its
+    mesh was formed at).  GEN001 statically requires a fence on every
+    path into ``execute_job``; this helper is the canonical way to
+    provide one.
+    """
+    if int(seen) != int(current):
+        raise StaleGenerationError(
+            f"roster generation {seen} rejected "
+            f"(current generation is {current})",
+            seen=int(seen),
+            current=int(current),
+        )
 
 
 @dataclass
 class PoolJob:
-    """One unit of work shipped to the standing mesh.
+    """One unit of work shipped to a formed mesh.
 
     ``field``/``spectrum`` ride only on the rank-0 copy (every other
     rank is scattered its own blocks in-mesh, exactly like the cold
@@ -123,16 +144,16 @@ def execute_job(
     post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
     spectra: Optional[WeightedLRU] = None,
-) -> Tuple[RankResult, Dict[str, float]]:
-    """Run one rank's share of ``job`` on a warm communicator.
+) -> RankResult:
+    """Run one rank's share of ``job`` on a formed communicator.
 
     ``spectra`` is the agent's standing spectrum table.
 
-    Returns the rank result (with per-job wire accounting — the
-    transport ledger's before/after difference) plus an ``extras`` dict
-    of warmth evidence: plan-cache hits/misses attributable to this job.
-    A warm resubmission of the same shape shows ``plan_misses == 0`` —
-    the measured proof that plans persisted across jobs.
+    Returns the rank result with per-job accounting: ``wire`` is the
+    transport ledger's before/after difference, and ``plan_hits`` /
+    ``plan_misses`` the plan-cache traffic attributable to this job.  A
+    warm resubmission of the same shape shows ``plan_misses == 0`` — the
+    measured proof that plans persisted across jobs.
     """
     copytrack.reset()  # per-job copy accounting (process-global ledger)
     cache = default_cache()
@@ -151,8 +172,6 @@ def execute_job(
         spectra=spectra,
     )
     result.wire = wire_delta(wire0, comm.transport.ledger.snapshot())
-    extras = {
-        "plan_hits": float(cache.hits - hits0),
-        "plan_misses": float(cache.misses - misses0),
-    }
-    return result, extras
+    result.plan_hits = cache.hits - hits0
+    result.plan_misses = cache.misses - misses0
+    return result

@@ -24,7 +24,6 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional
 
@@ -36,7 +35,7 @@ from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import parse_policy
 from repro.dist.ledger import merge_wire_snapshots
-from repro.dist.runtime import run_spmd
+from repro.dist.runtime import SpmdOutcome, run_spmd
 from repro.dist.worker import (
     DistConfig,
     RankResult,
@@ -45,34 +44,43 @@ from repro.dist.worker import (
 )
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
+from repro.serve.clock import Clock, MonotonicClock
 
 _PRECISION_BYTES = {"float64": 8, "float32": 4}
 
 
 @dataclass
 class DistRunReport:
-    """Everything one dist-run produced: result, traffic, model check."""
+    """Everything one job produced: result, traffic, model check.
+
+    The report of a cold :func:`dist_run`, and the base of the standing
+    pool's :class:`~repro.pool.pool.PoolJobReport` — both come out of
+    :func:`build_report`.
+    """
 
     approx: np.ndarray
     config: DistConfig
     elapsed_s: float
-    #: ranks that died (empty on a clean run)
+    #: ranks that died or errored (empty on a clean run)
     failed_ranks: List[int] = dataclass_field(default_factory=list)
-    #: True when the result came from the checkpoint-recovery path
+    #: True when the result came from a checkpoint-recovery path
     recovered: bool = False
     rank_results: Dict[int, RankResult] = dataclass_field(default_factory=dict)
-    #: summed per-rank ledger counters (``sent.exchange.bytes``, ...)
+    #: the ranks' per-job ledger counters, summed (``sent.exchange.bytes``...)
     wire_totals: Dict[str, int] = dataclass_field(default_factory=dict)
     #: measured: total bytes-on-wire in the sparse exchange, all ranks
     exchange_wire_bytes: int = 0
     #: exact Eq 6 accounting: ``(P-1) * itemsize * total sample count``
+    #: (a resumed job's excludes the sub-domains its checkpoint restored)
     predicted_value_bytes: int = 0
     #: naive Eq 6 closed form (``flat:R`` policies only, else 0)
     naive_eq6_bytes: int = 0
     #: measured: total bytes-on-wire of input distribution (scattered
-    #: blocks, kernel announcements and misses), all ranks
+    #: blocks, kernel announcements and misses; a resumed job's
+    #: checkpoint broadcast too), all ranks
     input_wire_bytes: int = 0
     #: exact: the ``k^3`` float64 blocks rank 0 scatters to its peers
+    #: (a resumed job's excludes the restored sub-domains)
     predicted_input_bytes: int = 0
     max_compute_s: float = 0.0
     max_exchange_s: float = 0.0
@@ -230,58 +238,85 @@ def recover_from_checkpoints(
     )
 
 
+def build_report(
+    report_type,
+    config: DistConfig,
+    field: np.ndarray,
+    outcome: SpmdOutcome,
+    approx: np.ndarray,
+    elapsed_s: float,
+    exclude_indices: Optional[frozenset] = None,
+    **fields,
+):
+    """The one report builder: measured traffic beside its prediction.
+
+    ``outcome`` is the attempt whose ranks are reported; ``approx`` the
+    grid the caller assembled or recovered; ``exclude_indices`` the
+    sub-domains a resumed job restored instead of moving (see
+    :func:`expected_exchange_value_bytes`).  ``fields`` are the
+    ``report_type``'s own (and ``recovered``).
+    """
+    results = outcome.results
+    wire_totals = merge_wire_snapshots([r.wire for r in results.values()])
+
+    def slowest(attr: str) -> float:
+        return max((getattr(r, attr) for r in results.values()), default=0.0)
+
+    fields.setdefault("failed_ranks", sorted(outcome.failures))
+    return report_type(
+        approx=approx,
+        config=config,
+        elapsed_s=elapsed_s,
+        rank_results=results,
+        wire_totals=wire_totals,
+        exchange_wire_bytes=wire_totals.get("sent.exchange.bytes", 0),
+        predicted_value_bytes=expected_exchange_value_bytes(
+            config, field, exclude_indices
+        ),
+        naive_eq6_bytes=naive_eq6_bytes(config),
+        input_wire_bytes=wire_totals.get("sent.bcast.bytes", 0),
+        predicted_input_bytes=predicted_input_bytes(
+            config, field, exclude_indices
+        ),
+        max_compute_s=slowest("compute_s"),
+        max_exchange_s=slowest("exchange_s"),
+        max_exchange_hidden_s=slowest("exchange_hidden_s"),
+        **fields,
+    )
+
+
 def dist_run(
     config: DistConfig,
     field: Optional[np.ndarray] = None,
     spectrum: Optional[np.ndarray] = None,
+    clock: Optional[Clock] = None,
 ) -> DistRunReport:
     """Run the pipeline as a real SPMD job; returns the full report.
 
     ``field`` defaults to the CLI's composite input for ``config.seed``;
     ``spectrum`` defaults to a Gaussian kernel of width ``config.sigma``,
     which every rank evaluates for itself — no kernel bytes travel.
+    ``clock`` is the driver's time source (deadlines and ``elapsed_s``).
     """
+    clock = clock if clock is not None else MonotonicClock()
     if field is None:
         field = composite_field(config.n, config.seed)
     field = np.asarray(field, dtype=np.float64)
 
-    t0 = time.perf_counter()
-    outcome = run_spmd(config, field, spectrum)
-
+    t0 = clock.now()
+    outcome = run_spmd(config, field, spectrum, clock)
     if outcome.clean:
         approx = assemble_blocks(config, outcome.results)
-        recovered = False
     else:
         approx = recover_from_checkpoints(
             config, field, spectrum, outcome.all_checkpoint_blobs()
         )
-        recovered = True
-    elapsed = time.perf_counter() - t0
-
-    wire_totals = merge_wire_snapshots(
-        [r.wire for r in outcome.results.values()]
-    )
-    return DistRunReport(
-        approx=approx,
-        config=config,
-        elapsed_s=elapsed,
-        failed_ranks=sorted(outcome.failures),
-        recovered=recovered,
-        rank_results=outcome.results,
-        wire_totals=wire_totals,
-        exchange_wire_bytes=wire_totals.get("sent.exchange.bytes", 0),
-        predicted_value_bytes=expected_exchange_value_bytes(config, field),
-        naive_eq6_bytes=naive_eq6_bytes(config),
-        input_wire_bytes=wire_totals.get("sent.bcast.bytes", 0),
-        predicted_input_bytes=predicted_input_bytes(config, field),
-        max_compute_s=max(
-            (r.compute_s for r in outcome.results.values()), default=0.0
-        ),
-        max_exchange_s=max(
-            (r.exchange_s for r in outcome.results.values()), default=0.0
-        ),
-        max_exchange_hidden_s=max(
-            (r.exchange_hidden_s for r in outcome.results.values()),
-            default=0.0,
-        ),
+    return build_report(
+        DistRunReport,
+        config,
+        field,
+        outcome,
+        approx,
+        clock.now() - t0,
+        recovered=not outcome.clean,
     )

@@ -1,49 +1,61 @@
-"""Rank launch + bootstrap: turning a :class:`DistConfig` into live ranks.
+"""The job driver: form a mesh of rank processes, dispatch, drain posts.
 
 Two execution substrates behind one entry point, :func:`run_spmd`:
 
 - ``local`` — each rank is a thread over a shared
   :class:`~repro.dist.transport.LocalFabric`.  Deterministic, fast, and
   the substrate for fault-injection tests (a "crash" is a fabric kill).
-- ``tcp`` — each rank is a real OS process speaking
-  :class:`~repro.dist.tcp.TcpTransport` over localhost sockets.
-  Bootstrap is race-free: every child binds port 0 (the OS picks), sends
-  its port to the driver over a :mod:`multiprocessing` pipe, and the
-  driver distributes the complete port map before any rank dials.
+- ``tcp`` — each rank is a real OS process serving the
+  :class:`~repro.dist.agent.RankAgent` control loop over its end of a
+  :mod:`multiprocessing` pipe.  The driver speaks to it exactly as the
+  standing pool (:class:`repro.pool.RankPool`) speaks to its agents, with
+  the functions below: :func:`form_mesh` (two-phase and race-free —
+  every rank binds port 0, the OS picks, and the driver distributes the
+  complete endpoint list before any rank dials), then :func:`run_job`.
+  A cold run is one job at one constant generation on processes that are
+  forked for it and shut down after it.
 
 Either way the driver ends up with a :class:`SpmdOutcome`: per-rank
 results, per-rank checkpoint blobs (posted *before* the exchange — the
 fault-tolerance state), and a record of which ranks failed and why.  The
 driver never aborts on a rank failure; deciding how to recover is the
-launcher's job.
+caller's job (:func:`~repro.dist.launcher.dist_run` recovers driver-side,
+the pool replaces the dead in-mesh).  A control plane that stops
+answering *outside* a job — a rank that hangs up while the mesh is being
+formed — is a :class:`~repro.errors.PoolError`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import socket
 import threading
-import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional
+from multiprocessing.connection import Connection, wait as connection_wait
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.dist.agent import RankAgent, serve_connection
 from repro.dist.collectives import Communicator
-from repro.dist.tcp import TcpTransport
+from repro.dist.jobs import PoolJob
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, RankResult, rank_main
-from repro.errors import TransportError
-from repro.util import copytrack
+from repro.errors import PoolError
+from repro.serve.clock import Clock, MonotonicClock
 
-#: Wall-clock backstop for a whole SPMD run (bootstrap + compute + exchange).
+#: Backstop for one job on a formed mesh (compute + exchange).
 RUN_DEADLINE_S = 120.0
+
+#: Driver-side wait slice between looks at the clock.
+_POLL_S = 0.02
+
+#: The one generation a cold run forms its mesh at and stamps its job with.
+COLD_GENERATION = 1
 
 
 @dataclass
 class SpmdOutcome:
-    """Everything the driver collected from one SPMD run."""
+    """Everything the driver collected from one job attempt."""
 
     results: Dict[int, RankResult] = dataclass_field(default_factory=dict)
     #: whole-run checkpoint blobs posted by ranks before the barrier-mode
@@ -57,11 +69,23 @@ class SpmdOutcome:
     )
     #: failed ranks -> reason (empty on a clean run)
     failures: Dict[int, str] = dataclass_field(default_factory=dict)
+    #: the failed ranks whose process is gone (control connection at EOF)
+    #: — what a standing pool must replace; the rest reported an error
+    #: and still answer
+    dead: Set[int] = dataclass_field(default_factory=set)
 
     @property
     def clean(self) -> bool:
         """True when every rank returned a result."""
         return not self.failures
+
+    def post(self, kind: str, rank: int, payload: bytes) -> None:
+        """File one checkpoint blob a rank posted (``rank_main``'s
+        ``post`` hook, or the same message off a control connection)."""
+        if kind == "checkpoint":
+            self.checkpoints[rank] = payload
+        elif kind == "chunk":
+            self.chunk_checkpoints.setdefault(rank, []).append(payload)
 
     def all_checkpoint_blobs(self) -> List[bytes]:
         """Every posted checkpoint blob, whole-run and per-chunk alike."""
@@ -72,13 +96,17 @@ class SpmdOutcome:
 
 
 def run_spmd(
-    config: DistConfig, field: np.ndarray, spectrum: Optional[np.ndarray]
+    config: DistConfig,
+    field: np.ndarray,
+    spectrum: Optional[np.ndarray],
+    clock: Optional[Clock] = None,
 ) -> SpmdOutcome:
     """Run the full SPMD job on the configured transport (``spectrum=None``
     is the default kernel of ``config``, evaluated rank-side)."""
+    clock = clock if clock is not None else MonotonicClock()
     if config.transport == "tcp":
-        return _run_tcp(config, field, spectrum)
-    return _run_local(config, field, spectrum)
+        return _run_processes(config, field, spectrum, clock)
+    return _run_local(config, field, spectrum, clock)
 
 
 class _InjectedCrash(Exception):
@@ -86,7 +114,10 @@ class _InjectedCrash(Exception):
 
 
 def _run_local(
-    config: DistConfig, field: np.ndarray, spectrum: Optional[np.ndarray]
+    config: DistConfig,
+    field: np.ndarray,
+    spectrum: Optional[np.ndarray],
+    clock: Clock,
 ) -> SpmdOutcome:
     fabric = LocalFabric(config.num_ranks)
     outcome = SpmdOutcome()
@@ -94,16 +125,14 @@ def _run_local(
 
     def post(kind: str, rank: int, payload: bytes) -> None:
         with lock:
-            if kind == "checkpoint":
-                outcome.checkpoints[rank] = payload
-            elif kind == "chunk":
-                outcome.chunk_checkpoints.setdefault(rank, []).append(payload)
+            outcome.post(kind, rank, payload)
 
     def run_rank(rank: int) -> None:
         comm = Communicator(
             fabric.endpoint(rank),
             recv_timeout_s=config.recv_timeout_s,
             heartbeat_s=config.heartbeat_s,
+            clock=clock,
         )
 
         def abort() -> None:
@@ -121,13 +150,15 @@ def _run_local(
             )
             with lock:
                 outcome.results[rank] = result
-            comm.close()
         except _InjectedCrash:
             with lock:
                 outcome.failures[rank] = "injected crash"
         except Exception as exc:  # noqa: BLE001  # repro-lint: broad-except-ok(driver boundary: failure recorded in outcome, launcher decides recovery)
             with lock:
                 outcome.failures[rank] = f"{type(exc).__name__}: {exc}"
+        finally:
+            # also on failure: the beacon thread must not outlive the run
+            comm.close()
 
     threads = [
         threading.Thread(target=run_rank, args=(rank,), daemon=True)
@@ -135,152 +166,185 @@ def _run_local(
     ]
     for t in threads:
         t.start()
-    deadline = time.monotonic() + RUN_DEADLINE_S
+    deadline = clock.now() + RUN_DEADLINE_S
     for rank, t in enumerate(threads):
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
+        t.join(timeout=max(0.0, deadline - clock.now()))
         if t.is_alive():
             with lock:
                 outcome.failures.setdefault(rank, "rank thread hung past deadline")
     return outcome
 
 
-def _tcp_child(
-    rank: int,
-    config: DistConfig,
-    conn,
-    field: Optional[np.ndarray],
-    spectrum: Optional[np.ndarray],
+# -- the control plane, driver side -------------------------------------------
+def _drain(
+    pending: Dict[Connection, int], timeout_s: float, clock: Clock
+) -> Iterator[Tuple[int, Optional[tuple]]]:
+    """Yield ``(rank, message)`` as the ``pending`` control connections
+    speak, until ``pending`` is empty or ``timeout_s`` has passed.
+
+    The caller takes a connection out of ``pending`` once it has what it
+    wanted from it.  A connection at EOF — the process behind it is gone
+    — is taken out here and yields ``message=None``.
+    """
+    deadline = clock.now() + float(timeout_s)
+    while pending and clock.now() < deadline:
+        for conn in connection_wait(list(pending), timeout=_POLL_S):
+            rank = pending[conn]
+            try:
+                message = conn.recv()
+            except (OSError, EOFError):
+                message = None
+                del pending[conn]
+            yield rank, message
+
+
+def control_reply(
+    conn: Connection, who: str, timeout_s: float, clock: Clock
+) -> tuple:
+    """The next control message from ``who``, deadline on ``clock``."""
+    for _rank, message in _drain({conn: 0}, timeout_s, clock):
+        if message is None:
+            raise PoolError(f"{who} hung up mid-reply")
+        return message
+    raise PoolError(f"{who} sent no control reply within {timeout_s}s")
+
+
+def form_mesh(
+    conns: Dict[int, Connection],
+    hosts: Dict[int, str],
+    generation: int,
+    recv_timeout_s: float,
+    heartbeat_s: Optional[float],
+    clock: Clock,
 ) -> None:
-    """Child-process body for one TCP rank (communicates via ``conn``)."""
-    try:
-        # a forked child inherits the parent's copy counters; zero them so
-        # RankResult.copies is exactly this rank's work
-        copytrack.reset()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(config.num_ranks)
-        conn.send(("port", rank, listener.getsockname()[1]))
-        kind, _src, ports = conn.recv()
-        if kind != "ports":
-            raise TransportError(f"rank {rank}: bad bootstrap message {kind!r}")
-        transport = TcpTransport(rank, config.num_ranks, ports, listener)
-        comm = Communicator(
-            transport,
-            recv_timeout_s=config.recv_timeout_s,
-            heartbeat_s=config.heartbeat_s,
-        )
+    """Two-phase formation of the generation-``generation`` mesh over the
+    ranks of ``hosts``: collect data ports, broadcast endpoints."""
+    ranks = sorted(hosts)
 
-        def post(k: str, r: int, payload: bytes) -> None:
-            conn.send((k, r, payload))
+    def gather(kind: str, timeout_s: float) -> Dict[int, tuple]:
+        replies = {}
+        for rank in ranks:
+            reply = control_reply(conns[rank], f"rank {rank}", timeout_s, clock)
+            if reply[0] != kind:
+                raise PoolError(
+                    f"rank {rank} answered {reply!r} where {kind!r} was due "
+                    f"(forming the generation-{generation} mesh)"
+                )
+            replies[rank] = reply
+        return replies
 
-        result = rank_main(
-            comm,
-            config,
-            field=field,
-            spectrum=spectrum,
-            post=post,
-            abort=lambda: os._exit(1),
+    for rank in ranks:
+        conns[rank].send(
+            ("form", generation, rank, len(ranks), recv_timeout_s, heartbeat_s)
         )
-        comm.close()
-        conn.send(("result", rank, result))
-        conn.close()
-    except Exception as exc:  # noqa: BLE001  # repro-lint: broad-except-ok(driver boundary: error shipped over the bootstrap pipe, driver decides)
+    ports = gather("port", 30.0)
+    endpoints = [(hosts[rank], int(ports[rank][2])) for rank in ranks]
+    # every rank must hear "mesh" before any can finish dialing, so send
+    # to all first, then collect readiness
+    for rank in ranks:
+        conns[rank].send(("mesh", generation, endpoints))
+    gather("ready", 60.0)
+
+
+def run_job(
+    conns: Dict[int, Connection], job: PoolJob, clock: Clock
+) -> SpmdOutcome:
+    """Dispatch ``job`` to every rank of a formed mesh and drain posts
+    until each has answered, died, or run past :data:`RUN_DEADLINE_S`."""
+    outcome = SpmdOutcome()
+    pending: Dict[Connection, int] = {}
+    for rank, conn in sorted(conns.items()):
         try:
-            conn.send(("error", rank, f"{type(exc).__name__}: {exc}"))
-            conn.close()
-        except (OSError, ValueError, EOFError):
-            # Pipe already torn down: the driver sees EOF instead.
-            pass
-        os._exit(1)
+            conn.send(("job", job if rank == 0 else job.stripped()))
+            pending[conn] = rank
+        except OSError:
+            outcome.failures[rank] = "control connection dead at dispatch"
+            outcome.dead.add(rank)
+    for rank, message in _drain(pending, RUN_DEADLINE_S, clock):
+        if message is None:
+            # the decisive death signal: the rank's process is gone
+            outcome.failures[rank] = "rank process died (EOF)"
+            outcome.dead.add(rank)
+            continue
+        kind = message[0]
+        if kind in ("checkpoint", "chunk"):
+            outcome.post(kind, message[1], message[2])
+        elif kind == "result":
+            outcome.results[rank] = message[2]
+            del pending[conns[rank]]
+        elif kind == "job-error":
+            outcome.failures[rank] = message[2]
+            del pending[conns[rank]]
+        # anything else (a late pong, ...) is dropped
+    for rank in pending.values():
+        outcome.failures[rank] = "rank timed out past the run deadline"
+    return outcome
 
 
-def _mp_context():
+# -- the cold launch: processes forked for one job ----------------------------
+def mp_context():
+    """Fork when available (fast, inherits the warm import state)."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _run_tcp(
-    config: DistConfig, field: np.ndarray, spectrum: Optional[np.ndarray]
+def _rank_process(rank: int, conn: Connection, inherited: list) -> None:
+    """Child-process body of one cold rank: the agent loop on ``conn``.
+
+    ``inherited`` are the driver's pipe ends a forked child holds copies
+    of; once they are closed here, the driver closing (or losing) its own
+    is this rank's EOF, and EOF is a cold rank's shutdown.
+    """
+    for driver_end in inherited:
+        driver_end.close()
+    agent = RankAgent(f"cold-{rank}")
+    try:
+        serve_connection(agent, conn)
+    finally:
+        agent.teardown_mesh()
+
+
+def _run_processes(
+    config: DistConfig,
+    field: np.ndarray,
+    spectrum: Optional[np.ndarray],
+    clock: Clock,
 ) -> SpmdOutcome:
-    ctx = _mp_context()
-    conns = []
+    ctx = mp_context()
+    conns: Dict[int, Connection] = {}
     procs = []
     for rank in range(config.num_ranks):
-        parent_conn, child_conn = ctx.Pipe()
+        conns[rank], child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_tcp_child,
-            args=(
-                rank,
-                config,
-                child_conn,
-                field if rank == 0 else None,
-                spectrum if rank == 0 else None,
-            ),
+            target=_rank_process,
+            args=(rank, child_conn, list(conns.values())),
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        conns.append(parent_conn)
         procs.append(proc)
-
-    outcome = SpmdOutcome()
-    deadline = time.monotonic() + RUN_DEADLINE_S
     try:
-        # Bootstrap: gather every rank's port, then distribute the map.
-        ports = [0] * config.num_ranks
-        for rank, conn in enumerate(conns):
-            if not conn.poll(max(0.0, deadline - time.monotonic())):
-                raise TransportError(
-                    f"rank {rank} never reported its port (bootstrap failed)"
-                )
-            kind, src, port = conn.recv()
-            if kind != "port" or src != rank:
-                raise TransportError(
-                    f"bad bootstrap message from rank {rank}: {(kind, src)}"
-                )
-            ports[rank] = port
-        for conn in conns:
-            conn.send(("ports", -1, ports))
-
-        # Event loop: drain checkpoint/result/error messages per rank.
-        pending = set(range(config.num_ranks))
-        while pending and time.monotonic() < deadline:
-            for rank in sorted(pending):
-                conn, proc = conns[rank], procs[rank]
-                try:
-                    if conn.poll(0.02):
-                        kind, src, payload = conn.recv()
-                        if kind == "checkpoint":
-                            outcome.checkpoints[src] = payload
-                        elif kind == "chunk":
-                            outcome.chunk_checkpoints.setdefault(src, []).append(
-                                payload
-                            )
-                        elif kind == "result":
-                            outcome.results[src] = payload
-                            pending.discard(rank)
-                        elif kind == "error":
-                            outcome.failures[src] = payload
-                            pending.discard(rank)
-                        continue
-                except (EOFError, OSError):
-                    outcome.failures[rank] = "rank process closed its pipe"
-                    pending.discard(rank)
-                    continue
-                if not proc.is_alive() and not conn.poll(0):
-                    outcome.failures[rank] = (
-                        f"rank process exited with code {proc.exitcode} "
-                        "before returning a result"
-                    )
-                    pending.discard(rank)
-        for rank in sorted(pending):
-            outcome.failures[rank] = "rank timed out past the run deadline"
+        form_mesh(
+            conns,
+            dict.fromkeys(conns, "127.0.0.1"),
+            COLD_GENERATION,
+            config.recv_timeout_s,
+            config.heartbeat_s,
+            clock,
+        )
+        job = PoolJob(
+            job_id=0,
+            generation=COLD_GENERATION,
+            config=config,
+            field=field,
+            spectrum=spectrum,
+        )
+        return run_job(conns, job, clock)
     finally:
+        for conn in conns.values():
+            conn.close()
         for proc in procs:
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-        for conn in conns:
-            conn.close()
-    return outcome

@@ -13,9 +13,10 @@ localhost launcher's historical form) still work and mean
 Dialing tolerates staggered joins: a peer's listener may not exist yet
 when this rank dials (multi-host rendezvous, slow CI hosts), so
 :meth:`TcpTransport._dial` retries with capped exponential backoff plus
-deterministic jitter until the mesh deadline.  All dial-side waiting
-goes through an injected :class:`~repro.serve.clock.Clock`, so the
-retry schedule is unit-testable without wall-clock sleeps.
+deterministic jitter until the mesh deadline.  Every deadline is read
+from an injected :class:`~repro.serve.clock.Clock` and all dial-side
+waiting goes through it, so the retry schedule is unit-testable without
+wall-clock sleeps.
 
 Concurrency: frames may be written by the application thread, the
 heartbeat thread and a :class:`~repro.dist.transport.SendWindow` pump
@@ -44,7 +45,6 @@ import random
 import selectors
 import socket
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dist.ledger import CATEGORY_CONTROL, CATEGORY_DATA, WireLedger
@@ -168,9 +168,9 @@ def dial_with_backoff(
 
 
 def _read_exact_into(
-    sock: socket.socket, view: memoryview, deadline: float, src: int
+    sock: socket.socket, view: memoryview, deadline: float, src: int, clock: Clock
 ) -> int:
-    """Fill ``view`` completely from ``sock`` before ``deadline``.
+    """Fill ``view`` completely from ``sock`` before ``deadline`` on ``clock``.
 
     Returns the byte count read — ``len(view)``, or 0 for a clean EOF at
     a frame boundary (no bytes read); raises :class:`TransportError` for
@@ -180,7 +180,7 @@ def _read_exact_into(
     n = len(view)
     got = 0
     while got < n:
-        remaining = deadline - time.monotonic()
+        remaining = deadline - clock.now()
         if remaining <= 0:
             raise TransportError(
                 f"receive from rank {src} timed out mid-frame "
@@ -252,7 +252,8 @@ class TcpTransport(Transport):
     connect_timeout:
         Wall-clock budget for mesh construction.
     clock:
-        Time source for dial retries/backoff (injectable for tests).
+        Time source for every deadline here — mesh construction, dial
+        retries/backoff, receives (injectable for tests).
     """
 
     def __init__(
@@ -286,7 +287,7 @@ class TcpTransport(Transport):
         listener: socket.socket,
         connect_timeout: float,
     ) -> None:
-        deadline = time.monotonic() + connect_timeout
+        deadline = self._clock.now() + connect_timeout
         # Connect down: this rank dials every lower rank's listener.
         for dst in range(self.rank):
             sock = self._dial(endpoints[dst], dst, deadline)
@@ -295,7 +296,7 @@ class TcpTransport(Transport):
         # Accept up: every higher rank dials us and leads with HELLO.
         expected = self.size - 1 - self.rank
         for _ in range(expected):
-            remaining = deadline - time.monotonic()
+            remaining = deadline - self._clock.now()
             if remaining <= 0:
                 raise TransportError(
                     f"rank {self.rank}: mesh bootstrap timed out with "
@@ -339,12 +340,12 @@ class TcpTransport(Transport):
         frame boundary.  A DATA payload is a ``memoryview`` over an arena
         slab — ownership passes to the frame's consumer."""
         header = self.arena.header_view()
-        if _read_exact_into(sock, header, deadline, src) == 0:
+        if _read_exact_into(sock, header, deadline, src, self._clock) == 0:
             return None
         kind, fsrc, tag, length = decode_header(header)
         if length:
             payload: "memoryview | bytes" = self.arena.take(length)
-            if _read_exact_into(sock, payload, deadline, fsrc) == 0:
+            if _read_exact_into(sock, payload, deadline, fsrc, self._clock) == 0:
                 raise TransportError(
                     f"frame from rank {fsrc} truncated at offset "
                     f"{HEADER_BYTES}: header declares {length} "
@@ -392,11 +393,11 @@ class TcpTransport(Transport):
         start; a readable socket is then read to the end of its frame
         under ``frame_timeout`` (see :meth:`Transport.recv`).
         """
-        start = time.monotonic()
+        start = self._clock.now()
         idle_deadline = start + timeout
         frame_deadline = start + (timeout if frame_timeout is None else frame_timeout)
         while True:
-            remaining = idle_deadline - time.monotonic()
+            remaining = idle_deadline - self._clock.now()
             if remaining <= 0:
                 raise IdleTimeout(
                     f"rank {self.rank}: receive timed out after {timeout}s "

@@ -159,7 +159,9 @@ class RankResult:
     #: time blocked in the exchange (the full allgather in barrier mode,
     #: only the final drain in overlap mode)
     exchange_s: float
-    #: this rank's :class:`~repro.dist.ledger.WireLedger` snapshot
+    #: this rank's :class:`~repro.dist.ledger.WireLedger` snapshot (a
+    #: rank process reports the job's difference of two: mesh formation
+    #: and earlier jobs are not in it)
     wire: dict = dataclass_field(default_factory=dict)
     #: True when the streamed (overlap) exchange produced this result
     overlap: bool = False
@@ -172,9 +174,14 @@ class RankResult:
     exchange_send_s: float = 0.0
     #: this rank's :class:`~repro.util.copytrack.CopyLedger` snapshot —
     #: exact per-rank under the TCP transport (one process per rank,
-    #: ledger reset at child start); under the loopback transport the
+    #: ledger reset at job start); under the loopback transport the
     #: ledger is process-global, so rank threads see shared totals
     copies: dict = dataclass_field(default_factory=dict)
+    #: process-wide plan-cache hits/misses attributable to this job
+    #: (:func:`~repro.dist.jobs.execute_job`; 0 for a thread rank, whose
+    #: pipeline owns a private cache) — a warm rank misses nothing
+    plan_hits: int = 0
+    plan_misses: int = 0
 
 
 def composite_field(n: int, seed: int = 0) -> np.ndarray:

@@ -16,23 +16,25 @@ Layers:
 - :mod:`repro.pool.membership` — the generation-numbered
   :class:`Roster`: late-join admission, eviction, replacement seating,
   and stale-generation fencing.
-- :mod:`repro.pool.jobs` — job execution on the standing mesh:
-  per-job ledger deltas, warm plans, and the checkpoint-handoff recovery
-  job (a resumed :func:`~repro.dist.worker.rank_main`).
-- :mod:`repro.pool.agent` — the long-lived rank agent process.
+- :mod:`repro.pool.agent` — the long-lived rank agent process: the
+  shared rank machine (:class:`~repro.dist.agent.RankAgent`, which runs
+  :func:`~repro.dist.jobs.execute_job` — per-job ledger deltas, warm
+  plans, resumed jobs) behind a rendezvous card.
 - :mod:`repro.pool.pool` — :class:`RankPool`: the controller
-  (``spawn``/``connect``/``submit``/``grow``/``down``) and
-  :func:`private_pool`, a throwaway pool that cleans up after itself.
+  (``spawn``/``connect``/``submit``/``grow``/``down``) over the shared
+  job driver (:mod:`repro.dist.runtime`), with in-mesh replacement and
+  recovery jobs, and :func:`private_pool`, a throwaway pool that cleans
+  up after itself.
 - :mod:`repro.pool.cli` — ``python -m repro pool up|status|submit|down``.
 
 Everything is bitwise identical to ``run_serial`` — clean jobs, late
 joins, and mid-job rank death with checkpoint handoff alike.
 """
 
+from repro.dist.jobs import PoolJob, execute_job
 from repro.pool.agent import PoolAgent, agent_main, spawn_local_agents
-from repro.pool.jobs import PoolJob, execute_job
 from repro.pool.membership import Member, Roster
-from repro.pool.pool import JOB_DEADLINE_S, PoolJobReport, RankPool, private_pool
+from repro.pool.pool import PoolJobReport, RankPool, private_pool
 from repro.pool.rendezvous import (
     AgentCard,
     CoordinatorServer,
@@ -48,7 +50,6 @@ __all__ = [
     "AgentCard",
     "CoordinatorServer",
     "FileRendezvous",
-    "JOB_DEADLINE_S",
     "Member",
     "PoolAgent",
     "PoolJob",

@@ -134,9 +134,28 @@ def _up(args: argparse.Namespace) -> int:
     return 0
 
 
-def _status(args: argparse.Namespace) -> int:
+def _ask(card, op: str) -> tuple:
+    """Dial ``card``'s control port, send ``op``, return the reply.
+
+    ``OSError``: nobody listens there; :class:`PoolError`: no reply
+    within 5 s.
+    """
     from multiprocessing.connection import Client
 
+    from repro.dist.runtime import control_reply
+    from repro.serve.clock import MonotonicClock
+
+    conn = Client((card.host, card.port), family="AF_INET")
+    try:
+        conn.send((op,))
+        return control_reply(
+            conn, f"agent {card.agent_id}", 5.0, MonotonicClock()
+        )
+    finally:
+        conn.close()
+
+
+def _status(args: argparse.Namespace) -> int:
     from repro.pool.rendezvous import parse_rendezvous
 
     rendezvous = parse_rendezvous(args.rendezvous)
@@ -149,16 +168,10 @@ def _status(args: argparse.Namespace) -> int:
         state = "alive"
         detail = ""
         try:
-            conn = Client((card.host, card.port), family="AF_INET")
-            try:
-                conn.send(("ping",))
-                if conn.poll(5.0):
-                    _pong, _id, generation, rank = conn.recv()
-                    detail = f" generation={generation} rank={rank}"
-                else:
-                    state, dead = "silent", dead + 1
-            finally:
-                conn.close()
+            _pong, _id, generation, rank = _ask(card, "ping")
+            detail = f" generation={generation} rank={rank}"
+        except PoolError:
+            state, dead = "silent", dead + 1
         except OSError:
             state, dead = "dead", dead + 1
         print(
@@ -212,8 +225,6 @@ def _submit(args: argparse.Namespace) -> int:
 
 
 def _down(args: argparse.Namespace) -> int:
-    from multiprocessing.connection import Client
-
     from repro.pool.rendezvous import parse_rendezvous
 
     rendezvous = parse_rendezvous(args.rendezvous)
@@ -221,17 +232,14 @@ def _down(args: argparse.Namespace) -> int:
     stopped = 0
     for card in cards:
         try:
-            conn = Client((card.host, card.port), family="AF_INET")
-            try:
-                conn.send(("shutdown",))
-                if conn.poll(5.0):
-                    conn.recv()
-                stopped += 1
-            finally:
-                conn.close()
+            _ask(card, "shutdown")
+        except PoolError:
+            pass  # it was told; not waiting longer for its "bye"
         except OSError:
             # already dead; clear the stale card so the next `up` is clean
             rendezvous.withdraw(card.agent_id)
+            continue
+        stopped += 1
     print(f"stopped {stopped} of {len(cards)} agents at {rendezvous.describe()}")
     return 0
 

@@ -19,11 +19,11 @@ inherit the dead member's rank (the sub-domain round-robin is keyed by
 rank, so the replacement inherits exactly the dead rank's share of the
 decomposition).
 
-Liveness itself stays in :class:`~repro.dist.heartbeat.HeartbeatMonitor`
-— the pool controller records every control-plane message into one and
-uses :meth:`~repro.dist.heartbeat.HeartbeatMonitor.watch` /
-:meth:`~repro.dist.heartbeat.HeartbeatMonitor.unwatch` as members come
-and go; this module only owns who *should* be alive.
+Liveness is not kept here: during a job the decisive death signal is a
+member's control connection reaching EOF
+(:func:`repro.dist.runtime.run_job`), and in-mesh silence is the
+communicator's :class:`~repro.dist.heartbeat.HeartbeatMonitor`; this
+module only owns who *should* be alive.
 """
 
 from __future__ import annotations
@@ -31,28 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import PoolError, StaleGenerationError
+from repro.dist.jobs import fence_generation
+from repro.errors import PoolError
 from repro.pool.rendezvous import AgentCard
 
 __all__ = ["Member", "Roster", "fence_generation"]
-
-
-def fence_generation(seen: int, current: int) -> None:
-    """Reject work stamped with any generation but ``current``.
-
-    The standalone form of :meth:`Roster.fence`, for call sites that hold
-    a generation number without holding a roster (a pool agent fencing an
-    incoming job against its own formed generation).  GEN001 statically
-    requires a fence on every path into ``execute_job``; this helper is
-    the canonical way to provide one.
-    """
-    if int(seen) != int(current):
-        raise StaleGenerationError(
-            f"roster generation {seen} rejected "
-            f"(current generation is {current})",
-            seen=int(seen),
-            current=int(current),
-        )
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,13 @@ LOWER_LAYERS = (
 #: the runtimes and front ends built on top of it
 UPPER_LAYERS = ("dist", "pool", "serve", "xpr")
 #: (importing packages, packages they may not import): the library knows
-#: no runtime, and the runtimes do not know the experiment orchestrator
-#: that drives them
+#: no runtime, the runtimes do not know the experiment orchestrator that
+#: drives them, and the rank runtime does not know the standing pool that
+#: is one use of it
 LAYERING = (
     (LOWER_LAYERS, UPPER_LAYERS),
     (("dist", "pool", "serve"), ("xpr",)),
+    (("dist",), ("pool",)),
 )
 
 

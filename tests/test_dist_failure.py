@@ -193,6 +193,23 @@ class TestHeartbeatedRun:
         )
         assert report.exchange_wire_bytes == expected
 
+    def test_failed_run_leaves_no_beacon_thread(self):
+        """A rank that fails still closes its communicator: the beacon
+        threads of a failed heartbeated run do not outlive it."""
+        import threading
+
+        config = DistConfig(
+            num_ranks=3,
+            transport="local",
+            heartbeat_s=0.05,
+            fail_rank=1,
+            fail_stage="before_exchange",
+            **SMALL,
+        )
+        before = threading.active_count()
+        assert dist_run(config).recovered
+        assert threading.active_count() == before
+
 
 class TestHeartbeatSenderShutdown:
     """The beacon thread must never be able to wedge a shutdown."""

@@ -11,12 +11,15 @@ The PR's acceptance bar, as tests:
   exactly, triangulating model, simulation and wire.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.policy import parse_policy
+from repro.dist.agent import RankAgent
 from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import (
     dist_run,
@@ -25,8 +28,9 @@ from repro.dist.launcher import (
 )
 from repro.dist.wire import HEADER_BYTES
 from repro.dist.worker import DistConfig, build_pipeline, composite_field
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PoolError
 from repro.kernels.gaussian import GaussianKernel
+from repro.pool import private_pool
 
 SMALL = dict(n=16, k=4, sigma=2.0, policy="flat:2")
 #: the calibrated reference point for the 5%-of-Eq-6 acceptance check
@@ -52,11 +56,36 @@ class TestBitwiseIdentity:
 
     @pytest.mark.parametrize("ranks", [2, 4])
     def test_tcp_matches_run_serial(self, ranks):
-        config = DistConfig(num_ranks=ranks, transport="tcp", **SMALL)
-        field, spectrum, serial = _serial(config)
-        report = dist_run(config, field=field, spectrum=spectrum)
-        assert np.array_equal(report.approx, serial.approx)
-        assert report.failed_ranks == []
+        """Barrier and streamed; and a cold rank is a pool agent serving
+        one job, so the two front doors agree to the bit and the byte."""
+        for overlap in (False, True):
+            config = DistConfig(
+                num_ranks=ranks, transport="tcp", overlap=overlap, **SMALL
+            )
+            field, spectrum, serial = _serial(config)
+            report = dist_run(config, field=field, spectrum=spectrum)
+            assert np.array_equal(report.approx, serial.approx)
+            assert report.failed_ranks == []
+            # a fresh pool each time: like the cold ranks, its agents have
+            # not seen the kernel, so it ships in both
+            with private_pool(ranks) as pool:
+                pooled = pool.submit(config, field=field, spectrum=spectrum)
+            assert np.array_equal(pooled.approx, report.approx)
+            for audited in (
+                "exchange_wire_bytes",
+                "predicted_value_bytes",
+                "input_wire_bytes",
+                "predicted_input_bytes",
+            ):
+                assert getattr(pooled, audited) == getattr(report, audited)
+
+    def test_tcp_rank_lost_while_the_mesh_forms_raises(self, monkeypatch):
+        """Recovery is for jobs; a control plane that hangs up before
+        there is one is an error (forked ranks inherit the patch)."""
+        monkeypatch.setattr(RankAgent, "handle", lambda *_: os._exit(1))
+        config = DistConfig(num_ranks=2, transport="tcp", **SMALL)
+        with pytest.raises(PoolError, match="rank 0 hung up"):
+            dist_run(config)
 
     def test_banded_policy_bitwise(self):
         config = DistConfig(

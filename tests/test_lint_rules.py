@@ -114,20 +114,25 @@ class TestInjectableClockRule:
         _, findings = lint_with("CLK001", "clk001/xpr/good_clock.py")
         assert findings == []
 
-    def test_fires_on_pool_tree(self):
+    def test_fires_on_pool_tree(self, tmp_path):
         _, findings = lint_with("CLK001", "clk001/pool/bad_clock.py")
         assert len(findings) == 3
         assert {"time.monotonic", "sleep"} == {
             f.message.split("(")[0].split()[1] for f in findings
         }
+        # dist/, the runtime the pool drives, is held to the same contract
+        moved = tmp_path / "dist" / "bad_clock.py"
+        moved.parent.mkdir()
+        moved.write_text((FIXTURES / "clk001/pool/bad_clock.py").read_text())
+        assert len(LintEngine([rule_by_id("CLK001")]).run([moved])) == 3
 
     def test_silent_on_clock_injected_pool(self):
         _, findings = lint_with("CLK001", "clk001/pool/good_clock.py")
         assert findings == []
 
     def test_out_of_scope_outside_clocked_trees(self):
-        # The same time.* calls outside serve/, xpr/, and pool/ are not
-        # flagged.
+        # The same time.* calls outside serve/, xpr/, pool/ and dist/ are
+        # not flagged.
         _, findings = lint_with("CLK001", "lck002/bad_blocking.py")
         assert findings == []
 
@@ -277,29 +282,42 @@ class TestWireTagRule:
         # the shipped tree keeps every TAG_* in dist/collectives.py,
         # including the pool checkpoint tag this rule forced home, and
         # no other module re-exports one under its own name
-        from repro.dist import collectives
-        from repro.pool import jobs
+        from repro.dist import collectives, jobs
 
         assert collectives.TAG_POOL_CHECKPOINT == 6
         assert not hasattr(jobs, "TAG_POOL_CHECKPOINT")
 
 
 class TestGenerationFenceRule:
-    def test_fires_on_unfenced_execute_and_silent_mutation(self):
-        _, findings = lint_with("GEN001", "gen001/bad/pool/handler.py")
-        assert len(findings) == 2
-        unfenced = next(f for f in findings if "execute_job" in f.message)
-        assert "fence" in unfenced.message
-        assert "unfenced path" in unfenced.message
-        silent = next(f for f in findings if "admit" in f.message)
-        assert "generation" in silent.message
+    #: GEN001 is in scope wherever a job handler can live: ``pool/`` and,
+    #: since the handler moved down, ``dist/``
+    COMPONENTS = ("pool", "dist")
 
-    def test_silent_on_fenced_paths_and_bumping_mutations(self):
-        _, findings = lint_with("GEN001", "gen001/good/pool/handler.py")
-        assert findings == []
+    @staticmethod
+    def _lint(kind, component, tmp_path):
+        """The ``gen001/<kind>`` fixture linted as ``<component>/handler.py``."""
+        source = FIXTURES / "gen001" / kind / "pool" / "handler.py"
+        target = tmp_path / kind / component / "handler.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(source.read_text())
+        return LintEngine([rule_by_id("GEN001")]).run([target])
+
+    def test_fires_on_unfenced_execute_and_silent_mutation(self, tmp_path):
+        for component in self.COMPONENTS:
+            findings = self._lint("bad", component, tmp_path)
+            assert len(findings) == 2, component
+            unfenced = next(f for f in findings if "execute_job" in f.message)
+            assert "fence" in unfenced.message
+            assert "unfenced path" in unfenced.message
+            silent = next(f for f in findings if "admit" in f.message)
+            assert "generation" in silent.message
+
+    def test_silent_on_fenced_paths_and_bumping_mutations(self, tmp_path):
+        for component in self.COMPONENTS:
+            assert self._lint("good", component, tmp_path) == [], component
 
     def test_out_of_scope_outside_pool(self, tmp_path):
-        # the same shapes outside a pool/ component are not flagged
+        # the same shapes outside a pool/ or dist/ component are not flagged
         bad = FIXTURES / "gen001" / "bad" / "pool" / "handler.py"
         stray = tmp_path / "handler.py"
         stray.write_text(bad.read_text())

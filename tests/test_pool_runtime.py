@@ -35,8 +35,9 @@ from repro.dist.worker import (
     build_pipeline,
     composite_field,
 )
+from repro.dist.jobs import PoolJob
+from repro.dist.runtime import control_reply
 from repro.errors import ConfigurationError, PoolError
-from repro.pool.jobs import PoolJob
 from repro.pool.pool import RankPool
 from repro.xpr.grid import TrialSpec
 from repro.xpr.registry import run_pool_trial
@@ -133,7 +134,9 @@ class TestElasticMembership:
             spectrum=default_spectrum(config),
         )
         pool._conns[0].send(("job", stale))
-        kind, rank, message, is_stale = pool._recv_control(0, timeout_s=10.0)
+        kind, rank, message, is_stale = control_reply(
+            pool._conns[0], "rank 0", 10.0, pool.clock
+        )
         assert (kind, rank, is_stale) == ("job-error", 0, True)
         assert "generation" in message
         # the fence left the mesh intact: a correctly-stamped job still runs
@@ -167,6 +170,27 @@ class TestRankDeathRecovery:
         clean = pool.submit(_config(4), field=field, spectrum=spectrum)
         assert not clean.recovered
         assert np.array_equal(clean.approx, _serial(config, field, spectrum))
+
+    def test_driver_fallback_report_is_audited(self, pool_at, monkeypatch):
+        """No spare and none can be spawned: the driver recovers the job
+        from the posted checkpoints, and the report still says what the
+        job was predicted to move."""
+        pool = pool_at(2)
+
+        def no_spare(self):
+            raise PoolError("injected: roster cannot be refilled")
+
+        monkeypatch.setattr(RankPool, "_replacement_card", no_spare)
+        config = _config(2, fail_rank=1, fail_stage="before_exchange")
+        field = composite_field(config.n, config.seed)
+        spectrum = default_spectrum(config)
+
+        report = pool.submit(config, field=field, spectrum=spectrum)
+        assert report.driver_fallback and report.recovered
+        assert 1 in report.failed_ranks and report.replaced_ranks == []
+        assert np.array_equal(report.approx, _serial(config, field, spectrum))
+        assert report.predicted_value_bytes > 0
+        assert report.predicted_input_bytes > 0
 
     def test_recover_false_surfaces_the_failure(self, pool_at):
         pool = pool_at(2)
