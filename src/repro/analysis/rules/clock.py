@@ -2,9 +2,9 @@
 
 Everything in :mod:`repro.serve`, :mod:`repro.xpr`, :mod:`repro.pool`
 and :mod:`repro.dist` is specified to read time through the injectable
-:class:`repro.serve.clock.Clock` so scheduler flushes, deadlines, trial
+:class:`repro.util.clock.Clock` so scheduler flushes, deadlines, trial
 timings, rendezvous waits, and gate evaluation are testable with a
-:class:`~repro.serve.clock.ManualClock` and zero real sleeps.  One
+:class:`~repro.util.clock.ManualClock` and zero real sleeps.  One
 stray ``time.monotonic()`` re-introduces wall-clock nondeterminism into
 a path the tests believe is virtual — the kind of drift that only shows
 up as a flaky deadline test months later.
@@ -12,8 +12,9 @@ up as a flaky deadline test months later.
 This rule flags every call to ``time.time`` / ``time.monotonic`` /
 ``time.sleep`` / ``time.perf_counter`` (module-qualified or imported
 bare) in any file under a ``serve/``, ``xpr/``, ``pool/`` or ``dist/``
-directory, except ``serve/clock.py`` itself — the one sanctioned adapter
-between the :class:`Clock` interface and the real clock.
+directory, with no exemption: the one sanctioned adapter between the
+:class:`Clock` interface and the real clock, ``util/clock.py``, sits
+outside the clocked trees.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ class InjectableClockRule(Rule):
     """CLK001: clock-injected trees must use the Clock, not ``time.*``."""
 
     rule_id = "CLK001"
-    description = "serve/, xpr/, pool/ and dist/ read time only through serve.clock"
+    description = (
+        "serve/, xpr/, pool/ and dist/ read time only through "
+        "repro.util.clock.Clock"
+    )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
         """Flag direct wall-clock calls in serve/, xpr/, pool/ and dist/ modules."""
-        if not _CLOCKED_TREES & set(ctx.parts) or (
-            "serve" in ctx.parts and ctx.parts[-1] == "clock.py"
-        ):
+        if not _CLOCKED_TREES & set(ctx.parts):
             return []
         imported_bare = {
             alias.asname or alias.name
@@ -73,7 +75,7 @@ class InjectableClockRule(Rule):
                         ctx,
                         node,
                         f"direct {name}() in a clock-injected layer — "
-                        "inject a repro.serve.clock.Clock and call "
+                        "inject a repro.util.clock.Clock and call "
                         "clock.now() / clock.sleep() so the path stays "
                         "deterministic under ManualClock",
                     )

@@ -14,7 +14,9 @@ the same bits a real MPI run would — while recording:
   "several all-to-all steps" vs "one sparse exchange"), and
 - the total bytes crossing the network,
 
-and charging alpha-beta time (Eq 2) to a :class:`~repro.util.timing.SimClock`.
+and charging alpha-beta time (Eq 2) to a
+:class:`~repro.util.clock.ManualClock` — the same clock type ranks, pools
+and servers accept.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.cluster.network import Network
 from repro.errors import CommunicationError, RankFailure
-from repro.util.timing import SimClock
+from repro.util.clock import ManualClock
 
 
 @dataclass
@@ -77,7 +79,7 @@ class SimulatedComm:
         self,
         size: int,
         network: Optional[Network] = None,
-        clock: Optional[SimClock] = None,
+        clock: Optional[ManualClock] = None,
     ):
         if size < 1:
             raise CommunicationError(f"communicator size must be >= 1, got {size}")
@@ -87,7 +89,7 @@ class SimulatedComm:
             raise CommunicationError(
                 f"network has {self.network.num_workers} workers, comm has {size}"
             )
-        self.clock = clock or SimClock()
+        self.clock = clock or ManualClock()
         self.ledger = TrafficLedger()
         self._dead: set[int] = set()
 

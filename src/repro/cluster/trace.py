@@ -10,8 +10,8 @@ The 97% is an arithmetic consequence of the first two numbers: if the
 communication time is fixed and everything else accelerates by ``a``, the
 communication fraction ``c`` becomes ``c / (c + (1 - c)/a)``.  This module
 provides that projection, a per-category timeline built from
-:class:`~repro.util.timing.SimClock` ledgers, and a model-based fraction
-estimator for the distributed FFT baselines.
+:class:`~repro.util.clock.ManualClock` category totals, and a model-based
+fraction estimator for the distributed FFT baselines.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.cluster.cost import comm_time_traditional_fft, fft_stage_flops
 from repro.cluster.device import Device
 from repro.cluster.network import Link
 from repro.errors import ConfigurationError
-from repro.util.timing import SimClock
+from repro.util.clock import ManualClock
 
 
 def accelerate_compute_fraction(comm_fraction: float, accel: float) -> float:
@@ -91,8 +91,8 @@ def distributed_fft_breakdown(
     return ComputeCommBreakdown(compute_s=compute, comm_s=comm, other_s=other)
 
 
-def clock_breakdown_fractions(clock: SimClock) -> Dict[str, float]:
-    """Per-category time fractions from a simulated clock's ledger."""
+def clock_breakdown_fractions(clock: ManualClock) -> Dict[str, float]:
+    """Per-category time fractions from a simulated clock's totals."""
     breakdown = clock.breakdown()
     total = sum(breakdown.values())
     if total == 0.0:

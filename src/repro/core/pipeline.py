@@ -41,7 +41,10 @@ from repro.core.parallel import convolve_subdomains_parallel
 from repro.core.policy import SamplingPolicy
 from repro.errors import ShapeError
 from repro.octree.compress import CompressedField
-from repro.util.timing import WallTimer
+from repro.util.clock import MonotonicClock
+
+#: Wall time source for ``ConvolutionResult.elapsed_s``.
+_WALL = MonotonicClock()
 
 
 @dataclass
@@ -242,11 +245,11 @@ class LowCommConvolution3D:
     # -- execution modes ----------------------------------------------------
     def run_serial(self, field: np.ndarray) -> ConvolutionResult:
         """Process all sub-domains on one worker; return the dense result."""
-        with WallTimer() as timer:
-            blocks = self.decomposition.active_blocks(self._check_field(field))
-            per_domain = list(self.convolve_chunks(blocks))
-            approx = self._accumulate(per_domain)
-        return self._result(approx, per_domain, timer.elapsed)
+        start = _WALL.now()
+        blocks = self.decomposition.active_blocks(self._check_field(field))
+        per_domain = list(self.convolve_chunks(blocks))
+        approx = self._accumulate(per_domain)
+        return self._result(approx, per_domain, _WALL.now() - start)
 
     def run_parallel(
         self, field: np.ndarray, max_workers: Optional[int] = None
@@ -267,7 +270,7 @@ class LowCommConvolution3D:
         max_workers:
             Process count; defaults to all available cores.
         """
-        with WallTimer() as timer:
-            per_domain = self._convolve_in_pool(field, max_workers)
-            approx = self._accumulate(per_domain)
-        return self._result(approx, per_domain, timer.elapsed)
+        start = _WALL.now()
+        per_domain = self._convolve_in_pool(field, max_workers)
+        approx = self._accumulate(per_domain)
+        return self._result(approx, per_domain, _WALL.now() - start)

@@ -13,7 +13,7 @@ Layers, bottom up:
   version, kind, source rank, tag, payload) with typed truncation errors.
 - :mod:`repro.dist.ledger` — :class:`WireLedger`: every frame's actual
   bytes-on-wire counted per traffic category, built on the
-  :mod:`repro.serve.metrics` counter/histogram types.
+  :mod:`repro.util.metrics` counter/histogram types.
 - :mod:`repro.dist.transport` / :mod:`repro.dist.tcp` — pluggable
   transports: :class:`LocalTransport` (in-process loopback queues, fully
   deterministic, fault-injectable) and :class:`TcpTransport` (full-mesh
@@ -53,12 +53,7 @@ from repro.dist.launcher import (
     predicted_input_bytes,
     recover_from_checkpoints,
 )
-from repro.dist.ledger import (
-    TenantLedger,
-    WireLedger,
-    merge_wire_snapshots,
-    sent_wire_bytes,
-)
+from repro.dist.ledger import WireLedger, merge_wire_snapshots, sent_wire_bytes
 from repro.dist.transport import LocalFabric, LocalTransport, SendWindow, Transport
 from repro.dist.tcp import TcpTransport, normalize_endpoints
 from repro.dist.wire import Frame, FrameKind
@@ -75,7 +70,6 @@ __all__ = [
     "RankResult",
     "SendWindow",
     "StreamedAllgather",
-    "TenantLedger",
     "TcpTransport",
     "Transport",
     "WireLedger",

@@ -42,7 +42,7 @@ from repro.dist.inputs import SPECTRUM_TABLE_BYTES
 from repro.dist.jobs import PoolJob, execute_job, fence_generation
 from repro.dist.tcp import TcpTransport
 from repro.errors import ReproError, StaleGenerationError
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 from repro.util.lru import WeightedLRU
 
 __all__ = ["RankAgent", "serve_connection"]

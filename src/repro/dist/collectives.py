@@ -50,7 +50,7 @@ from repro.errors import (
     RankFailure,
     TransportError,
 )
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 
 #: Tags for the pipeline's bulk-synchronous phases.  This block is the
 #: *central wire-tag registry* (TAG001): every ``TAG_*`` constant lives
@@ -92,7 +92,8 @@ class Communicator:
         crash detection in the transports still applies).  When enabled,
         peers silent for ``4 *`` this interval are declared failed.
     clock:
-        Time source for receive deadlines (injectable for tests).
+        Time source for receive deadlines, heartbeat expiry and send spans
+        (injectable for tests).
     """
 
     def __init__(
@@ -109,7 +110,9 @@ class Communicator:
         self._sender: Optional[HeartbeatSender] = None
         peers = self._peers()
         if heartbeat_s is not None and peers:
-            self.monitor = HeartbeatMonitor(peers, timeout_s=4.0 * heartbeat_s)
+            self.monitor = HeartbeatMonitor(
+                peers, timeout_s=4.0 * heartbeat_s, clock=self.clock
+            )
             self._sender = HeartbeatSender(transport, heartbeat_s)
             self._sender.start()
         #: DATA frames that arrived ahead of the receive that wants them,
@@ -271,9 +274,9 @@ class Communicator:
         pending: Set[int] = set(self._peers())
         if not pending:
             return result
-        with self.transport.send_window(window=1, name="exchange").closing(
-            timeout=self.recv_timeout_s
-        ) as window:
+        with self.transport.send_window(
+            window=1, name="exchange", clock=self.clock
+        ).closing(timeout=self.recv_timeout_s) as window:
             window.submit(
                 [
                     (dst, Frame(FrameKind.DATA, self.rank, tag, payloads[dst]), category)
@@ -394,7 +397,7 @@ class StreamedAllgather:
         self._seq = 0
         self._finished = False
         self._window = (
-            comm.transport.send_window(window=window, name=name, now=comm.clock.now)
+            comm.transport.send_window(window=window, name=name, clock=comm.clock)
             if self._peers
             else None
         )

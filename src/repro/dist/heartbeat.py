@@ -10,19 +10,21 @@ stuck consults :meth:`HeartbeatMonitor.check` and converts prolonged
 silence into a typed :class:`~repro.errors.RankFailure` naming the
 silent ranks.
 
-The monitor takes an injectable clock so failure-detection logic is unit
+The monitor reads the communicator's injected
+:class:`~repro.util.clock.Clock`, so heartbeat expiry and receive
+deadlines are measured on one time source and failure detection is unit
 testable without sleeping.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.dist.ledger import CATEGORY_CONTROL
 from repro.dist.wire import Frame, FrameKind
 from repro.errors import CommunicationError, RankFailure
+from repro.util.clock import Clock
 
 
 class HeartbeatMonitor:
@@ -35,18 +37,13 @@ class HeartbeatMonitor:
     timeout_s:
         Silence longer than this marks a peer overdue.
     clock:
-        Monotonic time source (injectable for tests).
+        Time source silence is measured on.
     """
 
-    def __init__(
-        self,
-        peers: List[int],
-        timeout_s: float,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, peers: List[int], timeout_s: float, clock: Clock):
         self.timeout_s = float(timeout_s)
         self.clock = clock
-        now = clock()
+        now = clock.now()
         self._last_seen: Dict[int, float] = {p: now for p in peers}
         self._lock = threading.Lock()
 
@@ -54,37 +51,11 @@ class HeartbeatMonitor:
         """Note that ``src`` was just heard from (any frame counts)."""
         with self._lock:
             if src in self._last_seen:
-                self._last_seen[src] = self.clock()
-
-    def watch(self, peer: int) -> None:
-        """Start (or restart) watching ``peer``, counting it fresh now.
-
-        Elastic membership hook: a late-joining or replacement rank
-        enters liveness tracking the moment it is admitted, with its
-        silence measured from admission — not from monitor construction.
-        Re-watching an existing peer resets its clock, which is exactly
-        right for a rank re-admitted under a new roster generation.
-        """
-        with self._lock:
-            self._last_seen[peer] = self.clock()
-
-    def unwatch(self, peer: int) -> None:
-        """Stop watching ``peer`` (evicted/replaced); unknown peers ok.
-
-        An evicted rank must not keep tripping :meth:`check` after the
-        roster has moved on — its silence is expected, not a failure.
-        """
-        with self._lock:
-            self._last_seen.pop(peer, None)
-
-    def watched(self) -> List[int]:
-        """Currently watched peers, sorted."""
-        with self._lock:
-            return sorted(self._last_seen)
+                self._last_seen[src] = self.clock.now()
 
     def overdue(self) -> List[int]:
         """Ranks silent for longer than the timeout, sorted."""
-        now = self.clock()
+        now = self.clock.now()
         with self._lock:
             return sorted(
                 p for p, t in self._last_seen.items() if now - t > self.timeout_s

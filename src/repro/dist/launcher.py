@@ -44,7 +44,7 @@ from repro.dist.worker import (
 )
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 
 _PRECISION_BYTES = {"float64": 8, "float32": 4}
 

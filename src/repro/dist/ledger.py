@@ -8,7 +8,7 @@ accumulation payloads, ``bcast`` for input distribution, ``control`` for
 handshakes/heartbeats/close).  Cross-validating the two, and both against
 the Eq 6 cost model, is the CI invariant this package exists for.
 
-Counters and histograms are the :mod:`repro.serve.metrics` types, so a
+Counters and histograms are the :mod:`repro.util.metrics` types, so a
 ledger snapshot is the same JSON shape as a serve-layer metrics snapshot
 and benchmark tooling reads both.
 """
@@ -19,7 +19,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, Optional
 
-from repro.serve.metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
+from repro.util.metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 
 #: Traffic category for the single sparse accumulation exchange.
 CATEGORY_EXCHANGE = "exchange"
@@ -170,48 +170,3 @@ def sent_wire_bytes(totals: Dict[str, int]) -> int:
         if k.startswith("sent.") and k.endswith(".bytes")
     )
 
-
-class TenantLedger:
-    """Per-tenant attribution of per-job wire counters.
-
-    The serving tier runs many pool jobs on behalf of many tenants; each
-    :class:`~repro.pool.pool.PoolJobReport` carries that *job's* exact
-    ledger delta (``wire_totals``), and this ledger charges it to the
-    tenant the job was submitted for.  The result is the same flat
-    counter shape as :func:`merge_wire_snapshots`, keyed by tenant, plus
-    convenience byte totals — the "who moved how many bytes" view a
-    multi-tenant front door owes its operators.
-
-    Thread-safe: the serve loop and caller threads may attribute
-    concurrently.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._totals: Dict[str, Dict[str, int]] = {}
-        self._jobs: Dict[str, int] = {}
-
-    def attribute(self, tenant: str, wire_totals: Dict[str, int]) -> None:
-        """Charge one job's merged counters to ``tenant``."""
-        with self._lock:
-            bucket = self._totals.setdefault(str(tenant), {})
-            for name, value in wire_totals.items():
-                bucket[name] = bucket.get(name, 0) + int(value)
-            self._jobs[str(tenant)] = self._jobs.get(str(tenant), 0) + 1
-
-    def sent_bytes(self, tenant: str) -> int:
-        """Bytes sent on behalf of ``tenant`` (0 for unknown tenants)."""
-        with self._lock:
-            return sent_wire_bytes(self._totals.get(str(tenant), {}))
-
-    def snapshot(self) -> dict:
-        """JSON-safe per-tenant view: counters, jobs, and byte totals."""
-        with self._lock:
-            return {
-                tenant: {
-                    "jobs": self._jobs.get(tenant, 0),
-                    "sent_bytes": sent_wire_bytes(counters),
-                    "counters": dict(counters),
-                }
-                for tenant, counters in sorted(self._totals.items())
-            }

@@ -41,7 +41,7 @@ from repro.dist.jobs import PoolJob
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, RankResult, rank_main
 from repro.errors import PoolError
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 
 #: Backstop for one job on a formed mesh (compute + exchange).
 RUN_DEADLINE_S = 120.0

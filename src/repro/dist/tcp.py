@@ -14,7 +14,7 @@ Dialing tolerates staggered joins: a peer's listener may not exist yet
 when this rank dials (multi-host rendezvous, slow CI hosts), so
 :meth:`TcpTransport._dial` retries with capped exponential backoff plus
 deterministic jitter until the mesh deadline.  Every deadline is read
-from an injected :class:`~repro.serve.clock.Clock` and all dial-side
+from an injected :class:`~repro.util.clock.Clock` and all dial-side
 waiting goes through it, so the retry schedule is unit-testable without
 wall-clock sleeps.
 
@@ -62,7 +62,7 @@ from repro.errors import (
     RankFailure,
     TransportError,
 )
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 
 #: Default wall-clock budget for building the full mesh.
 CONNECT_TIMEOUT_S = 20.0

@@ -25,9 +25,8 @@ from __future__ import annotations
 import abc
 import queue
 import threading
-import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.dist.ledger import CATEGORY_CONTROL, CATEGORY_DATA, WireLedger
 from repro.dist.wire import HEADER_BYTES, Frame, FrameKind, decode_frame, encode_frame
@@ -37,6 +36,7 @@ from repro.errors import (
     RankFailure,
     TransportError,
 )
+from repro.util.clock import Clock
 
 
 class RecvArena:
@@ -168,10 +168,7 @@ class Transport(abc.ABC):
         """Gracefully tear down (sends ``BYE`` to peers where applicable)."""
 
     def send_window(
-        self,
-        window: int = 2,
-        name: str = "stream",
-        now: Callable[[], float] = time.perf_counter,
+        self, window: int = 2, name: str = "stream", *, clock: Clock
     ) -> "SendWindow":
         """Open a non-blocking send path with a bounded in-flight window.
 
@@ -179,10 +176,10 @@ class Transport(abc.ABC):
         thread concurrently with the owning thread's receives (the TCP
         endpoint serializes writers per peer socket, the loopback endpoint
         enqueues atomically), so the returned :class:`SendWindow` can
-        drain sends behind the caller's compute.  ``now`` is the time
+        drain sends behind the caller's compute.  ``clock`` is the time
         source its send spans are read from.
         """
-        return SendWindow(self, window=window, name=name, now=now)
+        return SendWindow(self, window=window, name=name, clock=clock)
 
     def _check_peer(self, dst: int) -> None:
         if not 0 <= dst < self.size:
@@ -213,7 +210,7 @@ class SendWindow:
     from :meth:`close` — never swallowed.
 
     The pump also records its active send spans (start/stop pairs read
-    from ``now``) so callers can measure how much wire time was hidden
+    from ``clock``) so callers can measure how much wire time was hidden
     behind compute.
     """
 
@@ -222,17 +219,18 @@ class SendWindow:
         transport: Transport,
         window: int = 2,
         name: str = "stream",
-        now: Callable[[], float] = time.perf_counter,
+        *,
+        clock: Clock,
     ):
         if window < 1:
             raise CommunicationError(f"send window must be >= 1, got {window}")
         self.transport = transport
         self.name = name
-        self._now = now
+        self._clock = clock
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=window)
         self._errors: List[Exception] = []
         self._closed = False
-        #: (start, stop) spans on ``now`` during which the pump was sending
+        #: (start, stop) spans on ``clock`` during which the pump was sending
         self.send_spans: List[Tuple[float, float]] = []
         self._thread = threading.Thread(
             target=self._pump,
@@ -247,7 +245,7 @@ class SendWindow:
             if item is _WINDOW_CLOSE:
                 return
             sends, label = item
-            t0 = self._now()
+            t0 = self._clock.now()
             try:
                 if label is not None:
                     with self.transport.ledger.window(label):
@@ -260,7 +258,7 @@ class SendWindow:
                 self._errors.append(exc)
                 return
             finally:
-                self.send_spans.append((t0, self._now()))
+                self.send_spans.append((t0, self._clock.now()))
 
     def _raise_pending(self) -> None:
         if self._errors:

@@ -30,7 +30,7 @@ from repro.pool.rendezvous import (
     new_agent_id,
     parse_rendezvous,
 )
-from repro.serve.clock import Clock
+from repro.util.clock import Clock
 
 __all__ = ["PoolAgent", "agent_main", "spawn_local_agents"]
 

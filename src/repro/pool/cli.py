@@ -143,7 +143,7 @@ def _ask(card, op: str) -> tuple:
     from multiprocessing.connection import Client
 
     from repro.dist.runtime import control_reply
-    from repro.serve.clock import MonotonicClock
+    from repro.util.clock import MonotonicClock
 
     conn = Client((card.host, card.port), family="AF_INET")
     try:

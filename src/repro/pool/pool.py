@@ -52,7 +52,7 @@ from repro.pool.rendezvous import (
     parse_rendezvous,
     wait_for_cards,
 )
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 
 __all__ = ["PoolJobReport", "RankPool", "private_pool"]
 

@@ -20,7 +20,7 @@ Two interchangeable backends behind one tiny interface:
   spoken to with one-shot request/reply connections.  This is the real
   multi-host path: agents only need to reach one TCP endpoint.
 
-All waiting goes through an injected :class:`~repro.serve.clock.Clock`
+All waiting goes through an injected :class:`~repro.util.clock.Clock`
 (CLK001 covers this tree), so discovery timeouts are testable on a
 manual clock.
 """
@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 from urllib.parse import urlparse
 
 from repro.errors import ConfigurationError, PoolError
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 
 __all__ = [
     "AgentCard",

@@ -18,16 +18,18 @@ primitives (:class:`~repro.core.batch.BatchConvolver`,
   standing :class:`~repro.pool.RankPool` meshes by consistent hashing
   (:class:`ConsistentHashRing`), with generation fencing, transparent
   checkpoint-handoff failover, and per-tenant wire attribution;
-- :class:`MetricsRegistry` — counters/gauges/histograms snapshot-able to
-  JSON;
 - :mod:`repro.serve.loadgen` — a deterministic synthetic load generator
   behind ``python -m repro serve-bench``.
 
-Everything reads time through an injectable :class:`Clock`, so scheduler
-behaviour is fully testable with a :class:`ManualClock` — no sleeps.
+Everything reads time through an injectable
+:class:`~repro.util.clock.Clock`, so scheduler behaviour is fully testable
+with a :class:`~repro.util.clock.ManualClock` — no sleeps — and counts
+into a :class:`~repro.util.metrics.MetricsRegistry` whose snapshot is
+plain JSON.  Neither lives here: the rank runtime and the pool read the
+same clock and count on the same registry without importing this
+package.
 """
 
-from repro.serve.clock import Clock, ManualClock, MonotonicClock
 from repro.serve.dist_backend import (
     ConsistentHashRing,
     PoolBackend,
@@ -35,7 +37,6 @@ from repro.serve.dist_backend import (
 )
 from repro.serve.executor import BatchExecutor
 from repro.serve.loadgen import TenantSpec
-from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
     DEFAULT_TENANT,
@@ -48,9 +49,6 @@ from repro.serve.scheduler import Batch, BatchingScheduler
 from repro.serve.server import ConvolutionServer, ServerConfig
 
 __all__ = [
-    "Clock",
-    "ManualClock",
-    "MonotonicClock",
     "ConvolutionServer",
     "ServerConfig",
     "ConvolutionRequest",
@@ -66,8 +64,4 @@ __all__ = [
     "ConsistentHashRing",
     "compat_key_string",
     "BoundedRequestQueue",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
 ]

@@ -27,9 +27,9 @@ resubmits once (counted in ``pool.generation_bumps``).
 
 **Attribution.**  Each job's exact per-job wire counters
 (:attr:`~repro.pool.pool.PoolJobReport.wire_totals`) are charged to the
-submitting request's tenant via a
-:class:`~repro.dist.ledger.TenantLedger`, so the serve metrics snapshot
-answers "who moved how many bytes" per tenant.
+submitting request's tenant in the server's metrics registry, under
+``tenant.<tenant>.wire.<counter>``, so the serve metrics snapshot answers
+"who moved how many bytes" per tenant.
 
 Failover is the pool's checkpoint-handoff path, reused transparently: a
 rank death mid-job recovers in-mesh (survivors restore from posted
@@ -54,13 +54,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.core.pipeline import ConvolutionResult
 from repro.core.policy import policy_spec
 from repro.errors import ConfigurationError, StaleGenerationError
-from repro.serve.metrics import DEFAULT_SIZE_BUCKETS
 from repro.serve.request import CompatKey, RequestState
 from repro.serve.scheduler import Batch
+from repro.util.metrics import DEFAULT_SIZE_BUCKETS
 
-if TYPE_CHECKING:  # pool/dist imports stay lazy: this module is pulled
-    # in by ``repro.serve.__init__``, which ``repro.dist.ledger`` imports
-    # (via the shared metrics types) before it finishes initializing
+if TYPE_CHECKING:  # dist/pool imports stay function-local to hold import
+    # cost: ``import repro.serve`` pulls this module in, and loading the
+    # pool there would cost every in-process server a few hundredths of a
+    # second of imports it never uses
     from repro.dist.worker import DistConfig
     from repro.pool.pool import PoolJobReport, RankPool
 
@@ -189,8 +190,6 @@ class PoolBackend:
         own_pools: bool = False,
         replicas: int = DEFAULT_RING_REPLICAS,
     ):
-        from repro.dist.ledger import TenantLedger
-
         if not pools:
             raise ConfigurationError("PoolBackend needs at least one pool")
         self.pools = dict(pools)
@@ -199,7 +198,6 @@ class PoolBackend:
             self.ring.add(name)
         self.job_hook = job_hook
         self.own_pools = own_pools
-        self.tenants = TenantLedger()
         #: recent :class:`~repro.pool.pool.PoolJobReport`\ s, oldest first
         self.job_reports: "deque[PoolJobReport]" = deque(maxlen=64)
         self._lock = threading.Lock()
@@ -247,7 +245,7 @@ class PoolBackend:
                     }
                     for name, pool in self.pools.items()
                 },
-                "tenants": self.tenants.snapshot(),
+                "tenants": self._tenants(),
             }
             if last is not None:
                 doc["last_job"] = {
@@ -389,9 +387,32 @@ class PoolBackend:
             m.counter("pool.replacements").inc(len(report.replaced_ranks))
         if report.driver_fallback:
             m.counter("pool.driver_fallbacks").inc()
-        sent = sent_wire_bytes(report.wire_totals)
-        m.counter(f"tenant.{request.tenant}.wire_bytes").inc(sent)
-        self.tenants.attribute(request.tenant, report.wire_totals)
+        prefix = f"tenant.{request.tenant}."
+        m.counter(prefix + "pool_jobs").inc()
+        m.counter(prefix + "wire_bytes").inc(sent_wire_bytes(report.wire_totals))
+        for name, value in report.wire_totals.items():
+            m.counter(f"{prefix}wire.{name}").inc(int(value))
+
+    def _tenants(self) -> dict:
+        """``{tenant: {"jobs", "sent_bytes", "counters"}}``, read back from
+        the per-tenant counters :meth:`_record` charges to the registry."""
+        if self._metrics is None:
+            return {}
+        counters = self._metrics.snapshot()["counters"]
+        tenants = {}
+        for key, jobs in counters.items():
+            if not (key.startswith("tenant.") and key.endswith(".pool_jobs")):
+                continue
+            prefix = key[: -len("pool_jobs")]
+            wire = prefix + "wire."
+            tenants[key[len("tenant.") : -len(".pool_jobs")]] = {
+                "jobs": jobs,
+                "sent_bytes": counters.get(prefix + "wire_bytes", 0),
+                "counters": {
+                    k[len(wire) :]: v for k, v in counters.items() if k.startswith(wire)
+                },
+            }
+        return tenants
 
     @staticmethod
     def _to_result(report: "PoolJobReport") -> ConvolutionResult:

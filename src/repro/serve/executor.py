@@ -29,10 +29,10 @@ import numpy as np
 from repro.core.batch import BatchConvolver
 from repro.core.pipeline import ConvolutionResult
 from repro.errors import ConfigurationError
-from repro.serve.clock import Clock
-from repro.serve.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.serve.request import CompatKey, RequestState
 from repro.serve.scheduler import Batch
+from repro.util.clock import Clock
+from repro.util.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
 #: Test seam: called as ``fault_hook(batch, attempt)`` before execution;
 #: raising simulates a worker failure for that attempt.

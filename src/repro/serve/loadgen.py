@@ -30,10 +30,10 @@ from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy, parse_policy
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
-from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.dist_backend import PoolBackend
 from repro.serve.request import DEFAULT_TENANT
 from repro.serve.server import ConvolutionServer, ServerConfig
+from repro.util.clock import Clock, MonotonicClock
 from repro.util.validation import check_positive_int
 
 

@@ -44,9 +44,7 @@ from repro.errors import (
     ServiceError,
     ShapeError,
 )
-from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.executor import BatchExecutor, FaultHook
-from repro.serve.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
     DEFAULT_TENANT,
@@ -55,6 +53,8 @@ from repro.serve.request import (
     RequestState,
 )
 from repro.serve.scheduler import BatchingScheduler
+from repro.util.clock import Clock, MonotonicClock
+from repro.util.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
 
 @dataclass
@@ -319,7 +319,7 @@ class ConvolutionServer:
         """Pump until no request is waiting (test/benchmark driver).
 
         Advances the clock to the scheduler's next decision point between
-        iterations — under a :class:`~repro.serve.clock.ManualClock` this
+        iterations — under a :class:`~repro.util.clock.ManualClock` this
         simulates the timeline instantly; under the monotonic clock it
         sleeps just long enough.  ``max_wall_s`` bounds the loop for
         safety (measured on the server clock).

@@ -1,4 +1,6 @@
-"""Shared utilities: validation, array helpers, timing, logging."""
+"""Shared utilities: validation, array helpers, logging, the injectable
+clock (:mod:`repro.util.clock`) and the metrics registry
+(:mod:`repro.util.metrics`)."""
 
 from repro.util.validation import (
     check_cube,
@@ -17,7 +19,6 @@ from repro.util.arrays import (
     next_pow2,
     pad_to_shape,
 )
-from repro.util.timing import SimClock, WallTimer
 
 __all__ = [
     "check_cube",
@@ -33,6 +34,4 @@ __all__ = [
     "linf_relative_error",
     "next_pow2",
     "pad_to_shape",
-    "SimClock",
-    "WallTimer",
 ]

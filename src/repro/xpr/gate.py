@@ -28,7 +28,7 @@ import statistics
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 from repro.xpr.store import TrajectoryStore, TrialRecord
 
 #: Metric names (last dotted component) where larger values are better.

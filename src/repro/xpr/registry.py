@@ -201,7 +201,7 @@ def run_pool_trial(spec: TrialSpec) -> Dict[str, float]:
 
     from repro.dist.worker import build_pipeline, composite_field
     from repro.pool.pool import private_pool
-    from repro.serve.clock import MonotonicClock
+    from repro.util.clock import MonotonicClock
 
     clock = MonotonicClock()
     config = _dist_config(spec, num_ranks=spec.ranks, transport="tcp")

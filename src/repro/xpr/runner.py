@@ -15,9 +15,9 @@ trial kill the sweep:
   (:data:`INFRA_ERRORS`) are environmental, not regressions, so the
   trial gets exactly one more attempt before it is recorded as failed.
 
-All timing flows through an injected :class:`repro.serve.clock.Clock`
+All timing flows through an injected :class:`repro.util.clock.Clock`
 (monotonic by default), so tests drive the runner with a
-:class:`~repro.serve.clock.ManualClock` and assert exact durations.
+:class:`~repro.util.clock.ManualClock` and assert exact durations.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import RankFailure, ReproError, TransportError
-from repro.serve.clock import Clock, MonotonicClock
+from repro.util.clock import Clock, MonotonicClock
 from repro.xpr.grid import TrialSpec
 from repro.xpr.registry import BenchRegistry, TrialRunner, default_registry
 from repro.xpr.store import (

@@ -14,7 +14,7 @@ Triggers are deterministic two ways:
   backend submits), independent of wall time; or
 - **by clock time** (``at_s=1.5`` kills the first job submitted at or
   after that instant on the *injected* clock), which composes with
-  :class:`~repro.serve.clock.ManualClock` timelines.
+  :class:`~repro.util.clock.ManualClock` timelines.
 
 Each :class:`KillAt` fires at most once; ``schedule.fired`` records
 what actually triggered so tests can assert the fault really happened
@@ -24,7 +24,7 @@ what actually triggered so tests can assert the fault really happened
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import List, Optional
 
-from repro.serve.clock import Clock
+from repro.util.clock import Clock
 
 
 @dataclass

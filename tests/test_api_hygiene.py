@@ -4,7 +4,10 @@ import cycles.  A library release gate, enforced as tests."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,12 +90,13 @@ LOWER_LAYERS = (
 UPPER_LAYERS = ("dist", "pool", "serve", "xpr")
 #: (importing packages, packages they may not import): the library knows
 #: no runtime, the runtimes do not know the experiment orchestrator that
-#: drives them, and the rank runtime does not know the standing pool that
-#: is one use of it
+#: drives them, the rank runtime does not know the standing pool that is
+#: one use of it, and neither knows the serving tier built on both
 LAYERING = (
     (LOWER_LAYERS, UPPER_LAYERS),
     (("dist", "pool", "serve"), ("xpr",)),
     (("dist",), ("pool",)),
+    (("dist", "pool"), ("serve",)),
 )
 
 
@@ -121,6 +125,34 @@ def test_lower_layers_do_not_import_runtimes():
                         if f"{name}.".startswith(banned)
                     ]
     assert not offenders, "\n".join(offenders)
+
+
+@pytest.mark.parametrize(
+    "package, foreign",
+    [
+        ("repro.dist", ("repro.serve",)),
+        ("repro.serve", ("repro.dist", "repro.pool")),
+    ],
+    ids=["repro.dist", "repro.serve"],
+)
+def test_import_loads_no_foreign_runtime(package, foreign):
+    """What importing a runtime actually loads, in a fresh interpreter:
+    the rank runtime pulls in no serving tier, and the serving tier
+    defers the pool until a pool-backed server runs a job."""
+    code = (
+        f"import sys, {package}; "
+        f"print(sorted(m for m in sys.modules if m.startswith({foreign!r})))"
+    )
+    src = str(Path(repro.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def _imports(path):

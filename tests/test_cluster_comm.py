@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.comm import SimulatedComm, TrafficLedger
 from repro.cluster.network import Link, Network
 from repro.errors import CommunicationError, RankFailure
-from repro.util.timing import SimClock
+from repro.util.clock import ManualClock
 
 
 class TestTrafficLedger:
@@ -45,7 +45,7 @@ class TestAlltoall:
         assert comm.ledger.total_bytes == 64
 
     def test_charges_clock(self):
-        clock = SimClock()
+        clock = ManualClock()
         comm = SimulatedComm(4, clock=clock)
         comm.alltoall([[np.zeros(100)] * 4 for _ in range(4)])
         assert clock.category_total("comm") > 0
@@ -81,8 +81,8 @@ class TestAlltoall:
         largest.alltoallv(send)
         assert mean.ledger.total_bytes == largest.ledger.total_bytes == 808
         assert largest.ledger.rounds_by_type == {"alltoallv": 1}
-        assert mean.clock.now == mean.network.alltoall_time(404)
-        assert largest.clock.now == largest.network.alltoall_time(800)
+        assert mean.clock.now() == mean.network.alltoall_time(404)
+        assert largest.clock.now() == largest.network.alltoall_time(800)
 
 
 class TestOtherCollectives:

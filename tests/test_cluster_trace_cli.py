@@ -13,7 +13,7 @@ from repro.cluster.trace import (
     gpu_acceleration_story,
 )
 from repro.errors import ConfigurationError
-from repro.util.timing import SimClock
+from repro.util.clock import ManualClock
 
 
 class TestAccelerationProjection:
@@ -63,7 +63,7 @@ class TestBreakdown:
         )
 
     def test_clock_fractions(self):
-        clock = SimClock()
+        clock = ManualClock()
         clock.advance(3.0, "comm")
         clock.advance(1.0, "compute")
         fracs = clock_breakdown_fractions(clock)
@@ -71,7 +71,7 @@ class TestBreakdown:
         assert fracs["compute"] == pytest.approx(0.25)
 
     def test_empty_clock(self):
-        assert clock_breakdown_fractions(SimClock()) == {}
+        assert clock_breakdown_fractions(ManualClock()) == {}
 
 
 class TestCLI:

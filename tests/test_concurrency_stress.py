@@ -27,7 +27,8 @@ from repro.dist.tcp import TcpTransport
 from repro.dist.transport import LocalFabric
 from repro.errors import ConcurrencyViolation
 from repro.kernels.gaussian import GaussianKernel
-from repro.serve import ConvolutionServer, ManualClock, ServerConfig
+from repro.serve import ConvolutionServer, ServerConfig
+from repro.util.clock import ManualClock
 
 N, K = 16, 4
 ROUNDS = 3

@@ -17,6 +17,7 @@ from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.transport import LocalFabric
 from repro.dist.wire import Frame, FrameKind, encode_frame
 from repro.errors import CommunicationError, RankFailure, TransportError
+from repro.util.clock import ManualClock
 from tests.test_dist_transport import _tcp_mesh
 
 
@@ -252,44 +253,34 @@ class TestReceiveLoop:
 
 class TestHeartbeatMonitor:
     def test_fresh_peers_not_overdue(self):
-        clock = FakeClock()
+        clock = ManualClock()
         monitor = HeartbeatMonitor([1, 2], timeout_s=1.0, clock=clock)
         assert monitor.overdue() == []
         monitor.check()  # no raise
 
     def test_silent_peer_detected(self):
-        clock = FakeClock()
+        clock = ManualClock()
         monitor = HeartbeatMonitor([1, 2], timeout_s=1.0, clock=clock)
-        clock.t = 0.9
+        clock.advance(0.9)
         monitor.record(1)
-        clock.t = 1.5
+        clock.advance(0.6)
         assert monitor.overdue() == [2]
         with pytest.raises(RankFailure, match=r"\[2\]"):
             monitor.check()
 
     def test_any_frame_counts_as_liveness(self):
-        clock = FakeClock()
+        clock = ManualClock()
         monitor = HeartbeatMonitor([1], timeout_s=1.0, clock=clock)
-        for step in range(1, 10):
-            clock.t = step * 0.8
+        for _ in range(1, 10):
+            clock.advance(0.8)
             monitor.record(1)
         assert monitor.overdue() == []
 
     def test_unknown_rank_recorded_harmlessly(self):
-        clock = FakeClock()
+        clock = ManualClock()
         monitor = HeartbeatMonitor([1], timeout_s=1.0, clock=clock)
         monitor.record(99)  # not tracked; no KeyError
         assert monitor.overdue() == []
-
-
-class FakeClock:
-    """Deterministic monotonic clock for liveness tests."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
 
 
 class TestHeartbeatIntegration:
@@ -316,3 +307,28 @@ class TestHeartbeatIntegration:
         finally:
             for c in comms:
                 c.close()
+
+    def test_silence_is_judged_on_the_communicators_clock(self):
+        # rank 1 never speaks; rank 0 blocks in a receive whose deadline
+        # and heartbeat expiry both read the injected clock, so only
+        # advancing that clock past 4 x heartbeat_s declares rank 1 dead
+        heartbeat_s = 2.0
+        clock = ManualClock()
+        comm = Communicator(
+            LocalFabric(2).endpoint(0),
+            recv_timeout_s=60.0,
+            heartbeat_s=heartbeat_s,
+            clock=clock,
+        )
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            receive = pool.submit(comm.recv_payload, 1, 9)
+            try:
+                clock.advance(4 * heartbeat_s - 0.1)
+                time.sleep(0.6)  # > two poll slices of the receive loop
+                assert not receive.done()
+                clock.advance(0.2)
+                with pytest.raises(RankFailure, match=r"\[1\]"):
+                    receive.result(timeout=5.0)
+            finally:
+                clock.advance(120.0)  # past the receive deadline: never hang
+                comm.close()

@@ -55,7 +55,7 @@ from repro.dist.wire import HEADER_BYTES
 from repro.dist.worker import DistConfig, build_pipeline, rank_main
 from repro.errors import InputFrameError
 from repro.kernels.gaussian import GaussianKernel
-from repro.serve.clock import Clock
+from repro.util.clock import Clock
 from repro.util.lru import WeightedLRU
 from tests.test_dist_rank_loop import _run_ranks
 from tests.test_dist_transport import _tcp_mesh

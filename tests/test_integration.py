@@ -21,8 +21,9 @@ from repro.fftx import fftx_execute, massif_convolution_plan
 from repro.kernels.gaussian import GaussianKernel
 from repro.kernels.poisson import PoissonKernel
 from repro.octree.interpolate import reconstruct_dense
-from repro.serve import ConvolutionServer, ManualClock, ServerConfig
+from repro.serve import ConvolutionServer, ServerConfig
 from repro.util.arrays import l2_relative_error
+from repro.util.clock import ManualClock
 
 
 class TestEndToEndConvolution:

@@ -103,6 +103,16 @@ class TestInjectableClockRule:
         _, findings = lint_with("CLK001", "clk001/serve/good_clock.py")
         assert findings == []
 
+    def test_clock_adapter_exempt_only_outside_clocked_trees(self):
+        # a clock.py under serve/ is an ordinary serve/ module
+        _, findings = lint_with("CLK001", "clk001/serve/clock.py")
+        assert {"time.monotonic", "time.sleep"} == {
+            f.message.split("(")[0].split()[1] for f in findings
+        }
+        assert "repro.util.clock.Clock" in findings[0].message
+        _, findings = lint_with("CLK001", "clk001/util/clock.py")
+        assert findings == []
+
     def test_fires_on_xpr_tree(self):
         _, findings = lint_with("CLK001", "clk001/xpr/bad_clock.py")
         assert len(findings) == 3

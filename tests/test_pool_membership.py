@@ -2,17 +2,17 @@
 
 Every shape change (admit/evict/replace) must bump the generation so
 stale work can be fenced, rank assignment must be deterministic from the
-card set alone, and the heartbeat monitor must track members as they
-come and go — all on a manual clock.
+card set alone, and the heartbeat monitor must measure silence on the
+clock it is given — all on a manual clock.
 """
 
 import pytest
 
 from repro.dist.heartbeat import HeartbeatMonitor
-from repro.errors import PoolError, RankFailure, StaleGenerationError
+from repro.errors import PoolError, StaleGenerationError
 from repro.pool.membership import Roster
 from repro.pool.rendezvous import AgentCard
-from repro.serve.clock import ManualClock
+from repro.util.clock import ManualClock
 
 
 def _card(agent_id):
@@ -116,46 +116,12 @@ class TestGenerationFencing:
 
 
 class TestMonitorMembershipHooks:
-    """watch/unwatch are how the pool tracks elastic members' liveness."""
-
-    def test_watch_starts_counting_from_admission(self):
-        clock = ManualClock()
-        monitor = HeartbeatMonitor([], timeout_s=1.0, clock=clock.now)
-        assert monitor.watched() == []
-        clock.advance(10.0)  # long pre-admission silence is irrelevant
-        monitor.watch(3)
-        assert monitor.watched() == [3]
-        assert monitor.overdue() == []
-        clock.advance(1.5)
-        assert monitor.overdue() == [3]
-        with pytest.raises(RankFailure, match=r"\[3\]"):
-            monitor.check()
+    """The heartbeat monitor on a manual clock."""
 
     def test_record_resets_silence(self):
         clock = ManualClock()
-        monitor = HeartbeatMonitor([], timeout_s=1.0, clock=clock.now)
-        monitor.watch(0)
+        monitor = HeartbeatMonitor([0], timeout_s=1.0, clock=clock)
         clock.advance(0.9)
         monitor.record(0)
         clock.advance(0.9)
-        assert monitor.overdue() == []
-
-    def test_unwatch_silences_the_evicted(self):
-        clock = ManualClock()
-        monitor = HeartbeatMonitor([], timeout_s=1.0, clock=clock.now)
-        monitor.watch(0)
-        monitor.watch(1)
-        clock.advance(5.0)
-        monitor.unwatch(0)
-        monitor.unwatch(0)  # unknown/already-gone is fine
-        assert monitor.overdue() == [1]
-        assert monitor.watched() == [1]
-
-    def test_rewatch_resets_a_replaced_rank(self):
-        clock = ManualClock()
-        monitor = HeartbeatMonitor([], timeout_s=1.0, clock=clock.now)
-        monitor.watch(2)
-        clock.advance(5.0)
-        assert monitor.overdue() == [2]
-        monitor.watch(2)  # replacement seated at the same rank
         assert monitor.overdue() == []

@@ -3,7 +3,7 @@
 The rendezvous is the only discovery layer a standing pool has, so both
 backends must behave identically behind the :class:`Rendezvous`
 interface, malformed input must fail loudly, and all waiting must be
-drivable from a :class:`~repro.serve.clock.ManualClock`.
+drivable from a :class:`~repro.util.clock.ManualClock`.
 """
 
 import json
@@ -20,7 +20,7 @@ from repro.pool.rendezvous import (
     parse_rendezvous,
     wait_for_cards,
 )
-from repro.serve.clock import ManualClock
+from repro.util.clock import ManualClock
 
 
 def _card(agent_id, port=4242):

@@ -1,17 +1,11 @@
-"""Unit tests for the serving-layer metrics primitives."""
+"""Unit tests for the metrics primitives (repro.util.metrics)."""
 
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_stage_timings,
-)
+from repro.util.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -66,7 +60,7 @@ class TestRegistry:
         reg.counter("done").inc(2)
         reg.gauge("depth").set(7)
         reg.observe("lat", 0.3)
-        snap = json.loads(reg.to_json())
+        snap = json.loads(json.dumps(reg.snapshot()))
         assert snap["counters"]["done"] == 2
         assert snap["gauges"]["depth"]["value"] == 7.0
         assert snap["histograms"]["lat"]["count"] == 1
@@ -78,9 +72,3 @@ class TestRegistry:
         reg.counter("x").inc()
         assert snap["counters"]["x"] == 1
 
-
-def test_merge_stage_timings():
-    a = {"histograms": {"stage.exec_s": {"sum": 1.0}}}
-    b = {"histograms": {"stage.exec_s": {"sum": 2.5}, "stage.wait_s": {"sum": 0.5}}}
-    totals = merge_stage_timings([a, b])
-    assert totals == {"stage.exec_s": 3.5, "stage.wait_s": 0.5}

@@ -15,10 +15,10 @@ from repro.kernels.gaussian import GaussianKernel
 from repro.serve import (
     BoundedRequestQueue,
     ConvolutionServer,
-    ManualClock,
     RequestState,
     ServerConfig,
 )
+from repro.util.clock import ManualClock
 
 N, K = 16, 4
 

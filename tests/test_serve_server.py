@@ -17,11 +17,11 @@ from repro.errors import (
 from repro.kernels.gaussian import GaussianKernel
 from repro.serve import (
     ConvolutionServer,
-    ManualClock,
     RequestState,
     ServerConfig,
 )
 from repro.serve.loadgen import LoadSpec, parse_policy, run_serve_benchmark
+from repro.util.clock import ManualClock
 
 N, K = 16, 4
 POLICY = SamplingPolicy.flat_rate(4)

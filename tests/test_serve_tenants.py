@@ -16,12 +16,12 @@ from repro.serve import (
     BoundedRequestQueue,
     ConvolutionServer,
     DEFAULT_TENANT,
-    ManualClock,
     RequestState,
     ServerConfig,
     TenantSpec,
 )
 from repro.serve.loadgen import LoadSpec
+from repro.util.clock import ManualClock
 
 N, K = 16, 4
 

@@ -19,7 +19,7 @@ from repro.dist.tcp import (
     normalize_endpoints,
 )
 from repro.errors import ConfigurationError, TransportError
-from repro.serve.clock import ManualClock
+from repro.util.clock import ManualClock
 
 
 class TestDialBackoffSchedule:

@@ -10,7 +10,7 @@ import functools
 import pytest
 
 from repro.cli import main
-from repro.serve.clock import ManualClock
+from repro.util.clock import ManualClock
 from repro.xpr import cli as xpr_cli
 from repro.xpr.cli import xpr_main
 from repro.xpr.grid import EXPERIMENTS, ExperimentGrid, define_experiment

@@ -7,7 +7,7 @@ with a readable per-metric diff naming the regression.
 
 import pytest
 
-from repro.serve.clock import ManualClock
+from repro.util.clock import ManualClock
 from repro.xpr.cli import xpr_main
 from repro.xpr.gate import (
     GateConfig,

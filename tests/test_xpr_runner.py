@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.errors import ReproError, TransportError
-from repro.serve.clock import ManualClock
+from repro.util.clock import ManualClock
 from repro.xpr.grid import TrialSpec
 from repro.xpr.registry import BenchRegistry
 from repro.xpr.runner import Runner, TrialOutcome, record_outcomes
