@@ -1,7 +1,9 @@
-"""Input + exchange bytes of a pool job against the Eq 6 + input model.
+"""Input + exchange bytes of a pool job against the exact model.
 
 The paper's metric is bytes on the wire.  Eq 6 models the one sparse
-exchange; what it leaves out is how the input reaches the ranks.  This
+exchange as an allgather; the exchange now sends each peer only the
+cells that touch its boxes, and what Eq 6 leaves out is how the input
+reaches the ranks.  This
 script measures both on a standing TCP pool, per job, from the ranks' own
 ``WireLedger`` counters:
 
@@ -11,7 +13,8 @@ script measures both on a standing TCP pool, per job, from the ranks' own
 - ``exchange``: the sparse accumulation exchange;
 
 beside their exact predictions (``predicted_input_bytes``: the blocks
-rank 0 scatters; ``predicted_value_bytes``: Eq 6's sample values), for a
+rank 0 scatters; ``predicted_value_bytes``: the per-destination sample
+values) and the paper's allgather count (``eq6_value_bytes``), for a
 cold job (the kernel ships to every peer once), a warm job (it does not)
 and a job on the default kernel (ranks evaluate it themselves: nothing
 ships even cold).
@@ -56,15 +59,16 @@ def table(n: int, k: int, policy: str, rank_counts) -> str:
                     report.predicted_input_bytes,
                     report.exchange_wire_bytes,
                     report.predicted_value_bytes,
+                    report.eq6_value_bytes,
                     total,
                     f"{total / model:.3f}",
                 ]
             )
     return format_table(
-        ["P", "job", "input B", "blocks B", "exchange B", "Eq 6 B", "total B",
-         "total / model"],
+        ["P", "job", "input B", "blocks B", "exchange B", "per-dest B", "Eq 6 B",
+         "total B", "total / model"],
         body,
-        title=f"input + exchange vs Eq 6 + input, n={n} k={k} {policy}",
+        title=f"input + exchange vs per-destination + input, n={n} k={k} {policy}",
     )
 
 

@@ -234,7 +234,8 @@ def _dist_run(args: argparse.Namespace) -> int:
         ["failed ranks", report.failed_ranks or "none"],
         ["recovered from checkpoints", report.recovered],
         ["exchange wire bytes (measured)", report.exchange_wire_bytes],
-        ["exchange value bytes (Eq 6 exact)", report.predicted_value_bytes],
+        ["exchange value bytes (per-destination exact)", report.predicted_value_bytes],
+        ["exchange value bytes (Eq 6 allgather)", report.eq6_value_bytes],
         ["wire / model ratio", f"{report.wire_over_model:.4f}"],
         ["input wire bytes (measured)", report.input_wire_bytes],
         ["input block bytes (exact)", report.predicted_input_bytes],

@@ -13,11 +13,13 @@ records, one per (sub-domain index, field).
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.decomposition import SubDomain
 from repro.errors import ConfigurationError
-from repro.octree.compress import CompressedField
+from repro.octree.compress import CellSubset, CompressedField
 from repro.octree.serialize import deserialize_compressed, serialize_segments
 from repro.util import copytrack
 
@@ -30,6 +32,8 @@ Blob = Union[bytes, bytearray, memoryview]
 def checkpoint_segments(
     fields: Sequence[Tuple[SubDomain, CompressedField]],
     precision: str = "float64",
+    cells: Optional[Sequence[CellSubset]] = None,
+    values: Optional[Sequence[np.ndarray]] = None,
 ) -> List[Blob]:
     """Pack (sub-domain, compressed result) pairs as zero-copy segments.
 
@@ -39,13 +43,30 @@ def checkpoint_segments(
     the fields' own buffers.  Feed it to
     :class:`repro.dist.wire.Segments` for the exchange, or to
     :func:`join_checkpoint_segments` when one contiguous blob is needed.
+
+    ``cells`` (one :class:`~repro.octree.compress.CellSubset` per field)
+    packs only those cells of each field, leaving out fields whose subset
+    is empty; ``values`` (one
+    :func:`~repro.octree.serialize.encode_values` array per field) lets
+    several packings of the same fields share one encode.
     """
-    parts: List[Blob] = [_CHECKPOINT_MAGIC, struct.pack("<q", len(fields))]
-    for sub, field in fields:
-        segments = serialize_segments(field, precision=precision)
-        length = sum(s.nbytes for s in segments)
-        parts.append(_ENTRY_HEADER.pack(sub.index, length))
-        parts.extend(segments)
+    segments = [
+        (
+            sub.index,
+            serialize_segments(
+                field,
+                precision,
+                None if cells is None else cells[i],
+                values=None if values is None else values[i],
+            ),
+        )
+        for i, (sub, field) in enumerate(fields)
+        if cells is None or cells[i].num_cells
+    ]
+    parts: List[Blob] = [_CHECKPOINT_MAGIC, struct.pack("<q", len(segments))]
+    for index, record in segments:
+        parts.append(_ENTRY_HEADER.pack(index, sum(s.nbytes for s in record)))
+        parts.extend(record)
     return parts
 
 
@@ -80,6 +101,26 @@ def checkpoint_from_bytes(blob: Blob) -> Dict[int, CompressedField]:
     with the byte offset and entry index, never a bare ``struct.error``
     or a silently misparsed result.
     """
+    out: Dict[int, CompressedField] = {}
+    for entry, offset, index, field in checkpoint_entries(blob):
+        if index in out:
+            raise ConfigurationError(
+                f"corrupt checkpoint: duplicate sub-domain index {index} "
+                f"at entry {entry} (offset {offset})"
+            )
+        out[index] = field
+    return out
+
+
+def checkpoint_entries(blob: Blob) -> Iterator[Tuple[int, int, int, CompressedField]]:
+    """Decode a checkpoint blob entry by entry.
+
+    Yields ``(entry number, byte offset of its record, sub-domain index,
+    field)`` in blob order, with the same validation as
+    :func:`checkpoint_from_bytes` except the duplicate check — a caller
+    merging several blobs applies its own rules about which indices may
+    appear, and can name the offending entry's offset when one breaks them.
+    """
     blob = memoryview(blob)
     if blob.ndim != 1 or blob.itemsize != 1:
         blob = blob.cast("B")
@@ -95,7 +136,6 @@ def checkpoint_from_bytes(blob: Blob) -> Dict[int, CompressedField]:
     offset += 8
     if count < 0:
         raise ConfigurationError(f"corrupt checkpoint (negative count {count})")
-    out: Dict[int, CompressedField] = {}
     for entry in range(count):
         if len(blob) < offset + _ENTRY_HEADER.size:
             raise ConfigurationError(
@@ -110,13 +150,8 @@ def checkpoint_from_bytes(blob: Blob) -> Dict[int, CompressedField]:
                 f"declares {length} payload bytes at offset {offset}, blob "
                 f"has {len(blob) - offset} left"
             )
-        if index in out:
-            raise ConfigurationError(
-                f"corrupt checkpoint: duplicate sub-domain index {index} "
-                f"at entry {entry} (offset {offset})"
-            )
         try:
-            out[int(index)] = deserialize_compressed(blob[offset : offset + length])
+            field = deserialize_compressed(blob[offset : offset + length])
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"corrupt checkpoint entry {entry} (sub-domain {index}) at "
@@ -127,11 +162,10 @@ def checkpoint_from_bytes(blob: Blob) -> Dict[int, CompressedField]:
                 f"undecodable checkpoint entry {entry} (sub-domain {index}) "
                 f"at offset {offset}: {type(exc).__name__}: {exc}"
             ) from exc
+        yield entry, offset, int(index), field
         offset += length
     if offset != len(blob):
         raise ConfigurationError(
             f"corrupt checkpoint: {len(blob) - offset} trailing bytes after "
             f"{count} entries (offset {offset})"
         )
-    return out
-

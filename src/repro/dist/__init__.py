@@ -21,15 +21,15 @@ Layers, bottom up:
 - :mod:`repro.dist.heartbeat` — liveness tracking for rank-failure
   detection.
 - :mod:`repro.dist.collectives` — :class:`Communicator`: tagged
-  point-to-point plus ``broadcast`` / ``scatter`` / ``sparse_allgather``
-  / ``alltoall``.
+  point-to-point plus ``broadcast`` / ``scatter`` / ``sparse_allgather``.
 - :mod:`repro.dist.inputs` — input distribution: each rank is scattered
   only the ``k^3`` blocks it convolves, and kernel spectra stay rank-side
   under a content digest.
 - :mod:`repro.dist.worker` — what one rank executes: warm
   pruned-plan local convolutions of its round-robin sub-domains, octree
-  compression, :mod:`repro.octree.serialize` payloads through the wire,
-  block accumulation (bitwise identical to ``run_serial``).
+  compression, :mod:`repro.octree.serialize` payloads through the wire —
+  each peer sent only the cells that touch its boxes — and block
+  accumulation (bitwise identical to ``run_serial``).
 - :mod:`repro.dist.jobs` / :mod:`repro.dist.agent` — the rank process:
   one job with exact per-job ledgers inside the ``form`` / ``mesh`` /
   ``job`` control loop a cold rank and a standing pool agent both serve.
@@ -37,8 +37,9 @@ Layers, bottom up:
   for ``tcp``, processes forked for one job and driven by the mesh
   formation, dispatch and post-draining :mod:`repro.pool` also calls.
 - :mod:`repro.dist.launcher` — :func:`dist_run`: the front door; survives
-  a rank death by recovering from the shipped checkpoints, cross-validates
-  measured wire bytes against the Eq 6 cost model.
+  a rank death by recovering from the posted checkpoints, cross-validates
+  measured wire bytes against the exact per-destination count, and
+  reports the paper's Eq 6 allgather count beside it.
 
 ``python -m repro dist-run --ranks 4 --transport tcp`` runs the whole
 thing end to end.

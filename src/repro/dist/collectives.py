@@ -8,13 +8,14 @@ endpoint with the operations the pipeline needs:
 - ``broadcast`` — root fans one payload to every rank;
 - ``scatter`` — root sends each rank its own payload (input distribution:
   a rank receives only the blocks it convolves);
-- ``sparse_allgather`` — every rank ships its payload to every peer and
-  receives all of theirs: *the* single sparse accumulation exchange of
-  the paper (Fig 1(b)); sends drain on a pump thread while this thread
-  receives, so it cannot deadlock on full socket buffers;
+- ``sparse_allgather`` — every rank ships each peer the payload meant for
+  it and receives one from each: *the* single sparse accumulation
+  exchange of the paper (Fig 1(b)), per destination, so a peer is sent
+  only the octree cells that touch its boxes; sends drain on a pump
+  thread while this thread receives, so it cannot deadlock on full
+  socket buffers;
 - ``sparse_allgather_stream`` — the same exchange fed chunk by chunk
   while compute is still running (:class:`StreamedAllgather`);
-- ``alltoall`` — per-destination payloads, for baselines and tests;
 - ``barrier`` — empty exchange.
 
 Every receive in this module goes through one loop,
@@ -270,6 +271,10 @@ class Communicator:
         while this thread receives, so full kernel socket buffers can
         never deadlock the collective, whatever the payload size.
         """
+        if len(payloads) != self.size:
+            raise CommunicationError(
+                f"need one payload per rank ({self.size}), got {len(payloads)}"
+            )
         result = list(payloads)
         pending: Set[int] = set(self._peers())
         if not pending:
@@ -292,20 +297,22 @@ class Communicator:
 
     def sparse_allgather(
         self,
-        payload: FramePayload,
+        payloads: List[FramePayload],
         tag: int = TAG_EXCHANGE,
         category: str = CATEGORY_EXCHANGE,
     ) -> List[FramePayload]:
-        """The single sparse exchange: all ranks swap payloads.
+        """The single sparse exchange: every rank sends ``payloads[dst]``
+        to each peer ``dst`` and receives one payload from each.
 
-        Returns the per-rank payloads indexed by source rank (this rank's
-        own payload included at its slot, exactly as passed — a
+        ``payloads`` has one entry per rank; this rank's own slot is never
+        sent and comes back exactly as passed.  Returns the per-rank
+        payloads indexed by source rank (a
         :class:`~repro.dist.wire.Segments` payload goes out scatter-gather
         and comes back on peers as one contiguous buffer).  All traffic is
-        counted under the ``exchange`` category — these are exactly the
-        bytes Eq 6 models.
+        counted under the ``exchange`` category — the bytes the audit
+        compares with the per-destination prediction.
         """
-        return self._swap([payload] * self.size, tag, category)
+        return self._swap(payloads, tag, category)
 
     def sparse_allgather_stream(
         self,
@@ -316,10 +323,10 @@ class Communicator:
     ) -> "StreamedAllgather":
         """Open a streamed sparse exchange (overlap mode).
 
-        Where :meth:`sparse_allgather` ships one blob per rank after all
-        compute has finished, the streamed variant accepts chunk payloads
-        *as they are produced* (:meth:`StreamedAllgather.push`) and drains
-        them to every peer on a bounded
+        Where :meth:`sparse_allgather` ships one payload per peer after all
+        compute has finished, the streamed variant accepts each chunk's
+        per-peer payloads *as they are produced*
+        (:meth:`StreamedAllgather.push`) and drains them on a bounded
         :class:`~repro.dist.transport.SendWindow` while the caller keeps
         computing — the send half of the exchange hides behind compute.
         :meth:`StreamedAllgather.finish` closes this rank's stream with an
@@ -331,20 +338,6 @@ class Communicator:
         return StreamedAllgather(
             self, tag=tag, end_tag=end_tag, window=window, category=category
         )
-
-    def alltoall(
-        self,
-        payloads: List[FramePayload],
-        tag: int = TAG_EXCHANGE,
-        category: str = CATEGORY_DATA,
-    ) -> List[FramePayload]:
-        """Variable payload per destination; returns per-source payloads."""
-        if len(payloads) != self.size:
-            raise CommunicationError(
-                f"alltoall needs one payload per rank ({self.size}), "
-                f"got {len(payloads)}"
-            )
-        return self._swap(payloads, tag, category)
 
     def barrier(self, tag: int = TAG_BARRIER) -> None:
         """Block until every rank has entered the barrier."""
@@ -361,8 +354,9 @@ class StreamedAllgather:
     """One in-progress streamed sparse exchange (see
     :meth:`Communicator.sparse_allgather_stream`).
 
-    Protocol: every pushed chunk goes to every peer as a ``tag`` DATA
-    frame the moment the send window drains it; :meth:`finish` sends one
+    Protocol: every pushed chunk goes to each peer as a ``tag`` DATA
+    frame carrying that peer's payload, the moment the send window drains
+    it; :meth:`finish` sends one
     empty ``end_tag`` frame per peer, then receives until every peer's
     ``end_tag`` has arrived.  Chunks from one peer are delivered in push
     order (both transports preserve per-pair ordering), but no cross-peer
@@ -371,7 +365,7 @@ class StreamedAllgather:
     Wire accounting: chunk ``i``'s frames are attributed to ledger window
     ``<name>:<i>`` and the end markers to ``<name>:end``, all under the
     exchange category — summing the per-window counters reproduces the
-    category totals that Eq 6 accounting audits.
+    category totals that the exchange audit reads.
     """
 
     def __init__(
@@ -407,10 +401,12 @@ class StreamedAllgather:
         """Number of chunk payloads pushed so far."""
         return self._seq
 
-    def push(self, payload: FramePayload) -> None:
-        """Stream one chunk payload to every peer (bounded, non-blocking).
+    def push(self, payloads: List[FramePayload]) -> None:
+        """Stream one chunk to every peer (bounded, non-blocking).
 
-        ``payload`` is any bytes-like object or a
+        ``payloads`` has one entry per rank: ``payloads[dst]`` goes to
+        peer ``dst``, and this rank's own slot is kept for :meth:`finish`
+        to hand back.  Each is any bytes-like object or a
         :class:`~repro.dist.wire.Segments` list (carried through the send
         window and onto the socket without concatenation).  Returns as
         soon as the chunk is queued on the send window; blocks only when
@@ -418,11 +414,18 @@ class StreamedAllgather:
         """
         if self._finished:
             raise CommunicationError("stream already finished")
-        self._own.append(payload)
+        comm = self.comm
+        if len(payloads) != comm.size:
+            raise CommunicationError(
+                f"need one payload per rank ({comm.size}), got {len(payloads)}"
+            )
+        self._own.append(payloads[comm.rank])
         if self._window is not None:
-            frame = Frame(FrameKind.DATA, self.comm.rank, self.tag, payload)
             self._window.submit(
-                [(dst, frame, self.category) for dst in self._peers],
+                [
+                    (dst, Frame(FrameKind.DATA, comm.rank, self.tag, payloads[dst]), self.category)
+                    for dst in self._peers
+                ],
                 label=f"{self.name}:{self._seq}",
             )
         self._seq += 1

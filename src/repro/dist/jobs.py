@@ -13,7 +13,7 @@ module adds is the bracketing a long-lived rank needs around it:
    :class:`~repro.dist.ledger.WireLedger` accumulates across jobs, so
    :func:`execute_job` snapshots it before and after and reports the
    difference — ``RankResult.wire`` stays exactly one job's traffic,
-   and the Eq 6 audit keeps working per job.  The
+   and the exchange audit keeps working per job.  The
    :mod:`~repro.util.copytrack` ledger is process-global and resettable,
    so it is simply reset at job start.
 

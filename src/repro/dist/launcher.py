@@ -9,14 +9,18 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
   before the exchange: survivors' compressed results restore, the dead
   rank's sub-domains are recomputed, and the accumulation is re-run
   driver-side — still bitwise identical;
-- cross-validates the measured exchange traffic against the paper's Eq 6
-  cost model: the exchanged *value* bytes are predicted exactly
-  (``(P-1) * itemsize * total sample count``), and the full wire volume
-  (octree metadata + frame headers included) must stay within a few
-  percent of that prediction.  The simulated cluster model books that
-  same number: :class:`~repro.core.distributed_runner.DistributedLowCommConvolution`
-  reports ``comm_bytes == expected_exchange_value_bytes`` exactly, so
-  model, simulated ledger and real wire triangulate;
+- cross-validates the measured exchange traffic against an exact
+  per-destination count: each peer is sent only the octree cells that
+  touch its boxes, so the exchanged *value* bytes are itemsize times the
+  samples in those cells, summed over fields and peers
+  (:attr:`DistRunReport.predicted_value_bytes`), and the full wire volume (octree
+  metadata + frame headers included) sits a bounded share above it.  The
+  paper's Eq 6 allgather count (``(P-1) * itemsize * total sample
+  count``, :func:`expected_exchange_value_bytes`) is reported beside it:
+  it is what the simulated cluster model books —
+  :class:`~repro.core.distributed_runner.DistributedLowCommConvolution`
+  reports ``comm_bytes == expected_exchange_value_bytes`` exactly — and
+  the real wire now moves less than it;
 - audits input distribution the same way: the scattered blocks are
   predicted exactly (:func:`predicted_input_bytes`) and measured under
   the ``bcast`` wire category.
@@ -25,12 +29,12 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.cost import sparse_sample_count
-from repro.core.accumulate import accumulate_global
+from repro.core.accumulate import accumulate_global, cells_touching_rank
 from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import parse_policy
@@ -70,9 +74,13 @@ class DistRunReport:
     wire_totals: Dict[str, int] = dataclass_field(default_factory=dict)
     #: measured: total bytes-on-wire in the sparse exchange, all ranks
     exchange_wire_bytes: int = 0
-    #: exact Eq 6 accounting: ``(P-1) * itemsize * total sample count``
+    #: exact per-destination accounting: itemsize times the samples in the
+    #: cells that touch each peer's boxes, summed over fields and peers
     #: (a resumed job's excludes the sub-domains its checkpoint restored)
     predicted_value_bytes: int = 0
+    #: the paper's Eq 6 allgather count, ``(P-1) * itemsize * total sample
+    #: count`` — what the simulated model books (same exclusions)
+    eq6_value_bytes: int = 0
     #: naive Eq 6 closed form (``flat:R`` policies only, else 0)
     naive_eq6_bytes: int = 0
     #: measured: total bytes-on-wire of input distribution (scattered
@@ -90,14 +98,54 @@ class DistRunReport:
 
     @property
     def wire_over_model(self) -> float:
-        """Measured exchange wire bytes over the exact Eq 6 prediction.
+        """Measured exchange wire bytes over the exact per-destination
+        value count (:attr:`predicted_value_bytes`).
 
-        1.0 = the wire moved exactly the modeled value bytes; the excess
-        is octree metadata + frame headers.  0.0 when P == 1 (no wire).
+        1.0 = the wire moved exactly the predicted value bytes; the excess
+        is octree metadata + frame headers.  0.0 when nothing is exchanged
+        (P == 1).
         """
         if not self.predicted_value_bytes:
             return 0.0
         return self.exchange_wire_bytes / self.predicted_value_bytes
+
+
+def _itemsize(config: DistConfig) -> int:
+    itemsize = _PRECISION_BYTES.get(config.precision)
+    if itemsize is None:
+        raise ConfigurationError(
+            f"unknown precision {config.precision!r} "
+            f"(expected one of {sorted(_PRECISION_BYTES)})"
+        )
+    return itemsize
+
+
+def _exchanged_samples(
+    config: DistConfig, field: np.ndarray, exclude_indices: Optional[frozenset]
+) -> Tuple[int, int]:
+    """``(allgather, per-destination)`` sample counts of the exchange.
+
+    Fields are the active sub-domains minus ``exclude_indices``; the
+    allgather count sends each whole to every peer, the per-destination
+    one sends each peer only the cells that touch its boxes.  One pass,
+    so the sampling patterns are built once.
+    """
+    policy = parse_policy(config.policy)
+    decomp = DomainDecomposition(n=config.n, k=config.k)
+    skip = exclude_indices or frozenset()
+    ranks = config.num_ranks
+    allgather = per_destination = 0
+    for sub in decomp.active_subdomains(np.asarray(field)):
+        if sub.index in skip:
+            continue
+        pattern = policy.pattern_for(config.n, config.k, sub.corner)
+        allgather += (ranks - 1) * pattern.sample_count
+        per_destination += sum(
+            cells_touching_rank(pattern, config.k, ranks, dst).sample_count
+            for dst in range(ranks)
+            if dst != sub.index % ranks
+        )
+    return allgather, per_destination
 
 
 def expected_exchange_value_bytes(
@@ -105,34 +153,22 @@ def expected_exchange_value_bytes(
     field: np.ndarray,
     exclude_indices: Optional[frozenset] = None,
 ) -> int:
-    """Exact Eq 6 accounting for the sparse exchange's *value* payload.
+    """The paper's Eq 6 accounting of the exchange's *value* payload, as
+    an allgather.
 
     Every active (non-zero) sub-domain contributes its sampling pattern's
-    ``sample_count`` values; each value crosses the wire once per peer.
-    This is exact: the simulated cluster's allgather ledger
-    (:func:`repro.core.distributed_runner.book_exchange`) reports precisely
-    this number, and the real transports move it plus small bounded
-    framing/metadata overhead.
+    ``sample_count`` values, each sent once per peer.  The simulated
+    cluster's allgather ledger
+    (:func:`repro.core.distributed_runner.book_exchange`) reports
+    precisely this number; the real exchange ships each peer only the
+    cells it interpolates (:attr:`DistRunReport.predicted_value_bytes`),
+    so it moves less.
 
     ``exclude_indices`` drops sub-domains from the accounting — a pool
     recovery job re-exchanges only the entries absent from the merged
     checkpoint, so its prediction excludes everything already restored.
     """
-    itemsize = _PRECISION_BYTES.get(config.precision)
-    if itemsize is None:
-        raise ConfigurationError(
-            f"unknown precision {config.precision!r} "
-            f"(expected one of {sorted(_PRECISION_BYTES)})"
-        )
-    policy = parse_policy(config.policy)
-    decomp = DomainDecomposition(n=config.n, k=config.k)
-    skip = exclude_indices or frozenset()
-    samples = sum(
-        policy.pattern_for(config.n, config.k, sub.corner).sample_count
-        for sub in decomp.active_subdomains(np.asarray(field))
-        if sub.index not in skip
-    )
-    return (config.num_ranks - 1) * itemsize * samples
+    return _itemsize(config) * _exchanged_samples(config, field, exclude_indices)[0]
 
 
 def naive_eq6_bytes(config: DistConfig) -> int:
@@ -258,6 +294,8 @@ def build_report(
     """
     results = outcome.results
     wire_totals = merge_wire_snapshots([r.wire for r in results.values()])
+    itemsize = _itemsize(config)
+    allgather, per_destination = _exchanged_samples(config, field, exclude_indices)
 
     def slowest(attr: str) -> float:
         return max((getattr(r, attr) for r in results.values()), default=0.0)
@@ -270,9 +308,8 @@ def build_report(
         rank_results=results,
         wire_totals=wire_totals,
         exchange_wire_bytes=wire_totals.get("sent.exchange.bytes", 0),
-        predicted_value_bytes=expected_exchange_value_bytes(
-            config, field, exclude_indices
-        ),
+        predicted_value_bytes=itemsize * per_destination,
+        eq6_value_bytes=itemsize * allgather,
         naive_eq6_bytes=naive_eq6_bytes(config),
         input_wire_bytes=wire_totals.get("sent.bcast.bytes", 0),
         predicted_input_bytes=predicted_input_bytes(

@@ -5,8 +5,9 @@ counts what a collective *would* move; this ledger counts what a
 transport *did* move — every frame, header bytes included, split by the
 traffic category the sender declared (``exchange`` for the sparse
 accumulation payloads, ``bcast`` for input distribution, ``control`` for
-handshakes/heartbeats/close).  Cross-validating the two, and both against
-the Eq 6 cost model, is the CI invariant this package exists for.
+handshakes/heartbeats/close).  Cross-validating this ledger against the
+exact per-destination prediction, and the simulated one against the
+Eq 6 allgather count, is the CI invariant this package exists for.
 
 Counters and histograms are the :mod:`repro.util.metrics` types, so a
 ledger snapshot is the same JSON shape as a serve-layer metrics snapshot
@@ -43,7 +44,7 @@ class WireLedger:
     The streamed exchange additionally attributes traffic to *overlap
     windows*: inside a :meth:`window` context every frame is also counted
     under ``window.<label>.sent.<category>.bytes`` (and the ``recv``
-    mirror), so Eq 6 accounting can be audited per in-flight chunk.  The
+    mirror), so the exchange accounting can be audited per in-flight chunk.  The
     active window is **thread-local** — the stream's sender thread tags
     its own frames without perturbing what the application or heartbeat
     threads record — and window counters are strictly additive *extras*:

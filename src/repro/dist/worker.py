@@ -12,14 +12,18 @@ exchange modes and both fresh and resumed jobs:
    already hold, never the ``n^3`` field;
 2. the rank convolves those blocks locally with the warm pruned-plan
    path (zero communication — the paper's claim);
-3. the compressed results are packed into
-   :mod:`repro.core.checkpoint` blobs, posted to the driver (this is the
-   fault-tolerance state), and shipped to every peer in the single
-   sparse exchange of Eq 6 — one blob in ONE ``sparse_allgather`` after
-   the loop (barrier mode), or one blob per chunk pushed onto a streamed
+3. the compressed results are packed into a
+   :mod:`repro.core.checkpoint` blob and posted to the driver whole (this
+   is the fault-tolerance state), and each peer is sent, in the single
+   sparse exchange of Eq 6, a checkpoint of only the octree cells that
+   touch *its* boxes (:func:`~repro.core.accumulate.cells_touching_rank`)
+   — one payload per peer in ONE ``sparse_allgather`` after the loop
+   (barrier mode), or one per peer per chunk pushed onto a streamed
    exchange from inside the loop (``overlap`` mode);
-4. the rank reconstructs the accumulated result restricted to its *own*
-   sub-domain boxes.
+4. the rank merges what arrived — rejecting a sub-domain its sender does
+   not own or that arrives twice (:class:`~repro.errors
+   .ExchangeFrameError`) — and reconstructs the accumulated result
+   restricted to its *own* sub-domain boxes.
 
 Accumulation order is deterministic (compressed fields sorted by
 sub-domain index, exactly the order ``run_serial`` uses), so the blocks a
@@ -39,8 +43,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.accumulate import accumulate_boxes
+from repro.core.accumulate import accumulate_boxes, cells_touching_rank
 from repro.core.checkpoint import (
+    checkpoint_entries,
     checkpoint_from_bytes,
     checkpoint_segments,
     join_checkpoint_segments,
@@ -54,9 +59,10 @@ from repro.dist.collectives import (
 )
 from repro.dist.inputs import default_spectrum, scatter_blocks, share_spectrum
 from repro.dist.ledger import CATEGORY_EXCHANGE
-from repro.dist.wire import Segments
-from repro.errors import ConfigurationError
+from repro.dist.wire import FramePayload, Segments
+from repro.errors import ConfigurationError, ExchangeFrameError
 from repro.octree.compress import CompressedField
+from repro.octree.serialize import encode_values
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
 
@@ -152,8 +158,10 @@ class RankResult:
     num_chunks: int
     total_samples: int
     compressed_bytes: int
-    #: serialized checkpoint payload bytes shipped to *each* peer (one
-    #: blob in barrier mode, the per-chunk blobs summed in overlap mode)
+    #: serialized checkpoint payload bytes this rank shipped, summed over
+    #: its peers — each peer's payload holds only the cells that touch
+    #: that peer's boxes, so they differ (one payload per peer in barrier
+    #: mode, the per-chunk payloads summed in overlap mode)
     exchange_payload_bytes: int
     compute_s: float
     #: time blocked in the exchange (the full allgather in barrier mode,
@@ -301,18 +309,39 @@ def rank_main(
                 )
             abort()
 
-    #: contiguous copies of every checkpoint this rank ships: the driver's
+    #: contiguous copies of every checkpoint this rank posts: the driver's
     #: mailbox needs one (it crosses a pipe), and they double as this
     #: rank's own slot in the merge, so float32 round-trips identically
-    #: on every rank.  The wire carries the zero-copy segments instead.
+    #: on every rank.  Peers are sent zero-copy segments of their cells.
     own_blobs: List[bytes] = []
+    sent_bytes = 0
 
-    def checkpointed(kind: str, pairs) -> Segments:
-        segments = checkpoint_segments(pairs, precision=config.precision)
-        own_blobs.append(join_checkpoint_segments(segments))
+    def payloads(kind: str, pairs) -> List[FramePayload]:
+        """Post ``pairs`` whole; return one payload per rank, each peer's
+        holding only the cells that touch its boxes (own slot: the blob)."""
+        nonlocal sent_bytes
+        # one encode per field (float32: one counted cast) feeds the
+        # posted blob and every peer's cut of it
+        values = [encode_values(f, config.precision) for _s, f in pairs]
+        own_blobs.append(
+            join_checkpoint_segments(
+                checkpoint_segments(pairs, config.precision, values=values)
+            )
+        )
         if post is not None:
             post(kind, rank, own_blobs[-1])
-        return Segments(segments)
+        out: List[FramePayload] = [own_blobs[-1]] * size
+        for dst in range(size):
+            if dst == rank:
+                continue
+            cells = [
+                cells_touching_rank(f.pattern, config.k, size, dst) for _s, f in pairs
+            ]
+            out[dst] = Segments(
+                checkpoint_segments(pairs, config.precision, cells, values)
+            )
+            sent_bytes += len(out[dst])
+        return out
 
     fail("before_checkpoint")
     stream = (
@@ -328,11 +357,11 @@ def rank_main(
         if stream is None:
             continue
         # overlap mode: this chunk streams while the next one computes
-        wire = checkpointed("chunk", [(sub, compressed)])
+        chunk = payloads("chunk", [(sub, compressed)])
         if len(own) == 1:
             # driver holds this chunk's checkpoint; peers never see it
             fail("post_chunk_checkpoint")
-        stream.push(wire)
+        stream.push(chunk)
         if len(own) == 1:
             # first chunk is (at least partially) on the wire
             fail("stream_send")
@@ -341,33 +370,30 @@ def rank_main(
             fail("mid_window")
     compute_end = now()
     if stream is None:
-        wire = checkpointed("checkpoint", own)
+        outgoing = payloads("checkpoint", own)
 
     fail("before_exchange")
     if stream is None and (config.fail_rank, config.fail_stage) == (rank, "mid_exchange"):
         # die half-way through the exchange: lower-ranked peers receive
-        # the payload, higher-ranked ones see an abrupt end-of-stream.
+        # the payload the real exchange sends them, higher-ranked ones
+        # see an abrupt end-of-stream.
         for dst in range(rank):
-            comm.send_payload(
-                dst, own_blobs[0], TAG_EXCHANGE, category=CATEGORY_EXCHANGE
-            )
+            comm.send_payload(dst, outgoing[dst], TAG_EXCHANGE, category=CATEGORY_EXCHANGE)
     fail("mid_exchange")
 
     # The ONE sparse exchange (barrier), or the drain that is all of it
     # that still blocks (overlap).
     t1 = now()
     if stream is None:
-        payloads = comm.sparse_allgather(wire, tag=TAG_EXCHANGE)
-        payloads[rank] = own_blobs[0]
+        received = [[payload] for payload in comm.sparse_allgather(outgoing, tag=TAG_EXCHANGE)]
     else:
-        per_rank = stream.finish()
-        per_rank[rank] = own_blobs
-        payloads = [chunk for chunks in per_rank for chunk in chunks]
+        received = stream.finish()
     exchange_s = now() - t1
 
     merged = dict(restored)
-    for payload in payloads:
-        merged.update(checkpoint_from_bytes(payload))
+    for src, chunks in enumerate(received):
+        for payload in chunks:
+            merge_exchanged(merged, payload, src=src, rank=rank, size=size)
 
     return RankResult(
         rank=rank,
@@ -377,7 +403,7 @@ def rank_main(
         num_chunks=len(own),
         total_samples=sum(f.pattern.sample_count for _s, f in own),
         compressed_bytes=sum(f.nbytes for _s, f in own),
-        exchange_payload_bytes=sum(len(blob) for blob in own_blobs),
+        exchange_payload_bytes=sent_bytes,
         compute_s=compute_end - t0,
         exchange_s=exchange_s,
         wire=comm.transport.ledger.snapshot(),
@@ -388,3 +414,37 @@ def rank_main(
         exchange_send_s=0.0 if stream is None else stream.send_seconds(),
         copies=copytrack.ledger().snapshot(),
     )
+
+
+def merge_exchanged(
+    merged: Dict[int, CompressedField],
+    payload: FramePayload,
+    *,
+    src: int,
+    rank: int,
+    size: int,
+) -> None:
+    """Add the fields of rank ``src``'s exchange payload to rank
+    ``rank``'s ``merged``.
+
+    Every rank owns its sub-domains round-robin, so a payload may only
+    carry indices ``src`` owns, each once across the whole job (the merge
+    may already hold a resumed job's restored fields).  Anything else — a
+    buggy or hostile peer — raises :class:`~repro.errors
+    .ExchangeFrameError` with the offending entry's offset instead of
+    silently overwriting a sub-domain.
+    """
+    for entry, offset, index, field in checkpoint_entries(payload):
+        if index % size != src:
+            raise ExchangeFrameError(
+                f"rank {rank}: rank {src} sent sub-domain {index}, owned by "
+                f"rank {index % size}, at entry {entry}",
+                offset=offset,
+            )
+        if index in merged:
+            raise ExchangeFrameError(
+                f"rank {rank}: rank {src} sent sub-domain {index}, which "
+                f"already arrived, at entry {entry}",
+                offset=offset,
+            )
+        merged[index] = field

@@ -84,6 +84,20 @@ class InputFrameError(CommunicationError):
         self.offset = int(offset)
 
 
+class ExchangeFrameError(CommunicationError):
+    """A peer's exchange payload named a sub-domain it may not send: one
+    the peer does not own, or one this rank already holds.
+
+    ``offset`` is the byte offset, within that payload, of the rejected
+    entry's record.
+    """
+
+    def __init__(self, message: str, *, offset: int = 0):
+        super().__init__(f"{message} (offset {offset})")
+        #: byte offset within the payload of the rejected entry
+        self.offset = int(offset)
+
+
 class PoolError(ReproError):
     """A standing rank-pool operation failed (bootstrap, membership, job).
 

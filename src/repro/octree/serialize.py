@@ -25,13 +25,13 @@ counted join of the segments.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.octree.cell import METADATA_INTS_PER_CELL, decode_metadata
-from repro.octree.compress import CompressedField
+from repro.octree.compress import CellSubset, CompressedField
 from repro.octree.sampling import SamplingPattern
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
@@ -61,24 +61,69 @@ def _byte_view(arr: np.ndarray) -> memoryview:
     return memoryview(arr).cast("B")
 
 
-def serialize_segments(
-    field: CompressedField, precision: str = "float64"
-) -> List[memoryview]:
-    """Encode a compressed field as zero-copy wire segments.
+def encode_values(field: CompressedField, precision: str = "float64") -> np.ndarray:
+    """``field``'s value array at wire ``precision``.
 
-    Returns the ``[header, metadata, sizes, values]`` sections as byte
-    ``memoryview`` segments aliasing the pattern's cached metadata arrays
-    and (for float64) the field's own value buffer — nothing is joined or
-    copied.  ``precision="float32"`` performs exactly one counted downcast
-    of the values into a fresh buffer.  Segment lists feed
-    :class:`repro.dist.wire.Segments` for scatter-gather sends, or
-    :func:`serialize_compressed` for a contiguous blob.
+    float64 is the field's own buffer (no copy); ``precision="float32"``
+    is exactly one counted downcast into a fresh buffer.  Encode once and
+    pass the result to every :func:`serialize_segments` call for the same
+    field, so several records cut from one field share that one cast.
     """
     if precision not in _PRECISION_CODES:
         raise ConfigurationError(
             f"precision must be one of {sorted(_PRECISION_CODES)}, got {precision!r}"
         )
+    if precision == "float64":
+        return np.ascontiguousarray(field.values, dtype=np.float64)
+    # single direct downcast into the output buffer (no float64
+    # intermediate) — the one unavoidable copy of the float32 path
+    values = np.empty(field.values.shape, dtype=np.float32)
+    values[...] = field.values
+    copytrack.record(copytrack.SITE_ENCODE_CAST, values.nbytes)
+    return values
+
+
+def serialize_segments(
+    field: CompressedField,
+    precision: str = "float64",
+    cells: Optional[CellSubset] = None,
+    values: Optional[np.ndarray] = None,
+) -> List[memoryview]:
+    """Encode a compressed field as zero-copy wire segments.
+
+    Returns the ``[header, metadata, sizes, values...]`` sections as byte
+    ``memoryview`` segments aliasing the pattern's cached metadata arrays
+    and the encoded value buffer — nothing is joined or copied.  The
+    values are ``values`` when given (:func:`encode_values` of this field
+    at ``precision``), else encoded here: float64 aliases the field's own
+    buffer, float32 is one counted downcast.  Segment lists feed
+    :class:`repro.dist.wire.Segments` for scatter-gather sends, or
+    :func:`serialize_compressed` for a contiguous blob.
+
+    ``cells`` encodes only that subset of the field's cells: the record
+    carries the subset's packed metadata, and its values section is one
+    view per
+    :attr:`~repro.octree.compress.CellSubset.runs` entry — it decodes as
+    an ordinary field over just those cells, with the field's sub-domain
+    label.
+    """
+    if values is None:
+        values = encode_values(field, precision)
+    elif precision not in _PRECISION_CODES or (
+        values.dtype != _PRECISION_DTYPES[_PRECISION_CODES[precision]]
+        or values.shape != field.values.shape
+    ):
+        raise ConfigurationError(
+            f"encoded values of dtype {values.dtype} and shape {values.shape} "
+            f"do not fit a {precision} encoding of {field.values.shape} samples"
+        )
     pattern = field.pattern
+    if cells is None:
+        meta, sizes, runs = pattern.metadata(), pattern.cell_sizes(), [values]
+        num_cells = pattern.num_cells
+    else:
+        meta, sizes, runs = cells.metadata, cells.sizes, cells.value_runs(values)
+        num_cells = cells.num_cells
     header = np.array(
         [
             _MAGIC,
@@ -88,26 +133,16 @@ def serialize_segments(
             pattern.subdomain_corner[0],
             pattern.subdomain_corner[1],
             pattern.subdomain_corner[2],
-            pattern.num_cells,
+            num_cells,
             _PRECISION_CODES[precision],
         ],
         dtype=np.int64,
     )
-    meta = pattern.metadata()
-    sizes = pattern.cell_sizes()
-    if precision == "float64":
-        values = np.ascontiguousarray(field.values, dtype=np.float64)
-    else:
-        # single direct downcast into the output buffer (no float64
-        # intermediate) — the one unavoidable copy of the float32 path
-        values = np.empty(field.values.shape, dtype=np.float32)
-        values[...] = field.values
-        copytrack.record(copytrack.SITE_ENCODE_CAST, values.nbytes)
     return [
         _byte_view(header),
         _byte_view(meta),
         _byte_view(sizes),
-        _byte_view(values),
+        *(_byte_view(run) for run in runs),
     ]
 
 

@@ -207,6 +207,8 @@ def _submit(args: argparse.Namespace) -> int:
                 f"job {report.job_id} generation {report.generation} "
                 f"{'warm' if report.warm else 'cold'}: "
                 f"wire/model {report.wire_over_model:.4f}, "
+                f"exchange values {report.predicted_value_bytes} B "
+                f"(Eq 6 allgather {report.eq6_value_bytes} B), "
                 f"input {report.input_wire_bytes} B, "
                 f"plan misses {report.plan_misses}, "
                 f"{report.elapsed_s:.3f}s"

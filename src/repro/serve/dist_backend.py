@@ -256,6 +256,8 @@ class PoolBackend:
                     "recovered": last.recovered,
                     "replaced_ranks": list(last.replaced_ranks),
                     "wire_over_model": last.wire_over_model,
+                    "predicted_value_bytes": last.predicted_value_bytes,
+                    "eq6_value_bytes": last.eq6_value_bytes,
                 }
             return doc
 

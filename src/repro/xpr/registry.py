@@ -140,6 +140,8 @@ def run_dist_trial(spec: TrialSpec) -> Dict[str, float]:
     serial = build_pipeline(config).run_serial(field)
     metrics = {
         "exchange_wire_bytes": float(report.exchange_wire_bytes),
+        "predicted_value_bytes": float(report.predicted_value_bytes),
+        "eq6_value_bytes": float(report.eq6_value_bytes),
         "wire_over_model": float(report.wire_over_model),
         "max_compute_s": float(report.max_compute_s),
         "max_exchange_s": float(report.max_exchange_s),
@@ -221,6 +223,8 @@ def run_pool_trial(spec: TrialSpec) -> Dict[str, float]:
         "bitwise_vs_serial": float(bitwise),
         "wire_over_model": float(second.wire_over_model),
         "exchange_wire_bytes": float(second.exchange_wire_bytes),
+        "predicted_value_bytes": float(second.predicted_value_bytes),
+        "eq6_value_bytes": float(second.eq6_value_bytes),
         "first_submit_s": float(first_s),
         "warm_submit_s": float(warm_s),
         "speedup": float(first_s / warm_s) if warm_s > 0 else 0.0,

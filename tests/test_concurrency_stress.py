@@ -98,7 +98,7 @@ class TestLocalFabricUnderLockwatch:
                     barrier.wait(timeout=10)
                     payload = bytes([rank]) * (rank + 1)
                     gathered[rank] = comms[rank].sparse_allgather(
-                        payload, tag=7
+                        [payload] * 4, tag=7
                     )
 
                 threads = [
@@ -138,7 +138,7 @@ class TestStreamedExchangeUnderLockwatch:
         barrier.wait(timeout=10)
         stream = comm.sparse_allgather_stream(tag=9, end_tag=11, window=2)
         for _chunk in range(rank + 1):  # uneven: rank r pushes r+1 chunks
-            stream.push(bytes([rank]) * 32)
+            stream.push([bytes([rank]) * 32] * comm.size)
         gathered[rank] = stream.finish(timeout=20)
 
     def test_four_rank_streamed_exchange_is_clean(self):
@@ -239,7 +239,7 @@ class TestTcpUnderLockwatch:
                 def rank_body(rank):
                     barrier.wait(timeout=10)
                     gathered[rank] = comms[rank].sparse_allgather(
-                        bytes([rank]) * 64, tag=3
+                        [bytes([rank]) * 64] * 2, tag=3
                     )
 
                 threads = [

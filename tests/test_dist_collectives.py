@@ -13,7 +13,7 @@ from repro.dist.collectives import (
     Communicator,
 )
 from repro.dist.heartbeat import HeartbeatMonitor
-from repro.dist.ledger import CATEGORY_EXCHANGE
+from repro.dist.ledger import CATEGORY_DATA, CATEGORY_EXCHANGE
 from repro.dist.transport import LocalFabric
 from repro.dist.wire import Frame, FrameKind, encode_frame
 from repro.errors import CommunicationError, RankFailure, TransportError
@@ -100,23 +100,27 @@ class TestCollectives:
             a.broadcast(b"x", root=9)
 
     def test_sparse_allgather_indexed_by_rank(self):
+        """Each peer receives the payload meant for it; the own slot comes
+        back exactly as passed."""
         _fabric, comms = _communicators(4)
 
         def run(comm):
-            return comm.sparse_allgather(f"r{comm.rank}".encode())
+            return comm.sparse_allgather(
+                [f"{comm.rank}->{dst}".encode() for dst in range(4)]
+            )
 
-        for result in _run_all(comms, run):
-            assert result == [b"r0", b"r1", b"r2", b"r3"]
+        for rank, result in enumerate(_run_all(comms, run)):
+            assert result == [f"{src}->{rank}".encode() for src in range(4)]
 
     def test_sparse_allgather_single_rank(self):
         _fabric, comms = _communicators(1)
-        assert comms[0].sparse_allgather(b"alone") == [b"alone"]
+        assert comms[0].sparse_allgather([b"alone"]) == [b"alone"]
 
     def test_sparse_allgather_counts_exchange_category(self):
         _fabric, comms = _communicators(2)
 
         def run(comm):
-            return comm.sparse_allgather(b"p" * 100)
+            return comm.sparse_allgather([b"p" * 100] * 2)
 
         _run_all(comms, run)
         for comm in comms:
@@ -127,7 +131,7 @@ class TestCollectives:
 
         def run(comm):
             payloads = [f"{comm.rank}->{dst}".encode() for dst in range(3)]
-            return comm.alltoall(payloads)
+            return comm.sparse_allgather(payloads, category=CATEGORY_DATA)
 
         results = _run_all(comms, run)
         for rank, got in enumerate(results):
@@ -136,7 +140,7 @@ class TestCollectives:
     def test_alltoall_wrong_arity(self):
         _fabric, (a, _b) = _communicators(2)
         with pytest.raises(CommunicationError, match="one payload per rank"):
-            a.alltoall([b"only one"])
+            a.sparse_allgather([b"only one"])
 
     def test_barrier_completes(self):
         _fabric, comms = _communicators(3)
@@ -150,7 +154,7 @@ class TestCollectives:
             if comm.rank == 2:
                 return None
             with pytest.raises(RankFailure):
-                comm.sparse_allgather(b"x")
+                comm.sparse_allgather([b"x"] * 3)
             return True
 
         assert _run_all(comms[:2], run) == [True, True]
@@ -190,7 +194,7 @@ class TestReceiveLoop:
             if how == "recv_payload":
                 got = comm.recv_payload(0, tag=TAG_EXCHANGE)
             elif how == "sparse_allgather":
-                got = comm.sparse_allgather(b"mine")[0]
+                got = comm.sparse_allgather([b"mine", b"mine"])[0]
             else:
                 (got,) = comm.sparse_allgather_stream().finish()[0]
             writer.join(timeout=5)
@@ -229,7 +233,7 @@ class TestReceiveLoop:
         def run(comm):
             mine = f"a{comm.rank}".encode()
             if comm.rank < 2:
-                first = comm.sparse_allgather(mine, tag=tag_a)
+                first = comm.sparse_allgather([mine] * 3, tag=tag_a)
             else:
                 comm.send_payload(0, mine, tag_a, CATEGORY_EXCHANGE)
                 time.sleep(0.3)
@@ -239,7 +243,7 @@ class TestReceiveLoop:
                     bytes(comm.recv_payload(1, tag_a)),
                     mine,
                 ]
-            second = comm.sparse_allgather(f"b{comm.rank}".encode(), tag=tag_b)
+            second = comm.sparse_allgather([f"b{comm.rank}".encode()] * 3, tag=tag_b)
             return [bytes(p) for p in first], [bytes(p) for p in second]
 
         try:

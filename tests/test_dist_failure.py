@@ -188,7 +188,7 @@ class TestHeartbeatedRun:
         from repro.dist.wire import HEADER_BYTES
 
         expected = sum(
-            (p - 1) * (HEADER_BYTES + r.exchange_payload_bytes)
+            (p - 1) * HEADER_BYTES + r.exchange_payload_bytes
             for r in report.rank_results.values()
         )
         assert report.exchange_wire_bytes == expected

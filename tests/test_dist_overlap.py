@@ -7,11 +7,12 @@ thread, an end-of-stream marker per peer — so the test obligations are:
 - **Equivalence**: for seeded sweeps over rank counts, chunk counts
   (grid sizes) and payload sizes (sampling policies), the streamed
   result is bitwise equal to barrier mode and to ``run_serial``.
-- **Eq 6 accounting still holds**: the measured exchange wire bytes obey
-  the *exact* frame-level invariant in both modes (payload bytes plus a
-  header per frame, ``P-1`` copies of each), the streamed mode's extra
-  framing stays within 1% of the Eq 6 value-byte prediction at the
-  calibrated reference shape, and the per-overlap-window ledger counters
+- **Exchange accounting still holds**: the measured exchange wire bytes
+  obey the *exact* frame-level invariant in both modes (every peer's
+  payload bytes plus a header per frame per peer), the streamed mode's
+  extra framing stays within 1% of the per-destination value-byte
+  prediction at the calibrated reference shape, and the per-overlap-window
+  ledger counters
   sum exactly to the category totals (no byte unattributed, none counted
   twice).
 - **Streaming actually streams**: chunk frames per peer equal the chunk
@@ -48,12 +49,12 @@ def _serial(config: DistConfig):
 
 
 def _exact_wire_bytes(report) -> int:
-    """The frame-level invariant: every payload byte plus a header per
-    frame, shipped to each of the P-1 peers."""
+    """The frame-level invariant: every payload byte (already summed over
+    the peers it went to) plus a header per frame to each of the P-1
+    peers."""
     p = report.config.num_ranks
     return sum(
-        (p - 1)
-        * (r.exchange_payload_bytes + r.exchange_frames_per_peer * HEADER_BYTES)
+        r.exchange_payload_bytes + (p - 1) * r.exchange_frames_per_peer * HEADER_BYTES
         for r in report.rank_results.values()
     )
 
@@ -82,7 +83,7 @@ def _check_equivalence_and_accounting(config_kwargs: dict) -> None:
         assert rs.exchange_frames_per_peer == rs.num_chunks + 1
         assert rb.exchange_frames_per_peer == 1
 
-    # exact Eq 6 frame accounting in BOTH modes
+    # exact frame accounting in BOTH modes
     assert rep_b.exchange_wire_bytes == _exact_wire_bytes(rep_b)
     assert rep_s.exchange_wire_bytes == _exact_wire_bytes(rep_s)
     assert (
@@ -146,14 +147,18 @@ def test_streamed_equals_serial_tcp(ranks):
 def test_reference_shape_ratio_within_1pct_of_barrier():
     """At the calibrated reference shape the streamed mode's extra
     framing (per-chunk headers + checkpoint preambles + end markers)
-    costs < 1% of the Eq 6 value-byte prediction, and both modes stay
-    within the repo's 5%-of-Eq-6 acceptance band."""
+    costs < 1% of the per-destination value-byte prediction.
+
+    Both modes stay within 2% of it: per-destination payloads carry
+    octree metadata at 0.53% of their value bytes and record + frame
+    headers at about 0.45% (barrier) to 0.6% (streamed), measured 1.0099
+    and 1.0112 at P=4."""
     base = dict(num_ranks=4, transport="local", **REFERENCE)
     field, spectrum, _serial_res = _serial(DistConfig(**base))
     rep_b = dist_run(DistConfig(overlap=False, **base), field=field, spectrum=spectrum)
     rep_s = dist_run(DistConfig(overlap=True, **base), field=field, spectrum=spectrum)
-    assert 1.0 <= rep_b.wire_over_model <= 1.05
-    assert 1.0 <= rep_s.wire_over_model <= 1.05
+    assert 1.0 <= rep_b.wire_over_model <= 1.02
+    assert 1.0 <= rep_s.wire_over_model <= 1.02
     assert rep_s.wire_over_model - rep_b.wire_over_model < 0.01
 
 

@@ -5,10 +5,11 @@ The PR's acceptance bar, as tests:
 - a real SPMD job (threads or OS processes over TCP) produces output
   bitwise identical to ``run_serial`` — not merely allclose;
 - the measured exchange wire bytes obey the *exact* frame-level
-  invariant and stay within 5% of the paper's Eq 6 value-byte
+  invariant and stay within 5% of the exact per-destination value-byte
   prediction at the reference configuration (n=32, k=8, flat:2);
-- the simulated substrate's allgather ledger equals the Eq 6 prediction
-  exactly, triangulating model, simulation and wire.
+- the simulated substrate's allgather ledger equals the paper's Eq 6
+  allgather count exactly (``eq6_value_bytes``), and the real wire,
+  which sends each peer only its cells, moves no more than that.
 """
 
 import os
@@ -105,13 +106,13 @@ class TestBitwiseIdentity:
 
 class TestWireAccounting:
     def test_exact_frame_invariant(self):
-        """Every rank sends its blob to P-1 peers; nothing else moves
-        under the exchange category."""
+        """Every rank sends one payload to each of its P-1 peers;
+        nothing else moves under the exchange category."""
         config = DistConfig(num_ranks=4, transport="local", **SMALL)
         report = dist_run(config)
         p = config.num_ranks
         expected = sum(
-            (p - 1) * (HEADER_BYTES + r.exchange_payload_bytes)
+            (p - 1) * HEADER_BYTES + r.exchange_payload_bytes
             for r in report.rank_results.values()
         )
         assert report.exchange_wire_bytes == expected
@@ -174,7 +175,10 @@ def _model_and_real(config):
     real = dist_run(config, field=field, spectrum=spectrum)
     assert np.array_equal(sim.approx, serial.approx)
     assert np.array_equal(sim.approx, real.approx)
-    assert sim.comm_bytes == real.predicted_value_bytes > 0
+    # the model books the paper's allgather; the wire ships each peer
+    # only its cells, which is never more
+    assert sim.comm_bytes == real.eq6_value_bytes > 0
+    assert 0 < real.predicted_value_bytes <= real.eq6_value_bytes
     return sim, real
 
 

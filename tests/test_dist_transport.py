@@ -14,6 +14,7 @@ import pytest
 from repro.dist.collectives import Communicator
 from repro.dist.ledger import (
     CATEGORY_CONTROL,
+    CATEGORY_DATA,
     CATEGORY_EXCHANGE,
     WireLedger,
     merge_wire_snapshots,
@@ -89,7 +90,7 @@ class TestLocalTransport:
 
         def run(rank):
             payloads = [f"{rank}->{dst}".encode() for dst in range(3)]
-            return comms[rank].alltoall(payloads, tag=7)
+            return comms[rank].sparse_allgather(payloads, tag=7, category=CATEGORY_DATA)
 
         with ThreadPoolExecutor(max_workers=3) as pool:
             got = list(pool.map(run, range(3)))
@@ -185,7 +186,7 @@ class TestTcpTransport:
 
             def run(rank):
                 comm = Communicator(transports[rank], recv_timeout_s=30.0)
-                return comm.sparse_allgather(payload, tag=1)
+                return comm.sparse_allgather([payload] * 3, tag=1)
 
             with ThreadPoolExecutor(max_workers=3) as pool:
                 results = list(pool.map(run, range(3)))
@@ -204,7 +205,7 @@ class TestTcpTransport:
             for sock in a._peers.values():
                 sock.close()
             with pytest.raises(RankFailure):
-                Communicator(b, recv_timeout_s=5.0).sparse_allgather(b"mine", tag=1)
+                Communicator(b, recv_timeout_s=5.0).sparse_allgather([b"mine"] * 2, tag=1)
         finally:
             for t in transports:
                 t.close()
@@ -254,7 +255,7 @@ def test_heartbeats_are_skipped_by_exchange():
     done = {}
 
     def run_b():
-        done["got"] = Communicator(b, recv_timeout_s=5.0).sparse_allgather(b"back", tag=1)
+        done["got"] = Communicator(b, recv_timeout_s=5.0).sparse_allgather([b"back"] * 2, tag=1)
 
     t = threading.Thread(target=run_b)
     t.start()

@@ -3,8 +3,8 @@
 The acceptance bar, as tests:
 
 - a job on a rendezvous-bootstrapped TCP mesh is bitwise identical to
-  ``run_serial`` and its per-job wire accounting stays within 1% of the
-  Eq 6 prediction;
+  ``run_serial`` and its per-job wire stays within 2% of the exact
+  per-destination value-byte prediction;
 - a warm resubmission reuses processes, transports, and FFT plans
   (``plan_misses == 0``);
 - a rank killed mid-job is replaced in-mesh via the checkpoint handoff
@@ -45,6 +45,13 @@ from repro.xpr.registry import run_pool_trial
 #: the calibrated reference shape shared with the dist acceptance tests
 REFERENCE = dict(n=32, k=8, sigma=2.0, policy="flat:2")
 
+#: ``wire_over_model`` bound at REFERENCE, P=4.  Each peer is sent only
+#: the cells touching its boxes, so the value bytes fall to 44% of the
+#: allgather's; octree metadata stays 0.53% of them, while the fixed
+#: record and frame headers grow to about 0.45% (more on a recovery job,
+#: which moves fewer values): measured 1.0099 cold, 1.0107 recovered.
+WIRE_OVER_MODEL_ABS = 0.02
+
 
 def _config(ranks, **overrides):
     return DistConfig(
@@ -84,7 +91,7 @@ class TestWarmSubmission:
         assert np.array_equal(cold.approx, _serial(config, field, spectrum))
         assert not cold.warm and not cold.recovered
         assert cold.predicted_value_bytes > 0
-        assert cold.wire_over_model == pytest.approx(1.0, abs=0.01)
+        assert cold.wire_over_model == pytest.approx(1.0, abs=WIRE_OVER_MODEL_ABS)
 
         warm = pool.submit(config, field=field, spectrum=spectrum)
         assert np.array_equal(warm.approx, _serial(config, field, spectrum))
@@ -92,7 +99,7 @@ class TestWarmSubmission:
         # the whole point of the pool: plans persist across jobs
         assert warm.plan_misses == 0
         assert warm.plan_hits > 0
-        assert warm.wire_over_model == pytest.approx(1.0, abs=0.01)
+        assert warm.wire_over_model == pytest.approx(1.0, abs=WIRE_OVER_MODEL_ABS)
         assert warm.job_id != cold.job_id
 
     def test_submit_rejects_wrong_pool_size(self, pool_at):
@@ -161,9 +168,9 @@ class TestRankDeathRecovery:
         # actually replaced
         assert 2 in report.failed_ranks
         assert np.array_equal(report.approx, _serial(config, field, spectrum))
-        # the retry's wire is audited against Eq 6 *minus* the restored
-        # sub-domains, so the 1% bar holds through recovery too
-        assert report.wire_over_model == pytest.approx(1.0, abs=0.01)
+        # the retry's wire is audited against the prediction *minus* the
+        # restored sub-domains, so the bar holds through recovery too
+        assert report.wire_over_model == pytest.approx(1.0, abs=WIRE_OVER_MODEL_ABS)
         assert pool.roster.generation > 1
 
         # the replaced mesh is a first-class pool: the next job is clean
