@@ -1,8 +1,6 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
 - Interpolation order: trilinear vs nearest reconstruction.
-- FFT backend: the from-scratch native transforms vs numpy.fft (identical
-  results; numpy faster — the ratio is reported).
 - heFFTe-style overlap vs plain MPI FFT scaling (§2.1's "scales further,
   still saturates").
 """
@@ -17,7 +15,6 @@ from repro.cluster.network import Link
 from repro.core.local_conv import LocalConvolution
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_subdomain_convolve
-from repro.fft.fftn import fft3
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.interpolate import reconstruct_dense
 from repro.util.arrays import l2_relative_error
@@ -41,23 +38,6 @@ def test_interpolation_order_ablation(benchmark):
     emit(f"reconstruction error: trilinear {lin:.4f} vs nearest {near:.4f}")
     assert lin < near
     assert lin <= 0.03
-
-
-def test_backend_ablation(benchmark, rng=np.random.default_rng(1)):
-    """Native transforms agree with numpy to 1e-9; report the speed ratio."""
-    import time
-
-    x = rng.standard_normal((32, 32, 32))
-
-    def run_native():
-        return fft3(x, backend="native")
-
-    native = benchmark(run_native)
-    start = time.perf_counter()
-    ref = fft3(x, backend="numpy")
-    numpy_time = time.perf_counter() - start
-    np.testing.assert_allclose(native, ref, atol=1e-8)
-    emit(f"native backend == numpy backend (numpy single run: {numpy_time * 1e3:.2f} ms)")
 
 
 def test_heffte_scaling_ablation(benchmark):

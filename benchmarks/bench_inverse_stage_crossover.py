@@ -36,8 +36,8 @@ if __name__ == "__main__":  # before numpy loads its BLAS
 
 import numpy as np
 
+from repro.fft.pruned import half_length
 from repro.fft.pruned_plan import FFT_CROSSOVER, InverseStrategy, PrunedPlan
-from repro.fft.real import half_length
 
 SIZES = (32, 64, 128, 256)
 FRACTIONS = (0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)

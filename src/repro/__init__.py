@@ -6,7 +6,7 @@ convolution* (ICPP Workshops 2022).
 
 Sub-packages
 ------------
-- :mod:`repro.fft` — FFT substrate (radix-2/Bluestein, pruned staged 3D).
+- :mod:`repro.fft` — the pruned staged 3D transform over :mod:`numpy.fft`.
 - :mod:`repro.cluster` — simulated HPC substrate (devices, memory, network,
   communicator, cuFFT workspace model).
 - :mod:`repro.octree` — octree-based adaptive multi-resolution sampling.

@@ -24,17 +24,15 @@ import numpy as np
 
 from repro.cluster.comm import SimulatedComm
 from repro.errors import ConfigurationError, ShapeError
-from repro.fft.backend import Backend, get_backend
 from repro.util.validation import check_divides, check_positive_int
 
 
 class SlabDistributedFFT:
     """Slab-decomposed distributed 3D FFT (one transpose per transform)."""
 
-    def __init__(self, n: int, comm: SimulatedComm, backend: str | Backend = "numpy"):
+    def __init__(self, n: int, comm: SimulatedComm):
         self.n = check_positive_int(n, "n")
         self.comm = comm
-        self.backend = get_backend(backend)
         check_divides(comm.size, n, "P | n")
         self.slab = n // comm.size
 
@@ -78,17 +76,18 @@ class SlabDistributedFFT:
     # -- transforms -------------------------------------------------------------
     def forward(self, xslabs: List[np.ndarray]) -> List[np.ndarray]:
         """Forward 3D FFT: x-slab input -> y-slab spectrum (1 all-to-all)."""
-        be = self.backend
-        local = [be.fft(be.fft(b.astype(np.complex128), 2), 1) for b in xslabs]
+        local = [
+            np.fft.fft(np.fft.fft(b.astype(np.complex128), axis=2), axis=1)
+            for b in xslabs
+        ]
         yslabs = self._transpose_x_to_y(local)
-        return [be.fft(b, 0) for b in yslabs]
+        return [np.fft.fft(b, axis=0) for b in yslabs]
 
     def inverse(self, yslabs: List[np.ndarray]) -> List[np.ndarray]:
         """Inverse 3D FFT: y-slab spectrum -> x-slab field (1 all-to-all)."""
-        be = self.backend
-        local = [be.ifft(b, 0) for b in yslabs]
+        local = [np.fft.ifft(b, axis=0) for b in yslabs]
         xslabs = self._transpose_y_to_x(local)
-        return [be.ifft(be.ifft(b, 1), 2) for b in xslabs]
+        return [np.fft.ifft(np.fft.ifft(b, axis=1), axis=2) for b in xslabs]
 
 
 class PencilDistributedFFT:
@@ -98,17 +97,9 @@ class PencilDistributedFFT:
     rank (i, j) initially owns ``x in X_i, y in Y_j``, all z.
     """
 
-    def __init__(
-        self,
-        n: int,
-        comm: SimulatedComm,
-        px: int,
-        py: int,
-        backend: str | Backend = "numpy",
-    ):
+    def __init__(self, n: int, comm: SimulatedComm, px: int, py: int):
         self.n = check_positive_int(n, "n")
         self.comm = comm
-        self.backend = get_backend(backend)
         if px * py != comm.size:
             raise ConfigurationError(
                 f"process grid {px}x{py} != communicator size {comm.size}"
@@ -198,21 +189,19 @@ class PencilDistributedFFT:
 
     def forward(self, blocks: List[np.ndarray]) -> List[np.ndarray]:
         """Forward transform: 3 local sweeps, 2 all-to-all transposes."""
-        be = self.backend
-        stage_z = [be.fft(b.astype(np.complex128), 2) for b in blocks]
+        stage_z = [np.fft.fft(b.astype(np.complex128), axis=2) for b in blocks]
         swapped = self._swap_z_y(stage_z)
-        stage_y = [be.fft(b, 1) for b in swapped]
+        stage_y = [np.fft.fft(b, axis=1) for b in swapped]
         swapped2 = self._swap_y_x(stage_y)
-        return [be.fft(b, 0) for b in swapped2]
+        return [np.fft.fft(b, axis=0) for b in swapped2]
 
     def inverse(self, blocks: List[np.ndarray]) -> List[np.ndarray]:
         """Inverse transform retracing the forward path (2 all-to-alls)."""
-        be = self.backend
-        stage_x = [be.ifft(b, 0) for b in blocks]
+        stage_x = [np.fft.ifft(b, axis=0) for b in blocks]
         swapped = self._swap_x_y_back(stage_x)
-        stage_y = [be.ifft(b, 1) for b in swapped]
+        stage_y = [np.fft.ifft(b, axis=1) for b in swapped]
         swapped2 = self._swap_y_z_back(stage_y)
-        return [be.ifft(b, 2) for b in swapped2]
+        return [np.fft.ifft(b, axis=2) for b in swapped2]
 
     def _swap_x_y_back(self, blocks: List[np.ndarray]) -> List[np.ndarray]:
         """Inverse of :meth:`_swap_y_x`: (n, bx, by) -> (bx, n, by)."""

@@ -96,7 +96,6 @@ class AdaptiveConvolution:
         n: int,
         kernel_spectrum: KernelSpectrum,
         policy: Optional[SamplingPolicy] = None,
-        backend: str = "numpy",
         batch: Optional[int] = None,
         interpolation: str = "linear",
         k_max: int = 16,
@@ -110,11 +109,7 @@ class AdaptiveConvolution:
         self.threshold = float(threshold)
         self.interpolation = interpolation
         self.local = LocalConvolution(
-            n=n,
-            kernel_spectrum=kernel_spectrum,
-            policy=self.policy,
-            backend=backend,
-            batch=batch,
+            n=n, kernel_spectrum=kernel_spectrum, policy=self.policy, batch=batch
         )
 
     def run(self, field: np.ndarray) -> AdaptiveConvolutionResult:

@@ -57,7 +57,6 @@ class BatchConvolver:
         policy: Optional[SamplingPolicy] = None,
         batch: Optional[int] = None,
         memory: Optional[MemoryTracker] = None,
-        backend: str = "numpy",
         real_kernel: Optional[bool] = None,
     ):
         self.pipeline = LowCommConvolution3D(
@@ -65,7 +64,6 @@ class BatchConvolver:
             k,
             kernel_spectrum,
             policy,
-            backend=backend,
             batch=batch,
             memory=memory,
             real_kernel=real_kernel,

@@ -18,10 +18,9 @@ This is the operation Fig 2 draws inside one worker:
 All data-independent state (how each inverse stage is computed — a
 partial-iDFT matrix product while few coordinates are retained, a full
 inverse FFT plus a take of the retained ones past the plan's crossover —
-the matrices that needs, pad scratch buffers, the resolved backend, pencil
-index arrays) lives in a :class:`~repro.fft.pruned_plan.PrunedPlan`, built
-once per (pattern, backend) configuration and shared across congruent
-sub-domains.
+the matrices that needs, pad scratch buffers, pencil index arrays) lives in
+a :class:`~repro.fft.pruned_plan.PrunedPlan`, built once per pattern and
+shared across congruent sub-domains.
 
 When the kernel spectrum is real (Green's-function kernels — detected
 automatically for dense spectra, or asserted with ``real_kernel=True``),
@@ -60,7 +59,6 @@ import numpy as np
 
 from repro.cluster.memory import MemoryTracker
 from repro.errors import ConfigurationError, ShapeError
-from repro.fft.backend import Backend, get_backend
 from repro.fft.pruned import pencil_batches
 from repro.fft.pruned_plan import PlanCache, PrunedPlan
 from repro.kernels.properties import spectrum_is_hermitian_real
@@ -104,8 +102,6 @@ class LocalConvolution:
         :class:`PencilOperator`.
     policy:
         Compression hyperparameters (r-schedule).
-    backend:
-        FFT backend name.
     batch:
         z-pencil batch size ``B`` (paper §5.4); defaults to ``n``.
     memory:
@@ -127,7 +123,6 @@ class LocalConvolution:
         n: int,
         kernel_spectrum: KernelSpectrum,
         policy: SamplingPolicy,
-        backend: str | Backend = "numpy",
         batch: Optional[int] = None,
         memory: Optional[MemoryTracker] = None,
         real_kernel: Optional[bool] = None,
@@ -135,7 +130,6 @@ class LocalConvolution:
     ):
         self.n = check_positive_int(n, "n")
         self.policy = policy
-        self.backend = get_backend(backend)
         self.batch = check_positive_int(batch, "batch") if batch else n
         self.memory = memory
         self.plans = plans if plans is not None else PlanCache()
@@ -238,12 +232,7 @@ class LocalConvolution:
         self, coords_x: np.ndarray, coords_y: np.ndarray, coords_z: np.ndarray
     ) -> PrunedPlan:
         return self.plans.get(
-            self.n,
-            coords_x,
-            coords_y,
-            coords_z,
-            backend=self.backend,
-            hermitian=self.real_kernel,
+            self.n, coords_x, coords_y, coords_z, hermitian=self.real_kernel
         )
 
     def _pointwise(self, spec: np.ndarray, plan: PrunedPlan, sl: slice) -> np.ndarray:

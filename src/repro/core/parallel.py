@@ -68,7 +68,6 @@ def _init_worker(
     n: int,
     k: int,
     policy: SamplingPolicy,
-    backend_name: str,
     batch: Optional[int],
     real_kernel: Optional[bool],
 ) -> None:
@@ -89,7 +88,6 @@ def _init_worker(
             n=n,
             kernel_spectrum=kernel,
             policy=policy,
-            backend=backend_name,
             batch=batch,
             real_kernel=real_kernel,
         ),
@@ -125,7 +123,6 @@ def convolve_subdomains_parallel(
     kernel_spectrum: KernelSpectrum,
     policy: SamplingPolicy,
     indices: Sequence[int],
-    backend_name: str = "numpy",
     batch: Optional[int] = None,
     real_kernel: Optional[bool] = None,
     max_workers: Optional[int] = None,
@@ -164,7 +161,6 @@ def convolve_subdomains_parallel(
                 n,
                 k,
                 policy,
-                backend_name,
                 batch,
                 real_kernel,
             ),

@@ -87,8 +87,8 @@ class LowCommConvolution3D:
         fields enter through :meth:`convolve_chunks`, not ``run_*``).
     policy:
         Compression hyperparameters.
-    backend, batch:
-        FFT backend and z-pencil batch size.
+    batch:
+        z-pencil batch size.
     interpolation:
         Reconstruction method for accumulation.
     memory:
@@ -111,7 +111,6 @@ class LowCommConvolution3D:
         k: int,
         kernel_spectrum: KernelSpectrum,
         policy: Optional[SamplingPolicy] = None,
-        backend: str = "numpy",
         batch: Optional[int] = None,
         interpolation: str = "linear",
         memory: Optional[MemoryTracker] = None,
@@ -128,7 +127,6 @@ class LowCommConvolution3D:
             n=n,
             kernel_spectrum=kernel_spectrum,
             policy=self.policy,
-            backend=backend,
             batch=batch,
             memory=memory,
             real_kernel=real_kernel,
@@ -201,7 +199,6 @@ class LowCommConvolution3D:
             self._kernel_spectrum,
             self.policy,
             [sub.index for sub in active],
-            backend_name=self.local.backend.name,
             batch=self.local.batch,
             real_kernel=self._real_kernel_arg,
             max_workers=max_workers,

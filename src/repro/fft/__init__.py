@@ -1,16 +1,11 @@
-"""FFT substrate: from-scratch transforms plus a numpy-backed fast path.
+"""FFT substrate: the paper's staged, pruned transform over :mod:`numpy.fft`.
 
 The paper's method never computes a distributed FFT; it computes *local*
 staged FFTs whose stage boundaries host callbacks (padding on the way in,
-compression on the way out).  This package provides:
+compression on the way out).  The 1D transforms underneath are
+:mod:`numpy.fft` (pocketfft), as the paper's are cuFFT / FFTW; the stage
+boundaries are what this package provides:
 
-- :mod:`repro.fft.radix2` / :mod:`repro.fft.bluestein` — a complete 1D
-  complex FFT for any length, written from scratch (iterative radix-2 with
-  Bluestein's chirp-z fallback), vectorized over batch dimensions.
-- :mod:`repro.fft.real` — real-input transforms (the Green's function has a
-  real-valued spectrum, so real transforms halve the working set).
-- :mod:`repro.fft.fftn` — N-D transforms as sequences of 1D stage sweeps
-  over any registered backend.
 - :mod:`repro.fft.pruned` — the pruned-input staged 3D transform of the
   paper's Step 2: a k^3 cube is transformed to an N x N x k slab (x,y
   stages) and then pencil-batched in z, never materializing the padded
@@ -19,28 +14,18 @@ compression on the way out).  This package provides:
 - :mod:`repro.fft.pruned_plan` — :class:`~repro.fft.pruned_plan.PrunedPlan`
   precomputes all data-independent state of a pruned staged convolution
   (the per-axis inverse strategy — partial-iDFT GEMM or inverse FFT + take
-  — and its matrices, pad scratch, resolved backend, pencil indices);
+  — and its matrices, pad scratch, pencil indices);
   :class:`~repro.fft.pruned_plan.PlanCache` shares plans across congruent
   sampling patterns.
-- :mod:`repro.fft.backend` — backend registry (``"native"`` = ours,
-  ``"numpy"`` = :mod:`numpy.fft`); everything downstream is
-  backend-agnostic.
 """
 
-from repro.fft.backend import (
-    available_backends,
-    backend_rfft,
-    get_backend,
-    register_backend,
-)
-from repro.fft.dft import fft1d, ifft1d
-from repro.fft.fftn import fft3, fftn, ifft3, ifftn
-from repro.fft.plan import FFTPlan, plan_fft3, plan_pruned_conv
 from repro.fft.pruned import (
     PadScratch,
+    half_length,
     hermitian_partial_idft,
     hermitian_partial_idft_matrix,
     hermitian_real_idft_matrix,
+    hermitian_weights,
     partial_idft,
     partial_idft_matrix,
     pencil_batches,
@@ -60,27 +45,10 @@ from repro.fft.pruned_plan import (
     inverse_strategy,
     reset_default_cache,
 )
-from repro.fft.real import half_length, hermitian_weights, irfft1d, rfft1d
-from repro.fft.realconv import half_spectrum, half_spectrum_bytes, rfft_convolve
 
 __all__ = [
-    "rfft_convolve",
-    "half_spectrum",
-    "half_spectrum_bytes",
     "half_length",
     "hermitian_weights",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "backend_rfft",
-    "fft1d",
-    "ifft1d",
-    "rfft1d",
-    "irfft1d",
-    "fftn",
-    "ifftn",
-    "fft3",
-    "ifft3",
     "pruned_fft3",
     "pencil_batches",
     "pruned_input_fft",
@@ -101,7 +69,4 @@ __all__ = [
     "get_plan",
     "default_cache",
     "reset_default_cache",
-    "FFTPlan",
-    "plan_fft3",
-    "plan_pruned_conv",
 ]

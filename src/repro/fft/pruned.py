@@ -22,7 +22,8 @@ materialized:
    a full inverse FFT followed by a take of the retained coordinates is
    cheaper, and the plan picks per axis from the shape.
 
-All stages are backend-agnostic (see :mod:`repro.fft.backend`).
+Every 1D transform is :mod:`numpy.fft` (pocketfft), called directly; the
+library's own work is the staging around it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,28 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.fft.backend import Backend, backend_rfft, get_backend
-from repro.fft.real import half_length, hermitian_weights
+from repro.util.lru import WeightedLRU
 from repro.util.validation import check_positive_int
+
+
+def half_length(n: int) -> int:
+    """Number of non-redundant coefficients of a length-``n`` real DFT."""
+    return n // 2 + 1
+
+
+def hermitian_weights(n: int) -> np.ndarray:
+    """Per-coefficient multiplicities for half-spectrum reductions.
+
+    Summing ``w[g] * Re(X[g] * e^{2i*pi*x*g/n})`` over the ``n//2 + 1``
+    stored coefficients of a Hermitian spectrum reproduces the full
+    length-``n`` inverse sum: DC (and Nyquist, for even ``n``) count once,
+    every interior coefficient stands for itself plus its conjugate mirror.
+    """
+    w = np.full(half_length(n), 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return w
 
 
 class PadScratch:
@@ -91,7 +111,6 @@ def pruned_input_fft(
     offset: int,
     n: int,
     axis: int,
-    backend: str | Backend = "numpy",
     scratch: Optional[PadScratch] = None,
 ) -> np.ndarray:
     """FFT along ``axis`` of ``x`` implicitly zero-padded to length ``n``.
@@ -104,16 +123,15 @@ def pruned_input_fft(
     x = np.asarray(x)
     n = check_positive_int(n, "n")
     _check_pad_bounds(x.shape[axis], offset, n)
-    be = get_backend(backend)
     if scratch is not None:
-        return be.fft(scratch.padded(x, offset, n, axis), axis)
+        return np.fft.fft(scratch.padded(x, offset, n, axis), axis=axis)
     shape = list(x.shape)
     shape[axis] = n
     buf = np.zeros(shape, dtype=np.complex128)
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(offset, offset + x.shape[axis])
     buf[tuple(sl)] = x
-    return be.fft(buf, axis)
+    return np.fft.fft(buf, axis=axis)
 
 
 def pruned_input_rfft(
@@ -121,7 +139,6 @@ def pruned_input_rfft(
     offset: int,
     n: int,
     axis: int,
-    backend: str | Backend = "numpy",
     scratch: Optional[PadScratch] = None,
 ) -> np.ndarray:
     """Real-input variant of :func:`pruned_input_fft`.
@@ -135,23 +152,21 @@ def pruned_input_rfft(
         raise ShapeError("pruned_input_rfft expects real input")
     n = check_positive_int(n, "n")
     _check_pad_bounds(x.shape[axis], offset, n)
-    be = get_backend(backend)
     if scratch is not None:
-        return backend_rfft(be, scratch.padded(x, offset, n, axis), axis)
+        return np.fft.rfft(scratch.padded(x, offset, n, axis), axis=axis)
     shape = list(x.shape)
     shape[axis] = n
     buf = np.zeros(shape, dtype=np.float64)
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(offset, offset + x.shape[axis])
     buf[tuple(sl)] = x
-    return backend_rfft(be, buf, axis)
+    return np.fft.rfft(buf, axis=axis)
 
 
 def slab_from_subcube(
     sub: np.ndarray,
     corner: Sequence[int],
     n: int,
-    backend: str | Backend = "numpy",
     scratch: Optional[PadScratch] = None,
 ) -> np.ndarray:
     """Transform a sub-cube to an ``n x n x k`` slab (x and y stages).
@@ -165,15 +180,14 @@ def slab_from_subcube(
     if sub.ndim < 3:
         raise ShapeError(f"sub-domain must be rank 3 or more, got ndim={sub.ndim}")
     cx, cy, _cz = (int(c) for c in corner)
-    stage_x = pruned_input_fft(sub, cx, n, axis=-3, backend=backend, scratch=scratch)
-    return pruned_input_fft(stage_x, cy, n, axis=-2, backend=backend, scratch=scratch)
+    stage_x = pruned_input_fft(sub, cx, n, axis=-3, scratch=scratch)
+    return pruned_input_fft(stage_x, cy, n, axis=-2, scratch=scratch)
 
 
 def rslab_from_subcube(
     sub: np.ndarray,
     corner: Sequence[int],
     n: int,
-    backend: str | Backend = "numpy",
     scratch: Optional[PadScratch] = None,
 ) -> np.ndarray:
     """Half-spectrum slab of a *real* sub-domain: ``(n//2+1) x n x k``.
@@ -189,8 +203,8 @@ def rslab_from_subcube(
     if sub.ndim < 3:
         raise ShapeError(f"sub-domain must be rank 3 or more, got ndim={sub.ndim}")
     cx, cy, _cz = (int(c) for c in corner)
-    stage_x = pruned_input_rfft(sub, cx, n, axis=-3, backend=backend, scratch=scratch)
-    return pruned_input_fft(stage_x, cy, n, axis=-2, backend=backend, scratch=scratch)
+    stage_x = pruned_input_rfft(sub, cx, n, axis=-3, scratch=scratch)
+    return pruned_input_fft(stage_x, cy, n, axis=-2, scratch=scratch)
 
 
 def pencil_batches(total: int, batch: int) -> Iterator[slice]:
@@ -209,7 +223,6 @@ def zstage_batch(
     slab_rows: np.ndarray,
     corner_z: int,
     n: int,
-    backend: str | Backend = "numpy",
     scratch: Optional[PadScratch] = None,
 ) -> np.ndarray:
     """Forward z-transform of a batch of pencils from the slab.
@@ -221,16 +234,13 @@ def zstage_batch(
     slab_rows = np.asarray(slab_rows)
     if slab_rows.ndim != 2:
         raise ShapeError("zstage_batch expects (B, k) pencil batches")
-    return pruned_input_fft(
-        slab_rows, corner_z, n, axis=1, backend=backend, scratch=scratch
-    )
+    return pruned_input_fft(slab_rows, corner_z, n, axis=1, scratch=scratch)
 
 
 def pruned_fft3(
     sub: np.ndarray,
     corner: Sequence[int],
     n: int,
-    backend: str | Backend = "numpy",
     batch: int | None = None,
 ) -> np.ndarray:
     """Full ``n^3`` spectrum of a sub-cube embedded at ``corner``.
@@ -242,23 +252,25 @@ def pruned_fft3(
     sub = np.asarray(sub)
     k = sub.shape[2]
     cz = int(corner[2])
-    slab = slab_from_subcube(sub, corner, n, backend=backend)
+    slab = slab_from_subcube(sub, corner, n)
     if batch is None:
         batch = n * n
     out = np.empty((n, n, n), dtype=np.complex128)
     flat = slab.reshape(n * n, k)
     out_flat = out.reshape(n * n, n)
     for sl in pencil_batches(n * n, batch):
-        out_flat[sl] = zstage_batch(flat[sl], cz, n, backend=backend)
+        out_flat[sl] = zstage_batch(flat[sl], cz, n)
     return out
 
 
 # Partial-iDFT matrices are cached under a digest of the coordinate array
 # rather than an lru_cache keyed by a tuple of (possibly thousands of)
 # ints: hashing the raw bytes once is far cheaper than tuple-hashing per
-# call, and congruent patterns across sub-domains share entries.
-_MATRIX_CACHE_SIZE = 256
-_MATRIX_CACHE: Dict[Tuple, np.ndarray] = {}
+# call, and congruent patterns across sub-domains share entries.  Every
+# plan cache builds through this one table, from rank and scheduler
+# threads alike, so it is thread-safe and bounded by bytes held (64 MiB;
+# a full matrix at n=128 is 256 KiB).
+_MATRIX_CACHE: "WeightedLRU[np.ndarray]" = WeightedLRU(max_weight=64 << 20)
 
 
 def _coords_array(coords: Sequence[int], n: int) -> np.ndarray:
@@ -285,9 +297,7 @@ def _cached_matrix(kind: str, n: int, coords: np.ndarray) -> np.ndarray:
             if kind == "hermitian_real":
                 mat = np.concatenate([mat.real, -mat.imag], axis=1)
         mat.setflags(write=False)
-        if len(_MATRIX_CACHE) >= _MATRIX_CACHE_SIZE:
-            _MATRIX_CACHE.pop(next(iter(_MATRIX_CACHE)))
-        _MATRIX_CACHE[key] = mat
+        mat = _MATRIX_CACHE.put(key, mat, mat.nbytes)
     return mat
 
 
@@ -302,7 +312,7 @@ def partial_idft_matrix(n: int, coords: Sequence[int]) -> np.ndarray:
 
 def hermitian_partial_idft_matrix(n: int, coords: Sequence[int]) -> np.ndarray:
     """Half-spectrum inverse matrix: ``(m, n//2+1)``, conjugate-mirror
-    coefficients folded in via :func:`repro.fft.real.hermitian_weights`.
+    coefficients folded in via :func:`hermitian_weights`.
     ``Re(half_spec @ M.T)`` equals the real full-length partial inverse."""
     return _cached_matrix("hermitian", n, _coords_array(coords, n))
 

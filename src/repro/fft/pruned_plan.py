@@ -2,10 +2,9 @@
 
 The staged pipeline's per-call overheads — choosing how each inverse stage
 is computed, building the matrices that choice needs, zero-filling pad
-buffers, resolving the backend, recomputing pencil index arrays — are all
-functions of ``(n, sampling pattern, backend)`` only, not of the data.  A
-:class:`PrunedPlan` precomputes them once; a
-:class:`PlanCache` shares plans across all sub-domains with congruent
+buffers, recomputing pencil index arrays — are all functions of ``(n,
+sampling pattern)`` only, not of the data.  A :class:`PrunedPlan`
+precomputes them once; a :class:`PlanCache` shares plans across all sub-domains with congruent
 patterns (keyed by a digest of the coordinate arrays, not by
 thousands-of-ints tuples).  This is the plan-reuse lever distributed FFT
 libraries (FFTW wisdom, cuFFT plans, P3DFFT setup) get their constant
@@ -26,9 +25,9 @@ A plan comes in two flavours:
 either a partial-iDFT GEMM (``8*n*m`` flops a pencil) or a full inverse
 FFT followed by a take of the ``m`` retained coordinates
 (``5*n*log2(n)`` flops whatever ``m`` is).  :func:`inverse_strategy`
-picks per axis, once, at plan build, from ``(n, m, hermitian, backend)``
-alone — never from a timing, because every process that computes part of
-one result (pool ranks, the server, ``run_serial``) must pick the same
+picks per axis, once, at plan build, from ``(n, m, hermitian)`` alone —
+never from a timing, because every process that computes part of one
+result (pool ranks, the server, ``run_serial``) must pick the same
 arithmetic for cross-mode results to stay bitwise identical.  The choice
 is readable as :attr:`PrunedPlan.strategy`.
 """
@@ -43,17 +42,16 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fft.backend import Backend, get_backend
 from repro.fft.pruned import (
     PadScratch,
     _coords_array,
+    half_length,
     hermitian_real_idft_matrix,
     partial_idft_matrix,
     rslab_from_subcube,
     slab_from_subcube,
     zstage_batch,
 )
-from repro.fft.real import half_length
 from repro.util.validation import check_positive_int
 
 
@@ -80,21 +78,18 @@ class InverseStrategy(NamedTuple):
 
 
 def inverse_strategy(
-    n: int, mx: int, my: int, mz: int, hermitian: bool, backend: Backend
+    n: int, mx: int, my: int, mz: int, hermitian: bool
 ) -> InverseStrategy:
     """The strategy a plan of this shape uses: a pure function of its
     arguments, so every process building the plan gets the same answer.
 
-    The ``native`` backend's transforms are numpy-vectorised Python, 3-10x
-    slower than the GEMM at every ``m <= n <= 128`` measured, so it never
-    leaves the GEMM.  The x stage has one form per flavour: no benchmark
-    workload runs a complex plan, so nothing justifies a second one there.
+    The x stage has one form per flavour: no benchmark workload runs a
+    complex plan, so nothing justifies a second one there.
     """
-    compiled_fft = backend.name != "native"
     threshold = FFT_CROSSOVER * math.log2(n)
 
     def pick(m: int) -> str:
-        return "fft" if compiled_fft and m > threshold else "gemm"
+        return "fft" if m > threshold else "gemm"
 
     return InverseStrategy(
         z=pick(mz), y=pick(my), x="real_gemm" if hermitian else "gemm"
@@ -110,8 +105,6 @@ class PrunedPlan:
         Global grid edge.
     coords_x, coords_y, coords_z:
         Retained output coordinates per axis (the pattern's axis sets).
-    backend:
-        FFT backend (name or instance), resolved once here.
     hermitian:
         Build the half-spectrum (real-kernel) variant.
     scratch:
@@ -125,21 +118,17 @@ class PrunedPlan:
         coords_x: Sequence[int],
         coords_y: Sequence[int],
         coords_z: Sequence[int],
-        backend: str | Backend = "numpy",
         hermitian: bool = False,
         scratch: Optional[PadScratch] = None,
     ):
         self.n = check_positive_int(n, "n")
-        self.backend = get_backend(backend)
         self.hermitian = bool(hermitian)
         self.scratch = scratch if scratch is not None else PadScratch()
         self.coords_x = _coords_array(coords_x, n)
         self.coords_y = _coords_array(coords_y, n)
         self.coords_z = _coords_array(coords_z, n)
         self._set_strategy(
-            inverse_strategy(
-                n, self.mx, self.my, self.mz, self.hermitian, self.backend
-            )
+            inverse_strategy(n, self.mx, self.my, self.mz, self.hermitian)
         )
         # Pencil bookkeeping: the slab flattens to (slab_rows * n, k) and
         # the kernel lookup needs each pencil's (fx, fy) — hoisted here
@@ -186,18 +175,12 @@ class PrunedPlan:
         """x/y stages: ``(slab_rows, n, k)`` slab (half rows if Hermitian);
         leading component axes of ``sub`` pass through."""
         if self.hermitian:
-            return rslab_from_subcube(
-                sub, corner, self.n, backend=self.backend, scratch=self.scratch
-            )
-        return slab_from_subcube(
-            sub, corner, self.n, backend=self.backend, scratch=self.scratch
-        )
+            return rslab_from_subcube(sub, corner, self.n, scratch=self.scratch)
+        return slab_from_subcube(sub, corner, self.n, scratch=self.scratch)
 
     def zstage(self, slab_rows: np.ndarray, corner_z: int) -> np.ndarray:
         """Forward z transform of a pencil batch (plan-owned pad buffer)."""
-        return zstage_batch(
-            slab_rows, corner_z, self.n, backend=self.backend, scratch=self.scratch
-        )
+        return zstage_batch(slab_rows, corner_z, self.n, scratch=self.scratch)
 
     # -- pruned inverse stages ----------------------------------------------
     # ``np.take`` runs with ``mode="clip"`` because the default ``"raise"``
@@ -213,7 +196,7 @@ class PrunedPlan:
         full-length temporary the shape of ``spectrum``.
         """
         if self.mat_z is None:
-            full = self.backend.ifft(spectrum, -1)
+            full = np.fft.ifft(spectrum, axis=-1)
             return np.take(full, self.coords_z, axis=-1, out=out, mode="clip")
         return np.matmul(spectrum, self.mat_z.T, out=out)
 
@@ -227,7 +210,7 @@ class PrunedPlan:
         if self.mat_y is None:
             out = np.empty((arr.shape[0], self.my, arr.shape[2]), dtype=np.complex128)
             for plane, out_plane in zip(arr, out):
-                full = self.backend.ifft(plane, 0)
+                full = np.fft.ifft(plane, axis=0)
                 np.take(full, self.coords_y, axis=0, out=out_plane, mode="clip")
             return out
         return np.matmul(self.mat_y, arr)
@@ -295,21 +278,19 @@ class PlanCache:
         coords_x: Sequence[int],
         coords_y: Sequence[int],
         coords_z: Sequence[int],
-        backend: str | Backend = "numpy",
         hermitian: bool = False,
     ) -> PrunedPlan:
         """Fetch (or build) the plan for one configuration."""
-        be = get_backend(backend)
         cx = _coords_array(coords_x, n)
         cy = _coords_array(coords_y, n)
         cz = _coords_array(coords_z, n)
-        key = (n, be.name, bool(hermitian), _digest(cx), _digest(cy), _digest(cz))
+        key = (n, bool(hermitian), _digest(cx), _digest(cy), _digest(cz))
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
                 self.misses += 1
                 plan = PrunedPlan(
-                    n, cx, cy, cz, backend=be, hermitian=hermitian, scratch=self.scratch
+                    n, cx, cy, cz, hermitian=hermitian, scratch=self.scratch
                 )
                 if len(self._plans) >= self.max_plans:
                     self._plans.popitem(last=False)
@@ -328,13 +309,10 @@ def get_plan(
     coords_x: Sequence[int],
     coords_y: Sequence[int],
     coords_z: Sequence[int],
-    backend: str | Backend = "numpy",
     hermitian: bool = False,
 ) -> PrunedPlan:
     """Module-level convenience over a process-wide default cache."""
-    return _DEFAULT_CACHE.get(
-        n, coords_x, coords_y, coords_z, backend=backend, hermitian=hermitian
-    )
+    return _DEFAULT_CACHE.get(n, coords_x, coords_y, coords_z, hermitian=hermitian)
 
 
 def default_cache() -> PlanCache:

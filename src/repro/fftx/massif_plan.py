@@ -45,7 +45,6 @@ def massif_convolution_plan(
     kernel_spectrum: np.ndarray,
     policy: Optional[SamplingPolicy] = None,
     pattern: Optional[SamplingPattern] = None,
-    backend: str = "numpy",
     batch: Optional[int] = None,
 ) -> Tuple[ComposedPlan, SamplingPattern]:
     """Build the Fig 5 plan for one sub-domain convolution.
@@ -67,7 +66,7 @@ def massif_convolution_plan(
 
     dims = tuple(IODim(n=n, data_extent=k, offset=c) for c in corner)
     plans = [
-        plan_guru_dft_r2c(dims, "small_cube", "slab", backend=backend, batch=batch),
+        plan_guru_dft_r2c(dims, "small_cube", "slab", batch=batch),
         plan_guru_pointwise_c2c("slab", "scaled", kernel_spectrum),
         plan_guru_dft_c2r("scaled", "sampled_box", coords),
         plan_guru_copy("sampled_box", "out", pattern),

@@ -72,7 +72,6 @@ class DftR2CPlan(SubPlan):
     """
 
     dims: Tuple[IODim, IODim, IODim] = ()
-    backend: str = "numpy"
     batch: Optional[int] = None
 
     def apply(self, env: Env) -> None:
@@ -84,9 +83,7 @@ class DftR2CPlan(SubPlan):
         if any(d.n != n for d in self.dims):
             raise PlanError("r2c requires a cubic padded grid")
         corner = tuple(d.offset for d in self.dims)
-        env[self.out_name] = pruned_fft3(
-            sub, corner, n, backend=self.backend, batch=self.batch
-        )
+        env[self.out_name] = pruned_fft3(sub, corner, n, batch=self.batch)
 
     def flops_estimate(self) -> float:
         n = self.dims[0].n
@@ -176,7 +173,6 @@ def plan_guru_dft_r2c(
     in_name: str,
     out_name: str,
     flags: int = 0,
-    backend: str = "numpy",
     batch: Optional[int] = None,
 ) -> DftR2CPlan:
     """Plan a pruned-input real-to-complex 3D transform (Fig 5, plans[0])."""
@@ -189,7 +185,6 @@ def plan_guru_dft_r2c(
         out_name=out_name,
         flags=flags,
         dims=dims,
-        backend=backend,
         batch=batch,
     )
 

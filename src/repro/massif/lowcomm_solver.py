@@ -86,7 +86,6 @@ class LowCommMassifSolver(MassifSolver):
         tol: float = 1e-6,
         max_iter: int = 200,
         batch: Optional[int] = None,
-        backend: str = "numpy",
         interpolation: str = "linear",
         comm: Optional[SimulatedComm] = None,
         stall_window: int = 0,
@@ -107,7 +106,6 @@ class LowCommMassifSolver(MassifSolver):
             k,
             PencilOperator(gamma_pencil_operator(self.reference, n)),
             policy=self.policy,
-            backend=backend,
             batch=batch,
             interpolation=interpolation,
             real_kernel=True,

@@ -81,10 +81,9 @@ def compat_key_string(key: CompatKey) -> str:
     Uses the policy's *spec string* rather than its repr so the routing
     decision is identical in every process that can express the policy.
     """
-    n, k, kernel, policy, real_kernel, backend, batch = key
+    n, k, kernel, policy, real_kernel, batch = key
     return "/".join(
-        str(part)
-        for part in (n, k, kernel, policy_spec(policy), real_kernel, backend, batch)
+        str(part) for part in (n, k, kernel, policy_spec(policy), real_kernel, batch)
     )
 
 
@@ -213,11 +212,6 @@ class PoolBackend:
     # -- server seam ---------------------------------------------------------
     def bind(self, kernels, clock, metrics, config) -> None:
         """Wire in the server's kernel registry, clock, metrics, config."""
-        if config.backend != "numpy":
-            raise ConfigurationError(
-                f"pool backend ships numpy jobs only, got backend="
-                f"{config.backend!r}"
-            )
         self._kernels = kernels
         self._clock = clock
         self._metrics = metrics

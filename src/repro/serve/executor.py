@@ -74,20 +74,14 @@ class BatchExecutor:
         if engine is not None:
             self._engines.move_to_end(key)
             return engine
-        n, k, kernel_name, policy, real_kernel, backend, batch = key
+        n, k, kernel_name, policy, real_kernel, batch = key
         spectrum = self._kernels.get(kernel_name)
         if spectrum is None:
             raise ConfigurationError(
                 f"kernel {kernel_name!r} is not registered with the server"
             )
         engine = BatchConvolver(
-            n,
-            k,
-            spectrum,
-            policy,
-            batch=batch,
-            backend=backend,
-            real_kernel=real_kernel,
+            n, k, spectrum, policy, batch=batch, real_kernel=real_kernel
         )
         engine.pipeline.interpolation = self.interpolation
         while len(self._engines) >= self.max_engines:

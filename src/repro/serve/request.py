@@ -57,8 +57,8 @@ TERMINAL_STATES = frozenset(
 )
 
 #: Batching compatibility key: (n, k, kernel name, policy, real_kernel,
-#: backend, pencil batch).  Requests sharing it share patterns and plans.
-CompatKey = Tuple[int, int, str, SamplingPolicy, Optional[bool], str, Optional[int]]
+#: pencil batch).  Requests sharing it share patterns and plans.
+CompatKey = Tuple[int, int, str, SamplingPolicy, Optional[bool], Optional[int]]
 
 #: Tenant requests are attributed to when the caller does not name one.
 DEFAULT_TENANT = "default"
@@ -156,7 +156,6 @@ class ConvolutionRequest:
     kernel: str
     policy: SamplingPolicy
     real_kernel: Optional[bool]
-    backend: str
     batch: Optional[int]
     submitted_at: float
     deadline: Optional[float]  # absolute clock time, None = no deadline
@@ -179,7 +178,6 @@ class ConvolutionRequest:
             self.kernel,
             self.policy,
             self.real_kernel,
-            self.backend,
             self.batch,
         )
 

@@ -82,7 +82,7 @@ class ServerConfig:
     mode, max_workers:
         Execution path per batch: ``"serial"`` or ``"parallel"``
         (process-pool sub-domain fan-out, bounded by ``max_workers``).
-    backend, batch, interpolation:
+    batch, interpolation:
         Forwarded to the convolution pipeline.
     default_policy:
         Sampling policy for requests that do not pass one.
@@ -103,7 +103,6 @@ class ServerConfig:
     retry_backoff_s: float = 0.01
     mode: str = "serial"
     max_workers: Optional[int] = None
-    backend: str = "numpy"
     batch: Optional[int] = None
     interpolation: str = "linear"
     default_policy: SamplingPolicy = dataclass_field(default_factory=SamplingPolicy)
@@ -213,7 +212,6 @@ class ConvolutionServer:
             kernel=kernel,
             policy=policy or cfg.default_policy,
             real_kernel=real_kernel,
-            backend=cfg.backend,
             batch=cfg.batch,
             submitted_at=now,
             deadline=(now + timeout_s) if timeout_s is not None else None,

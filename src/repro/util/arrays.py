@@ -16,7 +16,7 @@ from repro.util.validation import check_positive_int
 
 
 def next_pow2(n: int) -> int:
-    """Smallest power of two >= ``n`` (used by the Bluestein transform)."""
+    """Smallest power of two >= ``n``."""
     n = check_positive_int(n, "n")
     return 1 << (n - 1).bit_length()
 

@@ -2,6 +2,7 @@
 import cycles.  A library release gate, enforced as tests."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -198,6 +199,57 @@ def test_use_cases_reach_the_stages_through_the_plan():
         if f"{module}.".startswith("repro.fft.")
     ]
     assert not offenders, "\n".join(offenders)
+
+
+#: packages whose public API once carried an FFT-library choice
+ONE_FFT_PACKAGES = (
+    "repro.fft", "repro.core", "repro.fftx", "repro.massif", "repro.baselines",
+    "repro.serve",
+)
+#: the names that choice went by (the serve executor seam's ``PoolBackend``
+#: and ``--backend pool://`` name a class and a URL, not a parameter)
+FFT_CHOICE_NAMES = {"backend", "backend_name"}
+
+
+def _public_callables(module):
+    """``(qualified name, callable)`` for the public functions, classes
+    (whose signature is their constructor's) and methods ``module``
+    defines."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", member
+
+
+def test_one_fft_no_backend_knob():
+    """There is one FFT (:mod:`numpy.fft`): no public signature or dataclass
+    field may offer a choice of another, and ``repro.fft`` exports no
+    registry."""
+    offenders = []
+    for module in ALL_MODULES:
+        if not module.__name__.startswith(ONE_FFT_PACKAGES):
+            continue
+        for qualname, obj in _public_callables(module):
+            try:
+                params = set(inspect.signature(obj).parameters)
+            except (TypeError, ValueError):
+                params = set()
+            if dataclasses.is_dataclass(obj):
+                params |= {f.name for f in dataclasses.fields(obj)}
+            offenders += [
+                f"{module.__name__}.{qualname}({name})"
+                for name in sorted(params & FFT_CHOICE_NAMES)
+            ]
+    assert not offenders, "\n".join(offenders)
+    fft_all = importlib.import_module("repro.fft").__all__
+    registry = [name for name in fft_all if "backend" in name.lower()]
+    assert not registry, registry
 
 
 def test_version_exposed():

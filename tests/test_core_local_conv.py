@@ -45,14 +45,6 @@ class TestDenseDebugPath:
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-12)
 
-    def test_native_backend(self, setup16):
-        n, k, spec, sub = setup16
-        lc = LocalConvolution(n, spec, SamplingPolicy(), backend="native", batch=16)
-        ref = reference_subdomain_convolve(sub, (2, 2, 2), spec)
-        np.testing.assert_allclose(
-            lc.convolve_dense_debug(sub, (2, 2, 2)), ref, atol=1e-9
-        )
-
 
 class TestCompressedPath:
     def test_samples_exact(self, setup16):
@@ -285,7 +277,7 @@ def _single_component_oracle(lc, spectrum, sub, corner):
     n = lc.n
     pattern = lc.policy.pattern_for(n, sub.shape[0], corner)
     sets = [pattern.axis_coordinate_set(axis) for axis in range(3)]
-    plan = lc.plans.get(n, *sets, backend=lc.backend, hermitian=lc.real_kernel)
+    plan = lc.plans.get(n, *sets, hermitian=lc.real_kernel)
     kernel = (np.real(spectrum) if lc.real_kernel else spectrum).reshape(n * n, n)
     k = sub.shape[2]
     flat = plan.forward_slab(sub, corner).reshape(plan.num_pencils, k)

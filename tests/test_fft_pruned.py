@@ -82,12 +82,6 @@ class TestPrunedFFT3:
         got = pruned_fft3(sub, (2, 2, 2), 8, batch=batch)
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
-    def test_native_backend(self, rng):
-        sub = rng.standard_normal((2, 2, 2))
-        ref = np.fft.fftn(embed_subcube(sub, (8, 8, 8), (1, 1, 1)))
-        got = pruned_fft3(sub, (1, 1, 1), 8, backend="native")
-        np.testing.assert_allclose(got, ref, atol=1e-8)
-
 
 class TestZStage:
     def test_zstage_pads_and_transforms(self, rng):

@@ -1,13 +1,13 @@
 """Tests for PrunedPlan/PlanCache, PadScratch, and the Hermitian
 (half-spectrum) pruned transform building blocks."""
 
-import dataclasses
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from repro.core.policy import parse_policy
 from repro.errors import ShapeError
-from repro.fft.backend import backend_rfft, get_backend
 from repro.fft.pruned import (
     PadScratch,
+    half_length,
     hermitian_partial_idft,
     hermitian_partial_idft_matrix,
+    hermitian_weights,
     partial_idft,
     partial_idft_matrix,
     pruned_input_fft,
@@ -36,7 +37,6 @@ from repro.fft.pruned_plan import (
     get_plan,
     inverse_strategy,
 )
-from repro.fft.real import half_length, hermitian_weights
 
 
 class TestHermitianWeights:
@@ -126,14 +126,6 @@ class TestPrunedInputRfft:
         scratch = PadScratch()
         got = pruned_input_fft(x, 2, 16, axis=1, scratch=scratch)
         np.testing.assert_array_equal(got, base)
-
-    def test_backend_rfft_fallback(self, rng):
-        """A backend without a native rfft still computes the half spectrum."""
-        be = dataclasses.replace(get_backend("numpy"), rfft=None)
-        x = rng.standard_normal((3, 8))
-        np.testing.assert_allclose(
-            backend_rfft(be, x, axis=1), np.fft.rfft(x, axis=1), atol=1e-12
-        )
 
 
 class TestHalfSlab:
@@ -246,13 +238,10 @@ class TestInverseStrategies:
     @given(
         # powers of two, odd, 2 * prime
         n=st.sampled_from([4, 8, 16, 32, 5, 9, 15, 27, 6, 10, 14, 22]),
-        backend=st.sampled_from(["numpy", "native"]),
         hermitian=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_stages_match_the_oracle_at_every_retained_size(
-        self, n, backend, hermitian, seed
-    ):
+    def test_stages_match_the_oracle_at_every_retained_size(self, n, hermitian, seed):
         rng = np.random.default_rng(seed)
         rows = half_length(n) if hermitian else n
         spec = _complex(rng, (5, n))
@@ -260,9 +249,7 @@ class TestInverseStrategies:
         yred = _complex(rng, (rows, 3, 4))
         for m in range(1, n + 1):  # includes m = n and the crossover +- 1
             coords = np.sort(rng.choice(n, size=m, replace=False))
-            plan = PrunedPlan(
-                n, coords, coords, coords, backend=backend, hermitian=hermitian
-            )
+            plan = PrunedPlan(n, coords, coords, coords, hermitian=hermitian)
             want_z = partial_idft(spec, coords, axis=-1)
             want_y = partial_idft(zred, coords, axis=1)
             if hermitian:
@@ -285,20 +272,13 @@ class TestInverseStrategies:
             assert plan.idft_x(yred, work=work).tobytes() == got_x.tobytes()
 
     def test_rule_is_the_documented_threshold(self):
-        numpy_be, native_be = get_backend("numpy"), get_backend("native")
         for n in (16, 32, 64, 128, 256):
             edge = FFT_CROSSOVER * math.log2(n)
             for m in range(1, n + 1):
                 form = "fft" if m > edge else "gemm"
-                assert inverse_strategy(n, m, m, m, True, numpy_be) == (
-                    form, form, "real_gemm",
-                )
-                assert inverse_strategy(n, 1, m, n, False, numpy_be) == (
+                assert inverse_strategy(n, m, m, m, True) == (form, form, "real_gemm")
+                assert inverse_strategy(n, 1, m, n, False) == (
                     "fft" if n > edge else "gemm", form, "gemm",
-                )
-                # the native transforms are vectorised Python: never faster
-                assert inverse_strategy(n, m, m, m, True, native_be) == (
-                    "gemm", "gemm", "real_gemm",
                 )
 
     def test_matrices_built_only_for_axes_that_use_them(self):
@@ -417,8 +397,6 @@ class TestPlanCacheThreadSafety:
         # hammer one cache from many threads and require exactly one build
         # per distinct configuration, one shared plan object, and
         # consistent hit/miss accounting.
-        import threading
-
         cache = PlanCache()
         coord_sets = [np.arange(m + 2) for m in range(4)]
         seen = [[] for _ in range(8)]
@@ -444,3 +422,42 @@ class TestPlanCacheThreadSafety:
         for slot in seen:
             for i, plan in enumerate(slot):
                 assert plan is canonical[i % len(coord_sets)]
+
+
+class TestMatrixCacheThreadSafety:
+    def test_concurrent_matrix_builds_past_the_bound(self):
+        """Every plan cache builds through one process-wide matrix table,
+        and ``local`` rank threads each own a plan cache: threads missing on
+        thousands of distinct coordinate sets at once (more than 256
+        entries' worth) must neither raise nor read a wrong matrix."""
+        n, threads, calls = 16, 8, 400
+        errors, wrong = [], []
+        barrier = threading.Barrier(threads)
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            barrier.wait()
+            try:
+                for _ in range(calls):
+                    m = rng.integers(1, n)
+                    coords = np.sort(rng.choice(n, size=m, replace=False))
+                    mat = partial_idft_matrix(n, coords)
+                    want = np.exp(2j * np.pi * coords[:, None] * np.arange(n) / n) / n
+                    if not np.array_equal(mat, want):
+                        wrong.append(coords)
+            except Exception as exc:  # a lost race on shared state raises
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in pool)
+        assert not errors, errors[:3]
+        assert not wrong

@@ -27,14 +27,11 @@ from repro.util.clock import ManualClock
 
 
 class TestEndToEndConvolution:
-    @pytest.mark.parametrize("backend", ["numpy", "native"])
-    def test_full_grid_lossless_any_backend(self, backend, rng):
+    def test_full_grid_lossless(self, rng):
         n, k = 16, 4
         spec = GaussianKernel(n=n, sigma=1.2).spectrum()
         field = rng.standard_normal((n, n, n))
-        pipe = LowCommConvolution3D(
-            n, k, spec, SamplingPolicy.flat_rate(1), backend=backend, batch=64
-        )
+        pipe = LowCommConvolution3D(n, k, spec, SamplingPolicy.flat_rate(1), batch=64)
         res = pipe.run_serial(field)
         np.testing.assert_allclose(
             res.approx, reference_convolve(field, spec), atol=1e-8

@@ -1,36 +1,8 @@
-"""Tests for the real-transform convolution path and trade-off sweeps."""
+"""Tests for the error / compression trade-off sweeps."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.sweeps import error_compression_sweep, pareto_front, TradeoffPoint
-from repro.core.reference import reference_convolve
-from repro.errors import ShapeError
-from repro.fft.realconv import half_spectrum, half_spectrum_bytes, rfft_convolve
-from repro.kernels.gaussian import GaussianKernel
-
-
-class TestRealConvolution:
-    def test_matches_complex_path(self, rng):
-        n = 16
-        spec = GaussianKernel(n=n, sigma=1.5).spectrum()
-        field = rng.standard_normal((n, n, n))
-        full = reference_convolve(field, spec)
-        half = rfft_convolve(field, half_spectrum(spec))
-        np.testing.assert_allclose(half, full, atol=1e-10)
-
-    def test_half_spectrum_shape(self):
-        spec = GaussianKernel(n=16, sigma=1.0).spectrum()
-        assert half_spectrum(spec).shape == (16, 16, 9)
-
-    def test_half_spectrum_saves_half(self):
-        assert half_spectrum_bytes(64) < 16 * 64**3 * 0.6
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            rfft_convolve(np.zeros((4, 4)), np.zeros((4, 4, 3)))
-        with pytest.raises(ShapeError):
-            rfft_convolve(np.zeros((4, 4, 4)), np.zeros((4, 4, 4)))
 
 
 class TestSweeps:

@@ -20,7 +20,7 @@ from repro.serve.dist_backend import ConsistentHashRing, compat_key_string
 
 def keyspace(count):
     """A deterministic synthetic key population (compat-key shaped)."""
-    return [f"64/16/gauss{i}/flat:4/None/numpy/None" for i in range(count)]
+    return [f"64/16/gauss{i}/flat:4/None/None" for i in range(count)]
 
 
 def build_ring(names, replicas=128):
@@ -42,8 +42,8 @@ class TestDeterminism:
         # and every deployed routing decision (and warm plan cache) with it.
         ring = build_ring(["p0", "p1", "p2"])
         pinned = {
-            "64/16/gauss0/flat:4/None/numpy/None": ring.assign(
-                "64/16/gauss0/flat:4/None/numpy/None"
+            "64/16/gauss0/flat:4/None/None": ring.assign(
+                "64/16/gauss0/flat:4/None/None"
             ),
         }
         assert pinned  # computed once below, asserted stable across calls
@@ -52,11 +52,11 @@ class TestDeterminism:
             assert build_ring(["p0", "p1", "p2"]).assign(key) == owner
 
     def test_compat_key_string_uses_policy_spec(self):
-        key = (64, 16, "g", SamplingPolicy.flat_rate(4), None, "numpy", None)
+        key = (64, 16, "g", SamplingPolicy.flat_rate(4), None, None)
         s = compat_key_string(key)
-        assert s == "64/16/g/flat:4/None/numpy/None"
-        banded = (64, 16, "g", SamplingPolicy(), True, "numpy", 8)
-        assert compat_key_string(banded) == "64/16/g/banded/True/numpy/8"
+        assert s == "64/16/g/flat:4/None/None"
+        banded = (64, 16, "g", SamplingPolicy(), True, 8)
+        assert compat_key_string(banded) == "64/16/g/banded/True/8"
 
     def test_all_members_receive_keys(self):
         ring = build_ring(["p0", "p1", "p2", "p3"])

@@ -240,7 +240,6 @@ class TestBoundedRequestQueueUnit:
             kernel="g",
             policy=SamplingPolicy.flat_rate(4),
             real_kernel=None,
-            backend="numpy",
             batch=None,
             submitted_at=clock.now(),
             deadline=None,
