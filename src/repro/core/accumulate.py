@@ -4,17 +4,19 @@
 communication avoids all-to-all between FFT stages.  Only sparse samples
 are exchanged at the end of the computation."  (paper §3.1)
 
-Two entry points, one per runtime:
+Two entry points, one per runtime, both one
+:func:`~repro.octree.interpolate.reconstruct_box` per box over all the
+fields in sub-domain index order — its plan sums the cells the fields
+share before interpolating them, so a cell is contracted once however many
+sub-domains' octrees hold it:
 
 - :func:`accumulate_global` — in-process (``run_serial`` /
-  ``run_parallel``, driver-side recovery): sum the interpolated
-  reconstructions of every sub-domain's compressed result into the dense
-  grid.
+  ``run_parallel``, driver-side recovery): the whole grid is the box.
 - :func:`accumulate_boxes` — the rank-side half of the distributed step
   (:func:`repro.dist.worker.rank_main`, after the single sparse exchange):
-  sum every field restricted to each of a rank's *own* sub-domain boxes,
-  so no rank ever holds the global dense grid.
-  :func:`repro.dist.launcher.assemble_blocks` places the blocks.
+  each of a rank's *own* sub-domain boxes, so no rank ever holds the
+  global dense grid.  :func:`repro.dist.launcher.assemble_blocks` places
+  the blocks.
 
 What a rank needs of a peer's field for :func:`accumulate_boxes` is
 :func:`cells_touching_rank`: the cells whose extent meets one of its
@@ -40,18 +42,13 @@ from repro.util.lru import WeightedLRU
 def accumulate_global(
     fields: Sequence[CompressedField], method: str = "linear"
 ) -> np.ndarray:
-    """Sum the dense reconstructions of all compressed sub-domain results."""
+    """The dense sum of the reconstructions of all compressed sub-domain
+    results (``fields`` in sub-domain index order): one
+    :func:`~repro.octree.interpolate.reconstruct_box` over the whole grid."""
     if not fields:
         raise ConfigurationError("need at least one compressed field")
     n = fields[0].pattern.n
-    out = np.zeros((n, n, n), dtype=np.float64)
-    for f in fields:
-        if f.pattern.n != n:
-            raise ConfigurationError(
-                f"mixed grid sizes in accumulation: {f.pattern.n} vs {n}"
-            )
-        reconstruct_box(f, (0, 0, 0), (n, n, n), method=method, out=out)
-    return out
+    return reconstruct_box(fields, (0, 0, 0), (n, n, n), method=method)
 
 
 def accumulate_boxes(
@@ -62,20 +59,22 @@ def accumulate_boxes(
     """Accumulate every field over each target sub-domain's own box.
 
     ``fields`` maps sub-domain index to that sub-domain's compressed
-    result.  Each block sums the fields in sub-domain index order — the
-    order ``run_serial`` adds them in — so a block is bitwise the matching
-    slice of :func:`accumulate_global`, whichever rank computed it and
-    whatever order the fields arrived in.  Returns the dense ``k^3``
-    block per target, keyed by sub-domain index.
+    result, whole or cut to the cells that touch the targets
+    (:func:`cells_touching_rank`).  Each block is one
+    :func:`~repro.octree.interpolate.reconstruct_box` of the fields in
+    sub-domain index order — the order ``run_serial`` passes them in — so
+    a block is bitwise the matching slice of :func:`accumulate_global`,
+    whichever rank computed it and whatever order the fields arrived in.
+    Returns the dense ``k^3`` block per target, keyed by sub-domain index.
     """
     ordered = [fields[index] for index in sorted(fields)]
     blocks: Dict[int, np.ndarray] = {}
     for target in targets:
         shape = (target.size,) * 3
-        acc = np.zeros(shape, dtype=np.float64)
-        for field in ordered:
-            reconstruct_box(field, target.corner, shape, method=method, out=acc)
-        blocks[target.index] = acc
+        if ordered:
+            blocks[target.index] = reconstruct_box(ordered, target.corner, shape, method)
+        else:
+            blocks[target.index] = np.zeros(shape, dtype=np.float64)
     return blocks
 
 

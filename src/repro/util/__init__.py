@@ -16,7 +16,6 @@ from repro.util.arrays import (
     extract_subcube,
     l2_relative_error,
     linf_relative_error,
-    next_pow2,
     pad_to_shape,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "extract_subcube",
     "l2_relative_error",
     "linf_relative_error",
-    "next_pow2",
     "pad_to_shape",
 ]

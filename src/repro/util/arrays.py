@@ -15,12 +15,6 @@ from repro.errors import ShapeError
 from repro.util.validation import check_positive_int
 
 
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= ``n``."""
-    n = check_positive_int(n, "n")
-    return 1 << (n - 1).bit_length()
-
-
 def pad_to_shape(array: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     """Zero-pad ``array`` at the high end of each axis up to ``shape``.
 

@@ -18,6 +18,11 @@ goes through (the per-cell oracle has the same property).  Sub-domain
 aligned boxes never clip a cell that thin, and those are the boxes the
 cross-mode bitwise contract rests on, so they are asserted bitwise and
 arbitrary boxes to the last few ulps.
+
+A plan over several fields sums the cells they share before it
+interpolates, so its result is a few ulps from the per-field sum of
+reconstructions, never bitwise: ``TestMergedAccumulation`` bounds that
+distance and holds every rank's blocks bitwise to the global slices.
 """
 
 from __future__ import annotations
@@ -31,7 +36,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accumulate import accumulate_boxes, accumulate_global
+from repro.core.accumulate import (
+    accumulate_boxes,
+    accumulate_global,
+    cells_touching_rank,
+)
+from repro.core.checkpoint import (
+    checkpoint_from_bytes,
+    checkpoint_segments,
+    join_checkpoint_segments,
+)
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import SamplingPolicy
 from repro.errors import ConfigurationError, ShapeError
@@ -254,7 +268,7 @@ class TestPlanReuse:
         reconstruct_box(cf, (0, 0, 0), (8, 8, 8), method="nearest")
         reconstruct_box(cf, (0, 0, 0), (8, 8, 7))
         assert (table.misses, table.hits) == (misses, hits + 3)
-        keys = [k for k in table._entries if k[0] == cf.pattern.geometry_key]
+        keys = [k for k in table._entries if k[0] == (cf.pattern.geometry_key,)]
         assert len({k[1:] for k in keys}) == len(keys) >= 3
 
     def test_plans_are_weighed_in_bytes(self, monkeypatch):
@@ -262,7 +276,7 @@ class TestPlanReuse:
         are: a budget of four plans keeps about four, most recent last."""
         cf = _field(32, 8, "banded", 0)
         boxes = [((x, 0, 0), (8, 32, 32)) for x in range(0, 24)]
-        one = ReconstructionPlan(cf.pattern, (0, 0, 0), (8, 32, 32), False).nbytes
+        one = ReconstructionPlan([cf.pattern], (0, 0, 0), (8, 32, 32), False).nbytes
         table = WeightedLRU(max_weight=4 * one)
         monkeypatch.setattr(interpolate, "_PLANS", table)
         for corner, shape in boxes:
@@ -280,7 +294,7 @@ class TestPlanReuse:
         """A full-grid plan at n=64 covers 262 144 output points and ~13 000
         samples; it may store neither an index per point nor per sample."""
         pattern = _field(64, 16, "banded", 21).pattern
-        plan = ReconstructionPlan(pattern, (0, 0, 0), (64, 64, 64), False)
+        plan = ReconstructionPlan([pattern], (0, 0, 0), (64, 64, 64), False)
         cells = sum(len(chunk.slices) for chunk in plan.chunks)
         assert cells == pattern.num_cells
         stored = sum(
@@ -289,10 +303,13 @@ class TestPlanReuse:
         assert stored <= cells
         assert plan.nbytes < 1024 * cells
         # culling: a k^3 box keeps only the cells that touch it
-        small = ReconstructionPlan(pattern, (48, 48, 48), (64, 64, 64), False)
+        small = ReconstructionPlan([pattern], (48, 48, 48), (64, 64, 64), False)
         assert sum(len(chunk.slices) for chunk in small.chunks) < cells // 8
 
     def test_massif_components_share_one_plan_per_subdomain(self):
+        """The six stress components sit on the same per-sub-domain
+        patterns, so their six accumulations share one merged plan: at most
+        one build, then hits."""
         from repro.massif.elasticity import (
             LameParameters,
             StiffnessField,
@@ -313,9 +330,8 @@ class TestPlanReuse:
         table = interpolate._PLANS
         misses, hits = table.misses, table.hits
         solver._gamma_correction(sigma)
-        subdomains = (n // k) ** 3
-        assert table.misses - misses <= subdomains
-        assert (table.hits - hits) + (table.misses - misses) == 6 * subdomains
+        assert table.misses - misses <= 1
+        assert (table.hits - hits) + (table.misses - misses) == 6
 
 
 class TestSharedTablesUnderThreads:
@@ -352,7 +368,7 @@ class TestSharedTablesUnderThreads:
     def test_plan_table_accounting_survives_concurrent_eviction(self, monkeypatch):
         cf = _field(32, 8, "banded", 0)
         boxes = [((x, y, 0), (8, 8, 32)) for x in (0, 8, 16) for y in (0, 8, 16)]
-        one = ReconstructionPlan(cf.pattern, (0, 0, 0), (8, 8, 32), False).nbytes
+        one = ReconstructionPlan([cf.pattern], (0, 0, 0), (8, 8, 32), False).nbytes
         table = WeightedLRU(max_weight=3 * one)
         monkeypatch.setattr(interpolate, "_PLANS", table)
         expected = [oracle_reconstruct_box(cf, c, s) for c, s in boxes]
@@ -412,6 +428,97 @@ class TestAccumulateBoxes:
         assert report.approx.any()
         assert report.rank_results
         assert all(not result.blocks for result in report.rank_results.values())
+
+
+# -- merged accumulation: shared cells summed before they are interpolated ----
+def _wire(field, sub, precision, cells=None):
+    """``field`` as a peer receives it: packed (whole or cut to ``cells``)
+    at ``precision`` and decoded; ``None`` when the cut is empty."""
+    blob = join_checkpoint_segments(
+        checkpoint_segments([(sub, field)], precision, None if cells is None else [cells])
+    )
+    return checkpoint_from_bytes(blob).get(sub.index)
+
+
+def _check_merged_accumulation(n, k, policy, method, ranks, active, precision):
+    decomposition = DomainDecomposition(n=n, k=k)
+    fields = {i: _field(n, k, policy, i) for i in sorted(active)}
+    if precision != "float64":
+        fields = {
+            i: _wire(f, decomposition.subdomain(i), precision) for i, f in fields.items()
+        }
+    ordered = [fields[i] for i in sorted(fields)]
+    dense = accumulate_global(ordered, method=method)
+
+    # against the per-field sum it replaces: a few ulps, never more
+    oracle = np.zeros((n, n, n))
+    for f in ordered:
+        reconstruct_box(f, (0, 0, 0), (n, n, n), method=method, out=oracle)
+    assert np.abs(dense - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    # every rank's blocks, from its own fields whole and its peers' cut to
+    # the cells that touch its boxes, are bitwise the global slices
+    for rank in range(ranks):
+        merged = {}
+        for i, f in fields.items():
+            sub = decomposition.subdomain(i)
+            if i % ranks == rank:
+                merged[i] = f
+                continue
+            cut = _wire(f, sub, precision, cells_touching_rank(f.pattern, k, ranks, rank))
+            if cut is not None:
+                merged[i] = cut
+        targets = [sub for sub in decomposition if sub.index % ranks == rank]
+        blocks = accumulate_boxes(merged, targets, method)
+        assert sorted(blocks) == [sub.index for sub in targets]
+        for sub in targets:
+            assert np.array_equal(blocks[sub.index], dense[sub.slices()])
+
+
+@st.composite
+def _accumulations(draw):
+    n, k = draw(st.sampled_from([(16, 4), (16, 8), (32, 8)]))
+    policy = draw(st.sampled_from(["flat:2", "banded"]))
+    method = draw(st.sampled_from(["linear", "nearest"]))
+    ranks = draw(st.integers(1, 4))
+    active = draw(st.sets(st.integers(0, (n // k) ** 3 - 1), min_size=1, max_size=12))
+    return n, k, policy, method, ranks, active
+
+
+class TestMergedAccumulation:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_accumulations())
+    def test_blocks_are_global_slices_and_global_is_the_per_field_sum(self, case):
+        _check_merged_accumulation(*case, precision="float64")
+
+    def test_float32_decoded_fields(self):
+        _check_merged_accumulation(
+            32, 8, "banded", "linear", 3, {0, 5, 21, 22, 42, 63}, precision="float32"
+        )
+
+    def test_merged_plan_contracts_each_distinct_cell_once(self):
+        """n=64 / k=16 ``banded`` over a dense field: 64 fields hold 8 576
+        cells but only 1 136 distinct geometries, and the merged plan
+        contracts each of those once.  Like a one-field plan, it stores a
+        few offsets per cell and per shared (cell, field) pair — nothing per
+        sample or output point — so its weight follows the cells."""
+        n, k = 64, 16
+        patterns = [
+            POLICIES["banded"].pattern_for(n, k, sub.corner)
+            for sub in DomainDecomposition(n=n, k=k)
+        ]
+        cells = sum(p.num_cells for p in patterns)
+        samples = sum(p.sample_count for p in patterns)
+        plan = ReconstructionPlan(patterns, (0, 0, 0), (n, n, n), False)
+        contracted = sum(len(chunk.slices) for chunk in plan.chunks)
+        assert (cells, contracted) == (8576, 1136)
+        stored = sum(op.src.size + op.dst.size for op in plan.sums) + sum(
+            chunk.offsets.size for chunk in plan.chunks if chunk.offsets is not None
+        )
+        assert stored <= 2 * cells
+        assert plan.nbytes < 1024 * contracted
+        # the summed samples live in a buffer of each call, not in the plan
+        assert plan.summed_size < samples // 4
 
 
 class TestPatternInterning:

@@ -13,24 +13,8 @@ from repro.util.arrays import (
     extract_subcube,
     l2_relative_error,
     linf_relative_error,
-    next_pow2,
     pad_to_shape,
 )
-
-
-class TestNextPow2:
-    @pytest.mark.parametrize(
-        "n,expected", [(1, 1), (2, 2), (3, 4), (5, 8), (17, 32), (1024, 1024)]
-    )
-    def test_values(self, n, expected):
-        assert next_pow2(n) == expected
-
-    @given(st.integers(min_value=1, max_value=10**6))
-    def test_properties(self, n):
-        p = next_pow2(n)
-        assert p >= n
-        assert p & (p - 1) == 0
-        assert p < 2 * n or n == 1  # minimality
 
 
 class TestPadToShape:
