@@ -12,7 +12,7 @@ than re-exported here (linting should not import numpy-heavy drivers).
 from repro.analysis.tables import format_table
 from repro.analysis.report import ComparisonRow, ExperimentReport
 from repro.analysis.sweeps import TradeoffPoint, error_compression_sweep, pareto_front
-from repro.analysis.generate_report import generate_report, write_report
+from repro.analysis.generate_report import generate_report
 from repro.analysis import experiments
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "error_compression_sweep",
     "pareto_front",
     "generate_report",
-    "write_report",
 ]

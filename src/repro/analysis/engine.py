@@ -335,8 +335,3 @@ class LintEngine:
                 f"  ({files} files)"
             )
         return "\n".join(lines) + "\n"
-
-
-def run_lint(paths: Sequence[str | Path]) -> List[Finding]:
-    """One-call convenience: lint ``paths`` with the default rule set."""
-    return LintEngine().run(paths)

@@ -8,7 +8,6 @@ paper-vs-measured tables — the artifact a reproduction reviewer reads.
 from __future__ import annotations
 
 import io
-from typing import Optional
 
 from repro._version import __version__
 from repro.analysis import experiments as ex
@@ -109,11 +108,3 @@ def generate_report(fast: bool = True) -> str:
     )
     w("\n```\n")
     return buf.getvalue()
-
-
-def write_report(path: str, fast: bool = True) -> Optional[str]:
-    """Generate and write the report to ``path``; returns the path."""
-    text = generate_report(fast=fast)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path

@@ -1,6 +1,6 @@
 """Rule registry for the repro lint framework.
 
-Twelve codebase-specific rules generic linters cannot express:
+Thirteen codebase-specific rules generic linters cannot express:
 
 ========  ==============================================================
 LCK001    static lock-acquisition ordering graph must be acyclic
@@ -15,11 +15,14 @@ TAG001    wire tags unique, registry-homed, and send/recv paired
 GEN001    roster mutations bump the generation; job paths fence first
 API001    public names and ``__all__`` stay in sync
 NDA001    docstring dtype/shape contracts match the returned value
+DEAD001   every public src/repro definition is referenced by program code
 ========  ==============================================================
 
 LCK003, RES001, and GEN001 are flow-sensitive: they run dataflow
 fixpoints over per-function CFGs from :mod:`repro.analysis.flow` and
-print path witnesses with their convictions.
+print path witnesses with their convictions.  DEAD001 is project-wide:
+it reads the fixed reference roots beside ``src/repro`` whatever paths
+the engine was given.
 
 :func:`default_rules` is what the engine instantiates when none are
 given; :func:`rule_by_id` resolves a single rule class for targeted
@@ -37,6 +40,7 @@ from repro.analysis.rules.exceptions import BroadExceptRule
 from repro.analysis.rules.generation import GenerationFenceRule
 from repro.analysis.rules.locks import LockHeldBlockingRule, LockOrderRule
 from repro.analysis.rules.numpy_contracts import NumpyContractRule
+from repro.analysis.rules.reachability import ReachabilityRule
 from repro.analysis.rules.resources import (
     LockPairingRule,
     ResourceReleaseRule,
@@ -59,6 +63,7 @@ __all__ = [
     "GenerationFenceRule",
     "ExportHygieneRule",
     "NumpyContractRule",
+    "ReachabilityRule",
     "default_rules",
     "rule_by_id",
 ]
@@ -76,6 +81,7 @@ _ALL_RULES: List[Type[Rule]] = [
     GenerationFenceRule,
     ExportHygieneRule,
     NumpyContractRule,
+    ReachabilityRule,
 ]
 
 

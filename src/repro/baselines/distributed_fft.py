@@ -47,10 +47,6 @@ class SlabDistributedFFT:
             for r in range(self.comm.size)
         ]
 
-    def gather_yslabs(self, blocks: List[np.ndarray]) -> np.ndarray:
-        """Reassemble a dense array from per-rank y-slab layout."""
-        return np.concatenate(blocks, axis=1)
-
     def gather_xslabs(self, blocks: List[np.ndarray]) -> np.ndarray:
         """Reassemble a dense array from per-rank x-slab layout."""
         return np.concatenate(blocks, axis=0)
@@ -125,18 +121,6 @@ class PencilDistributedFFT:
                     ].copy()
                 )
         return blocks
-
-    def gather_final(self, blocks: List[np.ndarray]) -> np.ndarray:
-        """Reassemble from the post-forward x-pencil layout.
-
-        After :meth:`forward`, rank (i, j) holds ``(n, bx_y, by_z)`` — all
-        x, ``y in X_i``-sized span, ``z in Z_j``.
-        """
-        rows = []
-        for i in range(self.px):
-            cols = [blocks[i * self.py + j] for j in range(self.py)]
-            rows.append(np.concatenate(cols, axis=2))
-        return np.concatenate(rows, axis=1)
 
     def _rank(self, i: int, j: int) -> int:
         return i * self.py + j

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.analysis import experiments as ex
 from repro.analysis.tables import format_table
@@ -49,10 +49,12 @@ from repro.errors import ReproError
 
 
 def _table1() -> None:
+    """Table 1: memory, dense vs domain-local."""
     print(ex.run_table1_memory().render())
 
 
 def _table2() -> None:
+    """Table 2: allowable k per device."""
     print(ex.run_table2_allowable_k().render())
     plain, ours = ex.dense_gpu_ceiling()
     print(f"\nsingle-GPU ceiling: dense cuFFT N={plain}, ours N={ours} "
@@ -60,6 +62,7 @@ def _table2() -> None:
 
 
 def _table3() -> None:
+    """Table 3: modeled speedups and the measured error."""
     rows, report = ex.run_table3_speedup()
     print(report.render())
     print()
@@ -75,10 +78,12 @@ def _table3() -> None:
 
 
 def _table4() -> None:
+    """Table 4: estimated vs actual GPU memory."""
     print(ex.run_table4_memory().render())
 
 
 def _fig1() -> None:
+    """Figure 1: communication rounds."""
     res = ex.run_fig1_comm_rounds()
     print(
         format_table(
@@ -93,6 +98,7 @@ def _fig1() -> None:
 
 
 def _fig3() -> None:
+    """Figure 3: the octree sampling pattern."""
     res = ex.run_fig3_octree()
     print(
         format_table(
@@ -105,6 +111,7 @@ def _fig3() -> None:
 
 
 def _eq6() -> None:
+    """Eq 1 vs Eq 6 communication-time sweep."""
     print(
         format_table(
             ["P", "T_fft (s)", "T_ours (s)", "advantage"],
@@ -115,10 +122,12 @@ def _eq6() -> None:
 
 
 def _batch() -> None:
+    """§5.4 batch-parameter sweep."""
     print(ex.run_batch_sweep().render())
 
 
 def _massif() -> None:
+    """§5.3 MASSIF Algorithm 1 vs 2 convergence."""
     res = ex.run_massif_convergence()
     print(
         format_table(
@@ -137,12 +146,14 @@ def _massif() -> None:
 
 
 def _report() -> None:
+    """The full reproduction report."""
     from repro.analysis.generate_report import generate_report
 
     print(generate_report(fast=True))
 
 
 def _commshift() -> None:
+    """§2.1 compute-to-communication story."""
     rows = gpu_acceleration_story()
     print(
         format_table(
@@ -158,10 +169,12 @@ def _pipeline(args: argparse.Namespace) -> None:
     import numpy as np
 
     from repro.core.pipeline import LowCommConvolution3D
+    from repro.core.policy import parse_policy
     from repro.core.reference import reference_convolve
     from repro.kernels.gaussian import GaussianKernel
 
     n, k = args.n, args.k
+    policy = parse_policy(args.policy)
     kernel = GaussianKernel(n=n, sigma=args.sigma)
     spectrum = kernel.spectrum()
     rng = np.random.default_rng(args.seed)
@@ -172,7 +185,7 @@ def _pipeline(args: argparse.Namespace) -> None:
     q = n // 4
     field[q : n - q, q : n - q, q : n - q] = rng.standard_normal((n - 2 * q,) * 3)
     pipeline = LowCommConvolution3D(
-        n, k, spectrum, real_kernel=args.real_kernel
+        n, k, spectrum, policy, real_kernel=args.real_kernel
     )
     if args.mode == "parallel":
         result = pipeline.run_parallel(field, max_workers=args.workers)
@@ -187,6 +200,7 @@ def _pipeline(args: argparse.Namespace) -> None:
             [
                 ["mode", args.mode],
                 ["n / k", f"{n} / {k}"],
+                ["policy", args.policy],
                 ["sub-domains convolved", result.num_subdomains],
                 ["total samples", result.total_samples],
                 ["compression ratio", f"{result.compression_ratio:.1f}x"],
@@ -456,64 +470,22 @@ COMMANDS: Dict[str, Callable[[], None]] = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv[:1] == ["xpr"]:
-        # The xpr verb owns its own sub-command surface (run/report/gate/
-        # list); hand it the rest of the argv before the experiment
-        # parser can reject its flags.
-        from repro.xpr.cli import xpr_main
-
-        return xpr_main(argv[1:])
-    if argv[:1] == ["pool"]:
-        # Same pattern for the standing rank pool (up/status/submit/down/
-        # agent/coordinator).
-        from repro.pool.cli import pool_main
-
-        return pool_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate experiments from the low-communication "
-        "3D convolution paper (ICPP Workshops '22).",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(COMMANDS)
-        + ["all", "pipeline", "serve", "serve-bench", "dist-run", "lint",
-           "xpr", "pool"],
-        help="which experiment to run ('pipeline' runs the end-to-end "
-        "convolution itself; 'serve' audits dist-backed serving on a "
-        "standing pool; 'serve-bench' benchmarks the batching "
-        "service; 'dist-run' executes the pipeline as a real multi-process "
-        "SPMD job; 'lint' runs the project-specific static analysis; "
-        "'xpr' orchestrates experiment grids and regression gates — "
-        "see 'repro xpr --help'; 'pool' operates the standing rank pool — "
-        "see 'repro pool --help'; see the flag groups below)",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to lint (lint only; default: src)",
-    )
-    group = parser.add_argument_group("pipeline options")
+def _grid_flags(parser: argparse.ArgumentParser) -> None:
+    """The problem every convolution verb builds: grid, kernel, policy."""
+    group = parser.add_argument_group("problem")
     group.add_argument("--n", type=int, default=64, help="global grid edge")
     group.add_argument("--k", type=int, default=16, help="sub-domain edge")
     group.add_argument("--sigma", type=float, default=2.0, help="kernel width")
     group.add_argument("--seed", type=int, default=0, help="input field seed")
     group.add_argument(
-        "--mode",
-        choices=["serial", "parallel"],
-        default="serial",
-        help="execution mode (parallel = process-pool fan-out)",
+        "--policy",
+        default="banded",
+        help="sampling policy spec: 'banded' or 'flat:R'",
     )
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process count for --mode parallel (default: all cores)",
-    )
+
+
+def _kernel_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("kernel path")
     group.add_argument(
         "--real-kernel",
         dest="real_kernel",
@@ -528,10 +500,74 @@ def main(argv: list[str] | None = None) -> int:
         action="store_false",
         help="force the full complex path",
     )
-    dist = parser.add_argument_group("dist-run options")
-    dist.add_argument(
-        "--ranks", type=int, default=2, help="number of SPMD ranks"
+
+
+def _execution_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("execution")
+    group.add_argument(
+        "--mode",
+        choices=["serial", "parallel"],
+        default="serial",
+        help="execution mode (parallel = process-pool fan-out)",
     )
+    group.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="process count for --mode parallel (default: all cores)",
+    )
+
+
+def _stream_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("request stream")
+    group.add_argument(
+        "--requests", type=int, default=16, help="number of requests in the stream"
+    )
+    group.add_argument(
+        "--kernels",
+        type=int,
+        default=1,
+        help="distinct kernels across the stream (compatibility groups)",
+    )
+    group.add_argument(
+        "--max-batch-size", type=int, default=8, help="dynamic batching size cap"
+    )
+    group.add_argument(
+        "--max-wait",
+        type=float,
+        default=0.05,
+        help="max seconds a partial batch waits before flushing",
+    )
+
+
+def _build_parser() -> Tuple[
+    argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]
+]:
+    """One sub-parser per verb, each with only the flags that verb reads;
+    returns the top-level parser and the verb -> sub-parser map."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate experiments from the low-communication "
+        "3D convolution paper (ICPP Workshops '22).",
+    )
+    verbs = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in sorted(COMMANDS):
+        verbs.add_parser(name, help=COMMANDS[name].__doc__)
+    verbs.add_parser("all", help="every paper verb above, in order")
+
+    pipeline = verbs.add_parser(
+        "pipeline", help="run the end-to-end convolution itself"
+    )
+    _grid_flags(pipeline)
+    _kernel_flags(pipeline)
+    _execution_flags(pipeline)
+
+    dist = verbs.add_parser(
+        "dist-run", help="execute the pipeline as a real multi-process SPMD job"
+    )
+    _grid_flags(dist)
+    _kernel_flags(dist)
+    dist.add_argument("--ranks", type=int, default=2, help="number of SPMD ranks")
     dist.add_argument(
         "--transport",
         choices=["local", "tcp"],
@@ -553,73 +589,66 @@ def main(argv: list[str] | None = None) -> int:
         help="bounded in-flight chunk window for --overlap "
         "(2 = double buffered)",
     )
-    serve = parser.add_argument_group("serve-bench options")
-    serve.add_argument(
-        "--requests", type=int, default=16, help="number of requests in the stream"
+
+    bench = verbs.add_parser(
+        "serve-bench", help="benchmark the batching service against naive serving"
     )
-    serve.add_argument(
-        "--kernels",
-        type=int,
-        default=1,
-        help="distinct kernels across the stream (compatibility groups)",
-    )
-    serve.add_argument(
-        "--policy",
-        default="banded",
-        help="sampling policy spec: 'banded' or 'flat:R'",
-    )
-    serve.add_argument(
-        "--max-batch-size", type=int, default=8, help="dynamic batching size cap"
-    )
-    serve.add_argument(
-        "--max-wait",
-        type=float,
-        default=0.05,
-        help="max seconds a partial batch waits before flushing",
-    )
-    serve.add_argument(
+    _grid_flags(bench)
+    _stream_flags(bench)
+    _execution_flags(bench)
+    bench.add_argument(
         "--pool",
         default=None,
-        help="serve-bench: also A/B the pool-backed path — 'auto' spawns "
-        "a private pool of --pool-ranks agents, or pass a rendezvous URL "
-        "to connect to an already-up pool",
+        help="also A/B the pool-backed path — 'auto' spawns a private "
+        "pool of --pool-ranks agents, or pass a rendezvous URL to connect "
+        "to an already-up pool",
     )
-    serve.add_argument(
+    bench.add_argument(
         "--pool-ranks",
         type=int,
         default=2,
         help="rank count for --pool (must match the standing pool's size)",
     )
+
+    serve = verbs.add_parser(
+        "serve", help="audit dist-backed serving on a standing pool"
+    )
+    _grid_flags(serve)
+    _stream_flags(serve)
     serve.add_argument(
         "--backend",
         default="local",
-        help="serve: 'local' or 'pool://<rendezvous-url>' (an already-up "
-        "pool; --ranks many agents)",
+        help="'local' or 'pool://<rendezvous-url>' (an already-up pool; "
+        "--ranks many agents)",
+    )
+    serve.add_argument(
+        "--ranks", type=int, default=2, help="agents to connect on the pool"
     )
     serve.add_argument(
         "--kill-job",
         type=int,
         default=None,
-        help="serve: inject a rank death at this 1-based pool job index "
+        help="inject a rank death at this 1-based pool job index "
         "(proves transparent failover)",
     )
     serve.add_argument(
-        "--kill-rank",
-        type=int,
-        default=1,
-        help="which rank --kill-job kills",
+        "--kill-rank", type=int, default=1, help="which rank --kill-job kills"
     )
     serve.add_argument(
         "--kill-stage",
         default="before_checkpoint",
         help="pipeline stage --kill-job kills at (see dist FAIL_STAGES)",
     )
-    lint = parser.add_argument_group("lint options")
+
+    lint = verbs.add_parser("lint", help="project-specific static analysis")
+    lint.add_argument(
+        "paths", nargs="*", help="files/directories to lint (default: src)"
+    )
     lint.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
-        help="lint output format (json is the stable CI-artifact schema)",
+        help="output format (json is the stable CI-artifact schema)",
     )
     lint.add_argument(
         "--timing",
@@ -627,26 +656,52 @@ def main(argv: list[str] | None = None) -> int:
         help="append a per-rule wall-time column to the text report "
         "(JSON output always carries timings)",
     )
-    args = parser.parse_args(argv)
-    if args.paths and args.experiment != "lint":
-        parser.error("positional paths are only valid with 'lint'")
+
+    # These two own their sub-command surfaces: the rest of argv is theirs.
+    verbs.add_parser(
+        "xpr",
+        add_help=False,
+        help="experiment grids and regression gates (see 'repro xpr --help')",
+    )
+    verbs.add_parser(
+        "pool",
+        add_help=False,
+        help="operate the standing rank pool (see 'repro pool --help')",
+    )
+    return parser, verbs.choices
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point; returns a process exit code."""
+    parser, verbs = _build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "xpr":
+        from repro.xpr.cli import xpr_main
+
+        return xpr_main(rest)
+    if args.command == "pool":
+        from repro.pool.cli import pool_main
+
+        return pool_main(rest)
+    if rest:
+        verbs[args.command].error(f"unrecognized arguments: {' '.join(rest)}")
     try:
-        if args.experiment == "lint":
+        if args.command == "lint":
             return _lint(args)
-        if args.experiment == "pipeline":
+        if args.command == "pipeline":
             _pipeline(args)
-        elif args.experiment == "serve":
+        elif args.command == "serve":
             return _serve(args)
-        elif args.experiment == "serve-bench":
+        elif args.command == "serve-bench":
             return _serve_bench(args)
-        elif args.experiment == "dist-run":
+        elif args.command == "dist-run":
             return _dist_run(args)
-        elif args.experiment == "all":
+        elif args.command == "all":
             for name in sorted(COMMANDS):
                 print(f"\n================ {name} ================")
                 COMMANDS[name]()
         else:
-            COMMANDS[args.experiment]()
+            COMMANDS[args.command]()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

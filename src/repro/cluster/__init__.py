@@ -25,7 +25,6 @@ algorithm code runs against:
 
 from repro.cluster.comm import SimulatedComm, TrafficLedger
 from repro.cluster.cost import (
-    alpha_beta_time,
     comm_time_ours,
     comm_time_traditional_fft,
     sparse_sample_count,
@@ -41,7 +40,6 @@ from repro.cluster.device import (
     V100_16GB,
     V100_32GB,
     XEON_GOLD_6148,
-    get_device,
 )
 from repro.cluster.memory import Allocation, MemoryTracker
 from repro.cluster.network import Link, Network
@@ -55,14 +53,12 @@ from repro.cluster.trace import (
 __all__ = [
     "SimulatedComm",
     "TrafficLedger",
-    "alpha_beta_time",
     "comm_time_ours",
     "comm_time_traditional_fft",
     "sparse_sample_count",
     "CufftWorkspaceModel",
     "Device",
     "DEVICE_CATALOG",
-    "get_device",
     "V100_16GB",
     "V100_32GB",
     "P100_16GB",

@@ -99,10 +99,6 @@ class SimulatedComm:
         self._check_rank(rank)
         self._dead.add(rank)
 
-    def revive_rank(self, rank: int) -> None:
-        """Bring a dead rank back (test helper)."""
-        self._dead.discard(rank)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
             raise CommunicationError(f"rank {rank} out of range [0, {self.size})")
@@ -204,22 +200,3 @@ class SimulatedComm:
         self.ledger.record("bcast", wire)
         self.clock.advance(self.network.broadcast_time(_nbytes(value)), category="comm")
         return [value.copy() for _ in range(self.size)]
-
-    def allreduce_sum(self, send: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Element-wise sum across ranks, result on every rank."""
-        self._check_alive()
-        self._check_participants(send, "allreduce send")
-        arrays = [np.asarray(s) for s in send]
-        shape = arrays[0].shape
-        for i, a in enumerate(arrays):
-            if a.shape != shape:
-                raise CommunicationError(
-                    f"allreduce shape mismatch at rank {i}: {a.shape} vs {shape}"
-                )
-        total = np.sum(np.stack(arrays), axis=0)
-        wire = _nbytes(arrays[0]) * max(0, self.size - 1) * 2
-        self.ledger.record("allreduce", wire)
-        self.clock.advance(
-            2 * self.network.allgather_time(_nbytes(arrays[0])), category="comm"
-        )
-        return [total.copy() for _ in range(self.size)]

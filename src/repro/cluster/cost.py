@@ -35,10 +35,6 @@ REAL_BYTES = 8
 # Communication models (paper Eqs 1, 2, 6)
 # --------------------------------------------------------------------------
 
-def alpha_beta_time(link: Link, message_bytes: int) -> float:
-    """Eq 2: ``t = alpha + beta * m`` for one message."""
-    return link.message_time(message_bytes)
-
 
 def comm_time_traditional_fft(
     n: int,
@@ -95,15 +91,6 @@ def comm_time_ours(
     if include_latency and p > 1:
         t += (p - 1) * link.alpha_s
     return t
-
-
-def comm_advantage(n: int, k: int, r: float, p: int, link: Link) -> float:
-    """Ratio ``T_Comm,FFT / T_ours`` (> 1 means our method communicates less)."""
-    ours = comm_time_ours(n, k, r, p, link)
-    trad = comm_time_traditional_fft(n, p, link)
-    if ours == 0.0:
-        return math.inf
-    return trad / ours
 
 
 # --------------------------------------------------------------------------
@@ -252,13 +239,6 @@ def pruned_conv_time(
     transfer = device.transfer_time(in_bytes + out_bytes)
 
     return compute + pointwise + launches + transfer
-
-
-def speedup_ours_vs_dense(
-    gpu: Device, cpu: Device, n: int, k: int, r: float, batch: Optional[int] = None
-) -> float:
-    """Table 3's headline ratio: dense CPU conv time / our GPU pipeline time."""
-    return dense_conv_time(cpu, n) / pruned_conv_time(gpu, n, k, r, batch=batch)
 
 
 def _check_pos(value: int, name: str) -> None:

@@ -181,13 +181,3 @@ DEVICE_CATALOG: Dict[str, Device] = {
         DGX2_CPU,
     )
 }
-
-
-def get_device(name: str) -> Device:
-    """Look up a catalog device by name."""
-    try:
-        return DEVICE_CATALOG[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown device {name!r}; available: {sorted(DEVICE_CATALOG)}"
-        ) from None

@@ -106,17 +106,3 @@ class MemoryTracker:
         finally:
             if not allocation.freed:
                 self.free(allocation)
-
-    def live_allocations(self) -> List[Allocation]:
-        """Currently live allocations (copy)."""
-        return list(self._live)
-
-    def would_fit(self, nbytes: int) -> bool:
-        """Whether an allocation of ``nbytes`` would currently succeed."""
-        if self.capacity_bytes is None:
-            return True
-        return self._current + int(nbytes) <= self.capacity_bytes
-
-    def reset_peak(self) -> None:
-        """Reset the high-water mark to the current usage."""
-        self._peak = self._current

@@ -17,13 +17,12 @@ fraction estimator for the distributed FFT baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.cluster.cost import comm_time_traditional_fft, fft_stage_flops
 from repro.cluster.device import Device
 from repro.cluster.network import Link
 from repro.errors import ConfigurationError
-from repro.util.clock import ManualClock
 
 
 def accelerate_compute_fraction(comm_fraction: float, accel: float) -> float:
@@ -89,15 +88,6 @@ def distributed_fft_breakdown(
         comm += device.transfer_time(staged_bytes)
     other = packing_overhead * comm / 2.0
     return ComputeCommBreakdown(compute_s=compute, comm_s=comm, other_s=other)
-
-
-def clock_breakdown_fractions(clock: ManualClock) -> Dict[str, float]:
-    """Per-category time fractions from a simulated clock's totals."""
-    breakdown = clock.breakdown()
-    total = sum(breakdown.values())
-    if total == 0.0:
-        return {}
-    return {k: v / total for k, v in breakdown.items()}
 
 
 def gpu_acceleration_story(

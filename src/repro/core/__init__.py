@@ -11,7 +11,9 @@ The pipeline (paper §3, Fig 2):
    results; interpolation + summation yields the approximate global
    convolution.
 4. :mod:`repro.core.pipeline` — :class:`LowCommConvolution3D` ties it
-   together, serially or over a process pool;
+   together, serially or over a process pool.  It is the one in-process
+   execution core: :mod:`repro.core.adaptive` feeds it content-adaptive
+   blocks, the serving executor caches one per compatibility key, and
    :mod:`repro.core.distributed_runner` books a finished run's traffic
    and modeled time on the simulated cluster.
 
@@ -42,13 +44,7 @@ from repro.core.distributed_runner import (
     strong_scaling_curve,
 )
 from repro.core.autotune import AutotuneResult, autotune
-from repro.core.batch import BatchConvolver, BatchResult
 from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
-from repro.core.linear_conv import (
-    LinearConvolution3D,
-    embed_kernel_freespace,
-    reference_linear_convolve,
-)
 from repro.core.costmodel import (
     MemoryFootprint,
     memory_local_fft_bytes,
@@ -87,11 +83,6 @@ __all__ = [
     "table1_rows",
     "autotune",
     "AutotuneResult",
-    "BatchConvolver",
-    "BatchResult",
-    "LinearConvolution3D",
-    "embed_kernel_freespace",
-    "reference_linear_convolve",
     "checkpoint_to_bytes",
     "checkpoint_from_bytes",
 ]

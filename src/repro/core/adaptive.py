@@ -4,8 +4,10 @@
 partitions can also be made", and the gains list includes inputs with
 "zero regions".  This module provides both: an octree decomposition of the
 *input* that subdivides until blocks are either all-(near-)zero — skipped
-entirely — or small enough to process, yielding mixed-size cubic
-sub-domains that the standard local convolution handles unchanged.
+entirely — or small enough to process.  The surviving blocks go through
+the pipeline's own per-sub-domain step
+(:meth:`~repro.core.pipeline.LowCommConvolution3D.convolve_chunks`) and
+accumulation, whose pattern cache is keyed by corner and size.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.accumulate import accumulate_global
 from repro.core.decomposition import SubDomain
-from repro.core.local_conv import KernelSpectrum, LocalConvolution
+from repro.core.local_conv import KernelSpectrum
+from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.errors import ConfigurationError, ShapeError
 from repro.util.validation import check_cube, check_positive_int, check_power_of_two
@@ -86,9 +88,11 @@ class AdaptiveConvolutionResult:
 class AdaptiveConvolution:
     """Low-communication convolution over a content-adaptive decomposition.
 
-    Unlike :class:`~repro.core.pipeline.LowCommConvolution3D` (fixed k),
-    sub-domains here have mixed sizes driven by the input's support — large
-    blocks where the field is dense, nothing at all where it is zero.
+    Unlike :class:`~repro.core.pipeline.LowCommConvolution3D`'s regular
+    ``k^3`` tiling, the blocks here are driven by the input's support:
+    nothing at all where the field is zero.  The blocks then run through
+    that pipeline's :meth:`~LowCommConvolution3D.convolve_chunks` and
+    :meth:`~LowCommConvolution3D.accumulate`.
     """
 
     def __init__(
@@ -103,13 +107,14 @@ class AdaptiveConvolution:
         threshold: float = 0.0,
     ):
         self.n = check_positive_int(n, "n")
-        self.policy = policy or SamplingPolicy()
         self.k_max = check_positive_int(k_max, "k_max")
         self.k_min = check_positive_int(k_min, "k_min")
         self.threshold = float(threshold)
-        self.interpolation = interpolation
-        self.local = LocalConvolution(
-            n=n, kernel_spectrum=kernel_spectrum, policy=self.policy, batch=batch
+        # The blocks come from decompose_by_content, so the pipeline's own
+        # regular decomposition is never used: one n^3 sub-domain keeps it
+        # valid for any k_max.
+        self.pipeline = LowCommConvolution3D(
+            n, n, kernel_spectrum, policy, batch=batch, interpolation=interpolation
         )
 
     def run(self, field: np.ndarray) -> AdaptiveConvolutionResult:
@@ -120,19 +125,13 @@ class AdaptiveConvolution:
         subs = decompose_by_content(
             field, k_max=self.k_max, k_min=self.k_min, threshold=self.threshold
         )
-        fields = []
-        for sub in subs:
-            block = field[sub.slices()]
-            pattern = self.policy.pattern_for(self.n, sub.size, sub.corner)
-            fields.append(self.local.convolve(block, sub.corner, pattern=pattern))
-        if fields:
-            approx = accumulate_global(fields, method=self.interpolation)
-        else:
-            approx = np.zeros((self.n,) * 3)
+        per_domain = list(
+            self.pipeline.convolve_chunks((sub, field[sub.slices()]) for sub in subs)
+        )
         active = sum(s.size**3 for s in subs)
         return AdaptiveConvolutionResult(
-            approx=approx,
+            approx=self.pipeline.accumulate(per_domain),
             subdomains=subs,
             skipped_volume=self.n**3 - active,
-            total_samples=sum(f.pattern.sample_count for f in fields),
+            total_samples=sum(f.pattern.sample_count for _s, f in per_domain),
         )

@@ -77,18 +77,6 @@ class DomainDecomposition:
     def __len__(self) -> int:
         return self.num_domains
 
-    def owner_of(self, point: Tuple[int, int, int]) -> SubDomain:
-        """Sub-domain containing a grid point."""
-        m = self.domains_per_axis
-        coords = []
-        for p in point:
-            p = int(p)
-            if not 0 <= p < self.n:
-                raise ConfigurationError(f"point {point} outside grid of size {self.n}")
-            coords.append(p // self.k)
-        index = (coords[0] * m + coords[1]) * m + coords[2]
-        return self.subdomain(index)
-
     def extract(self, field: np.ndarray, sub: SubDomain) -> np.ndarray:
         """Copy the sub-domain's block out of a global field (leading
         component axes are kept)."""

@@ -213,7 +213,7 @@ class LocalConvolution:
         ]
         return fields[0] if sub.ndim == 3 else fields
 
-    def convolve_dense_debug(
+    def convolve_dense_debug(  # repro-lint: disable=DEAD001 oracle of test_core_local_conv.py::TestDenseDebugPath
         self, sub: np.ndarray, corner: Sequence[int]
     ) -> np.ndarray:
         """Uncompressed local convolution (full ``n^3`` result per

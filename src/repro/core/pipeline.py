@@ -132,7 +132,7 @@ class LowCommConvolution3D:
             real_kernel=real_kernel,
             plans=plans,
         )
-        self._pattern_cache: Dict[Tuple[int, int, int], object] = {}
+        self._pattern_cache: Dict[Tuple[Tuple[int, int, int], int], object] = {}
 
     @property
     def n(self) -> int:
@@ -142,12 +142,15 @@ class LowCommConvolution3D:
     def k(self) -> int:
         return self.decomposition.k
 
-    def _pattern(self, corner: Tuple[int, int, int]):
-        if corner not in self._pattern_cache:
-            self._pattern_cache[corner] = self.policy.pattern_for(
-                self.n, self.k, corner
+    def _pattern(self, sub: SubDomain):
+        """The sampling pattern of ``sub``, cached by ``(corner, size)`` so
+        blocks of different sizes share the one cache."""
+        key = (sub.corner, sub.size)
+        if key not in self._pattern_cache:
+            self._pattern_cache[key] = self.policy.pattern_for(
+                self.n, sub.size, sub.corner
             )
-        return self._pattern_cache[corner]
+        return self._pattern_cache[key]
 
     def _check_field(self, field: np.ndarray) -> np.ndarray:
         field = np.asarray(field, dtype=np.float64)
@@ -179,7 +182,7 @@ class LowCommConvolution3D:
         """
         for sub, block in chunks:
             yield sub, self.local.convolve(
-                block, sub.corner, pattern=self._pattern(sub.corner)
+                block, sub.corner, pattern=self._pattern(sub)
             )
 
     def _convolve_in_pool(
@@ -207,7 +210,7 @@ class LowCommConvolution3D:
         for sub, (index, values) in zip(active, pairs):
             assert sub.index == index
             compressed = CompressedField(
-                pattern=self._pattern(sub.corner), values=values
+                pattern=self._pattern(sub), values=values
             )
             results.append((sub, compressed))
         return results
@@ -230,9 +233,11 @@ class LowCommConvolution3D:
             per_domain=per_domain,
         )
 
-    def _accumulate(
+    def accumulate(
         self, per_domain: List[Tuple[SubDomain, CompressedField]]
     ) -> np.ndarray:
+        """The dense ``n^3`` sum of every sub-domain's interpolated result
+        (zeros when nothing was convolved)."""
         if per_domain:
             return accumulate_global(
                 [f for _s, f in per_domain], method=self.interpolation
@@ -245,7 +250,7 @@ class LowCommConvolution3D:
         start = _WALL.now()
         blocks = self.decomposition.active_blocks(self._check_field(field))
         per_domain = list(self.convolve_chunks(blocks))
-        approx = self._accumulate(per_domain)
+        approx = self.accumulate(per_domain)
         return self._result(approx, per_domain, _WALL.now() - start)
 
     def run_parallel(
@@ -269,5 +274,5 @@ class LowCommConvolution3D:
         """
         start = _WALL.now()
         per_domain = self._convolve_in_pool(field, max_workers)
-        approx = self._accumulate(per_domain)
+        approx = self.accumulate(per_domain)
         return self._result(approx, per_domain, _WALL.now() - start)

@@ -16,7 +16,7 @@ sub-domain".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -101,10 +101,6 @@ class SamplingPolicy:
         r_mid = 8 if support <= 2 * k else 4
         r_far = 32 if exponent >= 2.0 else 16
         return cls(r_near=r_near, r_mid=r_mid, r_far=r_far)
-
-    def with_flat(self, r: int) -> "SamplingPolicy":
-        """Copy of this policy forced to a flat exterior rate."""
-        return replace(self, flat=int(r))
 
     def average_rate(self) -> float:
         """Representative exterior rate for closed-form cost models."""

@@ -94,51 +94,6 @@ class WireLedger:
                 int(nbytes)
             )
 
-    def bytes_sent(self, category: Optional[str] = None) -> int:
-        """Total bytes sent, optionally restricted to one category."""
-        return self._total("sent", "bytes", category)
-
-    def bytes_received(self, category: Optional[str] = None) -> int:
-        """Total bytes received, optionally restricted to one category."""
-        return self._total("recv", "bytes", category)
-
-    def frames_sent(self, category: Optional[str] = None) -> int:
-        """Total frames sent, optionally restricted to one category."""
-        return self._total("sent", "frames", category)
-
-    def _total(self, direction: str, unit: str, category: Optional[str]) -> int:
-        counters = self.metrics.snapshot()["counters"]
-        if category is not None:
-            return int(counters.get(f"{direction}.{category}.{unit}", 0))
-        return sum(
-            v
-            for k, v in counters.items()
-            if k.startswith(f"{direction}.") and k.endswith(f".{unit}")
-        )
-
-    def window_bytes(
-        self, direction: str = "sent", category: Optional[str] = None
-    ) -> Dict[str, int]:
-        """Per-window byte totals: ``{window label: bytes}``.
-
-        ``direction`` is ``"sent"`` or ``"recv"``; ``category`` restricts
-        to one traffic category (all categories summed when ``None``).
-        The values sum to the bytes of that direction/category that were
-        recorded inside :meth:`window` contexts.
-        """
-        out: Dict[str, int] = {}
-        for name, value in self.metrics.snapshot()["counters"].items():
-            if not name.startswith("window.") or not name.endswith(".bytes"):
-                continue
-            label, _, rest = name[len("window.") :].rpartition(f".{direction}.")
-            if not label:
-                continue
-            cat = rest[: -len(".bytes")]
-            if category is not None and cat != category:
-                continue
-            out[label] = out.get(label, 0) + int(value)
-        return out
-
     def snapshot(self) -> dict:
         """JSON-safe snapshot (same schema as serve metrics snapshots)."""
         return self.metrics.snapshot()
@@ -170,4 +125,3 @@ def sent_wire_bytes(totals: Dict[str, int]) -> int:
         for k, v in totals.items()
         if k.startswith("sent.") and k.endswith(".bytes")
     )
-

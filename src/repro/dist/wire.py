@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Union
+from typing import Iterable, List, Union
 
 from repro.errors import TransportError
 from repro.util import copytrack
@@ -221,22 +221,5 @@ def decode_frame(data: bytes) -> Frame:
         raise TransportError(
             f"frame payload truncated at offset {HEADER_BYTES + len(payload)}: "
             f"header declares {length} payload bytes, got {len(payload)}"
-        )
-    return Frame(kind=kind, src=src, tag=tag, payload=payload)
-
-
-def read_frame(read_exact: Callable[[int], bytes]) -> Frame:
-    """Read one frame via ``read_exact(n) -> bytes`` (a stream reader).
-
-    ``read_exact`` must either return exactly ``n`` bytes or raise; this
-    function adds the frame-level offset context to any truncation.
-    """
-    header = read_exact(HEADER_BYTES)
-    kind, src, tag, length = decode_header(header)
-    payload = read_exact(length) if length else b""
-    if len(payload) != length:
-        raise TransportError(
-            f"frame payload truncated at offset {HEADER_BYTES + len(payload)}: "
-            f"header declares {length} payload bytes"
         )
     return Frame(kind=kind, src=src, tag=tag, payload=payload)

@@ -345,7 +345,7 @@ def partial_idft(
     return np.moveaxis(out, -1, axis)
 
 
-def hermitian_partial_idft(
+def hermitian_partial_idft(  # repro-lint: disable=DEAD001 oracle of test_fft_pruned_plan.py::TestInverseStrategies
     half_spectrum: np.ndarray, coords: Sequence[int], n: int, axis: int = -1
 ) -> np.ndarray:
     """Real partial inverse DFT from the ``n//2 + 1`` stored coefficients.

@@ -320,7 +320,7 @@ def default_cache() -> PlanCache:
     return _DEFAULT_CACHE
 
 
-def reset_default_cache() -> PlanCache:
+def reset_default_cache() -> PlanCache:  # repro-lint: disable=DEAD001 isolation hook of tests/conftest.py
     """Replace the process-wide default cache with a cold one.
 
     Plans, scratch buffers, and the hit/miss counters all reset.  This is

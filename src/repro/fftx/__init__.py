@@ -20,7 +20,7 @@ API semantics the paper sketches:
   the MASSIF pruned convolution as four composed sub-plans.
 """
 
-from repro.fftx.callbacks import callback_registry, register_callback
+from repro.fftx.callbacks import register_callback
 from repro.fftx.compose import ComposedPlan, fftx_plan_compose
 from repro.fftx.execute import ExecutionStats, fftx_execute
 from repro.fftx.iodim import IODim
@@ -43,7 +43,6 @@ from repro.fftx.subplans import (
 __all__ = [
     "IODim",
     "register_callback",
-    "callback_registry",
     "plan_guru_dft_r2c",
     "plan_guru_pointwise_c2c",
     "plan_guru_dft_c2r",

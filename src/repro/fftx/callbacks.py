@@ -45,11 +45,6 @@ def get_callback(name: str) -> Callback:
         ) from None
 
 
-def callback_registry() -> Dict[str, Callback]:
-    """Copy of the registry (name -> callable)."""
-    return dict(_REGISTRY)
-
-
 # -- library-supplied callbacks (Fig 5) ---------------------------------------
 
 def complex_scaling(spectrum: np.ndarray, kernel: np.ndarray) -> np.ndarray:

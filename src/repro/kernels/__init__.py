@@ -29,7 +29,6 @@ from repro.kernels.properties import (
     decay_profile,
     effective_support_radius,
     fit_power_law_decay,
-    is_centrosymmetric,
     spectrum_is_real,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "decay_profile",
     "effective_support_radius",
     "fit_power_law_decay",
-    "is_centrosymmetric",
     "spectrum_is_real",
 ]

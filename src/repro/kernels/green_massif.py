@@ -83,7 +83,9 @@ def nyquist_mask(
     return (xi[0] == nyq) | (xi[1] == nyq) | (xi[2] == nyq)
 
 
-def gamma_hat_tensor(n: int, lame: LameParameters) -> np.ndarray:
+def gamma_hat_tensor(  # repro-lint: disable=DEAD001 oracle of test_kernels.py::TestGammaOperator
+    n: int, lame: LameParameters
+) -> np.ndarray:
     """Materialize ``Gamma_hat`` as a ``(3,3,3,3,n,n,n)`` real array.
 
     For validation and small grids only — 81 component fields.  Production

@@ -50,17 +50,6 @@ def spectrum_is_hermitian_real(spectrum: np.ndarray, tol: float = 1e-9) -> bool:
     return float(np.max(np.abs(real - reflected))) <= tol * peak
 
 
-def is_centrosymmetric(kernel_spatial: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether ``g[x] == g[-x mod n]`` (the symmetry behind a real DFT)."""
-    kernel = check_cube(np.asarray(kernel_spatial, dtype=np.float64), "kernel")
-    reflected = kernel[::-1, ::-1, ::-1]
-    reflected = np.roll(reflected, 1, axis=(0, 1, 2))
-    peak = float(np.max(np.abs(kernel)))
-    if peak == 0.0:
-        return True
-    return float(np.max(np.abs(kernel - reflected))) <= tol * peak
-
-
 def decay_profile(
     kernel_spatial: np.ndarray, center: Tuple[int, int, int] | None = None, bins: int = 32
 ) -> Tuple[np.ndarray, np.ndarray]:

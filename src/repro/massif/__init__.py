@@ -22,7 +22,6 @@ Modules
 
 from repro.massif.accelerated import (
     EyreMiltonSolver,
-    LowCommEyreMiltonSolver,
     reference_lame_eyre_milton,
 )
 from repro.massif.convergence import equilibrium_residual, strain_change
@@ -30,7 +29,6 @@ from repro.massif.elasticity import (
     StiffnessField,
     isotropic_stiffness,
     cubic_stiffness,
-    tensor_from_voigt,
     voigt_from_tensor,
 )
 from repro.massif.green_operator import gamma_convolve_dense
@@ -48,8 +46,6 @@ from repro.massif.orientation import (
     rotate_stiffness,
 )
 from repro.massif.microstructure import (
-    layered_microstructure,
-    random_spheres,
     sphere_inclusion,
     voronoi_polycrystal,
 )
@@ -59,11 +55,8 @@ __all__ = [
     "isotropic_stiffness",
     "cubic_stiffness",
     "voigt_from_tensor",
-    "tensor_from_voigt",
     "StiffnessField",
     "sphere_inclusion",
-    "random_spheres",
-    "layered_microstructure",
     "voronoi_polycrystal",
     "random_rotation",
     "rotate_stiffness",
@@ -78,7 +71,6 @@ __all__ = [
     "SolverReport",
     "LowCommMassifSolver",
     "EyreMiltonSolver",
-    "LowCommEyreMiltonSolver",
     "reference_lame_eyre_milton",
     "equilibrium_residual",
     "strain_change",

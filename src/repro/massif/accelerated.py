@@ -144,37 +144,6 @@ class EyreMiltonSolver(MassifSolver):
         )
 
 
-class LowCommEyreMiltonSolver(EyreMiltonSolver):
-    """Eyre-Milton acceleration THROUGH the low-communication Gamma.
-
-    The two savings compose multiplicatively: the accelerated scheme needs
-    O(sqrt(contrast)) iterations instead of O(contrast), and each
-    iteration's Gamma convolution runs domain-locally with compression and
-    a single sparse exchange instead of all-to-alls.  Construction mirrors
-    :class:`~repro.massif.lowcomm_solver.LowCommMassifSolver`; the solve
-    loop is the accelerated one.
-    """
-
-    def __init__(self, stiffness: StiffnessField, k: int, **kwargs):
-        from repro.massif.lowcomm_solver import LowCommMassifSolver
-
-        # Build a low-communication solver and adopt its configured state;
-        # then layer the accelerated scheme's preconditioner on top.
-        self._lowcomm = LowCommMassifSolver(stiffness, k=k, **kwargs)
-        super().__init__(
-            stiffness,
-            reference=self._lowcomm.reference,
-            tol=self._lowcomm.tol,
-            max_iter=self._lowcomm.max_iter,
-            raise_on_fail=self._lowcomm.raise_on_fail,
-            stall_window=self._lowcomm.stall_window,
-        )
-
-    def _gamma_correction(self, sigma: np.ndarray) -> np.ndarray:
-        """Delegate the convolution to the compressed domain-local path."""
-        return self._lowcomm._gamma_correction(sigma)
-
-
 def reference_lame_eyre_milton(stiffness: StiffnessField) -> LameParameters:
     """Eyre-Milton's recommended reference: the *geometric* mean of the
     phase extremes (vs the basic scheme's arithmetic midpoint)."""

@@ -102,22 +102,6 @@ def voigt_from_tensor(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor_from_voigt(m: np.ndarray) -> np.ndarray:
-    """6x6 Voigt matrix -> rank-4 stiffness with minor symmetries."""
-    m = np.asarray(m)
-    if m.shape != (6, 6):
-        raise ShapeError(f"Voigt matrix must be (6,6), got {m.shape}")
-    c = np.zeros((3, 3, 3, 3))
-    for a, (i, j) in enumerate(VOIGT_PAIRS):
-        for b, (k, l) in enumerate(VOIGT_PAIRS):
-            v = m[a, b]
-            c[i, j, k, l] = v
-            c[j, i, k, l] = v
-            c[i, j, l, k] = v
-            c[j, i, l, k] = v
-    return c
-
-
 @dataclass
 class StiffnessField:
     """A phase-indexed heterogeneous stiffness ``C_mnkl(x)``.

@@ -58,48 +58,6 @@ def sphere_inclusion(
     return (_periodic_dist2(n, center) < radius * radius).astype(np.int64)
 
 
-def random_spheres(
-    n: int,
-    count: int,
-    radius_range: Tuple[float, float] = (2.0, 6.0),
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Two-phase map with ``count`` random (possibly overlapping) spheres."""
-    n = check_positive_int(n, "n")
-    count = check_positive_int(count, "count")
-    lo, hi = radius_range
-    if not 0 < lo <= hi:
-        raise ConfigurationError(f"invalid radius range {radius_range}")
-    rng = rng or np.random.default_rng()
-    phase = np.zeros((n, n, n), dtype=np.int64)
-    for _ in range(count):
-        center = rng.uniform(0, n, size=3)
-        radius = rng.uniform(lo, hi)
-        phase |= (_periodic_dist2(n, center) < radius * radius).astype(np.int64)
-    return phase
-
-
-def layered_microstructure(
-    n: int, num_layers: int, axis: int = 0
-) -> np.ndarray:
-    """Alternating two-phase laminate normal to ``axis``.
-
-    Laminates have exact series/parallel effective moduli (Reuss/Voigt),
-    making them the analytic validation case for the solver.
-    """
-    n = check_positive_int(n, "n")
-    num_layers = check_positive_int(num_layers, "num_layers")
-    if not 0 <= axis < 3:
-        raise ConfigurationError(f"axis must be 0..2, got {axis}")
-    if n % num_layers != 0:
-        raise ConfigurationError(f"num_layers={num_layers} must divide n={n}")
-    width = n // num_layers
-    line = (np.arange(n) // width) % 2
-    shape = [1, 1, 1]
-    shape[axis] = n
-    return np.broadcast_to(line.reshape(shape), (n, n, n)).astype(np.int64).copy()
-
-
 def voronoi_polycrystal(
     n: int,
     num_grains: int,
@@ -122,12 +80,3 @@ def voronoi_polycrystal(
         labels[closer] = g
         best_d2 = np.where(closer, d2, best_d2)
     return labels
-
-
-def volume_fractions(phase_map: np.ndarray, num_phases: int | None = None) -> np.ndarray:
-    """Volume fraction of each phase label."""
-    phase_map = np.asarray(phase_map)
-    counts = np.bincount(
-        phase_map.ravel(), minlength=num_phases or int(phase_map.max()) + 1
-    )
-    return counts / phase_map.size

@@ -47,11 +47,6 @@ class SolverReport:
         """Volume-average stress ``<sigma>`` (3x3) — the homogenized output."""
         return self.stress.mean(axis=(2, 3, 4))
 
-    def effective_strain(self) -> np.ndarray:
-        """Volume-average strain ``<eps>`` (should equal the prescribed E)."""
-        return self.strain.mean(axis=(2, 3, 4))
-
-
 class MassifSolver:
     """Moulinec-Suquet basic-scheme solver (the paper's Algorithm 1).
 

@@ -37,7 +37,7 @@ from repro.octree.sampling import (
     build_box_pattern,
     build_flat_pattern,
 )
-from repro.octree.algebra import add, linear_combination, same_pattern, scale
+from repro.octree.algebra import add, same_pattern, scale
 from repro.octree.serialize import deserialize_compressed, serialize_compressed
 from repro.octree.error_bounds import (
     hessian_magnitude,
@@ -50,7 +50,6 @@ from repro.octree.tree import Octree
 __all__ = [
     "add",
     "scale",
-    "linear_combination",
     "same_pattern",
     "serialize_compressed",
     "deserialize_compressed",

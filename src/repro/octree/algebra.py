@@ -11,10 +11,6 @@ samples(g)``.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
 
@@ -43,24 +39,3 @@ def add(a: CompressedField, b: CompressedField) -> CompressedField:
 def scale(a: CompressedField, factor: float) -> CompressedField:
     """Exact scalar multiple of a compressed field."""
     return CompressedField(pattern=a.pattern, values=float(factor) * a.values)
-
-
-def linear_combination(
-    fields: Sequence[CompressedField], coefficients: Sequence[float]
-) -> CompressedField:
-    """``sum_i c_i f_i`` over fields sharing one pattern."""
-    if not fields:
-        raise ConfigurationError("need at least one field")
-    if len(fields) != len(coefficients):
-        raise ConfigurationError(
-            f"{len(fields)} fields vs {len(coefficients)} coefficients"
-        )
-    base = fields[0]
-    total = np.zeros_like(base.values)
-    for f, c in zip(fields, coefficients):
-        if not same_pattern(base, f):
-            raise ConfigurationError(
-                "all fields must share one sampling pattern"
-            )
-        total += float(c) * f.values
-    return CompressedField(pattern=base.pattern, values=total)

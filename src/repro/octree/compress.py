@@ -10,11 +10,11 @@ cell — the reduction that makes Eq 6 beat Eq 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ShapeError
 from repro.octree.cell import METADATA_INTS_PER_CELL, _samples_per_axis_vec
 from repro.octree.sampling import SamplingPattern
 
@@ -65,42 +65,6 @@ class CompressedField:
     def nbytes(self) -> int:
         """Wire size: sample values + octree metadata."""
         return int(self.values.nbytes) + self.pattern.metadata_nbytes()
-
-    def cell_values(self, cell_index: int) -> np.ndarray:
-        """Values of one cell as an ``(s, s, s)`` block (s = samples/axis).
-
-        Uses the cumulative-count offsets from the packed metadata — the
-        decode path the paper's 5th integer exists for.
-        """
-        if not 0 <= cell_index < self.pattern.num_cells:
-            raise ConfigurationError(
-                f"cell index {cell_index} out of range [0, {self.pattern.num_cells})"
-            )
-        meta = self.pattern.metadata()
-        offset = int(meta[cell_index * 5 + 4])
-        cell = self.pattern.cells[cell_index]
-        s = cell.samples_per_axis
-        return self.values[offset : offset + cell.sample_count].reshape(s, s, s)
-
-    def scatter_to_dense(self, fill: float = 0.0) -> np.ndarray:
-        """Place samples back on the dense grid (no interpolation); unsampled
-        points take ``fill``.  Mostly a testing/inspection helper — use
-        :func:`repro.octree.interpolate.reconstruct_dense` for the real
-        reconstruction."""
-        out = np.full((self.pattern.n,) * 3, fill, dtype=np.float64)
-        coords = self.pattern.sample_coords
-        out[coords[:, 0], coords[:, 1], coords[:, 2]] = self.values
-        return out
-
-    def compression_summary(self) -> Tuple[int, int, float]:
-        """``(samples, bytes, ratio)`` vs the dense ``8 * n^3`` baseline."""
-        dense_bytes = 8 * self.pattern.n**3
-        return (
-            self.pattern.sample_count,
-            self.nbytes,
-            dense_bytes / self.nbytes if self.nbytes else float("inf"),
-        )
-
 
 @dataclass(frozen=True)
 class CellSubset:

@@ -78,7 +78,9 @@ class BandedRatePolicy:
             return self.r_mid
         return self.r_far
 
-    def rate_at(self, point: Tuple[int, int, int]) -> int:
+    def rate_at(  # repro-lint: disable=DEAD001 oracle of test_octree_tree_sampling.py::TestBandedRatePolicy
+        self, point: Tuple[int, int, int]
+    ) -> int:
         """Sampling rate at a single grid point."""
         d = self._point_box_dist(point)
         e = min(min(p, self.n - 1 - p) for p in point)

@@ -15,9 +15,7 @@ than sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.octree.cell import OctreeCell
@@ -100,41 +98,6 @@ class Octree:
                         min_cell,
                         depth_left - 1,
                     )
-
-    # -- queries --------------------------------------------------------------
-    def find_leaf(self, point: Sequence[int]) -> OctreeCell:
-        """Leaf containing ``point`` (linear scan; trees here are small)."""
-        for leaf in self.leaves:
-            if leaf.contains(point):
-                return leaf
-        raise ConfigurationError(f"point {tuple(point)} outside the {self.n}^3 grid")
-
-    def validate_partition(self) -> None:
-        """Check the leaves exactly tile the grid (volumes sum, no overlap).
-
-        Volume accounting plus pairwise disjointness of bounding boxes; for
-        cells produced by :meth:`build` this is a full partition proof
-        because all cells are octree-aligned.
-        """
-        total = sum(leaf.size**3 for leaf in self.leaves)
-        if total != self.n**3:
-            raise ConfigurationError(
-                f"leaf volumes sum to {total}, expected {self.n**3}"
-            )
-        boxes = np.array(
-            [(*leaf.corner, leaf.size) for leaf in self.leaves], dtype=np.int64
-        )
-        order = np.lexsort((boxes[:, 2], boxes[:, 1], boxes[:, 0]))
-        boxes = boxes[order]
-        for i in range(len(boxes) - 1):
-            a, b = boxes[i], boxes[i + 1]
-            overlap = all(
-                a[d] < b[d] + b[3] and b[d] < a[d] + a[3] for d in range(3)
-            )
-            if overlap:
-                raise ConfigurationError(
-                    f"overlapping leaves at {tuple(a[:3])} and {tuple(b[:3])}"
-                )
 
     @property
     def num_leaves(self) -> int:

@@ -5,15 +5,15 @@ iteration ... optimizing cluster usage", §5.1/conclusion) is a *serving*
 workload: a stream of independent convolution requests whose congruent
 members can share sampling patterns and pruned-FFT plans.  This package
 is the subsystem that accepts such a stream and drives the fast
-primitives (:class:`~repro.core.batch.BatchConvolver`,
+primitives (:class:`~repro.core.pipeline.LowCommConvolution3D`,
 :class:`~repro.fft.pruned_plan.PlanCache`) at high utilization:
 
 - :class:`ConvolutionServer` — the front door: bounded queue,
   reject-on-full admission control, per-request deadlines, retries;
 - :class:`BatchingScheduler` — dynamic batching by compatibility key
   under ``max_batch_size`` / ``max_wait`` triggers;
-- :class:`BatchExecutor` — warm per-key engines on the serial or
-  process-parallel execution paths;
+- :class:`BatchExecutor` — one warm pipeline per compatibility key,
+  run on the serial or process-parallel execution path;
 - :class:`PoolBackend` — the dist-backed executor: batches routed onto
   standing :class:`~repro.pool.RankPool` meshes by consistent hashing
   (:class:`ConsistentHashRing`), with generation fencing, transparent

@@ -4,7 +4,7 @@
 :class:`~repro.serve.server.ConvolutionServer` (the ``executor=`` seam)
 that runs each request as a ``dist_run``-shaped job on a warm
 :class:`~repro.pool.RankPool` mesh instead of an in-process
-:class:`~repro.core.batch.BatchConvolver`.  One serving front door then
+:class:`~repro.core.pipeline.LowCommConvolution3D`.  One serving front door then
 spans hosts: admission control, batching, and retries stay exactly as
 they are, while execution lands on long-lived agent processes whose
 plan caches and transports persist across requests.
@@ -38,9 +38,10 @@ request completes normally — bitwise identical to the single-process
 path — with the evidence surfaced as ``pool.recoveries`` /
 ``pool.replacements`` counters and ``replaced_ranks`` on the report.
 
-Bitwise identity: the pool path and :class:`BatchConvolver` are both
-reorderings of :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial`,
-so a pool-backed server returns bit-identical results to a local one.
+Bitwise identity: the pool path is a reordering of
+:meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial`, which the
+local executor calls directly, so a pool-backed server returns
+bit-identical results to a local one.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-"""Batch execution: drive :class:`~repro.core.batch.BatchConvolver` engines.
+"""Batch execution: cached per-key pipelines, each request one run.
 
-The executor owns one warm engine per compatibility key (an LRU-bounded
-cache): every batch for a key reuses that engine's pattern cache and
-pruned-FFT plans, which is the entire throughput case for batched serving
-— congruent requests stop paying the per-request fixed costs a naive
-one-request-at-a-time service rebuilds every time.
+The executor owns one warm
+:class:`~repro.core.pipeline.LowCommConvolution3D` per compatibility key
+(an LRU-bounded cache): every batch for a key reuses that pipeline's
+pattern cache and pruned-FFT plans, which is the entire throughput case
+for batched serving — congruent requests stop paying the per-request
+fixed costs a naive one-request-at-a-time service rebuilds every time.
 
-Engines run on the existing execution paths — ``mode="serial"`` (one
-core, Hermitian fast path auto-detected) or ``mode="parallel"``
-(process-pool sub-domain fan-out) — and both are reorderings, so results
-are bitwise identical to a direct
+Each request runs on one of the pipeline's execution paths —
+``mode="serial"`` (one core, Hermitian fast path auto-detected) or
+``mode="parallel"`` (process-pool sub-domain fan-out) — and both are
+reorderings, so results are bitwise identical to a direct
 :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial` on the same
 input.
 
@@ -26,8 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchConvolver
-from repro.core.pipeline import ConvolutionResult
+from repro.core.pipeline import ConvolutionResult, LowCommConvolution3D
 from repro.errors import ConfigurationError
 from repro.serve.request import CompatKey, RequestState
 from repro.serve.scheduler import Batch
@@ -40,7 +40,7 @@ FaultHook = Callable[[Batch, int], None]
 
 
 class BatchExecutor:
-    """Run scheduled batches on cached per-key convolution engines."""
+    """Run scheduled batches on cached per-key convolution pipelines."""
 
     def __init__(
         self,
@@ -65,11 +65,13 @@ class BatchExecutor:
         self.max_engines = max_engines
         self.interpolation = interpolation
         self.fault_hook = fault_hook
-        self._engines: "OrderedDict[CompatKey, BatchConvolver]" = OrderedDict()
+        self._engines: "OrderedDict[CompatKey, LowCommConvolution3D]" = (
+            OrderedDict()
+        )
 
     # -- engine cache --------------------------------------------------------
-    def engine_for(self, key: CompatKey) -> BatchConvolver:
-        """The warm engine for ``key`` (built on first use, LRU-evicted)."""
+    def engine_for(self, key: CompatKey) -> LowCommConvolution3D:
+        """The warm pipeline for ``key`` (built on first use, LRU-evicted)."""
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
@@ -80,10 +82,15 @@ class BatchExecutor:
             raise ConfigurationError(
                 f"kernel {kernel_name!r} is not registered with the server"
             )
-        engine = BatchConvolver(
-            n, k, spectrum, policy, batch=batch, real_kernel=real_kernel
+        engine = LowCommConvolution3D(
+            n,
+            k,
+            spectrum,
+            policy,
+            batch=batch,
+            interpolation=self.interpolation,
+            real_kernel=real_kernel,
         )
-        engine.pipeline.interpolation = self.interpolation
         while len(self._engines) >= self.max_engines:
             self._engines.popitem(last=False)
         self._engines[key] = engine
@@ -108,11 +115,13 @@ class BatchExecutor:
             self.fault_hook(batch, batch.requests[0].attempts)
         engine = self.engine_for(batch.key)
         t0 = self._clock.now()
-        result = engine.run(
-            [r.field for r in batch.requests],
-            mode=self.mode,
-            max_workers=self.max_workers,
-        )
+        if self.mode == "parallel":
+            results = [
+                engine.run_parallel(r.field, self.max_workers)
+                for r in batch.requests
+            ]
+        else:
+            results = [engine.run_serial(r.field) for r in batch.requests]
         elapsed = self._clock.now() - t0
         self._metrics.observe("stage.execute_s", elapsed)
         self._metrics.observe(
@@ -120,7 +129,7 @@ class BatchExecutor:
         )
         self._metrics.counter("batches_executed").inc()
         done = self._clock.now()
-        for request, conv_result in zip(batch.requests, result.results):
+        for request, conv_result in zip(batch.requests, results):
             if request.handle._finish(RequestState.DONE, result=conv_result):
                 self._metrics.counter("requests_completed").inc()
                 self._metrics.observe(
@@ -130,7 +139,7 @@ class BatchExecutor:
                     f"tenant.{request.tenant}.latency.e2e_s",
                     done - request.submitted_at,
                 )
-        return result.results, elapsed
+        return results, elapsed
 
     @property
     def engine_count(self) -> int:

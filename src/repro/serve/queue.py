@@ -76,10 +76,6 @@ class BoundedRequestQueue:
         """Waiting requests for ``key``, oldest first (copy)."""
         return list(self._groups.get(key, ()))
 
-    def tenant_depth(self, tenant: str) -> int:
-        """Waiting requests currently attributed to ``tenant``."""
-        return self._tenant_depths.get(tenant, 0)
-
     def tenant_quota(self, tenant: str) -> Optional[int]:
         """Effective waiting-room quota for ``tenant`` (None = unbounded)."""
         return self.tenant_quotas.get(tenant, self.default_tenant_quota)

@@ -15,9 +15,9 @@ blocks until the terminal state and either returns the
 
 Batching is driven by the :attr:`ConvolutionRequest.compat_key`: two
 requests are batchable iff they share grid size, sub-domain size, kernel,
-sampling policy, and execution flags — exactly the state
-:class:`~repro.core.batch.BatchConvolver` amortizes (sampling patterns and
-pruned-FFT plans).
+sampling policy, and execution flags — exactly the state one cached
+:class:`~repro.core.pipeline.LowCommConvolution3D` amortizes (sampling
+patterns and pruned-FFT plans).
 """
 
 from __future__ import annotations

@@ -7,31 +7,12 @@ possible, avoid temporaries in inner loops, and keep everything vectorized.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.util.validation import check_positive_int
-
-
-def pad_to_shape(array: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Zero-pad ``array`` at the high end of each axis up to ``shape``.
-
-    The paper's pipeline pads 1D pencils implicitly; this explicit version is
-    the reference behaviour the pruned transforms are tested against.
-    """
-    arr = np.asarray(array)
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != arr.ndim:
-        raise ShapeError(f"target rank {len(shape)} != array rank {arr.ndim}")
-    if any(s < a for s, a in zip(shape, arr.shape)):
-        raise ShapeError(f"target shape {shape} smaller than array shape {arr.shape}")
-    if shape == arr.shape:
-        return arr.copy()
-    out = np.zeros(shape, dtype=arr.dtype)
-    out[tuple(slice(0, a) for a in arr.shape)] = arr
-    return out
 
 
 def embed_subcube(
@@ -59,19 +40,6 @@ def embed_subcube(
     return out
 
 
-def extract_subcube(
-    grid: np.ndarray, corner: Sequence[int], shape: Sequence[int]
-) -> np.ndarray:
-    """Copy out the sub-array of ``shape`` at ``corner`` from ``grid``."""
-    grid = np.asarray(grid)
-    corner = tuple(int(c) for c in corner)
-    shape = tuple(int(s) for s in shape)
-    for c, k, n in zip(corner, shape, grid.shape):
-        if c < 0 or c + k > n:
-            raise ShapeError(f"window {shape} at {corner} outside grid {grid.shape}")
-    return grid[tuple(slice(c, c + k) for c, k in zip(corner, shape))].copy()
-
-
 def l2_relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     """Relative L2 error ``||approx - exact|| / ||exact||`` (paper §5.3)."""
     approx = np.asarray(approx, dtype=np.float64)
@@ -82,18 +50,6 @@ def l2_relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     if denom == 0.0:
         return float(np.linalg.norm(approx.ravel()))
     return float(np.linalg.norm((approx - exact).ravel())) / denom
-
-
-def linf_relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
-    """Relative max-norm error."""
-    approx = np.asarray(approx, dtype=np.float64)
-    exact = np.asarray(exact, dtype=np.float64)
-    if approx.shape != exact.shape:
-        raise ShapeError(f"shape mismatch {approx.shape} vs {exact.shape}")
-    denom = float(np.max(np.abs(exact)))
-    if denom == 0.0:
-        return float(np.max(np.abs(approx)))
-    return float(np.max(np.abs(approx - exact))) / denom
 
 
 def centered_gaussian(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
@@ -112,10 +68,3 @@ def centered_gaussian(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
     x, y, z = np.meshgrid(coords, coords, coords, indexing="ij", sparse=True)
     r2 = x * x + y * y + z * z
     return np.exp(-r2 / (2.0 * sigma * sigma)).astype(dtype)
-
-
-def chunk_slices(n: int, k: int) -> Tuple[Tuple[slice, ...], ...]:
-    """All 1D slices of length ``k`` tiling ``[0, n)`` (``k`` must divide ``n``)."""
-    if n % k != 0:
-        raise ShapeError(f"chunk size {k} does not divide {n}")
-    return tuple(slice(i, i + k) for i in range(0, n, k))

@@ -67,13 +67,6 @@ class CopyLedger:
             self._bytes[site] = self._bytes.get(site, 0) + int(nbytes)
             self._events[site] = self._events.get(site, 0) + 1
 
-    def bytes_copied(self, prefix: str = "") -> int:
-        """Total bytes copied at sites starting with ``prefix``."""
-        with self._lock:
-            return sum(
-                v for site, v in self._bytes.items() if site.startswith(prefix)
-            )
-
     def events(self, prefix: str = "") -> int:
         """Total copy events at sites starting with ``prefix``."""
         with self._lock:

@@ -8,8 +8,6 @@ than a downstream numpy broadcast failure.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
@@ -47,20 +45,3 @@ def check_cube(array: np.ndarray, name: str) -> np.ndarray:
     if not (arr.shape[0] == arr.shape[1] == arr.shape[2]):
         raise ShapeError(f"{name} must be a cube, got shape {arr.shape}")
     return arr
-
-
-def check_dtype(array: np.ndarray, dtypes: Sequence[type], name: str) -> np.ndarray:
-    """Validate that ``array`` has one of the given dtypes."""
-    arr = np.asarray(array)
-    if not any(np.issubdtype(arr.dtype, d) for d in dtypes):
-        allowed = ", ".join(getattr(d, "__name__", str(d)) for d in dtypes)
-        raise ConfigurationError(f"{name} must have dtype in ({allowed}), got {arr.dtype}")
-    return arr
-
-
-def check_probability(value: float, name: str) -> float:
-    """Return ``value`` if it lies in [0, 1], else raise."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
-    return value

@@ -145,10 +145,6 @@ class TrajectoryStore:
         """Sorted experiment names present in the store."""
         return sorted({r.experiment for r in self.records()})
 
-    def for_experiment(self, experiment: str) -> List[TrialRecord]:
-        """Records of one experiment, in append order."""
-        return [r for r in self.records() if r.experiment == experiment]
-
     def history(self, experiment: str, trial_id: str) -> List[TrialRecord]:
         """One trial's records (oldest first)."""
         return [

@@ -27,8 +27,8 @@ class TestSlabFFT:
         comm = SimulatedComm(p)
         fft = SlabDistributedFFT(n, comm)
         field = rng.standard_normal((n, n, n))
-        spec_blocks = fft.forward(fft.scatter(field))
-        spec = fft.gather_yslabs(spec_blocks)
+        # after forward, rank r holds the y-slab [r*n/p, (r+1)*n/p)
+        spec = np.concatenate(fft.forward(fft.scatter(field)), axis=1)
         np.testing.assert_allclose(spec, np.fft.fftn(field), atol=1e-9)
 
     def test_roundtrip(self, rng):
@@ -50,13 +50,23 @@ class TestSlabFFT:
             SlabDistributedFFT(10, SimulatedComm(3))
 
 
+def gather_pencils(fft, blocks):
+    """Dense spectrum from the post-forward x-pencil layout: rank (i, j)
+    holds all x, the i-th y span and the j-th z span."""
+    rows = [
+        np.concatenate([blocks[i * fft.py + j] for j in range(fft.py)], axis=2)
+        for i in range(fft.px)
+    ]
+    return np.concatenate(rows, axis=1)
+
+
 class TestPencilFFT:
     def test_forward_matches_numpy(self, rng):
         n = 8
         comm = SimulatedComm(4)
         fft = PencilDistributedFFT(n, comm, px=2, py=2)
         field = rng.standard_normal((n, n, n))
-        spec = fft.gather_final(fft.forward(fft.scatter(field)))
+        spec = gather_pencils(fft, fft.forward(fft.scatter(field)))
         np.testing.assert_allclose(spec, np.fft.fftn(field), atol=1e-9)
 
     def test_two_alltoalls_per_transform(self, rng):
@@ -70,7 +80,7 @@ class TestPencilFFT:
         comm = SimulatedComm(2)
         fft = PencilDistributedFFT(n, comm, px=1, py=2)
         field = rng.standard_normal((n, n, n))
-        spec = fft.gather_final(fft.forward(fft.scatter(field)))
+        spec = gather_pencils(fft, fft.forward(fft.scatter(field)))
         np.testing.assert_allclose(spec, np.fft.fftn(field), atol=1e-9)
 
     def test_grid_size_mismatch(self):

@@ -56,6 +56,29 @@ class TestExitCodes:
         assert rc == 0
         assert "pipeline run" in capsys.readouterr().out
 
+    def test_pipeline_honours_policy(self, capsys):
+        """``flat:1`` samples every point, so the result is the dense
+        convolution to round-off."""
+        rc = main(["pipeline", "--n", "16", "--k", "4", "--policy", "flat:1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert table_row(out, "policy") == "flat:1"
+        assert float(table_row(out, "relative L2 error")) < 1e-9
+
+    def test_verb_rejects_flags_it_does_not_read_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--ranks", "7", "--overlap", "--kill-job", "3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --ranks 7 --overlap --kill-job 3" in err
+
+    @pytest.mark.parametrize("verb", ["xpr", "pool"])
+    def test_passthrough_verbs_own_their_help(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--help"])
+        assert excinfo.value.code == 0
+        assert f"usage: repro {verb}" in capsys.readouterr().out
+
 
 class TestFailedAuditExits1:
     """A printed ``bitwise identical ... | False`` must fail the process:

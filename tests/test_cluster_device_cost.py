@@ -5,9 +5,7 @@ import math
 import pytest
 
 from repro.cluster.cost import (
-    alpha_beta_time,
     axis_samples_flat,
-    comm_advantage,
     comm_time_ours,
     comm_time_traditional_fft,
     dense_conv_flops,
@@ -15,7 +13,6 @@ from repro.cluster.cost import (
     fft_stage_flops,
     pruned_conv_time,
     sparse_sample_count,
-    speedup_ours_vs_dense,
     PrunedConvWork,
 )
 from repro.cluster.cufft_model import CufftWorkspaceModel
@@ -24,7 +21,6 @@ from repro.cluster.device import (
     V100_16GB,
     V100_32GB,
     XEON_GOLD_6148,
-    get_device,
 )
 from repro.cluster.network import Link
 from repro.errors import ConfigurationError
@@ -32,11 +28,7 @@ from repro.errors import ConfigurationError
 
 class TestDevice:
     def test_catalog_lookup(self):
-        assert get_device("V100-16GB").memory_bytes == 16 * 2**30
-
-    def test_unknown_device(self):
-        with pytest.raises(ConfigurationError):
-            get_device("H100")
+        assert DEVICE_CATALOG["V100-16GB"].memory_bytes == 16 * 2**30
 
     def test_cpu_flat_rate(self):
         t1 = XEON_GOLD_6148.fft_time(1e9, in_flight_points=1e3)
@@ -71,7 +63,7 @@ class TestCommCost:
 
     def test_eq2(self):
         link = Link(alpha_s=2e-6, bandwidth_bytes_per_s=1e9)
-        assert alpha_beta_time(link, 1000) == pytest.approx(2e-6 + 1e-6)
+        assert link.message_time(1000) == pytest.approx(2e-6 + 1e-6)
 
     def test_eq6_less_than_eq1(self):
         link = Link()
@@ -85,8 +77,9 @@ class TestCommCost:
 
     def test_advantage_grows_with_r(self):
         link = Link()
-        a1 = comm_advantage(1024, 128, 4, 64, link)
-        a2 = comm_advantage(1024, 128, 16, 64, link)
+        t_fft = comm_time_traditional_fft(1024, 64, link)
+        a1 = t_fft / comm_time_ours(1024, 128, 4, 64, link)
+        a2 = t_fft / comm_time_ours(1024, 128, 16, 64, link)
         assert a2 > a1 > 1
 
     def test_latency_term(self):
@@ -129,7 +122,8 @@ class TestTimeModels:
 
     def test_speedup_grows_with_n(self):
         s = [
-            speedup_ours_vs_dense(V100_32GB, XEON_GOLD_6148, n, 32, 4, batch=1024)
+            dense_conv_time(XEON_GOLD_6148, n)
+            / pruned_conv_time(V100_32GB, n, 32, 4, batch=1024)
             for n in (128, 256, 512)
         ]
         assert s[0] < s[1] < s[2]

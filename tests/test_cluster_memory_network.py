@@ -58,26 +58,22 @@ class TestMemoryTracker:
     def test_unbounded_tracker(self):
         mt = MemoryTracker()
         mt.alloc("huge", 10**15)
-        assert mt.would_fit(10**18)
+        mt.alloc("larger", 10**18)  # no capacity, so never a DeviceMemoryError
+        assert mt.current_bytes == 10**15 + 10**18
 
     def test_would_fit(self):
         mt = MemoryTracker(capacity_bytes=100)
         mt.alloc("a", 70)
-        assert mt.would_fit(30)
-        assert not mt.would_fit(31)
+        with pytest.raises(DeviceMemoryError):
+            mt.alloc("b", 31)
+        mt.alloc("c", 30)  # exactly fills the device
+        assert mt.current_bytes == 100
 
     def test_events_ledger(self):
         mt = MemoryTracker()
         a = mt.alloc("x", 5)
         mt.free(a)
         assert mt.events == [("alloc", "x", 5), ("free", "x", 5)]
-
-    def test_reset_peak(self):
-        mt = MemoryTracker()
-        a = mt.alloc("a", 50)
-        mt.free(a)
-        mt.reset_peak()
-        assert mt.peak_bytes == 0
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigurationError):

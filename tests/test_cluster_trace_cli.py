@@ -8,12 +8,10 @@ from repro.cluster.device import V100_32GB, XEON_GOLD_6148
 from repro.cluster.network import Link
 from repro.cluster.trace import (
     accelerate_compute_fraction,
-    clock_breakdown_fractions,
     distributed_fft_breakdown,
     gpu_acceleration_story,
 )
 from repro.errors import ConfigurationError
-from repro.util.clock import ManualClock
 
 
 class TestAccelerationProjection:
@@ -61,17 +59,6 @@ class TestBreakdown:
         assert b.comm_fraction + b.compute_fraction + other_fraction == (
             pytest.approx(1.0)
         )
-
-    def test_clock_fractions(self):
-        clock = ManualClock()
-        clock.advance(3.0, "comm")
-        clock.advance(1.0, "compute")
-        fracs = clock_breakdown_fractions(clock)
-        assert fracs["comm"] == pytest.approx(0.75)
-        assert fracs["compute"] == pytest.approx(0.25)
-
-    def test_empty_clock(self):
-        assert clock_breakdown_fractions(ManualClock()) == {}
 
 
 class TestCLI:

@@ -13,9 +13,10 @@ from repro.core.adaptive import (
     AdaptiveConvolution,
     decompose_by_content,
 )
-from repro.core.decomposition import DomainDecomposition
+from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.local_conv import LocalConvolution
+from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve
 from repro.errors import ConfigurationError, DeviceMemoryError
@@ -127,6 +128,91 @@ class TestAdaptiveConvolution:
         res = conv.run(np.zeros((n, n, n)))
         assert res.total_samples == 0
         assert np.all(res.approx == 0)
+
+
+class TestAdaptiveOnConvolveChunks:
+    """AdaptiveConvolution runs on the pipeline's ``convolve_chunks`` and
+    accumulation; the per-block loop it replaced is the oracle."""
+
+    N = 32
+
+    @staticmethod
+    def _per_block_loop(n, spectrum, policy, batch, field, subs):
+        local = LocalConvolution(n, spectrum, policy, batch)
+        fields = [
+            local.convolve(
+                field[sub.slices()],
+                sub.corner,
+                pattern=policy.pattern_for(n, sub.size, sub.corner),
+            )
+            for sub in subs
+        ]
+        return accumulate_global(fields)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [SamplingPolicy.flat_rate(2), SamplingPolicy()],
+        ids=["flat", "banded"],
+    )
+    def test_run_is_bitwise_the_per_block_loop(self, rng, policy):
+        n = self.N
+        spec = GaussianKernel(n=n, sigma=1.5).spectrum()
+        field = np.zeros((n, n, n))
+        field[:16, :16, :16] = 1.0
+        field[20:22, 20:22, 20:22] = rng.standard_normal((2, 2, 2))
+        field[30, 2, 9] = 3.0
+        res = AdaptiveConvolution(n, spec, policy, k_max=8, batch=256).run(field)
+        assert len(res.subdomains) == 10
+        oracle = self._per_block_loop(n, spec, policy, 256, field, res.subdomains)
+        assert np.array_equal(res.approx, oracle)
+
+    def test_mixed_sizes_share_one_pattern_cache(self, rng):
+        """``decompose_by_content`` cuts one block size per run (the largest
+        halving of n that is <= k_max), so mixed sizes reach the shared
+        cache through ``convolve_chunks``: a 16-block beside 8-blocks, and
+        an 8-block at the 16-block's corner."""
+        n = self.N
+        spec = GaussianKernel(n=n, sigma=1.5).spectrum()
+        policy = SamplingPolicy.flat_rate(2)
+        conv = AdaptiveConvolution(n, spec, policy, k_max=8, batch=256)
+        subs = [
+            SubDomain(0, (0, 0, 0), 16),
+            SubDomain(1, (16, 0, 0), 8),
+            SubDomain(2, (24, 24, 24), 8),
+        ]
+        field = np.zeros((n, n, n))
+        for sub in subs:
+            field[sub.slices()] = rng.standard_normal((sub.size,) * 3)
+        pipeline = conv.pipeline
+        per_domain = list(
+            pipeline.convolve_chunks((sub, field[sub.slices()]) for sub in subs)
+        )
+        oracle = self._per_block_loop(n, spec, policy, 256, field, subs)
+        assert np.array_equal(pipeline.accumulate(per_domain), oracle)
+        small = SubDomain(3, (0, 0, 0), 8)
+        list(pipeline.convolve_chunks([(small, field[small.slices()])]))
+        assert set(pipeline._pattern_cache) == {
+            (sub.corner, sub.size) for sub in subs + [small]
+        }
+
+    def test_regular_subdomains_build_one_pattern_per_corner(self, rng):
+        """Every instance through one pipeline reuses one cached pattern per
+        active corner (what the serving executor's warm engine amortizes)."""
+        n, k = 16, 4
+        spec = GaussianKernel(n=n, sigma=1.2).spectrum()
+        pipeline = LowCommConvolution3D(
+            n, k, spec, SamplingPolicy.flat_rate(2), batch=64
+        )
+        runs = []
+        for i in range(3):
+            field = np.zeros((n, n, n))
+            field[i : i + 8, 2:10, 4:12] = rng.standard_normal((8, 8, 8))
+            runs.append(pipeline.run_serial(field))
+        corners = {sub.corner for run in runs for sub, _f in run.per_domain}
+        assert set(pipeline._pattern_cache) == {(c, k) for c in corners}
+        for run in runs:
+            for sub, compressed in run.per_domain:
+                assert compressed.pattern is pipeline._pattern_cache[(sub.corner, k)]
 
 
 class TestWorkerPool:

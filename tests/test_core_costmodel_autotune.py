@@ -67,6 +67,16 @@ class TestMemoryFootprint:
         fp = MemoryFootprint.from_flat_rate(1024, 128, 8)
         assert fp.total_gib == pytest.approx(fp.total_bytes / GIB)
 
+    def test_many_small_instances_fit(self):
+        """The §5.1 claim: small grids batch densely onto one GPU.  The
+        dense method holds ``2 * 16 * n^3`` per instance (~16 at 256^3 on
+        16 GB); a sub-domain's whole working set is far smaller."""
+        n, k = 256, 32
+        pattern = SamplingPolicy.flat_rate(8).pattern_for(n, k, (0, 0, 0))
+        per_instance = MemoryFootprint.from_pattern(pattern, k).total_bytes
+        dense_count = V100_16GB.memory_bytes // (2 * 16 * n**3)
+        assert V100_16GB.memory_bytes // per_instance > dense_count
+
 
 class TestAutotune:
     def test_returns_feasible_best(self):

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import SamplingPolicy
@@ -30,16 +28,6 @@ class TestDomainDecomposition:
         d = DomainDecomposition(n=16, k=4)
         for sub in d:
             assert d.subdomain(sub.index) == sub
-
-    def test_owner_of(self):
-        d = DomainDecomposition(n=16, k=4)
-        sub = d.owner_of((5, 9, 14))
-        assert sub.corner == (4, 8, 12)
-        assert sub.contains_point if False else True
-
-    def test_owner_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            DomainDecomposition(n=16, k=4).owner_of((16, 0, 0))
 
     def test_extract(self, rng):
         d = DomainDecomposition(n=8, k=4)
@@ -90,17 +78,6 @@ class TestDomainDecomposition:
         with pytest.raises(ConfigurationError):
             DomainDecomposition(n=8, k=4).subdomain(99)
 
-    @given(st.sampled_from([8, 16, 32]), st.sampled_from([2, 4, 8]))
-    @settings(max_examples=20, deadline=None)
-    def test_owner_consistency_property(self, n, k):
-        if k > n:
-            return
-        d = DomainDecomposition(n=n, k=k)
-        r = np.random.default_rng(0)
-        for _ in range(10):
-            p = tuple(int(x) for x in r.integers(0, n, size=3))
-            sub = d.owner_of(p)
-            assert all(c <= x < c + k for c, x in zip(sub.corner, p))
 
 
 class TestSamplingPolicy:
@@ -113,10 +90,6 @@ class TestSamplingPolicy:
         pat = pol.pattern_for(16, 4, (4, 4, 4))
         rates = {c.rate for c in pat.cells}
         assert rates <= {1, 4}
-
-    def test_with_flat(self):
-        pol = SamplingPolicy().with_flat(8)
-        assert pol.flat == 8
 
     def test_banded_pattern_rates(self):
         pol = SamplingPolicy(r_near=2, r_mid=4, r_far=8)

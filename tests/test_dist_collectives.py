@@ -124,7 +124,8 @@ class TestCollectives:
 
         _run_all(comms, run)
         for comm in comms:
-            assert comm.transport.ledger.bytes_sent("exchange") > 100
+            counters = comm.transport.ledger.snapshot()["counters"]
+            assert counters["sent.exchange.bytes"] > 100
 
     def test_alltoall_distinct_payloads(self):
         _fabric, comms = _communicators(3)

@@ -21,6 +21,12 @@ from repro.dist.worker import DistConfig, build_pipeline, composite_field
 from repro.octree.serialize import serialize_compressed
 from repro.util import copytrack
 
+
+def site_bytes(led, site):
+    """Bytes a ``CopyLedger`` counted at one copy site (0 if none)."""
+    return led.snapshot()["sites"].get(site, {"bytes": 0})["bytes"]
+
+
 #: the acceptance shape from the issue: n=32, k=8, P=4 over TCP
 REFERENCE = dict(n=32, k=8, sigma=2.0, policy="flat:2")
 
@@ -38,8 +44,8 @@ class TestCopyLedger:
         led.record("wire.frame_join", 100)
         led.record("wire.frame_join", 50)
         led.record("ckpt.blob_join", 7)
-        assert led.bytes_copied() == 157
-        assert led.bytes_copied(copytrack.WIRE_PREFIX) == 150
+        assert led.snapshot()["total_bytes"] == 157
+        assert led.snapshot()["wire_bytes"] == 150
         assert led.events(copytrack.WIRE_PREFIX) == 2
         assert led.events() == 3
 
@@ -57,7 +63,7 @@ class TestCopyLedger:
         led = copytrack.CopyLedger()
         led.record("arena.deserialize_into", 64)
         led.reset()
-        assert led.bytes_copied() == 0
+        assert led.snapshot()["total_bytes"] == 0
         assert led.snapshot()["sites"] == {}
 
     def test_negative_size_rejected(self):
@@ -70,7 +76,7 @@ class TestCopyLedger:
             [b"ab", memoryview(b"cd")], site="wire.frame_join"
         )
         assert blob == b"abcd"
-        assert copytrack.ledger().bytes_copied("wire.frame_join") == 4
+        assert site_bytes(copytrack.ledger(), "wire.frame_join") == 4
 
 
 def _own_pairs(config, field, spectrum, rank):
@@ -94,7 +100,7 @@ def _measured_legacy_wire_copies(own, blob_len, peers):
     one contiguous join per serialized field, then one header+payload
     concatenation per peer."""
     led = copytrack.ledger()
-    before = led.bytes_copied(copytrack.WIRE_PREFIX)
+    before = led.snapshot()["wire_bytes"]
     for compressed in own:
         serialize_compressed(compressed)  # wire.serialize_join
     payload = bytes(blob_len)
@@ -102,7 +108,7 @@ def _measured_legacy_wire_copies(own, blob_len, peers):
         encode_frame(
             Frame(FrameKind.DATA, 0, TAG_EXCHANGE, payload)
         )  # wire.frame_join
-    return led.bytes_copied(copytrack.WIRE_PREFIX) - before
+    return led.snapshot()["wire_bytes"] - before
 
 
 class TestZeroCopyAcceptance:
@@ -208,7 +214,7 @@ class TestFloat32CopyAccounting:
         results = report.rank_results.values()
         led = copytrack.ledger()
         assert led.events(copytrack.SITE_ENCODE_CAST) == sum(r.num_chunks for r in results)
-        assert led.bytes_copied(copytrack.SITE_ENCODE_CAST) == 4 * sum(
+        assert site_bytes(led, copytrack.SITE_ENCODE_CAST) == 4 * sum(
             r.total_samples for r in results
         )
 

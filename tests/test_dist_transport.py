@@ -18,11 +18,17 @@ from repro.dist.ledger import (
     CATEGORY_EXCHANGE,
     WireLedger,
     merge_wire_snapshots,
+    sent_wire_bytes,
 )
 from repro.dist.tcp import TcpTransport
 from repro.dist.transport import LocalFabric
 from repro.dist.wire import HEADER_BYTES, Frame, FrameKind, encode_frame
 from repro.errors import CommunicationError, RankFailure, TransportError
+
+
+def counter(ledger, name):
+    """One ``WireLedger`` counter, 0 when it was never incremented."""
+    return ledger.snapshot()["counters"].get(name, 0)
 
 
 class TestLocalTransport:
@@ -39,9 +45,9 @@ class TestLocalTransport:
         frame = Frame(FrameKind.DATA, 0, 0, b"12345")
         a.send(1, frame, CATEGORY_EXCHANGE)
         b.recv(timeout=1.0, category=CATEGORY_EXCHANGE)
-        assert a.ledger.bytes_sent(CATEGORY_EXCHANGE) == HEADER_BYTES + 5
-        assert b.ledger.bytes_received(CATEGORY_EXCHANGE) == HEADER_BYTES + 5
-        assert a.ledger.frames_sent() == 1
+        assert counter(a.ledger, f"sent.{CATEGORY_EXCHANGE}.bytes") == HEADER_BYTES + 5
+        assert counter(b.ledger, f"recv.{CATEGORY_EXCHANGE}.bytes") == HEADER_BYTES + 5
+        assert counter(a.ledger, f"sent.{CATEGORY_EXCHANGE}.frames") == 1
 
     def test_recv_timeout_is_transport_error(self):
         fabric = LocalFabric(2)
@@ -146,8 +152,8 @@ class TestTcpTransport:
     def test_ledger_counts_hello_handshake(self, tcp_pair):
         a, b = tcp_pair
         # mesh construction exchanged one HELLO (rank 1 dialed rank 0)
-        assert b.ledger.bytes_sent(CATEGORY_CONTROL) == HEADER_BYTES
-        assert a.ledger.bytes_received(CATEGORY_CONTROL) == HEADER_BYTES
+        assert counter(b.ledger, f"sent.{CATEGORY_CONTROL}.bytes") == HEADER_BYTES
+        assert counter(a.ledger, f"recv.{CATEGORY_CONTROL}.bytes") == HEADER_BYTES
 
     def test_recv_timeout(self, tcp_pair):
         _a, b = tcp_pair
@@ -218,10 +224,10 @@ class TestWireLedger:
         ledger.record_send("exchange", 50)
         ledger.record_send("bcast", 10)
         ledger.record_recv("exchange", 100)
-        assert ledger.bytes_sent("exchange") == 150
-        assert ledger.bytes_sent() == 160
-        assert ledger.bytes_received() == 100
-        assert ledger.frames_sent("exchange") == 2
+        assert counter(ledger, "sent.exchange.bytes") == 150
+        assert sent_wire_bytes(ledger.snapshot()["counters"]) == 160
+        assert counter(ledger, "recv.exchange.bytes") == 100
+        assert counter(ledger, "sent.exchange.frames") == 2
 
     def test_snapshot_shape_matches_serve_metrics(self):
         ledger = WireLedger()

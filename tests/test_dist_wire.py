@@ -12,7 +12,6 @@ from repro.dist.wire import (
     decode_frame,
     decode_header,
     encode_frame,
-    read_frame,
 )
 from repro.errors import TransportError
 
@@ -85,30 +84,3 @@ class TestRejection:
     def test_src_int16_bounds(self):
         with pytest.raises(TransportError, match="int16"):
             encode_frame(Frame(FrameKind.DATA, src=1 << 16, tag=0))
-
-
-class TestStreamReader:
-    def test_read_frame_from_stream(self):
-        frame = Frame(FrameKind.DATA, src=2, tag=9, payload=b"streamed")
-        stream = encode_frame(frame)
-        pos = [0]
-
-        def read_exact(n):
-            chunk = stream[pos[0] : pos[0] + n]
-            pos[0] += n
-            return chunk
-
-        assert read_frame(read_exact) == frame
-
-    def test_read_frame_short_payload(self):
-        frame = Frame(FrameKind.DATA, src=2, tag=9, payload=b"streamed")
-        stream = encode_frame(frame)[:-3]
-        pos = [0]
-
-        def read_exact(n):
-            chunk = stream[pos[0] : pos[0] + n]
-            pos[0] += n
-            return chunk
-
-        with pytest.raises(TransportError, match="truncated at offset"):
-            read_frame(read_exact)

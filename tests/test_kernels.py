@@ -19,7 +19,6 @@ from repro.kernels.properties import (
     decay_profile,
     effective_support_radius,
     fit_power_law_decay,
-    is_centrosymmetric,
     spectrum_is_real,
 )
 from repro.massif.elasticity import isotropic_stiffness
@@ -297,12 +296,6 @@ class TestProperties:
     def test_shifted_kernel_not_real(self, rng):
         g = np.roll(GaussianKernel(n=16, sigma=2.0).spatial(), 3, axis=0)
         assert not spectrum_is_real(g)
-
-    def test_centrosymmetry(self):
-        assert is_centrosymmetric(GaussianKernel(n=16, sigma=1.0).spatial())
-        assert not is_centrosymmetric(
-            np.roll(GaussianKernel(n=16, sigma=1.0).spatial(), 1, axis=1)
-        )
 
     def test_decay_profile_monotone_for_gaussian(self):
         radii, means = decay_profile(GaussianKernel(n=32, sigma=2.0).spatial())

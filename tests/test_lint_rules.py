@@ -8,7 +8,9 @@ JSON schema, discovery exclusions, CLI exit codes — is covered here too,
 and the final gate test asserts the real tree lints clean.
 """
 
+import io
 import json
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,6 @@ from repro.analysis.engine import (
     JSON_SCHEMA_VERSION,
     LintEngine,
     discover_files,
-    run_lint,
 )
 from repro.analysis.rules import default_rules, rule_by_id
 from repro.cli import main
@@ -335,6 +336,68 @@ class TestGenerationFenceRule:
         assert engine.run([stray]) == []
 
 
+class TestReachabilityRule:
+    ROOT = FIXTURES / "dead001"
+
+    @staticmethod
+    def _flagged(*paths):
+        engine = LintEngine([rule_by_id("DEAD001")])
+        return [f for f in engine.run(list(paths)) if f.rule_id == "DEAD001"]
+
+    def test_fires_on_unreferenced_definitions(self):
+        findings = self._flagged(self.ROOT / "src")
+        assert {f.message.split("'")[1] for f in findings} == {
+            "unreferenced_function",  # its own recursive mention is not a use
+            "UnreferencedClass",
+            "Used.unreferenced_method",
+            "only_reexported",  # named only by __init__'s import and __all__
+            "only_in_tests",  # tests/ is not a reference root
+        }
+        assert all(f.path.endswith("src/repro/mod.py") for f in findings)
+
+    def test_silent_on_exempt_and_referenced_definitions(self):
+        # a decorated registry runner, visit_* of a NodeVisitor subclass
+        # (two levels down), a dunder, a suppressed oracle, a benchmark's
+        # callee, and methods program code calls
+        names = " ".join(f.message for f in self._flagged(self.ROOT / "src"))
+        for silent in (
+            "registered_runner", "visit_Name", "visit_Call", "__repr__",
+            "'oracle'", "used_by_benchmark", "used_method", "BaseVisitor",
+        ):
+            assert silent not in names
+
+    def test_reference_roots_do_not_depend_on_linted_paths(self):
+        alone = self._flagged(self.ROOT / "src")
+        everything = self._flagged(
+            self.ROOT / "src", self.ROOT / "tests", self.ROOT / "benchmarks"
+        )
+        assert alone == everything
+        one_file = self._flagged(self.ROOT / "src" / "repro" / "mod.py")
+        assert one_file == alone
+
+    def test_real_tree_src_alone_matches_src_tests_benchmarks(self):
+        alone = self._flagged(REPO / "src")
+        everything = self._flagged(
+            REPO / "src", REPO / "tests", REPO / "benchmarks"
+        )
+        assert alone == everything == []
+
+    def test_real_tree_suppressions_are_reasoned_oracles(self):
+        """Every DEAD001 suppression under src/ names the test it serves."""
+        marks = [
+            (path, tok.string)
+            for path in sorted((REPO / "src").rglob("*.py"))
+            for tok in tokenize.generate_tokens(
+                io.StringIO(path.read_text()).readline
+            )
+            if tok.type == tokenize.COMMENT and "disable=DEAD001" in tok.string
+        ]
+        assert marks
+        for path, comment in marks:
+            named = comment.split()[-1].split("::")[0]
+            assert (REPO / "tests" / Path(named).name).is_file(), (path, comment)
+
+
 class TestSuppressions:
     def test_disable_comment_silences_and_stale_comment_warns(self):
         engine = LintEngine()
@@ -349,7 +412,7 @@ class TestSuppressions:
             '"""Docs may say repro-lint: disable=LCK002 freely."""\n'
             "x = 1\n"
         )
-        assert run_lint([mod]) == []
+        assert LintEngine().run([mod]) == []
 
 
 class TestEngine:
@@ -365,7 +428,7 @@ class TestEngine:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")
-        findings = run_lint([broken])
+        findings = LintEngine().run([broken])
         assert [f.rule_id for f in findings] == ["PAR000"]
 
     def test_findings_sorted_and_formatted(self):
@@ -395,7 +458,7 @@ class TestEngine:
         assert set(doc["timings"]) == set(doc["rules"])
         assert all(sec >= 0.0 for sec in doc["timings"].values())
         assert doc["total_seconds"] >= max(doc["timings"].values())
-        for new_rule in ("RES001", "LCK003", "TAG001", "GEN001"):
+        for new_rule in ("RES001", "LCK003", "TAG001", "GEN001", "DEAD001"):
             assert new_rule in doc["rules"]
 
     def test_rule_by_id_unknown_is_configuration_error(self):
@@ -440,8 +503,10 @@ class TestCli:
 
 class TestTreeIsClean:
     def test_src_lints_clean(self):
-        """The gate: the shipped tree has zero findings under src/."""
+        """The gate: the shipped tree has zero findings under src/, DEAD001
+        included — no public definition that program code never names."""
         engine = LintEngine()
+        assert "DEAD001" in {rule.rule_id for rule in engine.rules}
         findings = engine.run([REPO / "src"])
         assert findings == [], "\n" + engine.to_text(findings)
 

@@ -8,19 +8,25 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, ShapeError
 from repro.kernels.green_massif import LameParameters
 from repro.massif.elasticity import (
+    VOIGT_PAIRS,
     StiffnessField,
     cubic_stiffness,
     isotropic_stiffness,
-    tensor_from_voigt,
     voigt_from_tensor,
 )
-from repro.massif.microstructure import (
-    layered_microstructure,
-    random_spheres,
-    sphere_inclusion,
-    volume_fractions,
-    voronoi_polycrystal,
-)
+from repro.massif.microstructure import sphere_inclusion, voronoi_polycrystal
+
+
+def tensor_from_voigt(m):
+    """The inverse of ``voigt_from_tensor`` for a symmetric 6x6 matrix: the
+    rank-4 tensor with minor symmetries (the oracle of the round trips)."""
+    c = np.zeros((3, 3, 3, 3))
+    for a, (i, j) in enumerate(VOIGT_PAIRS):
+        for b, (k, l) in enumerate(VOIGT_PAIRS):
+            for p, q in {(i, j), (j, i)}:
+                for r, s in {(k, l), (l, k)}:
+                    c[p, q, r, s] = m[a, b]
+    return c
 
 
 class TestStiffnessTensors:
@@ -82,8 +88,6 @@ class TestVoigt:
     def test_bad_shapes(self):
         with pytest.raises(ShapeError):
             voigt_from_tensor(np.zeros((3, 3)))
-        with pytest.raises(ShapeError):
-            tensor_from_voigt(np.zeros((3, 3)))
 
 
 class TestStiffnessField:
@@ -144,31 +148,7 @@ class TestMicrostructures:
         assert phase[0, 0, 0] == 1
         assert phase[15, 0, 0] == 1  # wraps around
 
-    def test_random_spheres_deterministic(self):
-        a = random_spheres(16, 3, rng=np.random.default_rng(1))
-        b = random_spheres(16, 3, rng=np.random.default_rng(1))
-        np.testing.assert_array_equal(a, b)
-
-    def test_layered_alternates(self):
-        phase = layered_microstructure(8, num_layers=4, axis=0)
-        np.testing.assert_array_equal(phase[0], 0)
-        np.testing.assert_array_equal(phase[2], 1)
-        assert phase.mean() == pytest.approx(0.5)
-
-    def test_layered_axis(self):
-        phase = layered_microstructure(8, 4, axis=2)
-        assert (phase[:, :, 0] == phase[0, 0, 0]).all()
-
-    def test_layered_divisibility(self):
-        with pytest.raises(ConfigurationError):
-            layered_microstructure(8, 3)
-
     def test_voronoi_labels_all_grains(self):
         labels = voronoi_polycrystal(16, 5, rng=np.random.default_rng(2))
         assert set(np.unique(labels)) <= set(range(5))
         assert len(np.unique(labels)) >= 2
-
-    def test_volume_fractions_sum_to_one(self):
-        labels = voronoi_polycrystal(8, 4, rng=np.random.default_rng(3))
-        fracs = volume_fractions(labels, 4)
-        assert fracs.sum() == pytest.approx(1.0)

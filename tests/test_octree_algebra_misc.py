@@ -4,10 +4,10 @@ generator."""
 import numpy as np
 import pytest
 
-from repro.analysis.generate_report import generate_report, write_report
+from repro.analysis.generate_report import generate_report
 from repro.analysis.kernel_study import kernel_family_study
 from repro.errors import ConfigurationError
-from repro.octree.algebra import add, linear_combination, same_pattern, scale
+from repro.octree.algebra import add, same_pattern, scale
 from repro.octree.compress import CompressedField
 from repro.octree.interpolate import reconstruct_dense
 from repro.octree.sampling import build_flat_pattern
@@ -42,11 +42,6 @@ class TestCompressedAlgebra:
         a, _ = fields
         np.testing.assert_allclose(scale(a, -2.5).values, -2.5 * a.values)
 
-    def test_linear_combination(self, fields):
-        a, b = fields
-        combo = linear_combination([a, b], [3.0, -1.0])
-        np.testing.assert_allclose(combo.values, 3 * a.values - b.values)
-
     def test_same_pattern_detects_mismatch(self, fields, rng):
         a, _ = fields
         other = build_flat_pattern(16, 4, (8, 8, 8), r=2)
@@ -58,15 +53,6 @@ class TestCompressedAlgebra:
     def test_identical_pattern_object(self, fields):
         a, b = fields
         assert same_pattern(a, b)
-
-    def test_mismatched_lengths(self, fields):
-        a, b = fields
-        with pytest.raises(ConfigurationError):
-            linear_combination([a, b], [1.0])
-
-    def test_empty_combination(self):
-        with pytest.raises(ConfigurationError):
-            linear_combination([], [])
 
 
 class TestKernelStudy:
@@ -107,8 +93,3 @@ class TestReportGenerator:
     def test_paper_values_present(self, report_text):
         assert "N=8192" in report_text  # Table 1 rows
         assert "0.4945" in report_text or "0.494" in report_text  # §2.1
-
-    def test_write_report(self, report_text, tmp_path):
-        path = tmp_path / "report.md"
-        write_report(str(path), fast=True)
-        assert path.read_text().startswith("# Reproduction report")

@@ -44,33 +44,6 @@ class TestCompressedField:
         cf = CompressedField.from_dense(smooth_field, pattern32)
         assert cf.nbytes == cf.values.nbytes + pattern32.metadata_nbytes()
 
-    def test_cell_values_block(self, pattern32, smooth_field):
-        cf = CompressedField.from_dense(smooth_field, pattern32)
-        block = cf.cell_values(0)
-        cell = pattern32.cells[0]
-        assert block.shape == (cell.samples_per_axis,) * 3
-        # first sample of first cell is the first value
-        assert block.ravel()[0] == cf.values[0]
-
-    def test_cell_values_bad_index(self, pattern32, smooth_field):
-        cf = CompressedField.from_dense(smooth_field, pattern32)
-        with pytest.raises(ConfigurationError):
-            cf.cell_values(10**6)
-
-    def test_scatter_to_dense_exact_at_samples(self, pattern32, smooth_field):
-        cf = CompressedField.from_dense(smooth_field, pattern32)
-        scattered = cf.scatter_to_dense()
-        coords = pattern32.sample_coords
-        np.testing.assert_array_equal(
-            scattered[coords[:, 0], coords[:, 1], coords[:, 2]], cf.values
-        )
-
-    def test_compression_summary(self, pattern32, smooth_field):
-        cf = CompressedField.from_dense(smooth_field, pattern32)
-        samples, nbytes, ratio = cf.compression_summary()
-        assert samples == pattern32.sample_count
-        assert ratio > 1
-
 
 class TestReconstruction:
     def test_exact_at_sample_points(self, pattern32, smooth_field):

@@ -32,6 +32,12 @@ from repro.octree.serialize import (
 )
 from repro.util import copytrack
 
+
+def site_bytes(led, site):
+    """Bytes a ``CopyLedger`` counted at one copy site (0 if none)."""
+    return led.snapshot()["sites"].get(site, {"bytes": 0})["bytes"]
+
+
 _HEADER_BYTES = 9 * 8
 
 
@@ -84,21 +90,21 @@ class TestSegments:
 
     def test_float64_encode_copies_nothing(self, field):
         serialize_segments(field)
-        assert copytrack.ledger().bytes_copied() == 0
+        assert copytrack.ledger().snapshot()["total_bytes"] == 0
 
     def test_float32_encode_is_one_counted_cast(self, field):
         serialize_segments(field, precision="float32")
         led = copytrack.ledger()
         m = field.pattern.sample_count
-        assert led.bytes_copied(copytrack.SITE_ENCODE_CAST) == 4 * m
+        assert site_bytes(led, copytrack.SITE_ENCODE_CAST) == 4 * m
         assert led.events(copytrack.SITE_ENCODE_CAST) == 1
         # the cast is the only copy — no float64 intermediate exists
-        assert led.bytes_copied() == 4 * m
+        assert led.snapshot()["total_bytes"] == 4 * m
 
     def test_contiguous_encoder_join_is_counted(self, field):
         payload = serialize_compressed(field)
         led = copytrack.ledger()
-        assert led.bytes_copied(copytrack.SITE_SERIALIZE_JOIN) == len(payload)
+        assert site_bytes(led, copytrack.SITE_SERIALIZE_JOIN) == len(payload)
 
     def test_bad_precision_rejected(self, field):
         with pytest.raises(ConfigurationError, match="precision"):
@@ -117,7 +123,7 @@ class TestZeroCopyDecode:
         payload = serialize_compressed(field)
         copytrack.reset()
         deserialize_compressed(payload)
-        assert copytrack.ledger().bytes_copied() == 0
+        assert copytrack.ledger().snapshot()["total_bytes"] == 0
 
     def test_float32_decode_is_one_counted_promotion(self, field):
         payload = serialize_compressed(field, precision="float32")
@@ -125,8 +131,8 @@ class TestZeroCopyDecode:
         back = deserialize_compressed(payload)
         led = copytrack.ledger()
         assert back.values.dtype == np.float64
-        assert led.bytes_copied(copytrack.SITE_DECODE_CAST) == back.values.nbytes
-        assert led.bytes_copied() == back.values.nbytes
+        assert site_bytes(led, copytrack.SITE_DECODE_CAST) == back.values.nbytes
+        assert led.snapshot()["total_bytes"] == back.values.nbytes
 
     def test_memoryview_payload_accepted(self, field):
         payload = serialize_compressed(field)
@@ -150,7 +156,7 @@ class TestDeserializeInto:
         back = deserialize_into(payload, np.empty(field.pattern.sample_count))
         led = copytrack.ledger()
         assert (
-            led.bytes_copied(copytrack.SITE_DESERIALIZE_INTO)
+            site_bytes(led, copytrack.SITE_DESERIALIZE_INTO)
             == back.values.nbytes
         )
 

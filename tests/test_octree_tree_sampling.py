@@ -18,6 +18,14 @@ def _uniform_rate(rate):
     return lambda lo, hi: (rate, rate)
 
 
+def assert_partition(tree):
+    """The leaves tile the grid exactly: every point in one leaf."""
+    seen = np.zeros((tree.n,) * 3, dtype=np.int64)
+    for leaf in tree.leaves:
+        seen[tuple(slice(c, c + leaf.size) for c in leaf.corner)] += 1
+    assert (seen == 1).all()
+
+
 class TestOctreeBuild:
     def test_uniform_rate_single_leaf(self):
         tree = Octree.build(16, _uniform_rate(2))
@@ -35,12 +43,12 @@ class TestOctreeBuild:
 
         tree = Octree.build(16, rate)
         assert tree.num_leaves == 8
-        tree.validate_partition()
+        assert_partition(tree)
 
     def test_partition_valid(self):
         pol = BandedRatePolicy(n=32, k=8, corner=(8, 8, 8))
         tree = Octree.build(32, pol.region_rate)
-        tree.validate_partition()
+        assert_partition(tree)
 
     def test_non_pow2_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -50,14 +58,6 @@ class TestOctreeBuild:
         pol = BandedRatePolicy(n=32, k=8, corner=(8, 8, 8))
         tree = Octree.build(32, pol.region_rate, min_cell=4)
         assert min(leaf.size for leaf in tree.leaves) >= 4
-
-    def test_find_leaf(self):
-        pol = BandedRatePolicy(n=32, k=8, corner=(8, 8, 8))
-        tree = Octree.build(32, pol.region_rate)
-        leaf = tree.find_leaf((9, 9, 9))
-        assert leaf.contains((9, 9, 9))
-        with pytest.raises(ConfigurationError):
-            tree.find_leaf((40, 0, 0))
 
     def test_rate_clamped_to_cell_size(self):
         tree = Octree.build(8, _uniform_rate(64))

@@ -4,8 +4,9 @@ The acceptance bar for routing :class:`ConvolutionServer` batches onto a
 standing :class:`RankPool`, as tests:
 
 - a 4-rank pool-backed server returns results bitwise identical to a
-  single-process :class:`~repro.core.batch.BatchConvolver` on the same
-  stream;
+  single-process
+  :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial` on the
+  same stream;
 - a rank killed mid-batch under live load (via the
   :mod:`tests.chaos` fault schedule) costs **zero failed requests**: the
   pool's checkpoint handoff seats a replacement, the roster generation
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from tests.chaos import FaultSchedule, KillAt
-from repro.core.batch import BatchConvolver
+from repro.core.pipeline import LowCommConvolution3D
 from repro.kernels.gaussian import GaussianKernel
 from repro.pool.pool import RankPool
 from repro.serve import ConvolutionServer, PoolBackend, ServerConfig
@@ -70,18 +71,12 @@ def stream(rng, count):
 
 
 def local_reference(requests):
-    """The single-process BatchConvolver results, grouped per kernel."""
-    specs = kernels()
-    out = [None] * len(requests)
-    for name in specs:
-        idx = [i for i, (_, kname) in enumerate(requests) if kname == name]
-        if not idx:
-            continue
-        engine = BatchConvolver(N, K, specs[name], POLICY)
-        batch = engine.run([requests[i][0] for i in idx])
-        for i, result in zip(idx, batch.results):
-            out[i] = result.approx
-    return out
+    """The single-process ``run_serial`` results, one pipeline per kernel."""
+    engines = {
+        name: LowCommConvolution3D(N, K, spec, POLICY)
+        for name, spec in kernels().items()
+    }
+    return [engines[name].run_serial(field).approx for field, name in requests]
 
 
 class TestKillMidLoad:

@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchConvolver
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.errors import (
@@ -70,8 +69,8 @@ class TestServedResults:
         assert server.executor.engine_count == 1
         # one engine means one shared pattern cache across all batches
         engine = next(iter(server.executor._engines.values()))
-        assert isinstance(engine, BatchConvolver)
-        assert len(engine.pipeline._pattern_cache) == (N // K) ** 3
+        assert isinstance(engine, LowCommConvolution3D)
+        assert len(engine._pattern_cache) == (N // K) ** 3
 
 
 class TestLifecycle:

@@ -133,12 +133,12 @@ class TestQueueAccounting:
             server.submit(
                 rng.standard_normal((N,) * 3), kernel="g", tenant=tenant
             )
-        assert server.queue.tenant_depth("a") == 2
-        assert server.queue.tenant_depth("b") == 1
-        assert server.queue.tenant_depth(DEFAULT_TENANT) == 0
+        assert server.queue._tenant_depths.get("a", 0) == 2
+        assert server.queue._tenant_depths.get("b", 0) == 1
+        assert server.queue._tenant_depths.get(DEFAULT_TENANT, 0) == 0
         server.drain()
-        assert server.queue.tenant_depth("a") == 0
-        assert server.queue.tenant_depth("b") == 0
+        assert server.queue._tenant_depths.get("a", 0) == 0
+        assert server.queue._tenant_depths.get("b", 0) == 0
 
     def test_quota_lookup_falls_back_to_default(self):
         q = BoundedRequestQueue(
@@ -156,8 +156,8 @@ class TestQueueAccounting:
         drained = server.queue.drain_all()
         assert len(drained) == 3
         assert len(server.queue) == 0
-        assert server.queue.tenant_depth("a") == 0
-        assert server.queue.tenant_depth("b") == 0
+        assert server.queue._tenant_depths.get("a", 0) == 0
+        assert server.queue._tenant_depths.get("b", 0) == 0
 
 
 class TestLoadgenTenantMix:

@@ -7,10 +7,8 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.util.validation import (
     check_cube,
     check_divides,
-    check_dtype,
     check_positive_int,
     check_power_of_two,
-    check_probability,
 )
 
 
@@ -75,28 +73,3 @@ class TestCheckCube:
         with pytest.raises(ShapeError):
             check_cube(np.zeros((4, 4, 5)), "a")
 
-
-class TestCheckDtype:
-    def test_accepts_float(self):
-        check_dtype(np.zeros(3), [np.floating], "a")
-
-    def test_rejects_int_when_float_required(self):
-        with pytest.raises(ConfigurationError):
-            check_dtype(np.zeros(3, dtype=np.int32), [np.floating], "a")
-
-    def test_accepts_complex_in_union(self):
-        check_dtype(
-            np.zeros(3, dtype=complex), [np.floating, np.complexfloating], "a"
-        )
-
-
-class TestCheckProbability:
-    def test_accepts_bounds(self):
-        assert check_probability(0.0, "p") == 0.0
-        assert check_probability(1.0, "p") == 1.0
-
-    def test_rejects_outside(self):
-        with pytest.raises(ConfigurationError):
-            check_probability(1.5, "p")
-        with pytest.raises(ConfigurationError):
-            check_probability(-0.1, "p")
