@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.decomposition import SubDomain
 from repro.errors import ConfigurationError
-from repro.octree.cell import METADATA_INTS_PER_CELL
 from repro.octree.compress import CellSubset, CompressedField
 from repro.octree.interpolate import reconstruct_box
 from repro.octree.sampling import SamplingPattern
@@ -115,10 +114,10 @@ def _touches_rank(
     # summed-area table: table[a, b, c] = owned boxes in [0, a) x [0, b) x [0, c)
     table = np.zeros((m + 1,) * 3, dtype=np.int64)
     table[1:, 1:, 1:] = owned.cumsum(0).cumsum(1).cumsum(2)
-    meta = pattern.metadata().reshape(-1, METADATA_INTS_PER_CELL)
-    lo = meta[:, :3].astype(np.int64) // k
-    hi = (meta[:, :3] + pattern.cell_sizes()[:, None] - 1).astype(np.int64) // k + 1
-    count = np.zeros(len(meta), dtype=np.int64)
+    corners = pattern.table[:, :3].astype(np.int64)
+    lo = corners // k
+    hi = (corners + pattern.cell_sizes()[:, None] - 1) // k + 1
+    count = np.zeros(len(corners), dtype=np.int64)
     for corner in range(8):
         picks = [hi[:, axis] if corner >> axis & 1 else lo[:, axis] for axis in range(3)]
         sign = (-1) ** (3 - bin(corner).count("1"))

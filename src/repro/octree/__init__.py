@@ -10,11 +10,11 @@ its metadata is the paper's 5-integers-per-cell layout
 
 Modules
 -------
-- :mod:`repro.octree.cell` — cells and the 5-int metadata codec.
-- :mod:`repro.octree.tree` — octree construction by recursive subdivision
-  until each leaf has a uniform required rate.
+- :mod:`repro.octree.cell` — the 5-int cell table: packing, validation
+  against the grid, per-axis cell lattices.
 - :mod:`repro.octree.sampling` — the banded rate schedule (paper §5.4
-  heuristic) and :class:`SamplingPattern`.
+  heuristic), the level-by-level octree builder, and
+  :class:`SamplingPattern`, which holds the table and derives the rest.
 - :mod:`repro.octree.compress` — :class:`CompressedField`: sample
   extraction and serialization.
 - :mod:`repro.octree.interpolate` — dense reconstruction (per-cell
@@ -23,15 +23,13 @@ Modules
 
 from repro.octree.cell import (
     METADATA_INTS_PER_CELL,
-    OctreeCell,
     decode_metadata,
-    encode_metadata,
+    pack_table,
 )
 from repro.octree.compress import CompressedField
 from repro.octree.interpolate import reconstruct_box, reconstruct_dense
 from repro.octree.sampling import (
     BandedRatePolicy,
-    BoxRatePolicy,
     SamplingPattern,
     build_adaptive_pattern,
     build_box_pattern,
@@ -45,7 +43,6 @@ from repro.octree.error_bounds import (
     radial_hessian_envelope,
     trilinear_cell_bound,
 )
-from repro.octree.tree import Octree
 
 __all__ = [
     "add",
@@ -57,13 +54,10 @@ __all__ = [
     "hessian_magnitude",
     "radial_hessian_envelope",
     "pipeline_error_bound",
-    "OctreeCell",
     "METADATA_INTS_PER_CELL",
-    "encode_metadata",
+    "pack_table",
     "decode_metadata",
-    "Octree",
     "BandedRatePolicy",
-    "BoxRatePolicy",
     "SamplingPattern",
     "build_adaptive_pattern",
     "build_box_pattern",

@@ -18,13 +18,7 @@ from repro.octree.compress import CompressedField
 def same_pattern(a: CompressedField, b: CompressedField) -> bool:
     """Whether two compressed fields share an identical sampling pattern."""
     pa, pb = a.pattern, b.pattern
-    if pa is pb:
-        return True
-    return (
-        pa.n == pb.n
-        and pa.num_cells == pb.num_cells
-        and pa.cells == pb.cells
-    )
+    return pa is pb or pa.geometry_key == pb.geometry_key
 
 
 def add(a: CompressedField, b: CompressedField) -> CompressedField:

@@ -1,4 +1,4 @@
-"""Octree cells and the paper's 5-integer metadata codec.
+"""The paper's 5-integer cell table: packing, validation and cell lattices.
 
 "The octree metadata is stored in an array, with five consecutive integers
 capturing the details of one octree cell.  The five numbers represent the
@@ -6,16 +6,16 @@ co-ordinates of the corner point (x, y, z), the downsampling rate of that
 cell and a count of the total number of samples in the cells that come
 before the current cell."  (paper §4)
 
-Cell extent is implied by the octree level in the paper's packed format; we
-store cells with an explicit ``size`` in the object form and rely on the
-construction invariant (cells are cubes from recursive halving) when
-round-tripping metadata, carrying ``size`` in a parallel array when needed.
+A pattern *is* that table: one int32 row ``(x, y, z, rate, cumulative
+count)`` per cell, in the octree's depth-first order, plus an int32 vector
+of cell edge lengths (implied by the tree level in the paper's fully packed
+form).  Every function here takes or returns whole arrays; there is no
+object per cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,159 +24,128 @@ from repro.errors import ConfigurationError
 #: ints per cell in the packed metadata layout (x, y, z, rate, cum_count)
 METADATA_INTS_PER_CELL = 5
 
+#: largest grid edge whose cell sample counts fit int64 (``n^3 < 2^63``)
+MAX_GRID = 1 << 20
 
-@dataclass(frozen=True)
-class OctreeCell:
-    """An axis-aligned cubic cell sampled at a uniform stride.
 
-    Attributes
-    ----------
-    corner:
-        Low corner ``(x, y, z)`` in grid coordinates.
-    size:
-        Edge length (cells are cubes; the octree halves cubes).
-    rate:
-        Downsampling stride within the cell: every ``rate``-th point per
-        axis is retained (``rate == 1`` is full resolution).
-    """
-
-    corner: Tuple[int, int, int]
-    size: int
-    rate: int
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ConfigurationError(f"cell size must be positive, got {self.size}")
-        if self.rate <= 0:
-            raise ConfigurationError(f"cell rate must be positive, got {self.rate}")
-        if any(c < 0 for c in self.corner):
-            raise ConfigurationError(f"cell corner must be non-negative, got {self.corner}")
-
-    @property
-    def samples_per_axis(self) -> int:
-        """Retained coordinates per axis.
-
-        The stride lattice ``corner, corner+rate, ...`` is *clamped* to
-        include the cell's far face, so interpolation inside the cell never
-        extrapolates and adjacent cells share supported boundaries:
-        ``ceil(size / rate)`` strided points plus the far edge when the
-        stride misses it.
-        """
-        base = -(-self.size // self.rate)
-        if self.size > 1 and (self.size - 1) % self.rate != 0:
-            base += 1
-        return base
-
-    @property
-    def sample_count(self) -> int:
-        """Total retained samples in the cell."""
-        return self.samples_per_axis**3
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        """Retained absolute coordinates along ``axis`` (0=x, 1=y, 2=z),
-        clamped to include the cell's far face."""
-        c = self.corner[axis]
-        coords = np.arange(c, c + self.size, self.rate, dtype=np.intp)
-        last = c + self.size - 1
-        if coords[-1] != last:
-            coords = np.append(coords, last)
-        return coords
-
-    def sample_coords(self) -> np.ndarray:
-        """All retained ``(m, 3)`` absolute sample coordinates, C order."""
-        xs = self.axis_coords(0)
-        ys = self.axis_coords(1)
-        zs = self.axis_coords(2)
-        grid = np.meshgrid(xs, ys, zs, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=1)
-
-    def contains(self, point: Sequence[int]) -> bool:
-        """Whether a grid point lies inside the cell."""
-        return all(
-            c <= int(p) < c + self.size for c, p in zip(self.corner, point)
+def check_grid_size(n: int) -> int:
+    """``n`` if it is a power of two with ``n^3 < 2^63``, else raise: the
+    octree halves cubes exactly, and every count stays in int64."""
+    if n < 1 or n & (n - 1) or n > MAX_GRID:
+        raise ConfigurationError(
+            f"octree grid size must be a power of two at most {MAX_GRID}, got {n}"
         )
+    return n
 
 
-def _samples_per_axis_vec(sizes: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Vectorized :attr:`OctreeCell.samples_per_axis` over int64 arrays."""
+def samples_per_axis(sizes, rates) -> np.ndarray:
+    """Retained coordinates per axis of cells of edge ``sizes`` sampled at
+    stride ``rates`` (int64, elementwise).
+
+    The stride lattice ``corner, corner+rate, ...`` is *clamped* to include
+    the cell's far face, so interpolation inside a cell never extrapolates
+    and adjacent cells share supported boundaries: ``ceil(size / rate)``
+    strided points plus the far edge when the stride misses it.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rates = np.asarray(rates, dtype=np.int64)
     base = -(-sizes // rates)
     return base + ((sizes > 1) & ((sizes - 1) % rates != 0))
 
 
-def encode_metadata(cells: Sequence[OctreeCell]) -> np.ndarray:
-    """Pack cells into the paper's flat int32 layout.
+def axis_offsets(size: int, rate: int) -> np.ndarray:
+    """The clamped lattice of one cell axis, relative to the cell corner."""
+    offsets = np.arange(0, size, rate, dtype=np.intp)
+    if offsets[-1] != size - 1:
+        offsets = np.append(offsets, size - 1)
+    return offsets
 
-    Five int32 per cell: ``x, y, z, rate, cumulative_count`` where
-    ``cumulative_count`` is the number of samples in all preceding cells —
-    "the last entry helps to decode the octree" by giving each cell its
-    offset into the flat sample-value array.
+
+def pack_table(corners, sizes, rates) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(C, 5)`` int32 table and int32 edges of cells given as arrays.
+
+    Fills each row's cumulative count, "the number of samples in all
+    preceding cells" — the cell's offset into the flat sample-value array,
+    which is what "helps to decode the octree".
     """
-    num = len(cells)
-    out = np.empty(num * METADATA_INTS_PER_CELL, dtype=np.int32)
-    if num == 0:
-        return out
-    packed = out.reshape(num, METADATA_INTS_PER_CELL)
-    packed[:, :3] = [c.corner for c in cells]
-    rates = np.fromiter((c.rate for c in cells), dtype=np.int64, count=num)
-    sizes = np.fromiter((c.size for c in cells), dtype=np.int64, count=num)
-    packed[:, 3] = rates
-    counts = _samples_per_axis_vec(sizes, rates) ** 3
-    cum = np.zeros(num, dtype=np.int64)
-    np.cumsum(counts[:-1], out=cum[1:])
-    packed[:, 4] = cum
-    return out
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    rates = np.asarray(rates, dtype=np.int64).reshape(-1)
+    table = np.empty((len(sizes), METADATA_INTS_PER_CELL), dtype=np.int32)
+    table[:, :3] = np.asarray(corners, dtype=np.int64).reshape(-1, 3)
+    table[:, 3] = rates
+    counts = samples_per_axis(sizes, rates) ** 3
+    table[:, 4] = np.cumsum(counts) - counts
+    return table, sizes.astype(np.int32)
 
 
 def decode_metadata(
-    metadata: np.ndarray, sizes: Sequence[int]
-) -> List[OctreeCell]:
-    """Inverse of :func:`encode_metadata`.
+    metadata, sizes, n: int, offset: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a packed table against an ``n^3`` grid and return it.
 
-    ``sizes`` carries the per-cell edge lengths (implied by tree level in
-    the fully packed form).  Validates the cumulative-count invariant.
+    Returns ``(table, sizes)``: read-only ``(C, 5)`` int32 rows and ``C``
+    int32 edges, views of the input.  ``offset`` is the table's byte
+    offset in its record; the edges follow the table there.
+
+    Before any count arithmetic, every cell must be a cube of power-of-two
+    edge at most ``n``, with a rate of at least 1, on a corner that is a
+    multiple of its edge and ends inside the grid.  Then every cumulative
+    count must be the samples of the cells before it.  The first cell that
+    breaks a rule raises :class:`ConfigurationError` naming the cell and
+    the byte offset of the field at fault.
     """
-    metadata = np.asarray(metadata, dtype=np.int64)
+    check_grid_size(n)
+    metadata = np.asarray(metadata, dtype=np.int32)
     if metadata.ndim != 1 or metadata.size % METADATA_INTS_PER_CELL != 0:
         raise ConfigurationError(
             f"metadata length {metadata.size} is not a multiple of "
             f"{METADATA_INTS_PER_CELL}"
         )
     n_cells = metadata.size // METADATA_INTS_PER_CELL
+    sizes = np.asarray(sizes, dtype=np.int32).reshape(-1)
     if len(sizes) != n_cells:
         raise ConfigurationError(
             f"got {len(sizes)} sizes for {n_cells} encoded cells"
         )
-    if n_cells == 0:
-        return []
-    packed = metadata.reshape(n_cells, METADATA_INTS_PER_CELL)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    rates = packed[:, 3]
-    stored = packed[:, 4]
-    # Validate the cumulative-count invariant vectorized; geometry that the
-    # OctreeCell constructor would reject (rate/size <= 0, negative corner)
-    # is substituted out of the count arithmetic and re-raised through the
-    # constructor so garbage bytes keep their original per-cell error.
-    valid_geom = (rates > 0) & (sizes_arr > 0)
-    safe_rates = np.where(valid_geom, rates, 1)
-    safe_sizes = np.where(valid_geom, sizes_arr, 1)
-    counts = _samples_per_axis_vec(safe_sizes, safe_rates) ** 3
-    expected = np.zeros(n_cells, dtype=np.int64)
-    np.cumsum(counts[:-1], out=expected[1:])
-    mismatch = np.nonzero(stored != expected)[0]
-    invalid = np.nonzero(~valid_geom | (packed[:, :3] < 0).any(axis=1))[0]
-    first_mismatch = int(mismatch[0]) if mismatch.size else n_cells
-    first_invalid = int(invalid[0]) if invalid.size else n_cells
-    if first_mismatch <= first_invalid and first_mismatch < n_cells:
-        i = first_mismatch
+    table = metadata.reshape(n_cells, METADATA_INTS_PER_CELL).view()
+    sizes = sizes.view()
+    row = METADATA_INTS_PER_CELL * 4
+    where = f"(cell metadata at offset {offset})"
+    edge = sizes.astype(np.int64)
+    rates = table[:, 3].astype(np.int64)
+    corners = table[:, :3].astype(np.int64)
+    bad_size = (edge < 1) | (edge > n) | (edge & (edge - 1) != 0)
+    safe = np.where(bad_size, 1, edge)[:, None]
+    bad_corner = ((corners % safe != 0) | (corners < 0) | (corners + safe > n)).any(axis=1)
+    bad = np.flatnonzero(bad_size | (rates < 1) | bad_corner)
+    if bad.size:
+        i = int(bad[0])
+        if bad_size[i]:
+            raise ConfigurationError(
+                f"cell {i} has edge {int(edge[i])} at byte "
+                f"{offset + n_cells * row + 4 * i}: not a power of two at "
+                f"most n={n} {where}"
+            )
+        if rates[i] < 1:
+            raise ConfigurationError(
+                f"cell {i} has rate {int(rates[i])} at byte "
+                f"{offset + i * row + 12}: rates start at 1 {where}"
+            )
         raise ConfigurationError(
-            f"cumulative-count invariant violated at cell {i}: "
-            f"stored {int(stored[i])}, expected {int(expected[i])}"
+            f"cell {i} at byte {offset + i * row} has corner "
+            f"{tuple(corners[i].tolist())}: not on its edge-{int(edge[i])} "
+            f"lattice inside grid n={n} {where}"
         )
-    return [
-        OctreeCell(
-            corner=(int(packed[i, 0]), int(packed[i, 1]), int(packed[i, 2])),
-            size=int(sizes_arr[i]),
-            rate=int(rates[i]),
+    counts = samples_per_axis(edge, rates) ** 3
+    expected = np.cumsum(counts) - counts
+    mismatch = np.flatnonzero(table[:, 4] != expected)
+    if mismatch.size:
+        i = int(mismatch[0])
+        raise ConfigurationError(
+            f"cumulative-count invariant violated at cell {i}: stored "
+            f"{int(table[i, 4])}, expected {int(expected[i])} at byte "
+            f"{offset + i * row + 16} {where}"
         )
-        for i in range(n_cells)
-    ]
+    table.setflags(write=False)
+    sizes.setflags(write=False)
+    return table, sizes

@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.octree.cell import METADATA_INTS_PER_CELL, _samples_per_axis_vec
+from repro.octree.cell import samples_per_axis
 from repro.octree.sampling import SamplingPattern
 
 
@@ -94,11 +94,9 @@ class CellSubset:
                 f"keep mask of shape {keep.shape} for {pattern.num_cells} cells"
             )
         ids = np.flatnonzero(keep)
-        meta = pattern.metadata().reshape(-1, METADATA_INTS_PER_CELL)[ids]
+        meta = pattern.table[ids]
         sizes = pattern.cell_sizes()[ids]
-        counts = _samples_per_axis_vec(
-            sizes.astype(np.int64), meta[:, 3].astype(np.int64)
-        ) ** 3
+        counts = samples_per_axis(sizes, meta[:, 3]) ** 3
         starts = meta[:, 4].astype(np.int64)
         stops = starts + counts
         # a run breaks wherever a kept cell does not start where the last

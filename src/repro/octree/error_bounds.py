@@ -32,8 +32,9 @@ from repro.util.validation import check_cube
 
 def trilinear_cell_bound(h: float, m2: float) -> float:
     """Taylor bound for trilinear interpolation on spacing-``h`` lattices:
-    ``(3/8) h^2 M2`` (three axes, each contributing ``h^2 M2 / 8``)."""
-    if h < 0 or m2 < 0:
+    ``(3/8) h^2 M2`` (three axes, each contributing ``h^2 M2 / 8``);
+    elementwise over arrays."""
+    if np.any(np.asarray(h) < 0) or np.any(np.asarray(m2) < 0):
         raise ConfigurationError(f"h and M2 must be non-negative, got {(h, m2)}")
     return 0.375 * h * h * m2
 
@@ -107,20 +108,15 @@ def pipeline_error_bound(
     if input_l1 < 0:
         raise ConfigurationError(f"input_l1 must be >= 0, got {input_l1}")
     radii, envelope = radial_hessian_envelope(kernel_spatial)
-    sub_lo = np.array(pattern.subdomain_corner)
+    sub_lo = np.array(pattern.subdomain_corner, dtype=np.int64)
     sub_hi = sub_lo + pattern.subdomain_size - 1
 
-    total_sq = 0.0
-    for cell in pattern.cells:
-        if cell.rate <= 1:
-            continue  # dense cells reconstruct exactly
-        # Chebyshev distance from the cell to the sub-domain box.
-        gaps = []
-        for axis in range(3):
-            lo, hi = cell.corner[axis], cell.corner[axis] + cell.size - 1
-            gaps.append(max(sub_lo[axis] - hi, lo - sub_hi[axis], 0))
-        dist = float(max(gaps))
-        m2 = input_l1 * float(np.interp(dist, radii, envelope))
-        bound = trilinear_cell_bound(float(cell.rate), m2)
-        total_sq += cell.size**3 * bound * bound
-    return float(np.sqrt(total_sq))
+    lossy = pattern.table[:, 3] > 1  # dense cells reconstruct exactly
+    lo = pattern.table[lossy, :3].astype(np.int64)
+    size = pattern.cell_sizes()[lossy].astype(np.int64)
+    hi = lo + size[:, None] - 1
+    # Chebyshev distance from each cell to the sub-domain box
+    dist = np.maximum(np.maximum(sub_lo - hi, lo - sub_hi), 0).max(axis=1)
+    m2 = input_l1 * np.interp(dist.astype(np.float64), radii, envelope)
+    bound = trilinear_cell_bound(pattern.table[lossy, 3].astype(np.float64), m2)
+    return float(np.sqrt(np.sum(size**3 * bound * bound)))

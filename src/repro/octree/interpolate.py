@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.octree.cell import METADATA_INTS_PER_CELL, OctreeCell, _samples_per_axis_vec
+from repro.octree.cell import axis_offsets, samples_per_axis
 from repro.octree.compress import CompressedField
 from repro.octree.sampling import SamplingPattern
 from repro.util.lru import WeightedLRU
@@ -118,7 +118,7 @@ def _cell_axis_weights(
     differences only, and those are exact in float64, so congruent cells
     anywhere in the grid share the matrix bit for bit.
     """
-    coords = OctreeCell(corner=(0, 0, 0), size=size, rate=rate).axis_coords(0)
+    coords = axis_offsets(size, rate)
     query = np.arange(start, stop, dtype=np.float64)
     return _axis_weight_matrix(coords.astype(np.float64), query, nearest)
 
@@ -244,7 +244,7 @@ class ReconstructionPlan:
         # columns x, y, z, size, rate, field, value offset
         hits = []
         for index, pattern in enumerate(patterns):
-            meta = pattern.metadata().reshape(-1, METADATA_INTS_PER_CELL).astype(np.int64)
+            meta = pattern.table.astype(np.int64)
             sizes = pattern.cell_sizes().astype(np.int64)
             ends = meta[:, :3] + sizes[:, None]
             hit = np.flatnonzero(((meta[:, :3] < box_hi) & (ends > box_lo)).all(axis=1))
@@ -277,7 +277,7 @@ class ReconstructionPlan:
         first, shared = first[order], holders[order] > 1
         corners, sizes, rates = cells[first, :3], cells[first, 3], cells[first, 4]
         layers, place = cells[first, 5], cells[first, 6].copy()
-        counts = _samples_per_axis_vec(sizes, rates) ** 3
+        counts = samples_per_axis(sizes, rates) ** 3
 
         clip_lo = np.maximum(corners, box_lo)
         clip_hi = np.minimum(corners + sizes[:, None], box_hi)
@@ -299,7 +299,7 @@ class ReconstructionPlan:
         self.summed_size = int(counts[stacked].sum())
         self._plan_sums(cells, which, shared, place, counts)
 
-        samples = _samples_per_axis_vec(unique[:, 2], unique[:, 3])
+        samples = samples_per_axis(unique[:, 2], unique[:, 3])
         matrices: Dict[Tuple[int, int, int, int], np.ndarray] = {}
         for g, key in enumerate(unique.tolist()):
             source = -1 if key[1] else key[0]

@@ -13,24 +13,30 @@ The paper's heuristic schedule, parameterized by the sub-domain size ``k``:
 :func:`build_adaptive_pattern` realizes the schedule as an octree whose
 leaves have uniform rates; :func:`build_flat_pattern` is the flat exterior
 rate used by the paper's Tables 3/4 configurations (where a single average
-``r`` is quoted).
+``r`` is quoted); :func:`build_box_pattern` is the schedule around a
+rectangular sub-domain.  All three refine the grid level by level against
+one vectorised region oracle, :meth:`BandedRatePolicy.region_rates`, and
+hold the leaves as the paper's 5-int table (:mod:`repro.octree.cell`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.octree.cell import OctreeCell, encode_metadata
-from repro.octree.tree import Octree
+from repro.octree.cell import (
+    METADATA_INTS_PER_CELL,
+    axis_offsets,
+    check_grid_size,
+    pack_table,
+    samples_per_axis,
+)
 from repro.util.validation import check_positive_int
-
-Region = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,10 @@ class BandedRatePolicy:
     ``rate(point)`` is decided by the Chebyshev distance ``d`` from the
     point to the sub-domain box and the distance ``e`` to the grid edge:
     boundary band wins (dense), then the distance bands.
+
+    The box is the ``k``-cube at ``corner``, or a rectangular ``shape``
+    there ("irregular partitions can also be made", §3.1).  The band
+    widths scale with ``k``, which for a box must be its largest edge.
     """
 
     n: int
@@ -50,6 +60,7 @@ class BandedRatePolicy:
     r_far: int = 32
     boundary_width: int = 1
     boundary_rate: int = 1
+    shape: Optional[Tuple[int, int, int]] = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.n, "n")
@@ -60,12 +71,24 @@ class BandedRatePolicy:
             check_positive_int(getattr(self, name), name)
         if self.boundary_width < 0:
             raise ConfigurationError("boundary_width must be >= 0")
-        for c in self.corner:
-            if c < 0 or c + self.k > self.n:
+        if self.shape is not None:
+            for edge in self.shape:
+                check_positive_int(edge, "shape")
+            if max(self.shape) != self.k:
                 raise ConfigurationError(
-                    f"sub-domain k={self.k} at corner {self.corner} "
+                    f"box {self.shape} needs k = its largest edge, got k={self.k}"
+                )
+        for c, edge in zip(self.corner, self.extent):
+            if c < 0 or c + edge > self.n:
+                raise ConfigurationError(
+                    f"sub-domain {self.extent} at corner {self.corner} "
                     f"outside grid n={self.n}"
                 )
+
+    @property
+    def extent(self) -> Tuple[int, int, int]:
+        """The box's edges: ``shape``, or the ``k``-cube's."""
+        return (self.k,) * 3 if self.shape is None else self.shape
 
     # -- scalar oracles --------------------------------------------------------
     def base_rate(self, dist: float) -> int:
@@ -82,103 +105,118 @@ class BandedRatePolicy:
         self, point: Tuple[int, int, int]
     ) -> int:
         """Sampling rate at a single grid point."""
-        d = self._point_box_dist(point)
-        e = min(min(p, self.n - 1 - p) for p in point)
-        if e < self.boundary_width:
+        if min(min(p, self.n - 1 - p) for p in point) < self.boundary_width:
             return self.boundary_rate
-        return self.base_rate(d)
+        dist = max(
+            max(c - p, p - (c + edge - 1), 0)
+            for p, c, edge in zip(point, self.corner, self.extent)
+        )
+        return self.base_rate(dist)
 
-    def _point_box_dist(self, point: Tuple[int, int, int]) -> int:
-        gaps = []
-        for p, c in zip(point, self.corner):
-            lo, hi = c, c + self.k - 1
-            gaps.append(max(lo - p, p - hi, 0))
-        return max(gaps)
+    # -- the region oracle the builder refines against -------------------------
+    def region_rates(self, lo, size) -> Tuple[np.ndarray, np.ndarray]:
+        """``(min_rate, max_rate)`` over each cube ``[lo, lo + size)``.
 
-    # -- region oracle (exact min/max for octree uniformity checks) ------------
-    def region_rate(self, lo: Region, hi: Region) -> Tuple[int, int]:
-        """``(min_rate, max_rate)`` over the half-open region ``[lo, hi)``."""
-        dmin, dmax = self._region_box_dist(lo, hi)
-        emin, emax = self._region_edge_dist(lo, hi)
-        rates = []
-        if emin < self.boundary_width:
-            rates.append(self.boundary_rate)
-        if emax >= self.boundary_width:
-            rates.append(self.base_rate(dmin))
-            rates.append(self.base_rate(dmax))
-            # Band boundaries k/2 and 4k may fall strictly inside (dmin, dmax).
-            for edge in (0, self.k / 2, 4 * self.k):
-                if dmin < edge < dmax:
-                    rates.append(self.base_rate(edge))
-                    rates.append(self.base_rate(edge + 1))
-        return min(rates), max(rates)
+        ``lo`` is ``(C, 3)`` and ``size`` one edge or ``C`` of them; the
+        result is two int64 ``(C,)`` arrays, exact over each cube's grid
+        points.  A band edge (``k/2``, ``4k``) strictly inside a cube's
+        range of distances to the box adds the rates on both of its sides.
+        A cube that reaches into the boundary band adds ``boundary_rate``,
+        which is its only rate when the cube lies wholly inside the band.
+        """
+        lo = np.asarray(lo, dtype=np.int64).reshape(-1, 3)
+        last = lo + (np.asarray(size, dtype=np.int64).reshape(-1, 1) - 1)
+        box_lo = np.asarray(self.corner, dtype=np.int64)
+        box_hi = box_lo + np.asarray(self.extent, dtype=np.int64) - 1
+        # range of Chebyshev distances from each cube's points to the box
+        dmin = np.maximum(np.maximum(box_lo - last, lo - box_hi), 0).max(axis=1)
+        dmax = np.maximum(np.maximum(box_lo - lo, last - box_hi), 0).max(axis=1)
+        near, far = self._band_rates(dmin), self._band_rates(dmax)
+        rmin, rmax = np.minimum(near, far), np.maximum(near, far)
+        # distances are >= 0, so the band edge at 0 is never strictly inside
+        for edge in (self.k / 2, 4 * self.k):
+            inside = (dmin < edge) & (edge < dmax)
+            for rate in (self.base_rate(edge), self.base_rate(edge + 1)):
+                rmin = np.where(inside, np.minimum(rmin, rate), rmin)
+                rmax = np.where(inside, np.maximum(rmax, rate), rmax)
+        if self.boundary_width == 0:
+            return rmin, rmax
+        # range of min over axes of min(p, n-1-p): distance to the grid edge
+        top = self.n - 1
+        edge_lo, edge_hi = np.minimum(lo, top - lo), np.minimum(last, top - last)
+        emin = np.minimum(edge_lo, edge_hi).min(axis=1)
+        center = top // 2
+        spans = (lo <= center) & (center <= last)
+        emax = np.where(
+            spans, min(center, top - center), np.maximum(edge_lo, edge_hi)
+        ).min(axis=1)
+        touches = emin < self.boundary_width
+        beyond = emax >= self.boundary_width
+        rate = self.boundary_rate
+        rmin = np.where(beyond, np.where(touches, np.minimum(rmin, rate), rmin), rate)
+        rmax = np.where(beyond, np.where(touches, np.maximum(rmax, rate), rmax), rate)
+        return rmin, rmax
 
-    def _region_box_dist(self, lo: Region, hi: Region) -> Tuple[int, int]:
-        """Chebyshev distance range from region points to the sub-domain box."""
-        dmin_axes = []
-        dmax_axes = []
-        for axis in range(3):
-            blo, bhi = self.corner[axis], self.corner[axis] + self.k - 1
-            rlo, rhi = lo[axis], hi[axis] - 1
-            # min gap over region coordinates on this axis
-            if rhi < blo:
-                gmin = blo - rhi
-            elif rlo > bhi:
-                gmin = rlo - bhi
-            else:
-                gmin = 0
-            gmax = max(blo - rlo, rhi - bhi, 0)
-            dmin_axes.append(gmin)
-            dmax_axes.append(gmax)
-        return max(dmin_axes), max(dmax_axes)
-
-    def _region_edge_dist(self, lo: Region, hi: Region) -> Tuple[int, int]:
-        """Range of ``min_axis(min(p, n-1-p))`` over the region."""
-        n = self.n
-        per_axis_min = []
-        per_axis_max = []
-        for axis in range(3):
-            a, b = lo[axis], hi[axis] - 1
-            ed_a = min(a, n - 1 - a)
-            ed_b = min(b, n - 1 - b)
-            per_axis_min.append(min(ed_a, ed_b))
-            center = (n - 1) // 2
-            if a <= center <= b:
-                per_axis_max.append(min(center, n - 1 - center))
-            else:
-                per_axis_max.append(max(ed_a, ed_b))
-        return min(per_axis_min), min(per_axis_max)
+    def _band_rates(self, dist: np.ndarray) -> np.ndarray:
+        """:meth:`base_rate` over int64 distances (``2d <= k`` is ``d <= k/2``)."""
+        return np.where(
+            dist <= 0,
+            1,
+            np.where(
+                2 * dist <= self.k,
+                self.r_near,
+                np.where(dist <= 4 * self.k, self.r_mid, self.r_far),
+            ),
+        )
 
 
-@dataclass
+@dataclass(eq=False)
 class SamplingPattern:
-    """An octree-leaf partition of the grid with per-cell sampling rates.
+    """An octree-leaf partition of the grid with per-cell sampling rates,
+    held as the paper's table.
 
-    Produced by the builders below; consumed by
-    :class:`~repro.octree.compress.CompressedField` (extraction) and the
-    staged pipeline (per-axis retained coordinate sets).
+    ``table`` holds the ``(C, 5)`` int32 rows ``(x, y, z, rate, cumulative
+    count)`` of the leaves in depth-first order and ``sizes`` their ``C``
+    int32 edges; both are read-only.  A field's samples follow the table
+    cell by cell, each cell's lattice in C order.  Everything else is
+    derived from the two arrays with array ops, one pass per distinct
+    ``(size, rate)``, and cached.
+
+    Produced by the builders below and by
+    :func:`~repro.octree.serialize.deserialize_compressed`; consumed by
+    :class:`~repro.octree.compress.CompressedField` (extraction), the
+    staged pipeline (per-axis retained coordinate sets) and reconstruction.
     """
 
     n: int
-    cells: List[OctreeCell]
+    table: np.ndarray
+    sizes: np.ndarray
     subdomain_corner: Tuple[int, int, int] = (0, 0, 0)
     subdomain_size: int = 0
-    _coords: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        table = np.asarray(self.table, dtype=np.int32)
+        table = table.reshape(-1, METADATA_INTS_PER_CELL).view()
+        sizes = np.asarray(self.sizes, dtype=np.int32).reshape(-1).view()
+        if len(sizes) != len(table):
+            raise ConfigurationError(
+                f"{len(sizes)} cell sizes for {len(table)} table rows"
+            )
+        table.setflags(write=False)
+        sizes.setflags(write=False)
+        self.table, self.sizes = table, sizes
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
-
-    @cached_property
-    def sample_coords(self) -> np.ndarray:
-        """All retained sample coordinates, shape ``(M, 3)``, cell order."""
-        if not self.cells:
-            return np.empty((0, 3), dtype=np.intp)
-        return np.concatenate([c.sample_coords() for c in self.cells], axis=0)
+        return len(self.sizes)
 
     @cached_property
     def sample_count(self) -> int:
-        return sum(c.sample_count for c in self.cells)
+        """Retained samples: the last cell's offset plus its own count."""
+        if not self.num_cells:
+            return 0
+        last = samples_per_axis(self.sizes[-1], self.table[-1, 3]) ** 3
+        return int(self.table[-1, 4] + last)
 
     @property
     def compression_ratio(self) -> float:
@@ -187,11 +225,43 @@ class SamplingPattern:
         return float(self.n**3) / m if m else float("inf")
 
     @cached_property
+    def _groups(self) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """``(size, rate, corners, offsets)`` per distinct cell size and
+        rate, cells in table order: congruent cells share one lattice, so
+        each derived array below costs one array pass per group."""
+        key = self.sizes.astype(np.int64) << 32 | self.table[:, 3]
+        unique, inverse = np.unique(key, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.searchsorted(inverse[order], np.arange(len(unique) + 1))
+        corners = self.table[:, :3].astype(np.intp)
+        offsets = self.table[:, 4].astype(np.intp)
+        groups = []
+        for g, value in enumerate(unique.tolist()):
+            ids = order[bounds[g] : bounds[g + 1]]
+            groups.append((value >> 32, value & 0xFFFFFFFF, corners[ids], offsets[ids]))
+        return groups
+
+    @cached_property
+    def sample_coords(self) -> np.ndarray:
+        """All retained sample coordinates, shape ``(M, 3)``, cell order."""
+        coords = np.empty((self.sample_count, 3), dtype=np.intp)
+        for size, rate, corners, offsets in self._groups:
+            axis = axis_offsets(size, rate)
+            lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+            lattice = lattice.reshape(-1, 3)
+            rows = offsets[:, None] + np.arange(len(lattice))
+            coords[rows] = corners[:, None, :] + lattice
+        return coords
+
+    @cached_property
     def _axis_coordinate_sets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(
-            np.unique(np.concatenate([c.axis_coords(axis) for c in self.cells]))
-            for axis in range(3)
-        )
+        retained = np.zeros((3, self.n), dtype=bool)
+        for size, rate, corners, _offsets in self._groups:
+            axis = axis_offsets(size, rate)
+            for a in range(3):
+                retained[a, corners[:, a, None] + axis] = True
+        return tuple(np.flatnonzero(row) for row in retained)
 
     def axis_coordinate_set(self, axis: int) -> np.ndarray:
         """Sorted unique retained coordinates along ``axis``.
@@ -211,47 +281,47 @@ class SamplingPattern:
         The staged inverse evaluates the result on the C-ordered
         ``(|X|, |Y|, |Z|)`` box spanned by the three axis coordinate sets;
         entry ``i`` is sample ``i``'s flat offset into it, so extraction is
-        one ``np.take``.  A pure function of the pattern, hence cached;
-        read-only, in the narrowest unsigned dtype that holds the box size
-        (a pattern can carry several hundred thousand samples).
+        one ``np.take``.  Built per ``(size, rate)`` group from the ranks
+        of each cell's three axis lattices in the sets, never through
+        :attr:`sample_coords`.  A pure function of the pattern, hence
+        cached; read-only, in the narrowest unsigned dtype that holds the
+        box size (a pattern can carry several hundred thousand samples).
         """
         sets = self._axis_coordinate_sets
-        coords = self.sample_coords
-        index = np.zeros(len(coords), dtype=np.intp)
-        for axis, retained in enumerate(sets):
-            # position of each grid coordinate within the sorted retained set
+        ranks = []
+        for retained in sets:
             rank = np.zeros(self.n, dtype=np.intp)
             rank[retained] = np.arange(len(retained), dtype=np.intp)
-            index *= len(retained)
-            index += rank[coords[:, axis]]
+            ranks.append(rank)
+        _mx, my, mz = (len(retained) for retained in sets)
         box_size = math.prod(len(retained) for retained in sets)
-        index = index.astype(np.min_scalar_type(box_size - 1))
+        index = np.empty(self.sample_count, dtype=np.min_scalar_type(box_size - 1))
+        for size, rate, corners, offsets in self._groups:
+            axis = axis_offsets(size, rate)
+            rx, ry, rz = (ranks[a][corners[:, a, None] + axis] for a in range(3))
+            flat = (rx[:, :, None] * my + ry[:, None, :])[..., None] * mz
+            flat = flat + rz[:, None, None, :]
+            rows = offsets[:, None] + np.arange(len(axis) ** 3)
+            index[rows] = flat.reshape(len(corners), -1)
         index.setflags(write=False)
         return index
 
-    @cached_property
-    def _packed_metadata(self) -> np.ndarray:
-        meta = encode_metadata(self.cells)
-        meta.setflags(write=False)
-        return meta
-
-    @cached_property
-    def _packed_sizes(self) -> np.ndarray:
-        sizes = np.array([c.size for c in self.cells], dtype=np.int32)
-        sizes.setflags(write=False)
-        return sizes
-
     def metadata(self) -> np.ndarray:
-        """Packed 5-int-per-cell metadata (paper layout).
+        """Packed 5-int-per-cell metadata (paper layout): the table, flat.
 
-        Cached and read-only: the serializer ships it as a zero-copy
-        segment, so every encode of the same pattern reuses one buffer.
+        Read-only: the serializer ships it as a zero-copy segment, so every
+        encode of the same pattern reuses one buffer.
         """
-        return self._packed_metadata
+        return self.table.reshape(-1)
 
     def cell_sizes(self) -> np.ndarray:
-        """Edge lengths parallel to the packed metadata (cached, read-only)."""
-        return self._packed_sizes
+        """Edge lengths parallel to the packed metadata (read-only)."""
+        return self.sizes
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the table and the edges."""
+        return int(self.table.nbytes + self.sizes.nbytes)
 
     @cached_property
     def geometry_key(self) -> Tuple[int, bytes, bytes]:
@@ -263,18 +333,22 @@ class SamplingPattern:
         cached under.  The sub-domain fields are not part of it: they
         label the pattern, the cells alone decide where samples sit.
         """
-        return (self.n, self.metadata().tobytes(), self.cell_sizes().tobytes())
+        return (self.n, self.table.tobytes(), self.sizes.tobytes())
 
     def metadata_nbytes(self) -> int:
         """Bytes of octree metadata (int32 layout)."""
-        return int(self.metadata().nbytes)
+        return int(self.table.nbytes)
 
     def rate_histogram(self) -> Dict[int, int]:
-        """Sample counts per rate (the per-band densities behind Fig 3)."""
-        hist: Dict[int, int] = {}
-        for c in self.cells:
-            hist[c.rate] = hist.get(c.rate, 0) + c.sample_count
-        return hist
+        """Sample counts per rate (the per-band densities behind Fig 3),
+        rates in the order they first appear in the table."""
+        rates = self.table[:, 3]
+        unique, first, inverse = np.unique(
+            rates, return_index=True, return_inverse=True
+        )
+        totals = np.zeros(len(unique), dtype=np.int64)
+        np.add.at(totals, inverse.reshape(-1), samples_per_axis(self.sizes, rates) ** 3)
+        return {int(unique[g]): int(totals[g]) for g in np.argsort(first)}
 
     def occupancy_slice(self, z: int) -> np.ndarray:
         """Boolean ``(n, n)`` mask of retained samples in plane ``z``
@@ -282,13 +356,66 @@ class SamplingPattern:
         if not 0 <= z < self.n:
             raise ConfigurationError(f"z={z} outside grid of size {self.n}")
         mask = np.zeros((self.n, self.n), dtype=bool)
-        for c in self.cells:
-            zs = c.axis_coords(2)
-            if z in zs:
-                xs = c.axis_coords(0)
-                ys = c.axis_coords(1)
-                mask[np.ix_(xs, ys)] = True
+        for size, rate, corners, _offsets in self._groups:
+            axis = axis_offsets(size, rate)
+            hit = corners[np.isin(z - corners[:, 2], axis)]
+            xs = hit[:, 0, None] + axis
+            ys = hit[:, 1, None] + axis
+            mask[xs[:, :, None], ys[:, None, :]] = True
         return mask
+
+
+#: the eight octants of a cube in the order the subdivision visits them:
+#: x outermost, z innermost
+_OCTANTS = np.array(
+    [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)], dtype=np.int64
+)
+
+
+def _morton_keys(corners: np.ndarray, bits: int) -> np.ndarray:
+    """Interleave the corners' bits, most significant level first and x, y,
+    z within a level: each key spells the cell's path from the root."""
+    keys = np.zeros(len(corners), dtype=np.int64)
+    for bit in range(bits - 1, -1, -1):
+        for axis in range(3):
+            keys = keys << 1 | (corners[:, axis] >> bit & 1)
+    return keys
+
+
+def _build(policy: BandedRatePolicy, min_cell: int) -> SamplingPattern:
+    """The octree of ``policy`` over its grid, as a pattern.
+
+    Refines level by level: all cells of one edge are checked against the
+    policy in one :meth:`~BandedRatePolicy.region_rates` call, and those
+    whose rate is not uniform split into octants.  A leaf takes the finest
+    rate its region requires, clamped to its edge.  Leaves are disjoint,
+    so sorting them by the Morton key of their corners lists them in the
+    depth-first order of recursive subdivision, which is the order the
+    table's cumulative counts follow.
+    """
+    n = check_grid_size(policy.n)
+    min_cell = check_positive_int(min_cell, "min_cell")
+    corners = np.zeros((1, 3), dtype=np.int64)
+    size = n
+    found = []
+    while len(corners):
+        rmin, rmax = policy.region_rates(corners, size)
+        leaf = (rmin == rmax) | (size <= min_cell) | (size == 1)
+        found.append((corners[leaf], size, np.minimum(rmin[leaf], size)))
+        corners = (corners[~leaf, None, :] + _OCTANTS * (size // 2)).reshape(-1, 3)
+        size //= 2
+    corners = np.concatenate([c for c, _size, _rates in found])
+    sizes = np.concatenate([np.full(len(c), s) for c, s, _rates in found])
+    rates = np.concatenate([r for _c, _size, r in found])
+    order = np.argsort(_morton_keys(corners, n.bit_length() - 1))
+    table, sizes = pack_table(corners[order], sizes[order], rates[order])
+    return SamplingPattern(
+        n=n,
+        table=table,
+        sizes=sizes,
+        subdomain_corner=policy.corner,
+        subdomain_size=policy.k,
+    )
 
 
 def build_adaptive_pattern(
@@ -313,80 +440,7 @@ def build_adaptive_pattern(
         boundary_width=boundary_width,
         boundary_rate=boundary_rate,
     )
-    tree = Octree.build(n, policy.region_rate, min_cell=min_cell)
-    return SamplingPattern(
-        n=n,
-        cells=tree.leaves,
-        subdomain_corner=policy.corner,
-        subdomain_size=k,
-    )
-
-
-@dataclass(frozen=True)
-class BoxRatePolicy:
-    """Banded rate schedule around a rectangular (non-cubic) sub-domain.
-
-    The paper notes "irregular partitions can also be made" (§3.1); this
-    policy generalizes :class:`BandedRatePolicy` to boxes: distances are
-    Chebyshev distances to the box, and the band widths scale with the
-    box's largest edge (the analogue of ``k``).
-    """
-
-    n: int
-    shape: Tuple[int, int, int]
-    corner: Tuple[int, int, int]
-    r_near: int = 2
-    r_mid: int = 8
-    r_far: int = 32
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.n, "n")
-        for s, c in zip(self.shape, self.corner):
-            check_positive_int(s, "shape")
-            if c < 0 or c + s > self.n:
-                raise ConfigurationError(
-                    f"box {self.shape} at {self.corner} outside grid n={self.n}"
-                )
-        for name in ("r_near", "r_mid", "r_far"):
-            check_positive_int(getattr(self, name), name)
-
-    @property
-    def band_unit(self) -> int:
-        """The band length scale: the box's largest edge."""
-        return max(self.shape)
-
-    def base_rate(self, dist: float) -> int:
-        """Rate from box distance (same band structure as the cubic policy)."""
-        if dist <= 0:
-            return 1
-        if dist <= self.band_unit / 2:
-            return self.r_near
-        if dist <= 4 * self.band_unit:
-            return self.r_mid
-        return self.r_far
-
-    def region_rate(self, lo: Region, hi: Region) -> Tuple[int, int]:
-        """``(min_rate, max_rate)`` over the half-open region ``[lo, hi)``."""
-        dmin_axes, dmax_axes = [], []
-        for axis in range(3):
-            blo = self.corner[axis]
-            bhi = self.corner[axis] + self.shape[axis] - 1
-            rlo, rhi = lo[axis], hi[axis] - 1
-            if rhi < blo:
-                gmin = blo - rhi
-            elif rlo > bhi:
-                gmin = rlo - bhi
-            else:
-                gmin = 0
-            dmin_axes.append(gmin)
-            dmax_axes.append(max(blo - rlo, rhi - bhi, 0))
-        dmin, dmax = max(dmin_axes), max(dmax_axes)
-        rates = [self.base_rate(dmin), self.base_rate(dmax)]
-        for edge in (0, self.band_unit / 2, 4 * self.band_unit):
-            if dmin < edge < dmax:
-                rates.append(self.base_rate(edge))
-                rates.append(self.base_rate(edge + 1))
-        return min(rates), max(rates)
+    return _build(policy, min_cell)
 
 
 def build_box_pattern(
@@ -398,22 +452,21 @@ def build_box_pattern(
     r_far: int = 32,
     min_cell: int = 1,
 ) -> SamplingPattern:
-    """Banded adaptive pattern around a rectangular sub-domain."""
-    policy = BoxRatePolicy(
+    """Banded adaptive pattern around a rectangular sub-domain: the bands
+    scale with the box's largest edge, which also labels the pattern as
+    its ``subdomain_size``, and there is no boundary band."""
+    shape = tuple(int(s) for s in shape)
+    policy = BandedRatePolicy(
         n=n,
-        shape=tuple(int(s) for s in shape),
+        k=max(shape),
         corner=tuple(int(c) for c in corner),
         r_near=r_near,
         r_mid=r_mid,
         r_far=r_far,
+        boundary_width=0,
+        shape=shape,
     )
-    tree = Octree.build(n, policy.region_rate, min_cell=min_cell)
-    return SamplingPattern(
-        n=n,
-        cells=tree.leaves,
-        subdomain_corner=policy.corner,
-        subdomain_size=policy.band_unit,
-    )
+    return _build(policy, min_cell)
 
 
 def build_flat_pattern(
@@ -431,10 +484,4 @@ def build_flat_pattern(
         boundary_width=0,
         boundary_rate=1,
     )
-    tree = Octree.build(n, policy.region_rate, min_cell=1)
-    return SamplingPattern(
-        n=n,
-        cells=tree.leaves,
-        subdomain_corner=policy.corner,
-        subdomain_size=k,
-    )
+    return _build(policy, 1)

@@ -30,7 +30,11 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.octree.cell import METADATA_INTS_PER_CELL, decode_metadata
+from repro.octree.cell import (
+    METADATA_INTS_PER_CELL,
+    check_grid_size,
+    decode_metadata,
+)
 from repro.octree.compress import CellSubset, CompressedField
 from repro.octree.sampling import SamplingPattern
 from repro.util import copytrack
@@ -208,13 +212,14 @@ def _decode_values(
 #: pattern carries everything derived from its geometry — coordinate sets,
 #: packed metadata, the key reconstruction plans are cached under — so
 #: decoding the same bytes again returns the same object instead of
-#: rebuilding the cell list.  The key is the exact ``(n, k, corner,
-#: metadata bytes, sizes bytes)``: a hit means byte-identical input, for
-#: which every check already ran and passed; bytes not seen before (one
-#: flipped bit included) go through :func:`decode_metadata` like any first
-#: decode.  Bounded by cells held: 2^18 is ~1000 banded patterns at n=64 /
-#: k=16 (a job there has 64) and well under 100 MB of cell objects.
-_PATTERNS: "WeightedLRU[SamplingPattern]" = WeightedLRU(max_weight=1 << 18)
+#: validating the table and deriving its arrays again.  The key is the
+#: exact ``(n, k, corner, metadata bytes, sizes bytes)``: a hit means
+#: byte-identical input, for which every check already ran and passed;
+#: bytes not seen before (one flipped bit included) go through
+#: :func:`decode_metadata` like any first decode.  Bounded by the bytes of
+#: the tables held (8 MiB; a banded n=64 / k=16 table is about 3 KB, and
+#: it aliases its key's bytes, so the key costs nothing more).
+_PATTERNS: "WeightedLRU[SamplingPattern]" = WeightedLRU(max_weight=8 << 20)
 
 
 def _decode_body(
@@ -241,26 +246,27 @@ def _decode_body(
     sizes_offset = offset + meta_bytes
     values_offset = sizes_offset + sizes_bytes
     # The two geometry sections (24 bytes a cell, never the values) are
-    # copied out as the intern key; on a hit that copy is all the decode
-    # costs, where it used to rebuild every cell object from them.
+    # copied out as the intern key, and a new pattern's table is a view of
+    # that copy; on a hit the copy is all the decode costs.
     meta = bytes(view[offset:sizes_offset])  # repro-lint: disable=WIRE002
     sizes = bytes(view[sizes_offset:values_offset])  # repro-lint: disable=WIRE002
     key = (n, k, corner, meta, sizes)
     pattern = _PATTERNS.get(key)
     if pattern is None:
-        try:
-            cells = decode_metadata(
-                np.frombuffer(meta, dtype=np.int32),
-                np.frombuffer(sizes, dtype=np.int32),
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"{exc} (cell metadata at offset {offset})"
-            ) from None
-        pattern = SamplingPattern(
-            n=n, cells=cells, subdomain_corner=corner, subdomain_size=k
+        table, cell_sizes = decode_metadata(
+            np.frombuffer(meta, dtype=np.int32),
+            np.frombuffer(sizes, dtype=np.int32),
+            n,
+            offset,
         )
-        pattern = _PATTERNS.put(key, pattern, len(cells))
+        pattern = SamplingPattern(
+            n=n,
+            table=table,
+            sizes=cell_sizes,
+            subdomain_corner=corner,
+            subdomain_size=k,
+        )
+        pattern = _PATTERNS.put(key, pattern, pattern.nbytes)
     values = _decode_values(
         view, values_offset, value_dtype, pattern.sample_count, out
     )
@@ -300,6 +306,21 @@ def _deserialize(
         raise ConfigurationError(
             f"unknown precision code {prec_code} at offset 64"
         )
+    # the grid bounds every count the body's validation computes
+    try:
+        check_grid_size(n)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{exc} (header n at offset 16)") from None
+    if not 0 <= k <= n:
+        raise ConfigurationError(
+            f"sub-domain size k={k} at offset 24 outside [0, n={n}]"
+        )
+    for axis, c in enumerate((cx, cy, cz)):
+        if not 0 <= c <= n - k:
+            raise ConfigurationError(
+                f"sub-domain corner {c} at offset {32 + 8 * axis} puts the "
+                f"k={k} box outside grid n={n}"
+            )
     return _decode_body(
         view,
         header_bytes,
@@ -321,8 +342,9 @@ def deserialize_compressed(payload: Payload) -> CompressedField:
     unmodified for the field's lifetime (receive arenas hand ownership of
     a frame's payload slab to the decoded field for exactly this reason).
 
-    Validates the magic number, version, counts, and total length, and
-    re-checks the octree cumulative-count invariant during decoding;
+    Validates the magic number, version, grid and sub-domain geometry,
+    counts, and total length, and checks every cell against the grid and
+    the cumulative-count invariant during decoding;
     anything that fails validation raises
     :class:`~repro.errors.ConfigurationError` naming the byte offset of
     the first problem.

@@ -31,6 +31,7 @@ from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import dist_run
 from repro.dist.worker import DistConfig, build_pipeline, composite_field
 from repro.errors import ExchangeFrameError
+from repro.octree.cell import samples_per_axis
 
 SHAPES = [dict(n=32, k=8), dict(n=64, k=16)]
 POLICIES = ["flat:2", "banded"]
@@ -47,9 +48,18 @@ def _serial(config: DistConfig):
     return _serial_memo[key]
 
 
+def _cells(pattern):
+    """``(corner, edge, samples)`` per row of a pattern's table."""
+    for (x, y, z, rate, _start), edge in zip(
+        pattern.table.tolist(), pattern.cell_sizes().tolist()
+    ):
+        yield (x, y, z), edge, int(samples_per_axis(edge, rate)) ** 3
+
+
 def _meets_rank(cell, k: int, m: int, size: int, rank: int) -> bool:
     """Brute force: does ``cell`` overlap any ``k^3`` box ``rank`` owns?"""
-    spans = [range(c // k, (c + cell.size - 1) // k + 1) for c in cell.corner]
+    corner, edge, _samples = cell
+    spans = [range(c // k, (c + edge - 1) // k + 1) for c in corner]
     return any(
         ((ix * m + iy) * m + iz) % size == rank
         for ix, iy, iz in itertools.product(*spans)
@@ -90,14 +100,14 @@ def test_peers_receive_exactly_their_cells(ranks, shape, policy, overlap, decode
         for index, f in fields.items():
             assert index % ranks == src
             received += 8 * f.values.size
-            for cell in f.pattern.cells:
+            for cell in _cells(f.pattern):
                 assert _meets_rank(cell, k, m, ranks, rank), (rank, src, index)
     brute = sum(
-        8 * cell.sample_count
+        8 * cell[2]
         for sub, f in serial.per_domain
         for dst in range(ranks)
         if dst != sub.index % ranks
-        for cell in f.pattern.cells
+        for cell in _cells(f.pattern)
         if _meets_rank(cell, k, m, ranks, dst)
     )
     assert received == report.predicted_value_bytes == brute

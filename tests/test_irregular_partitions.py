@@ -9,7 +9,7 @@ from repro.core.reference import reference_convolve
 from repro.errors import ConfigurationError, ShapeError
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.interpolate import reconstruct_dense
-from repro.octree.sampling import BoxRatePolicy, build_box_pattern
+from repro.octree.sampling import BandedRatePolicy, build_box_pattern
 from repro.util.arrays import embed_subcube, l2_relative_error
 
 
@@ -23,31 +23,41 @@ def setup(rng):
     return n, spec, shape, corner, sub
 
 
+def _box_policy(n, shape, corner):
+    """The banded schedule around a box, as the box builder sets it up."""
+    return BandedRatePolicy(
+        n=n, k=max(shape), corner=corner, boundary_width=0, shape=shape
+    )
+
+
 class TestBoxRatePolicy:
     def test_band_unit_is_max_edge(self):
-        pol = BoxRatePolicy(n=32, shape=(8, 16, 4), corner=(0, 0, 0))
-        assert pol.band_unit == 16
+        pat = build_box_pattern(32, (8, 16, 4), (0, 0, 0))
+        assert pat.subdomain_size == 16
+        with pytest.raises(ConfigurationError, match="largest edge"):
+            BandedRatePolicy(n=32, k=8, corner=(0, 0, 0), shape=(8, 16, 4))
 
     def test_inside_box_dense(self):
-        pol = BoxRatePolicy(n=32, shape=(8, 16, 4), corner=(4, 8, 12))
+        pol = _box_policy(32, (8, 16, 4), (4, 8, 12))
         assert pol.base_rate(0) == 1
+        assert pol.rate_at((11, 23, 15)) == 1
 
     def test_region_rate_brackets_bands(self):
-        pol = BoxRatePolicy(n=32, shape=(8, 8, 8), corner=(0, 0, 0))
-        rmin, rmax = pol.region_rate((0, 0, 0), (32, 32, 32))
-        assert rmin == 1
-        assert rmax >= pol.r_mid
+        pol = _box_policy(32, (8, 8, 8), (0, 0, 0))
+        rmin, rmax = pol.region_rates(np.zeros((1, 3)), 32)
+        assert rmin[0] == 1
+        assert rmax[0] >= pol.r_mid
 
     def test_box_outside_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            BoxRatePolicy(n=16, shape=(8, 8, 8), corner=(12, 0, 0))
+            _box_policy(16, (8, 8, 8), (12, 0, 0))
 
 
 class TestBoxPattern:
     def test_partition_covers_grid(self, setup):
         n, _spec, shape, corner, _sub = setup
         pat = build_box_pattern(n, shape, corner, min_cell=2)
-        assert sum(c.size**3 for c in pat.cells) == n**3
+        assert int((pat.cell_sizes().astype(np.int64) ** 3).sum()) == n**3
 
     def test_box_region_dense(self, setup):
         n, _spec, shape, corner, _sub = setup

@@ -1,4 +1,4 @@
-"""Tests for octree cells and the 5-int metadata codec."""
+"""Tests for cell lattices and the 5-int metadata table."""
 
 import numpy as np
 import pytest
@@ -8,58 +8,64 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.octree.cell import (
     METADATA_INTS_PER_CELL,
-    OctreeCell,
+    axis_offsets,
     decode_metadata,
-    encode_metadata,
+    pack_table,
+    samples_per_axis,
 )
+from repro.octree.sampling import SamplingPattern
+
+
+def _pattern(cells, n=16):
+    """A pattern over ``(corner, size, rate)`` cells, in the given order."""
+    corners, sizes, rates = zip(*cells)
+    table, sizes = pack_table(corners, sizes, rates)
+    return SamplingPattern(n=n, table=table, sizes=sizes)
 
 
 class TestOctreeCell:
     def test_dense_cell_samples_everything(self):
-        c = OctreeCell(corner=(0, 0, 0), size=4, rate=1)
-        assert c.samples_per_axis == 4
-        assert c.sample_count == 64
+        assert samples_per_axis(4, 1) == 4
+        assert _pattern([((0, 0, 0), 4, 1)]).sample_count == 64
 
     def test_rate_two_with_clamped_edge(self):
         # size 8 rate 2: strides 0,2,4,6 then clamp adds 7
-        c = OctreeCell(corner=(0, 0, 0), size=8, rate=2)
-        np.testing.assert_array_equal(c.axis_coords(0), [0, 2, 4, 6, 7])
-        assert c.samples_per_axis == 5
+        np.testing.assert_array_equal(axis_offsets(8, 2), [0, 2, 4, 6, 7])
+        assert samples_per_axis(8, 2) == 5
 
     def test_exact_stride_no_clamp(self):
         # size 9 rate 2: 0,2,4,6,8 — 8 is the far face already
-        c = OctreeCell(corner=(0, 0, 0), size=9, rate=2)
-        np.testing.assert_array_equal(c.axis_coords(0), [0, 2, 4, 6, 8])
+        np.testing.assert_array_equal(axis_offsets(9, 2), [0, 2, 4, 6, 8])
 
     def test_single_point_cell(self):
-        c = OctreeCell(corner=(3, 3, 3), size=1, rate=1)
-        assert c.sample_count == 1
-        np.testing.assert_array_equal(c.sample_coords(), [[3, 3, 3]])
+        pattern = _pattern([((3, 3, 3), 1, 1)])
+        assert pattern.sample_count == 1
+        np.testing.assert_array_equal(pattern.sample_coords, [[3, 3, 3]])
 
     def test_rate_equals_size(self):
-        c = OctreeCell(corner=(0, 0, 0), size=4, rate=4)
-        np.testing.assert_array_equal(c.axis_coords(0), [0, 3])
+        np.testing.assert_array_equal(axis_offsets(4, 4), [0, 3])
 
     def test_coords_absolute(self):
-        c = OctreeCell(corner=(10, 20, 30), size=2, rate=1)
-        coords = c.sample_coords()
+        coords = _pattern([((10, 20, 30), 2, 1)], n=32).sample_coords
         assert coords[:, 0].min() == 10
         assert coords[:, 1].min() == 20
         assert coords[:, 2].min() == 30
 
     def test_contains(self):
-        c = OctreeCell(corner=(4, 4, 4), size=4, rate=1)
-        assert c.contains((4, 7, 5))
-        assert not c.contains((8, 4, 4))
-        assert not c.contains((3, 4, 4))
+        """A cell's lattice stays inside the cell."""
+        coords = _pattern([((4, 4, 4), 4, 3)]).sample_coords
+        assert ((coords >= 4) & (coords < 8)).all()
+        assert {7} <= set(coords[:, 0].tolist())
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ConfigurationError):
-            OctreeCell(corner=(0, 0, 0), size=0, rate=1)
-        with pytest.raises(ConfigurationError):
-            OctreeCell(corner=(0, 0, 0), size=4, rate=0)
-        with pytest.raises(ConfigurationError):
-            OctreeCell(corner=(-1, 0, 0), size=4, rate=1)
+        # (metadata index, size) of: a zero edge, a zero rate, a negative corner
+        for field, size in [(None, 0), (3, 4), (0, 4)]:
+            table, _sizes = pack_table([(0, 0, 0)], [4], [1])
+            meta = table.reshape(-1).copy()
+            if field is not None:
+                meta[field] = -4 if field == 0 else 0
+            with pytest.raises(ConfigurationError):
+                decode_metadata(meta, [size], n=16)
 
     @given(
         st.integers(min_value=1, max_value=32),
@@ -67,59 +73,59 @@ class TestOctreeCell:
     )
     @settings(max_examples=50, deadline=None)
     def test_sample_count_matches_coords(self, size, rate):
-        c = OctreeCell(corner=(0, 0, 0), size=size, rate=rate)
-        assert c.sample_count == len(c.sample_coords())
-        assert c.samples_per_axis == len(c.axis_coords(0))
+        offsets = axis_offsets(size, rate)
+        assert samples_per_axis(size, rate) == len(offsets)
+        assert offsets.dtype == np.intp
         # far face always covered
-        assert c.axis_coords(0)[-1] == size - 1
+        assert offsets[-1] == size - 1
 
 
 class TestMetadataCodec:
-    def _cells(self):
-        return [
-            OctreeCell(corner=(0, 0, 0), size=4, rate=1),
-            OctreeCell(corner=(4, 0, 0), size=4, rate=2),
-            OctreeCell(corner=(0, 4, 0), size=8, rate=4),
-        ]
+    CELLS = [((0, 0, 0), 4, 1), ((4, 0, 0), 4, 2), ((0, 8, 0), 8, 4)]
+
+    def _table(self):
+        corners, sizes, rates = zip(*self.CELLS)
+        return pack_table(corners, sizes, rates)
 
     def test_layout_five_ints(self):
-        meta = encode_metadata(self._cells())
-        assert meta.dtype == np.int32
-        assert meta.size == 3 * METADATA_INTS_PER_CELL
+        table, sizes = self._table()
+        assert table.dtype == np.int32 and sizes.dtype == np.int32
+        assert table.shape == (3, METADATA_INTS_PER_CELL)
 
     def test_cumulative_counts(self):
-        cells = self._cells()
-        meta = encode_metadata(cells)
-        assert meta[4] == 0
-        assert meta[9] == cells[0].sample_count
-        assert meta[14] == cells[0].sample_count + cells[1].sample_count
+        table, sizes = self._table()
+        counts = samples_per_axis(sizes, table[:, 3]) ** 3
+        assert table[0, 4] == 0
+        assert table[1, 4] == counts[0]
+        assert table[2, 4] == counts[0] + counts[1]
 
     def test_roundtrip(self):
-        cells = self._cells()
-        meta = encode_metadata(cells)
-        decoded = decode_metadata(meta, [c.size for c in cells])
-        assert decoded == cells
+        table, sizes = self._table()
+        decoded, decoded_sizes = decode_metadata(table.reshape(-1), sizes, n=16)
+        assert np.array_equal(decoded, table) and np.array_equal(decoded_sizes, sizes)
+        assert not decoded.flags.writeable and not decoded_sizes.flags.writeable
+        assert np.shares_memory(decoded, table)
 
     def test_corrupted_cumulative_detected(self):
-        cells = self._cells()
-        meta = encode_metadata(cells).copy()
+        table, sizes = self._table()
+        meta = table.reshape(-1).copy()
         meta[9] += 1
-        with pytest.raises(ConfigurationError, match="cumulative"):
-            decode_metadata(meta, [c.size for c in cells])
+        with pytest.raises(ConfigurationError, match="cumulative.*cell 1.* byte 36"):
+            decode_metadata(meta, sizes, n=16)
 
     def test_wrong_length_detected(self):
         with pytest.raises(ConfigurationError):
-            decode_metadata(np.zeros(7, dtype=np.int32), [1])
+            decode_metadata(np.zeros(7, dtype=np.int32), [1], n=16)
 
     def test_size_count_mismatch(self):
-        meta = encode_metadata(self._cells())
+        table, _sizes = self._table()
         with pytest.raises(ConfigurationError):
-            decode_metadata(meta, [4, 4])
+            decode_metadata(table.reshape(-1), [4, 4], n=16)
 
     @given(st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=100),
-            st.integers(min_value=1, max_value=16),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=127),
             st.integers(min_value=1, max_value=16),
         ),
         min_size=1,
@@ -127,8 +133,11 @@ class TestMetadataCodec:
     ))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, specs):
-        cells = [
-            OctreeCell(corner=(c, c, c), size=s, rate=r) for c, s, r in specs
-        ]
-        decoded = decode_metadata(encode_metadata(cells), [c.size for c in cells])
-        assert decoded == cells
+        """Any cells on their own lattice inside the grid decode as packed."""
+        n = 128
+        sizes = [1 << e for e, _c, _r in specs]
+        corners = [((c * s) % n,) * 3 for (_e, c, _r), s in zip(specs, sizes)]
+        table, sizes = pack_table(corners, sizes, [r for _e, _c, r in specs])
+        decoded, decoded_sizes = decode_metadata(table.reshape(-1), sizes, n=n)
+        assert decoded.tobytes() == table.tobytes()
+        assert decoded_sizes.tobytes() == sizes.tobytes()

@@ -79,6 +79,14 @@ def _oracle_axis_matrix(coords, query, nearest):
     return w
 
 
+def _oracle_axis_coords(c, size, rate):
+    """A cell axis's stride lattice, clamped to its far face."""
+    coords = np.arange(c, c + size, rate, dtype=np.intp)
+    if coords[-1] != c + size - 1:
+        coords = np.append(coords, c + size - 1)
+    return coords
+
+
 def oracle_reconstruct_box(compressed, corner, shape, method="linear", out=None):
     """One Python iteration and three ``tensordot``s per cell."""
     lo = tuple(int(c) for c in corner)
@@ -86,18 +94,21 @@ def oracle_reconstruct_box(compressed, corner, shape, method="linear", out=None)
     if out is None:
         out = np.zeros(tuple(int(s) for s in shape), dtype=np.float64)
     nearest = method == "nearest"
-    meta = compressed.pattern.metadata()
-    for idx, cell in enumerate(compressed.pattern.cells):
-        ilo = [max(cell.corner[d], lo[d]) for d in range(3)]
-        ihi = [min(cell.corner[d] + cell.size, hi[d]) for d in range(3)]
+    pattern = compressed.pattern
+    for (x, y, z, rate, offset), size in zip(
+        pattern.table.tolist(), pattern.cell_sizes().tolist()
+    ):
+        corner = (x, y, z)
+        ilo = [max(corner[d], lo[d]) for d in range(3)]
+        ihi = [min(corner[d] + size, hi[d]) for d in range(3)]
         if any(a >= b for a, b in zip(ilo, ihi)):
             continue
-        offset = int(meta[idx * 5 + 4])
-        s = cell.samples_per_axis
-        block = compressed.values[offset : offset + cell.sample_count].reshape(s, s, s)
+        axes = [_oracle_axis_coords(c, size, rate) for c in corner]
+        s = len(axes[0])
+        block = compressed.values[offset : offset + s**3].reshape(s, s, s)
         wx, wy, wz = (
             _oracle_axis_matrix(
-                cell.axis_coords(d).astype(np.float64),
+                axes[d].astype(np.float64),
                 np.arange(ilo[d], ihi[d], dtype=np.float64),
                 nearest,
             )
@@ -386,7 +397,7 @@ class TestSharedTablesUnderThreads:
 
     def test_concurrent_decodes_intern_one_pattern_per_payload(self, monkeypatch):
         fields = [_field(16, 4, "banded", i) for i in range(6)]
-        budget = 3 * max(f.pattern.num_cells for f in fields)
+        budget = 3 * max(f.pattern.nbytes for f in fields)
         table = WeightedLRU(max_weight=budget)
         monkeypatch.setattr(serialize, "_PATTERNS", table)
         payloads = [serialize_compressed(f) for f in fields]
@@ -395,10 +406,10 @@ class TestSharedTablesUnderThreads:
             for i in range(30):
                 j = (worker + i) % len(fields)
                 back = deserialize_compressed(payloads[j])
-                assert back.pattern.cells == fields[j].pattern.cells
+                assert back.pattern.geometry_key == fields[j].pattern.geometry_key
 
         self._hammer(work)
-        assert table.weight == sum(p.num_cells for p, _w in table._entries.values())
+        assert table.weight == sum(p.nbytes for p, _w in table._entries.values())
         assert table.weight <= budget
         # quiescent again: one object per payload
         a = deserialize_compressed(payloads[0]).pattern
@@ -528,7 +539,7 @@ class TestPatternInterning:
         first = deserialize_compressed(payload)
         second = deserialize_compressed(bytearray(payload))
         assert first.pattern is second.pattern
-        assert first.pattern.cells == cf.pattern.cells
+        assert first.pattern.geometry_key == cf.pattern.geometry_key
         assert first.values is not second.values
         # other values over the same geometry: still the same pattern
         other = deserialize_compressed(
@@ -564,7 +575,7 @@ class TestPatternInterning:
 
     def test_table_stays_bounded(self, monkeypatch):
         fields = [_field(16, 4, "banded", i) for i in range(12)]
-        budget = 3 * max(f.pattern.num_cells for f in fields)
+        budget = 3 * max(f.pattern.nbytes for f in fields)
         table = WeightedLRU(max_weight=budget)
         monkeypatch.setattr(serialize, "_PATTERNS", table)
         payloads = [serialize_compressed(f) for f in fields]
@@ -572,9 +583,9 @@ class TestPatternInterning:
             deserialize_compressed(payload)
             assert table.weight <= budget
         assert 1 <= len(table) < len(fields)
-        assert table.weight == sum(p.num_cells for p, _w in table._entries.values())
+        assert table.weight == sum(p.nbytes for p, _w in table._entries.values())
         # the most recent survives, the oldest was dropped and decodes afresh
         last = deserialize_compressed(payloads[-1]).pattern
         assert deserialize_compressed(payloads[-1]).pattern is last
         again = deserialize_compressed(payloads[0])
-        assert again.pattern.cells == fields[0].pattern.cells
+        assert again.pattern.geometry_key == fields[0].pattern.geometry_key

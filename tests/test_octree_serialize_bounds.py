@@ -41,7 +41,7 @@ class TestSerialization:
         assert back.pattern.n == compressed_field.pattern.n
         assert back.pattern.subdomain_corner == (4, 8, 0)
         assert back.pattern.subdomain_size == 4
-        assert back.pattern.cells == compressed_field.pattern.cells
+        assert back.pattern.geometry_key == compressed_field.pattern.geometry_key
 
     def test_roundtrip_reconstruction_identical(self, compressed_field):
         back = deserialize_compressed(serialize_compressed(compressed_field))
@@ -104,7 +104,7 @@ class TestSerialization:
         cf = CompressedField.from_dense(r.standard_normal((16, 16, 16)), pat)
         back = deserialize_compressed(serialize_compressed(cf))
         np.testing.assert_array_equal(back.values, cf.values)
-        assert back.pattern.cells == cf.pattern.cells
+        assert back.pattern.geometry_key == cf.pattern.geometry_key
 
 
 def _legacy_payload(cf):
@@ -169,7 +169,141 @@ class TestLegacyFormat:
             deserialize_compressed(payload[: 6 * 8 + 4])
 
 
+_HEADER = 9 * 8
+
+
+def _record(cf):
+    """A mutable copy of ``cf``'s record, its cell count and the byte
+    offsets of its metadata rows and of its cell sizes."""
+    payload = bytearray(serialize_compressed(cf))
+    cells = cf.pattern.num_cells
+    return payload, cells, _HEADER, _HEADER + 20 * cells
+
+
+def _put(payload, offset, value, dtype=np.int32):
+    payload[offset : offset + np.dtype(dtype).itemsize] = np.array(value, dtype).tobytes()
+
+
+class TestGridChecks:
+    """A record may only describe cells of its own grid, and a header only
+    a sub-domain inside it: each rule names the cell and the byte offset."""
+
+    def test_cell_outside_grid_rejected(self, compressed_field):
+        payload, cells, rows, _sizes = _record(compressed_field)
+        last = rows + 20 * (cells - 1)
+        _put(payload, last, 1000)
+        with pytest.raises(ConfigurationError, match=rf"cell {cells - 1} at byte {last} .*grid n=16"):
+            deserialize_compressed(bytes(payload))
+
+    def test_corner_off_its_lattice_rejected(self, compressed_field):
+        payload, _cells, rows, sizes = _record(compressed_field)
+        big = int(np.argmax(compressed_field.pattern.cell_sizes()))
+        corner = int(compressed_field.pattern.table[big, 0])
+        _put(payload, rows + 20 * big, corner + 1)
+        with pytest.raises(ConfigurationError, match=rf"cell {big} at byte {rows + 20 * big} .*lattice"):
+            deserialize_compressed(bytes(payload))
+
+    def test_size_not_power_of_two_rejected(self, compressed_field):
+        payload, _cells, _rows, sizes = _record(compressed_field)
+        _put(payload, sizes, 3)
+        with pytest.raises(ConfigurationError, match=rf"cell 0 has edge 3 at byte {sizes}"):
+            deserialize_compressed(bytes(payload))
+
+    def test_size_above_grid_rejected(self, compressed_field):
+        payload, _cells, _rows, sizes = _record(compressed_field)
+        _put(payload, sizes + 4, 32)
+        with pytest.raises(ConfigurationError, match=rf"cell 1 has edge 32 at byte {sizes + 4}"):
+            deserialize_compressed(bytes(payload))
+
+    def test_overflowing_size_rejected(self, compressed_field):
+        """2^22 at rate 1 would wrap ``size^3`` in int64 count arithmetic."""
+        payload, _cells, rows, sizes = _record(compressed_field)
+        _put(payload, sizes, 1 << 22)
+        _put(payload, rows + 12, 1)
+        with pytest.raises(ConfigurationError, match=rf"cell 0 has edge {1 << 22} at byte {sizes}"):
+            deserialize_compressed(bytes(payload))
+        # nor may the header claim a grid whose cells could
+        payload, *_ = _record(compressed_field)
+        _put(payload, 16, 1 << 22, np.int64)
+        with pytest.raises(ConfigurationError, match=r"got 4194304 \(header n at offset 16\)"):
+            deserialize_compressed(bytes(payload))
+
+    def test_grid_not_power_of_two_rejected(self, compressed_field):
+        payload, *_ = _record(compressed_field)
+        _put(payload, 16, 24, np.int64)
+        with pytest.raises(ConfigurationError, match=r"got 24 \(header n at offset 16\)"):
+            deserialize_compressed(bytes(payload))
+
+    def test_zero_rate_rejected(self, compressed_field):
+        payload, _cells, rows, _sizes = _record(compressed_field)
+        _put(payload, rows + 20 + 12, 0)
+        with pytest.raises(ConfigurationError, match=rf"cell 1 has rate 0 at byte {rows + 32}"):
+            deserialize_compressed(bytes(payload))
+
+    def test_header_k_above_n_rejected(self, compressed_field):
+        payload, *_ = _record(compressed_field)
+        _put(payload, 24, 999, np.int64)
+        with pytest.raises(ConfigurationError, match=r"k=999 at offset 24"):
+            deserialize_compressed(bytes(payload))
+
+    @pytest.mark.parametrize("axis,corner", [(0, 13), (1, -1), (2, 16)])
+    def test_header_box_outside_grid_rejected(self, compressed_field, axis, corner):
+        payload, *_ = _record(compressed_field)
+        _put(payload, 32 + 8 * axis, corner, np.int64)
+        with pytest.raises(ConfigurationError, match=rf"corner {corner} at offset {32 + 8 * axis}"):
+            deserialize_compressed(bytes(payload))
+
+    def test_partial_subset_records_still_decode(self):
+        from repro.core.accumulate import cells_touching_rank
+        from repro.octree.serialize import serialize_segments
+
+        pat = build_adaptive_pattern(32, 8, (8, 16, 0))
+        cf = CompressedField(pat, np.arange(pat.sample_count, dtype=np.float64))
+        subset = cells_touching_rank(pat, 8, 3, 1)
+        assert 0 < subset.num_cells < pat.num_cells
+        back = deserialize_compressed(b"".join(serialize_segments(cf, cells=subset)))
+        assert back.pattern.metadata().tobytes() == subset.metadata.tobytes()
+        assert back.values.size == subset.sample_count
+
+
+def _per_cell_error_bound(pattern, kernel_spatial, input_l1):
+    """``pipeline_error_bound`` as the per-cell loop it replaced."""
+    radii, envelope = radial_hessian_envelope(kernel_spatial)
+    sub_lo = pattern.subdomain_corner
+    sub_hi = [c + pattern.subdomain_size - 1 for c in sub_lo]
+    total_sq = 0.0
+    for (x, y, z, rate, _start), size in zip(
+        pattern.table.tolist(), pattern.cell_sizes().tolist()
+    ):
+        if rate <= 1:
+            continue
+        gaps = [
+            max(sub_lo[a] - (c + size - 1), c - sub_hi[a], 0)
+            for a, c in enumerate((x, y, z))
+        ]
+        m2 = input_l1 * float(np.interp(float(max(gaps)), radii, envelope))
+        bound = trilinear_cell_bound(float(rate), m2)
+        total_sq += size**3 * bound * bound
+    return float(np.sqrt(total_sq))
+
+
 class TestErrorBounds:
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            build_adaptive_pattern(32, 8, (8, 8, 16), boundary_width=2),
+            build_adaptive_pattern(64, 16, (16, 48, 0), min_cell=2),
+            build_flat_pattern(32, 8, (12, 12, 12), r=4),
+        ],
+        ids=["banded-boundary", "banded-n64", "flat:4"],
+    )
+    def test_vectorised_bound_matches_per_cell_loop(self, pattern):
+        g = GaussianKernel(n=pattern.n, sigma=2.0).spatial()
+        got = pipeline_error_bound(pattern, g, input_l1=300.0)
+        want = _per_cell_error_bound(pattern, g, input_l1=300.0)
+        assert want > 0
+        assert abs(got - want) <= 1e-12 * want
+
     def test_trilinear_bound_formula(self):
         assert trilinear_cell_bound(2.0, 0.5) == pytest.approx(0.375 * 4 * 0.5)
 

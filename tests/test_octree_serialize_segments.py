@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.octree.cell import METADATA_INTS_PER_CELL, OctreeCell
+from repro.octree.cell import METADATA_INTS_PER_CELL, pack_table
 from repro.octree.compress import CompressedField
 from repro.octree.sampling import SamplingPattern, build_flat_pattern
 from repro.octree.serialize import (
@@ -56,8 +56,11 @@ def field(rng):
 
 
 def _make(cells, n=16, k=4):
+    """A field over ``(corner, size, rate)`` cells, in the given order."""
+    corners, sizes, rates = zip(*cells) if cells else ((), (), ())
+    table, sizes = pack_table(corners, sizes, rates)
     pattern = SamplingPattern(
-        n=n, cells=cells, subdomain_corner=(0, 0, 0), subdomain_size=k
+        n=n, table=table, sizes=sizes, subdomain_corner=(0, 0, 0), subdomain_size=k
     )
     values = np.arange(pattern.sample_count, dtype=np.float64) + 0.5
     return CompressedField(pattern=pattern, values=values)
@@ -203,20 +206,21 @@ class TestEdgeCases:
         assert back.values.size == 0
 
     def test_single_cell_roundtrips(self):
-        field = _make([OctreeCell((0, 0, 0), 4, 2)])
+        field = _make([((0, 0, 0), 4, 2)])
         back = deserialize_compressed(serialize_compressed(field))
-        assert back.pattern.cells == field.pattern.cells
+        assert back.pattern.geometry_key == field.pattern.geometry_key
         np.testing.assert_array_equal(back.values, field.values)
 
     def test_ragged_cell_sizes_roundtrip(self):
         cells = [
-            OctreeCell((0, 0, 0), 4, 2),
-            OctreeCell((4, 0, 0), 2, 1),
-            OctreeCell((6, 0, 0), 1, 1),
+            ((0, 0, 0), 4, 2),
+            ((4, 0, 0), 2, 1),
+            ((6, 0, 0), 1, 1),
         ]
         field = _make(cells)
         back = deserialize_compressed(serialize_compressed(field))
-        assert back.pattern.cells == cells
+        assert back.pattern.table[:, :4].tolist() == [[*c, r] for c, _s, r in cells]
+        assert back.pattern.cell_sizes().tolist() == [s for _c, s, _r in cells]
         np.testing.assert_array_equal(back.values, field.values)
 
     def test_legacy_headerless_payload_is_rejected(self, field):
