@@ -1,20 +1,25 @@
 """Benchmarks for the extension features built beyond the paper's POC:
 content-adaptive decomposition (the paper's "irregular partitions" remark),
-worker batch processing on the simulated cluster (§3.1/§5.1), the wire
+worker batch processing across ranks (§3.1/§5.1), the wire
 serialization of compressed fields, and the a-priori error bound (§5.3
 future work).
 """
 
+from dataclasses import replace
+
 import numpy as np
 from conftest import emit
 
+from repro.cluster.cost import makespan, pruned_conv_time
 from repro.cluster.device import V100_32GB
+from repro.cluster.memory import MemoryTracker
 from repro.core.adaptive import AdaptiveConvolution
 from repro.core.decomposition import DomainDecomposition
-from repro.core.distributed_runner import DistributedLowCommConvolution
-from repro.core.policy import SamplingPolicy
+from repro.core.pipeline import LowCommConvolution3D
+from repro.core.policy import SamplingPolicy, parse_policy
 from repro.core.reference import reference_convolve, reference_subdomain_convolve
 from repro.core.local_conv import LocalConvolution
+from repro.dist import DistConfig, dist_run
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.error_bounds import pipeline_error_bound
 from repro.octree.interpolate import reconstruct_dense
@@ -44,26 +49,37 @@ def test_adaptive_vs_regular_on_sparse_input(benchmark):
 
 
 def test_worker_pool_batching(benchmark):
-    """Multiple chunks batch-processed per worker; makespan scales."""
+    """Multiple chunks batch-processed per rank; modelled makespan scales
+    with the chunk counts the ranks report."""
     n, k = 16, 4
     rng = np.random.default_rng(0)
-    spec = GaussianKernel(n=n, sigma=1.2).spectrum()
     d = DomainDecomposition(n, k)
     field = np.zeros((n, n, n))
     for i in range(16):
         field[d.subdomain(i).slices()] = rng.standard_normal((k, k, k))
-    runner = DistributedLowCommConvolution(
-        n, k, spec, SamplingPolicy.flat_rate(2), device=V100_32GB, batch=64
+    config = DistConfig(n=n, k=k, sigma=1.2, policy="flat:2", batch=64)
+    chunk_s = pruned_conv_time(
+        V100_32GB, n, k, parse_policy(config.policy).average_rate(), batch=64
     )
 
-    rep = benchmark(runner.run, field, 4)
-    compute = max(rep.per_rank_compute_s)
+    def compute_makespan(ranks):
+        report = dist_run(replace(config, num_ranks=ranks), field=field)
+        chunks = [r.num_chunks for r in report.rank_results.values()]
+        return makespan(chunks, chunk_s, [0.0] * ranks), chunks
+
+    compute, chunks = benchmark(compute_makespan, 4)
+    memory = MemoryTracker(capacity_bytes=V100_32GB.memory_bytes)
+    LowCommConvolution3D(
+        n, k, GaussianKernel(n=n, sigma=1.2).spectrum(),
+        SamplingPolicy.flat_rate(2), batch=64, memory=memory,
+    ).run_serial(field)
     emit(
-        f"4 workers x 4 chunks each, modeled makespan {rep.makespan_s * 1e3:.2f} ms "
-        f"(compute {compute * 1e3:.2f} ms), peak device memory "
-        f"{runner.pipeline.memory.peak_bytes / 1e6:.2f} MB"
+        f"4 workers x {chunks} chunks, modeled compute makespan "
+        f"{compute * 1e3:.2f} ms, peak device memory "
+        f"{memory.peak_bytes / 1e6:.2f} MB"
     )
-    assert compute == max(runner.run(field, 1).per_rank_compute_s) / 4
+    assert chunks == [4, 4, 4, 4]
+    assert compute == compute_makespan(1)[0] / 4
 
 
 def test_wire_serialization_roundtrip(benchmark):

@@ -1,7 +1,8 @@
 """E13 — multi-node deployment: strong scaling of the full pipeline.
 
 The paper's §4 defers multi-node deployment to future work; this benchmark
-runs it on the simulated cluster and makes the trade explicit:
+runs it on real ranks over the loopback transport, models it closed-form
+at the paper's scale, and makes the trade explicit:
 
 - **scaling shape**: our pipeline is embarrassingly parallel (chunks per
   rank, one sparse exchange) and keeps near-perfect efficiency to
@@ -14,20 +15,25 @@ runs it on the simulated cluster and makes the trade explicit:
   communication (recorded in EXPERIMENTS.md).
 """
 
+from dataclasses import replace
+
 import numpy as np
 from conftest import emit
 
 from repro.analysis.tables import format_table
+from repro.cluster.cost import makespan, pruned_conv_time
 from repro.cluster.device import V100_32GB
+from repro.cluster.network import Link
 from repro.core.distributed_runner import (
-    DistributedLowCommConvolution,
     compute_amplification,
     min_feasible_ranks_traditional,
     parallel_efficiency,
     strong_scaling_curve,
 )
-from repro.core.policy import SamplingPolicy
+from repro.core.policy import parse_policy
 from repro.core.reference import reference_convolve
+from repro.dist import DistConfig, dist_run
+from repro.dist.ledger import CATEGORY_DATA, CATEGORY_EXCHANGE, alltoall_rounds
 from repro.kernels.gaussian import GaussianKernel
 from repro.util.arrays import l2_relative_error
 
@@ -71,25 +77,43 @@ def test_feasibility_headline(benchmark):
 
 
 def test_executed_multinode_run(benchmark):
-    """Small-scale end-to-end run on the simulated cluster: correct result,
-    zero all-to-alls, makespan shrinking with ranks."""
+    """Small-scale end-to-end run on loopback ranks: correct result, zero
+    all-to-alls, modelled makespan shrinking with ranks.  The makespan is
+    each rank's convolved chunks on the device model plus the alpha-beta
+    time of the exchange bytes its wire ledger counted."""
     n, k = 32, 8
-    spec = GaussianKernel(n=n, sigma=1.5).spectrum()
     field = np.zeros((n, n, n))
     field[8:24, 8:24, 8:24] = 1.0
-    runner = DistributedLowCommConvolution(
-        n, k, spec, SamplingPolicy.flat_rate(2), batch=256
+    config = DistConfig(
+        n=n, k=k, sigma=1.5, policy="flat:2", batch=256, transport="local"
     )
+    chunk_s = pruned_conv_time(
+        V100_32GB, n, k, parse_policy(config.policy).average_rate(), batch=256
+    )
+    link = Link()
 
-    rep4 = benchmark(runner.run, field, 4)
-    rep1 = runner.run(field, 1)
-    exact = reference_convolve(field, spec)
+    def run(ranks):
+        report = dist_run(replace(config, num_ranks=ranks), field=field)
+        results = [report.rank_results[rank] for rank in range(ranks)]
+        model = makespan(
+            [r.num_chunks for r in results],
+            chunk_s,
+            [link.ledger_time(r.wire, CATEGORY_EXCHANGE) for r in results],
+        )
+        return report, model
+
+    rep4, makespan4 = benchmark(run, 4)
+    _rep1, makespan1 = run(1)
+    exact = reference_convolve(field, GaussianKernel(n=n, sigma=1.5).spectrum())
+    wires = [r.wire for r in rep4.rank_results.values()]
+    rounds = alltoall_rounds(wires, CATEGORY_DATA)
     emit(
-        f"P=1 makespan {rep1.makespan_s * 1e3:.2f} ms -> "
-        f"P=4 makespan {rep4.makespan_s * 1e3:.2f} ms; "
+        f"P=1 makespan {makespan1 * 1e3:.2f} ms -> "
+        f"P=4 makespan {makespan4 * 1e3:.2f} ms; "
         f"error {l2_relative_error(rep4.approx, exact):.4f}; "
-        f"all-to-alls {rep4.alltoall_rounds}"
+        f"all-to-alls {rounds}"
     )
-    assert rep4.alltoall_rounds == 0
-    assert rep4.makespan_s < rep1.makespan_s
+    assert rounds == 0
+    assert alltoall_rounds(wires, CATEGORY_EXCHANGE) == 1
+    assert makespan4 < makespan1
     assert l2_relative_error(rep4.approx, exact) < 0.05

@@ -1,10 +1,10 @@
-"""Scaling study on the simulated cluster: where the communication goes.
+"""Scaling study: where the communication goes.
 
 Reproduces the paper's communication story end to end:
 
 1. Executes a traditional pencil-decomposed distributed convolution and
-   the low-communication pipeline over a simulated 4-rank cluster and
-   reads the traffic ledgers (Figure 1).
+   the low-communication pipeline on 4 loopback ranks and reads their
+   wire ledgers (Figure 1).
 2. Sweeps worker counts through the Eq 1 / Eq 6 cost models.
 3. Shows the heFFTe-style overlap curve saturating like plain MPI FFT.
 
@@ -23,13 +23,14 @@ def main() -> None:
     res = run_fig1_comm_rounds(n=32, k=8, p=4, r=4)
     print(
         format_table(
-            ["pipeline", "all-to-all rounds", "bytes on wire"],
+            ["pipeline", "all-to-all rounds", "exchanges", "bytes on wire"],
             [
                 ["traditional (4 = 2 per FFT x 2 FFTs)", res.traditional_rounds,
-                 res.traditional_bytes],
-                ["ours (1 sparse allgather)", res.ours_rounds, res.ours_bytes],
+                 res.traditional_exchanges, res.traditional_bytes],
+                ["ours (1 sparse exchange)", res.ours_rounds, res.ours_exchanges,
+                 res.ours_bytes],
             ],
-            title="Executed on a simulated 4-rank cluster (N=32, k=8, r=4)",
+            title="Executed on 4 loopback ranks (N=32, k=8, r=4)",
         )
     )
     print(f"traditional result exact: {res.results_match}; "

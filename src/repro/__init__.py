@@ -7,15 +7,15 @@ convolution* (ICPP Workshops 2022).
 Sub-packages
 ------------
 - :mod:`repro.fft` — the pruned staged 3D transform over :mod:`numpy.fft`.
-- :mod:`repro.cluster` — simulated HPC substrate (devices, memory, network,
-  communicator, cuFFT workspace model).
+- :mod:`repro.cluster` — simulated HPC substrate (devices, memory, the
+  alpha-beta network model, cuFFT workspace model).
 - :mod:`repro.octree` — octree-based adaptive multi-resolution sampling.
 - :mod:`repro.kernels` — Green's-function-like convolution kernels.
 - :mod:`repro.core` — the paper's contribution: the low-communication
   convolution pipeline, cost models, and autotuning.
 - :mod:`repro.massif` — the MASSIF Hooke's-law fixed-point solver use case.
-- :mod:`repro.baselines` — traditional distributed FFT convolution and
-  related baselines.
+- :mod:`repro.baselines` — cost models of the traditional pipelines (the
+  executed distributed FFT convolution is :mod:`repro.dist.traditional`).
 - :mod:`repro.fftx` — a miniature FFTX-style plan DSL (paper §6).
 - :mod:`repro.serve` — the serving layer: a batching convolution service
   with admission control, request lifecycle tracking, and metrics.

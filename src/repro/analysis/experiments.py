@@ -15,8 +15,6 @@ import numpy as np
 
 from repro.analysis.report import ExperimentReport
 from repro.baselines.single_gpu import max_dense_grid
-from repro.baselines.traditional_conv import TraditionalDistributedConvolution
-from repro.cluster.comm import SimulatedComm
 from repro.cluster.cost import (
     comm_time_ours,
     comm_time_traditional_fft,
@@ -27,10 +25,18 @@ from repro.cluster.cufft_model import CufftWorkspaceModel
 from repro.cluster.device import Device, V100_16GB, V100_32GB, XEON_GOLD_6148
 from repro.cluster.network import Link
 from repro.core.costmodel import table1_rows
-from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.local_conv import LocalConvolution
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve, reference_subdomain_convolve
+from repro.dist.launcher import dist_run
+from repro.dist.ledger import (
+    CATEGORY_BCAST,
+    CATEGORY_DATA,
+    CATEGORY_EXCHANGE,
+    alltoall_rounds,
+)
+from repro.dist.traditional import traditional_convolve
+from repro.dist.worker import DistConfig
 from repro.kernels.gaussian import GaussianKernel
 from repro.kernels.green_massif import LameParameters
 from repro.massif.elasticity import StiffnessField, isotropic_stiffness
@@ -245,10 +251,19 @@ def run_table4_memory(
 
 @dataclass
 class CommRoundsResult:
+    """Fig 1, read off the two pipelines' wire ledgers (bytes summed over
+    ranks, frame headers included; rounds and alpha-beta time per rank)."""
+
     traditional_rounds: int
+    traditional_exchanges: int
     traditional_bytes: int
+    traditional_input_bytes: int
+    traditional_comm_s: float
     ours_rounds: int
+    ours_exchanges: int
     ours_bytes: int
+    ours_input_bytes: int
+    ours_comm_s: float
     results_match: bool
     approx_error: float
 
@@ -256,31 +271,43 @@ class CommRoundsResult:
 def run_fig1_comm_rounds(
     n: int = 32, k: int = 8, p: int = 4, r: int = 4, sigma: float = 2.0
 ) -> CommRoundsResult:
-    """Execute both pipelines over the simulated cluster and read the ledgers.
+    """Run both pipelines on ``p`` loopback ranks and read their ledgers.
 
     Traditional pencil convolution: 4 all-to-all rounds (2 per transform).
-    Ours: zero all-to-alls; one sparse allgather at accumulation.
+    Ours: zero all-to-alls; one sparse exchange at accumulation.  Rounds
+    are a rank's sent frames over its ``p - 1`` peers, the same on every
+    rank; the alpha-beta time is the slowest rank's, over its transposes
+    (traditional) or its exchange (ours), on the default :class:`Link`.
     """
     spec = GaussianKernel(n=n, sigma=sigma).spectrum()
     field = np.zeros((n, n, n))
     field[k : 3 * k, k : 3 * k, k : 3 * k] = 1.0  # a smooth inclusion block
     exact = reference_convolve(field, spec)
+    link = Link()
 
-    comm_trad = SimulatedComm(p)
-    trad = TraditionalDistributedConvolution(n, comm_trad, mode="pencil")
-    res_trad = trad.convolve(field, spec)
-
-    res_ours = DistributedLowCommConvolution(
-        n, k, spec, SamplingPolicy.flat_rate(r), batch=n
-    ).run(field, p)
+    trad = traditional_convolve(field, spec, p, mode="pencil")
+    ours = dist_run(
+        DistConfig(
+            n=n, k=k, sigma=sigma, policy=f"flat:{r}", batch=n, num_ranks=p,
+            transport="local",
+        ),
+        field=field,
+    )
+    ours_wire = [ours.rank_results[rank].wire for rank in range(p)]
 
     return CommRoundsResult(
-        traditional_rounds=res_trad.alltoall_rounds,
-        traditional_bytes=res_trad.comm_bytes,
-        ours_rounds=res_ours.alltoall_rounds,  # all-to-alls: expect 0
-        ours_bytes=res_ours.comm_bytes,
-        results_match=bool(np.allclose(res_trad.result, exact, atol=1e-9)),
-        approx_error=l2_relative_error(res_ours.approx, exact),
+        traditional_rounds=trad.alltoall_rounds,
+        traditional_exchanges=alltoall_rounds(trad.wire, CATEGORY_EXCHANGE),
+        traditional_bytes=trad.sent_bytes(CATEGORY_DATA),
+        traditional_input_bytes=trad.sent_bytes(CATEGORY_BCAST),
+        traditional_comm_s=max(link.ledger_time(w, CATEGORY_DATA) for w in trad.wire),
+        ours_rounds=alltoall_rounds(ours_wire),  # all-to-alls: expect 0
+        ours_exchanges=alltoall_rounds(ours_wire, CATEGORY_EXCHANGE),
+        ours_bytes=ours.exchange_wire_bytes,
+        ours_input_bytes=ours.input_wire_bytes,
+        ours_comm_s=max(link.ledger_time(w, CATEGORY_EXCHANGE) for w in ours_wire),
+        results_match=bool(np.allclose(trad.result, exact, atol=1e-9)),
+        approx_error=l2_relative_error(ours.approx, exact),
     )
 
 

@@ -1,11 +1,9 @@
-"""Baselines: the traditional distributed convolution pipelines of Fig 1(a).
+"""Baselines: cost models of the traditional convolution pipelines.
 
-- :mod:`repro.baselines.distributed_fft` — slab- and pencil-decomposed
-  distributed 3D FFTs executing *real* data movement over the simulated
-  communicator (1 or 2 all-to-all transposes per transform).
-- :mod:`repro.baselines.traditional_conv` — the full traditional
-  convolution (forward FFT, pointwise, inverse FFT): 2-4 all-to-all
-  rounds, the pattern our method eliminates.
+The executed Fig 1(a) baseline — slab- and pencil-decomposed distributed
+FFT convolution, 2-4 all-to-all rounds — moves real bytes, so it lives
+with the rank runtime in :mod:`repro.dist.traditional`.  Here:
+
 - :mod:`repro.baselines.heffte_like` — an asynchronous-overlap cost model
   in the spirit of heFFTe: same all-to-all rounds, partially hidden, so it
   "can scale to a greater number of nodes ... but eventually also reaches
@@ -15,19 +13,14 @@
   single-GPU ceiling that our method extends 8x to 2048^3.
 """
 
-from repro.baselines.distributed_fft import PencilDistributedFFT, SlabDistributedFFT
 from repro.baselines.heffte_like import heffte_comm_time, scaling_curve
 from repro.baselines.single_gpu import (
     dense_gpu_conv_bytes,
     max_dense_grid,
     run_dense_gpu_convolution,
 )
-from repro.baselines.traditional_conv import TraditionalDistributedConvolution
 
 __all__ = [
-    "SlabDistributedFFT",
-    "PencilDistributedFFT",
-    "TraditionalDistributedConvolution",
     "heffte_comm_time",
     "scaling_curve",
     "dense_gpu_conv_bytes",

@@ -83,14 +83,19 @@ def _table4() -> None:
 
 
 def _fig1() -> None:
-    """Figure 1: communication rounds."""
+    """Figure 1: communication rounds, read off the wire ledgers."""
     res = ex.run_fig1_comm_rounds()
     print(
         format_table(
-            ["pipeline", "all-to-all rounds", "bytes"],
+            ["pipeline", "all-to-all rounds", "exchanges", "bytes", "input bytes",
+             "alpha-beta (s)"],
             [
-                ["traditional (pencil)", res.traditional_rounds, res.traditional_bytes],
-                ["ours", res.ours_rounds, res.ours_bytes],
+                ["traditional (pencil)", res.traditional_rounds,
+                 res.traditional_exchanges,
+                 res.traditional_bytes, res.traditional_input_bytes,
+                 res.traditional_comm_s],
+                ["ours", res.ours_rounds, res.ours_exchanges, res.ours_bytes,
+                 res.ours_input_bytes, res.ours_comm_s],
             ],
             title="Figure 1",
         )

@@ -1,4 +1,4 @@
-"""Simulated HPC substrate: devices, memory, network, communicator.
+"""Simulated HPC substrate: devices, memory, network cost models.
 
 The paper's evaluation ran on Bridges (P100/V100 GPUs, Xeon CPUs) with
 cuFFT/FFTW and MPI.  None of that hardware is available to this
@@ -12,18 +12,19 @@ algorithm code runs against:
   capacity enforcement; running the actual pipeline allocation sequence
   against it reproduces the paper's memory-capacity results (Tables 1, 2,
   4).
-- :mod:`repro.cluster.network` — the alpha-beta communication model (Eq 2)
-  and all-to-all cost (Eq 1).
-- :mod:`repro.cluster.comm` — a simulated MPI-style communicator: P ranks,
-  real numpy buffer exchange, a traffic ledger counting rounds and bytes
-  (the evidence behind Fig 1), and alpha-beta time charging.
+- :mod:`repro.cluster.network` — the alpha-beta communication model
+  (Eq 2), read off the frames and bytes a rank's wire ledger counted.
 - :mod:`repro.cluster.cufft_model` — cuFFT plan workspace estimator
   (the estimated-vs-actual gap of Table 4).
-- :mod:`repro.cluster.cost` — closed-form cost models: Eqs 1, 2, 6 and
-  the pipeline execution-time model calibrated against Table 3.
+- :mod:`repro.cluster.cost` — closed-form cost models: Eqs 1, 2, 6, the
+  pipeline execution-time model calibrated against Table 3, and the
+  makespan of a run from its per-rank chunk counts and exchange times.
+
+Nothing here moves bytes between ranks: the one communication stack is
+:mod:`repro.dist`, and its :class:`~repro.dist.ledger.WireLedger` is what
+these models are evaluated on.
 """
 
-from repro.cluster.comm import SimulatedComm, TrafficLedger
 from repro.cluster.cost import (
     comm_time_ours,
     comm_time_traditional_fft,
@@ -42,7 +43,7 @@ from repro.cluster.device import (
     XEON_GOLD_6148,
 )
 from repro.cluster.memory import Allocation, MemoryTracker
-from repro.cluster.network import Link, Network
+from repro.cluster.network import Link
 from repro.cluster.trace import (
     ComputeCommBreakdown,
     accelerate_compute_fraction,
@@ -51,8 +52,6 @@ from repro.cluster.trace import (
 )
 
 __all__ = [
-    "SimulatedComm",
-    "TrafficLedger",
     "comm_time_ours",
     "comm_time_traditional_fft",
     "sparse_sample_count",
@@ -69,7 +68,6 @@ __all__ = [
     "Allocation",
     "MemoryTracker",
     "Link",
-    "Network",
     "ComputeCommBreakdown",
     "accelerate_compute_fraction",
     "distributed_fft_breakdown",

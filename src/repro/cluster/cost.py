@@ -14,14 +14,15 @@ Three families of model live here:
    convolution reproduces the paper's measured FFTW column of Table 3
    (9.0 s at N=512, 72 s at N=1024) and the GPU pipeline lands in the
    paper's speedup band.  Calibration constants and residuals are recorded
-   in EXPERIMENTS.md.
+   in EXPERIMENTS.md.  :func:`makespan` composes a run's per-rank
+   numbers into its critical path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cluster.device import Device
 from repro.cluster.network import Link
@@ -239,6 +240,27 @@ def pruned_conv_time(
     transfer = device.transfer_time(in_bytes + out_bytes)
 
     return compute + pointwise + launches + transfer
+
+
+def makespan(
+    chunks_per_rank: Sequence[int],
+    chunk_time_s: float,
+    exchange_s: Sequence[float],
+) -> float:
+    """Critical path of a low-communication run over its ranks: the
+    slowest rank's ``chunks * chunk_time_s`` of local convolution (e.g.
+    :func:`pruned_conv_time`) plus that rank's own exchange time (e.g.
+    :meth:`~repro.cluster.network.Link.ledger_time` of its wire ledger)."""
+    if not chunks_per_rank:
+        raise ConfigurationError("need >= 1 rank, got 0")
+    if len(exchange_s) != len(chunks_per_rank):
+        raise ConfigurationError(
+            f"{len(chunks_per_rank)} chunk counts but {len(exchange_s)} exchange times"
+        )
+    return max(
+        chunks * chunk_time_s + comm
+        for chunks, comm in zip(chunks_per_rank, exchange_s)
+    )
 
 
 def _check_pos(value: int, name: str) -> None:

@@ -1,17 +1,17 @@
-"""alpha-beta network model (paper Eq 2) and collective cost helpers.
+"""alpha-beta network model (paper Eq 2).
 
 The time to send a message of ``m`` bytes over one link is
 ``t = alpha + beta_cost * m`` where ``alpha`` is the per-message setup
-latency and ``beta_cost = 1/bandwidth`` is the per-byte cost.  A fully
-connected network of ``P`` workers executing an all-to-all where each rank
-contributes ``v`` bytes per peer pays ``(P-1)`` message rounds of
-``alpha + beta*v`` in the naive pairwise schedule, and the volume term of
-Eq 1 when expressed per-node.
+latency and ``beta_cost = 1/bandwidth`` is the per-byte cost.  Summed over
+the frames a rank actually sent, that is ``alpha * frames + beta *
+bytes``: :meth:`Link.ledger_time` reads both counts off the rank's wire
+ledger, so the modelled time of a run is charged on the bytes it moved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 
@@ -41,47 +41,22 @@ class Link:
         """Per-byte transmission cost (seconds/byte)."""
         return 1.0 / self.bandwidth_bytes_per_s
 
-    def message_time(self, nbytes: int) -> float:
-        """Eq 2: ``t = alpha + beta * m``."""
-        if nbytes < 0:
-            raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
-        return self.alpha_s + nbytes * self.beta_cost_s_per_byte
+    def ledger_time(self, snapshot: Mapping, category: str) -> float:
+        """Eq 2 summed over the frames one rank sent under ``category``,
+        read off the rank's wire-ledger snapshot (its
+        ``sent.<category>.frames`` / ``.bytes`` counters; headers count as
+        bytes, as they do on a real link)."""
+        counters = snapshot["counters"]
+        return self.message_time(
+            counters.get(f"sent.{category}.bytes", 0),
+            frames=counters.get(f"sent.{category}.frames", 0),
+        )
 
-
-@dataclass(frozen=True)
-class Network:
-    """A fully connected network of ``P`` workers over identical links."""
-
-    num_workers: int
-    link: Link = Link()
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ConfigurationError(f"need >= 1 worker, got {self.num_workers}")
-
-    def alltoall_time(self, bytes_per_pair: int) -> float:
-        """Time for one all-to-all round, pairwise exchange schedule.
-
-        Each of the ``P-1`` steps sends/receives one message of
-        ``bytes_per_pair``; with full-duplex links the round costs
-        ``(P-1) * (alpha + beta * v)``.
-        """
-        p = self.num_workers
-        if p == 1:
-            return 0.0
-        return (p - 1) * self.link.message_time(int(bytes_per_pair))
-
-    def allgather_time(self, bytes_per_rank: int) -> float:
-        """Ring allgather: ``P-1`` steps forwarding ``bytes_per_rank``."""
-        p = self.num_workers
-        if p == 1:
-            return 0.0
-        return (p - 1) * self.link.message_time(int(bytes_per_rank))
-
-    def broadcast_time(self, nbytes: int) -> float:
-        """Binomial-tree broadcast: ``ceil(log2 P)`` message steps."""
-        p = self.num_workers
-        if p == 1:
-            return 0.0
-        steps = (p - 1).bit_length()
-        return steps * self.link.message_time(int(nbytes))
+    def message_time(self, nbytes: int, frames: int = 1) -> float:
+        """Eq 2: ``t = alpha + beta * m``; over ``frames`` messages that
+        carry ``nbytes`` in total, ``alpha * frames + beta * nbytes``."""
+        if nbytes < 0 or frames < 0:
+            raise ConfigurationError(
+                f"message size and count must be >= 0, got {nbytes} B in {frames}"
+            )
+        return frames * self.alpha_s + nbytes * self.beta_cost_s_per_byte

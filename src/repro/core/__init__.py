@@ -13,9 +13,9 @@ The pipeline (paper §3, Fig 2):
 4. :mod:`repro.core.pipeline` — :class:`LowCommConvolution3D` ties it
    together, serially or over a process pool.  It is the one in-process
    execution core: :mod:`repro.core.adaptive` feeds it content-adaptive
-   blocks, the serving executor caches one per compatibility key, and
-   :mod:`repro.core.distributed_runner` books a finished run's traffic
-   and modeled time on the simulated cluster.
+   blocks, and the serving executor caches one per compatibility key.
+   :mod:`repro.core.distributed_runner` evaluates the same cost
+   structure closed-form at the paper's scale.
 
 Support:
 
@@ -35,8 +35,6 @@ from repro.core.adaptive import (
     decompose_by_content,
 )
 from repro.core.distributed_runner import (
-    DistributedLowCommConvolution,
-    DistributedRunReport,
     ScalingPoint,
     compute_amplification,
     min_feasible_ranks_traditional,
@@ -63,8 +61,6 @@ __all__ = [
     "AdaptiveConvolution",
     "AdaptiveConvolutionResult",
     "decompose_by_content",
-    "DistributedLowCommConvolution",
-    "DistributedRunReport",
     "ScalingPoint",
     "strong_scaling_curve",
     "compute_amplification",

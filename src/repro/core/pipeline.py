@@ -20,9 +20,7 @@ same :meth:`~LowCommConvolution3D.convolve_chunks`):
   (:mod:`repro.core.parallel`).  Results are bitwise identical to
   :meth:`run_serial`.
 
-The simulated cluster is not a third mode: it books the Fig 1(b) traffic
-and a modeled time on a finished :class:`ConvolutionResult`
-(:mod:`repro.core.distributed_runner`).
+Real ranks are :func:`repro.dist.dist_run`, bitwise identical to both.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Real multi-process rank runtime with a wire-level sparse exchange.
 
-Everything in :mod:`repro.cluster` *simulates* communication inside one
-process; this package runs the low-communication pipeline as a real SPMD
-job — one OS process (or thread) per rank, actual bytes crossing an actual
-transport — so the paper's communication claim (one sparse accumulation
-exchange instead of 2–3 all-to-alls, Eq 1 → Eq 6) is *measured*, not
-modeled.
+The one communication stack: this package runs the low-communication
+pipeline, and the traditional FFT convolution it is compared with, as real
+SPMD jobs — one OS process (or thread) per rank, actual bytes crossing an
+actual transport — so the paper's communication claim (one sparse
+accumulation exchange instead of 2–3 all-to-alls, Eq 1 → Eq 6) is
+*measured*, not modeled.  :mod:`repro.cluster` holds the cost models
+evaluated on what its ledgers count.
 
 Layers, bottom up:
 
@@ -21,7 +22,8 @@ Layers, bottom up:
 - :mod:`repro.dist.heartbeat` — liveness tracking for rank-failure
   detection.
 - :mod:`repro.dist.collectives` — :class:`Communicator`: tagged
-  point-to-point plus ``broadcast`` / ``scatter`` / ``sparse_allgather``.
+  point-to-point plus ``broadcast`` / ``scatter`` / ``alltoall`` /
+  ``sparse_allgather``.
 - :mod:`repro.dist.inputs` — input distribution: each rank is scattered
   only the ``k^3`` blocks it convolves, and kernel spectra stay rank-side
   under a content digest.
@@ -33,9 +35,12 @@ Layers, bottom up:
 - :mod:`repro.dist.jobs` / :mod:`repro.dist.agent` — the rank process:
   one job with exact per-job ledgers inside the ``form`` / ``mesh`` /
   ``job`` control loop a cold rank and a standing pool agent both serve.
-- :mod:`repro.dist.runtime` — the job driver: rank threads for ``local``;
-  for ``tcp``, processes forked for one job and driven by the mesh
+- :mod:`repro.dist.runtime` — the job driver: rank threads for ``local``
+  (:func:`~repro.dist.runtime.run_local`, a harness for any per-rank
+  body); for ``tcp``, processes forked for one job and driven by the mesh
   formation, dispatch and post-draining :mod:`repro.pool` also calls.
+- :mod:`repro.dist.traditional` — the Fig 1(a) baseline: slab and pencil
+  distributed FFT convolution, every transpose one ``alltoall``.
 - :mod:`repro.dist.launcher` — :func:`dist_run`: the front door; survives
   a rank death by recovering from the posted checkpoints, cross-validates
   measured wire bytes against the exact per-destination count, and

@@ -8,12 +8,14 @@ endpoint with the operations the pipeline needs:
 - ``broadcast`` — root fans one payload to every rank;
 - ``scatter`` — root sends each rank its own payload (input distribution:
   a rank receives only the blocks it convolves);
-- ``sparse_allgather`` — every rank ships each peer the payload meant for
-  it and receives one from each: *the* single sparse accumulation
-  exchange of the paper (Fig 1(b)), per destination, so a peer is sent
-  only the octree cells that touch its boxes; sends drain on a pump
-  thread while this thread receives, so it cannot deadlock on full
-  socket buffers;
+- ``alltoall`` — every rank ships each peer the payload meant for it and
+  receives one from each; sends drain on a pump thread while this thread
+  receives, so it cannot deadlock on full socket buffers.  The FFT
+  baselines' transposes are this call (:mod:`repro.dist.traditional`);
+- ``sparse_allgather`` — the same swap under the ``exchange`` category:
+  *the* single sparse accumulation exchange of the paper (Fig 1(b)), per
+  destination, so a peer is sent only the octree cells that touch its
+  boxes;
 - ``sparse_allgather_stream`` — the same exchange fed chunk by chunk
   while compute is still running (:class:`StreamedAllgather`);
 - ``barrier`` — empty exchange.
@@ -73,6 +75,8 @@ TAG_POOL_CHECKPOINT = 6
 TAG_SPECTRUM_KEY = 7
 #: A rank's have / need answer to an announced digest.
 TAG_SPECTRUM_NEED = 8
+#: One axis-swap transpose of a distributed FFT baseline.
+TAG_TRANSPOSE = 9
 
 #: Slice size for receive waits so the heartbeat monitor is consulted
 #: even while blocked on a quiet fabric.
@@ -261,11 +265,17 @@ class Communicator:
             self.send_payload(dst, payloads[dst], tag, category)
         return payloads[root]
 
-    def _swap(
-        self, payloads: List[FramePayload], tag: int, category: str
+    def alltoall(
+        self,
+        payloads: List[FramePayload],
+        tag: int = TAG_TRANSPOSE,
+        category: str = CATEGORY_DATA,
     ) -> List[FramePayload]:
         """Send ``payloads[dst]`` to every peer, receive one ``tag`` frame
         from each; returns per-source payloads (own slot passed through).
+
+        One call is one all-to-all round: ``size - 1`` frames out per rank,
+        an empty payload included, counted under ``category``.
 
         Sends drain through a one-batch send window on a pump thread
         while this thread receives, so full kernel socket buffers can
@@ -312,7 +322,7 @@ class Communicator:
         counted under the ``exchange`` category — the bytes the audit
         compares with the per-destination prediction.
         """
-        return self._swap(payloads, tag, category)
+        return self.alltoall(payloads, tag, category)
 
     def sparse_allgather_stream(
         self,
@@ -341,7 +351,7 @@ class Communicator:
 
     def barrier(self, tag: int = TAG_BARRIER) -> None:
         """Block until every rank has entered the barrier."""
-        self._swap([b""] * self.size, tag, CATEGORY_CONTROL)
+        self.alltoall([b""] * self.size, tag, CATEGORY_CONTROL)
 
     def close(self) -> None:
         """Stop heartbeating and close the transport gracefully."""

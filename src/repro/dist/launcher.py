@@ -16,11 +16,8 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
   (:attr:`DistRunReport.predicted_value_bytes`), and the full wire volume (octree
   metadata + frame headers included) sits a bounded share above it.  The
   paper's Eq 6 allgather count (``(P-1) * itemsize * total sample
-  count``, :func:`expected_exchange_value_bytes`) is reported beside it:
-  it is what the simulated cluster model books —
-  :class:`~repro.core.distributed_runner.DistributedLowCommConvolution`
-  reports ``comm_bytes == expected_exchange_value_bytes`` exactly — and
-  the real wire now moves less than it;
+  count``, :func:`expected_exchange_value_bytes`) is reported beside it,
+  and the real wire moves less than it;
 - audits input distribution the same way: the scattered blocks are
   predicted exactly (:func:`predicted_input_bytes`) and measured under
   the ``bcast`` wire category.
@@ -79,7 +76,8 @@ class DistRunReport:
     #: (a resumed job's excludes the sub-domains its checkpoint restored)
     predicted_value_bytes: int = 0
     #: the paper's Eq 6 allgather count, ``(P-1) * itemsize * total sample
-    #: count`` — what the simulated model books (same exclusions)
+    #: count`` — what an allgather of every sample would move (same
+    #: exclusions)
     eq6_value_bytes: int = 0
     #: naive Eq 6 closed form (``flat:R`` policies only, else 0)
     naive_eq6_bytes: int = 0
@@ -157,12 +155,9 @@ def expected_exchange_value_bytes(
     an allgather.
 
     Every active (non-zero) sub-domain contributes its sampling pattern's
-    ``sample_count`` values, each sent once per peer.  The simulated
-    cluster's allgather ledger
-    (:func:`repro.core.distributed_runner.book_exchange`) reports
-    precisely this number; the real exchange ships each peer only the
-    cells it interpolates (:attr:`DistRunReport.predicted_value_bytes`),
-    so it moves less.
+    ``sample_count`` values, each sent once per peer.  The real exchange
+    ships each peer only the cells it interpolates
+    (:attr:`DistRunReport.predicted_value_bytes`), so it moves less.
 
     ``exclude_indices`` drops sub-domains from the accounting — a pool
     recovery job re-exchanges only the entries absent from the merged

@@ -1,13 +1,14 @@
 """WireLedger: actual bytes-on-wire, counted per traffic category.
 
-The simulated substrate's :class:`~repro.cluster.comm.TrafficLedger`
-counts what a collective *would* move; this ledger counts what a
-transport *did* move — every frame, header bytes included, split by the
-traffic category the sender declared (``exchange`` for the sparse
-accumulation payloads, ``bcast`` for input distribution, ``control`` for
-handshakes/heartbeats/close).  Cross-validating this ledger against the
-exact per-destination prediction, and the simulated one against the
-Eq 6 allgather count, is the CI invariant this package exists for.
+The one record of communication: it counts what a transport *did* move —
+every frame, header bytes included, split by the traffic category the
+sender declared (``exchange`` for the sparse accumulation payloads,
+``bcast`` for input distribution, ``data`` for the FFT baselines'
+transposes, ``control`` for handshakes/heartbeats/close).  Rounds
+(:func:`alltoall_rounds`) and the alpha-beta time of Eq 2
+(:meth:`repro.cluster.network.Link.ledger_time`) are read off its frame
+and byte counters; cross-validating it against the exact per-destination
+prediction is the CI invariant this package exists for.
 
 Counters and histograms are the :mod:`repro.util.metrics` types, so a
 ledger snapshot is the same JSON shape as a serve-layer metrics snapshot
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
+from repro.errors import CommunicationError
 from repro.util.metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 
 #: Traffic category for the single sparse accumulation exchange.
@@ -29,7 +31,8 @@ CATEGORY_EXCHANGE = "exchange"
 CATEGORY_BCAST = "bcast"
 #: Traffic category for handshakes, heartbeats, and graceful close.
 CATEGORY_CONTROL = "control"
-#: Traffic category for generic point-to-point / alltoall data.
+#: Traffic category for generic point-to-point / all-to-all data (the FFT
+#: baselines' transposes).
 CATEGORY_DATA = "data"
 
 
@@ -111,6 +114,24 @@ def merge_wire_snapshots(snapshots: Iterable[dict]) -> Dict[str, int]:
         for name, value in snap.get("counters", {}).items():
             totals[name] = totals.get(name, 0) + int(value)
     return totals
+
+
+def alltoall_rounds(snapshots: Sequence[dict], category: str = CATEGORY_DATA) -> int:
+    """All-to-all rounds of a job under ``category``, read off every
+    rank's ledger snapshot (one per rank, so ``P = len(snapshots)``).
+
+    A round sends one frame to each of a rank's ``P - 1`` peers, an empty
+    one included, so a rank's rounds are its sent frames over ``P - 1``
+    (0 when ``P == 1``).  Ranks that disagree are a protocol error.
+    """
+    peers = len(snapshots) - 1
+    rounds = {
+        snap["counters"].get(f"sent.{category}.frames", 0) // peers if peers else 0
+        for snap in snapshots
+    }
+    if len(rounds) != 1:
+        raise CommunicationError(f"ranks disagree on the {category} rounds: {rounds}")
+    return rounds.pop()
 
 
 def sent_wire_bytes(totals: Dict[str, int]) -> int:

@@ -5,6 +5,9 @@ Two execution substrates behind one entry point, :func:`run_spmd`:
 - ``local`` — each rank is a thread over a shared
   :class:`~repro.dist.transport.LocalFabric`.  Deterministic, fast, and
   the substrate for fault-injection tests (a "crash" is a fabric kill).
+  The thread harness, :func:`run_local`, runs any per-rank body: the
+  traditional FFT convolution of :mod:`repro.dist.traditional` is its
+  other caller.
 - ``tcp`` — each rank is a real OS process serving the
   :class:`~repro.dist.agent.RankAgent` control loop over its end of a
   :mod:`multiprocessing` pipe.  The driver speaks to it exactly as the
@@ -31,7 +34,7 @@ import multiprocessing
 import threading
 from dataclasses import dataclass, field as dataclass_field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -106,20 +109,6 @@ def run_spmd(
     clock = clock if clock is not None else MonotonicClock()
     if config.transport == "tcp":
         return _run_processes(config, field, spectrum, clock)
-    return _run_local(config, field, spectrum, clock)
-
-
-class _InjectedCrash(Exception):
-    """Unwinds a thread-rank simulating a crash (never escapes the runtime)."""
-
-
-def _run_local(
-    config: DistConfig,
-    field: np.ndarray,
-    spectrum: Optional[np.ndarray],
-    clock: Clock,
-) -> SpmdOutcome:
-    fabric = LocalFabric(config.num_ranks)
     outcome = SpmdOutcome()
     lock = threading.Lock()
 
@@ -127,11 +116,61 @@ def _run_local(
         with lock:
             outcome.post(kind, rank, payload)
 
+    def body(comm: Communicator, abort: Callable[[], None]) -> RankResult:
+        root = comm.rank == 0
+        return rank_main(
+            comm,
+            config,
+            field=field if root else None,
+            spectrum=spectrum if root else None,
+            post=post,
+            abort=abort,
+        )
+
+    return run_local(
+        config.num_ranks,
+        body,
+        recv_timeout_s=config.recv_timeout_s,
+        heartbeat_s=config.heartbeat_s,
+        clock=clock,
+        outcome=outcome,
+    )
+
+
+class _InjectedCrash(Exception):
+    """Unwinds a thread-rank simulating a crash (never escapes the runtime)."""
+
+
+def run_local(
+    num_ranks: int,
+    body: Callable[[Communicator, Callable[[], None]], Any],
+    recv_timeout_s: float = 30.0,
+    heartbeat_s: Optional[float] = None,
+    clock: Optional[Clock] = None,
+    outcome: Optional[SpmdOutcome] = None,
+) -> SpmdOutcome:
+    """Run ``body(comm, abort)`` on ``num_ranks`` thread-ranks over one
+    :class:`~repro.dist.transport.LocalFabric`; returns the outcome.
+
+    ``body``'s return value is the rank's entry in ``outcome.results``;
+    an exception it raises is the rank's entry in ``outcome.failures``,
+    and ``abort()`` kills the rank on the fabric (an injected crash).
+    Every communicator is closed when its body returns or raises, so
+    peers still waiting on a failed rank see its ``BYE`` at once instead
+    of sitting out their receive timeout.  ``outcome`` lets a body post
+    into the outcome it is filling (the checkpoint mailbox of
+    :func:`run_spmd`).
+    """
+    clock = clock if clock is not None else MonotonicClock()
+    outcome = outcome if outcome is not None else SpmdOutcome()
+    fabric = LocalFabric(num_ranks)
+    lock = threading.Lock()
+
     def run_rank(rank: int) -> None:
         comm = Communicator(
             fabric.endpoint(rank),
-            recv_timeout_s=config.recv_timeout_s,
-            heartbeat_s=config.heartbeat_s,
+            recv_timeout_s=recv_timeout_s,
+            heartbeat_s=heartbeat_s,
             clock=clock,
         )
 
@@ -140,29 +179,23 @@ def _run_local(
             raise _InjectedCrash()
 
         try:
-            result = rank_main(
-                comm,
-                config,
-                field=field if rank == 0 else None,
-                spectrum=spectrum if rank == 0 else None,
-                post=post,
-                abort=abort,
-            )
+            result = body(comm, abort)
             with lock:
                 outcome.results[rank] = result
         except _InjectedCrash:
             with lock:
                 outcome.failures[rank] = "injected crash"
-        except Exception as exc:  # noqa: BLE001  # repro-lint: broad-except-ok(driver boundary: failure recorded in outcome, launcher decides recovery)
+        except Exception as exc:  # noqa: BLE001  # repro-lint: broad-except-ok(driver boundary: failure recorded in outcome, caller decides recovery)
             with lock:
                 outcome.failures[rank] = f"{type(exc).__name__}: {exc}"
         finally:
-            # also on failure: the beacon thread must not outlive the run
+            # also on failure: the beacon thread must not outlive the run,
+            # and BYE tells the peers this rank is gone
             comm.close()
 
     threads = [
         threading.Thread(target=run_rank, args=(rank,), daemon=True)
-        for rank in range(config.num_ranks)
+        for rank in range(num_ranks)
     ]
     for t in threads:
         t.start()

@@ -4,7 +4,7 @@ All errors raised by this library derive from :class:`ReproError` so callers
 can catch library failures with a single ``except`` clause while still
 distinguishing configuration mistakes (:class:`ConfigurationError`), resource
 exhaustion on simulated devices (:class:`DeviceMemoryError`), and protocol
-misuse of the simulated communicator (:class:`CommunicationError`).
+misuse of the rank communicator (:class:`CommunicationError`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class DeviceMemoryError(ReproError, MemoryError):
 
 
 class CommunicationError(ReproError):
-    """Misuse of the simulated communicator (rank mismatch, dead rank...)."""
+    """Misuse of the rank communicator (rank mismatch, dead rank...)."""
 
 
 class RankFailure(CommunicationError):

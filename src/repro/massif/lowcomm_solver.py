@@ -12,10 +12,9 @@ the one ``run_serial`` runs on — with a tensor-valued field:
   (:func:`~repro.kernels.green_massif.gamma_pencil_operator`; Eq 3 from
   each pencil's frequencies, no kernel array is ever materialized),
   compressed onto the sub-domain's octree pattern, one field a component;
-- one sparse exchange (booked on the simulated communicator when one is
-  supplied) and interpolation accumulate ``Delta eps`` component by
-  component (:func:`~repro.core.accumulate.accumulate_global`; Alg 2
-  line 6);
+- interpolation accumulates ``Delta eps`` component by component
+  (:func:`~repro.core.accumulate.accumulate_global`; Alg 2 line 6) — the
+  step that, across ranks, is the one sparse exchange;
 - strain/stress updates proceed exactly as in Algorithm 1 (lines 7-8).
 
 Approximation error enters only through the sampling/interpolation of each
@@ -30,10 +29,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.comm import SimulatedComm
 from repro.core.accumulate import accumulate_global
 from repro.core.decomposition import SubDomain
-from repro.core.distributed_runner import book_exchange
 from repro.core.local_conv import PencilOperator
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
@@ -58,10 +55,6 @@ class LowCommMassifSolver(MassifSolver):
         Compression hyperparameters.
     batch:
         z-pencil batch size B.
-    comm:
-        Optional simulated communicator; when given, every iteration's
-        accumulation performs its single sparse allgather through it
-        (inspect ``comm.ledger`` for the Fig 1(b) traffic pattern).
 
     Accuracy note (reproduction finding, see EXPERIMENTS.md E9): the
     compressed convolution is a fixed *linear* perturbation of the exact
@@ -87,7 +80,6 @@ class LowCommMassifSolver(MassifSolver):
         max_iter: int = 200,
         batch: Optional[int] = None,
         interpolation: str = "linear",
-        comm: Optional[SimulatedComm] = None,
         stall_window: int = 0,
         raise_on_fail: bool = True,
     ):
@@ -111,7 +103,6 @@ class LowCommMassifSolver(MassifSolver):
             real_kernel=True,
         )
         self.decomposition = self.pipeline.decomposition
-        self.comm = comm
 
     def _convolve_components(
         self, sigma: np.ndarray
@@ -126,13 +117,6 @@ class LowCommMassifSolver(MassifSolver):
     def _gamma_correction(self, sigma: np.ndarray) -> np.ndarray:
         """Domain-local compressed evaluation of ``ifft(Gamma : fft(sigma))``."""
         per_domain = self._convolve_components(sigma)
-        if self.comm is not None and per_domain:
-            # The single sparse exchange: every rank's own sub-domains'
-            # samples, all six components.
-            book_exchange(
-                self.comm,
-                [(sub, f) for sub, fields in per_domain for f in fields],
-            )
         deps = np.zeros_like(sigma)
         if per_domain:
             for comp, (i, j) in enumerate(SYM_COMPONENTS):

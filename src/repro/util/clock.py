@@ -8,11 +8,6 @@ testable without a single wall-clock sleep: tests inject a
 :class:`ManualClock` and advance it explicitly.  Production uses
 :class:`MonotonicClock`.
 
-The simulated cluster (:class:`~repro.cluster.comm.SimulatedComm`)
-charges its modelled seconds to a :class:`ManualClock` too: named
-categories split the total into e.g. ``compute`` / ``comm`` buckets,
-mirroring the paper's compute-to-communication ratio analysis.
-
 :meth:`Clock.sleep` is the uniform "wait until" primitive — on the manual
 clock it *advances* time instead of blocking, so driver loops written
 against the interface (``server.drain``) work identically under test and
@@ -22,7 +17,6 @@ in production.
 from __future__ import annotations
 
 import time
-from typing import Dict
 
 from repro.errors import ConfigurationError
 
@@ -57,13 +51,11 @@ class ManualClock(Clock):
 
     ``sleep`` advances the clock rather than blocking, so scheduler-driving
     loops run at machine speed while observing exactly the timeline the
-    test scripted.  Every advance is also charged to a named category, so
-    a model can report where its simulated time went.
+    test scripted.
     """
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._by_category: Dict[str, float] = {}
 
     def now(self) -> float:
         """The scripted current time."""
@@ -74,20 +66,10 @@ class ManualClock(Clock):
         if seconds > 0:
             self.advance(seconds)
 
-    def advance(self, seconds: float, category: str = "other") -> float:
-        """Move time forward by ``seconds``, charged to ``category``;
-        returns the new now."""
+    def advance(self, seconds: float) -> float:
+        """Move time forward by ``seconds``; returns the new now."""
         seconds = float(seconds)
         if seconds < 0:
             raise ConfigurationError(f"cannot advance time backwards ({seconds})")
         self._now += seconds
-        self._by_category[category] = self._by_category.get(category, 0.0) + seconds
         return self._now
-
-    def category_total(self, category: str) -> float:
-        """Total seconds charged to ``category``."""
-        return self._by_category.get(category, 0.0)
-
-    def breakdown(self) -> Dict[str, float]:
-        """Copy of the per-category time totals."""
-        return dict(self._by_category)

@@ -1,111 +1,155 @@
-"""Tests for the baselines: distributed FFTs, traditional conv, heFFTe model,
-single-GPU dense convolution."""
+"""Tests for the baselines: distributed FFTs and the traditional
+convolution on loopback ranks, the heFFTe model, single-GPU dense
+convolution."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.distributed_fft import PencilDistributedFFT, SlabDistributedFFT
 from repro.baselines.heffte_like import fft_compute_time, heffte_comm_time, scaling_curve
 from repro.baselines.single_gpu import (
     dense_gpu_conv_bytes,
     max_dense_grid,
     run_dense_gpu_convolution,
 )
-from repro.baselines.traditional_conv import TraditionalDistributedConvolution
-from repro.cluster.comm import SimulatedComm
 from repro.cluster.device import V100_16GB, V100_32GB, XEON_GOLD_6148
 from repro.cluster.memory import MemoryTracker
 from repro.cluster.network import Link
 from repro.core.reference import reference_convolve
+from repro.dist.ledger import alltoall_rounds
+from repro.dist.runtime import run_local
+from repro.dist.traditional import FftGrid, fftn, ifftn, traditional_convolve
+from repro.dist.wire import HEADER_BYTES
 from repro.errors import ConfigurationError, DeviceMemoryError
 from repro.kernels.gaussian import GaussianKernel
 
 
+def run_transform(field, p, mode, grid=None, roundtrip=False):
+    """Forward-transform ``field`` on ``p`` loopback ranks (and back, with
+    ``roundtrip``); returns the assembled dense result and the all-to-all
+    rounds read off every rank's ledger."""
+    n = field.shape[0]
+    layout = FftGrid.for_ranks(n, p, mode, grid)
+
+    def body(comm, _abort):
+        out = fftn(comm, layout, field[layout.input_slices(comm.rank)])
+        if roundtrip:
+            out = ifftn(comm, layout, out)
+        return out, comm.transport.ledger.snapshot()
+
+    outcome = run_local(p, body)
+    assert not outcome.failures
+    dense = np.empty((n,) * 3, dtype=np.complex128)
+    for rank, (block, _wire) in outcome.results.items():
+        where = layout.input_slices if roundtrip else layout.spectrum_slices
+        dense[where(rank)] = block
+    return dense, alltoall_rounds([outcome.results[r][1] for r in range(p)])
+
+
 class TestSlabFFT:
     def test_forward_matches_numpy(self, rng):
-        n, p = 16, 4
-        comm = SimulatedComm(p)
-        fft = SlabDistributedFFT(n, comm)
-        field = rng.standard_normal((n, n, n))
+        field = rng.standard_normal((16, 16, 16))
         # after forward, rank r holds the y-slab [r*n/p, (r+1)*n/p)
-        spec = np.concatenate(fft.forward(fft.scatter(field)), axis=1)
+        spec, _rounds = run_transform(field, 4, "slab")
         np.testing.assert_allclose(spec, np.fft.fftn(field), atol=1e-9)
 
     def test_roundtrip(self, rng):
-        n, p = 8, 2
-        comm = SimulatedComm(p)
-        fft = SlabDistributedFFT(n, comm)
-        field = rng.standard_normal((n, n, n))
-        back = fft.gather_xslabs(fft.inverse(fft.forward(fft.scatter(field))))
+        field = rng.standard_normal((8, 8, 8))
+        back, rounds = run_transform(field, 2, "slab", roundtrip=True)
         np.testing.assert_allclose(np.real(back), field, atol=1e-9)
+        assert rounds == 2
 
     def test_one_alltoall_per_transform(self, rng):
-        comm = SimulatedComm(4)
-        fft = SlabDistributedFFT(16, comm)
-        fft.forward(fft.scatter(rng.standard_normal((16, 16, 16))))
-        assert comm.ledger.alltoall_rounds == 1
+        _spec, rounds = run_transform(rng.standard_normal((16, 16, 16)), 4, "slab")
+        assert rounds == 1
 
     def test_p_must_divide_n(self):
         with pytest.raises(ConfigurationError):
-            SlabDistributedFFT(10, SimulatedComm(3))
-
-
-def gather_pencils(fft, blocks):
-    """Dense spectrum from the post-forward x-pencil layout: rank (i, j)
-    holds all x, the i-th y span and the j-th z span."""
-    rows = [
-        np.concatenate([blocks[i * fft.py + j] for j in range(fft.py)], axis=2)
-        for i in range(fft.px)
-    ]
-    return np.concatenate(rows, axis=1)
+            FftGrid.for_ranks(10, 3, "slab")
 
 
 class TestPencilFFT:
     def test_forward_matches_numpy(self, rng):
-        n = 8
-        comm = SimulatedComm(4)
-        fft = PencilDistributedFFT(n, comm, px=2, py=2)
-        field = rng.standard_normal((n, n, n))
-        spec = gather_pencils(fft, fft.forward(fft.scatter(field)))
+        field = rng.standard_normal((8, 8, 8))
+        spec, _rounds = run_transform(field, 4, "pencil", grid=(2, 2))
         np.testing.assert_allclose(spec, np.fft.fftn(field), atol=1e-9)
 
     def test_two_alltoalls_per_transform(self, rng):
-        comm = SimulatedComm(4)
-        fft = PencilDistributedFFT(8, comm, px=2, py=2)
-        fft.forward(fft.scatter(rng.standard_normal((8, 8, 8))))
-        assert comm.ledger.alltoall_rounds == 2
+        _spec, rounds = run_transform(rng.standard_normal((8, 8, 8)), 4, "pencil")
+        assert rounds == 2
 
     def test_asymmetric_grid(self, rng):
-        n = 8
-        comm = SimulatedComm(2)
-        fft = PencilDistributedFFT(n, comm, px=1, py=2)
-        field = rng.standard_normal((n, n, n))
-        spec = gather_pencils(fft, fft.forward(fft.scatter(field)))
+        field = rng.standard_normal((8, 8, 8))
+        spec, rounds = run_transform(field, 2, "pencil", grid=(1, 2))
         np.testing.assert_allclose(spec, np.fft.fftn(field), atol=1e-9)
+        # a one-rank column still takes its round: peers get empty frames
+        assert rounds == 2
 
     def test_grid_size_mismatch(self):
         with pytest.raises(ConfigurationError):
-            PencilDistributedFFT(8, SimulatedComm(4), px=3, py=2)
+            FftGrid.for_ranks(8, 4, "pencil", grid=(3, 2))
+
+
+def transpose_payload_bytes(n, p, mode):
+    """Closed-form value bytes one convolution's transposes put on the
+    wire, summed over ranks: every swap moves the ``(g-1)/g`` share of
+    each complex block that leaves its row or column of ``g`` ranks."""
+    grid = FftGrid.for_ranks(n, p, mode)
+    px, py = grid.px, grid.py
+    column = 2 * (px - 1) / px
+    row = 2 * (py - 1) / py if mode == "pencil" else 0.0
+    return round(16 * n**3 * (row + column))
 
 
 class TestTraditionalConvolution:
     @pytest.mark.parametrize("mode,expected_rounds", [("slab", 2), ("pencil", 4)])
     def test_exact_and_round_count(self, mode, expected_rounds, rng):
-        n, p = 16, 4
+        """Exact against the dense reference, and exact wire accounting:
+        the rounds every rank's ledger reads, and the data bytes as the
+        closed-form transpose payload plus one header per data frame."""
+        n = 16
         field = rng.standard_normal((n, n, n))
         spec = GaussianKernel(n=n, sigma=1.5).spectrum()
-        comm = SimulatedComm(p)
-        conv = TraditionalDistributedConvolution(n, comm, mode=mode)
-        res = conv.convolve(field, spec)
-        np.testing.assert_allclose(
-            res.result, reference_convolve(field, spec), atol=1e-9
+        exact = reference_convolve(field, spec)
+        for p in ([2, 4] if mode == "slab" else [2, 4, 8]):
+            res = traditional_convolve(field, spec, p, mode=mode)
+            np.testing.assert_allclose(res.result, exact, rtol=0, atol=1e-10)
+            assert res.alltoall_rounds == expected_rounds
+            frames = expected_rounds * p * (p - 1)
+            assert sum(
+                w["counters"]["sent.data.frames"] for w in res.wire
+            ) == frames
+            assert res.sent_bytes() == (
+                transpose_payload_bytes(n, p, mode) + HEADER_BYTES * frames
+            )
+            # the input blocks are scattered, the kernel never travels
+            assert res.sent_bytes("bcast") == (p - 1) * (HEADER_BYTES + 8 * n**3 // p)
+
+    def test_pencil_payload_closed_form(self):
+        """The pencil formula 16 n^3 [2(py-1)/py + 2(px-1)/px] at the
+        Fig 1 grid (n = 32, 2 x 2): 1 MiB of values."""
+        assert transpose_payload_bytes(32, 4, "pencil") == 1_048_576
+
+    def test_ledger_time_is_eq2_over_sent_frames(self, rng):
+        """The alpha-beta time read off a rank's ledger is Eq 2 summed
+        over the frames it sent: 4 rounds x (P-1) frames at n = 16, P = 4,
+        half of a 16 KiB-per-rank complex block out per swap."""
+        n, p = 16, 4
+        link = Link(alpha_s=1e-6, bandwidth_bytes_per_s=1e9)
+        res = traditional_convolve(
+            rng.standard_normal((n, n, n)),
+            GaussianKernel(n=n, sigma=1.5).spectrum(),
+            p,
         )
-        assert res.alltoall_rounds == expected_rounds
-        assert res.comm_bytes > 0
+        frames = 4 * (p - 1)
+        rank_bytes = 4 * (16 * n**3 // p) // 2 + HEADER_BYTES * frames
+        for wire in res.wire:
+            assert link.ledger_time(wire, "data") == pytest.approx(
+                frames * 1e-6 + rank_bytes * 1e-9, rel=1e-12
+            )
 
     def test_bad_mode(self):
         with pytest.raises(ConfigurationError):
-            TraditionalDistributedConvolution(8, SimulatedComm(2), mode="magic")
+            traditional_convolve(np.zeros((8,) * 3), np.ones((8,) * 3), 2, mode="magic")
 
 
 class TestHeffteModel:

@@ -1,12 +1,12 @@
 """Tests for the memory ledger and alpha-beta network models."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cost import makespan
 from repro.cluster.memory import MemoryTracker
-from repro.cluster.network import Link, Network
+from repro.cluster.network import Link
 from repro.errors import ConfigurationError, DeviceMemoryError
 
 
@@ -115,27 +115,35 @@ class TestLink:
             Link(bandwidth_bytes_per_s=0)
 
 
+def _round(p, bytes_per_peer):
+    """One rank's wire-ledger snapshot after one all-to-all round."""
+    return {
+        "counters": {
+            "sent.data.frames": p - 1,
+            "sent.data.bytes": (p - 1) * bytes_per_peer,
+        }
+    }
+
+
 class TestNetwork:
+    """Eq 2 read off the frames and bytes a rank's ledger counted."""
+
     def test_single_worker_free(self):
-        net = Network(num_workers=1)
-        assert net.alltoall_time(100) == 0.0
-        assert net.broadcast_time(100) == 0.0
+        assert Link().ledger_time(_round(1, 100), "data") == 0.0
+        assert Link().ledger_time({"counters": {}}, "exchange") == 0.0
 
     def test_alltoall_scales_with_p(self):
         link = Link(alpha_s=0.0, bandwidth_bytes_per_s=1e9)
-        t4 = Network(4, link).alltoall_time(1000)
-        t8 = Network(8, link).alltoall_time(1000)
+        t4 = link.ledger_time(_round(4, 1000), "data")
+        t8 = link.ledger_time(_round(8, 1000), "data")
         assert t8 > t4
 
-    def test_broadcast_log_steps(self):
-        link = Link(alpha_s=1.0, bandwidth_bytes_per_s=1e30)
-        assert Network(8, link).broadcast_time(1) == pytest.approx(3.0)
-        assert Network(9, link).broadcast_time(1) == pytest.approx(4.0)
-
     def test_monotone_in_message_size(self):
-        net = Network(4)
-        assert net.alltoall_time(2000) > net.alltoall_time(1000)
+        link = Link()
+        assert link.ledger_time(_round(4, 2000), "data") > link.ledger_time(
+            _round(4, 1000), "data"
+        )
 
     def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigurationError):
-            Network(0)
+        with pytest.raises(ConfigurationError, match=">= 1 rank"):
+            makespan([], 1.0, [])

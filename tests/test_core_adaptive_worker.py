@@ -1,24 +1,24 @@
-"""Tests for content-adaptive decomposition and the simulated runner's
-worker-pool model (device memory budget, per-rank load, makespan)."""
-
-from dataclasses import replace
+"""Tests for content-adaptive decomposition and ranks as a worker pool
+(device memory budget, per-rank load, makespan)."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.cost import pruned_conv_time
+from repro.cluster.cost import makespan, pruned_conv_time
 from repro.cluster.device import V100_32GB
+from repro.cluster.memory import MemoryTracker
+from repro.cluster.network import Link
 from repro.core.accumulate import accumulate_global
 from repro.core.adaptive import (
     AdaptiveConvolution,
     decompose_by_content,
 )
 from repro.core.decomposition import DomainDecomposition, SubDomain
-from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.local_conv import LocalConvolution
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve
+from repro.dist import DistConfig, dist_run
 from repro.errors import ConfigurationError, DeviceMemoryError
 from repro.kernels.gaussian import GaussianKernel
 from repro.util.arrays import l2_relative_error
@@ -216,69 +216,95 @@ class TestAdaptiveOnConvolveChunks:
 
 
 class TestWorkerPool:
-    """The simulated runner is the worker pool: P devices batch-processing
-    a decomposition's chunks under a memory budget, on a modeled clock."""
+    """Ranks as a worker pool: each batch-processes its share of the
+    decomposition's chunks, the makespan model (:func:`makespan`) prices
+    the chunk counts the ranks report, and every local convolution runs
+    under a device memory budget."""
 
     N, K = 16, 4
 
-    def _setup(self, count, device=V100_32GB):
-        """A runner plus a field whose first ``count`` sub-domains are active."""
+    def _field(self, count):
+        """A field whose first ``count`` sub-domains are active."""
         rng = np.random.default_rng(0)
         d = DomainDecomposition(self.N, self.K)
         field = np.zeros((self.N,) * 3)
         for i in range(count):
             field[d.subdomain(i).slices()] = rng.standard_normal((self.K,) * 3)
-        spec = GaussianKernel(n=self.N, sigma=1.2).spectrum()
-        runner = DistributedLowCommConvolution(
-            self.N, self.K, spec, SamplingPolicy.flat_rate(2), device=device, batch=64
+        return field
+
+    def _ranks(self, count, ranks):
+        config = DistConfig(
+            n=self.N, k=self.K, sigma=1.2, policy="flat:2", batch=64,
+            num_ranks=ranks, transport="local",
         )
-        return runner, field
+        report = dist_run(config, field=self._field(count))
+        return report, [report.rank_results[r] for r in range(ranks)]
 
     def _chunk_time(self):
         return pruned_conv_time(V100_32GB, self.N, self.K, 2.0, batch=64)
 
+    def _compute_makespan(self, results):
+        return makespan(
+            [r.num_chunks for r in results], self._chunk_time(), [0.0] * len(results)
+        )
+
     def test_all_chunks_processed(self):
-        runner, field = self._setup(6)
-        rep = runner.run(field, 3)
-        assert sum(rep.per_rank_compute_s) == pytest.approx(6 * self._chunk_time())
+        _report, results = self._ranks(6, 3)
+        assert sum(r.num_chunks for r in results) == 6
 
     def test_load_balanced(self):
-        runner, field = self._setup(7)
-        loads = runner.run(field, 4).per_rank_compute_s
-        assert max(loads) - min(loads) == pytest.approx(self._chunk_time())
+        _report, results = self._ranks(7, 4)
+        assert [r.num_chunks for r in results] == [2, 2, 2, 1]
+        assert self._compute_makespan(results) == pytest.approx(2 * self._chunk_time())
 
     def test_makespan_shrinks_with_more_workers(self):
-        runner, field = self._setup(8)
-        m1 = max(runner.run(field, 1).per_rank_compute_s)
-        m4 = max(runner.run(field, 4).per_rank_compute_s)
+        _r1, one = self._ranks(8, 1)
+        _report, four = self._ranks(8, 4)
+        m1, m4 = self._compute_makespan(one), self._compute_makespan(four)
         assert m4 == pytest.approx(m1 / 4, rel=1e-12)
+        # each rank's exchange, read off its own ledger, adds on top
+        link = Link()
+        exchange = [link.ledger_time(r.wire, "exchange") for r in four]
+        assert all(t > 0 for t in exchange)
+        full = makespan([r.num_chunks for r in four], self._chunk_time(), exchange)
+        assert m4 < full <= m4 + max(exchange)
+        assert full < m1
 
     def test_results_match_direct_pipeline(self):
-        runner, field = self._setup(4)
-        lc = LocalConvolution(
-            self.N, runner.pipeline._kernel_spectrum, runner.policy, batch=64
-        )
-        d = runner.pipeline.decomposition
+        report, _results = self._ranks(4, 2)
+        spec = GaussianKernel(n=self.N, sigma=1.2).spectrum()
+        lc = LocalConvolution(self.N, spec, SamplingPolicy.flat_rate(2), batch=64)
+        d = DomainDecomposition(self.N, self.K)
+        field = self._field(4)
         direct = [
             lc.convolve(d.extract(field, d.subdomain(i)), d.subdomain(i).corner)
             for i in range(4)
         ]
-        assert np.array_equal(runner.run(field, 2).approx, accumulate_global(direct))
+        assert np.array_equal(report.approx, accumulate_global(direct))
 
     def test_memory_enforced(self):
         """Every local convolution is charged to the device's memory: a
         device one byte short of a chunk's working set cannot run it."""
-        runner, field = self._setup(2)
-        runner.run(field, 2)
-        peak = runner.pipeline.memory.peak_bytes
-        assert peak > 0 and runner.pipeline.memory.current_bytes == 0
-        small = replace(V100_32GB, name="too-small", memory_bytes=peak - 1)
+        field = self._field(2)
+        spec = GaussianKernel(n=self.N, sigma=1.2).spectrum()
+
+        def run(capacity, name=V100_32GB.name):
+            memory = MemoryTracker(capacity_bytes=capacity, device_name=name)
+            LowCommConvolution3D(
+                self.N, self.K, spec, SamplingPolicy.flat_rate(2), batch=64,
+                memory=memory,
+            ).run_serial(field)
+            return memory
+
+        memory = run(V100_32GB.memory_bytes)
+        peak = memory.peak_bytes
+        assert peak > 0 and memory.current_bytes == 0
         with pytest.raises(DeviceMemoryError, match="too-small"):
-            self._setup(2, device=small)[0].run(field, 2)
-        exact = replace(V100_32GB, memory_bytes=peak)
-        self._setup(2, device=exact)[0].run(field, 2)  # no raise
+            run(peak - 1, name="too-small")
+        run(peak)  # no raise
 
     def test_zero_workers_rejected(self):
-        runner, field = self._setup(1)
         with pytest.raises(ConfigurationError, match=">= 1 rank"):
-            runner.run(field, 0)
+            DistConfig(num_ranks=0)
+        with pytest.raises(ConfigurationError, match=">= 1 rank"):
+            makespan([], self._chunk_time(), [])

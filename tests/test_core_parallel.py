@@ -4,11 +4,12 @@ the pipeline level."""
 import numpy as np
 import pytest
 
-from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.local_conv import LocalConvolution, PencilOperator
 from repro.core.parallel import convolve_subdomains_parallel, default_workers
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
+from repro.dist import DistConfig, dist_run
+from repro.dist.ledger import CATEGORY_EXCHANGE, alltoall_rounds
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.sampling import build_box_pattern
@@ -110,18 +111,25 @@ class TestRunParallel:
 
 class TestRunDistributedParallel:
     def test_matches_serial_numerics(self, setup32):
-        """Both in-process modes and the simulated cluster's booked result
-        are one computation: bitwise equal, with a single exchange round."""
+        """Both in-process modes and loopback ranks are one computation:
+        bitwise equal, with a single exchange round."""
         n, k, spec, field = setup32
-        runner = DistributedLowCommConvolution(
+        pipeline = LowCommConvolution3D(
             n, k, spec, SamplingPolicy.flat_rate(2), batch=64
         )
-        dist = runner.run(field, 4)
-        assert np.array_equal(dist.approx, runner.pipeline.run_serial(field).approx)
-        assert np.array_equal(
-            dist.approx, runner.pipeline.run_parallel(field, max_workers=2).approx
+        dist = dist_run(
+            DistConfig(
+                n=n, k=k, sigma=1.5, policy="flat:2", batch=64, num_ranks=4,
+                transport="local",
+            ),
+            field=field,
         )
-        assert dist.comm_rounds == 1
+        assert np.array_equal(dist.approx, pipeline.run_serial(field).approx)
+        assert np.array_equal(
+            dist.approx, pipeline.run_parallel(field, max_workers=2).approx
+        )
+        wires = [result.wire for result in dist.rank_results.values()]
+        assert alltoall_rounds(wires, CATEGORY_EXCHANGE) == 1
 
 
 class TestHermitianFastPath:

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.cluster.comm import SimulatedComm
 from repro.core.accumulate import accumulate_global
 from repro.core.decomposition import DomainDecomposition
-from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.local_conv import LocalConvolution
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy, parse_policy
 from repro.core.reference import reference_convolve
-from repro.dist.launcher import assemble_blocks, expected_exchange_value_bytes
+from repro.dist.collectives import Communicator
+from repro.dist.launcher import assemble_blocks, dist_run, expected_exchange_value_bytes
+from repro.dist.ledger import CATEGORY_DATA, CATEGORY_EXCHANGE, alltoall_rounds
+from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, RankResult
 from repro.errors import CommunicationError, ConfigurationError, ShapeError
 from repro.kernels.gaussian import GaussianKernel
@@ -92,66 +93,85 @@ class TestPipelineSerial:
             pipe.run_serial(np.zeros((8, 8, 8)))
 
 
-def _runner(setup, rate=2):
-    n, k, spec, field = setup
-    return DistributedLowCommConvolution(
-        n, k, spec, SamplingPolicy.flat_rate(rate), batch=64
+def _dist(setup, ranks, rate=2):
+    """``dist_run`` on loopback ranks, configured like ``setup``'s pipeline
+    (the kernel evaluated rank-side is the same Gaussian)."""
+    n, k, _spec, field = setup
+    config = DistConfig(
+        n=n, k=k, sigma=1.5, policy=f"flat:{rate}", batch=64, num_ranks=ranks,
+        transport="local",
     )
+    return dist_run(config, field=field)
+
+
+def _serial(setup, rate=2):
+    n, k, spec, field = setup
+    return LowCommConvolution3D(
+        n, k, spec, SamplingPolicy.flat_rate(rate), batch=64
+    ).run_serial(field)
+
+
+def _wires(report):
+    return [report.rank_results[r].wire for r in range(report.config.num_ranks)]
 
 
 class TestPipelineDistributed:
-    """The simulated cluster books traffic on a finished ``run_serial``."""
+    """Real loopback ranks: bitwise ``run_serial``, with the traffic read
+    off their wire ledgers."""
 
     def test_matches_serial(self, setup32):
-        field = setup32[3]
-        runner = _runner(setup32)
-        serial = runner.pipeline.run_serial(field)
-        assert np.array_equal(runner.run(field, 4).approx, serial.approx)
+        assert np.array_equal(_dist(setup32, 4).approx, _serial(setup32).approx)
 
     def test_exactly_one_collective_round(self, setup32):
         """The Fig 1(b) claim: a single sparse exchange, no all-to-alls."""
-        rep = _runner(setup32).run(setup32[3], 4)
-        assert rep.comm_rounds == 1
-        assert rep.alltoall_rounds == 0
+        wires = _wires(_dist(setup32, 4))
+        assert alltoall_rounds(wires, CATEGORY_EXCHANGE) == 1
+        assert alltoall_rounds(wires, CATEGORY_DATA) == 0
 
     def test_comm_bytes_less_than_dense(self, setup32):
-        n, field = setup32[0], setup32[3]
-        rep = _runner(setup32, rate=4).run(field, 4)
+        n = setup32[0]
+        rep = _dist(setup32, 4, rate=4)
         dense_exchange = 8 * n**3 * 2  # two all-to-all stages of Eq 1
-        assert 0 < rep.comm_bytes < dense_exchange
+        assert 0 < rep.exchange_wire_bytes < dense_exchange
 
     def test_single_rank(self, setup32):
-        field = setup32[3]
-        runner = _runner(setup32)
-        rep = runner.run(field, 1)
-        assert np.array_equal(rep.approx, runner.pipeline.run_serial(field).approx)
-        assert rep.comm_bytes == 0
+        rep = _dist(setup32, 1)
+        assert np.array_equal(rep.approx, _serial(setup32).approx)
+        assert rep.exchange_wire_bytes == 0
+        assert alltoall_rounds(_wires(rep), CATEGORY_EXCHANGE) == 0
 
     @pytest.mark.parametrize("policy", ["flat:2", "banded"])
     @pytest.mark.parametrize("ranks", [1, 3, 4])
     def test_accounting_is_exact(self, rng, ranks, policy):
-        """Bitwise ``run_serial``, one allgather whose ledger bytes are the
-        exact Eq 6 value-byte count the real transports are checked against."""
+        """Bitwise ``run_serial``, at most one exchange round, and the
+        report's Eq 6 allgather count is the exact value-byte count the
+        per-destination exchange is held below."""
         n, k = 32, 8
         field = rng.standard_normal((n, n, n))
         field[:, :, :k] = 0.0  # one all-zero slab: 16 of 64 blocks skipped
-        runner = DistributedLowCommConvolution(
-            n, k, GaussianKernel(n=n, sigma=2.0).spectrum(), parse_policy(policy)
+        config = DistConfig(
+            n=n, k=k, policy=policy, num_ranks=ranks, transport="local"
         )
-        rep = runner.run(field, ranks)
-        assert np.array_equal(rep.approx, runner.pipeline.run_serial(field).approx)
-        assert (rep.comm_rounds, rep.alltoall_rounds) == (1, 0)
-        config = DistConfig(n=n, k=k, policy=policy, num_ranks=ranks)
-        assert rep.comm_bytes == expected_exchange_value_bytes(config, field)
+        rep = dist_run(config, field=field)
+        serial = LowCommConvolution3D(
+            n, k, GaussianKernel(n=n, sigma=2.0).spectrum(), parse_policy(policy)
+        ).run_serial(field)
+        assert np.array_equal(rep.approx, serial.approx)
+        wires = _wires(rep)
+        assert alltoall_rounds(wires, CATEGORY_EXCHANGE) == min(1, ranks - 1)
+        assert alltoall_rounds(wires, CATEGORY_DATA) == 0
+        assert rep.eq6_value_bytes == expected_exchange_value_bytes(config, field)
+        assert rep.predicted_value_bytes <= rep.eq6_value_bytes
 
 
 class TestAccumulatorDistributed:
-    """The two guards of the distributed accumulation step: the simulated
-    communicator's participant check and the one block assembler."""
+    """The two guards of the distributed accumulation step: the exchange's
+    participant check and the one block assembler."""
 
     def test_rank_count_mismatch(self):
-        with pytest.raises(CommunicationError, match="one entry per rank"):
-            SimulatedComm(4).allgather([np.zeros(1), np.zeros(1)])
+        comm = Communicator(LocalFabric(4).endpoint(0), recv_timeout_s=1.0)
+        with pytest.raises(CommunicationError, match="one payload per rank"):
+            comm.sparse_allgather([b"", b""])
 
     def test_assemble_covers_grid(self, setup32):
         n, k = setup32[:2]

@@ -13,7 +13,7 @@ from repro.dist.collectives import (
     Communicator,
 )
 from repro.dist.heartbeat import HeartbeatMonitor
-from repro.dist.ledger import CATEGORY_DATA, CATEGORY_EXCHANGE
+from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.transport import LocalFabric
 from repro.dist.wire import Frame, FrameKind, encode_frame
 from repro.errors import CommunicationError, RankFailure, TransportError
@@ -132,7 +132,7 @@ class TestCollectives:
 
         def run(comm):
             payloads = [f"{comm.rank}->{dst}".encode() for dst in range(3)]
-            return comm.sparse_allgather(payloads, category=CATEGORY_DATA)
+            return comm.alltoall(payloads)
 
         results = _run_all(comms, run)
         for rank, got in enumerate(results):
@@ -141,7 +141,7 @@ class TestCollectives:
     def test_alltoall_wrong_arity(self):
         _fabric, (a, _b) = _communicators(2)
         with pytest.raises(CommunicationError, match="one payload per rank"):
-            a.sparse_allgather([b"only one"])
+            a.alltoall([b"only one"])
 
     def test_barrier_completes(self):
         _fabric, comms = _communicators(3)

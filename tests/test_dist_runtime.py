@@ -7,9 +7,9 @@ The PR's acceptance bar, as tests:
 - the measured exchange wire bytes obey the *exact* frame-level
   invariant and stay within 5% of the exact per-destination value-byte
   prediction at the reference configuration (n=32, k=8, flat:2);
-- the simulated substrate's allgather ledger equals the paper's Eq 6
-  allgather count exactly (``eq6_value_bytes``), and the real wire,
-  which sends each peer only its cells, moves no more than that.
+- the report carries the paper's Eq 6 allgather count
+  (``eq6_value_bytes``), and the real wire, which sends each peer only
+  its cells, moves no more than that.
 """
 
 import os
@@ -18,8 +18,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.distributed_runner import DistributedLowCommConvolution
-from repro.core.policy import parse_policy
 from repro.dist.agent import RankAgent
 from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import (
@@ -30,7 +28,6 @@ from repro.dist.launcher import (
 from repro.dist.wire import HEADER_BYTES
 from repro.dist.worker import DistConfig, build_pipeline, composite_field
 from repro.errors import ConfigurationError, PoolError
-from repro.kernels.gaussian import GaussianKernel
 from repro.pool import private_pool
 
 SMALL = dict(n=16, k=4, sigma=2.0, policy="flat:2")
@@ -158,74 +155,24 @@ class TestWireAccounting:
             expected_exchange_value_bytes(config, composite_field(16, 0))
 
 
-def _runner(config, spectrum=None):
-    """The simulated cluster model configured like ``config``."""
-    if spectrum is None:
-        spectrum = default_spectrum(config)
-    return DistributedLowCommConvolution(
-        config.n, config.k, spectrum, parse_policy(config.policy)
-    )
-
-
-def _model_and_real(config):
-    """The same job costed by the simulated model and run on real ranks;
-    they must agree on the bits and on the bytes the wire is held to."""
-    field, spectrum, serial = _serial(config)
-    sim = _runner(config, spectrum).run(field, config.num_ranks)
-    real = dist_run(config, field=field, spectrum=spectrum)
-    assert np.array_equal(sim.approx, serial.approx)
-    assert np.array_equal(sim.approx, real.approx)
-    # the model books the paper's allgather; the wire ships each peer
-    # only its cells, which is never more
-    assert sim.comm_bytes == real.eq6_value_bytes > 0
-    assert 0 < real.predicted_value_bytes <= real.eq6_value_bytes
-    return sim, real
-
-
-class TestSimulatedCrosscheck:
-    def test_ledger_equals_eq6_exactly(self):
-        config = DistConfig(num_ranks=4, transport="local", **SMALL)
-        field = composite_field(config.n, config.seed)
-        sim = _runner(config).run(field, config.num_ranks)
-        assert sim.comm_bytes == expected_exchange_value_bytes(config, field)
-        assert (sim.comm_rounds, sim.alltoall_rounds) == (1, 0)
-
-    def test_simulated_result_close_to_real(self):
-        _model_and_real(DistConfig(num_ranks=2, transport="local", **SMALL))
-
-
 class TestDistributedRunnerSelector:
-    """The runner is the simulated model only; ``dist_run`` is the door to
-    the real transports, and the two agree bit for bit and byte for byte."""
+    """``dist_run`` is the one door to real ranks: the loopback transport
+    agrees with ``run_serial`` bit for bit, and its wire with Eq 6."""
 
     def test_local_transport_bitwise(self):
         """Also against the streamed exchange, at a rank count that does
-        not divide the sub-domain count."""
-        sim, real = _model_and_real(
-            DistConfig(
-                num_ranks=3, transport="local", n=16, k=4, policy="banded",
-                overlap=True,
-            )
+        not divide the sub-domain count; the per-destination exchange
+        moves no more than the paper's allgather would."""
+        config = DistConfig(
+            num_ranks=3, transport="local", n=16, k=4, policy="banded",
+            overlap=True,
         )
-        assert len(sim.per_rank_compute_s) == len(real.rank_results) == 3
-
-    def test_simulated_default_unchanged(self):
-        config = DistConfig(num_ranks=2, n=16, k=4, policy="banded")
-        report = _runner(config).run(composite_field(16, 0), num_ranks=2)
-        assert report.alltoall_rounds == 0 and report.comm_bytes > 0
-        assert report.comm_s > 0
-
-    def test_callable_spectrum_needs_simulated(self):
-        """An on-the-fly pencil callable cannot be broadcast to real ranks;
-        the in-process model takes it like ``run_serial`` does."""
-        n = 16
-        dense = GaussianKernel(n=n, sigma=2.0).spectrum()
-        field = composite_field(n, 0)
-        runner = DistributedLowCommConvolution(
-            n, 4, lambda ix, iy: dense[ix, iy, :], real_kernel=True
-        )
-        expected = DistributedLowCommConvolution(n, 4, dense).run(field, 2)
-        assert np.array_equal(runner.run(field, 2).approx, expected.approx)
+        field, spectrum, serial = _serial(config)
+        real = dist_run(config, field=field, spectrum=spectrum)
+        assert np.array_equal(real.approx, serial.approx)
+        assert len(real.rank_results) == 3
+        assert real.eq6_value_bytes == expected_exchange_value_bytes(config, field)
+        assert 0 < real.predicted_value_bytes <= real.eq6_value_bytes
 
 
 class TestConfigValidation:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.memory import MemoryTracker
-from repro.core.distributed_runner import DistributedLowCommConvolution
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve
@@ -20,7 +19,6 @@ from repro.fft.pruned_plan import PrunedPlan
 from repro.fftx import fftx_execute, massif_convolution_plan
 from repro.kernels.gaussian import GaussianKernel
 from repro.kernels.poisson import PoissonKernel
-from repro.octree.interpolate import reconstruct_dense
 from repro.serve import ConvolutionServer, ServerConfig
 from repro.util.arrays import l2_relative_error
 from repro.util.clock import ManualClock
@@ -89,11 +87,14 @@ class TestDistributedEquivalence:
         n, k = 16, 4
         spec = GaussianKernel(n=n, sigma=1.2).spectrum()
         field = rng.standard_normal((n, n, n))
-        runner = DistributedLowCommConvolution(
+        serial = LowCommConvolution3D(
             n, k, spec, SamplingPolicy.flat_rate(2), batch=64
+        ).run_serial(field).approx
+        config = DistConfig(
+            n=n, k=k, sigma=1.2, policy="flat:2", batch=64, num_ranks=p,
+            transport="local",
         )
-        serial = runner.pipeline.run_serial(field).approx
-        assert np.array_equal(runner.run(field, p).approx, serial)
+        assert np.array_equal(dist_run(config, field=field).approx, serial)
 
 
 class TestFFTXAgainstPipeline:

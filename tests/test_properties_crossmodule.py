@@ -6,12 +6,13 @@ communicator's conservation laws, serialization under fuzzing, and
 dimensional-consistency properties of the cost models.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.comm import SimulatedComm
 from repro.cluster.cost import (
     comm_time_ours,
     comm_time_traditional_fft,
@@ -22,6 +23,9 @@ from repro.cluster.network import Link
 from repro.core.local_conv import LocalConvolution
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
+from repro.dist.collectives import Communicator
+from repro.dist.ledger import sent_wire_bytes
+from repro.dist.transport import LocalFabric
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.compress import CompressedField
@@ -79,31 +83,42 @@ class TestPipelineOperatorProperties:
         assert np.all(out.approx == 0.0)
 
 
+def _on_ranks(p, fn):
+    """``fn(comm)`` on ``p`` loopback ranks; returns the per-rank results."""
+    fabric = LocalFabric(p)
+    comms = [Communicator(fabric.endpoint(r), recv_timeout_s=5.0) for r in range(p)]
+    with ThreadPoolExecutor(max_workers=p) as pool:
+        return list(pool.map(fn, comms, timeout=30))
+
+
 class TestCommConservation:
     @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_alltoall_conserves_data(self, p, seed):
-        """Every element sent is received exactly once (permutation)."""
+        """Every element sent is received exactly once, by its addressee."""
         r = np.random.default_rng(seed)
-        comm = SimulatedComm(p)
-        send = [
-            [r.standard_normal(3) for _ in range(p)] for _ in range(p)
-        ]
-        recv = comm.alltoall(send)
-        sent_sum = sum(send[i][j].sum() for i in range(p) for j in range(p))
-        recv_sum = sum(recv[j][i].sum() for j in range(p) for i in range(p))
-        assert sent_sum == pytest.approx(recv_sum)
+        send = [[r.standard_normal(3) for _ in range(p)] for _ in range(p)]
+        recv = _on_ranks(
+            p, lambda comm: comm.alltoall([a.tobytes() for a in send[comm.rank]])
+        )
+        for j in range(p):
+            for i in range(p):
+                assert np.array_equal(np.frombuffer(recv[j][i]), send[i][j])
 
     @given(st.integers(2, 5))
     @settings(max_examples=10, deadline=None)
     def test_ledger_monotone(self, p):
-        comm = SimulatedComm(p)
-        before = comm.ledger.total_bytes
-        comm.allgather([np.zeros(8)] * p)
-        mid = comm.ledger.total_bytes
-        comm.bcast(np.zeros(8))
-        after = comm.ledger.total_bytes
-        assert before <= mid <= after
+        def run(comm):
+            ledger = comm.transport.ledger
+            totals = [sent_wire_bytes(ledger.snapshot()["counters"])]
+            comm.sparse_allgather([bytes(8)] * p)
+            totals.append(sent_wire_bytes(ledger.snapshot()["counters"]))
+            comm.broadcast(bytes(8) if comm.rank == 0 else None)
+            totals.append(sent_wire_bytes(ledger.snapshot()["counters"]))
+            return totals
+
+        for before, mid, after in _on_ranks(p, run):
+            assert before <= mid <= after
 
 
 class TestSerializationFuzz:

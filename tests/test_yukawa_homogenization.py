@@ -1,11 +1,14 @@
 """Tests for the Yukawa kernel, homogenization, and the distributed runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.cluster.cost import makespan, pruned_conv_time
 from repro.cluster.device import V100_16GB, V100_32GB
+from repro.cluster.network import Link
 from repro.core.distributed_runner import (
-    DistributedLowCommConvolution,
     compute_amplification,
     min_feasible_ranks_traditional,
     parallel_efficiency,
@@ -14,6 +17,8 @@ from repro.core.distributed_runner import (
 from repro.core.policy import SamplingPolicy
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.reference import reference_convolve
+from repro.dist import DistConfig, dist_run
+from repro.dist.ledger import alltoall_rounds
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 from repro.kernels.green_massif import LameParameters
@@ -132,45 +137,63 @@ class TestHomogenization:
 
 
 class TestDistributedRunner:
+    """The pipeline on loopback ranks, priced by the makespan model."""
+
     @pytest.fixture(scope="class")
     def setup(self):
         n, k = 16, 4
         spec = GaussianKernel(n=n, sigma=1.2).spectrum()
         field = np.zeros((n, n, n))
         field[4:12, 4:12, 4:12] = 1.0
-        runner = DistributedLowCommConvolution(
-            n, k, spec, SamplingPolicy.flat_rate(2), batch=64
+        config = DistConfig(
+            n=n, k=k, sigma=1.2, policy="flat:2", batch=64, transport="local"
         )
-        return runner, field, spec
+        return config, field, spec
+
+    @staticmethod
+    def _run(config, field, ranks):
+        return dist_run(replace(config, num_ranks=ranks), field=field)
 
     def test_result_correct(self, setup):
-        runner, field, spec = setup
-        rep = runner.run(field, num_ranks=4)
+        config, field, spec = setup
+        rep = self._run(config, field, 4)
         exact = reference_convolve(field, spec)
         # tiny k=4 sub-domains leave a proportionally larger interpolated
         # shell; this test checks distributed correctness, not accuracy
         assert l2_relative_error(rep.approx, exact) < 0.1
 
     def test_matches_serial_pipeline_exactly(self, setup):
-        runner, field, _ = setup
-        rep = runner.run(field, num_ranks=4)
-        serial = runner.pipeline.run_serial(field)
+        config, field, spec = setup
+        rep = self._run(config, field, 4)
+        serial = LowCommConvolution3D(
+            config.n, config.k, spec, SamplingPolicy.flat_rate(2), batch=64
+        ).run_serial(field)
         assert np.array_equal(rep.approx, serial.approx)
 
     def test_zero_alltoalls(self, setup):
-        runner, field, _ = setup
-        assert runner.run(field, 4).alltoall_rounds == 0
+        config, field, _ = setup
+        rep = self._run(config, field, 4)
+        assert alltoall_rounds([r.wire for r in rep.rank_results.values()]) == 0
 
     def test_makespan_improves_with_ranks(self, setup):
-        runner, field, _ = setup
-        m1 = runner.run(field, 1).makespan_s
-        m4 = runner.run(field, 4).makespan_s
-        assert m4 < m1
+        config, field, _ = setup
+        chunk_s = pruned_conv_time(V100_32GB, config.n, config.k, 2.0, batch=64)
+        link = Link()
+
+        def modelled(ranks):
+            results = self._run(config, field, ranks).rank_results.values()
+            return makespan(
+                [r.num_chunks for r in results],
+                chunk_s,
+                [link.ledger_time(r.wire, "exchange") for r in results],
+            )
+
+        assert modelled(4) < modelled(1)
 
     def test_bad_rank_count(self, setup):
-        runner, field, _ = setup
+        config, field, _ = setup
         with pytest.raises(ConfigurationError):
-            runner.run(field, 0)
+            self._run(config, field, 0)
 
 
 class TestScalingModels:
