@@ -1,9 +1,9 @@
 """CLK001: direct wall-clock reads inside clock-injected layers.
 
-Everything in :mod:`repro.serve`, :mod:`repro.xpr`, :mod:`repro.pool`
-and :mod:`repro.dist` is specified to read time through the injectable
-:class:`repro.util.clock.Clock` so scheduler flushes, deadlines, trial
-timings, rendezvous waits, and gate evaluation are testable with a
+Everything in :mod:`repro.serve`, :mod:`repro.pool` and
+:mod:`repro.dist` is specified to read time through the injectable
+:class:`repro.util.clock.Clock` so scheduler flushes, deadlines,
+heartbeats and rendezvous waits are testable with a
 :class:`~repro.util.clock.ManualClock` and zero real sleeps.  One
 stray ``time.monotonic()`` re-introduces wall-clock nondeterminism into
 a path the tests believe is virtual — the kind of drift that only shows
@@ -11,8 +11,8 @@ up as a flaky deadline test months later.
 
 This rule flags every call to ``time.time`` / ``time.monotonic`` /
 ``time.sleep`` / ``time.perf_counter`` (module-qualified or imported
-bare) in any file under a ``serve/``, ``xpr/``, ``pool/`` or ``dist/``
-directory, with no exemption: the one sanctioned adapter between the
+bare) in any file under a ``serve/``, ``pool/`` or ``dist/`` directory,
+with no exemption: the one sanctioned adapter between the
 :class:`Clock` interface and the real clock, ``util/clock.py``, sits
 outside the clocked trees.
 """
@@ -29,9 +29,9 @@ from repro.analysis.rules.base import Rule
 _CLOCK_FUNCS = frozenset({"time", "monotonic", "sleep", "perf_counter"})
 
 #: Directory names whose Python files are held to the injectable-Clock
-#: contract (the serving layer, the experiment orchestrator, the
-#: standing rank pool, and the cross-rank runtime beneath it).
-_CLOCKED_TREES = frozenset({"serve", "xpr", "pool", "dist"})
+#: contract (the serving layer, the standing rank pool, and the
+#: cross-rank runtime beneath it).
+_CLOCKED_TREES = frozenset({"serve", "pool", "dist"})
 
 
 class InjectableClockRule(Rule):
@@ -39,12 +39,12 @@ class InjectableClockRule(Rule):
 
     rule_id = "CLK001"
     description = (
-        "serve/, xpr/, pool/ and dist/ read time only through "
+        "serve/, pool/ and dist/ read time only through "
         "repro.util.clock.Clock"
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        """Flag direct wall-clock calls in serve/, xpr/, pool/ and dist/ modules."""
+        """Flag direct wall-clock calls in serve/, pool/ and dist/ modules."""
         if not _CLOCKED_TREES & set(ctx.parts):
             return []
         imported_bare = {

@@ -22,9 +22,6 @@ Usage::
     python -m repro dist-run --ranks 4 --transport tcp
                                     # real multi-process SPMD run
     python -m repro lint src tests  # project-specific static analysis
-    python -m repro xpr run --experiment ref-quick
-                                    # drain an experiment grid
-    python -m repro xpr gate        # fail on perf regression vs history
     python -m repro pool up --rendezvous file:///tmp/rdv --ranks 4
                                     # standing rank pool (see pool --help)
 
@@ -662,12 +659,7 @@ def _build_parser() -> Tuple[
         "(JSON output always carries timings)",
     )
 
-    # These two own their sub-command surfaces: the rest of argv is theirs.
-    verbs.add_parser(
-        "xpr",
-        add_help=False,
-        help="experiment grids and regression gates (see 'repro xpr --help')",
-    )
+    # pool owns its sub-command surface: the rest of argv goes to it.
     verbs.add_parser(
         "pool",
         add_help=False,
@@ -680,10 +672,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser, verbs = _build_parser()
     args, rest = parser.parse_known_args(argv)
-    if args.command == "xpr":
-        from repro.xpr.cli import xpr_main
-
-        return xpr_main(rest)
     if args.command == "pool":
         from repro.pool.cli import pool_main
 

@@ -1,8 +1,8 @@
 """Injectable time sources: the one clock every layer reads.
 
 Every component of the runtimes (:mod:`repro.dist`, :mod:`repro.pool`,
-:mod:`repro.serve`, :mod:`repro.xpr`) reads time through a :class:`Clock`
-instead of calling :func:`time.monotonic` directly, so the scheduler's
+:mod:`repro.serve`) reads time through a :class:`Clock` instead of
+calling :func:`time.monotonic` directly, so the scheduler's
 max-wait flushes, deadlines, heartbeat expiry and retry backoffs are all
 testable without a single wall-clock sleep: tests inject a
 :class:`ManualClock` and advance it explicitly.  Production uses

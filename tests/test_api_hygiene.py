@@ -88,14 +88,12 @@ LOWER_LAYERS = (
     "baselines", "fftx",
 )
 #: the runtimes and front ends built on top of it
-UPPER_LAYERS = ("dist", "pool", "serve", "xpr")
+UPPER_LAYERS = ("dist", "pool", "serve")
 #: (importing packages, packages they may not import): the library knows
-#: no runtime, the runtimes do not know the experiment orchestrator that
-#: drives them, the rank runtime does not know the standing pool that is
+#: no runtime, the rank runtime does not know the standing pool that is
 #: one use of it, and neither knows the serving tier built on both
 LAYERING = (
     (LOWER_LAYERS, UPPER_LAYERS),
-    (("dist", "pool", "serve"), ("xpr",)),
     (("dist",), ("pool",)),
     (("dist", "pool"), ("serve",)),
 )

@@ -72,7 +72,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --ranks 7 --overlap --kill-job 3" in err
 
-    @pytest.mark.parametrize("verb", ["xpr", "pool"])
+    @pytest.mark.parametrize("verb", ["pool"])
     def test_passthrough_verbs_own_their_help(self, capsys, verb):
         with pytest.raises(SystemExit) as excinfo:
             main([verb, "--help"])

@@ -119,7 +119,10 @@ def test_pool_geometry_halves_the_exchange():
     """``pool_tcp_p2``'s geometry (n=64, k=16, banded, P=2): the peer
     needs 39.6% of the allgather's samples.  Metadata stays 24 B a cell,
     9.0% of the value bytes it now rides with (5.5% under the
-    allgather), so the wire reads about 1.092 over the prediction."""
+    allgather), so the wire reads about 1.092 over the prediction.
+    The sample count, the Eq 6 result size and the exchange wire bytes
+    are pinned exactly: a change to any of them is a change to the
+    method or the wire format, never noise."""
     config = DistConfig(n=64, k=16, policy="banded", num_ranks=2)
     field, spectrum, serial = _serial(config)
     report = dist_run(config, field=field, spectrum=spectrum)
@@ -128,6 +131,11 @@ def test_pool_geometry_halves_the_exchange():
         8 * 42_192,
         8 * 106_488,
     )
+    assert (
+        serial.total_samples,
+        serial.compressed_bytes,
+        report.exchange_wire_bytes,
+    ) == (106_488, 891_264, 368_648)
     assert 1.08 <= report.wire_over_model <= 1.10
 
 

@@ -1,6 +1,8 @@
 """Tests for compressed-field algebra, the kernel study, and the report
 generator."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,8 @@ class TestReportGenerator:
     def test_paper_values_present(self, report_text):
         assert "N=8192" in report_text  # Table 1 rows
         assert "0.4945" in report_text or "0.494" in report_text  # §2.1
+
+    def test_committed_report_is_current(self, report_text):
+        """``docs/REPORT.md`` is ``python -m repro report``'s output."""
+        committed = Path(__file__).parent.parent / "docs" / "REPORT.md"
+        assert committed.read_text() == report_text + "\n"

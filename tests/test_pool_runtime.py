@@ -14,8 +14,8 @@ The acceptance bar, as tests:
   once — at every fail stage, for a non-root rank and for rank 0;
 - late joiners grow the roster and the next job spreads across them;
 - a job stamped with a dead generation is fenced, never executed;
-- a private pool (the xpr ``pool`` trial, ``serve-bench --pool auto``)
-  leaves no rendezvous directory behind, also when its user raises.
+- a private pool (``serve-bench --pool auto``) leaves no rendezvous
+  directory behind, also when its user raises.
 
 Each test stands up its own pool over a private ``file://`` rendezvous
 and tears it down, so tests never share agent processes.
@@ -38,9 +38,7 @@ from repro.dist.worker import (
 from repro.dist.jobs import PoolJob
 from repro.dist.runtime import control_reply
 from repro.errors import ConfigurationError, PoolError
-from repro.pool.pool import RankPool
-from repro.xpr.grid import TrialSpec
-from repro.xpr.registry import run_pool_trial
+from repro.pool.pool import RankPool, private_pool
 
 #: the calibrated reference shape shared with the dist acceptance tests
 REFERENCE = dict(n=32, k=8, sigma=2.0, policy="flat:2")
@@ -280,7 +278,11 @@ class TestInputDistribution:
 
 
 class TestPrivatePoolCleanup:
-    SPEC = TrialSpec("t", mode="pool", n=16, k=4, transport="tcp", ranks=2)
+    CONFIG = DistConfig(n=16, k=4, policy="flat:2", num_ranks=2, transport="tcp")
+
+    def _cold_then_warm(self, field):
+        with private_pool(self.CONFIG.num_ranks) as pool:
+            return [pool.submit(self.CONFIG, field=field) for _ in range(2)]
 
     @pytest.fixture
     def tmpdir_root(self, tmp_path, monkeypatch):
@@ -289,9 +291,12 @@ class TestPrivatePoolCleanup:
         return tmp_path
 
     def test_pool_trial_removes_its_rendezvous_directory(self, tmpdir_root):
-        metrics = run_pool_trial(self.SPEC)
-        assert metrics["bitwise_vs_serial"] == 1.0
-        assert metrics["warm_plan_misses"] == 0.0
+        field = composite_field(self.CONFIG.n, self.CONFIG.seed)
+        cold, warm = self._cold_then_warm(field)
+        expected = _serial(self.CONFIG, field, None)
+        assert np.array_equal(cold.approx, expected)
+        assert np.array_equal(warm.approx, expected)
+        assert warm.plan_misses == 0
         assert list(tmpdir_root.iterdir()) == []
 
     def test_directory_is_removed_when_the_trial_raises(
@@ -305,6 +310,6 @@ class TestPrivatePoolCleanup:
 
         monkeypatch.setattr(RankPool, "submit", submit)
         with pytest.raises(PoolError, match="injected"):
-            run_pool_trial(self.SPEC)
+            self._cold_then_warm(composite_field(self.CONFIG.n, self.CONFIG.seed))
         assert len(seen) == 1  # the directory did exist while the pool was up
         assert list(tmpdir_root.iterdir()) == []
