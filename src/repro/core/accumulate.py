@@ -21,7 +21,8 @@ sub-domains' octrees hold it:
 What a rank needs of a peer's field for :func:`accumulate_boxes` is
 :func:`cells_touching_rank`: the cells whose extent meets one of its
 boxes.  Interpolation reads only a cell's own lattice, so those whole
-cells are exactly the halo, and the exchange ships nothing else.
+cells are exactly the halo, and the exchange ships nothing else — only
+their values, since both ends derive the subset.
 """
 
 from __future__ import annotations
@@ -77,12 +78,13 @@ def accumulate_boxes(
     return blocks
 
 
-#: Cell subsets by ``(pattern geometry, k, ranks, rank)``, beside
-#: the reconstruction plans and for the same reason: a warm job re-sends the
-#: same patterns, so its packed subset metadata and value runs are reused,
-#: and the receiver's pattern intern and plans keep hitting.  Bounded by
-#: bytes held (16 MiB; a banded n=64 / k=16 subset holds about 5 KB).
-_SUBSETS: "WeightedLRU[CellSubset]" = WeightedLRU(max_weight=16 << 20)
+#: Cell subsets by ``(pattern geometry, k, ranks, rank)``, beside the
+#: reconstruction plans and for the same reason: a sender cuts the same value
+#: runs from every warm job's fields, and a receiver pairs the same subset
+#: pattern with the values it is sent, so the plans keyed on that pattern
+#: keep hitting.  Weighed by :attr:`CellSubset.derived_nbytes`, bounded at
+#: 64 MiB (a banded n=64 / k=16 subset at P=2 weighs about 0.18 MB).
+_SUBSETS: "WeightedLRU[CellSubset]" = WeightedLRU(max_weight=64 << 20)
 
 
 def cells_touching_rank(
@@ -94,14 +96,16 @@ def cells_touching_rank(
     round-robin by index (:meth:`~repro.core.decomposition
     .DomainDecomposition.assign_round_robin`), so the subset is a pure
     function of the pattern's geometry, ``k``, ``num_ranks`` and ``rank``:
-    every rank computes the same one with no negotiation.  The subset is
-    empty (no cells, no runs) when no cell touches the rank's boxes.
+    every rank computes the same one with no negotiation — the sender to
+    cut the values it sends, the receiver to know which cells they fill.
+    The subset is empty (no cells, no runs) when no cell touches the
+    rank's boxes.
     """
     key = (pattern.geometry_key, k, num_ranks, rank)
     subset = _SUBSETS.get(key)
     if subset is None:
         subset = CellSubset.of(pattern, _touches_rank(pattern, k, num_ranks, rank))
-        subset = _SUBSETS.put(key, subset, subset.nbytes)
+        subset = _SUBSETS.put(key, subset, subset.derived_nbytes)
     return subset
 
 

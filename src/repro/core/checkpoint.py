@@ -6,20 +6,23 @@ mid-run, only *its* chunks need recomputing — everyone else's compressed
 results restore from the checkpoint, and the rest come from
 :meth:`~repro.core.pipeline.LowCommConvolution3D.convolve_chunks` over
 the sub-domains the checkpoint lacks.  The container format is a simple
-length-prefixed concatenation of the :mod:`repro.octree.serialize` wire
-records, one per (sub-domain index, field).
+length-prefixed concatenation of the self-describing
+:mod:`repro.octree.serialize` records, one per (sub-domain index, field),
+so the driver and a resumed job decode it without the job's
+configuration.  The per-job exchange does not use it: ranks send each
+other values only (:mod:`repro.dist.worker`).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.decomposition import SubDomain
 from repro.errors import ConfigurationError
-from repro.octree.compress import CellSubset, CompressedField
+from repro.octree.compress import CompressedField
 from repro.octree.serialize import deserialize_compressed, serialize_segments
 from repro.util import copytrack
 
@@ -32,7 +35,6 @@ Blob = Union[bytes, bytearray, memoryview]
 def checkpoint_segments(
     fields: Sequence[Tuple[SubDomain, CompressedField]],
     precision: str = "float64",
-    cells: Optional[Sequence[CellSubset]] = None,
     values: Optional[Sequence[np.ndarray]] = None,
 ) -> List[Blob]:
     """Pack (sub-domain, compressed result) pairs as zero-copy segments.
@@ -40,32 +42,18 @@ def checkpoint_segments(
     The returned list interleaves the container framing (magic, count,
     per-entry headers — a few dozen fresh bytes) with the fields'
     :func:`~repro.octree.serialize.serialize_segments` views, which alias
-    the fields' own buffers.  Feed it to
-    :class:`repro.dist.wire.Segments` for the exchange, or to
-    :func:`join_checkpoint_segments` when one contiguous blob is needed.
-
-    ``cells`` (one :class:`~repro.octree.compress.CellSubset` per field)
-    packs only those cells of each field, leaving out fields whose subset
-    is empty; ``values`` (one
-    :func:`~repro.octree.serialize.encode_values` array per field) lets
-    several packings of the same fields share one encode.
+    the fields' own buffers; :func:`join_checkpoint_segments` makes them
+    one blob.  ``values`` (one
+    :func:`~repro.octree.serialize.encode_values` array per field) lets the
+    blob share one encode with the exchange frames cut from the same
+    fields.
     """
-    segments = [
-        (
-            sub.index,
-            serialize_segments(
-                field,
-                precision,
-                None if cells is None else cells[i],
-                values=None if values is None else values[i],
-            ),
+    parts: List[Blob] = [_CHECKPOINT_MAGIC, struct.pack("<q", len(fields))]
+    for i, (sub, field) in enumerate(fields):
+        record = serialize_segments(
+            field, precision, values=None if values is None else values[i]
         )
-        for i, (sub, field) in enumerate(fields)
-        if cells is None or cells[i].num_cells
-    ]
-    parts: List[Blob] = [_CHECKPOINT_MAGIC, struct.pack("<q", len(segments))]
-    for index, record in segments:
-        parts.append(_ENTRY_HEADER.pack(index, sum(s.nbytes for s in record)))
+        parts.append(_ENTRY_HEADER.pack(sub.index, sum(s.nbytes for s in record)))
         parts.extend(record)
     return parts
 
@@ -74,8 +62,7 @@ def join_checkpoint_segments(parts: Sequence[Blob]) -> bytes:
     """Flatten checkpoint segments to one ``bytes`` (counted join).
 
     The driver's fault-tolerance mailbox needs a contiguous blob (it
-    crosses a multiprocessing pipe); the wire path does not and ships the
-    segments directly.
+    crosses a multiprocessing pipe).
     """
     return copytrack.measured_join(parts, site=copytrack.SITE_CHECKPOINT_JOIN)
 
@@ -101,26 +88,6 @@ def checkpoint_from_bytes(blob: Blob) -> Dict[int, CompressedField]:
     with the byte offset and entry index, never a bare ``struct.error``
     or a silently misparsed result.
     """
-    out: Dict[int, CompressedField] = {}
-    for entry, offset, index, field in checkpoint_entries(blob):
-        if index in out:
-            raise ConfigurationError(
-                f"corrupt checkpoint: duplicate sub-domain index {index} "
-                f"at entry {entry} (offset {offset})"
-            )
-        out[index] = field
-    return out
-
-
-def checkpoint_entries(blob: Blob) -> Iterator[Tuple[int, int, int, CompressedField]]:
-    """Decode a checkpoint blob entry by entry.
-
-    Yields ``(entry number, byte offset of its record, sub-domain index,
-    field)`` in blob order, with the same validation as
-    :func:`checkpoint_from_bytes` except the duplicate check — a caller
-    merging several blobs applies its own rules about which indices may
-    appear, and can name the offending entry's offset when one breaks them.
-    """
     blob = memoryview(blob)
     if blob.ndim != 1 or blob.itemsize != 1:
         blob = blob.cast("B")
@@ -136,6 +103,7 @@ def checkpoint_entries(blob: Blob) -> Iterator[Tuple[int, int, int, CompressedFi
     offset += 8
     if count < 0:
         raise ConfigurationError(f"corrupt checkpoint (negative count {count})")
+    out: Dict[int, CompressedField] = {}
     for entry in range(count):
         if len(blob) < offset + _ENTRY_HEADER.size:
             raise ConfigurationError(
@@ -162,10 +130,16 @@ def checkpoint_entries(blob: Blob) -> Iterator[Tuple[int, int, int, CompressedFi
                 f"undecodable checkpoint entry {entry} (sub-domain {index}) "
                 f"at offset {offset}: {type(exc).__name__}: {exc}"
             ) from exc
-        yield entry, offset, int(index), field
+        if index in out:
+            raise ConfigurationError(
+                f"corrupt checkpoint: duplicate sub-domain index {index} "
+                f"at entry {entry} (offset {offset})"
+            )
+        out[int(index)] = field
         offset += length
     if offset != len(blob):
         raise ConfigurationError(
             f"corrupt checkpoint: {len(blob) - offset} trailing bytes after "
             f"{count} entries (offset {offset})"
         )
+    return out

@@ -26,7 +26,7 @@ Real ranks are :func:`repro.dist.dist_run`, bitwise identical to both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class LowCommConvolution3D:
             real_kernel=real_kernel,
             plans=plans,
         )
-        self._pattern_cache: Dict[Tuple[Tuple[int, int, int], int], object] = {}
 
     @property
     def n(self) -> int:
@@ -139,16 +138,6 @@ class LowCommConvolution3D:
     @property
     def k(self) -> int:
         return self.decomposition.k
-
-    def _pattern(self, sub: SubDomain):
-        """The sampling pattern of ``sub``, cached by ``(corner, size)`` so
-        blocks of different sizes share the one cache."""
-        key = (sub.corner, sub.size)
-        if key not in self._pattern_cache:
-            self._pattern_cache[key] = self.policy.pattern_for(
-                self.n, sub.size, sub.corner
-            )
-        return self._pattern_cache[key]
 
     def _check_field(self, field: np.ndarray) -> np.ndarray:
         field = np.asarray(field, dtype=np.float64)
@@ -170,7 +159,8 @@ class LowCommConvolution3D:
         """Lazily convolve ``(sub-domain, k^3 block)`` pairs, in order.
 
         The per-sub-domain step every execution mode iterates: convolve
-        the block locally against the cached sampling pattern, yield
+        the block locally against its sub-domain's sampling pattern (from
+        the process-wide table, :meth:`SamplingPolicy.pattern_for`), yield
         ``(sub-domain, compressed result)``.  The caller supplies the
         blocks — cut from a dense field by
         :meth:`DomainDecomposition.active_blocks`, or received off the
@@ -180,7 +170,9 @@ class LowCommConvolution3D:
         """
         for sub, block in chunks:
             yield sub, self.local.convolve(
-                block, sub.corner, pattern=self._pattern(sub)
+                block,
+                sub.corner,
+                pattern=self.policy.pattern_for(self.n, sub.size, sub.corner),
             )
 
     def _convolve_in_pool(
@@ -189,7 +181,7 @@ class LowCommConvolution3D:
         """Process-pool counterpart of :meth:`convolve_chunks`.
 
         Workers return only sample values; patterns come from the parent's
-        cache, so the resulting pairs match the serial ones bitwise.
+        pattern table, so the resulting pairs match the serial ones bitwise.
         """
         field = self._check_field(field)
         active = self.active_subdomains(field)
@@ -208,7 +200,8 @@ class LowCommConvolution3D:
         for sub, (index, values) in zip(active, pairs):
             assert sub.index == index
             compressed = CompressedField(
-                pattern=self._pattern(sub), values=values
+                pattern=self.policy.pattern_for(self.n, sub.size, sub.corner),
+                values=values,
             )
             results.append((sub, compressed))
         return results

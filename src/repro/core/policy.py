@@ -2,7 +2,9 @@
 
 A :class:`SamplingPolicy` bundles the compression hyperparameters — the
 banded downsampling rates, boundary band, octree granularity — and builds
-the per-sub-domain :class:`~repro.octree.sampling.SamplingPattern`.  The
+the per-sub-domain :class:`~repro.octree.sampling.SamplingPattern`, once
+per process: :meth:`SamplingPolicy.pattern_for` is the one table every
+pipeline, rank and exchange receiver takes its patterns from.  The
 paper's defaults: "we use r=2 for distance k/2 from sub-domain, increase
 it to r=8 for distance >k/2 and <4k, and set it to high values like r=16
 or 32 beyond."
@@ -28,7 +30,18 @@ from repro.octree.sampling import (
     build_adaptive_pattern,
     build_flat_pattern,
 )
+from repro.util.lru import WeightedLRU
 from repro.util.validation import check_positive_int
+
+#: Every pattern :meth:`SamplingPolicy.pattern_for` has built in this
+#: process, by ``(policy, n, k, corner)``.  A pattern is a pure function of
+#: that key, so pipelines, rank jobs, exchange receivers and the driver's
+#: audit all share one object per sub-domain, and a warm job builds none.
+#: Weighed by :attr:`~repro.octree.sampling.SamplingPattern.derived_nbytes`,
+#: an upper bound of the arrays a pattern derives, not just its table;
+#: bounded at 256 MiB (a banded n=64 / k=16 pattern weighs about 0.45 MB, a
+#: ``flat:2`` n=128 / k=32 one about 10 MB).
+_PATTERNS: "WeightedLRU[SamplingPattern]" = WeightedLRU(max_weight=256 << 20)
 
 
 @dataclass(frozen=True)
@@ -113,7 +126,18 @@ class SamplingPolicy:
     def pattern_for(
         self, n: int, k: int, corner: Tuple[int, int, int]
     ) -> SamplingPattern:
-        """Build the sampling pattern for one sub-domain."""
+        """The sampling pattern of one sub-domain, from the process-wide
+        table (built on its first request)."""
+        key = (self, int(n), int(k), tuple(int(c) for c in corner))
+        pattern = _PATTERNS.get(key)
+        if pattern is None:
+            pattern = self._build(*key[1:])
+            pattern = _PATTERNS.put(key, pattern, pattern.derived_nbytes)
+        return pattern
+
+    def _build(
+        self, n: int, k: int, corner: Tuple[int, int, int]
+    ) -> SamplingPattern:
         if self.flat is not None:
             return build_flat_pattern(n, k, corner, self.flat)
         return build_adaptive_pattern(

@@ -29,8 +29,8 @@ Layers, bottom up:
   under a content digest.
 - :mod:`repro.dist.worker` — what one rank executes: warm
   pruned-plan local convolutions of its round-robin sub-domains, octree
-  compression, :mod:`repro.octree.serialize` payloads through the wire —
-  each peer sent only the cells that touch its boxes — and block
+  compression, values-only exchange frames through the wire — each peer
+  sent only the values of the cells that touch its boxes — and block
   accumulation (bitwise identical to ``run_serial``).
 - :mod:`repro.dist.jobs` / :mod:`repro.dist.agent` — the rank process:
   one job with exact per-job ledgers inside the ``form`` / ``mesh`` /

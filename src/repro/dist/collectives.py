@@ -14,8 +14,8 @@ endpoint with the operations the pipeline needs:
   baselines' transposes are this call (:mod:`repro.dist.traditional`);
 - ``sparse_allgather`` — the same swap under the ``exchange`` category:
   *the* single sparse accumulation exchange of the paper (Fig 1(b)), per
-  destination, so a peer is sent only the octree cells that touch its
-  boxes;
+  destination, so a peer is sent only the values of the octree cells
+  that touch its boxes;
 - ``sparse_allgather_stream`` — the same exchange fed chunk by chunk
   while compute is still running (:class:`StreamedAllgather`);
 - ``barrier`` — empty exchange.

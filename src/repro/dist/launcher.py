@@ -13,8 +13,9 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
   per-destination count: each peer is sent only the octree cells that
   touch its boxes, so the exchanged *value* bytes are itemsize times the
   samples in those cells, summed over fields and peers
-  (:attr:`DistRunReport.predicted_value_bytes`), and the full wire volume (octree
-  metadata + frame headers included) sits a bounded share above it.  The
+  (:attr:`DistRunReport.predicted_value_bytes`), and the full wire volume
+  sits only its frame and entry headers above it — frames carry values
+  alone, no octree metadata.  The
   paper's Eq 6 allgather count (``(P-1) * itemsize * total sample
   count``, :func:`expected_exchange_value_bytes`) is reported beside it,
   and the real wire moves less than it;
@@ -100,8 +101,9 @@ class DistRunReport:
         value count (:attr:`predicted_value_bytes`).
 
         1.0 = the wire moved exactly the predicted value bytes; the excess
-        is octree metadata + frame headers.  0.0 when nothing is exchanged
-        (P == 1).
+        is framing: a 20-byte frame header and an 8-byte entry count per
+        frame, and a 16-byte (index, count) header per field.  0.0 when
+        nothing is exchanged (P == 1).
         """
         if not self.predicted_value_bytes:
             return 0.0
@@ -125,8 +127,9 @@ def _exchanged_samples(
 
     Fields are the active sub-domains minus ``exclude_indices``; the
     allgather count sends each whole to every peer, the per-destination
-    one sends each peer only the cells that touch its boxes.  One pass,
-    so the sampling patterns are built once.
+    one sends each peer only the cells that touch its boxes.  Patterns
+    and subsets come from the process-wide tables, so a warm job's audit
+    builds none.
     """
     policy = parse_policy(config.policy)
     decomp = DomainDecomposition(n=config.n, k=config.k)

@@ -73,8 +73,9 @@ class Segments:
     """A multi-part payload: an ordered list of byte views, never joined.
 
     The zero-copy counterpart of a ``bytes`` payload: producers (the
-    octree serializer, the checkpoint container) emit their sections as
-    buffer views and transports write them with scatter-gather I/O.
+    exchange frame codec, :func:`repro.dist.worker.exchange_frame`) emit
+    their sections as buffer views and transports write them with
+    scatter-gather I/O.
     ``len()`` is the total byte count, matching ``len(payload)`` for
     ``bytes`` payloads everywhere frames are accounted.
     """

@@ -12,18 +12,23 @@ exchange modes and both fresh and resumed jobs:
    already hold, never the ``n^3`` field;
 2. the rank convolves those blocks locally with the warm pruned-plan
    path (zero communication — the paper's claim);
-3. the compressed results are packed into a
+3. the compressed results are packed into a self-describing
    :mod:`repro.core.checkpoint` blob and posted to the driver whole (this
    is the fault-tolerance state), and each peer is sent, in the single
-   sparse exchange of Eq 6, a checkpoint of only the octree cells that
-   touch *its* boxes (:func:`~repro.core.accumulate.cells_touching_rank`)
-   — one payload per peer in ONE ``sparse_allgather`` after the loop
-   (barrier mode), or one per peer per chunk pushed onto a streamed
-   exchange from inside the loop (``overlap`` mode);
-4. the rank merges what arrived — rejecting a sub-domain its sender does
-   not own or that arrives twice (:class:`~repro.errors
-   .ExchangeFrameError`) — and reconstructs the accumulated result
-   restricted to its *own* sub-domain boxes.
+   sparse exchange of Eq 6, a values-only frame
+   (:func:`exchange_frame`): per field, the sub-domain index, a value
+   count and the sample values of only the octree cells that touch *its*
+   boxes (:func:`~repro.core.accumulate.cells_touching_rank`) — no
+   octree metadata, because the receiver derives the pattern and that
+   subset from the configuration it holds.  One frame per peer in ONE
+   ``sparse_allgather`` after the loop (barrier mode), or one per peer
+   per chunk pushed onto a streamed exchange from inside the loop
+   (``overlap`` mode);
+4. the rank merges what arrived (:func:`merge_exchanged`) — rejecting,
+   with :class:`~repro.errors.ExchangeFrameError`, a sub-domain its
+   sender does not own or that arrives twice and any entry whose value
+   count or length disagrees with the derived subset — and reconstructs
+   the accumulated result restricted to its *own* sub-domain boxes.
 
 Accumulation order is deterministic (compressed fields sorted by
 sub-domain index, exactly the order ``run_serial`` uses), so the blocks a
@@ -38,18 +43,19 @@ recovery path is tested end to end.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.accumulate import accumulate_boxes, cells_touching_rank
 from repro.core.checkpoint import (
-    checkpoint_entries,
     checkpoint_from_bytes,
     checkpoint_segments,
     join_checkpoint_segments,
 )
+from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import parse_policy
 from repro.dist.collectives import (
@@ -62,7 +68,8 @@ from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.wire import FramePayload, Segments
 from repro.errors import ConfigurationError, ExchangeFrameError
 from repro.octree.compress import CompressedField
-from repro.octree.serialize import encode_values
+from repro.octree.sampling import SamplingPattern
+from repro.octree.serialize import decode_values, encode_values
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
 
@@ -158,10 +165,11 @@ class RankResult:
     num_chunks: int
     total_samples: int
     compressed_bytes: int
-    #: serialized checkpoint payload bytes this rank shipped, summed over
-    #: its peers — each peer's payload holds only the cells that touch
-    #: that peer's boxes, so they differ (one payload per peer in barrier
-    #: mode, the per-chunk payloads summed in overlap mode)
+    #: exchange frame payload bytes this rank shipped, summed over its
+    #: peers — each peer's frame holds the values of only the cells that
+    #: touch that peer's boxes, plus a 16-byte entry header per field and
+    #: an 8-byte entry count, so they differ (one frame per peer in
+    #: barrier mode, the per-chunk frames summed in overlap mode)
     exchange_payload_bytes: int
     compute_s: float
     #: time blocked in the exchange (the full allgather in barrier mode,
@@ -309,38 +317,34 @@ def rank_main(
                 )
             abort()
 
-    #: contiguous copies of every checkpoint this rank posts: the driver's
-    #: mailbox needs one (it crosses a pipe), and they double as this
-    #: rank's own slot in the merge, so float32 round-trips identically
-    #: on every rank.  Peers are sent zero-copy segments of their cells.
-    own_blobs: List[bytes] = []
+    #: what this rank merges: the restored fields, then its own fields as
+    #: they are computed, then its peers' as they arrive
+    merged: Dict[int, CompressedField] = dict(restored)
     sent_bytes = 0
 
     def payloads(kind: str, pairs) -> List[FramePayload]:
-        """Post ``pairs`` whole; return one payload per rank, each peer's
-        holding only the cells that touch its boxes (own slot: the blob)."""
+        """Post ``pairs`` whole and merge them; return one exchange frame
+        per peer (the own slot is empty: nothing of it travels)."""
         nonlocal sent_bytes
         # one encode per field (float32: one counted cast) feeds the
-        # posted blob and every peer's cut of it
+        # posted blob, this rank's own merge slot and every peer's frame
         values = [encode_values(f, config.precision) for _s, f in pairs]
-        own_blobs.append(
-            join_checkpoint_segments(
-                checkpoint_segments(pairs, config.precision, values=values)
-            )
+        blob = join_checkpoint_segments(
+            checkpoint_segments(pairs, config.precision, values=values)
         )
         if post is not None:
-            post(kind, rank, own_blobs[-1])
-        out: List[FramePayload] = [own_blobs[-1]] * size
-        for dst in range(size):
-            if dst == rank:
-                continue
-            cells = [
-                cells_touching_rank(f.pattern, config.k, size, dst) for _s, f in pairs
-            ]
-            out[dst] = Segments(
-                checkpoint_segments(pairs, config.precision, cells, values)
+            post(kind, rank, blob)
+        # the own slot round-trips through the wire precision like a
+        # peer's, so float32 merges the same values on every rank
+        for (sub, f), encoded in zip(pairs, values):
+            merged[sub.index] = CompressedField(
+                f.pattern, decode_values(encoded, config.precision)
             )
-            sent_bytes += len(out[dst])
+        out: List[FramePayload] = [b""] * size
+        for dst in range(size):
+            if dst != rank:
+                out[dst] = exchange_frame(pairs, values, config, dst)
+                sent_bytes += len(out[dst])
         return out
 
     fail("before_checkpoint")
@@ -390,10 +394,11 @@ def rank_main(
         received = stream.finish()
     exchange_s = now() - t1
 
-    merged = dict(restored)
     for src, chunks in enumerate(received):
+        if src == rank:
+            continue  # merged as computed
         for payload in chunks:
-            merge_exchanged(merged, payload, src=src, rank=rank, size=size)
+            merge_exchanged(merged, payload, config, src=src, rank=rank)
 
     return RankResult(
         rank=rank,
@@ -416,35 +421,124 @@ def rank_main(
     )
 
 
+#: An exchange frame is an int64 entry count, then per entry an int64
+#: sub-domain index, an int64 value count and that many values at the job's
+#: precision.  The sender's pattern, and the cells of it that the values
+#: fill, are derived on receipt.
+_COUNT = struct.Struct("<q")
+_ENTRY = struct.Struct("<qq")
+
+
+def exchange_frame(
+    pairs: Sequence[Tuple[SubDomain, CompressedField]],
+    values: Sequence[np.ndarray],
+    config: DistConfig,
+    dst: int,
+) -> Segments:
+    """Rank ``dst``'s values-only exchange frame for ``pairs``.
+
+    ``values`` holds each field's :func:`~repro.octree.serialize
+    .encode_values` array at ``config.precision``; the frame aliases the
+    runs of it that the cells touching ``dst``'s boxes hold
+    (:func:`~repro.core.accumulate.cells_touching_rank`), so nothing is
+    copied.  A field none of whose cells touch ``dst``'s boxes has no
+    entry.
+    """
+    parts: List[object] = []
+    entries = 0
+    for (sub, field), encoded in zip(pairs, values):
+        subset = cells_touching_rank(field.pattern, config.k, config.num_ranks, dst)
+        if subset.num_cells:
+            parts.append(_ENTRY.pack(sub.index, subset.sample_count))
+            parts.extend(subset.value_runs(encoded))
+            entries += 1
+    return Segments([_COUNT.pack(entries), *parts])
+
+
 def merge_exchanged(
     merged: Dict[int, CompressedField],
     payload: FramePayload,
+    config: DistConfig,
     *,
     src: int,
     rank: int,
-    size: int,
 ) -> None:
-    """Add the fields of rank ``src``'s exchange payload to rank
-    ``rank``'s ``merged``.
+    """Add the fields of rank ``src``'s exchange frame to rank ``rank``'s
+    ``merged``.
 
-    Every rank owns its sub-domains round-robin, so a payload may only
+    Every rank owns its sub-domains round-robin, so a frame may only
     carry indices ``src`` owns, each once across the whole job (the merge
-    may already hold a resumed job's restored fields).  Anything else — a
-    buggy or hostile peer — raises :class:`~repro.errors
-    .ExchangeFrameError` with the offending entry's offset instead of
-    silently overwriting a sub-domain.
+    may already hold a resumed job's restored fields).  Each entry's
+    values fill the cells of the sub-domain's pattern
+    (:meth:`~repro.core.policy.SamplingPolicy.pattern_for`) that touch this
+    rank's boxes (:func:`~repro.core.accumulate.cells_touching_rank`), so
+    the declared count must be that subset's sample count and the frame
+    must hold that many values at ``config.precision``; both are checked
+    before anything is read or allocated.  Anything else — a buggy or
+    hostile peer — raises :class:`~repro.errors.ExchangeFrameError` with
+    the offending entry's offset instead of silently overwriting a
+    sub-domain or misreading the frame.
     """
-    for entry, offset, index, field in checkpoint_entries(payload):
+    size = config.num_ranks
+    decomposition = DomainDecomposition(n=config.n, k=config.k)
+    policy = parse_policy(config.policy)
+    itemsize = np.dtype(config.precision).itemsize
+    view = memoryview(payload).cast("B")
+    if view.nbytes < _COUNT.size:
+        raise ExchangeFrameError(
+            f"rank {rank}: rank {src} sent a frame of {view.nbytes} bytes, "
+            f"shorter than its {_COUNT.size}-byte entry count",
+            offset=0,
+        )
+    (count,) = _COUNT.unpack_from(view, 0)
+    offset = _COUNT.size
+    entries: Dict[int, Tuple[SamplingPattern, int, int]] = {}
+
+    def reject(problem: str) -> None:
+        raise ExchangeFrameError(
+            f"rank {rank}: rank {src} {problem}, at entry {len(entries)}",
+            offset=offset,
+        )
+
+    # the whole frame is checked before any value is read
+    while offset < view.nbytes and len(entries) < count:
+        if view.nbytes - offset < _ENTRY.size:
+            reject(f"sent a truncated entry header ({view.nbytes - offset} bytes)")
+        index, declared = _ENTRY.unpack_from(view, offset)
+        if not 0 <= index < decomposition.num_domains:
+            reject(
+                f"sent sub-domain {index}, outside [0, {decomposition.num_domains})"
+            )
         if index % size != src:
-            raise ExchangeFrameError(
-                f"rank {rank}: rank {src} sent sub-domain {index}, owned by "
-                f"rank {index % size}, at entry {entry}",
-                offset=offset,
+            reject(f"sent sub-domain {index}, owned by rank {index % size}")
+        if index in merged or index in entries:
+            reject(f"sent sub-domain {index}, which already arrived")
+        pattern = policy.pattern_for(
+            config.n, config.k, decomposition.subdomain(index).corner
+        )
+        subset = cells_touching_rank(pattern, config.k, size, rank)
+        if not subset.num_cells:
+            reject(f"sent sub-domain {index}, none of whose cells touch rank {rank}")
+        if declared != subset.sample_count:
+            reject(
+                f"declared {declared} values for sub-domain {index}, whose "
+                f"cells touching rank {rank} hold {subset.sample_count}"
             )
-        if index in merged:
-            raise ExchangeFrameError(
-                f"rank {rank}: rank {src} sent sub-domain {index}, which "
-                f"already arrived, at entry {entry}",
-                offset=offset,
+        start = offset + _ENTRY.size
+        stop = start + declared * itemsize
+        if stop > view.nbytes:
+            reject(
+                f"sent {view.nbytes - start} value bytes for sub-domain "
+                f"{index}, which needs {declared} {config.precision} values"
             )
-        merged[index] = field
+        entries[index] = (subset.pattern, start, stop)
+        offset = stop
+    if len(entries) != count or offset != view.nbytes:
+        reject(
+            f"sent a frame declaring {count} entries that ends after "
+            f"{len(entries)} with {view.nbytes - offset} bytes left"
+        )
+    for index, (pattern, start, stop) in entries.items():
+        merged[index] = CompressedField(
+            pattern, decode_values(view[start:stop], config.precision)
+        )

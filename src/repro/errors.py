@@ -85,11 +85,14 @@ class InputFrameError(CommunicationError):
 
 
 class ExchangeFrameError(CommunicationError):
-    """A peer's exchange payload named a sub-domain it may not send: one
-    the peer does not own, or one this rank already holds.
+    """A peer's exchange frame does not fit what this rank derives from
+    the job's configuration: a sub-domain out of range, one the peer
+    does not own or that this rank already holds, one none of whose cells
+    this rank needs, a value count other than the derived cells' sample
+    count, or a frame shorter or longer than its entries.
 
-    ``offset`` is the byte offset, within that payload, of the rejected
-    entry's record.
+    ``offset`` is the byte offset, within that frame, of the rejected
+    entry (or of the bytes left over after the last one).
     """
 
     def __init__(self, message: str, *, offset: int = 0):

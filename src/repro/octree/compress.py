@@ -1,10 +1,12 @@
 """Compressed field representation: sampling pattern + sample values.
 
-A :class:`CompressedField` is what a worker communicates in the paper's
-final accumulation exchange: the flat array of sample values (in packed
-cell order) plus the octree metadata that locates them.  The memory
-footprint is ``8 * M`` bytes of values plus ``20`` bytes of metadata per
-cell — the reduction that makes Eq 6 beat Eq 1.
+A :class:`CompressedField` is a sub-domain's compressed result: the flat
+array of sample values (in packed cell order) plus the octree pattern that
+locates them.  Its footprint is ``8 * M`` bytes of values plus ``20``
+bytes of metadata per cell — the reduction that makes Eq 6 beat Eq 1.
+The accumulation exchange moves only the values: patterns are a pure
+function of the configuration, so a receiver derives the pattern and the
+:class:`CellSubset` it was sent, and pairs them with the values.
 """
 
 from __future__ import annotations
@@ -63,26 +65,25 @@ class CompressedField:
 
     @property
     def nbytes(self) -> int:
-        """Wire size: sample values + octree metadata."""
+        """Compressed size: sample values + octree metadata."""
         return int(self.values.nbytes) + self.pattern.metadata_nbytes()
 
 @dataclass(frozen=True)
 class CellSubset:
-    """Some of a pattern's cells, in the packed form the wire carries.
+    """Some of a pattern's cells: a pattern of their own, and where their
+    samples sit in the source field.
 
-    ``metadata`` and ``sizes`` are the kept cells' packed 5-int32 rows and
-    edge lengths in packed order, with the cumulative counts re-packed, and
-    ``runs`` the half-open ``[start, stop)`` ranges of the source field's
-    value array that hold their samples, in that order and merged where
-    back to back.  A cell's samples are its own lattice, so the subset's
-    values are those runs concatenated: it encodes (with the source
-    pattern's grid and sub-domain label) as a field of its own, which
-    reconstructs exactly like the source over every box only its cells
-    touch.  No cell objects are held, so a cached subset stays small.
+    ``pattern`` holds the kept cells' table rows and edges in packed order,
+    with the cumulative counts re-packed, labelled with the source
+    pattern's grid and sub-domain, and ``runs`` the half-open
+    ``[start, stop)`` ranges of the source field's value array that hold
+    their samples, in that order and merged where back to back.  A cell's
+    samples are its own lattice, so the subset's values are those runs
+    concatenated, and a field over ``pattern`` reconstructs exactly like
+    the source over every box only its cells touch.
     """
 
-    metadata: np.ndarray
-    sizes: np.ndarray
+    pattern: SamplingPattern
     runs: np.ndarray
 
     @classmethod
@@ -94,10 +95,10 @@ class CellSubset:
                 f"keep mask of shape {keep.shape} for {pattern.num_cells} cells"
             )
         ids = np.flatnonzero(keep)
-        meta = pattern.table[ids]
-        sizes = pattern.cell_sizes()[ids]
-        counts = samples_per_axis(sizes, meta[:, 3]) ** 3
-        starts = meta[:, 4].astype(np.int64)
+        table = pattern.table[ids]
+        sizes = pattern.sizes[ids]
+        counts = samples_per_axis(sizes, table[:, 3]) ** 3
+        starts = table[:, 4].astype(np.int64)
         stops = starts + counts
         # a run breaks wherever a kept cell does not start where the last
         # kept one stopped
@@ -105,23 +106,30 @@ class CellSubset:
         firsts = np.concatenate(([0], breaks)) if ids.size else breaks
         lasts = np.concatenate((breaks - 1, [ids.size - 1])) if ids.size else breaks
         runs = np.column_stack((starts[firsts], stops[lasts]))
-        meta[:, 4] = np.cumsum(counts) - counts
-        for array in (meta, sizes, runs):
-            array.setflags(write=False)
-        return cls(metadata=meta.reshape(-1), sizes=sizes, runs=runs)
+        runs.setflags(write=False)
+        table[:, 4] = np.cumsum(counts) - counts
+        subset = SamplingPattern(
+            n=pattern.n,
+            table=table,
+            sizes=sizes,
+            subdomain_corner=pattern.subdomain_corner,
+            subdomain_size=pattern.subdomain_size,
+        )
+        return cls(pattern=subset, runs=runs)
 
     @property
     def num_cells(self) -> int:
-        return len(self.sizes)
+        return self.pattern.num_cells
 
     @property
     def sample_count(self) -> int:
-        return int((self.runs[:, 1] - self.runs[:, 0]).sum())
+        return self.pattern.sample_count
 
     @property
-    def nbytes(self) -> int:
-        """Bytes held: the packed metadata, cell sizes and runs."""
-        return int(self.metadata.nbytes + self.sizes.nbytes + self.runs.nbytes)
+    def derived_nbytes(self) -> int:
+        """Upper bound of the bytes held: the subset pattern's
+        (:attr:`SamplingPattern.derived_nbytes`) and the runs."""
+        return self.pattern.derived_nbytes + int(self.runs.nbytes)
 
     def value_runs(self, values: np.ndarray) -> List[np.ndarray]:
         """Views of a source field's value array (at any precision) that

@@ -323,6 +323,19 @@ class SamplingPattern:
         """Bytes of the table and the edges."""
         return int(self.table.nbytes + self.sizes.nbytes)
 
+    @property
+    def derived_nbytes(self) -> int:
+        """Upper bound of the bytes this pattern holds once every cached
+        array is derived, what a cache of patterns weighs them by.
+
+        Per cell: the table and edges (24 B), their copy in
+        :attr:`geometry_key` (24 B) and the per-group corners and offsets
+        (32 B).  Per sample: :attr:`sample_coords` (24 B) and
+        :attr:`box_gather_index` (at most 8 B).  Per grid point of an
+        axis: the three axis coordinate sets (at most 8 B each).
+        """
+        return 80 * self.num_cells + 32 * self.sample_count + 24 * self.n
+
     @cached_property
     def geometry_key(self) -> Tuple[int, bytes, bytes]:
         """Hashable content key of the cell geometry: ``(n, metadata

@@ -1,17 +1,25 @@
-"""Wire format for compressed fields.
+"""Checkpoint and recovery format for compressed fields.
 
-The accumulation exchange ships each worker's compressed results to its
-peers.  This module defines the byte-level format — exactly what would
-cross the network in a production deployment:
+A rank posts its compressed results to the driver as checkpoint records
+(:mod:`repro.core.checkpoint`): the state the driver recovers from when a
+rank dies, and the merged checkpoint a resumed job broadcasts.  This
+module defines one record's byte-level format:
 
 ``header | cell metadata (5 x int32 per cell) | cell sizes (int32) | values (float64)``
 
 with a 9-field int64 header carrying a magic number, format version, grid
 size, sub-domain geometry, counts, and the value precision (float64 or
-float32 — the paper's lower-precision compression option).  The sampling pattern is fully
-reconstructible from the metadata + sizes, so a receiver needs no
-out-of-band information (the property the paper's "the last entry helps to
-decode the octree" remark is about).
+float32 — the paper's lower-precision compression option).  The sampling
+pattern is fully reconstructible from the metadata + sizes, so a record is
+self-describing: the driver decodes it without the job's configuration
+(the property the paper's "the last entry helps to decode the octree"
+remark is about).
+
+The per-job accumulation exchange does not use these records: it carries
+only sample values (:func:`encode_values` on the send side,
+:func:`decode_values` on the receive side), because every receiver derives
+the patterns from the configuration it holds
+(:func:`repro.dist.worker.merge_exchanged`).
 
 Zero-copy data plane: :func:`serialize_segments` emits the four sections
 as ``memoryview`` segments over the field's own arrays (no join), and
@@ -35,7 +43,7 @@ from repro.octree.cell import (
     check_grid_size,
     decode_metadata,
 )
-from repro.octree.compress import CellSubset, CompressedField
+from repro.octree.compress import CompressedField
 from repro.octree.sampling import SamplingPattern
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
@@ -70,13 +78,10 @@ def encode_values(field: CompressedField, precision: str = "float64") -> np.ndar
 
     float64 is the field's own buffer (no copy); ``precision="float32"``
     is exactly one counted downcast into a fresh buffer.  Encode once and
-    pass the result to every :func:`serialize_segments` call for the same
-    field, so several records cut from one field share that one cast.
+    pass the result to the field's checkpoint record and to every exchange
+    frame cut from it, so they all share that one cast.
     """
-    if precision not in _PRECISION_CODES:
-        raise ConfigurationError(
-            f"precision must be one of {sorted(_PRECISION_CODES)}, got {precision!r}"
-        )
+    _check_precision(precision)
     if precision == "float64":
         return np.ascontiguousarray(field.values, dtype=np.float64)
     # single direct downcast into the output buffer (no float64
@@ -87,10 +92,34 @@ def encode_values(field: CompressedField, precision: str = "float64") -> np.ndar
     return values
 
 
+def decode_values(buffer: Payload, precision: str = "float64") -> np.ndarray:
+    """Float64 sample values from ``buffer``, ``precision`` values packed
+    back to back (the inverse of :func:`encode_values`).
+
+    float64 aliases the buffer (no copy), so the buffer must outlive the
+    values; float32 is exactly one counted promotion into a fresh buffer.
+    The caller has checked the buffer's length.
+    """
+    _check_precision(precision)
+    stored = np.frombuffer(buffer, dtype=_PRECISION_DTYPES[_PRECISION_CODES[precision]])
+    if stored.dtype == np.float64:
+        return stored
+    values = np.empty(stored.shape, dtype=np.float64)
+    values[...] = stored  # single counted precision promotion
+    copytrack.record(copytrack.SITE_DECODE_CAST, values.nbytes)
+    return values
+
+
+def _check_precision(precision: str) -> None:
+    if precision not in _PRECISION_CODES:
+        raise ConfigurationError(
+            f"precision must be one of {sorted(_PRECISION_CODES)}, got {precision!r}"
+        )
+
+
 def serialize_segments(
     field: CompressedField,
     precision: str = "float64",
-    cells: Optional[CellSubset] = None,
     values: Optional[np.ndarray] = None,
 ) -> List[memoryview]:
     """Encode a compressed field as zero-copy wire segments.
@@ -103,13 +132,6 @@ def serialize_segments(
     buffer, float32 is one counted downcast.  Segment lists feed
     :class:`repro.dist.wire.Segments` for scatter-gather sends, or
     :func:`serialize_compressed` for a contiguous blob.
-
-    ``cells`` encodes only that subset of the field's cells: the record
-    carries the subset's packed metadata, and its values section is one
-    view per
-    :attr:`~repro.octree.compress.CellSubset.runs` entry — it decodes as
-    an ordinary field over just those cells, with the field's sub-domain
-    label.
     """
     if values is None:
         values = encode_values(field, precision)
@@ -122,12 +144,6 @@ def serialize_segments(
             f"do not fit a {precision} encoding of {field.values.shape} samples"
         )
     pattern = field.pattern
-    if cells is None:
-        meta, sizes, runs = pattern.metadata(), pattern.cell_sizes(), [values]
-        num_cells = pattern.num_cells
-    else:
-        meta, sizes, runs = cells.metadata, cells.sizes, cells.value_runs(values)
-        num_cells = cells.num_cells
     header = np.array(
         [
             _MAGIC,
@@ -137,16 +153,16 @@ def serialize_segments(
             pattern.subdomain_corner[0],
             pattern.subdomain_corner[1],
             pattern.subdomain_corner[2],
-            num_cells,
+            pattern.num_cells,
             _PRECISION_CODES[precision],
         ],
         dtype=np.int64,
     )
     return [
         _byte_view(header),
-        _byte_view(meta),
-        _byte_view(sizes),
-        *(_byte_view(run) for run in runs),
+        _byte_view(pattern.metadata()),
+        _byte_view(pattern.cell_sizes()),
+        _byte_view(values),
     ]
 
 
@@ -177,39 +193,35 @@ def _decode_values(
     """Decode the value section starting at ``offset`` (zero-copy when
     the stored precision is float64 and no ``out`` buffer is given)."""
     itemsize = np.dtype(value_dtype).itemsize
-    if (view.nbytes - offset) % itemsize:
+    stored_bytes = view.nbytes - offset
+    if stored_bytes % itemsize:
         raise ConfigurationError(
-            f"value payload of {view.nbytes - offset} bytes at offset "
+            f"value payload of {stored_bytes} bytes at offset "
             f"{offset} is not a whole number of {itemsize}-byte "
             "values"
         )
-    stored = np.frombuffer(view[offset:], dtype=value_dtype)
-    if stored.size != expected_values:
+    if stored_bytes // itemsize != expected_values:
         raise ConfigurationError(
-            f"payload carries {stored.size} values at offset {offset}, "
-            f"pattern requires {expected_values}"
+            f"payload carries {stored_bytes // itemsize} values at offset "
+            f"{offset}, pattern requires {expected_values}"
         )
-    if out is not None:
-        if out.size < expected_values:
-            raise ConfigurationError(
-                f"output array of {out.size} values cannot hold the "
-                f"{expected_values} values the payload carries"
-            )
-        target = out[:expected_values]
-        target[...] = stored
-        copytrack.record(copytrack.SITE_DESERIALIZE_INTO, target.nbytes)
-        return target
-    if stored.dtype == np.float64:
-        return stored  # aliases the payload buffer — no copy
-    values = np.empty(stored.shape, dtype=np.float64)
-    values[...] = stored  # single counted precision promotion
-    copytrack.record(copytrack.SITE_DECODE_CAST, values.nbytes)
-    return values
+    if out is None:
+        return decode_values(view[offset:], np.dtype(value_dtype).name)
+    if out.size < expected_values:
+        raise ConfigurationError(
+            f"output array of {out.size} values cannot hold the "
+            f"{expected_values} values the payload carries"
+        )
+    target = out[:expected_values]
+    target[...] = np.frombuffer(view[offset:], dtype=value_dtype)
+    copytrack.record(copytrack.SITE_DESERIALIZE_INTO, target.nbytes)
+    return target
 
 
-#: Decoded :class:`SamplingPattern` objects, interned by content.  Peers
-#: re-send the same few patterns job after job (one per sub-domain), and a
-#: pattern carries everything derived from its geometry — coordinate sets,
+#: Decoded :class:`SamplingPattern` objects, interned by content.  The
+#: same records are decoded again and again (every rank of a resumed job
+#: decodes the one broadcast checkpoint, a pool recovers job after job
+#: over the same sub-domains), and a pattern carries everything derived from its geometry — coordinate sets,
 #: packed metadata, the key reconstruction plans are cached under — so
 #: decoding the same bytes again returns the same object instead of
 #: validating the table and deriving its arrays again.  The key is the

@@ -16,12 +16,14 @@ from repro.core.adaptive import (
 from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.local_conv import LocalConvolution
 from repro.core.pipeline import LowCommConvolution3D
+from repro.core import policy as policy_module
 from repro.core.policy import SamplingPolicy
 from repro.core.reference import reference_convolve
 from repro.dist import DistConfig, dist_run
 from repro.errors import ConfigurationError, DeviceMemoryError
 from repro.kernels.gaussian import GaussianKernel
 from repro.util.arrays import l2_relative_error
+from repro.util.lru import WeightedLRU
 
 
 class TestDecomposeByContent:
@@ -166,11 +168,13 @@ class TestAdaptiveOnConvolveChunks:
         oracle = self._per_block_loop(n, spec, policy, 256, field, res.subdomains)
         assert np.array_equal(res.approx, oracle)
 
-    def test_mixed_sizes_share_one_pattern_cache(self, rng):
+    def test_mixed_sizes_share_one_pattern_cache(self, rng, monkeypatch):
         """``decompose_by_content`` cuts one block size per run (the largest
         halving of n that is <= k_max), so mixed sizes reach the shared
-        cache through ``convolve_chunks``: a 16-block beside 8-blocks, and
+        table through ``convolve_chunks``: a 16-block beside 8-blocks, and
         an 8-block at the 16-block's corner."""
+        table = WeightedLRU(max_weight=1 << 30)
+        monkeypatch.setattr(policy_module, "_PATTERNS", table)
         n = self.N
         spec = GaussianKernel(n=n, sigma=1.5).spectrum()
         policy = SamplingPolicy.flat_rate(2)
@@ -191,28 +195,30 @@ class TestAdaptiveOnConvolveChunks:
         assert np.array_equal(pipeline.accumulate(per_domain), oracle)
         small = SubDomain(3, (0, 0, 0), 8)
         list(pipeline.convolve_chunks([(small, field[small.slices()])]))
-        assert set(pipeline._pattern_cache) == {
-            (sub.corner, sub.size) for sub in subs + [small]
+        assert {key[1:] for key in table._entries} == {
+            (n, sub.size, sub.corner) for sub in subs + [small]
         }
 
-    def test_regular_subdomains_build_one_pattern_per_corner(self, rng):
-        """Every instance through one pipeline reuses one cached pattern per
-        active corner (what the serving executor's warm engine amortizes)."""
+    def test_regular_subdomains_build_one_pattern_per_corner(self, rng, monkeypatch):
+        """Every instance through one pipeline reuses one pattern per active
+        corner from the process-wide table (what the serving executor's warm
+        engine amortizes)."""
+        table = WeightedLRU(max_weight=1 << 30)
+        monkeypatch.setattr(policy_module, "_PATTERNS", table)
         n, k = 16, 4
         spec = GaussianKernel(n=n, sigma=1.2).spectrum()
-        pipeline = LowCommConvolution3D(
-            n, k, spec, SamplingPolicy.flat_rate(2), batch=64
-        )
+        policy = SamplingPolicy.flat_rate(2)
+        pipeline = LowCommConvolution3D(n, k, spec, policy, batch=64)
         runs = []
         for i in range(3):
             field = np.zeros((n, n, n))
             field[i : i + 8, 2:10, 4:12] = rng.standard_normal((8, 8, 8))
             runs.append(pipeline.run_serial(field))
         corners = {sub.corner for run in runs for sub, _f in run.per_domain}
-        assert set(pipeline._pattern_cache) == {(c, k) for c in corners}
+        assert table.misses == len(table) == len(corners)
         for run in runs:
             for sub, compressed in run.per_domain:
-                assert compressed.pattern is pipeline._pattern_cache[(sub.corner, k)]
+                assert compressed.pattern is policy.pattern_for(n, k, sub.corner)
 
 
 class TestWorkerPool:

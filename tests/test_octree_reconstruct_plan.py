@@ -36,27 +36,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accumulate import (
-    accumulate_boxes,
-    accumulate_global,
-    cells_touching_rank,
-)
-from repro.core.checkpoint import (
-    checkpoint_from_bytes,
-    checkpoint_segments,
-    join_checkpoint_segments,
-)
+from repro.core.accumulate import accumulate_boxes, accumulate_global
+from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import SamplingPolicy
+from repro.dist.worker import DistConfig, exchange_frame, merge_exchanged
 from repro.errors import ConfigurationError, ShapeError
 from repro.octree import interpolate, serialize
 from repro.octree.compress import CompressedField
+from repro.octree.sampling import build_flat_pattern
 from repro.octree.interpolate import (
     ReconstructionPlan,
     reconstruct_box,
     reconstruct_dense,
 )
-from repro.octree.serialize import deserialize_compressed, serialize_compressed
+from repro.octree.serialize import (
+    deserialize_compressed,
+    encode_values,
+    serialize_compressed,
+)
 from repro.util.lru import WeightedLRU
 
 
@@ -260,8 +258,8 @@ class TestPlanReuse:
         cf = _field(32, 8, "flat:2", 9)
         reconstruct_box(cf, (0, 0, 0), (32, 32, 32))
         misses = interpolate._PLANS.misses
-        rebuilt = SamplingPolicy.flat_rate(2).pattern_for(
-            32, 8, DomainDecomposition(n=32, k=8).subdomain(9).corner
+        rebuilt = build_flat_pattern(
+            32, 8, DomainDecomposition(n=32, k=8).subdomain(9).corner, 2
         )
         assert rebuilt is not cf.pattern
         reconstruct_dense(CompressedField(rebuilt, 2.0 * cf.values))
@@ -442,13 +440,30 @@ class TestAccumulateBoxes:
 
 
 # -- merged accumulation: shared cells summed before they are interpolated ----
-def _wire(field, sub, precision, cells=None):
-    """``field`` as a peer receives it: packed (whole or cut to ``cells``)
-    at ``precision`` and decoded; ``None`` when the cut is empty."""
-    blob = join_checkpoint_segments(
-        checkpoint_segments([(sub, field)], precision, None if cells is None else [cells])
-    )
-    return checkpoint_from_bytes(blob).get(sub.index)
+def _wire(field, sub, precision):
+    """``field`` as its checkpoint record round-trips at ``precision``."""
+    blob = checkpoint_to_bytes([(sub, field)], precision)
+    return checkpoint_from_bytes(blob)[sub.index]
+
+
+def _received(fields, config, rank):
+    """Rank ``rank``'s merge of its peers' ``fields``, each peer's sent to
+    it in one exchange frame: the values of the cells that touch its boxes,
+    paired on receipt with the subset it derives."""
+    decomposition = DomainDecomposition(n=config.n, k=config.k)
+    merged = {}
+    for src in range(config.num_ranks):
+        if src == rank:
+            continue
+        pairs = [
+            (decomposition.subdomain(i), f)
+            for i, f in fields.items()
+            if i % config.num_ranks == src
+        ]
+        values = [encode_values(f, config.precision) for _s, f in pairs]
+        frame = exchange_frame(pairs, values, config, rank).tobytes()
+        merge_exchanged(merged, frame, config, src=src, rank=rank)
+    return merged
 
 
 def _check_merged_accumulation(n, k, policy, method, ranks, active, precision):
@@ -469,16 +484,10 @@ def _check_merged_accumulation(n, k, policy, method, ranks, active, precision):
 
     # every rank's blocks, from its own fields whole and its peers' cut to
     # the cells that touch its boxes, are bitwise the global slices
+    config = DistConfig(n=n, k=k, policy=policy, precision=precision, num_ranks=ranks)
     for rank in range(ranks):
-        merged = {}
-        for i, f in fields.items():
-            sub = decomposition.subdomain(i)
-            if i % ranks == rank:
-                merged[i] = f
-                continue
-            cut = _wire(f, sub, precision, cells_touching_rank(f.pattern, k, ranks, rank))
-            if cut is not None:
-                merged[i] = cut
+        merged = _received(fields, config, rank)
+        merged.update((i, f) for i, f in fields.items() if i % ranks == rank)
         targets = [sub for sub in decomposition if sub.index % ranks == rank]
         blocks = accumulate_boxes(merged, targets, method)
         assert sorted(blocks) == [sub.index for sub in targets]

@@ -254,16 +254,22 @@ class TestGridChecks:
             deserialize_compressed(bytes(payload))
 
     def test_partial_subset_records_still_decode(self):
+        """A cell subset's pattern (re-packed cumulative counts, the source's
+        sub-domain label) is a valid table: its record passes every grid
+        check and decodes to the same bytes."""
         from repro.core.accumulate import cells_touching_rank
-        from repro.octree.serialize import serialize_segments
 
         pat = build_adaptive_pattern(32, 8, (8, 16, 0))
         cf = CompressedField(pat, np.arange(pat.sample_count, dtype=np.float64))
         subset = cells_touching_rank(pat, 8, 3, 1)
         assert 0 < subset.num_cells < pat.num_cells
-        back = deserialize_compressed(b"".join(serialize_segments(cf, cells=subset)))
-        assert back.pattern.metadata().tobytes() == subset.metadata.tobytes()
-        assert back.values.size == subset.sample_count
+        values = np.concatenate(subset.value_runs(cf.values))
+        back = deserialize_compressed(
+            serialize_compressed(CompressedField(subset.pattern, values))
+        )
+        assert back.pattern.geometry_key == subset.pattern.geometry_key
+        assert back.pattern.subdomain_corner == pat.subdomain_corner
+        assert np.array_equal(back.values, values)
 
 
 def _per_cell_error_bound(pattern, kernel_spatial, input_l1):

@@ -44,10 +44,11 @@ from repro.pool.pool import RankPool, private_pool
 REFERENCE = dict(n=32, k=8, sigma=2.0, policy="flat:2")
 
 #: ``wire_over_model`` bound at REFERENCE, P=4.  Each peer is sent only
-#: the cells touching its boxes, so the value bytes fall to 44% of the
-#: allgather's; octree metadata stays 0.53% of them, while the fixed
-#: record and frame headers grow to about 0.45% (more on a recovery job,
-#: which moves fewer values): measured 1.0099 cold, 1.0107 recovered.
+#: the values of the cells touching its boxes (44% of the allgather's), and
+#: no octree metadata: what is left above the prediction is the frame,
+#: entry-count and per-field entry headers, 0.13% of the values (more on a
+#: recovery job, which moves fewer values): measured 1.0013 cold, 1.0019
+#: recovered.
 WIRE_OVER_MODEL_ABS = 0.02
 
 

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import policy as policy_module
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
 from repro.errors import (
@@ -21,6 +22,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import LoadSpec, parse_policy, run_serve_benchmark
 from repro.util.clock import ManualClock
+from repro.util.lru import WeightedLRU
 
 N, K = 16, 4
 POLICY = SamplingPolicy.flat_rate(4)
@@ -62,15 +64,18 @@ class TestServedResults:
         assert result.num_subdomains == (N // K) ** 3
         assert result.compression_ratio > 1.0
 
-    def test_engines_stay_warm_across_batches(self, server, rng):
+    def test_engines_stay_warm_across_batches(self, server, rng, monkeypatch):
+        table = WeightedLRU(max_weight=1 << 30)
+        monkeypatch.setattr(policy_module, "_PATTERNS", table)
         for _ in range(3):
             server.submit(rng.standard_normal((N, N, N)), kernel="g")
             server.drain()
         assert server.executor.engine_count == 1
-        # one engine means one shared pattern cache across all batches
         engine = next(iter(server.executor._engines.values()))
         assert isinstance(engine, LowCommConvolution3D)
-        assert len(engine._pattern_cache) == (N // K) ** 3
+        # every batch takes its patterns from the process-wide table: one
+        # build per sub-domain, all in the first batch
+        assert table.misses == len(table) == (N // K) ** 3
 
 
 class TestLifecycle:
