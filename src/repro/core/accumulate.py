@@ -6,9 +6,10 @@ are exchanged at the end of the computation."  (paper §3.1)
 
 Two entry points, one per runtime, both one
 :func:`~repro.octree.interpolate.reconstruct_box` per box over all the
-fields in sub-domain index order — its plan sums the cells the fields
-share before interpolating them, so a cell is contracted once however many
-sub-domains' octrees hold it:
+fields — its plan sums the cells the fields share, in the one tree order
+on sub-domain indices (:mod:`repro.octree.treesum`), before interpolating
+them, so a cell is contracted once however many sub-domains' octrees hold
+it:
 
 - :func:`accumulate_global` — in-process (``run_serial`` /
   ``run_parallel``, driver-side recovery): the whole grid is the box.
@@ -21,53 +22,66 @@ sub-domains' octrees hold it:
 What a rank needs of a peer's field for :func:`accumulate_boxes` is
 :func:`cells_touching_rank`: the cells whose extent meets one of its
 boxes.  Interpolation reads only a cell's own lattice, so those whole
-cells are exactly the halo, and the exchange ships nothing else — only
-their values, since both ends derive the subset.
+cells are exactly the halo.  What a rank needs of several of a peer's
+fields is :func:`union_touching_rank`: the distinct cells among them, each
+the tree sum of its holders — the reduce-before-send of the exchange,
+which a sender can only do over an aligned subtree of the tree.  The
+exchange ships nothing else, and only values, since both ends derive the
+cells.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.decomposition import SubDomain
 from repro.errors import ConfigurationError
+from repro.octree.cell import samples_per_axis
 from repro.octree.compress import CellSubset, CompressedField
-from repro.octree.interpolate import reconstruct_box
+from repro.octree.interpolate import as_operands, reconstruct_box
 from repro.octree.sampling import SamplingPattern
+from repro.octree.treesum import LEAF_BITS, Operand, TreeSum, chunked, group_rows
 from repro.util.lru import WeightedLRU
 
 
 def accumulate_global(
-    fields: Sequence[CompressedField], method: str = "linear"
+    fields: Union[Mapping[int, CompressedField], Sequence[CompressedField]],
+    method: str = "linear",
 ) -> np.ndarray:
     """The dense sum of the reconstructions of all compressed sub-domain
-    results (``fields`` in sub-domain index order): one
-    :func:`~repro.octree.interpolate.reconstruct_box` over the whole grid."""
+    results: one :func:`~repro.octree.interpolate.reconstruct_box` over the
+    whole grid.  ``fields`` maps sub-domain index to field (a sequence is
+    taken as indices ``0, 1, ...``); the index decides where each field
+    enters the summation tree."""
     if not fields:
         raise ConfigurationError("need at least one compressed field")
-    n = fields[0].pattern.n
-    return reconstruct_box(fields, (0, 0, 0), (n, n, n), method=method)
+    operands = as_operands(fields)
+    n = operands[0].pattern.n
+    return reconstruct_box(operands, (0, 0, 0), (n, n, n), method=method)
 
 
 def accumulate_boxes(
-    fields: Mapping[int, CompressedField],
+    operands: Union[Mapping[int, CompressedField], Iterable[Operand]],
     targets: Iterable[SubDomain],
     method: str = "linear",
 ) -> Dict[int, np.ndarray]:
-    """Accumulate every field over each target sub-domain's own box.
+    """Accumulate every operand over each target sub-domain's own box.
 
-    ``fields`` maps sub-domain index to that sub-domain's compressed
-    result, whole or cut to the cells that touch the targets
-    (:func:`cells_touching_rank`).  Each block is one
-    :func:`~repro.octree.interpolate.reconstruct_box` of the fields in
-    sub-domain index order — the order ``run_serial`` passes them in — so
-    a block is bitwise the matching slice of :func:`accumulate_global`,
-    whichever rank computed it and whatever order the fields arrived in.
-    Returns the dense ``k^3`` block per target, keyed by sub-domain index.
+    ``operands`` are fields keyed by sub-domain index, whole or cut to the
+    cells that touch the targets (:func:`cells_touching_rank`), or
+    :class:`~repro.octree.treesum.Operand` s — a rank's own leaves and the
+    partial sums its peers sent (:func:`union_touching_rank`).  Each block
+    is one :func:`~repro.octree.interpolate.reconstruct_box` of them, whose
+    plan sums shared cells in the one tree order on sub-domain indices, so
+    a block is bitwise the matching slice of :func:`accumulate_global` over
+    the leaves, whichever rank computed it, whichever partials it was sent
+    and whatever order they arrived in.  Returns the dense ``k^3`` block
+    per target, keyed by sub-domain index.
     """
-    ordered = [fields[index] for index in sorted(fields)]
+    ordered = as_operands(operands if isinstance(operands, Mapping) else list(operands))
     blocks: Dict[int, np.ndarray] = {}
     for target in targets:
         shape = (target.size,) * 3
@@ -127,3 +141,165 @@ def _touches_rank(
         sign = (-1) ** (3 - bin(corner).count("1"))
         count += sign * table[picks[0], picks[1], picks[2]]
     return count > 0
+
+
+#: Per hit of a union: its cell number, and at most one add and one gather,
+#: each two int64 offsets and an op object of at most 512 B.
+_HIT_BYTES = 8 + 2 * (2 * 8 + 512)
+
+
+class CellUnion:
+    """The distinct cells of several fields (``leaves``, ascending
+    sub-domain indices) that touch one rank's boxes: what one exchange
+    entry over those fields carries to that rank.
+
+    ``pattern`` holds the cells ordered by the first leaf that holds each,
+    then by that leaf's packed order, with cumulative counts re-packed;
+    ``cells_per_leaf`` counts the cells each leaf holds first.  The union's
+    values (:meth:`values`) are, cell by cell, the sum of the holding
+    fields' samples in the tree order of :mod:`repro.octree.treesum`, so a
+    receiver pairing ``pattern`` with them holds the partial sum of the
+    leaves' subtree (:meth:`operand`).  One leaf's union is its
+    :class:`~repro.octree.compress.CellSubset`, read in place.
+    """
+
+    def __init__(
+        self,
+        patterns: Sequence[SamplingPattern],
+        leaves: Sequence[int],
+        k: int,
+        num_ranks: int,
+        rank: int,
+    ):
+        self.leaves = tuple(int(leaf) for leaf in leaves)
+        if len(self.leaves) == 1:
+            self.subset = cells_touching_rank(patterns[0], k, num_ranks, rank)
+            self.pattern = self.subset.pattern
+            self.cells_per_leaf = (self.pattern.num_cells,)
+            return
+        self.subset = None
+        # every (leaf, touching cell): columns x, y, z, size, rate, leaf
+        # position, value offset in that leaf's field
+        hits = []
+        for i, pattern in enumerate(patterns):
+            keep = np.flatnonzero(_touches_rank(pattern, k, num_ranks, rank))
+            table = pattern.table[keep].astype(np.int64)
+            hits.append(
+                np.column_stack(
+                    (table[:, :3], pattern.sizes[keep], table[:, 3], np.full(keep.size, i), table[:, 4])
+                )
+            )
+        cells = np.concatenate(hits)
+        _, first, which = np.unique(
+            cells[:, :5], axis=0, return_index=True, return_inverse=True
+        )
+        # canonical order: a cell's first occurrence, which is its first
+        # holding leaf, then that leaf's packed order
+        order = np.argsort(first)
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        self._hits = cells
+        self._which = renumber[which.reshape(-1)]
+        first = first[order]
+        counts = samples_per_axis(cells[first, 3], cells[first, 4]) ** 3
+        table = np.column_stack(
+            (cells[first, :3], cells[first, 4], np.cumsum(counts) - counts)
+        )
+        self.pattern = SamplingPattern(
+            n=patterns[0].n,
+            table=table,
+            sizes=cells[first, 3],
+            subdomain_corner=patterns[0].subdomain_corner,
+            subdomain_size=patterns[0].subdomain_size,
+        )
+        self._counts = counts
+        self.cells_per_leaf = tuple(
+            np.bincount(cells[first, 5], minlength=len(self.leaves)).tolist()
+        )
+
+    @property
+    def num_cells(self) -> int:
+        return self.pattern.num_cells
+
+    @property
+    def sample_count(self) -> int:
+        return self.pattern.sample_count
+
+    @cached_property
+    def _sums(self) -> Tuple[TreeSum, List[tuple]]:
+        """The sender's side: the tree sum of the shared cells, and the
+        gathers that lay every cell's sum out in union order, as
+        ``(source, count, from offsets, to offsets)``."""
+        nodes = np.array([(leaf, LEAF_BITS) for leaf in self.leaves], dtype=np.int64)
+        cells, which, counts = self._hits, self._which, self._counts
+        tree = TreeSum(
+            nodes, which, cells[:, 5], cells[:, 6], counts[which], len(counts)
+        )
+        starts = self.pattern.table[:, 4].astype(np.int64)
+        gathers = []
+        for (count, source), members in group_rows(np.column_stack((counts, tree.source))):
+            for part in chunked(members, count):
+                gathers.append((source, count, tree.at[part], starts[part]))
+        return tree, gathers
+
+    @property
+    def derived_nbytes(self) -> int:
+        """Upper bound of the bytes held: the union pattern's, its hits and,
+        once a sender derives them, its adds and gathers — at most one of
+        each per hit, two offsets and an op object apiece."""
+        if self.subset is not None:
+            return self.subset.derived_nbytes
+        return self.pattern.derived_nbytes + self._hits.nbytes + len(self._which) * _HIT_BYTES
+
+    def values(self, fields: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """The union's values from its leaves' whole value arrays (one
+        leaf: views of them, at any precision; several: one float64 array
+        of the tree sums)."""
+        if self.subset is not None:
+            return self.subset.value_runs(fields[0])
+        tree, gathers = self._sums
+        arrays = [*fields, tree.apply(fields)]
+        out = np.empty(self.sample_count)
+        for source, count, src, dst in gathers:
+            if len(src) == 1:
+                out[dst[0] : dst[0] + count] = arrays[source][src[0] : src[0] + count]
+            else:
+                span = np.arange(count)
+                out[dst[:, None] + span] = arrays[source][src[:, None] + span]
+        return [out]
+
+    def operand(self, values: np.ndarray) -> Operand:
+        """The receiver's summand: ``values`` (the union's, in order) over
+        the union's cells."""
+        return Operand(
+            self.leaves, CompressedField(self.pattern, values), self.cells_per_leaf
+        )
+
+
+#: Unions of several leaves by ``(their pattern geometries, leaves, k,
+#: ranks, rank)``, for the same reason as :data:`_SUBSETS` (a one-leaf
+#: union is its subset, which that table holds): sender and receiver derive
+#: the same union every warm job.  Weighed by
+#: :attr:`CellUnion.derived_nbytes`, bounded at 64 MiB.
+_UNIONS: "WeightedLRU[CellUnion]" = WeightedLRU(max_weight=64 << 20)
+
+
+def union_touching_rank(
+    patterns: Sequence[SamplingPattern],
+    leaves: Sequence[int],
+    k: int,
+    num_ranks: int,
+    rank: int,
+) -> CellUnion:
+    """The :class:`CellUnion` of the fields of ``leaves`` (patterns in the
+    same order) whose cells touch ``rank``'s boxes: a pure function of the
+    patterns' geometry, the leaves, ``k``, ``num_ranks`` and ``rank``, so
+    both ends of an exchange derive it and only its values travel."""
+    if len(leaves) == 1:
+        return CellUnion(patterns, leaves, k, num_ranks, rank)
+    key = (tuple(p.geometry_key for p in patterns), tuple(leaves), k, num_ranks, rank)
+    union = _UNIONS.get(key)
+    if union is None:
+        union = CellUnion(patterns, leaves, k, num_ranks, rank)
+        union = _UNIONS.put(key, union, union.derived_nbytes)
+    return union

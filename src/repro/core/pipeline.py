@@ -228,10 +228,11 @@ class LowCommConvolution3D:
         self, per_domain: List[Tuple[SubDomain, CompressedField]]
     ) -> np.ndarray:
         """The dense ``n^3`` sum of every sub-domain's interpolated result
-        (zeros when nothing was convolved)."""
+        (zeros when nothing was convolved), each field entering the
+        summation tree at its sub-domain index."""
         if per_domain:
             return accumulate_global(
-                [f for _s, f in per_domain], method=self.interpolation
+                {sub.index: f for sub, f in per_domain}, method=self.interpolation
             )
         return np.zeros((self.n,) * 3, dtype=np.float64)
 

@@ -11,11 +11,12 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
   driver-side — still bitwise identical;
 - cross-validates the measured exchange traffic against an exact
   per-destination count: each peer is sent only the octree cells that
-  touch its boxes, so the exchanged *value* bytes are itemsize times the
-  samples in those cells, summed over fields and peers
-  (:attr:`DistRunReport.predicted_value_bytes`), and the full wire volume
-  sits only its frame and entry headers above it — frames carry values
-  alone, no octree metadata.  The
+  touch its boxes, summed over the fields of each frame entry
+  (:func:`~repro.dist.worker.exchange_entries`), so the exchanged *value*
+  bytes are itemsize times the samples in those unions, summed over
+  entries and peers (:attr:`DistRunReport.predicted_value_bytes`), and
+  the full wire volume sits only its frame and entry headers above it —
+  frames carry values alone, no octree metadata.  The
   paper's Eq 6 allgather count (``(P-1) * itemsize * total sample
   count``, :func:`expected_exchange_value_bytes`) is reported beside it,
   and the real wire moves less than it;
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.cost import sparse_sample_count
-from repro.core.accumulate import accumulate_global, cells_touching_rank
+from repro.core.accumulate import accumulate_global
 from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import parse_policy
@@ -43,6 +44,8 @@ from repro.dist.worker import (
     RankResult,
     build_pipeline,
     composite_field,
+    entry_union,
+    exchange_entries,
 )
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
@@ -73,8 +76,9 @@ class DistRunReport:
     #: measured: total bytes-on-wire in the sparse exchange, all ranks
     exchange_wire_bytes: int = 0
     #: exact per-destination accounting: itemsize times the samples in the
-    #: cells that touch each peer's boxes, summed over fields and peers
-    #: (a resumed job's excludes the sub-domains its checkpoint restored)
+    #: distinct cells of each frame entry's fields that touch each peer's
+    #: boxes, summed over entries and peers (a resumed job's excludes the
+    #: sub-domains its checkpoint restored)
     predicted_value_bytes: int = 0
     #: the paper's Eq 6 allgather count, ``(P-1) * itemsize * total sample
     #: count`` — what an allgather of every sample would move (same
@@ -102,8 +106,9 @@ class DistRunReport:
 
         1.0 = the wire moved exactly the predicted value bytes; the excess
         is framing: a 20-byte frame header and an 8-byte entry count per
-        frame, and a 16-byte (index, count) header per field.  0.0 when
-        nothing is exchanged (P == 1).
+        frame, and per entry a ``16 + 8 L``-byte header (field count, its
+        ``L`` sub-domain indices, value count).  0.0 when nothing is
+        exchanged (P == 1).
         """
         if not self.predicted_value_bytes:
             return 0.0
@@ -126,26 +131,35 @@ def _exchanged_samples(
     """``(allgather, per-destination)`` sample counts of the exchange.
 
     Fields are the active sub-domains minus ``exclude_indices``; the
-    allgather count sends each whole to every peer, the per-destination
-    one sends each peer only the cells that touch its boxes.  Patterns
-    and subsets come from the process-wide tables, so a warm job's audit
-    builds none.
+    allgather count sends each whole to every peer.  The per-destination
+    one counts what the ranks send: each rank's frames (one in barrier
+    mode, one per field streamed) cut into entries by
+    :func:`~repro.dist.worker.exchange_entries`, and each entry sends each
+    peer the union of its fields' cells that touch the peer's boxes.
+    Patterns and unions come from the process-wide tables, so a warm job's
+    audit builds none.
     """
     policy = parse_policy(config.policy)
     decomp = DomainDecomposition(n=config.n, k=config.k)
     skip = exclude_indices or frozenset()
     ranks = config.num_ranks
-    allgather = per_destination = 0
-    for sub in decomp.active_subdomains(np.asarray(field)):
-        if sub.index in skip:
-            continue
-        pattern = policy.pattern_for(config.n, config.k, sub.corner)
-        allgather += (ranks - 1) * pattern.sample_count
-        per_destination += sum(
-            cells_touching_rank(pattern, config.k, ranks, dst).sample_count
-            for dst in range(ranks)
-            if dst != sub.index % ranks
-        )
+    patterns = {
+        sub.index: policy.pattern_for(config.n, config.k, sub.corner)
+        for sub in decomp.active_subdomains(np.asarray(field))
+    }
+    allgather = sum(
+        (ranks - 1) * p.sample_count for i, p in patterns.items() if i not in skip
+    )
+    per_destination = 0
+    for src in range(ranks):
+        share = {i for i in patterns if i % ranks == src}
+        todo = sorted(share - skip)
+        for frame in [[i] for i in todo] if config.overlap else [todo]:
+            for entry in exchange_entries(frame, share - set(frame), config):
+                for dst in range(ranks):
+                    union = None if dst == src else entry_union(entry, patterns, config, dst)
+                    if union is not None:
+                        per_destination += union.sample_count
     return allgather, per_destination
 
 
@@ -267,9 +281,7 @@ def recover_from_checkpoints(
         merged[sub.index] = compressed
     if not merged:
         return np.zeros((config.n,) * 3, dtype=np.float64)
-    return accumulate_global(
-        [merged[index] for index in sorted(merged)], method=config.interpolation
-    )
+    return accumulate_global(merged, method=config.interpolation)
 
 
 def build_report(

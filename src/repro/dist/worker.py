@@ -14,26 +14,34 @@ exchange modes and both fresh and resumed jobs:
    path (zero communication — the paper's claim);
 3. the compressed results are packed into a self-describing
    :mod:`repro.core.checkpoint` blob and posted to the driver whole (this
-   is the fault-tolerance state), and each peer is sent, in the single
-   sparse exchange of Eq 6, a values-only frame
-   (:func:`exchange_frame`): per field, the sub-domain index, a value
-   count and the sample values of only the octree cells that touch *its*
-   boxes (:func:`~repro.core.accumulate.cells_touching_rank`) — no
-   octree metadata, because the receiver derives the pattern and that
-   subset from the configuration it holds.  One frame per peer in ONE
+   is the fault-tolerance state, per field), and each peer is sent, in
+   the single sparse exchange of Eq 6, a values-only frame
+   (:func:`exchange_frame`).  Its entries (:func:`exchange_entries`) are
+   the largest aligned subtrees of the rank's share that the frame
+   carries whole — at ``P = 2**p`` in barrier mode the whole share, else
+   one field each — and an entry carries the covered sub-domain indices,
+   a value count and the values of the distinct cells of those fields
+   that touch the peer's boxes, each summed over the fields holding it
+   (:func:`~repro.core.accumulate.union_touching_rank`) — no octree
+   metadata, because the receiver derives the patterns and that union
+   from the configuration it holds.  One frame per peer in ONE
    ``sparse_allgather`` after the loop (barrier mode), or one per peer
    per chunk pushed onto a streamed exchange from inside the loop
    (``overlap`` mode);
 4. the rank merges what arrived (:func:`merge_exchanged`) — rejecting,
-   with :class:`~repro.errors.ExchangeFrameError`, a sub-domain its
-   sender does not own or that arrives twice and any entry whose value
-   count or length disagrees with the derived subset — and reconstructs
-   the accumulated result restricted to its *own* sub-domain boxes.
+   with :class:`~repro.errors.ExchangeFrameError`, sub-domains its sender
+   does not own or that do not form one aligned subtree of its share,
+   one that arrives twice or sits inside a sum already merged, and any
+   entry whose value count or length disagrees with the derived union —
+   and reconstructs the accumulated result restricted to its *own*
+   sub-domain boxes.
 
-Accumulation order is deterministic (compressed fields sorted by
-sub-domain index, exactly the order ``run_serial`` uses), so the blocks a
-rank returns — and the grid the driver assembles from them — are bitwise
-identical to :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial`.
+Accumulation order is deterministic: the plan sums every cell over its
+holders in one tree order on sub-domain indices, the order ``run_serial``
+uses, and a sender's sum of its share is a subtree of that tree, so the
+blocks a rank returns — and the grid the driver assembles from them — are
+bitwise identical to
+:meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial`.
 
 Fault injection lives here too: :class:`DistConfig` can name a rank and a
 pipeline stage at which that rank calls its ``abort`` hook (process exit
@@ -45,11 +53,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.accumulate import accumulate_boxes, cells_touching_rank
+from repro.core.accumulate import (
+    CellUnion,
+    accumulate_boxes,
+    cells_touching_rank,
+    union_touching_rank,
+)
 from repro.core.checkpoint import (
     checkpoint_from_bytes,
     checkpoint_segments,
@@ -70,6 +83,7 @@ from repro.errors import ConfigurationError, ExchangeFrameError
 from repro.octree.compress import CompressedField
 from repro.octree.sampling import SamplingPattern
 from repro.octree.serialize import decode_values, encode_values
+from repro.octree.treesum import LEAF_BITS, Operand, in_subtree, subtree
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
 
@@ -96,7 +110,10 @@ class DistConfig:
 
     Frozen and built from plain values only, so it crosses process
     boundaries trivially.  ``fail_rank`` / ``fail_stage`` inject a crash
-    of one rank at a chosen pipeline stage (testing only).
+    of one rank at a chosen pipeline stage (testing only).  A float32
+    job's exchange sends every field alone, never a sum of several: a sum
+    rounded to float32 would be a second rounding the serial oracle never
+    makes.
     """
 
     n: int = 32
@@ -167,7 +184,8 @@ class RankResult:
     compressed_bytes: int
     #: exchange frame payload bytes this rank shipped, summed over its
     #: peers — each peer's frame holds the values of only the cells that
-    #: touch that peer's boxes, plus a 16-byte entry header per field and
+    #: touch that peer's boxes, summed per entry over the entry's fields,
+    #: plus an entry header of 16 bytes and 8 per covered sub-domain and
     #: an 8-byte entry count, so they differ (one frame per peer in
     #: barrier mode, the per-chunk frames summed in overlap mode)
     exchange_payload_bytes: int
@@ -317,9 +335,14 @@ def rank_main(
                 )
             abort()
 
-    #: what this rank merges: the restored fields, then its own fields as
-    #: they are computed, then its peers' as they arrive
-    merged: Dict[int, CompressedField] = dict(restored)
+    #: what this rank sums: the restored fields, then its own fields as
+    #: they are computed, then its peers' fields and partial sums as they
+    #: arrive
+    merged: List[Operand] = [Operand.leaf(i, f) for i, f in sorted(restored.items())]
+    #: the active sub-domains of this rank's share (an exchange entry sums
+    #: only subtrees of them that one frame carries whole)
+    share = {sub.index for sub, _block in todo}
+    share.update(i for i in restored if i % size == rank)
     sent_bytes = 0
 
     def payloads(kind: str, pairs) -> List[FramePayload]:
@@ -337,13 +360,17 @@ def rank_main(
         # the own slot round-trips through the wire precision like a
         # peer's, so float32 merges the same values on every rank
         for (sub, f), encoded in zip(pairs, values):
-            merged[sub.index] = CompressedField(
-                f.pattern, decode_values(encoded, config.precision)
+            merged.append(
+                Operand.leaf(
+                    sub.index,
+                    CompressedField(f.pattern, decode_values(encoded, config.precision)),
+                )
             )
+        others = share - {sub.index for sub, _f in pairs}
         out: List[FramePayload] = [b""] * size
         for dst in range(size):
             if dst != rank:
-                out[dst] = exchange_frame(pairs, values, config, dst)
+                out[dst] = exchange_frame(pairs, values, config, dst, others)
                 sent_bytes += len(out[dst])
         return out
 
@@ -402,8 +429,8 @@ def rank_main(
 
     return RankResult(
         rank=rank,
-        # accumulated over this rank's own boxes, fields in sub-domain
-        # index order (the run_serial order — bitwise identity)
+        # accumulated over this rank's own boxes, in the tree order on
+        # sub-domain indices that run_serial sums in (bitwise identity)
         blocks=accumulate_boxes(merged, own_subdomains, config.interpolation),
         num_chunks=len(own),
         total_samples=sum(f.pattern.sample_count for _s, f in own),
@@ -422,11 +449,56 @@ def rank_main(
 
 
 #: An exchange frame is an int64 entry count, then per entry an int64
-#: sub-domain index, an int64 value count and that many values at the job's
-#: precision.  The sender's pattern, and the cells of it that the values
-#: fill, are derived on receipt.
+#: count ``L`` of the sub-domains it covers, their ``L`` int64 indices
+#: (ascending), an int64 value count and that many values at the job's
+#: precision.  The cells the values fill, and what each value sums, are
+#: derived on receipt.
 _COUNT = struct.Struct("<q")
-_ENTRY = struct.Struct("<qq")
+
+
+def _entry_header(leaves: Sequence[int], values: int) -> bytes:
+    return struct.pack(f"<{len(leaves) + 2}q", len(leaves), *leaves, values)
+
+
+def _owned(node: Tuple[int, int], domains: int, ranks: int, src: int) -> bool:
+    """Does rank ``src`` own every sub-domain of the aligned subtree
+    ``node`` (see :mod:`repro.octree.treesum`) below ``domains``?"""
+    residue, bits = node
+    if bits >= LEAF_BITS or residue + (1 << bits) >= domains:
+        return residue % ranks == src  # the one index in range
+    return (1 << bits) % ranks == 0 and residue % ranks == src
+
+
+def exchange_entries(
+    frame: Iterable[int], others: AbstractSet[int], config: DistConfig
+) -> List[Tuple[int, ...]]:
+    """The entries of one rank's frame carrying the fields of ``frame``.
+
+    An entry covers the fields of the largest aligned subtree of the
+    sender's share whose active sub-domains are all in the frame —
+    ``others`` are the share's active sub-domains the frame lacks (a
+    resumed job's restored ones, a stream's other chunks) — and carries
+    their sum.  Barrier mode at ``P = 2**p`` ranks thus sends one entry,
+    the whole share; other rank counts, streamed chunks and float32 jobs
+    (a partial rounded to float32 would be a second rounding the serial
+    sum never makes) send one entry per field.
+    """
+    leaves = sorted(frame)
+    if config.precision != "float64":
+        return [(leaf,) for leaf in leaves]
+    domains = (config.n // config.k) ** 3
+    ranks = config.num_ranks
+    rest = np.fromiter(others, dtype=np.int64, count=len(others))
+    entries: Dict[Tuple[int, int], List[int]] = {}
+    for leaf in leaves:
+        for bits in range(domains.bit_length() + 1):
+            node = (leaf & ((1 << bits) - 1), bits)
+            if _owned(node, domains, ranks, leaf % ranks) and not (
+                rest & ((1 << bits) - 1) == node[0]
+            ).any():
+                break
+        entries.setdefault(node, []).append(leaf)
+    return [tuple(entry) for entry in entries.values()]
 
 
 def exchange_frame(
@@ -434,53 +506,82 @@ def exchange_frame(
     values: Sequence[np.ndarray],
     config: DistConfig,
     dst: int,
+    others: AbstractSet[int] = frozenset(),
 ) -> Segments:
-    """Rank ``dst``'s values-only exchange frame for ``pairs``.
+    """Rank ``dst``'s exchange frame for ``pairs``.
 
     ``values`` holds each field's :func:`~repro.octree.serialize
-    .encode_values` array at ``config.precision``; the frame aliases the
-    runs of it that the cells touching ``dst``'s boxes hold
-    (:func:`~repro.core.accumulate.cells_touching_rank`), so nothing is
-    copied.  A field none of whose cells touch ``dst``'s boxes has no
-    entry.
+    .encode_values` array at ``config.precision``; ``others`` the active
+    sub-domains of the sender's share the frame does not carry
+    (:func:`exchange_entries`).  Each entry carries the values of the
+    cells of its fields that touch ``dst``'s boxes
+    (:func:`~repro.core.accumulate.union_touching_rank`), summed where
+    several fields hold a cell: a one-field entry aliases runs of the
+    field's values, so nothing is copied.  A field none of whose cells
+    touch ``dst``'s boxes is in no entry.
     """
+    patterns = {sub.index: field.pattern for sub, field in pairs}
+    encoded = {sub.index: array for (sub, _f), array in zip(pairs, values)}
     parts: List[object] = []
     entries = 0
-    for (sub, field), encoded in zip(pairs, values):
-        subset = cells_touching_rank(field.pattern, config.k, config.num_ranks, dst)
-        if subset.num_cells:
-            parts.append(_ENTRY.pack(sub.index, subset.sample_count))
-            parts.extend(subset.value_runs(encoded))
-            entries += 1
+    for entry in exchange_entries(patterns, others, config):
+        union = entry_union(entry, patterns, config, dst)
+        if union is None:
+            continue
+        parts.append(_entry_header(union.leaves, union.sample_count))
+        parts.extend(union.values([encoded[leaf] for leaf in union.leaves]))
+        entries += 1
     return Segments([_COUNT.pack(entries), *parts])
 
 
+def entry_union(
+    entry: Sequence[int],
+    patterns: Dict[int, SamplingPattern],
+    config: DistConfig,
+    dst: int,
+) -> Optional[CellUnion]:
+    """What ``entry`` (sub-domain indices, see :func:`exchange_entries`)
+    sends rank ``dst``: the union of its fields that have a cell touching
+    ``dst``'s boxes, or None when none has."""
+    k, ranks = config.k, config.num_ranks
+    live = [
+        leaf for leaf in entry if cells_touching_rank(patterns[leaf], k, ranks, dst).num_cells
+    ]
+    if not live:
+        return None
+    return union_touching_rank([patterns[leaf] for leaf in live], live, k, ranks, dst)
+
+
 def merge_exchanged(
-    merged: Dict[int, CompressedField],
+    merged: List[Operand],
     payload: FramePayload,
     config: DistConfig,
     *,
     src: int,
     rank: int,
 ) -> None:
-    """Add the fields of rank ``src``'s exchange frame to rank ``rank``'s
-    ``merged``.
+    """Add the operands of rank ``src``'s exchange frame to rank
+    ``rank``'s ``merged``.
 
-    Every rank owns its sub-domains round-robin, so a frame may only
-    carry indices ``src`` owns, each once across the whole job (the merge
-    may already hold a resumed job's restored fields).  Each entry's
-    values fill the cells of the sub-domain's pattern
-    (:meth:`~repro.core.policy.SamplingPolicy.pattern_for`) that touch this
-    rank's boxes (:func:`~repro.core.accumulate.cells_touching_rank`), so
-    the declared count must be that subset's sample count and the frame
-    must hold that many values at ``config.precision``; both are checked
-    before anything is read or allocated.  Anything else — a buggy or
-    hostile peer — raises :class:`~repro.errors.ExchangeFrameError` with
-    the offending entry's offset instead of silently overwriting a
-    sub-domain or misreading the frame.
+    Every rank owns its sub-domains round-robin, so an entry may only
+    cover sub-domains that lie in one aligned subtree ``src`` owns whole,
+    ascending, each once across the whole job (the merge may already hold
+    a resumed job's restored fields), and that subtree may hold no
+    sub-domain already merged — the tree sum would skip its adds.  A
+    float32 entry covers one sub-domain.  The values fill the union of the
+    covered sub-domains' cells that touch this rank's boxes
+    (:func:`~repro.core.accumulate.union_touching_rank`, over the patterns
+    :meth:`~repro.core.policy.SamplingPolicy.pattern_for` derives), so the
+    declared count must be the union's sample count and the frame must
+    hold that many values at ``config.precision``.  The whole frame is
+    checked before a value is read or anything is sized from it; anything
+    else — a buggy or hostile peer — raises
+    :class:`~repro.errors.ExchangeFrameError` with the offending entry's
+    offset instead of silently misreading the frame.
     """
     size = config.num_ranks
     decomposition = DomainDecomposition(n=config.n, k=config.k)
+    domains = decomposition.num_domains
     policy = parse_policy(config.policy)
     itemsize = np.dtype(config.precision).itemsize
     view = memoryview(payload).cast("B")
@@ -492,7 +593,9 @@ def merge_exchanged(
         )
     (count,) = _COUNT.unpack_from(view, 0)
     offset = _COUNT.size
-    entries: Dict[int, Tuple[SamplingPattern, int, int]] = {}
+    held = {leaf for op in merged for leaf in op.leaves}
+    nodes = [op.node for op in merged if len(op.leaves) > 1]
+    entries: List[Tuple[CellUnion, int, int]] = []
 
     def reject(problem: str) -> None:
         raise ExchangeFrameError(
@@ -502,43 +605,76 @@ def merge_exchanged(
 
     # the whole frame is checked before any value is read
     while offset < view.nbytes and len(entries) < count:
-        if view.nbytes - offset < _ENTRY.size:
-            reject(f"sent a truncated entry header ({view.nbytes - offset} bytes)")
-        index, declared = _ENTRY.unpack_from(view, offset)
-        if not 0 <= index < decomposition.num_domains:
+        left = view.nbytes - offset
+        if left < _COUNT.size:
+            reject(f"sent a truncated entry header ({left} bytes)")
+        (covered,) = _COUNT.unpack_from(view, offset)
+        if not 1 <= covered <= domains:
+            reject(f"sent an entry covering {covered} sub-domains, not 1 to {domains}")
+        if left < (covered + 2) * _COUNT.size:
+            reject(f"sent a truncated entry header ({left} bytes)")
+        leaves = struct.unpack_from(f"<{covered}q", view, offset + _COUNT.size)
+        (declared,) = _COUNT.unpack_from(view, offset + (covered + 1) * _COUNT.size)
+        for leaf in leaves:
+            if not 0 <= leaf < domains:
+                reject(f"sent sub-domain {leaf}, outside [0, {domains})")
+        if any(a >= b for a, b in zip(leaves, leaves[1:])):
+            reject(f"sent sub-domains {list(leaves)}, not ascending and distinct")
+        if covered > 1 and config.precision != "float64":
+            reject(f"sent a sum of {covered} sub-domains at {config.precision}")
+        for leaf in leaves:
+            if leaf % size != src:
+                reject(f"sent sub-domain {leaf}, owned by rank {leaf % size}")
+        node = subtree(leaves)
+        if not _owned(node, domains, size, src):
             reject(
-                f"sent sub-domain {index}, outside [0, {decomposition.num_domains})"
+                f"sent sub-domains {list(leaves)}, which span more than one "
+                f"aligned subtree of its share"
             )
-        if index % size != src:
-            reject(f"sent sub-domain {index}, owned by rank {index % size}")
-        if index in merged or index in entries:
-            reject(f"sent sub-domain {index}, which already arrived")
-        pattern = policy.pattern_for(
-            config.n, config.k, decomposition.subdomain(index).corner
-        )
-        subset = cells_touching_rank(pattern, config.k, size, rank)
-        if not subset.num_cells:
-            reject(f"sent sub-domain {index}, none of whose cells touch rank {rank}")
-        if declared != subset.sample_count:
+        for leaf in leaves:
+            if leaf in held:
+                reject(f"sent sub-domain {leaf}, which already arrived")
+        if covered > 1:
+            inside = [leaf for leaf in held if in_subtree(node, leaf)]
+            if inside:
+                reject(
+                    f"sent sub-domains {list(leaves)}, whose subtree holds "
+                    f"sub-domain {inside[0]}, which already arrived"
+                )
+        for other in nodes:
+            if any(in_subtree(other, leaf) for leaf in leaves):
+                reject(
+                    f"sent sub-domains {list(leaves)}, inside the subtree of a "
+                    f"sum that already arrived"
+                )
+        patterns = [
+            policy.pattern_for(config.n, config.k, decomposition.subdomain(leaf).corner)
+            for leaf in leaves
+        ]
+        union = union_touching_rank(patterns, leaves, config.k, size, rank)
+        if not union.num_cells:
+            reject(f"sent sub-domains {list(leaves)}, none of whose cells touch rank {rank}")
+        if declared != union.sample_count:
             reject(
-                f"declared {declared} values for sub-domain {index}, whose "
-                f"cells touching rank {rank} hold {subset.sample_count}"
+                f"declared {declared} values for sub-domains {list(leaves)}, "
+                f"whose cells touching rank {rank} hold {union.sample_count}"
             )
-        start = offset + _ENTRY.size
+        start = offset + (covered + 2) * _COUNT.size
         stop = start + declared * itemsize
         if stop > view.nbytes:
             reject(
-                f"sent {view.nbytes - start} value bytes for sub-domain "
-                f"{index}, which needs {declared} {config.precision} values"
+                f"sent {view.nbytes - start} value bytes for sub-domains "
+                f"{list(leaves)}, which need {declared} {config.precision} values"
             )
-        entries[index] = (subset.pattern, start, stop)
+        entries.append((union, start, stop))
+        held.update(leaves)
+        if covered > 1:
+            nodes.append(node)
         offset = stop
     if len(entries) != count or offset != view.nbytes:
         reject(
             f"sent a frame declaring {count} entries that ends after "
             f"{len(entries)} with {view.nbytes - offset} bytes left"
         )
-    for index, (pattern, start, stop) in entries.items():
-        merged[index] = CompressedField(
-            pattern, decode_values(view[start:stop], config.precision)
-        )
+    for union, start, stop in entries:
+        merged.append(union.operand(decode_values(view[start:stop], config.precision)))

@@ -121,7 +121,7 @@ class LowCommMassifSolver(MassifSolver):
         if per_domain:
             for comp, (i, j) in enumerate(SYM_COMPONENTS):
                 deps[i, j] = deps[j, i] = accumulate_global(
-                    [fields[comp] for _sub, fields in per_domain],
+                    {sub.index: fields[comp] for sub, fields in per_domain},
                     method=self.pipeline.interpolation,
                 )
         return deps

@@ -19,6 +19,9 @@ Modules
   extraction and serialization.
 - :mod:`repro.octree.interpolate` — dense reconstruction (per-cell
   trilinear / nearest) and restricted-box reconstruction for accumulation.
+- :mod:`repro.octree.treesum` — the one order shared cells are summed in:
+  a tree on the sub-domain index bits, whose subtrees are the ranks'
+  round-robin shares, so partial sums fit in bitwise.
 """
 
 from repro.octree.cell import (

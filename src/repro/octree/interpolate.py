@@ -26,15 +26,20 @@ needed because cell lattices are clamped to the cell faces.
 
 Accumulation applies the same idea one level up.  Interpolation is linear
 in the samples, and neighbouring sub-domains' octrees reuse the same
-far-field cells, so a plan over several fields (in sub-domain index order)
-first sums the samples of each distinct ``(corner, size, rate)`` cell, in
-float64 and in index order, then contracts that cell once: at n=64 / k=16
-``banded`` the 64 fields' 8 576 cells are 1 136 distinct ones.  A cell
-only one field has is read from that field in place.  Each distinct cell
-belongs to the *layer* of the first field that has it; a layer's cells are
-disjoint, and layers are added in index order.  None of that order depends
-on the box, so a ``k^3`` block is bitwise its slice of the full-grid
-result.  One field is the degenerate case: one layer, nothing summed.
+far-field cells, so a plan over several *operands* — fields at their
+sub-domain indices, or the partial sums of aligned subtrees of them that a
+peer sent (:class:`~repro.octree.treesum.Operand`) — first sums the
+samples of each distinct ``(corner, size, rate)`` cell in float64, then
+contracts that cell once: at n=64 / k=16 ``banded`` the 64 fields' 8 576
+cells are 1 136 distinct ones.  The sum follows one tree order on the
+sub-domain index bits (:mod:`repro.octree.treesum`), which a rank's
+round-robin share is a subtree of, so however the fields were grouped
+into partial sums the adds are the same; a cell only one operand has is
+read from it in place.  Each distinct cell belongs to the *layer* of the
+first field that holds it; a layer's cells are disjoint, and layers are
+added in index order.  None of that order depends on the box, so a
+``k^3`` block is bitwise its slice of the full-grid result.  One field is
+the degenerate case: one layer, nothing summed.
 
 The x → y → z order is fixed, and is that of the per-cell evaluator this
 replaced: floating-point contraction is not associative, so another axis
@@ -56,14 +61,14 @@ smooth and small out there.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.octree.cell import axis_offsets, samples_per_axis
 from repro.octree.compress import CompressedField
-from repro.octree.sampling import SamplingPattern
+from repro.octree.treesum import Operand, TreeSum, check_disjoint
 from repro.util.lru import WeightedLRU
 
 Box = Tuple[int, int, int]
@@ -138,8 +143,9 @@ _CHUNK_OVERHEAD_BYTES = 512  # the chunk object, its list and array headers
 class _Chunk:
     """Congruent cells contracted together with shared weight matrices.
 
-    ``source`` names the value array the cells are read from: a field's
-    index, or ``-1`` for the plan's buffer of summed shared cells.
+    ``source`` names the value array the cells are read from: an
+    operand's index, or ``-1`` for the plan's buffer of summed shared
+    cells.
     """
 
     __slots__ = ("source", "s", "wx", "wy_t", "wz_t", "start", "offsets", "slices")
@@ -159,8 +165,7 @@ class _Chunk:
         self.wz_t = weights[2].T
         self.slices = slices
         # Cells that sit back to back in the value array (always true of
-        # a single cell, and of summed cells) are read as one view; others
-        # are gathered.  Offsets ascend by at least a cell's s^3 samples,
+        # a single cell) are read as one view; others are gathered.  Offsets ascend by at least a cell's s^3 samples,
         # so the cells are back to back exactly when the span is that tight.
         self.start = int(offsets[0])
         contiguous = int(offsets[-1]) - self.start == (len(offsets) - 1) * s**3
@@ -191,118 +196,97 @@ class _Chunk:
             np.add(target, cell_vals, out=target)
 
 
-class _Sum:
-    """One field's samples of some shared cells, added into the summed
-    buffer: cell ``i`` of the field at ``src[i]`` onto ``dst[i]``."""
-
-    __slots__ = ("field", "count", "src", "dst")
-
-    def __init__(self, field: int, count: int, src: np.ndarray, dst: np.ndarray):
-        self.field = field
-        self.count = count  # samples per cell
-        self.src = src
-        self.dst = dst
-
-    def add_into(self, values: np.ndarray, summed: np.ndarray) -> None:
-        count = self.count
-        if len(self.src) == 1:
-            src, dst = int(self.src[0]), int(self.dst[0])
-            target = summed[dst : dst + count]
-            np.add(target, values[src : src + count], out=target)
-        else:
-            span = np.arange(count)
-            # a field holds a cell at most once, so no target repeats
-            summed[self.dst[:, None] + span] += values[self.src[:, None] + span]
-
-
 class ReconstructionPlan:
     """Everything data-independent about reconstructing one box of the sum
-    of one or more fields.
+    of one or more operands.
 
     Parameters
     ----------
-    patterns:
-        The sampling patterns whose cells carry the samples, one per
-        field, in sub-domain index order.
+    operands:
+        The summands (:class:`~repro.octree.treesum.Operand`: a field, or
+        the partial sum of an aligned subtree of fields), their subtrees
+        disjoint.  Only their geometry is read.
     lo, hi:
         The half-open box ``[lo, hi)`` in grid coordinates.
     nearest:
         Nearest-sample weights instead of trilinear ones.
 
     Memory is O(intersecting cells): per cell one value offset and one
-    tuple of output slices, per shared cell and field one source and one
-    target offset, per congruent group three weight matrices — never an
-    index per sample or per output point.
+    tuple of output slices, per add of a shared cell two offsets, per
+    congruent group three weight matrices — never an index per sample or
+    per output point.
     """
 
-    def __init__(
-        self, patterns: Sequence[SamplingPattern], lo: Box, hi: Box, nearest: bool
-    ):
+    def __init__(self, operands: Sequence[Operand], lo: Box, hi: Box, nearest: bool):
+        check_disjoint(operands)
         box_lo = np.array(lo, dtype=np.int64)
         box_hi = np.array(hi, dtype=np.int64)
-        # every (field, cell) that meets the box, in field then packed order:
-        # columns x, y, z, size, rate, field, value offset
+        # every (operand, cell) that meets the box, in operand then packed
+        # order: columns x, y, z, size, rate, operand, value offset, first
+        # leaf holding the cell
         hits = []
-        for index, pattern in enumerate(patterns):
-            meta = pattern.table.astype(np.int64)
-            sizes = pattern.cell_sizes().astype(np.int64)
+        for index, op in enumerate(operands):
+            meta = op.pattern.table.astype(np.int64)
+            sizes = op.pattern.cell_sizes().astype(np.int64)
             ends = meta[:, :3] + sizes[:, None]
             hit = np.flatnonzero(((meta[:, :3] < box_hi) & (ends > box_lo)).all(axis=1))
-            field = np.full(hit.size, index)
             hits.append(
-                np.column_stack((meta[hit, :3], sizes[hit], meta[hit, 3], field, meta[hit, 4]))
+                np.column_stack(
+                    (
+                        meta[hit, :3],
+                        sizes[hit],
+                        meta[hit, 3],
+                        np.full(hit.size, index),
+                        meta[hit, 4],
+                        op.firsts()[hit],
+                    )
+                )
             )
         self.chunks: List[_Chunk] = []
-        self.sums: List[_Sum] = []
-        self.summed_size = 0
+        self.tree: Optional[TreeSum] = None
         self.nbytes = 0
         cells = np.concatenate(hits)
         if len(cells) == 0:
             return
 
-        # One distinct cell per (corner, size, rate).  Its layer is the
-        # first field that has it; a field's cells are disjoint, hence so
-        # are a layer's.  A cell only one field has is read from that
-        # field in place, a shared one from the buffer its fields are
-        # summed into.
-        _, first, which, holders = np.unique(
-            cells[:, :5], axis=0, return_index=True, return_inverse=True, return_counts=True
+        # One distinct cell per (corner, size, rate), summed over the
+        # operands holding it in the tree order (a cell one operand holds
+        # is read from it in place).  Its layer is the first leaf that
+        # holds it; a leaf's cells are disjoint, hence so are a layer's.
+        _, first, which = np.unique(
+            cells[:, :5], axis=0, return_index=True, return_inverse=True
         )
-        # layer order, packed order within a layer (so a group's in-place
-        # cells ascend by offset)
-        order = np.lexsort((cells[first, 6], cells[first, 5]))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        which = rank[which.reshape(-1)]
-        first, shared = first[order], holders[order] > 1
+        which = which.reshape(-1)
+        distinct = len(first)
+        counts = samples_per_axis(cells[first, 3], cells[first, 4]) ** 3
+        nodes = np.array([op.node for op in operands], dtype=np.int64)
+        self.tree = TreeSum(
+            nodes, which, cells[:, 5], cells[:, 6], counts[which], distinct
+        )
+        self.nbytes += self.tree.nbytes
+        layers = np.full(distinct, np.iinfo(np.int64).max)
+        np.minimum.at(layers, which, cells[:, 7])
+        source, place = self.tree.source, self.tree.at.copy()
         corners, sizes, rates = cells[first, :3], cells[first, 3], cells[first, 4]
-        layers, place = cells[first, 5], cells[first, 6].copy()
-        counts = samples_per_axis(sizes, rates) ** 3
 
         clip_lo = np.maximum(corners, box_lo)
         clip_hi = np.minimum(corners + sizes[:, None], box_hi)
         out_lo, out_hi = clip_lo - box_lo, clip_hi - box_lo
         # Congruence key: layer, source, then size, rate and the clipped
         # extent relative to the cell — the inputs of the weight matrices.
-        # Groups come out in layer order, and that order is the box's.
+        # Groups come out in layer order, and that order is the box's;
+        # within a group, cells ascend by their offset in the source.
         keys = np.column_stack(
-            (layers, shared, sizes, rates, clip_lo - corners, clip_hi - corners)
+            (layers, source, sizes, rates, clip_lo - corners, clip_hi - corners)
         )
         unique, inverse = np.unique(keys, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
-        group_order = np.argsort(inverse, kind="stable")
+        group_order = np.lexsort((place, inverse))
         bounds = np.searchsorted(inverse[group_order], np.arange(len(unique) + 1))
-
-        # shared cells sit in the summed buffer in the order chunks read them
-        stacked = group_order[shared[group_order]]
-        place[stacked] = np.cumsum(counts[stacked]) - counts[stacked]
-        self.summed_size = int(counts[stacked].sum())
-        self._plan_sums(cells, which, shared, place, counts)
 
         samples = samples_per_axis(unique[:, 2], unique[:, 3])
         matrices: Dict[Tuple[int, int, int, int], np.ndarray] = {}
         for g, key in enumerate(unique.tolist()):
-            source = -1 if key[1] else key[0]
             size, rate = key[2], key[3]
             weights = []
             for axis in range(3):
@@ -329,56 +313,31 @@ class ReconstructionPlan:
                     )
                 ]
                 self.chunks.append(
-                    _Chunk(source, s, tuple(weights), place[part], slices)
+                    _Chunk(key[1], s, tuple(weights), place[part], slices)
                 )
                 self.nbytes += (
                     _CHUNK_OVERHEAD_BYTES
                     + len(part) * (_CELL_OVERHEAD_BYTES + place.itemsize)
                 )
 
-    def _plan_sums(
-        self,
-        cells: np.ndarray,
-        which: np.ndarray,
-        shared: np.ndarray,
-        place: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        """One :class:`_Sum` per field and cell sample count, in field
-        order, so each shared cell sums its fields in index order."""
-        into = np.flatnonzero(shared[which])
-        if into.size == 0:
-            return
-        fields, src = cells[into, 5], cells[into, 6]
-        dst, count = place[which[into]], counts[which[into]]
-        unique, inverse = np.unique(
-            np.column_stack((fields, count)), axis=0, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        by_op = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[by_op], np.arange(len(unique) + 1))
-        for op, (field, samples) in enumerate(unique.tolist()):
-            members = by_op[bounds[op] : bounds[op + 1]]
-            # bounded gathers, as for chunks; big cells go one by one
-            per_op = max(1, _CHUNK_POINTS // samples)
-            for i in range(0, len(members), per_op):
-                part = members[i : i + per_op]
-                self.sums.append(_Sum(field, samples, src[part], dst[part]))
-                self.nbytes += _CHUNK_OVERHEAD_BYTES + len(part) * 2 * src.itemsize
+    @property
+    def summed_size(self) -> int:
+        """Samples in the buffer of summed cells each call allocates."""
+        return self.tree.size if self.tree is not None else 0
 
     def add_into(self, values: Sequence[np.ndarray], out: np.ndarray) -> None:
-        """Add the reconstruction of the sum of the fields whose value
+        """Add the reconstruction of the sum of the operands whose value
         arrays are ``values`` (plan order) over the box into ``out``."""
-        summed = np.zeros(self.summed_size) if self.sums else None
-        for op in self.sums:
-            op.add_into(values[op.field], summed)
+        if self.tree is None:
+            return
+        arrays = [*values, self.tree.apply(values)]
         for chunk in self.chunks:
-            chunk.add_into(summed if chunk.source < 0 else values[chunk.source], out)
+            chunk.add_into(arrays[chunk.source], out)
 
 
 #: Process-wide plans, shared by every execution mode and keyed on the
-#: patterns' geometry *content* (not their identity) in field order, the
-#: box and the method, so congruent patterns — another pipeline's, or a
+#: operands' leaves and geometry *content* (not their identity), the box
+#: and the method, so congruent patterns — another pipeline's, or a
 #: decoded copy — share plans.  Bounded by bytes (64 MiB; the benchmark's
 #: workloads hold 1-4) rather than by count, because a rank holds one
 #: small plan per box it owns while a full-grid plan of many fields is one
@@ -403,8 +362,30 @@ def reconstruct_dense(
     )
 
 
+def as_operands(
+    fields: "CompressedField | Sequence[CompressedField | Operand] | Mapping[int, CompressedField]",
+) -> List[Operand]:
+    """The operands a reconstruction sums, ordered by first leaf.
+
+    One field is leaf 0; a mapping's keys are its fields' sub-domain
+    indices; a sequence's fields are leaves ``0, 1, ...`` by position
+    beside any :class:`~repro.octree.treesum.Operand` it holds.
+    """
+    if isinstance(fields, CompressedField):
+        return [Operand.leaf(0, fields)]
+    if isinstance(fields, Mapping):
+        items = sorted(fields.items())
+    else:
+        items = list(enumerate(fields))
+    operands = [
+        item if isinstance(item, Operand) else Operand.leaf(index, item)
+        for index, item in items
+    ]
+    return sorted(operands, key=lambda op: op.leaves[0])
+
+
 def reconstruct_box(
-    compressed: CompressedField | Sequence[CompressedField],
+    compressed: "CompressedField | Sequence[CompressedField | Operand] | Mapping[int, CompressedField]",
     corner: Sequence[int],
     shape: Sequence[int],
     method: str = "linear",
@@ -416,23 +397,25 @@ def reconstruct_box(
     This is the accumulation primitive: a worker owning sub-domain ``d``
     reconstructs the sum of every sub-domain's compressed result only over
     its own box — no worker ever materializes the global dense grid.
-    ``compressed`` is one field or a sequence of fields on one grid, in
-    sub-domain index order; shared cells are summed before they are
-    interpolated (see :class:`ReconstructionPlan`).  Passing ``out`` adds
-    the reconstruction into it in place.  The first call for a (pattern
-    geometries, box, method) builds its :class:`ReconstructionPlan`; later
-    calls only apply it.
+    ``compressed`` is one field, or the operands of a sum on one grid (see
+    :func:`as_operands`: fields keyed by sub-domain index, or partial sums
+    of aligned subtrees of them); shared cells are summed in the tree order
+    of :mod:`repro.octree.treesum` before they are interpolated (see
+    :class:`ReconstructionPlan`).  Passing ``out`` adds the reconstruction
+    into it in place.  The first call for a (operand geometries, box,
+    method) builds its :class:`ReconstructionPlan`; later calls only apply
+    it.
     """
     if method not in ("linear", "nearest"):
         raise ConfigurationError(f"method must be 'linear' or 'nearest', got {method!r}")
-    fields = [compressed] if isinstance(compressed, CompressedField) else list(compressed)
-    if not fields:
+    operands = as_operands(compressed)
+    if not operands:
         raise ConfigurationError("need at least one compressed field")
-    n = fields[0].pattern.n
-    for field in fields:
-        if field.pattern.n != n:
+    n = operands[0].pattern.n
+    for op in operands:
+        if op.pattern.n != n:
             raise ConfigurationError(
-                f"mixed grid sizes in accumulation: {field.pattern.n} vs {n}"
+                f"mixed grid sizes in accumulation: {op.pattern.n} vs {n}"
             )
     lo = tuple(int(c) for c in corner)
     hi = tuple(int(c) + int(s) for c, s in zip(corner, shape))
@@ -445,10 +428,10 @@ def reconstruct_box(
     elif out.shape != shape:
         raise ShapeError(f"out shape {out.shape} != box shape {shape}")
     nearest = method == "nearest"
-    key = (tuple(f.pattern.geometry_key for f in fields), lo, hi, nearest)
+    key = (tuple(op.key for op in operands), lo, hi, nearest)
     plan = _PLANS.get(key)
     if plan is None:
-        plan = ReconstructionPlan([f.pattern for f in fields], lo, hi, nearest)
+        plan = ReconstructionPlan(operands, lo, hi, nearest)
         plan = _PLANS.put(key, plan, plan.nbytes)
-    plan.add_into([f.values for f in fields], out)
+    plan.add_into([op.field.values for op in operands], out)
     return out

@@ -22,7 +22,10 @@ arbitrary boxes to the last few ulps.
 A plan over several fields sums the cells they share before it
 interpolates, so its result is a few ulps from the per-field sum of
 reconstructions, never bitwise: ``TestMergedAccumulation`` bounds that
-distance and holds every rank's blocks bitwise to the global slices.
+distance and holds every rank's blocks — summed from its own fields and
+the partial sums its peers' exchange frames carry — bitwise to the global
+slices at P = 1..8.  ``TestTreeSum`` holds the summation order itself to
+an explicit recursion over the sub-domain index bits.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.octree import interpolate, serialize
 from repro.octree.compress import CompressedField
 from repro.octree.sampling import build_flat_pattern
+from repro.octree.treesum import LEAF_BITS, Operand, TreeSum, check_disjoint, subtree
 from repro.octree.interpolate import (
     ReconstructionPlan,
     reconstruct_box,
@@ -277,7 +281,7 @@ class TestPlanReuse:
         reconstruct_box(cf, (0, 0, 0), (8, 8, 8), method="nearest")
         reconstruct_box(cf, (0, 0, 0), (8, 8, 7))
         assert (table.misses, table.hits) == (misses, hits + 3)
-        keys = [k for k in table._entries if k[0] == (cf.pattern.geometry_key,)]
+        keys = [k for k in table._entries if k[0] == (Operand.leaf(0, cf).key,)]
         assert len({k[1:] for k in keys}) == len(keys) >= 3
 
     def test_plans_are_weighed_in_bytes(self, monkeypatch):
@@ -285,7 +289,7 @@ class TestPlanReuse:
         are: a budget of four plans keeps about four, most recent last."""
         cf = _field(32, 8, "banded", 0)
         boxes = [((x, 0, 0), (8, 32, 32)) for x in range(0, 24)]
-        one = ReconstructionPlan([cf.pattern], (0, 0, 0), (8, 32, 32), False).nbytes
+        one = ReconstructionPlan([Operand.leaf(0, cf)], (0, 0, 0), (8, 32, 32), False).nbytes
         table = WeightedLRU(max_weight=4 * one)
         monkeypatch.setattr(interpolate, "_PLANS", table)
         for corner, shape in boxes:
@@ -302,8 +306,9 @@ class TestPlanReuse:
     def test_plan_memory_is_per_cell_not_per_point(self):
         """A full-grid plan at n=64 covers 262 144 output points and ~13 000
         samples; it may store neither an index per point nor per sample."""
-        pattern = _field(64, 16, "banded", 21).pattern
-        plan = ReconstructionPlan([pattern], (0, 0, 0), (64, 64, 64), False)
+        cf = _field(64, 16, "banded", 21)
+        pattern = cf.pattern
+        plan = ReconstructionPlan([Operand.leaf(0, cf)], (0, 0, 0), (64, 64, 64), False)
         cells = sum(len(chunk.slices) for chunk in plan.chunks)
         assert cells == pattern.num_cells
         stored = sum(
@@ -312,7 +317,7 @@ class TestPlanReuse:
         assert stored <= cells
         assert plan.nbytes < 1024 * cells
         # culling: a k^3 box keeps only the cells that touch it
-        small = ReconstructionPlan([pattern], (48, 48, 48), (64, 64, 64), False)
+        small = ReconstructionPlan([Operand.leaf(0, cf)], (48, 48, 48), (64, 64, 64), False)
         assert sum(len(chunk.slices) for chunk in small.chunks) < cells // 8
 
     def test_massif_components_share_one_plan_per_subdomain(self):
@@ -377,7 +382,7 @@ class TestSharedTablesUnderThreads:
     def test_plan_table_accounting_survives_concurrent_eviction(self, monkeypatch):
         cf = _field(32, 8, "banded", 0)
         boxes = [((x, y, 0), (8, 8, 32)) for x in (0, 8, 16) for y in (0, 8, 16)]
-        one = ReconstructionPlan([cf.pattern], (0, 0, 0), (8, 8, 32), False).nbytes
+        one = ReconstructionPlan([Operand.leaf(0, cf)], (0, 0, 0), (8, 8, 32), False).nbytes
         table = WeightedLRU(max_weight=3 * one)
         monkeypatch.setattr(interpolate, "_PLANS", table)
         expected = [oracle_reconstruct_box(cf, c, s) for c, s in boxes]
@@ -419,7 +424,7 @@ class TestAccumulateBoxes:
         n, k = 32, 8
         decomposition = DomainDecomposition(n=n, k=k)
         fields = {i: _field(n, k, "banded", i) for i in (3, 17, 40, 63)}
-        dense = accumulate_global([fields[i] for i in sorted(fields)])
+        dense = accumulate_global(fields)
         targets = [decomposition.subdomain(i) for i in (0, 17, 62)]
         arrival_order = dict(reversed(list(fields.items())))
         blocks = accumulate_boxes(arrival_order, targets)
@@ -447,11 +452,12 @@ def _wire(field, sub, precision):
 
 
 def _received(fields, config, rank):
-    """Rank ``rank``'s merge of its peers' ``fields``, each peer's sent to
-    it in one exchange frame: the values of the cells that touch its boxes,
-    paired on receipt with the subset it derives."""
+    """Rank ``rank``'s operands from its peers' ``fields``, each peer's sent
+    to it in one barrier exchange frame: per aligned subtree of the peer's
+    share, the sums of the cells its fields share that touch this rank's
+    boxes, paired on receipt with the union it derives."""
     decomposition = DomainDecomposition(n=config.n, k=config.k)
-    merged = {}
+    merged = []
     for src in range(config.num_ranks):
         if src == rank:
             continue
@@ -473,21 +479,22 @@ def _check_merged_accumulation(n, k, policy, method, ranks, active, precision):
         fields = {
             i: _wire(f, decomposition.subdomain(i), precision) for i, f in fields.items()
         }
-    ordered = [fields[i] for i in sorted(fields)]
-    dense = accumulate_global(ordered, method=method)
+    dense = accumulate_global(fields, method=method)
 
     # against the per-field sum it replaces: a few ulps, never more
     oracle = np.zeros((n, n, n))
-    for f in ordered:
-        reconstruct_box(f, (0, 0, 0), (n, n, n), method=method, out=oracle)
+    for i in sorted(fields):
+        reconstruct_box(fields[i], (0, 0, 0), (n, n, n), method=method, out=oracle)
     assert np.abs(dense - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
-    # every rank's blocks, from its own fields whole and its peers' cut to
-    # the cells that touch its boxes, are bitwise the global slices
+    # every rank's blocks, from its own fields whole and its peers' sums
+    # cut to the cells that touch its boxes, are bitwise the global slices
     config = DistConfig(n=n, k=k, policy=policy, precision=precision, num_ranks=ranks)
     for rank in range(ranks):
         merged = _received(fields, config, rank)
-        merged.update((i, f) for i, f in fields.items() if i % ranks == rank)
+        if precision != "float64":
+            assert all(len(op.leaves) == 1 for op in merged)
+        merged += [Operand.leaf(i, f) for i, f in fields.items() if i % ranks == rank]
         targets = [sub for sub in decomposition if sub.index % ranks == rank]
         blocks = accumulate_boxes(merged, targets, method)
         assert sorted(blocks) == [sub.index for sub in targets]
@@ -500,45 +507,189 @@ def _accumulations(draw):
     n, k = draw(st.sampled_from([(16, 4), (16, 8), (32, 8)]))
     policy = draw(st.sampled_from(["flat:2", "banded"]))
     method = draw(st.sampled_from(["linear", "nearest"]))
-    ranks = draw(st.integers(1, 4))
+    # 3, 5, 6 and 7 ranks own no aligned subtree: one entry per field
+    ranks = draw(st.integers(1, 8))
     active = draw(st.sets(st.integers(0, (n // k) ** 3 - 1), min_size=1, max_size=12))
     return n, k, policy, method, ranks, active
 
 
 class TestMergedAccumulation:
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_accumulations())
     def test_blocks_are_global_slices_and_global_is_the_per_field_sum(self, case):
         _check_merged_accumulation(*case, precision="float64")
 
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_every_rank_count_on_a_dense_grid(self, ranks):
+        """All 64 sub-domains active, so cells have up to 37 holders and
+        every level of the tree adds."""
+        _check_merged_accumulation(32, 8, "banded", "linear", ranks, set(range(64)), "float64")
+
     def test_float32_decoded_fields(self):
         _check_merged_accumulation(
             32, 8, "banded", "linear", 3, {0, 5, 21, 22, 42, 63}, precision="float32"
+        )
+        _check_merged_accumulation(
+            32, 8, "banded", "linear", 4, {0, 4, 5, 21, 22, 42, 63}, precision="float32"
         )
 
     def test_merged_plan_contracts_each_distinct_cell_once(self):
         """n=64 / k=16 ``banded`` over a dense field: 64 fields hold 8 576
         cells but only 1 136 distinct geometries, and the merged plan
         contracts each of those once.  Like a one-field plan, it stores a
-        few offsets per cell and per shared (cell, field) pair — nothing per
+        few offsets per cell and two per add of a shared cell — nothing per
         sample or output point — so its weight follows the cells."""
         n, k = 64, 16
-        patterns = [
-            POLICIES["banded"].pattern_for(n, k, sub.corner)
+        operands = [
+            Operand.leaf(sub.index, CompressedField(pattern, np.zeros(pattern.sample_count)))
             for sub in DomainDecomposition(n=n, k=k)
+            for pattern in [POLICIES["banded"].pattern_for(n, k, sub.corner)]
         ]
-        cells = sum(p.num_cells for p in patterns)
-        samples = sum(p.sample_count for p in patterns)
-        plan = ReconstructionPlan(patterns, (0, 0, 0), (n, n, n), False)
+        cells = sum(op.pattern.num_cells for op in operands)
+        samples = sum(op.pattern.sample_count for op in operands)
+        plan = ReconstructionPlan(operands, (0, 0, 0), (n, n, n), False)
         contracted = sum(len(chunk.slices) for chunk in plan.chunks)
         assert (cells, contracted) == (8576, 1136)
-        stored = sum(op.src.size + op.dst.size for op in plan.sums) + sum(
+        stored = sum(op.a_at.size + op.b_at.size for op in plan.tree.ops) + sum(
             chunk.offsets.size for chunk in plan.chunks if chunk.offsets is not None
         )
         assert stored <= 2 * cells
         assert plan.nbytes < 1024 * contracted
         # the summed samples live in a buffer of each call, not in the plan
         assert plan.summed_size < samples // 4
+
+
+# -- the summation order ------------------------------------------------------
+def _tree_oracle(values, top):
+    """The tree sum of ``values`` (leaf index -> array; a missing leaf is
+    absent) over ``2**top`` leaves, by explicit recursion: a node is the
+    sum of its two children, split on the next low bit, and an absent
+    child passes the other through."""
+
+    def node(residue, bits):
+        if bits == top:
+            return values.get(residue)
+        a = node(residue, bits + 1)
+        b = node(residue + (1 << bits), bits + 1)
+        if a is None or b is None:
+            return b if a is None else a
+        return a + b
+
+    return node(0, 0)
+
+
+def _hostile_values(rng, size):
+    """Values whose sums depend on the order: magnitudes over 16 decades,
+    signed zeros among them."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+    values[rng.random(size) < 0.15] = -0.0
+    values[rng.random(size) < 0.05] = 0.0
+    return values
+
+
+def _bitwise(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestTreeSum:
+    """The tree order against its definition, on 11 sub-domains (a count
+    that is not a power of two: leaves 11..15 are padding)."""
+
+    LEAVES = 11
+    COUNT = 5  # samples per cell
+
+    def _holders(self, rng, cells):
+        """Per cell, the leaves holding it: one cell held by a single leaf,
+        one by all, the rest by random subsets."""
+        holders = [[3], list(range(self.LEAVES))]
+        while len(holders) < cells:
+            picks = np.flatnonzero(rng.random(self.LEAVES) < 0.5)
+            holders.append(picks.tolist() or [int(rng.integers(self.LEAVES))])
+        return holders
+
+    def _sum(self, operands, holders, values):
+        """TreeSum over ``operands`` (lists of leaves): each operand's value
+        array holds, per cell it covers, the oracle's partial of its leaves."""
+        rows, arrays = [], []
+        for o, leaves in enumerate(operands):
+            array = []
+            for cell, held in enumerate(holders):
+                mine = {leaf: values[leaf][cell] for leaf in held if leaf in leaves}
+                if mine:
+                    rows.append((cell, o, len(array) * self.COUNT))
+                    array.append(_tree_oracle(mine, 4))
+            arrays.append(np.concatenate(array) if array else np.zeros(0))
+        nodes = np.array([subtree(leaves) for leaves in operands], dtype=np.int64)
+        target, operand, offset = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        tree = TreeSum(
+            nodes, target, operand, offset, np.full(len(rows), self.COUNT), len(holders)
+        )
+        all_arrays = [*arrays, tree.apply(arrays)]
+        return [
+            all_arrays[tree.source[c]][tree.at[c] : tree.at[c] + self.COUNT]
+            for c in range(len(holders))
+        ]
+
+    def test_leaves_sum_as_the_recursion_does(self):
+        rng = np.random.default_rng(7)
+        holders = self._holders(rng, 40)
+        values = {
+            leaf: [_hostile_values(rng, self.COUNT) for _c in holders]
+            for leaf in range(self.LEAVES)
+        }
+        got = self._sum([[leaf] for leaf in range(self.LEAVES)], holders, values)
+        for cell, held in enumerate(holders):
+            expected = _tree_oracle({leaf: values[leaf][cell] for leaf in held}, 4)
+            assert _bitwise(got[cell], expected), (cell, held)
+        # a single holder is read in place, signed zeros and all
+        assert got[0] is not None and _bitwise(got[0], values[3][0])
+
+    @pytest.mark.parametrize("ranks", [2, 4, 8])
+    def test_shares_summed_first_give_the_same_bits(self, ranks):
+        """Each rank's round-robin share is one aligned subtree: summing it
+        first and handing the partial on changes no bit."""
+        rng = np.random.default_rng(ranks)
+        holders = self._holders(rng, 40)
+        values = {
+            leaf: [_hostile_values(rng, self.COUNT) for _c in holders]
+            for leaf in range(self.LEAVES)
+        }
+        leaves = self._sum([[leaf] for leaf in range(self.LEAVES)], holders, values)
+        shares = [list(range(r, self.LEAVES, ranks)) for r in range(ranks)]
+        for keep in range(ranks):
+            # rank ``keep`` holds its own leaves and its peers' partials
+            operands = [[leaf] for leaf in shares[keep]]
+            operands += [share for r, share in enumerate(shares) if r != keep and share]
+            got = self._sum(operands, holders, values)
+            assert all(_bitwise(a, b) for a, b in zip(got, leaves))
+
+    def test_the_old_left_fold_differs(self):
+        """The order is not a left fold in index order: with these values
+        the two disagree, so the tests above can tell them apart."""
+        rng = np.random.default_rng(3)
+        values = {leaf: _hostile_values(rng, 64) for leaf in range(self.LEAVES)}
+        fold = 0.0
+        for leaf in range(self.LEAVES):
+            fold = fold + values[leaf]
+        assert not np.array_equal(fold, _tree_oracle(values, 4))
+
+    def test_subtrees(self):
+        assert subtree([5]) == (5, LEAF_BITS)
+        assert subtree([1, 3]) == (1, 1)
+        assert subtree([1, 5, 9]) == (1, 2)
+        assert subtree([1, 9]) == (1, 3)
+        assert subtree([0, 1]) == (0, 0)
+
+    def test_overlapping_operands_are_rejected(self):
+        cf = _field(16, 8, "flat:2", 0)
+        pair = Operand((1, 5), cf, (cf.pattern.num_cells, 0))
+        with pytest.raises(ConfigurationError, match="lies in the subtree"):
+            check_disjoint([pair, Operand.leaf(9, cf)])  # 9 = 1 mod 4
+        with pytest.raises(ConfigurationError, match="in two operands"):
+            check_disjoint([pair, Operand.leaf(5, cf)])
+        check_disjoint([pair, Operand.leaf(3, cf)])  # 3 = 3 mod 4
+        with pytest.raises(ConfigurationError, match="lies in the subtree"):
+            reconstruct_box([pair, Operand.leaf(9, cf)], (0, 0, 0), (4, 4, 4))
 
 
 class TestPatternInterning:
