@@ -16,7 +16,6 @@ Sub-packages
 - :mod:`repro.massif` — the MASSIF Hooke's-law fixed-point solver use case.
 - :mod:`repro.baselines` — cost models of the traditional pipelines (the
   executed distributed FFT convolution is :mod:`repro.dist.traditional`).
-- :mod:`repro.fftx` — a miniature FFTX-style plan DSL (paper §6).
 - :mod:`repro.serve` — the serving layer: a batching convolution service
   with admission control, request lifecycle tracking, and metrics.
 - :mod:`repro.dist` — the real rank runtime: one process per rank,
@@ -31,7 +30,6 @@ from repro.errors import (
     ConfigurationError,
     ConvergenceError,
     DeviceMemoryError,
-    PlanError,
     PoolError,
     RankFailure,
     ReproError,
@@ -47,7 +45,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ShapeError",
-    "PlanError",
     "DeviceMemoryError",
     "CommunicationError",
     "RankFailure",

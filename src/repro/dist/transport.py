@@ -111,17 +111,6 @@ class RecvArena:
         with self._lock:
             self._free.setdefault(len(slab), []).append(slab)
 
-    def stats(self) -> dict:
-        """Pool counters (for benchmarks and tests)."""
-        with self._lock:
-            pooled = sum(len(v) for v in self._free.values())
-        return {
-            "allocated_bytes": self.allocated_bytes,
-            "slabs_created": self.slabs_created,
-            "slabs_reused": self.slabs_reused,
-            "slabs_pooled": pooled,
-        }
-
 
 class Transport(abc.ABC):
     """Moves frames between ``size`` ranks; counts bytes into a ledger.

@@ -22,10 +22,6 @@ class ShapeError(ConfigurationError):
     """Array shape incompatible with the requested operation."""
 
 
-class PlanError(ReproError):
-    """An FFT/FFTX plan was constructed or executed inconsistently."""
-
-
 class DeviceMemoryError(ReproError, MemoryError):
     """A simulated device ran out of memory (the paper's OOM boundary).
 

@@ -29,7 +29,6 @@ from repro.fft.pruned import (
     partial_idft,
     partial_idft_matrix,
     pencil_batches,
-    pruned_fft3,
     pruned_input_fft,
     pruned_input_rfft,
     rslab_from_subcube,
@@ -41,7 +40,6 @@ from repro.fft.pruned_plan import (
     PlanCache,
     PrunedPlan,
     default_cache,
-    get_plan,
     inverse_strategy,
     reset_default_cache,
 )
@@ -49,7 +47,6 @@ from repro.fft.pruned_plan import (
 __all__ = [
     "half_length",
     "hermitian_weights",
-    "pruned_fft3",
     "pencil_batches",
     "pruned_input_fft",
     "pruned_input_rfft",
@@ -66,7 +63,6 @@ __all__ = [
     "inverse_strategy",
     "FFT_CROSSOVER",
     "PlanCache",
-    "get_plan",
     "default_cache",
     "reset_default_cache",
 ]

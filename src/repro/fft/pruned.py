@@ -123,15 +123,8 @@ def pruned_input_fft(
     x = np.asarray(x)
     n = check_positive_int(n, "n")
     _check_pad_bounds(x.shape[axis], offset, n)
-    if scratch is not None:
-        return np.fft.fft(scratch.padded(x, offset, n, axis), axis=axis)
-    shape = list(x.shape)
-    shape[axis] = n
-    buf = np.zeros(shape, dtype=np.complex128)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(offset, offset + x.shape[axis])
-    buf[tuple(sl)] = x
-    return np.fft.fft(buf, axis=axis)
+    scratch = scratch if scratch is not None else PadScratch()
+    return np.fft.fft(scratch.padded(x, offset, n, axis), axis=axis)
 
 
 def pruned_input_rfft(
@@ -152,15 +145,8 @@ def pruned_input_rfft(
         raise ShapeError("pruned_input_rfft expects real input")
     n = check_positive_int(n, "n")
     _check_pad_bounds(x.shape[axis], offset, n)
-    if scratch is not None:
-        return np.fft.rfft(scratch.padded(x, offset, n, axis), axis=axis)
-    shape = list(x.shape)
-    shape[axis] = n
-    buf = np.zeros(shape, dtype=np.float64)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(offset, offset + x.shape[axis])
-    buf[tuple(sl)] = x
-    return np.fft.rfft(buf, axis=axis)
+    scratch = scratch if scratch is not None else PadScratch()
+    return np.fft.rfft(scratch.padded(x, offset, n, axis), axis=axis)
 
 
 def slab_from_subcube(
@@ -235,32 +221,6 @@ def zstage_batch(
     if slab_rows.ndim != 2:
         raise ShapeError("zstage_batch expects (B, k) pencil batches")
     return pruned_input_fft(slab_rows, corner_z, n, axis=1, scratch=scratch)
-
-
-def pruned_fft3(
-    sub: np.ndarray,
-    corner: Sequence[int],
-    n: int,
-    batch: int | None = None,
-) -> np.ndarray:
-    """Full ``n^3`` spectrum of a sub-cube embedded at ``corner``.
-
-    Reference-scale helper (materializes the ``n^3`` result) used for
-    validation; the production pipeline consumes :func:`zstage_batch`
-    batches instead and never allocates the cube.
-    """
-    sub = np.asarray(sub)
-    k = sub.shape[2]
-    cz = int(corner[2])
-    slab = slab_from_subcube(sub, corner, n)
-    if batch is None:
-        batch = n * n
-    out = np.empty((n, n, n), dtype=np.complex128)
-    flat = slab.reshape(n * n, k)
-    out_flat = out.reshape(n * n, n)
-    for sl in pencil_batches(n * n, batch):
-        out_flat[sl] = zstage_batch(flat[sl], cz, n)
-    return out
 
 
 # Partial-iDFT matrices are cached under a digest of the coordinate array

@@ -304,19 +304,9 @@ class PlanCache:
 _DEFAULT_CACHE = PlanCache()
 
 
-def get_plan(
-    n: int,
-    coords_x: Sequence[int],
-    coords_y: Sequence[int],
-    coords_z: Sequence[int],
-    hermitian: bool = False,
-) -> PrunedPlan:
-    """Module-level convenience over a process-wide default cache."""
-    return _DEFAULT_CACHE.get(n, coords_x, coords_y, coords_z, hermitian=hermitian)
-
-
 def default_cache() -> PlanCache:
-    """The process-wide cache behind :func:`get_plan`."""
+    """The process-wide plan cache: a standing pool's rank agent keeps
+    its plans here from job to job."""
     return _DEFAULT_CACHE
 
 

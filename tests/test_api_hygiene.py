@@ -25,7 +25,6 @@ PACKAGES = [
     "repro.core",
     "repro.massif",
     "repro.baselines",
-    "repro.fftx",
     "repro.serve",
     "repro.dist",
     "repro.analysis",
@@ -85,7 +84,7 @@ def test_all_exports_resolve(pkg_name):
 #: the library proper, bottom-up; nothing here may know about a runtime
 LOWER_LAYERS = (
     "util", "fft", "octree", "kernels", "cluster", "core", "massif",
-    "baselines", "fftx",
+    "baselines",
 )
 #: the runtimes and front ends built on top of it
 UPPER_LAYERS = ("dist", "pool", "serve")
@@ -165,14 +164,8 @@ def _imports(path):
                 yield node.lineno, node.module, alias.name
 
 
-#: what the paper's use cases may still take from ``repro.fft.pruned``: the
-#: full-spectrum forward reference transform the FFTX r2c sub-plan publishes
-#: as a named buffer (no plan stage produces the ``n^3`` spectrum)
-PRUNED_ALLOWED = {"pruned_fft3"}
-
-
 def test_use_cases_reach_the_stages_through_the_plan():
-    """``massif/`` and ``fftx/`` run the staged transform through
+    """``massif/`` runs the staged transform through
     ``LocalConvolution`` / ``PrunedPlan``: importing a stage primitive
     (``partial_idft``, ``zstage_batch``, ``slab_from_subcube``, ...) is how
     a hand copy of the pipeline starts."""
@@ -180,16 +173,15 @@ def test_use_cases_reach_the_stages_through_the_plan():
 
     root = Path(repro.__file__).parent
     offenders = []
-    for layer in ("massif", "fftx"):
-        for path in sorted((root / layer).rglob("*.py")):
-            for lineno, module, name in _imports(path):
-                direct = module == "repro.fft.pruned"
-                via_package = module == "repro.fft" and hasattr(pruned, name or "")
-                if (direct or via_package) and name not in PRUNED_ALLOWED:
-                    offenders.append(
-                        f"{path.relative_to(root)}:{lineno} imports "
-                        f"{module}.{name or '*'}"
-                    )
+    for path in sorted((root / "massif").rglob("*.py")):
+        for lineno, module, name in _imports(path):
+            direct = module == "repro.fft.pruned"
+            via_package = module == "repro.fft" and hasattr(pruned, name or "")
+            if direct or via_package:
+                offenders.append(
+                    f"{path.relative_to(root)}:{lineno} imports "
+                    f"{module}.{name or '*'}"
+                )
     solver = root / "massif" / "lowcomm_solver.py"
     offenders += [
         f"massif/lowcomm_solver.py:{lineno} imports {module}"
@@ -201,8 +193,7 @@ def test_use_cases_reach_the_stages_through_the_plan():
 
 #: packages whose public API once carried an FFT-library choice
 ONE_FFT_PACKAGES = (
-    "repro.fft", "repro.core", "repro.fftx", "repro.massif", "repro.baselines",
-    "repro.serve",
+    "repro.fft", "repro.core", "repro.massif", "repro.baselines", "repro.serve",
 )
 #: the names that choice went by (the serve executor seam's ``PoolBackend``
 #: and ``--backend pool://`` name a class and a URL, not a parameter)

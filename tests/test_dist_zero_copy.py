@@ -180,6 +180,7 @@ class TestRecvArena:
         arena.take(10)
         assert arena.slabs_created == 1
         assert arena.slabs_reused == 1
+        assert arena.allocated_bytes >= RecvArena.MIN_SLAB_BYTES
 
     def test_take_zero_and_negative(self):
         arena = RecvArena()
@@ -198,18 +199,6 @@ class TestRecvArena:
         assert len(view) == HEADER_BYTES
         view[0] = 0x41
         assert arena.header_view()[0] == 0x41  # same backing buffer
-
-    def test_stats_shape(self):
-        arena = RecvArena()
-        arena.take(100)
-        stats = arena.stats()
-        assert set(stats) == {
-            "allocated_bytes",
-            "slabs_created",
-            "slabs_reused",
-            "slabs_pooled",
-        }
-        assert stats["allocated_bytes"] >= RecvArena.MIN_SLAB_BYTES
 
 
 class TestDecodeFrameAliasing:

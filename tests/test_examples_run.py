@@ -6,6 +6,7 @@ documented behaviour holds.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -20,8 +21,13 @@ TIMEOUT_S = 420
 
 
 def test_examples_directory_populated():
-    assert len(ALL_EXAMPLES) >= 9
+    """``examples/`` holds exactly the scripts README.md lists: a script
+    added without a README entry, or a listed one that is gone, fails."""
+    readme = (EXAMPLES_DIR.parent / "README.md").read_text()
+    entry_points = readme.split("More entry points in `examples/`:")[1]
+    listed = set(re.findall(r"`(\w+\.py)`", entry_points.split("\n\n")[0]))
     assert "quickstart.py" in ALL_EXAMPLES
+    assert set(ALL_EXAMPLES) == listed
 
 
 @pytest.mark.parametrize("script", ALL_EXAMPLES)

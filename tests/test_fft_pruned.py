@@ -9,7 +9,6 @@ from repro.errors import ShapeError
 from repro.fft.pruned import (
     partial_idft,
     pencil_batches,
-    pruned_fft3,
     pruned_input_fft,
     slab_from_subcube,
     zstage_batch,
@@ -64,6 +63,17 @@ class TestPencilBatches:
 
     def test_single_batch(self):
         assert list(pencil_batches(5, 100)) == [slice(0, 5)]
+
+
+def pruned_fft3(sub, corner, n, batch=None):
+    """Full ``n^3`` spectrum of ``sub`` embedded at ``corner``, composed
+    from the slab and batched z stages the pipeline streams through."""
+    k = sub.shape[2]
+    flat = slab_from_subcube(sub, corner, n).reshape(n * n, k)
+    out = np.empty((n * n, n), dtype=np.complex128)
+    for sl in pencil_batches(n * n, batch or n * n):
+        out[sl] = zstage_batch(flat[sl], corner[2], n)
+    return out.reshape(n, n, n)
 
 
 class TestPrunedFFT3:

@@ -34,7 +34,6 @@ from repro.fft.pruned_plan import (
     InverseStrategy,
     PlanCache,
     PrunedPlan,
-    get_plan,
     inverse_strategy,
 )
 
@@ -385,10 +384,6 @@ class TestPlanCache:
         p1 = cache.get(16, c, c, c)
         p2 = cache.get(16, c, c, c, hermitian=True)
         assert p1.scratch is p2.scratch is cache.scratch
-
-    def test_module_level_get_plan(self):
-        c = np.array([0, 5])
-        assert get_plan(16, c, c, c) is get_plan(16, c, c, c)
 
 
 class TestPlanCacheThreadSafety:

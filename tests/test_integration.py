@@ -2,8 +2,8 @@
 
 These exercise the paths a downstream user actually runs: end-to-end
 convolution across kernels, backends and policies; distributed equivalence;
-the FFTX plan against the pipeline; Poisson solves through the
-low-communication machinery; and MASSIF Algorithm 1 vs 2 agreement.
+Poisson solves through the low-communication machinery; and MASSIF
+Algorithm 1 vs 2 agreement.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core.reference import reference_convolve
 from repro.dist.launcher import dist_run
 from repro.dist.worker import DistConfig
 from repro.fft.pruned_plan import PrunedPlan
-from repro.fftx import fftx_execute, massif_convolution_plan
 from repro.kernels.gaussian import GaussianKernel
 from repro.kernels.poisson import PoissonKernel
 from repro.serve import ConvolutionServer, ServerConfig
@@ -95,33 +94,6 @@ class TestDistributedEquivalence:
             transport="local",
         )
         assert np.array_equal(dist_run(config, field=field).approx, serial)
-
-
-class TestFFTXAgainstPipeline:
-    def test_plan_per_subdomain_equals_pipeline(self, rng):
-        """Running the Fig 5 plan per sub-domain + accumulation equals the
-        pipeline's serial result."""
-        from repro.core.accumulate import accumulate_global
-        from repro.core.decomposition import DomainDecomposition
-
-        n, k = 16, 8
-        spec = GaussianKernel(n=n, sigma=1.5).spectrum()
-        field = rng.standard_normal((n, n, n))
-        pol = SamplingPolicy.flat_rate(2)
-
-        pipe = LowCommConvolution3D(n, k, spec, pol, batch=64)
-        expected = pipe.run_serial(field).approx
-
-        d = DomainDecomposition(n, k)
-        outs = []
-        for sub in d:
-            block = d.extract(field, sub)
-            if not np.any(block):
-                continue
-            plan, _ = massif_convolution_plan(n, k, sub.corner, spec, policy=pol)
-            outs.append(fftx_execute(plan, block))
-        got = accumulate_global(outs)
-        np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 class TestMemoryRealism:

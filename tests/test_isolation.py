@@ -1,11 +1,11 @@
 """Regression tests for cross-test singleton isolation.
 
-The default :class:`~repro.fft.pruned_plan.PlanCache` behind
-:func:`~repro.fft.pruned_plan.get_plan` is process-wide state: before the
-autouse ``_cold_plan_cache`` fixture existed, a test that warmed plans
-(or merely bumped the hit/miss metrics) leaked that state into every
-later test, hiding cold-start bugs and making cache-metric assertions
-order-dependent.  The two pipeline tests below run back-to-back, both
+The default :class:`~repro.fft.pruned_plan.PlanCache` that
+:func:`~repro.fft.pruned_plan.default_cache` returns is process-wide
+state: before the autouse ``_cold_plan_cache`` fixture existed, a test
+that warmed plans (or merely bumped the hit/miss metrics) leaked that
+state into every later test, hiding cold-start bugs and making
+cache-metric assertions order-dependent.  The two pipeline tests below run back-to-back, both
 warm the cache, and both assert they started cold — whichever order the
 suite (or a shuffled CI run) executes them in.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pipeline import LowCommConvolution3D
-from repro.fft.pruned_plan import default_cache, get_plan, reset_default_cache
+from repro.fft.pruned_plan import default_cache, reset_default_cache
 from repro.kernels.gaussian import GaussianKernel
 
 
@@ -33,7 +33,7 @@ def _assert_cold_then_warm() -> None:
     assert cache.hits == 0 and cache.misses == 0, (
         "default plan cache leaked metrics from a prior test"
     )
-    get_plan(16, range(4), range(4), range(4))
+    default_cache().get(16, range(4), range(4), range(4))
     assert len(default_cache()) >= 1  # this test itself warmed it
 
 
@@ -49,7 +49,7 @@ def test_pipeline_sees_cold_caches_second() -> None:
 
 
 def test_reset_returns_the_new_live_cache() -> None:
-    warmed = get_plan(16, range(4), range(4), range(4))
+    warmed = default_cache().get(16, range(4), range(4), range(4))
     assert default_cache().misses == 1
     fresh = reset_default_cache()
     assert fresh is default_cache()
