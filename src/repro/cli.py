@@ -414,7 +414,7 @@ def _serve(args: argparse.Namespace) -> int:
             spec,
             policy,
             server_config(),
-            executor=PoolBackend({"pool0": pool}, job_hook=job_hook),
+            executor=PoolBackend(pool, job_hook=job_hook),
         )
         failed = [h for h in handles if h.exception() is not None]
         bitwise = all(
@@ -430,7 +430,6 @@ def _serve(args: argparse.Namespace) -> int:
         pool.disconnect()
     counters = snap["counters"]
     last = snap.get("backend", {}).get("last_job", {})
-    tenants = snap.get("backend", {}).get("tenants", {})
     print(
         format_table(
             ["quantity", "value"],
@@ -446,10 +445,7 @@ def _serve(args: argparse.Namespace) -> int:
                 ["generation bumps", counters.get("pool.generation_bumps", 0)],
                 ["last job generation", last.get("generation", "-")],
                 ["last job plan misses", last.get("plan_misses", "-")],
-                [
-                    "tenant wire bytes",
-                    {t: d["sent_bytes"] for t, d in tenants.items()} or "-",
-                ],
+                ["pool wire bytes", counters.get("pool.wire_bytes", 0)],
             ],
             title="serve: dist-backed serving audit",
         )

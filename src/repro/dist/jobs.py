@@ -92,9 +92,9 @@ class PoolJob:
     #: recovery marker — must survive :meth:`stripped` so every rank
     #: (not just rank 0, which holds the blob) resumes from it
     recovery: bool = False
-    #: opaque caller stamps (tenant, request ids, ...) echoed back on the
-    #: :class:`~repro.pool.pool.PoolJobReport` — the serving tier's
-    #: attribution hook; the mesh never reads it
+    #: opaque caller stamps echoed back on the
+    #: :class:`~repro.pool.pool.PoolJobReport` — the serving tier stamps
+    #: ``request_id`` and ``job_index``; the mesh never reads it
     metadata: Optional[Dict[str, object]] = None
 
     def __post_init__(self) -> None:
@@ -109,7 +109,7 @@ class PoolJob:
         expect it — a rank that ran the job as fresh would recompute (and
         re-exchange) work the checkpoint already holds.  ``metadata`` is
         kept too: it is tiny, and a rank error report that names its
-        tenant is worth the copy.
+        request is worth the copy.
         """
         return PoolJob(
             job_id=self.job_id,

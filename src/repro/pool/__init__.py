@@ -1,4 +1,4 @@
-"""Standing elastic rank pool with rendezvous bootstrap.
+"""Standing rank pool with rendezvous bootstrap.
 
 :mod:`repro.dist` launches ranks, runs one job, and tears everything
 down — every run pays process spawn, mesh formation, and FFT plan
@@ -14,21 +14,20 @@ Layers:
 - :mod:`repro.pool.rendezvous` — agent discovery: ``file://`` shared
   directory or ``tcp://`` coordinator, one :class:`AgentCard` per agent.
 - :mod:`repro.pool.membership` — the generation-numbered
-  :class:`Roster`: late-join admission, eviction, replacement seating,
-  and stale-generation fencing.
+  :class:`Roster`: replacement seating and stale-generation fencing.
 - :mod:`repro.pool.agent` — the long-lived rank agent process: the
   shared rank machine (:class:`~repro.dist.agent.RankAgent`, which runs
   :func:`~repro.dist.jobs.execute_job` — per-job ledger deltas, warm
   plans, resumed jobs) behind a rendezvous card.
 - :mod:`repro.pool.pool` — :class:`RankPool`: the controller
-  (``spawn``/``connect``/``submit``/``grow``/``down``) over the shared
+  (``spawn``/``connect``/``submit``/``down``) over the shared
   job driver (:mod:`repro.dist.runtime`), with in-mesh replacement and
   recovery jobs, and :func:`private_pool`, a throwaway pool that cleans
   up after itself.
 - :mod:`repro.pool.cli` — ``python -m repro pool up|status|submit|down``.
 
-Everything is bitwise identical to ``run_serial`` — clean jobs, late
-joins, and mid-job rank death with checkpoint handoff alike.
+Everything is bitwise identical to ``run_serial`` — clean jobs and
+mid-job rank death with checkpoint handoff alike.
 """
 
 from repro.dist.jobs import PoolJob, execute_job

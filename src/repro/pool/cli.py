@@ -37,7 +37,7 @@ __all__ = ["pool_main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro pool",
-        description="operate a standing elastic rank pool",
+        description="operate a standing rank pool",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

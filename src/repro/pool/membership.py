@@ -1,17 +1,17 @@
 """Membership: the generation-numbered roster of live ranks.
 
-A standing mesh changes shape over time — agents join late, die
-mid-job, get replaced — and every shape change must invalidate all
-state derived from the previous shape (the rank→endpoint map, the
-formed transports, in-flight jobs).  The :class:`Roster` makes that
-invalidation explicit: every admit/evict/replace bumps a monotonically
-increasing *generation* number, mesh formation and every job are
-stamped with the generation they belong to, and agents *fence* incoming
-work against their own generation
-(:meth:`Roster.fence` → :class:`~repro.errors.StaleGenerationError`).
-A rank that was evicted, or that missed a re-form, can therefore never
-execute — or answer for — a job belonging to the roster that moved on
-without it.
+A standing mesh is formed once from one rendezvous and changes only by
+replacement: a member that dies mid-job is re-seated by a spare agent
+at its rank.  Every change must invalidate all state derived from the
+previous roster (the rank→endpoint map, the formed transports,
+in-flight jobs).  The :class:`Roster` makes that invalidation explicit:
+every replacement bumps a monotonically increasing *generation* number,
+mesh formation and every job are stamped with the generation they
+belong to, and agents *fence* incoming work against their own
+generation (:meth:`Roster.fence` →
+:class:`~repro.errors.StaleGenerationError`).  A rank that was replaced,
+or that missed a re-form, can therefore never execute — or answer for —
+a job belonging to the roster that moved on without it.
 
 Rank assignment is deterministic: cards sort by ``agent_id``, so every
 observer of the same card set forms the identical roster.  Replacements
@@ -110,26 +110,7 @@ class Roster:
         """
         fence_generation(generation, self.generation)
 
-    # -- mutation (every change bumps the generation) -----------------------
-    def admit(self, card: AgentCard) -> Member:
-        """Late join: seat ``card`` at the lowest free rank; bump generation."""
-        if self.rank_of(card.agent_id) is not None:
-            raise PoolError(f"agent {card.agent_id} is already a member")
-        rank = 0
-        while rank in self._members:
-            rank += 1
-        member = Member(rank=rank, card=card)
-        self._members[rank] = member
-        self.generation += 1
-        return member
-
-    def evict(self, rank: int) -> AgentCard:
-        """Remove the member at ``rank``; bump generation; return its card."""
-        card = self.card(rank)
-        del self._members[rank]
-        self.generation += 1
-        return card
-
+    # -- mutation (the one change; it bumps the generation) -----------------
     def replace(self, rank: int, card: AgentCard) -> Member:
         """Seat ``card`` at a dead member's ``rank``; bump generation.
 

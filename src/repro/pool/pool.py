@@ -1,4 +1,4 @@
-"""The pool controller: a warm, elastic mesh that executes jobs on demand.
+"""The pool controller: a warm mesh that executes jobs on demand.
 
 :class:`RankPool` is the client half of the standing-pool design.  It
 discovers agents through a rendezvous
@@ -80,7 +80,7 @@ class PoolJobReport(DistRunReport):
     plan_hits: int = 0
     plan_misses: int = 0
     #: the submitter's :attr:`~repro.dist.jobs.PoolJob.metadata`, echoed
-    #: back verbatim (tenant attribution for the serving tier)
+    #: back verbatim (the serving tier's ``request_id`` and ``job_index``)
     metadata: Optional[Dict[str, object]] = None
 
 
@@ -134,24 +134,6 @@ class RankPool:
         self._new_mesh()
         return self.roster
 
-    def grow(self, count: int, timeout_s: float = 30.0) -> Roster:
-        """Late join: admit ``count`` new agents and re-form the mesh.
-
-        The existing members keep their ranks (and their warm plan
-        caches); the newcomers take the free ranks and the next job's
-        decomposition spreads across the larger roster.
-        """
-        roster = self._require_roster()
-        known = tuple(roster.agent_ids())
-        cards = wait_for_cards(
-            self.rendezvous, count, timeout_s, clock=self.clock, exclude=known
-        )
-        for card in cards:
-            member = roster.admit(card)
-            self._dial(member.rank, member.card)
-        self._new_mesh()
-        return roster
-
     def disconnect(self) -> None:
         """Drop control connections; agents (and their meshes) stay warm."""
         for conn in self._conns.values():
@@ -201,7 +183,8 @@ class RankPool:
         given travels only to ranks whose standing table lacks it.
 
         ``metadata`` rides on the job and is echoed back on the report
-        (tenant attribution for serving tiers); ``expected_generation``
+        (the serving tier stamps ``request_id`` and ``job_index``);
+        ``expected_generation``
         fences the submission at the serve boundary — a caller that
         believes the roster is at generation G gets
         :class:`~repro.errors.StaleGenerationError` instead of silently
@@ -214,7 +197,7 @@ class RankPool:
         if config.num_ranks != roster.size:
             raise ConfigurationError(
                 f"job wants {config.num_ranks} ranks but the pool has "
-                f"{roster.size} members (resize the pool or the job)"
+                f"{roster.size} members (resize the job)"
             )
         if field is None:
             field = composite_field(config.n, config.seed)

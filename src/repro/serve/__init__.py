@@ -14,12 +14,14 @@ primitives (:class:`~repro.core.pipeline.LowCommConvolution3D`,
   under ``max_batch_size`` / ``max_wait`` triggers;
 - :class:`BatchExecutor` — one warm pipeline per compatibility key,
   run on the serial or process-parallel execution path;
-- :class:`PoolBackend` — the dist-backed executor: batches routed onto
-  standing :class:`~repro.pool.RankPool` meshes by consistent hashing
-  (:class:`ConsistentHashRing`), with generation fencing, transparent
-  checkpoint-handoff failover, and per-tenant wire attribution;
+- :class:`PoolBackend` — the dist-backed executor: every batch runs as
+  jobs on one standing :class:`~repro.pool.RankPool` mesh, with
+  generation fencing and transparent checkpoint-handoff failover;
 - :mod:`repro.serve.loadgen` — a deterministic synthetic load generator
   behind ``python -m repro serve-bench``.
+
+Executors only turn a batch into results; the server marks requests
+RUNNING and DONE and records the serving metrics, once, for both.
 
 Everything reads time through an injectable
 :class:`~repro.util.clock.Clock`, so scheduler behaviour is fully testable
@@ -30,16 +32,10 @@ same clock and count on the same registry without importing this
 package.
 """
 
-from repro.serve.dist_backend import (
-    ConsistentHashRing,
-    PoolBackend,
-    compat_key_string,
-)
+from repro.serve.dist_backend import PoolBackend
 from repro.serve.executor import BatchExecutor
-from repro.serve.loadgen import TenantSpec
 from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
-    DEFAULT_TENANT,
     ConvolutionRequest,
     RequestHandle,
     RequestState,
@@ -55,13 +51,9 @@ __all__ = [
     "RequestHandle",
     "RequestState",
     "TERMINAL_STATES",
-    "DEFAULT_TENANT",
-    "TenantSpec",
     "Batch",
     "BatchingScheduler",
     "BatchExecutor",
     "PoolBackend",
-    "ConsistentHashRing",
-    "compat_key_string",
     "BoundedRequestQueue",
 ]

@@ -14,10 +14,11 @@ reorderings, so results are bitwise identical to a direct
 :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial` on the same
 input.
 
-Failure handling lives one level up (the server retries whole batches
-with backoff); the executor's job on failure is only to leave handles
-untouched and report the error.  ``fault_hook`` is the deterministic
-failure-injection point the retry tests use.
+The executor only turns a batch into results: request states, retries
+and the serving metrics are the server's, which does that bookkeeping
+once for every executor.  On failure the error propagates and the
+server decides between retry and FAILED.  ``fault_hook`` is the
+deterministic failure-injection point the retry tests use.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import numpy as np
 
 from repro.core.pipeline import ConvolutionResult, LowCommConvolution3D
 from repro.errors import ConfigurationError
-from repro.serve.request import CompatKey, RequestState
+from repro.serve.request import CompatKey
 from repro.serve.scheduler import Batch
 from repro.util.clock import Clock
-from repro.util.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
 #: Test seam: called as ``fault_hook(batch, attempt)`` before execution;
 #: raising simulates a worker failure for that attempt.
@@ -46,11 +46,9 @@ class BatchExecutor:
         self,
         kernels: Dict[str, np.ndarray],
         clock: Clock,
-        metrics: MetricsRegistry,
         mode: str = "serial",
         max_workers: Optional[int] = None,
         max_engines: int = 8,
-        interpolation: str = "linear",
         fault_hook: Optional[FaultHook] = None,
     ):
         if mode not in ("serial", "parallel"):
@@ -59,11 +57,9 @@ class BatchExecutor:
             )
         self._kernels = kernels
         self._clock = clock
-        self._metrics = metrics
         self.mode = mode
         self.max_workers = max_workers
         self.max_engines = max_engines
-        self.interpolation = interpolation
         self.fault_hook = fault_hook
         self._engines: "OrderedDict[CompatKey, LowCommConvolution3D]" = (
             OrderedDict()
@@ -83,13 +79,7 @@ class BatchExecutor:
                 f"kernel {kernel_name!r} is not registered with the server"
             )
         engine = LowCommConvolution3D(
-            n,
-            k,
-            spectrum,
-            policy,
-            batch=batch,
-            interpolation=self.interpolation,
-            real_kernel=real_kernel,
+            n, k, spectrum, policy, batch=batch, real_kernel=real_kernel
         )
         while len(self._engines) >= self.max_engines:
             self._engines.popitem(last=False)
@@ -98,19 +88,7 @@ class BatchExecutor:
 
     # -- execution -----------------------------------------------------------
     def execute(self, batch: Batch) -> Tuple[List[ConvolutionResult], float]:
-        """Run one batch; resolve every request handle on success.
-
-        Returns the per-request results and the batch execution time.  On
-        any exception the handles are left unresolved (still RUNNING) and
-        the exception propagates — the server decides between retry and
-        FAILED.
-        """
-        now = self._clock.now()
-        for request in batch.requests:
-            request.attempts += 1
-            request.run_started_at = now
-            request.handle._set_state(RequestState.RUNNING)
-            self._metrics.observe("stage.queue_wait_s", now - request.queued_at)
+        """Run one batch: the per-request results and the execution time."""
         if self.fault_hook is not None:
             self.fault_hook(batch, batch.requests[0].attempts)
         engine = self.engine_for(batch.key)
@@ -122,24 +100,7 @@ class BatchExecutor:
             ]
         else:
             results = [engine.run_serial(r.field) for r in batch.requests]
-        elapsed = self._clock.now() - t0
-        self._metrics.observe("stage.execute_s", elapsed)
-        self._metrics.observe(
-            "batch.size", len(batch.requests), buckets=DEFAULT_SIZE_BUCKETS
-        )
-        self._metrics.counter("batches_executed").inc()
-        done = self._clock.now()
-        for request, conv_result in zip(batch.requests, results):
-            if request.handle._finish(RequestState.DONE, result=conv_result):
-                self._metrics.counter("requests_completed").inc()
-                self._metrics.observe(
-                    "latency.e2e_s", done - request.submitted_at
-                )
-                self._metrics.observe(
-                    f"tenant.{request.tenant}.latency.e2e_s",
-                    done - request.submitted_at,
-                )
-        return results, elapsed
+        return results, self._clock.now() - t0
 
     @property
     def engine_count(self) -> int:

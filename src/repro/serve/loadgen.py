@@ -22,39 +22,17 @@ audit; the pinned numbers for the serving tier are the
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy, parse_policy
-from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 from repro.serve.dist_backend import PoolBackend
-from repro.serve.request import DEFAULT_TENANT
 from repro.serve.server import ConvolutionServer, ServerConfig
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.validation import check_positive_int
-
-
-@dataclass(frozen=True)
-class TenantSpec:
-    """One tenant in a multi-tenant load mix.
-
-    ``weight`` is the tenant's share of the request stream (relative to
-    the other tenants' weights); ``timeout_s`` is the per-request
-    deadline this tenant's requests carry (None = the server default).
-    """
-
-    name: str
-    weight: float = 1.0
-    timeout_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r} needs weight > 0, got {self.weight}"
-            )
 
 
 @dataclass
@@ -63,10 +41,7 @@ class LoadSpec:
 
     ``num_kernels > 1`` spreads requests round-robin over that many
     Gaussian kernels of different widths, producing several compatibility
-    groups (each still batchable within itself).  ``tenants`` mixes the
-    stream over named tenants by weight (deterministic in ``seed``, and
-    independent of it for the *fields* — adding tenants never changes
-    the request payloads).
+    groups (each still batchable within itself).
     """
 
     n: int = 64
@@ -76,17 +51,12 @@ class LoadSpec:
     sigma: float = 2.0
     policy: str = "banded"
     seed: int = 0
-    tenants: Optional[Tuple[TenantSpec, ...]] = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.n, "n")
         check_positive_int(self.k, "k")
         check_positive_int(self.num_requests, "num_requests")
         check_positive_int(self.num_kernels, "num_kernels")
-        if self.tenants is not None:
-            self.tenants = tuple(self.tenants)
-            if not self.tenants:
-                raise ConfigurationError("tenants must be None or non-empty")
 
     def kernels(self) -> Dict[str, np.ndarray]:
         """Named kernel spectra for the stream (widths sigma, sigma+0.5...)."""
@@ -96,18 +66,8 @@ class LoadSpec:
         }
 
     def requests(self) -> List[dict]:
-        """The deterministic stream: field, kernel, tenant, timeout.
-
-        Tenant assignment draws from its *own* generator (derived from
-        ``seed``) so the same seed with or without a tenant mix yields
-        byte-identical request fields.
-        """
+        """The deterministic stream: one ``{"field", "kernel"}`` per request."""
         rng = np.random.default_rng(self.seed)
-        tenant_rng = np.random.default_rng((self.seed, 0x7E2A))
-        weights = None
-        if self.tenants:
-            total = sum(t.weight for t in self.tenants)
-            weights = [t.weight / total for t in self.tenants]
         out = []
         for i in range(self.num_requests):
             # Composite-like inputs (signal in the central half-cube), as
@@ -117,19 +77,7 @@ class LoadSpec:
             field[q : self.n - q, q : self.n - q, q : self.n - q] = (
                 rng.standard_normal((self.n - 2 * q,) * 3)
             )
-            item = {
-                "field": field,
-                "kernel": f"gauss{i % self.num_kernels}",
-                "tenant": DEFAULT_TENANT,
-                "timeout_s": None,
-            }
-            if self.tenants:
-                tenant = self.tenants[
-                    int(tenant_rng.choice(len(self.tenants), p=weights))
-                ]
-                item["tenant"] = tenant.name
-                item["timeout_s"] = tenant.timeout_s
-            out.append(item)
+            out.append({"field": field, "kernel": f"gauss{i % self.num_kernels}"})
         return out
 
 
@@ -196,15 +144,7 @@ def run_batched_server(
         server.register_kernel(name, spectrum)
     stream = spec.requests()
     t0 = clock.now()
-    handles = [
-        server.submit(
-            item["field"],
-            kernel=item["kernel"],
-            tenant=item.get("tenant", DEFAULT_TENANT),
-            timeout_s=item.get("timeout_s"),
-        )
-        for item in stream
-    ]
+    handles = [server.submit(item["field"], kernel=item["kernel"]) for item in stream]
     server.drain()
     return clock.now() - t0, handles, server
 
@@ -247,7 +187,7 @@ def run_serve_benchmark(
     extras: dict = {}
     if pool is not None:
         pool_s, pool_handles, pool_server = run_batched_server(
-            spec, policy, config, executor=PoolBackend({"pool0": pool})
+            spec, policy, config, executor=PoolBackend(pool)
         )
         extras["pool_backed"] = {
             "elapsed_s": pool_s,

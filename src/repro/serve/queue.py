@@ -9,12 +9,6 @@ classic load-shedding front door: under overload the server answers
 "rejected" immediately instead of growing an unbounded backlog whose tail
 latency nobody can meet.
 
-A second, *per-tenant* admission bound layers on top of the global one:
-each tenant may occupy at most its quota of waiting slots, so one noisy
-tenant saturating its quota still leaves the rest of the waiting room —
-and therefore the batching/latency behaviour — of every quiet tenant
-untouched.  Quotas shed load per tenant; they never evict admitted work.
-
 Requests within a group stay in FIFO order by ``queued_at``; a retried
 request re-enters at the *front* of its group (it is the oldest work) but
 carries a ``not_before`` backoff time the scheduler honours.
@@ -23,7 +17,7 @@ carries a ``not_before`` backoff time the scheduler honours.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Iterator, List, Mapping, Optional
+from typing import Deque, Iterator, List, Optional
 
 from repro.errors import AdmissionError
 from repro.serve.request import CompatKey, ConvolutionRequest
@@ -31,34 +25,14 @@ from repro.util.validation import check_positive_int
 
 
 class BoundedRequestQueue:
-    """FIFO groups of waiting requests under one global capacity.
+    """FIFO groups of waiting requests under one global capacity."""
 
-    ``tenant_quotas`` maps tenant names to their maximum waiting-request
-    occupancy; ``default_tenant_quota`` applies to tenants not named in
-    the map (``None`` = only the global bound applies).
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        tenant_quotas: Optional[Mapping[str, int]] = None,
-        default_tenant_quota: Optional[int] = None,
-    ):
+    def __init__(self, capacity: int):
         self.capacity = check_positive_int(capacity, "capacity")
-        self.tenant_quotas = {
-            str(t): check_positive_int(q, f"tenant quota for {t!r}")
-            for t, q in (tenant_quotas or {}).items()
-        }
-        self.default_tenant_quota = (
-            check_positive_int(default_tenant_quota, "default_tenant_quota")
-            if default_tenant_quota is not None
-            else None
-        )
         self._groups: "OrderedDict[CompatKey, Deque[ConvolutionRequest]]" = (
             OrderedDict()
         )
         self._size = 0
-        self._tenant_depths: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -76,34 +50,20 @@ class BoundedRequestQueue:
         """Waiting requests for ``key``, oldest first (copy)."""
         return list(self._groups.get(key, ()))
 
-    def tenant_quota(self, tenant: str) -> Optional[int]:
-        """Effective waiting-room quota for ``tenant`` (None = unbounded)."""
-        return self.tenant_quotas.get(tenant, self.default_tenant_quota)
-
     def push(self, request: ConvolutionRequest, *, front: bool = False) -> None:
         """Admit ``request`` (``front=True`` re-queues a retry).
 
         Raises :class:`~repro.errors.AdmissionError` when the queue is at
-        capacity or the request's tenant is at its quota — the caller owns
-        marking the request REJECTED.  Retries are exempt from both
-        checks: they already held a slot and rejecting admitted work
+        capacity — the caller owns marking the request REJECTED.  Retries
+        are exempt: they already held a slot and rejecting admitted work
         mid-flight would turn a transient worker failure into load
         shedding.
         """
-        if not front:
-            if self._size >= self.capacity:
-                raise AdmissionError(
-                    f"queue full ({self._size}/{self.capacity} waiting)",
-                    request_id=request.request_id,
-                )
-            quota = self.tenant_quota(request.tenant)
-            depth = self._tenant_depths.get(request.tenant, 0)
-            if quota is not None and depth >= quota:
-                raise AdmissionError(
-                    f"tenant {request.tenant!r} at quota "
-                    f"({depth}/{quota} waiting)",
-                    request_id=request.request_id,
-                )
+        if not front and self._size >= self.capacity:
+            raise AdmissionError(
+                f"queue full ({self._size}/{self.capacity} waiting)",
+                request_id=request.request_id,
+            )
         group = self._groups.get(request.compat_key)
         if group is None:
             group = deque()
@@ -113,9 +73,6 @@ class BoundedRequestQueue:
         else:
             group.append(request)
         self._size += 1
-        self._tenant_depths[request.tenant] = (
-            self._tenant_depths.get(request.tenant, 0) + 1
-        )
 
     def pop_batch(
         self, key: CompatKey, max_size: int, now: float
@@ -133,7 +90,6 @@ class BoundedRequestQueue:
         while group and len(batch) < max_size and group[0].not_before <= now:
             batch.append(group.popleft())
         self._size -= len(batch)
-        self._debit_tenants(batch)
         if group is not None and not group:
             del self._groups[key]
         return batch
@@ -149,7 +105,6 @@ class BoundedRequestQueue:
             drained.extend(group)
         self._groups.clear()
         self._size = 0
-        self._tenant_depths.clear()
         return drained
 
     def remove_expired(self, now: float) -> List[ConvolutionRequest]:
@@ -165,16 +120,7 @@ class BoundedRequestQueue:
                 else:
                     del self._groups[key]
         self._size -= len(expired)
-        self._debit_tenants(expired)
         return expired
-
-    def _debit_tenants(self, removed: List[ConvolutionRequest]) -> None:
-        for request in removed:
-            depth = self._tenant_depths.get(request.tenant, 0) - 1
-            if depth > 0:
-                self._tenant_depths[request.tenant] = depth
-            else:
-                self._tenant_depths.pop(request.tenant, None)
 
     def next_deadline(self) -> Optional[float]:
         """Earliest waiting deadline, or None when nothing has one."""

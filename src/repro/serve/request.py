@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -59,10 +59,6 @@ TERMINAL_STATES = frozenset(
 #: Batching compatibility key: (n, k, kernel name, policy, real_kernel,
 #: pencil batch).  Requests sharing it share patterns and plans.
 CompatKey = Tuple[int, int, str, SamplingPolicy, Optional[bool], Optional[int]]
-
-#: Tenant requests are attributed to when the caller does not name one.
-DEFAULT_TENANT = "default"
-
 
 class RequestHandle:
     """Caller-side future for one submitted request.
@@ -163,11 +159,6 @@ class ConvolutionRequest:
     queued_at: float = 0.0
     not_before: float = 0.0  # retry backoff eligibility time
     attempts: int = 0
-    run_started_at: float = field(default=0.0, repr=False)
-    #: multi-tenant attribution/quota stamp; deliberately NOT part of
-    #: :attr:`compat_key` — tenants share batches, quotas only bound how
-    #: much of the waiting room each one may occupy
-    tenant: str = DEFAULT_TENANT
 
     @property
     def compat_key(self) -> CompatKey:

@@ -2,10 +2,13 @@
 
 Ties the pieces together: admission-controlled bounded queue
 (:mod:`repro.serve.queue`), dynamic batching scheduler
-(:mod:`repro.serve.scheduler`), warm-engine executor
-(:mod:`repro.serve.executor`), and the metrics registry — all reading
-time through an injectable clock, so the whole lifecycle is testable
-without wall-clock sleeps.
+(:mod:`repro.serve.scheduler`), an executor that turns a batch into
+results (:mod:`repro.serve.executor` in process,
+:mod:`repro.serve.dist_backend` on a rank pool), and the metrics
+registry — all reading time through an injectable clock, so the whole
+lifecycle is testable without wall-clock sleeps.  Request bookkeeping
+(states, attempts, the serving metrics) is done here, once, whichever
+executor runs the batch.
 
 Usage::
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -46,13 +49,8 @@ from repro.errors import (
 )
 from repro.serve.executor import BatchExecutor, FaultHook
 from repro.serve.queue import BoundedRequestQueue
-from repro.serve.request import (
-    DEFAULT_TENANT,
-    ConvolutionRequest,
-    RequestHandle,
-    RequestState,
-)
-from repro.serve.scheduler import BatchingScheduler
+from repro.serve.request import ConvolutionRequest, RequestHandle, RequestState
+from repro.serve.scheduler import Batch, BatchingScheduler
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
@@ -82,15 +80,12 @@ class ServerConfig:
     mode, max_workers:
         Execution path per batch: ``"serial"`` or ``"parallel"``
         (process-pool sub-domain fan-out, bounded by ``max_workers``).
-    batch, interpolation:
-        Forwarded to the convolution pipeline.
+    batch:
+        Pencil batch forwarded to the convolution pipeline.
     default_policy:
         Sampling policy for requests that do not pass one.
     max_engines:
         LRU bound on warm per-compatibility-key engines.
-    tenant_quotas, default_tenant_quota:
-        Per-tenant waiting-room occupancy bounds layered on ``max_queue``
-        (see :class:`~repro.serve.queue.BoundedRequestQueue`).
     """
 
     n: int = 64
@@ -104,11 +99,8 @@ class ServerConfig:
     mode: str = "serial"
     max_workers: Optional[int] = None
     batch: Optional[int] = None
-    interpolation: str = "linear"
     default_policy: SamplingPolicy = dataclass_field(default_factory=SamplingPolicy)
     max_engines: int = 8
-    tenant_quotas: Optional[Dict[str, int]] = None
-    default_tenant_quota: Optional[int] = None
 
 
 class ConvolutionServer:
@@ -132,31 +124,25 @@ class ConvolutionServer:
         self._kernels: Dict[str, np.ndarray] = {}
         self._lock = threading.RLock()
         self._ids = itertools.count(1)
-        self.queue = BoundedRequestQueue(
-            self.config.max_queue,
-            tenant_quotas=self.config.tenant_quotas,
-            default_tenant_quota=self.config.default_tenant_quota,
-        )
+        self.queue = BoundedRequestQueue(self.config.max_queue)
         self.scheduler = BatchingScheduler(
             self.queue, self.config.max_batch_size, self.config.max_wait_s
         )
         if executor is not None:
             # Backend seam: anything with the BatchExecutor protocol
-            # (execute/engine_count, optionally bind/describe/close) —
+            # (execute/engine_count, optionally bind/describe) —
             # e.g. :class:`~repro.serve.dist_backend.PoolBackend`.
             bind = getattr(executor, "bind", None)
             if bind is not None:
-                bind(self._kernels, self.clock, self.metrics, self.config)
+                bind(self._kernels, self.clock, self.metrics)
             self.executor = executor
         else:
             self.executor = BatchExecutor(
                 self._kernels,
                 self.clock,
-                self.metrics,
                 mode=self.config.mode,
                 max_workers=self.config.max_workers,
                 max_engines=self.config.max_engines,
-                interpolation=self.config.interpolation,
                 fault_hook=fault_hook,
             )
         self._thread: Optional[threading.Thread] = None
@@ -187,21 +173,17 @@ class ConvolutionServer:
         policy: Optional[SamplingPolicy] = None,
         timeout_s: Optional[float] = None,
         real_kernel: Optional[bool] = None,
-        tenant: str = DEFAULT_TENANT,
     ) -> RequestHandle:
         """Submit one convolution; returns immediately with a handle.
 
         Admission control never raises from here: a rejected request's
         handle is already terminal in state REJECTED and ``result()``
         raises the stored :class:`~repro.errors.AdmissionError`.
-        ``tenant`` stamps the request for quota accounting and wire-byte
-        attribution; it does not affect batching.
         """
         cfg = self.config
         now = self.clock.now()
         handle = RequestHandle(next(self._ids))
         self.metrics.counter("requests_submitted").inc()
-        self.metrics.counter(f"tenant.{tenant}.submitted").inc()
         field = np.asarray(field, dtype=np.float64)
         timeout_s = timeout_s if timeout_s is not None else cfg.default_timeout_s
         request = ConvolutionRequest(
@@ -217,7 +199,6 @@ class ConvolutionServer:
             deadline=(now + timeout_s) if timeout_s is not None else None,
             handle=handle,
             queued_at=now,
-            tenant=str(tenant),
         )
         try:
             if self._shutdown_done:
@@ -240,7 +221,6 @@ class ConvolutionServer:
         except AdmissionError as exc:
             handle._finish(RequestState.REJECTED, error=exc)
             self.metrics.counter("requests_rejected").inc()
-            self.metrics.counter(f"tenant.{tenant}.rejected").inc()
             return handle
         handle._set_state(RequestState.QUEUED)
         return handle
@@ -278,15 +258,40 @@ class ConvolutionServer:
             self.metrics.counter("batches_formed").inc()
             self.metrics.counter(f"batches_formed.{batch.reason}").inc()
             progressed += len(batch.requests)
-            try:
-                self.executor.execute(batch)
-            except ServiceError:
-                raise  # programming/config errors should surface, not retry
-            except Exception as exc:  # worker failure: retry with backoff
-                self._on_batch_failure(batch, exc)
+            self._run_batch(batch)
         return progressed
 
-    def _on_batch_failure(self, batch, exc: Exception) -> None:
+    def _run_batch(self, batch: Batch) -> None:
+        """Execute one batch and do its requests' bookkeeping.
+
+        On success every handle resolves DONE; on a worker failure the
+        handles stay RUNNING for :meth:`_on_batch_failure` to re-queue
+        or fail.
+        """
+        now = self.clock.now()
+        for request in batch.requests:
+            request.attempts += 1
+            request.handle._set_state(RequestState.RUNNING)
+            self.metrics.observe("stage.queue_wait_s", now - request.queued_at)
+        try:
+            results, elapsed = self.executor.execute(batch)
+        except ServiceError:
+            raise  # programming/config errors should surface, not retry
+        except Exception as exc:  # worker failure: retry with backoff
+            self._on_batch_failure(batch, exc)
+            return
+        self.metrics.observe("stage.execute_s", elapsed)
+        self.metrics.observe(
+            "batch.size", len(batch.requests), buckets=DEFAULT_SIZE_BUCKETS
+        )
+        self.metrics.counter("batches_executed").inc()
+        done = self.clock.now()
+        for request, result in zip(batch.requests, results):
+            if request.handle._finish(RequestState.DONE, result=result):
+                self.metrics.counter("requests_completed").inc()
+                self.metrics.observe("latency.e2e_s", done - request.submitted_at)
+
+    def _on_batch_failure(self, batch: Batch, exc: Exception) -> None:
         cfg = self.config
         now = self.clock.now()
         with self._lock:
@@ -398,9 +403,6 @@ class ConvolutionServer:
         with self._lock:
             self._shutdown_done = True
             self.metrics.gauge("queue_depth").set(len(self.queue))
-        close = getattr(self.executor, "close", None)
-        if close is not None:
-            close()
         return {
             "drained": drained,
             "cancelled": cancelled,

@@ -53,7 +53,7 @@ class FaultSchedule:
     Usage::
 
         schedule = FaultSchedule([KillAt(rank=2, job_index=3)])
-        backend = PoolBackend({"p0": pool}, job_hook=schedule.job_hook)
+        backend = PoolBackend(pool, job_hook=schedule.job_hook)
         ...
         assert schedule.fired  # the kill actually triggered
     """

@@ -1,9 +1,9 @@
-"""Elastic membership: the generation-numbered roster + liveness hooks.
+"""Membership: the generation-numbered roster + liveness hooks.
 
-Every shape change (admit/evict/replace) must bump the generation so
-stale work can be fenced, rank assignment must be deterministic from the
-card set alone, and the heartbeat monitor must measure silence on the
-clock it is given — all on a manual clock.
+The roster changes only by replacement, and every replacement must bump
+the generation so stale work can be fenced; rank assignment must be
+deterministic from the card set alone, and the heartbeat monitor must
+measure silence on the clock it is given — all on a manual clock.
 """
 
 import pytest
@@ -51,26 +51,6 @@ class TestRosterFormation:
 
 
 class TestRosterMutation:
-    def test_admit_takes_lowest_free_rank_and_bumps_generation(self):
-        roster = Roster.form([_card("aaa"), _card("bbb")])
-        roster.evict(0)
-        generation = roster.generation
-        member = roster.admit(_card("zzz"))
-        assert member.rank == 0  # lowest free slot, not size
-        assert roster.generation == generation + 1
-
-    def test_admit_rejects_existing_member(self):
-        roster = Roster.form([_card("aaa")])
-        with pytest.raises(PoolError, match="already a member"):
-            roster.admit(_card("aaa"))
-
-    def test_evict_returns_card_and_bumps_generation(self):
-        roster = Roster.form([_card("aaa"), _card("bbb")])
-        card = roster.evict(1)
-        assert card.agent_id == "bbb"
-        assert roster.generation == 2
-        assert roster.ranks() == [0]
-
     def test_replace_inherits_the_dead_rank(self):
         roster = Roster.form([_card("aaa"), _card("bbb"), _card("ccc")])
         member = roster.replace(1, _card("new"))
@@ -93,7 +73,7 @@ class TestGenerationFencing:
 
     def test_stale_generation_is_rejected_with_context(self):
         roster = Roster.form([_card("aaa"), _card("bbb")])
-        roster.evict(1)
+        roster.replace(1, _card("ccc"))
         with pytest.raises(StaleGenerationError) as excinfo:
             roster.fence(1)
         assert excinfo.value.seen == 1
@@ -107,9 +87,9 @@ class TestGenerationFencing:
     def test_every_mutation_invalidates_old_stamps(self):
         roster = Roster.form([_card("aaa"), _card("bbb")])
         stamp = roster.generation
-        roster.evict(1)
-        roster.admit(_card("ccc"))
-        roster.replace(1, _card("ddd"))
+        roster.replace(1, _card("ccc"))
+        roster.replace(0, _card("ddd"))
+        roster.replace(1, _card("eee"))
         assert roster.generation == stamp + 3
         with pytest.raises(StaleGenerationError):
             roster.fence(stamp)

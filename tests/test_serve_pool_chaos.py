@@ -12,8 +12,9 @@ standing :class:`RankPool`, as tests:
   pool's checkpoint handoff seats a replacement, the roster generation
   bumps, and the recovered results are still bitwise identical;
 - warm steady state shows ``plan_misses == 0`` on the job reports;
-- every job's wire bytes land in the per-tenant attribution visible in
-  the serve metrics snapshot.
+- a pool-backed server and an in-process server keep the same request
+  books (the server does that bookkeeping once, for every executor),
+  and the pool's wire bytes add up to its job reports' totals.
 
 Pools ride the same private ``file://`` rendezvous pattern as the pool
 runtime tests — nothing is shared between tests.
@@ -24,6 +25,7 @@ import pytest
 
 from tests.chaos import FaultSchedule, KillAt
 from repro.core.pipeline import LowCommConvolution3D
+from repro.dist.ledger import sent_wire_bytes
 from repro.kernels.gaussian import GaussianKernel
 from repro.pool.pool import RankPool
 from repro.serve import ConvolutionServer, PoolBackend, ServerConfig
@@ -44,15 +46,15 @@ def pool(tmp_path):
     pool.down()
 
 
-def make_server(pool, job_hook=None):
-    backend = PoolBackend({"p0": pool}, job_hook=job_hook)
-    server = ConvolutionServer(
-        ServerConfig(
-            n=N, k=K, max_batch_size=4, max_wait_s=0.01, default_policy=POLICY
-        ),
-        executor=backend,
+def server_config():
+    return ServerConfig(
+        n=N, k=K, max_batch_size=4, max_wait_s=0.01, default_policy=POLICY
     )
-    return server, backend
+
+
+def make_server(pool, job_hook=None):
+    backend = PoolBackend(pool, job_hook=job_hook)
+    return ConvolutionServer(server_config(), executor=backend), backend
 
 
 def kernels():
@@ -156,32 +158,38 @@ class TestWarmSteadyState:
         assert server.snapshot()["backend"]["last_job"]["plan_misses"] == 0
 
 
-class TestTenantAttribution:
-    def test_per_tenant_wire_bytes_in_snapshot(self, pool, rng):
-        server, backend = make_server(pool)
-        server.register_kernel("g0", kernels()["g0"])
-        plan = ["acme", "acme", "umbra"]
-        handles = [
-            server.submit(rng.standard_normal((N,) * 3), kernel="g0", tenant=t)
-            for t in plan
-        ]
-        server.drain()
-        assert all(h.exception() is None for h in handles)
+class TestOneBookkeepingPath:
+    def test_pool_and_in_process_servers_keep_the_same_books(self, pool, rng):
+        requests = stream(rng, 5)
+        pool_server, backend = make_server(pool)
+        local_server = ConvolutionServer(server_config())
+        books = []
+        for server in (pool_server, local_server):
+            for name, spectrum in kernels().items():
+                server.register_kernel(name, spectrum)
+            handles = [server.submit(f, kernel=kname) for f, kname in requests]
+            server.drain()
+            assert all(h.exception() is None for h in handles)
+            books.append((server.snapshot(), handles))
+        (pool_snap, pool_handles), (local_snap, _) = books
 
-        tenants = server.snapshot()["backend"]["tenants"]
-        assert sorted(tenants) == ["acme", "umbra"]
-        assert tenants["acme"]["jobs"] == 2
-        assert tenants["umbra"]["jobs"] == 1
-        assert tenants["acme"]["sent_bytes"] > tenants["umbra"]["sent_bytes"] > 0
-        # attribution is exact per job: tenant buckets sum to the total
-        total = sum(
-            r.wire_totals.get("sent.exchange.bytes", 0)
-            for r in backend.job_reports
-        )
-        by_tenant = sum(
-            d["counters"].get("sent.exchange.bytes", 0)
-            for d in tenants.values()
-        )
-        assert by_tenant == total > 0
-        # the job metadata round-trips the tenant stamp
-        assert [r.metadata["tenant"] for r in backend.job_reports] == plan
+        for counter in ("requests_completed", "batches_executed"):
+            assert pool_snap["counters"][counter] == local_snap["counters"][counter]
+        assert pool_snap["counters"]["requests_completed"] == len(requests)
+        for histogram in ("batch.size", "stage.queue_wait_s", "latency.e2e_s"):
+            assert (
+                pool_snap["histograms"][histogram]["count"]
+                == local_snap["histograms"][histogram]["count"]
+            )
+        # the pool's wire bytes are exactly its job reports' totals
+        reports = list(backend.job_reports)
+        assert len(reports) == len(requests)
+        assert pool_snap["counters"]["pool.wire_bytes"] == sum(
+            sent_wire_bytes(r.wire_totals) for r in reports
+        ) > 0
+        # one job per request, each stamped with its own request's id
+        by_id = {h.request_id: h for h in pool_handles}
+        assert sorted(r.metadata["request_id"] for r in reports) == sorted(by_id)
+        for report in reports:
+            handle = by_id[report.metadata["request_id"]]
+            assert np.array_equal(handle.result().approx, report.approx)

@@ -215,6 +215,7 @@ class TestShutdown:
         ]
         summary = server.shutdown(drain=False)
         assert summary["cancelled"] == 2
+        assert len(server.queue) == 0
         for h in handles:
             assert h.state is RequestState.FAILED
             with pytest.raises(ServiceError, match="cancelled by shutdown"):
