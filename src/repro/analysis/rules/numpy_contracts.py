@@ -1,7 +1,7 @@
 """NDA001: docstring dtype/shape contracts contradicted by the body.
 
-The numeric core promises bitwise identities (``run_parallel`` ==
-``run_serial`` == the dist runtime), which makes declared dtypes part of
+The numeric core promises bitwise identities (``run_serial`` == the
+dist runtime == the rank pool), which makes declared dtypes part of
 the correctness contract: a function whose docstring pledges ``float64``
 but whose body returns ``.astype(np.float32)`` silently halves precision
 for every caller that trusted the docs — and no shape-checking test

@@ -13,14 +13,14 @@ Usage::
     python -m repro massif          # Algorithm 1 vs 2 convergence (§5.3)
     python -m repro commshift       # §2.1 compute-to-communication story
     python -m repro all             # everything
-    python -m repro pipeline --mode parallel --workers 4
+    python -m repro pipeline --n 64 --k 16
                                     # run the end-to-end pipeline itself
     python -m repro serve-bench --requests 16
                                     # batched serving vs naive baseline
     python -m repro serve --backend pool://file:///tmp/rdv --ranks 4
                                     # dist-backed serving on a standing pool
     python -m repro dist-run --ranks 4 --transport tcp
-                                    # real multi-process SPMD run
+                                    # real SPMD run: the way onto many cores
     python -m repro lint src tests  # project-specific static analysis
     python -m repro pool up --rendezvous file:///tmp/rdv --ranks 4
                                     # standing rank pool (see pool --help)
@@ -173,26 +173,17 @@ def _pipeline(args: argparse.Namespace) -> None:
     from repro.core.pipeline import LowCommConvolution3D
     from repro.core.policy import parse_policy
     from repro.core.reference import reference_convolve
+    from repro.dist.worker import composite_field
     from repro.kernels.gaussian import GaussianKernel
 
     n, k = args.n, args.k
     policy = parse_policy(args.policy)
-    kernel = GaussianKernel(n=n, sigma=args.sigma)
-    spectrum = kernel.spectrum()
-    rng = np.random.default_rng(args.seed)
-    # Composite-like input: signal confined to the central half-cube
-    # (white noise everywhere is the worst case for compressed sampling
-    # and not what the error analysis targets).
-    field = np.zeros((n, n, n))
-    q = n // 4
-    field[q : n - q, q : n - q, q : n - q] = rng.standard_normal((n - 2 * q,) * 3)
+    spectrum = GaussianKernel(n=n, sigma=args.sigma).spectrum()
+    field = composite_field(n, args.seed)
     pipeline = LowCommConvolution3D(
         n, k, spectrum, policy, real_kernel=args.real_kernel
     )
-    if args.mode == "parallel":
-        result = pipeline.run_parallel(field, max_workers=args.workers)
-    else:
-        result = pipeline.run_serial(field)
+    result = pipeline.run_serial(field)
     exact = reference_convolve(field, spectrum)
     err = float(np.max(np.abs(result.approx - exact)))
     rel = float(np.linalg.norm(result.approx - exact) / np.linalg.norm(exact))
@@ -200,7 +191,6 @@ def _pipeline(args: argparse.Namespace) -> None:
         format_table(
             ["quantity", "value"],
             [
-                ["mode", args.mode],
                 ["n / k", f"{n} / {k}"],
                 ["policy", args.policy],
                 ["sub-domains convolved", result.num_subdomains],
@@ -305,8 +295,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
         k=args.k,
         max_batch_size=args.max_batch_size,
         max_wait_s=args.max_wait,
-        mode="parallel" if args.mode == "parallel" else "serial",
-        max_workers=args.workers,
     )
     with contextlib.ExitStack() as stack:
         pool = None
@@ -500,22 +488,6 @@ def _kernel_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _execution_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("execution")
-    group.add_argument(
-        "--mode",
-        choices=["serial", "parallel"],
-        default="serial",
-        help="execution mode (parallel = process-pool fan-out)",
-    )
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process count for --mode parallel (default: all cores)",
-    )
-
-
 def _stream_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("request stream")
     group.add_argument(
@@ -558,7 +530,6 @@ def _build_parser() -> Tuple[
     )
     _grid_flags(pipeline)
     _kernel_flags(pipeline)
-    _execution_flags(pipeline)
 
     dist = verbs.add_parser(
         "dist-run", help="execute the pipeline as a real multi-process SPMD job"
@@ -593,7 +564,6 @@ def _build_parser() -> Tuple[
     )
     _grid_flags(bench)
     _stream_flags(bench)
-    _execution_flags(bench)
     bench.add_argument(
         "--pool",
         default=None,

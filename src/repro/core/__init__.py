@@ -11,8 +11,8 @@ The pipeline (paper §3, Fig 2):
    results; interpolation + summation yields the approximate global
    convolution.
 4. :mod:`repro.core.pipeline` — :class:`LowCommConvolution3D` ties it
-   together, serially or over a process pool.  It is the one in-process
-   execution core: :mod:`repro.core.adaptive` feeds it content-adaptive
+   together, sub-domain after sub-domain (many cores means many ranks,
+   :mod:`repro.dist`).  It is the one in-process execution core: :mod:`repro.core.adaptive` feeds it content-adaptive
    blocks, and the serving executor caches one per compatibility key.
    :mod:`repro.core.distributed_runner` evaluates the same cost
    structure closed-form at the paper's scale.

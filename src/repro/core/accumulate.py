@@ -11,8 +11,8 @@ on sub-domain indices (:mod:`repro.octree.treesum`), before interpolating
 them, so a cell is contracted once however many sub-domains' octrees hold
 it:
 
-- :func:`accumulate_global` — in-process (``run_serial`` /
-  ``run_parallel``, driver-side recovery): the whole grid is the box.
+- :func:`accumulate_global` — in-process (``run_serial``, driver-side
+  recovery): the whole grid is the box.
 - :func:`accumulate_boxes` — the rank-side half of the distributed step
   (:func:`repro.dist.worker.rank_main`, after the single sparse exchange):
   each of a rank's *own* sub-domain boxes, so no rank ever holds the

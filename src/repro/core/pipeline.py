@@ -6,21 +6,15 @@
 - local pruned compressed convolution of each sub-domain,
 - one sparse exchange + interpolation to accumulate.
 
-Two in-process execution modes (the pipeline's other runtime is the
-real rank loop, :func:`repro.dist.worker.rank_main`, which iterates the
-same :meth:`~LowCommConvolution3D.convolve_chunks`):
-
-- :meth:`run_serial` — one worker processes sub-domains sequentially
-  ("For the sake of preliminary results, the GPU sequentially processes
-  the sub-domains", §5.1); returns the dense approximate result.
-- :meth:`run_parallel` — the same computation fanned out over a process
-  pool: sub-domains are independent until accumulation (the paper's zero
-  communication claim), so they parallelize across cores with the field
-  and kernel spectrum shipped once via shared memory
-  (:mod:`repro.core.parallel`).  Results are bitwise identical to
-  :meth:`run_serial`.
-
-Real ranks are :func:`repro.dist.dist_run`, bitwise identical to both.
+:meth:`~LowCommConvolution3D.run_serial` processes the sub-domains one
+after another in one process ("For the sake of preliminary results, the
+GPU sequentially processes the sub-domains", §5.1) and returns the dense
+approximate result.  Many cores means many ranks:
+:func:`repro.dist.dist_run` runs one job, and a
+:class:`repro.pool.RankPool` runs a stream of them.  Each rank iterates
+the same :meth:`~LowCommConvolution3D.convolve_chunks` over its share of
+the sub-domains, and the result is bitwise identical to
+:meth:`~LowCommConvolution3D.run_serial`.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from repro.core.accumulate import accumulate_global
 from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.local_conv import KernelSpectrum, LocalConvolution
 from repro.fft.pruned_plan import PlanCache
-from repro.core.parallel import convolve_subdomains_parallel
 from repro.core.policy import SamplingPolicy
 from repro.errors import ShapeError
 from repro.octree.compress import CompressedField
@@ -119,8 +112,6 @@ class LowCommConvolution3D:
         self.policy = policy or SamplingPolicy()
         self.interpolation = interpolation
         self.memory = memory
-        self._kernel_spectrum = kernel_spectrum
-        self._real_kernel_arg = real_kernel
         self.local = LocalConvolution(
             n=n,
             kernel_spectrum=kernel_spectrum,
@@ -158,10 +149,11 @@ class LowCommConvolution3D:
     ) -> Iterator[Tuple[SubDomain, Union[CompressedField, List[CompressedField]]]]:
         """Lazily convolve ``(sub-domain, k^3 block)`` pairs, in order.
 
-        The per-sub-domain step every execution mode iterates: convolve
-        the block locally against its sub-domain's sampling pattern (from
-        the process-wide table, :meth:`SamplingPolicy.pattern_for`), yield
-        ``(sub-domain, compressed result)``.  The caller supplies the
+        The per-sub-domain step :meth:`run_serial` and every rank
+        iterate: convolve the block locally against its sub-domain's
+        sampling pattern (from the process-wide table,
+        :meth:`SamplingPolicy.pattern_for`), yield ``(sub-domain,
+        compressed result)``.  The caller supplies the
         blocks — cut from a dense field by
         :meth:`DomainDecomposition.active_blocks`, or received off the
         wire by a rank that never holds the field — and leaves out
@@ -174,37 +166,6 @@ class LowCommConvolution3D:
                 sub.corner,
                 pattern=self.policy.pattern_for(self.n, sub.size, sub.corner),
             )
-
-    def _convolve_in_pool(
-        self, field: np.ndarray, max_workers: Optional[int]
-    ) -> List[Tuple[SubDomain, CompressedField]]:
-        """Process-pool counterpart of :meth:`convolve_chunks`.
-
-        Workers return only sample values; patterns come from the parent's
-        pattern table, so the resulting pairs match the serial ones bitwise.
-        """
-        field = self._check_field(field)
-        active = self.active_subdomains(field)
-        pairs = convolve_subdomains_parallel(
-            field,
-            self.n,
-            self.k,
-            self._kernel_spectrum,
-            self.policy,
-            [sub.index for sub in active],
-            batch=self.local.batch,
-            real_kernel=self._real_kernel_arg,
-            max_workers=max_workers,
-        )
-        results: List[Tuple[SubDomain, CompressedField]] = []
-        for sub, (index, values) in zip(active, pairs):
-            assert sub.index == index
-            compressed = CompressedField(
-                pattern=self.policy.pattern_for(self.n, sub.size, sub.corner),
-                values=values,
-            )
-            results.append((sub, compressed))
-        return results
 
     def _result(
         self,
@@ -236,35 +197,11 @@ class LowCommConvolution3D:
             )
         return np.zeros((self.n,) * 3, dtype=np.float64)
 
-    # -- execution modes ----------------------------------------------------
+    # -- execution ---------------------------------------------------------
     def run_serial(self, field: np.ndarray) -> ConvolutionResult:
         """Process all sub-domains on one worker; return the dense result."""
         start = _WALL.now()
         blocks = self.decomposition.active_blocks(self._check_field(field))
         per_domain = list(self.convolve_chunks(blocks))
-        approx = self.accumulate(per_domain)
-        return self._result(approx, per_domain, _WALL.now() - start)
-
-    def run_parallel(
-        self, field: np.ndarray, max_workers: Optional[int] = None
-    ) -> ConvolutionResult:
-        """Fan the independent sub-domain convolutions over a process pool.
-
-        Zero inter-worker communication until accumulation — the paper's
-        core structural claim — so this is a pure fan-out: the field and
-        kernel spectrum are shared (not pickled per task) and each worker
-        processes its sub-domains with a process-local plan cache.  The
-        returned result is bitwise identical to :meth:`run_serial`
-        (``per_domain`` is ordered by sub-domain index in both).
-
-        Parameters
-        ----------
-        field:
-            Dense ``n^3`` input field.
-        max_workers:
-            Process count; defaults to all available cores.
-        """
-        start = _WALL.now()
-        per_domain = self._convolve_in_pool(field, max_workers)
         approx = self.accumulate(per_domain)
         return self._result(approx, per_domain, _WALL.now() - start)

@@ -13,10 +13,11 @@ primitives (:class:`~repro.core.pipeline.LowCommConvolution3D`,
 - :class:`BatchingScheduler` — dynamic batching by compatibility key
   under ``max_batch_size`` / ``max_wait`` triggers;
 - :class:`BatchExecutor` — one warm pipeline per compatibility key,
-  run on the serial or process-parallel execution path;
-- :class:`PoolBackend` — the dist-backed executor: every batch runs as
-  jobs on one standing :class:`~repro.pool.RankPool` mesh, with
-  generation fencing and transparent checkpoint-handoff failover;
+  each request one ``run_serial`` on one core;
+- :class:`PoolBackend` — the dist-backed executor and the way onto many
+  cores: every batch runs as jobs on one standing
+  :class:`~repro.pool.RankPool` mesh, with generation fencing and
+  transparent checkpoint-handoff failover;
 - :mod:`repro.serve.loadgen` — a deterministic synthetic load generator
   behind ``python -m repro serve-bench``.
 

@@ -7,12 +7,12 @@ pattern cache and pruned-FFT plans, which is the entire throughput case
 for batched serving — congruent requests stop paying the per-request
 fixed costs a naive one-request-at-a-time service rebuilds every time.
 
-Each request runs on one of the pipeline's execution paths —
-``mode="serial"`` (one core, Hermitian fast path auto-detected) or
-``mode="parallel"`` (process-pool sub-domain fan-out) — and both are
-reorderings, so results are bitwise identical to a direct
-:meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial` on the same
-input.
+Each request is one
+:meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial` on the warm
+pipeline (Hermitian fast path auto-detected), so results are bitwise
+identical to a direct ``run_serial`` on the same input.  Serving on many
+cores is :class:`~repro.serve.dist_backend.PoolBackend`, which runs each
+request as a job on a standing rank pool.
 
 The executor only turns a batch into results: request states, retries
 and the serving metrics are the server's, which does that bookkeeping
@@ -46,19 +46,13 @@ class BatchExecutor:
         self,
         kernels: Dict[str, np.ndarray],
         clock: Clock,
-        mode: str = "serial",
-        max_workers: Optional[int] = None,
         max_engines: int = 8,
         fault_hook: Optional[FaultHook] = None,
     ):
-        if mode not in ("serial", "parallel"):
-            raise ConfigurationError(
-                f"executor mode must be 'serial' or 'parallel', got {mode!r}"
-            )
+        if max_engines < 1:
+            raise ConfigurationError(f"need max_engines >= 1, got {max_engines}")
         self._kernels = kernels
         self._clock = clock
-        self.mode = mode
-        self.max_workers = max_workers
         self.max_engines = max_engines
         self.fault_hook = fault_hook
         self._engines: "OrderedDict[CompatKey, LowCommConvolution3D]" = (
@@ -93,13 +87,7 @@ class BatchExecutor:
             self.fault_hook(batch, batch.requests[0].attempts)
         engine = self.engine_for(batch.key)
         t0 = self._clock.now()
-        if self.mode == "parallel":
-            results = [
-                engine.run_parallel(r.field, self.max_workers)
-                for r in batch.requests
-            ]
-        else:
-            results = [engine.run_serial(r.field) for r in batch.requests]
+        results = [engine.run_serial(r.field) for r in batch.requests]
         return results, self._clock.now() - t0
 
     @property

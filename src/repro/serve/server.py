@@ -59,6 +59,11 @@ from repro.util.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 class ServerConfig:
     """All the serving-layer knobs in one place.
 
+    The in-process executor runs each request as one ``run_serial`` on
+    one core; serving on many cores is a
+    :class:`~repro.serve.dist_backend.PoolBackend` passed as the server's
+    ``executor``, not a setting here.
+
     Attributes
     ----------
     n, k:
@@ -77,9 +82,6 @@ class ServerConfig:
         Worker-failure retries per request before FAILED.
     retry_backoff_s:
         Base of the exponential retry backoff.
-    mode, max_workers:
-        Execution path per batch: ``"serial"`` or ``"parallel"``
-        (process-pool sub-domain fan-out, bounded by ``max_workers``).
     batch:
         Pencil batch forwarded to the convolution pipeline.
     default_policy:
@@ -96,8 +98,6 @@ class ServerConfig:
     default_timeout_s: Optional[float] = None
     max_retries: int = 1
     retry_backoff_s: float = 0.01
-    mode: str = "serial"
-    max_workers: Optional[int] = None
     batch: Optional[int] = None
     default_policy: SamplingPolicy = dataclass_field(default_factory=SamplingPolicy)
     max_engines: int = 8
@@ -140,8 +140,6 @@ class ConvolutionServer:
             self.executor = BatchExecutor(
                 self._kernels,
                 self.clock,
-                mode=self.config.mode,
-                max_workers=self.config.max_workers,
                 max_engines=self.config.max_engines,
                 fault_hook=fault_hook,
             )
@@ -430,7 +428,6 @@ class ConvolutionServer:
             "queue_depth": len(self.queue),
             "warm_engines": self.executor.engine_count,
             "kernels": sorted(self._kernels),
-            "mode": self.config.mode,
             "max_batch_size": self.config.max_batch_size,
             "max_wait_s": self.config.max_wait_s,
             "max_queue": self.config.max_queue,

@@ -109,9 +109,9 @@ class TestConfigValidation:
         with pytest.raises(ShapeError):
             server.register_kernel("bad", np.zeros((N, N)))
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="mode"):
-            ConvolutionServer(ServerConfig(n=N, k=K, mode="quantum"))
+    def test_zero_engines_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_engines"):
+            ConvolutionServer(ServerConfig(n=N, k=K, max_engines=0))
 
 
 class TestBackgroundServing:
