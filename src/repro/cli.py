@@ -1,18 +1,7 @@
-"""Command-line interface: regenerate any of the paper's experiments.
+"""Command-line interface: run, serve and lint the low-communication pipeline.
 
 Usage::
 
-    python -m repro table1          # Table 1 memory comparison
-    python -m repro table2          # Table 2 allowable k
-    python -m repro table3          # Table 3 modeled speedups + measured error
-    python -m repro table4          # Table 4 estimated vs actual memory
-    python -m repro fig1            # Figure 1 communication rounds
-    python -m repro fig3            # Figure 3 octree pattern
-    python -m repro eq6             # Eq 1 vs Eq 6 sweep
-    python -m repro batch           # batch-parameter sweep (§5.4)
-    python -m repro massif          # Algorithm 1 vs 2 convergence (§5.3)
-    python -m repro commshift       # §2.1 compute-to-communication story
-    python -m repro all             # everything
     python -m repro pipeline --n 64 --k 16
                                     # run the end-to-end pipeline itself
     python -m repro serve-bench --requests 16
@@ -25,145 +14,27 @@ Usage::
     python -m repro pool up --rendezvous file:///tmp/rdv --ranks 4
                                     # standing rank pool (see pool --help)
 
-Exit codes: 0 on success; 1 when ``lint`` reports findings or when an
+The paper's tables and figures are printed by their benchmark scripts:
+``PYTHONPATH=src python -m pytest benchmarks -q -s --benchmark-disable``.
+
+Exit codes: 0 on success; 1 when ``lint`` reports findings, when an
 audit fails — ``dist-run``, ``serve-bench`` or ``serve`` printing a
 ``bitwise identical`` row that is ``False`` (or ``serve`` a failed
-request); 2 on bad arguments or configuration errors (argparse errors
-also exit 2), with a one-line message on stderr — never a traceback for
-a user mistake.
+request) — or when a standing pool fails (a :class:`~repro.errors.PoolError`,
+e.g. an agent that cannot be reached); 2 on bad arguments or
+configuration errors (argparse errors also exit 2), with a one-line
+message on stderr — never a traceback for a user mistake.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
-from repro.analysis import experiments as ex
 from repro.analysis.tables import format_table
-from repro.cluster.trace import gpu_acceleration_story
-from repro.errors import ReproError
-
-
-def _table1() -> None:
-    """Table 1: memory, dense vs domain-local."""
-    print(ex.run_table1_memory().render())
-
-
-def _table2() -> None:
-    """Table 2: allowable k per device."""
-    print(ex.run_table2_allowable_k().render())
-    plain, ours = ex.dense_gpu_ceiling()
-    print(f"\nsingle-GPU ceiling: dense cuFFT N={plain}, ours N={ours} "
-          f"({(ours / plain) ** 3:.0f}x more points)")
-
-
-def _table3() -> None:
-    """Table 3: modeled speedups and the measured error."""
-    rows, report = ex.run_table3_speedup()
-    print(report.render())
-    print()
-    print(
-        format_table(
-            ["N", "k", "r", "ours (ms)", "FFTW (ms)", "speedup"],
-            [[r.n, r.k, r.r, r.ours_ms, r.fftw_ms, r.speedup] for r in rows],
-            title="Table 3 (modeled)",
-        )
-    )
-    err = ex.measure_table3_error()
-    print(f"\nmeasured L2 error (N=128, k=32, banded): {err:.4f} (paper <= 0.03)")
-
-
-def _table4() -> None:
-    """Table 4: estimated vs actual GPU memory."""
-    print(ex.run_table4_memory().render())
-
-
-def _fig1() -> None:
-    """Figure 1: communication rounds, read off the wire ledgers."""
-    res = ex.run_fig1_comm_rounds()
-    print(
-        format_table(
-            ["pipeline", "all-to-all rounds", "exchanges", "bytes", "input bytes",
-             "alpha-beta (s)"],
-            [
-                ["traditional (pencil)", res.traditional_rounds,
-                 res.traditional_exchanges,
-                 res.traditional_bytes, res.traditional_input_bytes,
-                 res.traditional_comm_s],
-                ["ours", res.ours_rounds, res.ours_exchanges, res.ours_bytes,
-                 res.ours_input_bytes, res.ours_comm_s],
-            ],
-            title="Figure 1",
-        )
-    )
-
-
-def _fig3() -> None:
-    """Figure 3: the octree sampling pattern."""
-    res = ex.run_fig3_octree()
-    print(
-        format_table(
-            ["rate", "samples"],
-            sorted(res.rate_histogram.items()),
-            title=f"Figure 3: {res.num_cells} cells, {res.compression_ratio:.1f}x",
-        )
-    )
-    print(res.ascii_slice)
-
-
-def _eq6() -> None:
-    """Eq 1 vs Eq 6 communication-time sweep."""
-    print(
-        format_table(
-            ["P", "T_fft (s)", "T_ours (s)", "advantage"],
-            ex.run_comm_time_sweep(),
-            title="Eq 1 vs Eq 6",
-        )
-    )
-
-
-def _batch() -> None:
-    """§5.4 batch-parameter sweep."""
-    print(ex.run_batch_sweep().render())
-
-
-def _massif() -> None:
-    """§5.3 MASSIF Algorithm 1 vs 2 convergence."""
-    res = ex.run_massif_convergence()
-    print(
-        format_table(
-            ["quantity", "value"],
-            [
-                ["Alg 1 iterations", res.alg1_iterations],
-                ["Alg 2 iterations", res.alg2_iterations],
-                ["Alg 2 stalled", res.alg2_stalled],
-                ["best residual", res.alg2_best_residual],
-                ["effective stress error", res.effective_stress_error],
-                ["strain field error", res.strain_field_error],
-            ],
-            title="MASSIF Alg 1 vs Alg 2",
-        )
-    )
-
-
-def _report() -> None:
-    """The full reproduction report."""
-    from repro.analysis.generate_report import generate_report
-
-    print(generate_report(fast=True))
-
-
-def _commshift() -> None:
-    """§2.1 compute-to-communication story."""
-    rows = gpu_acceleration_story()
-    print(
-        format_table(
-            ["configuration", "communication fraction"],
-            rows,
-            title="§2.1: why GPUs make it worse",
-        )
-    )
+from repro.dist.worker import BARRIER_FAIL_STAGES
+from repro.errors import ConfigurationError, PoolError, ReproError
 
 
 def _pipeline(args: argparse.Namespace) -> None:
@@ -364,6 +235,15 @@ def _serve(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     policy = parse_policy(args.policy)
+    if args.kill_job is not None:
+        if args.kill_job < 1:
+            raise ConfigurationError(
+                f"--kill-job is a 1-based job index, got {args.kill_job}"
+            )
+        if not 0 <= args.kill_rank < args.ranks:
+            raise ConfigurationError(
+                f"--kill-rank {args.kill_rank} out of range [0, {args.ranks})"
+            )
 
     def server_config() -> ServerConfig:
         return ServerConfig(
@@ -441,21 +321,6 @@ def _serve(args: argparse.Namespace) -> int:
     return 1 if (failed or not bitwise) else 0
 
 
-COMMANDS: Dict[str, Callable[[], None]] = {
-    "table1": _table1,
-    "table2": _table2,
-    "table3": _table3,
-    "table4": _table4,
-    "fig1": _fig1,
-    "fig3": _fig3,
-    "eq6": _eq6,
-    "batch": _batch,
-    "massif": _massif,
-    "commshift": _commshift,
-    "report": _report,
-}
-
-
 def _grid_flags(parser: argparse.ArgumentParser) -> None:
     """The problem every convolution verb builds: grid, kernel, policy."""
     group = parser.add_argument_group("problem")
@@ -517,13 +382,10 @@ def _build_parser() -> Tuple[
     returns the top-level parser and the verb -> sub-parser map."""
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Regenerate experiments from the low-communication "
-        "3D convolution paper (ICPP Workshops '22).",
+        description="Run, serve and lint the low-communication 3D "
+        "convolution of the ICPP Workshops '22 paper.",
     )
     verbs = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in sorted(COMMANDS):
-        verbs.add_parser(name, help=COMMANDS[name].__doc__)
-    verbs.add_parser("all", help="every paper verb above, in order")
 
     pipeline = verbs.add_parser(
         "pipeline", help="run the end-to-end convolution itself"
@@ -604,8 +466,10 @@ def _build_parser() -> Tuple[
     )
     serve.add_argument(
         "--kill-stage",
+        choices=BARRIER_FAIL_STAGES,
         default="before_checkpoint",
-        help="pipeline stage --kill-job kills at (see dist FAIL_STAGES)",
+        help="pipeline stage --kill-job kills at (pool jobs run the "
+        "barrier exchange)",
     )
 
     lint = verbs.add_parser("lint", help="project-specific static analysis")
@@ -647,23 +511,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "lint":
             return _lint(args)
-        if args.command == "pipeline":
-            _pipeline(args)
-        elif args.command == "serve":
+        if args.command == "serve":
             return _serve(args)
-        elif args.command == "serve-bench":
+        if args.command == "serve-bench":
             return _serve_bench(args)
-        elif args.command == "dist-run":
+        if args.command == "dist-run":
             return _dist_run(args)
-        elif args.command == "all":
-            for name in sorted(COMMANDS):
-                print(f"\n================ {name} ================")
-                COMMANDS[name]()
-        else:
-            COMMANDS[args.command]()
+        _pipeline(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PoolError) else 2
     return 0
 
 

@@ -101,7 +101,6 @@ class AdaptiveConvolution:
         kernel_spectrum: KernelSpectrum,
         policy: Optional[SamplingPolicy] = None,
         batch: Optional[int] = None,
-        interpolation: str = "linear",
         k_max: int = 16,
         k_min: int = 2,
         threshold: float = 0.0,
@@ -113,9 +112,7 @@ class AdaptiveConvolution:
         # The blocks come from decompose_by_content, so the pipeline's own
         # regular decomposition is never used: one n^3 sub-domain keeps it
         # valid for any k_max.
-        self.pipeline = LowCommConvolution3D(
-            n, n, kernel_spectrum, policy, batch=batch, interpolation=interpolation
-        )
+        self.pipeline = LowCommConvolution3D(n, n, kernel_spectrum, policy, batch=batch)
 
     def run(self, field: np.ndarray) -> AdaptiveConvolutionResult:
         """Decompose by content, convolve each block, accumulate."""

@@ -80,8 +80,6 @@ class LowCommConvolution3D:
         Compression hyperparameters.
     batch:
         z-pencil batch size.
-    interpolation:
-        Reconstruction method for accumulation.
     memory:
         Optional tracker charged by every local convolution.
     real_kernel:
@@ -103,14 +101,12 @@ class LowCommConvolution3D:
         kernel_spectrum: KernelSpectrum,
         policy: Optional[SamplingPolicy] = None,
         batch: Optional[int] = None,
-        interpolation: str = "linear",
         memory: Optional[MemoryTracker] = None,
         real_kernel: Optional[bool] = None,
         plans: Optional[PlanCache] = None,
     ):
         self.decomposition = DomainDecomposition(n=n, k=k)
         self.policy = policy or SamplingPolicy()
-        self.interpolation = interpolation
         self.memory = memory
         self.local = LocalConvolution(
             n=n,
@@ -192,9 +188,7 @@ class LowCommConvolution3D:
         (zeros when nothing was convolved), each field entering the
         summation tree at its sub-domain index."""
         if per_domain:
-            return accumulate_global(
-                {sub.index: f for sub, f in per_domain}, method=self.interpolation
-            )
+            return accumulate_global({sub.index: f for sub, f in per_domain})
         return np.zeros((self.n,) * 3, dtype=np.float64)
 
     # -- execution ---------------------------------------------------------

@@ -281,7 +281,7 @@ def recover_from_checkpoints(
         merged[sub.index] = compressed
     if not merged:
         return np.zeros((config.n,) * 3, dtype=np.float64)
-    return accumulate_global(merged, method=config.interpolation)
+    return accumulate_global(merged)
 
 
 def build_report(

@@ -120,7 +120,6 @@ class DistConfig:
     k: int = 8
     sigma: float = 2.0
     policy: str = "banded"
-    interpolation: str = "linear"
     precision: str = "float64"
     batch: Optional[int] = None
     real_kernel: Optional[bool] = None
@@ -246,7 +245,6 @@ def build_pipeline(
         default_spectrum(config) if spectrum is None else spectrum,
         policy=parse_policy(config.policy),
         batch=config.batch,
-        interpolation=config.interpolation,
         real_kernel=config.real_kernel,
         plans=plans,
     )
@@ -431,7 +429,7 @@ def rank_main(
         rank=rank,
         # accumulated over this rank's own boxes, in the tree order on
         # sub-domain indices that run_serial sums in (bitwise identity)
-        blocks=accumulate_boxes(merged, own_subdomains, config.interpolation),
+        blocks=accumulate_boxes(merged, own_subdomains),
         num_chunks=len(own),
         total_samples=sum(f.pattern.sample_count for _s, f in own),
         compressed_bytes=sum(f.nbytes for _s, f in own),

@@ -79,7 +79,6 @@ class LowCommMassifSolver(MassifSolver):
         tol: float = 1e-6,
         max_iter: int = 200,
         batch: Optional[int] = None,
-        interpolation: str = "linear",
         stall_window: int = 0,
         raise_on_fail: bool = True,
     ):
@@ -99,7 +98,6 @@ class LowCommMassifSolver(MassifSolver):
             PencilOperator(gamma_pencil_operator(self.reference, n)),
             policy=self.policy,
             batch=batch,
-            interpolation=interpolation,
             real_kernel=True,
         )
         self.decomposition = self.pipeline.decomposition
@@ -121,7 +119,6 @@ class LowCommMassifSolver(MassifSolver):
         if per_domain:
             for comp, (i, j) in enumerate(SYM_COMPONENTS):
                 deps[i, j] = deps[j, i] = accumulate_global(
-                    {sub.index: fields[comp] for sub, fields in per_domain},
-                    method=self.pipeline.interpolation,
+                    {sub.index: fields[comp] for sub, fields in per_domain}
                 )
         return deps

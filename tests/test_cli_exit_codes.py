@@ -1,9 +1,9 @@
 """CLI contract tests: exit codes and usable error messages.
 
-The CLI promises: 0 on success, 1 on a failed audit, 2 on bad
-arguments/configuration, with a one-line message on stderr rather than a
-traceback.  Also smoke-tests the ``serve-bench`` command on a tiny
-configuration.
+The CLI promises: 0 on success, 1 on a failed audit or a failed standing
+pool, 2 on bad arguments/configuration, with a one-line message on
+stderr rather than a traceback.  Also smoke-tests the ``serve-bench``
+command on a tiny configuration.
 """
 
 import re
@@ -67,10 +67,63 @@ class TestExitCodes:
 
     def test_verb_rejects_flags_it_does_not_read_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["table1", "--ranks", "7", "--overlap", "--kill-job", "3"])
+            main(["pipeline", "--ranks", "7", "--overlap", "--kill-job", "3"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --ranks 7 --overlap --kill-job 3" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kill-job", "2", "--kill-stage", "bogus"],
+            ["--kill-job", "2", "--kill-stage", "stream_send"],
+            ["--kill-job", "2", "--kill-rank", "5"],
+            ["--kill-job", "0"],
+        ],
+        ids=["stage-unknown", "stage-overlap-only", "rank-out-of-range", "job-zero"],
+    )
+    def test_serve_kill_flags_that_cannot_fire_exit_2_before_work(
+        self, capsys, monkeypatch, tmp_path, flags
+    ):
+        """A kill that would never fire must not run the stream and report
+        success: serve rejects it before the reference pass or a dial."""
+        from repro.pool.pool import RankPool
+        from repro.serve import loadgen
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("serve did work before rejecting its kill flags")
+
+        monkeypatch.setattr(RankPool, "connect", unreachable)
+        monkeypatch.setattr(loadgen, "run_batched_server", unreachable)
+        try:
+            rc = main([
+                "serve", "--backend", f"pool://file://{tmp_path}", "--ranks", "2",
+                "--n", "16", "--k", "4", "--requests", "2", *flags,
+            ])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert flags[-2] in err
+
+    def test_serve_pool_failure_exits_1(self, capsys, monkeypatch, tmp_path):
+        """An unreachable agent is an operational failure, not bad usage."""
+        from repro.errors import PoolError
+        from repro.pool.pool import RankPool
+
+        def refused(self, expected, timeout_s=30.0):
+            raise PoolError("agent 'a1' (rank 1) unreachable: Connection refused")
+
+        monkeypatch.setattr(RankPool, "connect", refused)
+        rc = main([
+            "serve", "--backend", f"pool://file://{tmp_path}", "--ranks", "2",
+            "--n", "16", "--k", "4", "--requests", "2", "--policy", "flat:2",
+            "--max-wait", "0.01",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "unreachable" in err
 
     @pytest.mark.parametrize("verb", ["pool"])
     def test_passthrough_verbs_own_their_help(self, capsys, verb):

@@ -1,9 +1,8 @@
 """Tests for the compute/communication trace analysis and the CLI."""
 
-import numpy as np
 import pytest
 
-from repro.cli import COMMANDS, main
+from repro.cli import main
 from repro.cluster.device import V100_32GB, XEON_GOLD_6148
 from repro.cluster.network import Link
 from repro.cluster.trace import (
@@ -62,28 +61,6 @@ class TestBreakdown:
 
 
 class TestCLI:
-    @pytest.mark.parametrize("cmd", ["table1", "table4", "eq6", "batch", "commshift"])
-    def test_fast_commands_run(self, cmd, capsys):
-        assert main([cmd]) == 0
-        out = capsys.readouterr().out
-        assert len(out) > 50
-
-    def test_table1_output_has_rows(self, capsys):
-        main(["table1"])
-        out = capsys.readouterr().out
-        assert "N=8192" in out
-
-    def test_commshift_prints_97(self, capsys):
-        main(["commshift"])
-        out = capsys.readouterr().out
-        assert "0.977" in out or "0.98" in out
-
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
-
-    def test_all_commands_registered(self):
-        assert set(COMMANDS) == {
-            "table1", "table2", "table3", "table4", "fig1", "fig3",
-            "eq6", "batch", "massif", "commshift", "report",
-        }

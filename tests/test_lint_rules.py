@@ -493,7 +493,7 @@ class TestCli:
 
     def test_paths_rejected_for_other_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["table1", "src"])
+            main(["pipeline", "src"])
         assert exc.value.code == 2
 
 

@@ -1,12 +1,8 @@
-"""Tests for compressed-field algebra, the kernel study, and the report
-generator."""
-
-from pathlib import Path
+"""Tests for compressed-field algebra and the kernel study."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.generate_report import generate_report
 from repro.analysis.kernel_study import kernel_family_study
 from repro.errors import ConfigurationError
 from repro.octree.algebra import add, same_pattern, scale
@@ -78,25 +74,3 @@ class TestKernelStudy:
 
     def test_errors_finite_and_bounded(self, rows):
         assert all(0 <= r.l2_error < 1 for r in rows)
-
-
-class TestReportGenerator:
-    @pytest.fixture(scope="class")
-    def report_text(self):
-        return generate_report(fast=True)
-
-    def test_contains_all_sections(self, report_text):
-        for section in (
-            "Table 1", "Table 2", "Table 3", "Table 4",
-            "Figure 1", "Figure 3", "Eq 1 vs Eq 6", "MASSIF",
-        ):
-            assert section in report_text
-
-    def test_paper_values_present(self, report_text):
-        assert "N=8192" in report_text  # Table 1 rows
-        assert "0.4945" in report_text or "0.494" in report_text  # §2.1
-
-    def test_committed_report_is_current(self, report_text):
-        """``docs/REPORT.md`` is ``python -m repro report``'s output."""
-        committed = Path(__file__).parent.parent / "docs" / "REPORT.md"
-        assert committed.read_text() == report_text + "\n"
