@@ -60,11 +60,11 @@ def stage_input(n: int, m: int, stage: str, rng: np.random.Generator) -> np.ndar
 
 
 def forced_plan(n: int, m: int, form: str) -> PrunedPlan:
-    """A Hermitian plan retaining ``m`` coordinates per axis with its z and
-    y stages on ``form``, whatever the rule would have picked."""
+    """A plan retaining ``m`` coordinates per axis with its z and y stages
+    on ``form``, whatever the rule would have picked."""
     coords = retained(n, m)
-    plan = PrunedPlan(n, coords, coords, coords, hermitian=True)
-    plan._set_strategy(InverseStrategy(z=form, y=form, x=plan.strategy.x))
+    plan = PrunedPlan(n, coords, coords, coords)
+    plan._set_strategy(InverseStrategy(z=form, y=form))
     return plan
 
 
@@ -92,10 +92,10 @@ def test_forms_agree_and_strategy_follows_the_rule(benchmark):
             if n > 128:
                 continue  # same code path; keeps the CI step small
             coords = retained(n, m)
-            picked = PrunedPlan(n, coords, coords, coords, hermitian=True).strategy
-            assert picked == InverseStrategy(
-                z=rule_form(n, m), y=rule_form(n, m), x="real_gemm"
-            ), (n, m, picked)
+            picked = PrunedPlan(n, coords, coords, coords).strategy
+            assert picked == InverseStrategy(z=rule_form(n, m), y=rule_form(n, m)), (
+                n, m, picked,
+            )
             for stage in STAGES:
                 data = stage_input(n, m, stage, rng)
                 gemm = run_stage(forced_plan(n, m, "gemm"), stage, data)

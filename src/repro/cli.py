@@ -51,9 +51,7 @@ def _pipeline(args: argparse.Namespace) -> None:
     policy = parse_policy(args.policy)
     spectrum = GaussianKernel(n=n, sigma=args.sigma).spectrum()
     field = composite_field(n, args.seed)
-    pipeline = LowCommConvolution3D(
-        n, k, spectrum, policy, real_kernel=args.real_kernel
-    )
+    pipeline = LowCommConvolution3D(n, k, spectrum, policy)
     result = pipeline.run_serial(field)
     exact = reference_convolve(field, spectrum)
     err = float(np.max(np.abs(result.approx - exact)))
@@ -67,7 +65,6 @@ def _pipeline(args: argparse.Namespace) -> None:
                 ["sub-domains convolved", result.num_subdomains],
                 ["total samples", result.total_samples],
                 ["compression ratio", f"{result.compression_ratio:.1f}x"],
-                ["hermitian fast path", pipeline.local.real_kernel],
                 ["elapsed (s)", f"{result.elapsed_s:.3f}"],
                 ["max abs error vs dense", f"{err:.3e}"],
                 ["relative L2 error", f"{rel:.3e}"],
@@ -92,7 +89,6 @@ def _dist_run(args: argparse.Namespace) -> int:
         num_ranks=args.ranks,
         transport=args.transport,
         seed=args.seed,
-        real_kernel=args.real_kernel,
         overlap=args.overlap,
         window=args.window,
     )
@@ -335,24 +331,6 @@ def _grid_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _kernel_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("kernel path")
-    group.add_argument(
-        "--real-kernel",
-        dest="real_kernel",
-        action="store_true",
-        default=None,
-        help="assert a real kernel spectrum (Hermitian fast path); "
-        "auto-detected when omitted",
-    )
-    group.add_argument(
-        "--complex-kernel",
-        dest="real_kernel",
-        action="store_false",
-        help="force the full complex path",
-    )
-
-
 def _stream_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("request stream")
     group.add_argument(
@@ -391,13 +369,11 @@ def _build_parser() -> Tuple[
         "pipeline", help="run the end-to-end convolution itself"
     )
     _grid_flags(pipeline)
-    _kernel_flags(pipeline)
 
     dist = verbs.add_parser(
         "dist-run", help="execute the pipeline as a real multi-process SPMD job"
     )
     _grid_flags(dist)
-    _kernel_flags(dist)
     dist.add_argument("--ranks", type=int, default=2, help="number of SPMD ranks")
     dist.add_argument(
         "--transport",

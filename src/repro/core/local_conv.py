@@ -22,12 +22,15 @@ the matrices that needs, pad scratch buffers, pencil index arrays) lives in
 a :class:`~repro.fft.pruned_plan.PrunedPlan`, built once per pattern and
 shared across congruent sub-domains.
 
-When the kernel spectrum is real (Green's-function kernels — detected
-automatically for dense spectra, or asserted with ``real_kernel=True``),
-the **Hermitian fast path** runs the whole staged transform on the
-``n//2 + 1`` non-redundant x-frequency rows: rfft-based slab, half the
-z-pencils and pointwise multiplies, and a Hermitian-aware final x stage —
-roughly halving flops and the ``8*N*N*k`` slab working set of Table 1.
+The method needs a kernel whose spectrum is real and symmetric (paper
+§3.1; Green's functions of self-adjoint operators), so a real field has
+a real result and the whole staged transform runs on the ``n//2 + 1``
+non-redundant x-frequency rows: rfft-based slab, half the z-pencils and
+pointwise multiplies, and a Hermitian-aware final x stage — half the
+flops and half the ``8*N*N*k`` slab working set of Table 1.  This is the
+only path: a dense spectrum that fails
+:func:`~repro.kernels.properties.spectrum_is_hermitian_real` is rejected
+with a :class:`~repro.errors.ConfigurationError` at construction.
 
 **Components and the pointwise seam.**  ``sub`` may be a ``(C, k, k, k)``
 stack of components over one box: it runs the same stages (one slab call,
@@ -38,11 +41,12 @@ shapes, so component ``c`` is bitwise the one-component call on
 one (PAPER.md §6's sub-plan): the scalar kernel multiply by default, or a
 :class:`PencilOperator` that maps the ``(C, B, n)`` pencil batch and may
 mix components (MASSIF's ``Gamma_hat : tau``,
-:func:`repro.kernels.green_massif.gamma_pencil_operator`).
-``real_kernel=True`` with an operator promises that it commutes with the
-conjugate mirror — ``op(conj(tau(-xi)))(-xi) == conj(op(tau)(xi))``, true
-of any contraction whose coefficients are real and even in ``xi`` — so a
-real input has a real result and the ``n//2 + 1`` stored x rows suffice.
+:func:`repro.kernels.green_massif.gamma_pencil_operator`), or evaluate a
+kernel's pencils on the fly (the paper's "computed on-the-fly during
+convolution" mode).  An operator must commute with the conjugate mirror —
+``op(conj(tau(-xi)))(-xi) == conj(op(tau)(xi))``, true of any contraction
+whose coefficients are real and even in ``xi`` — so that a real input has
+a real result and the ``n//2 + 1`` stored x rows suffice.
 
 An optional :class:`~repro.cluster.memory.MemoryTracker` is charged for
 every buffer, so running this on a simulated GPU reproduces the
@@ -61,7 +65,7 @@ from repro.cluster.memory import MemoryTracker
 from repro.errors import ConfigurationError, ShapeError
 from repro.fft.pruned import pencil_batches
 from repro.fft.pruned_plan import PlanCache, PrunedPlan
-from repro.kernels.properties import spectrum_is_hermitian_real
+from repro.kernels.properties import check_hermitian_real
 from repro.core.policy import SamplingPolicy
 from repro.octree.compress import CompressedField
 from repro.octree.sampling import SamplingPattern
@@ -81,13 +85,9 @@ class PencilOperator:
     apply: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-#: Kernel spectrum: the dense ``n^3`` array, a callable
-#: ``(ix, iy) -> (len(ix), n)`` returning spectrum pencils on the fly
-#: (the paper's "computed on-the-fly during convolution" mode), or a
-#: :class:`PencilOperator` standing in for the multiply altogether.
-KernelSpectrum = Union[
-    np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray], PencilOperator
-]
+#: Kernel spectrum: the dense real, centrosymmetric ``n^3`` array, or a
+#: :class:`PencilOperator` standing in for the multiply.
+KernelSpectrum = Union[np.ndarray, PencilOperator]
 
 
 class LocalConvolution:
@@ -98,25 +98,23 @@ class LocalConvolution:
     n:
         Global grid edge.
     kernel_spectrum:
-        Dense ``n^3`` spectrum, an on-the-fly pencil callable, or a
-        :class:`PencilOperator`.
+        Dense real, centrosymmetric ``n^3`` spectrum, or a
+        :class:`PencilOperator` (see the module docstring for what it
+        must commute with).
     policy:
         Compression hyperparameters (r-schedule).
     batch:
         z-pencil batch size ``B`` (paper §5.4); defaults to ``n``.
     memory:
         Optional device memory tracker to charge allocations against.
-    real_kernel:
-        ``True`` asserts the kernel spectrum is real/Hermitian and enables
-        the half-spectrum fast path; ``False`` forces the complex path;
-        ``None`` (default) auto-detects for dense spectra via
-        :func:`~repro.kernels.properties.spectrum_is_hermitian_real`
-        (callables and operators default to the complex path; see the
-        module docstring for what ``True`` promises of an operator).
     plans:
         Optional shared :class:`~repro.fft.pruned_plan.PlanCache`; one is
         created per instance otherwise.
     """
+
+    #: Every kernel runs the half-spectrum path; kept for callers that
+    #: still read the flag.
+    real_kernel = True
 
     def __init__(
         self,
@@ -125,7 +123,6 @@ class LocalConvolution:
         policy: SamplingPolicy,
         batch: Optional[int] = None,
         memory: Optional[MemoryTracker] = None,
-        real_kernel: Optional[bool] = None,
         plans: Optional[PlanCache] = None,
     ):
         self.n = check_positive_int(n, "n")
@@ -134,38 +131,22 @@ class LocalConvolution:
         self.memory = memory
         self.plans = plans if plans is not None else PlanCache()
         self._kernel_flat: Optional[np.ndarray] = None
-        self._kernel_fn = self._operator = None
+        self._operator = None
         if isinstance(kernel_spectrum, PencilOperator):
             self._operator = kernel_spectrum.apply
-            self.real_kernel = bool(real_kernel)
-        elif callable(kernel_spectrum):
-            self._kernel_fn = kernel_spectrum
-            self.real_kernel = bool(real_kernel) if real_kernel is not None else False
         else:
             spec = np.asarray(kernel_spectrum)
             if spec.shape != (n, n, n):
                 raise ShapeError(
                     f"kernel spectrum shape {spec.shape} != ({n},)*3"
                 )
-            if real_kernel is None:
-                self.real_kernel = spectrum_is_hermitian_real(spec)
-            elif real_kernel and not spectrum_is_hermitian_real(spec):
-                raise ConfigurationError(
-                    "real_kernel=True but the kernel spectrum is not "
-                    "real/centrosymmetric; the Hermitian fast path would "
-                    "be inexact"
-                )
-            else:
-                self.real_kernel = bool(real_kernel)
-            if self.real_kernel:
-                # the Hermitian path multiplies by real pencils: drop the
-                # (zero) imaginary part here, not once per batch
-                spec = np.real(spec)
-            # Flat (n*n, n) view: pencil batches are contiguous row
-            # slices, so the z-stage multiply slices without fancy
-            # indexing.  The Hermitian path's half rows [0, (n//2+1)*n)
-            # occupy a prefix of the same layout.
-            self._kernel_flat = spec.reshape(n * n, n)
+            check_hermitian_real(spec)
+            # Pencils multiply by the real part (the imaginary part is
+            # zero), dropped here, not once per batch.  Flat (n*n, n)
+            # view: pencil batches are contiguous row slices, so the
+            # z-stage multiply slices without fancy indexing, and the half
+            # rows [0, (n//2+1)*n) are a prefix of the layout.
+            self._kernel_flat = np.real(spec).reshape(n * n, n)
 
     # -- public API -------------------------------------------------------------
     def convolve(
@@ -207,7 +188,7 @@ class LocalConvolution:
         fields = [
             CompressedField(
                 pattern=pattern,
-                values=np.real(np.take(box.reshape(-1), pattern.box_gather_index)),
+                values=np.take(box.reshape(-1), pattern.box_gather_index),
             )
             for box in self._staged_convolve(sub, corner, plan)
         ]
@@ -225,27 +206,20 @@ class LocalConvolution:
         sub, corner = self._validate(sub, corner)
         full = np.arange(self.n, dtype=np.intp)
         boxes = self._staged_convolve(sub, corner, self._plan_for(full, full, full))
-        return np.real(boxes[0] if sub.ndim == 3 else np.stack(boxes))
+        return boxes[0] if sub.ndim == 3 else np.stack(boxes)
 
     # -- stages -------------------------------------------------------------
     def _plan_for(
         self, coords_x: np.ndarray, coords_y: np.ndarray, coords_z: np.ndarray
     ) -> PrunedPlan:
-        return self.plans.get(
-            self.n, coords_x, coords_y, coords_z, hermitian=self.real_kernel
-        )
+        return self.plans.get(self.n, coords_x, coords_y, coords_z)
 
     def _pointwise(self, spec: np.ndarray, plan: PrunedPlan, sl: slice) -> np.ndarray:
         """The pointwise step on the ``(C, B, n)`` spectra of batch ``sl``."""
-        if self._kernel_flat is not None:
+        if self._operator is None:
             spec *= self._kernel_flat[sl]
             return spec
-        ix, iy = plan.pencil_ix[sl], plan.pencil_iy[sl]
-        if self._operator is None:
-            kp = self._kernel_fn(ix, iy)
-            spec *= np.real(kp) if plan.hermitian else kp
-            return spec
-        out = self._operator(spec, ix, iy)
+        out = self._operator(spec, plan.pencil_ix[sl], plan.pencil_iy[sl])
         if out.shape != spec.shape:
             raise ShapeError(
                 f"pointwise operator returned {out.shape} for a {spec.shape} batch"
@@ -263,7 +237,7 @@ class LocalConvolution:
         comps = 1 if sub.ndim == 3 else sub.shape[0]
         k = sub.shape[-1]  # slab keeps the z extent spatial
         cz = corner[2]
-        rows = plan.slab_rows  # n, or n//2+1 on the Hermitian fast path
+        rows = plan.slab_rows  # n//2+1: the half spectrum
         cbytes = COMPLEX_BYTES * comps
 
         with self._charge("slab", cbytes * rows * n * k):
@@ -294,11 +268,10 @@ class LocalConvolution:
                     with self._charge("y_full_plane", y_full):
                         yred = plan.idft_y(zred.reshape(comps * rows, n, sz))
                     # Inverse x stage, pruned to the retained x coordinates
-                    # (Hermitian-aware on the fast path: real output, its
-                    # stacked operand built in the spent z-stage buffer).
+                    # (Hermitian-aware: real output, its stacked operand
+                    # built in the spent z-stage buffer).
                     sx = plan.mx
-                    out_bytes = REAL_BYTES if plan.hermitian else COMPLEX_BYTES
-                    with self._charge("x_sampled", out_bytes * comps * sx * sy * sz):
+                    with self._charge("x_sampled", REAL_BYTES * comps * sx * sy * sz):
                         boxes = [
                             plan.idft_x(comp, work=work)
                             for comp, work in zip(

@@ -73,7 +73,8 @@ class LowCommConvolution3D:
     k:
         Sub-domain edge (must divide ``n``).
     kernel_spectrum:
-        Dense ``n^3`` spectrum, on-the-fly pencil callable, or a
+        Dense real, centrosymmetric ``n^3`` spectrum (anything else is a
+        :class:`~repro.errors.ConfigurationError`, paper §3.1), or a
         :class:`~repro.core.local_conv.PencilOperator` (tensor-valued
         fields enter through :meth:`convolve_chunks`, not ``run_*``).
     policy:
@@ -82,10 +83,6 @@ class LowCommConvolution3D:
         z-pencil batch size.
     memory:
         Optional tracker charged by every local convolution.
-    real_kernel:
-        Hermitian fast-path control, forwarded to
-        :class:`~repro.core.local_conv.LocalConvolution` (``None`` =
-        auto-detect for dense spectra).
     plans:
         Optional shared :class:`~repro.fft.pruned_plan.PlanCache`.  A
         long-lived caller (the standing rank pool) passes its
@@ -102,7 +99,6 @@ class LowCommConvolution3D:
         policy: Optional[SamplingPolicy] = None,
         batch: Optional[int] = None,
         memory: Optional[MemoryTracker] = None,
-        real_kernel: Optional[bool] = None,
         plans: Optional[PlanCache] = None,
     ):
         self.decomposition = DomainDecomposition(n=n, k=k)
@@ -114,7 +110,6 @@ class LowCommConvolution3D:
             policy=self.policy,
             batch=batch,
             memory=memory,
-            real_kernel=real_kernel,
             plans=plans,
         )
 

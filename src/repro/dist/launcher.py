@@ -48,6 +48,7 @@ from repro.dist.worker import (
     exchange_entries,
 )
 from repro.errors import ConfigurationError
+from repro.kernels.properties import check_hermitian_real
 from repro.octree.compress import CompressedField
 from repro.util.clock import Clock, MonotonicClock
 
@@ -342,10 +343,15 @@ def dist_run(
 
     ``field`` defaults to the CLI's composite input for ``config.seed``;
     ``spectrum`` defaults to a Gaussian kernel of width ``config.sigma``,
-    which every rank evaluates for itself — no kernel bytes travel.
-    ``clock`` is the driver's time source (deadlines and ``elapsed_s``).
+    which every rank evaluates for itself — no kernel bytes travel; a
+    given spectrum must be real and centrosymmetric (paper §3.1), or
+    :class:`~repro.errors.ConfigurationError` is raised before any rank
+    starts.  ``clock`` is the driver's time source (deadlines and
+    ``elapsed_s``).
     """
     clock = clock if clock is not None else MonotonicClock()
+    if spectrum is not None:
+        check_hermitian_real(spectrum)
     if field is None:
         field = composite_field(config.n, config.seed)
     field = np.asarray(field, dtype=np.float64)

@@ -122,7 +122,6 @@ class DistConfig:
     policy: str = "banded"
     precision: str = "float64"
     batch: Optional[int] = None
-    real_kernel: Optional[bool] = None
     num_ranks: int = 2
     transport: str = "local"
     seed: int = 0
@@ -245,7 +244,6 @@ def build_pipeline(
         default_spectrum(config) if spectrum is None else spectrum,
         policy=parse_policy(config.policy),
         batch=config.batch,
-        real_kernel=config.real_kernel,
         plans=plans,
     )
 

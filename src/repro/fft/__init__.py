@@ -9,8 +9,8 @@ boundaries are what this package provides:
 - :mod:`repro.fft.pruned` — the pruned-input staged 3D transform of the
   paper's Step 2: a k^3 cube is transformed to an N x N x k slab (x,y
   stages) and then pencil-batched in z, never materializing the padded
-  input.  Includes the Hermitian (rfft-based) half-spectrum variants and
-  the reusable :class:`~repro.fft.pruned.PadScratch` pad buffers.
+  input.  The slab is the Hermitian (rfft-based) half spectrum; the
+  module also holds the reusable :class:`~repro.fft.pruned.PadScratch` pad buffers.
 - :mod:`repro.fft.pruned_plan` — :class:`~repro.fft.pruned_plan.PrunedPlan`
   precomputes all data-independent state of a pruned staged convolution
   (the per-axis inverse strategy — partial-iDFT GEMM or inverse FFT + take
@@ -32,7 +32,6 @@ from repro.fft.pruned import (
     pruned_input_fft,
     pruned_input_rfft,
     rslab_from_subcube,
-    slab_from_subcube,
 )
 from repro.fft.pruned_plan import (
     FFT_CROSSOVER,
@@ -50,7 +49,6 @@ __all__ = [
     "pencil_batches",
     "pruned_input_fft",
     "pruned_input_rfft",
-    "slab_from_subcube",
     "rslab_from_subcube",
     "partial_idft",
     "partial_idft_matrix",

@@ -6,10 +6,11 @@ materialized:
 
 1. **Slab stage** — 1D FFTs along x then y, padding only the 1D pencils
    ("Zero structure is implicit in the 1D calls, so padding is applied to
-   the 1D data, and not to the full 3D array").  The result is an
-   ``N x N x k`` complex slab, the paper's ``8 * N * N * k`` byte working
-   set (Table 1).
-2. **Pencil stage** — the slab's ``N^2`` z-pencils (each with only ``k``
+   the 1D data, and not to the full 3D array").  The input is real, so
+   the x stage is an rfft and the result is the ``(N//2 + 1) x N x k``
+   half slab, about half the paper's ``8 * N * N * k`` byte working set
+   (Table 1).
+2. **Pencil stage** — the slab's z-pencils (each with only ``k``
    non-zero entries) are transformed in batches of ``B`` (the paper's batch
    parameter, §5.4), giving full-length z spectra batch by batch so the
    ``N^3`` spectrum never exists at once.
@@ -137,7 +138,7 @@ def pruned_input_rfft(
     """Real-input variant of :func:`pruned_input_fft`.
 
     Returns only the ``n//2 + 1`` non-redundant coefficients along
-    ``axis`` — the entry stage of the Hermitian fast path, which halves
+    ``axis`` — the entry stage of the half-spectrum slab, which halves
     the slab working set for real fields.
     """
     x = np.asarray(x)
@@ -147,27 +148,6 @@ def pruned_input_rfft(
     _check_pad_bounds(x.shape[axis], offset, n)
     scratch = scratch if scratch is not None else PadScratch()
     return np.fft.rfft(scratch.padded(x, offset, n, axis), axis=axis)
-
-
-def slab_from_subcube(
-    sub: np.ndarray,
-    corner: Sequence[int],
-    n: int,
-    scratch: Optional[PadScratch] = None,
-) -> np.ndarray:
-    """Transform a sub-cube to an ``n x n x k`` slab (x and y stages).
-
-    Returns the complex slab ``S[fx, fy, z]`` where ``z`` indexes the ``k``
-    still-spatial planes of the sub-domain (their absolute z position,
-    ``corner[2]``, is applied at the pencil stage).  Leading axes of
-    ``sub`` (a stack of components over the same box) pass through.
-    """
-    sub = np.asarray(sub)
-    if sub.ndim < 3:
-        raise ShapeError(f"sub-domain must be rank 3 or more, got ndim={sub.ndim}")
-    cx, cy, _cz = (int(c) for c in corner)
-    stage_x = pruned_input_fft(sub, cx, n, axis=-3, scratch=scratch)
-    return pruned_input_fft(stage_x, cy, n, axis=-2, scratch=scratch)
 
 
 def rslab_from_subcube(
@@ -182,8 +162,11 @@ def rslab_from_subcube(
     ``fx`` rows are kept; the y stage is the usual complex pruned-input
     FFT.  The full slab is recoverable from 3D Hermitian symmetry
     ``S[-fx, -fy, z] = conj(S[fx, fy, z])``, so downstream stages operate
-    on half the pencils — the Hermitian fast path's 2x saving.  Leading
-    axes of ``sub`` pass through, as in :func:`slab_from_subcube`.
+    on half the pencils, half the work of a full complex slab.  ``z``
+    indexes the ``k`` still-spatial planes of the sub-domain (their
+    absolute z position, ``corner[2]``, is applied at the pencil stage),
+    and leading axes of ``sub`` (a stack of components over the same box)
+    pass through.
     """
     sub = np.asarray(sub)
     if sub.ndim < 3:

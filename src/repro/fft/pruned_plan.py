@@ -10,22 +10,18 @@ thousands-of-ints tuples).  This is the plan-reuse lever distributed FFT
 libraries (FFTW wisdom, cuFFT plans, P3DFFT setup) get their constant
 factors from, applied to the paper's pruned transforms.
 
-A plan comes in two flavours:
-
-- complex (default): the slab keeps all ``n`` x-frequency rows and the
-  final x stage is a full partial iDFT;
-- Hermitian (``hermitian=True``): for real fields under a real-spectrum
-  kernel, the x stage is rfft-based, only the ``n//2 + 1`` non-redundant
-  pencil rows flow through the z stage and pointwise multiply, and the
-  final x stage folds the conjugate mirror back in analytically
-  (:func:`repro.fft.pruned.hermitian_real_idft_matrix`) — roughly
-  halving both flops and the ``8*N*N*k`` slab working set of Table 1.
+Every plan is Hermitian: fields are real and kernel spectra real and
+centrosymmetric (paper §3.1), so the x stage is rfft-based, only the
+``n//2 + 1`` non-redundant pencil rows flow through the z stage and
+pointwise multiply, and the final x stage folds the conjugate mirror back
+in analytically (:func:`repro.fft.pruned.hermitian_real_idft_matrix`) —
+half the flops and half the ``8*N*N*k`` slab working set of Table 1.
 
 **Inverse-stage strategy.**  A pruned inverse to ``m`` of ``n`` outputs is
 either a partial-iDFT GEMM (``8*n*m`` flops a pencil) or a full inverse
 FFT followed by a take of the ``m`` retained coordinates
 (``5*n*log2(n)`` flops whatever ``m`` is).  :func:`inverse_strategy`
-picks per axis, once, at plan build, from ``(n, m, hermitian)`` alone —
+picks per axis, once, at plan build, from ``(n, m)`` alone —
 never from a timing, because every process that computes part of one
 result (pool ranks, the server, ``run_serial``) must pick the same
 arithmetic for cross-mode results to stay bitwise identical.  The choice
@@ -49,7 +45,6 @@ from repro.fft.pruned import (
     hermitian_real_idft_matrix,
     partial_idft_matrix,
     rslab_from_subcube,
-    slab_from_subcube,
     zstage_batch,
 )
 from repro.util.validation import check_positive_int
@@ -64,36 +59,27 @@ FFT_CROSSOVER = 5.5
 
 
 class InverseStrategy(NamedTuple):
-    """How each pruned inverse stage of a plan is computed.
+    """How the pruned z and y inverse stages of a plan are computed.
 
-    ``z`` and ``y`` are ``"gemm"`` (partial-iDFT matrix product) or
-    ``"fft"`` (full inverse FFT, then take the retained coordinates);
-    ``x`` is ``"real_gemm"`` on a Hermitian plan (one real product folding
-    the conjugate mirror in) and ``"gemm"`` on a complex one.
+    Each is ``"gemm"`` (partial-iDFT matrix product) or ``"fft"`` (full
+    inverse FFT, then take the retained coordinates).  The x stage has
+    one form: a real GEMM on the half-spectrum rows that folds the
+    conjugate mirror in.
     """
 
     z: str
     y: str
-    x: str
 
 
-def inverse_strategy(
-    n: int, mx: int, my: int, mz: int, hermitian: bool
-) -> InverseStrategy:
+def inverse_strategy(n: int, my: int, mz: int) -> InverseStrategy:
     """The strategy a plan of this shape uses: a pure function of its
-    arguments, so every process building the plan gets the same answer.
-
-    The x stage has one form per flavour: no benchmark workload runs a
-    complex plan, so nothing justifies a second one there.
-    """
+    arguments, so every process building the plan gets the same answer."""
     threshold = FFT_CROSSOVER * math.log2(n)
 
     def pick(m: int) -> str:
         return "fft" if m > threshold else "gemm"
 
-    return InverseStrategy(
-        z=pick(mz), y=pick(my), x="real_gemm" if hermitian else "gemm"
-    )
+    return InverseStrategy(z=pick(mz), y=pick(my))
 
 
 class PrunedPlan:
@@ -105,8 +91,6 @@ class PrunedPlan:
         Global grid edge.
     coords_x, coords_y, coords_z:
         Retained output coordinates per axis (the pattern's axis sets).
-    hermitian:
-        Build the half-spectrum (real-kernel) variant.
     scratch:
         Pad-buffer scratch to use; plans from one :class:`PlanCache`
         share a single scratch so congruent stages reuse buffers.
@@ -118,22 +102,19 @@ class PrunedPlan:
         coords_x: Sequence[int],
         coords_y: Sequence[int],
         coords_z: Sequence[int],
-        hermitian: bool = False,
         scratch: Optional[PadScratch] = None,
     ):
         self.n = check_positive_int(n, "n")
-        self.hermitian = bool(hermitian)
         self.scratch = scratch if scratch is not None else PadScratch()
         self.coords_x = _coords_array(coords_x, n)
         self.coords_y = _coords_array(coords_y, n)
         self.coords_z = _coords_array(coords_z, n)
-        self._set_strategy(
-            inverse_strategy(n, self.mx, self.my, self.mz, self.hermitian)
-        )
-        # Pencil bookkeeping: the slab flattens to (slab_rows * n, k) and
-        # the kernel lookup needs each pencil's (fx, fy) — hoisted here
-        # instead of a divmod per convolve call.
-        self.slab_rows = half_length(n) if self.hermitian else n
+        self.mat_x = hermitian_real_idft_matrix(n, self.coords_x)
+        self._set_strategy(inverse_strategy(n, self.my, self.mz))
+        # Pencil bookkeeping: the half slab flattens to (slab_rows * n, k)
+        # and a pencil operator needs each pencil's (fx, fy) — hoisted
+        # here instead of a divmod per convolve call.
+        self.slab_rows = half_length(n)
         self.num_pencils = self.slab_rows * n
         self.pencil_ix, self.pencil_iy = np.divmod(
             np.arange(self.num_pencils, dtype=np.intp), n
@@ -152,10 +133,6 @@ class PrunedPlan:
         self.mat_y = (
             partial_idft_matrix(n, self.coords_y) if strategy.y == "gemm" else None
         )
-        if strategy.x == "real_gemm":
-            self.mat_x = hermitian_real_idft_matrix(n, self.coords_x)
-        else:
-            self.mat_x = partial_idft_matrix(n, self.coords_x)
 
     # -- sizes ---------------------------------------------------------------
     @property
@@ -172,11 +149,9 @@ class PrunedPlan:
 
     # -- forward stages ------------------------------------------------------
     def forward_slab(self, sub: np.ndarray, corner: Sequence[int]) -> np.ndarray:
-        """x/y stages: ``(slab_rows, n, k)`` slab (half rows if Hermitian);
-        leading component axes of ``sub`` pass through."""
-        if self.hermitian:
-            return rslab_from_subcube(sub, corner, self.n, scratch=self.scratch)
-        return slab_from_subcube(sub, corner, self.n, scratch=self.scratch)
+        """x/y stages: the ``(slab_rows, n, k)`` half slab; leading
+        component axes of ``sub`` pass through."""
+        return rslab_from_subcube(sub, corner, self.n, scratch=self.scratch)
 
     def zstage(self, slab_rows: np.ndarray, corner_z: int) -> np.ndarray:
         """Forward z transform of a pencil batch (plan-owned pad buffer)."""
@@ -216,27 +191,24 @@ class PrunedPlan:
         return np.matmul(self.mat_y, arr)
 
     def idft_x(self, arr: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
-        """Partial inverse of a ``(slab_rows, my, mz)`` array along axis 0
-        to the retained x coords, as a C-contiguous ``(mx, my, mz)`` box.
+        """Partial inverse of a ``(slab_rows, my, mz)`` half-spectrum array
+        along axis 0 to the retained x coords, as a C-contiguous real
+        ``(mx, my, mz)`` box.
 
-        Hermitian plans consume the half-spectrum rows and return the
-        *real* result box directly, from one real GEMM on the real and
-        imaginary parts stacked as rows; ``work`` is an optional complex
-        buffer of at least ``arr.size`` elements to stack them in (the
-        caller's spent z-stage output, say) instead of a fresh allocation.
-        Complex plans return a complex box.
+        One real GEMM on the real and imaginary parts stacked as rows;
+        ``work`` is an optional complex buffer of at least ``arr.size``
+        elements to stack them in (the caller's spent z-stage output, say)
+        instead of a fresh allocation.
         """
         flat = arr.reshape(arr.shape[0], -1)
-        if self.hermitian:
-            rows, width = flat.shape
-            if work is None:
-                work = np.empty(flat.size, dtype=np.complex128)
-            stacked = work.reshape(-1).view(np.float64)[: 2 * flat.size]
-            stacked = stacked.reshape(2 * rows, width)
-            stacked[:rows] = flat.real
-            stacked[rows:] = flat.imag
-            flat = stacked
-        return np.matmul(self.mat_x, flat).reshape((self.mx,) + arr.shape[1:])
+        rows, width = flat.shape
+        if work is None:
+            work = np.empty(flat.size, dtype=np.complex128)
+        stacked = work.reshape(-1).view(np.float64)[: 2 * flat.size]
+        stacked = stacked.reshape(2 * rows, width)
+        stacked[:rows] = flat.real
+        stacked[rows:] = flat.imag
+        return np.matmul(self.mat_x, stacked).reshape((self.mx,) + arr.shape[1:])
 
 
 def _digest(coords: np.ndarray) -> bytes:
@@ -278,20 +250,17 @@ class PlanCache:
         coords_x: Sequence[int],
         coords_y: Sequence[int],
         coords_z: Sequence[int],
-        hermitian: bool = False,
     ) -> PrunedPlan:
         """Fetch (or build) the plan for one configuration."""
         cx = _coords_array(coords_x, n)
         cy = _coords_array(coords_y, n)
         cz = _coords_array(coords_z, n)
-        key = (n, bool(hermitian), _digest(cx), _digest(cy), _digest(cz))
+        key = (n, _digest(cx), _digest(cy), _digest(cz))
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
                 self.misses += 1
-                plan = PrunedPlan(
-                    n, cx, cy, cz, hermitian=hermitian, scratch=self.scratch
-                )
+                plan = PrunedPlan(n, cx, cy, cz, scratch=self.scratch)
                 if len(self._plans) >= self.max_plans:
                     self._plans.popitem(last=False)
                 self._plans[key] = plan

@@ -29,7 +29,7 @@ from repro.kernels.properties import (
     decay_profile,
     effective_support_radius,
     fit_power_law_decay,
-    spectrum_is_real,
+    spectrum_is_hermitian_real,
 )
 
 __all__ = [
@@ -44,5 +44,5 @@ __all__ = [
     "decay_profile",
     "effective_support_radius",
     "fit_power_law_decay",
-    "spectrum_is_real",
+    "spectrum_is_hermitian_real",
 ]

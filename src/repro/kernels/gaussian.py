@@ -56,8 +56,12 @@ class GaussianKernel:
         centered kernel directly would also give a real spectrum but would
         translate every convolution output by N/2 per axis, putting the
         energy where the adaptive pattern is sparsest.
+
+        The result is an owned, C-contiguous float64 array (``8 n^3``
+        bytes): the real part is copied out so the complex transform it
+        came from is freed, not kept alive behind a strided view.
         """
-        return np.real(np.fft.fftn(np.fft.ifftshift(self.spatial())))
+        return np.fft.fftn(np.fft.ifftshift(self.spatial())).real.copy()
 
     def convolve_dense(  # repro-lint: disable=DEAD001 oracle of test_kernels.py::TestGaussianKernel
         self, field: np.ndarray

@@ -207,8 +207,8 @@ def gamma_pencil_operator(
     ``tau``'s :data:`SYM_COMPONENTS` over ``B`` pencils (x / y frequency
     indices ``ix``, ``iy``) to those of ``Gamma_hat : tau``, Eq 3 evaluated
     from the pencil's frequencies.  ``Gamma_hat`` is real and even in
-    ``xi``, which is what ``real_kernel=True`` asks of an operator given to
-    :class:`~repro.core.local_conv.LocalConvolution`.
+    ``xi``, which is what :class:`~repro.core.local_conv.LocalConvolution`
+    asks of an operator (it commutes with the conjugate mirror).
     """
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     xi_z = freqs.reshape(1, n)

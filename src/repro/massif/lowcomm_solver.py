@@ -98,7 +98,6 @@ class LowCommMassifSolver(MassifSolver):
             PencilOperator(gamma_pencil_operator(self.reference, n)),
             policy=self.policy,
             batch=batch,
-            real_kernel=True,
         )
         self.decomposition = self.pipeline.decomposition
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
 from multiprocessing.connection import Listener
 from typing import Callable, List, Optional
 
@@ -32,7 +34,7 @@ from repro.pool.rendezvous import (
 )
 from repro.util.clock import Clock
 
-__all__ = ["PoolAgent", "agent_main", "spawn_local_agents"]
+__all__ = ["PoolAgent", "agent_main", "spawn_local_agents", "start_detached_agents"]
 
 
 class PoolAgent(RankAgent):
@@ -112,9 +114,9 @@ def spawn_local_agents(
 ) -> List[multiprocessing.Process]:
     """Fork ``count`` agent processes joined to one rendezvous.
 
-    The in-process spawn path used by tests, benchmarks, and
-    ``RankPool.spawn`` — the CLI uses detached subprocesses instead so
-    agents outlive the ``pool up`` command.
+    The spawn path of tests, benchmarks and ``RankPool.spawn``: the
+    agents are daemon children and end with the process that forked them
+    (see :func:`start_detached_agents` for agents that must outlive it).
     """
     ctx = mp_context()
     procs = []
@@ -125,3 +127,34 @@ def spawn_local_agents(
         proc.start()
         procs.append(proc)
     return procs
+
+
+def start_detached_agents(
+    rendezvous_url: str,
+    count: int,
+    host: str = "127.0.0.1",
+) -> None:
+    """Start ``count`` agent processes in their own sessions.
+
+    Unlike :func:`spawn_local_agents` these outlive the starting process:
+    ``pool up`` starts its agents here, and so does a controller that
+    replaces a dead member of a pool it did not spawn, so the replacement
+    stays for the next controller and ``pool down`` stops it.
+    """
+    for _ in range(count):
+        subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "pool",
+                "agent",
+                "--rendezvous",
+                rendezvous_url,
+                "--host",
+                host,
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )

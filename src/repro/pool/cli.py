@@ -25,7 +25,6 @@ match ``run_serial`` bitwise — and **2** bad arguments or configuration
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from typing import List, Optional
 
@@ -103,28 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _up(args: argparse.Namespace) -> int:
+    from repro.pool.agent import start_detached_agents
     from repro.pool.rendezvous import parse_rendezvous, wait_for_cards
 
     rendezvous = parse_rendezvous(args.rendezvous)
     existing = tuple(c.agent_id for c in rendezvous.cards())
-    for _ in range(args.ranks):
-        # detached: the agents must outlive this command
-        subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "pool",
-                "agent",
-                "--rendezvous",
-                args.rendezvous,
-                "--host",
-                args.host,
-            ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            start_new_session=True,
-        )
+    # detached: the agents must outlive this command
+    start_detached_agents(args.rendezvous, args.ranks, host=args.host)
     cards = wait_for_cards(
         rendezvous, args.ranks, timeout_s=args.timeout, exclude=existing
     )

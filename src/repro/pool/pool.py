@@ -45,7 +45,7 @@ from repro.dist.launcher import (
 from repro.dist.runtime import SpmdOutcome, control_reply, form_mesh, run_job
 from repro.dist.worker import DistConfig, composite_field
 from repro.errors import ConfigurationError, PoolError, ReproError
-from repro.pool.agent import spawn_local_agents
+from repro.pool.agent import spawn_local_agents, start_detached_agents
 from repro.pool.membership import Roster, fence_generation
 from repro.pool.rendezvous import (
     AgentCard,
@@ -349,7 +349,12 @@ class RankPool:
         )
 
     def _replacement_card(self) -> AgentCard:
-        """A spare agent's card: prefer rendezvous spares, else spawn one."""
+        """A spare agent's card: prefer rendezvous spares, else start one.
+
+        A pool this controller spawned gets a child like its members; a
+        pool started elsewhere (``pool up``) gets a detached agent, which
+        outlives this controller as the members it replaces do.
+        """
         roster = self._require_roster()
         members = set(roster.agent_ids())
         spares = [
@@ -357,7 +362,10 @@ class RankPool:
         ]
         if spares:
             return spares[0]
-        self.spawn(1)
+        if self._procs:
+            self.spawn(1)
+        else:
+            start_detached_agents(self.rendezvous.describe(), 1)
         fresh = wait_for_cards(
             self.rendezvous,
             1,

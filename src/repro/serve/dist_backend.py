@@ -160,7 +160,6 @@ class PoolBackend:
             k=request.k,
             policy=policy_spec(request.policy),
             batch=request.batch,
-            real_kernel=request.real_kernel,
             num_ranks=roster.size,
             transport="tcp",
         )

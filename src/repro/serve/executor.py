@@ -9,7 +9,7 @@ fixed costs a naive one-request-at-a-time service rebuilds every time.
 
 Each request is one
 :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial` on the warm
-pipeline (Hermitian fast path auto-detected), so results are bitwise
+pipeline, so results are bitwise
 identical to a direct ``run_serial`` on the same input.  Serving on many
 cores is :class:`~repro.serve.dist_backend.PoolBackend`, which runs each
 request as a job on a standing rank pool.
@@ -66,15 +66,13 @@ class BatchExecutor:
         if engine is not None:
             self._engines.move_to_end(key)
             return engine
-        n, k, kernel_name, policy, real_kernel, batch = key
+        n, k, kernel_name, policy, batch = key
         spectrum = self._kernels.get(kernel_name)
         if spectrum is None:
             raise ConfigurationError(
                 f"kernel {kernel_name!r} is not registered with the server"
             )
-        engine = LowCommConvolution3D(
-            n, k, spectrum, policy, batch=batch, real_kernel=real_kernel
-        )
+        engine = LowCommConvolution3D(n, k, spectrum, policy, batch=batch)
         while len(self._engines) >= self.max_engines:
             self._engines.popitem(last=False)
         self._engines[key] = engine

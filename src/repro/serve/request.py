@@ -56,9 +56,9 @@ TERMINAL_STATES = frozenset(
     }
 )
 
-#: Batching compatibility key: (n, k, kernel name, policy, real_kernel,
-#: pencil batch).  Requests sharing it share patterns and plans.
-CompatKey = Tuple[int, int, str, SamplingPolicy, Optional[bool], Optional[int]]
+#: Batching compatibility key: (n, k, kernel name, policy, pencil batch).
+#: Requests sharing it share patterns and plans.
+CompatKey = Tuple[int, int, str, SamplingPolicy, Optional[int]]
 
 class RequestHandle:
     """Caller-side future for one submitted request.
@@ -151,7 +151,6 @@ class ConvolutionRequest:
     k: int
     kernel: str
     policy: SamplingPolicy
-    real_kernel: Optional[bool]
     batch: Optional[int]
     submitted_at: float
     deadline: Optional[float]  # absolute clock time, None = no deadline
@@ -163,14 +162,7 @@ class ConvolutionRequest:
     @property
     def compat_key(self) -> CompatKey:
         """Batching key: requests sharing it may run in one batch."""
-        return (
-            self.n,
-            self.k,
-            self.kernel,
-            self.policy,
-            self.real_kernel,
-            self.batch,
-        )
+        return (self.n, self.k, self.kernel, self.policy, self.batch)
 
     def expired(self, now: float) -> bool:
         """True once the deadline (if any) has passed."""

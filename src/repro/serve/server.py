@@ -47,6 +47,7 @@ from repro.errors import (
     ServiceError,
     ShapeError,
 )
+from repro.kernels.properties import check_hermitian_real
 from repro.serve.executor import BatchExecutor, FaultHook
 from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import ConvolutionRequest, RequestHandle, RequestState
@@ -153,13 +154,19 @@ class ConvolutionServer:
 
     # -- configuration -------------------------------------------------------
     def register_kernel(self, name: str, spectrum: np.ndarray) -> None:
-        """Register a dense kernel spectrum requests can refer to by name."""
+        """Register a dense kernel spectrum requests can refer to by name.
+
+        The spectrum must be real and centrosymmetric (paper §3.1): one
+        that is not raises :class:`~repro.errors.ConfigurationError` here,
+        not in every request that names it.
+        """
         spectrum = np.asarray(spectrum)
         if spectrum.shape != (self.config.n,) * 3:
             raise ShapeError(
                 f"kernel {name!r} spectrum shape {spectrum.shape} != "
                 f"({self.config.n},)*3"
             )
+        check_hermitian_real(spectrum, f"kernel {name!r}")
         with self._lock:
             self._kernels[name] = spectrum
 
@@ -170,7 +177,6 @@ class ConvolutionServer:
         kernel: str,
         policy: Optional[SamplingPolicy] = None,
         timeout_s: Optional[float] = None,
-        real_kernel: Optional[bool] = None,
     ) -> RequestHandle:
         """Submit one convolution; returns immediately with a handle.
 
@@ -191,7 +197,6 @@ class ConvolutionServer:
             k=cfg.k,
             kernel=kernel,
             policy=policy or cfg.default_policy,
-            real_kernel=real_kernel,
             batch=cfg.batch,
             submitted_at=now,
             deadline=(now + timeout_s) if timeout_s is not None else None,

@@ -1,5 +1,5 @@
-"""Shared utilities: validation, array helpers, logging, the injectable
-clock (:mod:`repro.util.clock`) and the metrics registry
+"""Shared utilities: validation, array helpers, the injectable clock
+(:mod:`repro.util.clock`) and the metrics registry
 (:mod:`repro.util.metrics`)."""
 
 from repro.util.validation import (

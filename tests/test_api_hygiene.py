@@ -167,7 +167,7 @@ def _imports(path):
 def test_use_cases_reach_the_stages_through_the_plan():
     """``massif/`` runs the staged transform through
     ``LocalConvolution`` / ``PrunedPlan``: importing a stage primitive
-    (``partial_idft``, ``zstage_batch``, ``slab_from_subcube``, ...) is how
+    (``partial_idft``, ``zstage_batch``, ``rslab_from_subcube``, ...) is how
     a hand copy of the pipeline starts."""
     from repro.fft import pruned
 

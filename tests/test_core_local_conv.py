@@ -78,13 +78,18 @@ class TestCompressedPath:
         assert l2_relative_error(rec, ref) < 0.03  # the paper's band
 
     def test_on_the_fly_kernel_callable(self, setup16):
+        """A kernel evaluated pencil by pencil is an operator multiplying
+        by the pencils it looks up."""
         n, k, spec, sub = setup16
 
-        def pencils(ix, iy):
-            return spec[ix, iy, :]
+        def pencils(batch, ix, iy):
+            batch *= spec[ix, iy, :]
+            return batch
 
         lc_arr = LocalConvolution(n, spec, SamplingPolicy.flat_rate(2), batch=16)
-        lc_fn = LocalConvolution(n, pencils, SamplingPolicy.flat_rate(2), batch=16)
+        lc_fn = LocalConvolution(
+            n, PencilOperator(pencils), SamplingPolicy.flat_rate(2), batch=16
+        )
         cf1 = lc_arr.convolve(sub, (4, 4, 4))
         cf2 = lc_fn.convolve(sub, (4, 4, 4))
         np.testing.assert_allclose(cf1.values, cf2.values, atol=1e-12)
@@ -155,7 +160,7 @@ class TestMemoryCharging:
         sets = [cf.pattern.axis_coordinate_set(axis) for axis in range(3)]
         m = len(sets[0])
         assert all(len(retained) == m for retained in sets)
-        plan = lc.plans.get(n, *sets, hermitian=True)  # a hit: the plan it ran
+        plan = lc.plans.get(n, *sets)  # a hit: the plan it ran
         assert lc.plans.misses == 1 and mt.current_bytes == 0
         return mt, m, plan.strategy
 
@@ -165,7 +170,7 @@ class TestMemoryCharging:
         real GEMM stacks its operand in the spent z buffer, not a new one."""
         n, k = 32, 8
         mt, m, strategy = self._tracked(n, k, (8, 16, 8), batch=None)
-        assert strategy == ("gemm", "gemm", "real_gemm")
+        assert strategy == ("gemm", "gemm")
         rows = n // 2 + 1
         expected = 16 * rows * n * k + 16 * rows * n * m + 16 * rows * m * m + 8 * m**3
         assert mt.peak_bytes == expected == 477952
@@ -179,7 +184,7 @@ class TestMemoryCharging:
         y stage, both on the ledger."""
         n, k = 64, 16
         mt, m, strategy = self._tracked(n, k, (16, 32, 16), batch=batch)
-        assert m == 42 and strategy == ("fft", "fft", "real_gemm")
+        assert m == 42 and strategy == ("fft", "fft")
         rows = n // 2 + 1
         slab, zred = 16 * rows * n * k, 16 * rows * n * m
         yred, box = 16 * rows * m * m, 8 * m**3
@@ -277,8 +282,8 @@ def _single_component_oracle(lc, spectrum, sub, corner):
     n = lc.n
     pattern = lc.policy.pattern_for(n, sub.shape[0], corner)
     sets = [pattern.axis_coordinate_set(axis) for axis in range(3)]
-    plan = lc.plans.get(n, *sets, hermitian=lc.real_kernel)
-    kernel = (np.real(spectrum) if lc.real_kernel else spectrum).reshape(n * n, n)
+    plan = lc.plans.get(n, *sets)
+    kernel = spectrum.reshape(n * n, n)
     k = sub.shape[2]
     flat = plan.forward_slab(sub, corner).reshape(plan.num_pencils, k)
     zred = np.empty((plan.num_pencils, plan.mz), dtype=np.complex128)
@@ -295,7 +300,7 @@ class TestComponentAxis:
     """The transform is tensor-valued; one component is the old scalar
     path bit for bit, and a stack is its components side by side."""
 
-    #: policy x (GEMM-, FFT-strategy shape); each runs Hermitian and complex
+    #: policy x (GEMM-, FFT-strategy shape)
     SHAPES = [
         ("flat:2", 32, 8, (8, 16, 8), "gemm"),
         ("flat:2", 64, 16, (16, 32, 16), "fft"),
@@ -304,39 +309,42 @@ class TestComponentAxis:
     ]
 
     @staticmethod
-    def _conv(policy, n, real_kernel, **kwargs):
+    def _conv(policy, n, **kwargs):
         spectrum = GaussianKernel(n=n, sigma=2.0).spectrum()
-        lc = LocalConvolution(
-            n, spectrum, parse_policy(policy), real_kernel=real_kernel, **kwargs
-        )
+        lc = LocalConvolution(n, spectrum, parse_policy(policy), **kwargs)
         return lc, spectrum
 
-    @pytest.mark.parametrize("real_kernel", [True, False], ids=["hermitian", "complex"])
     @pytest.mark.parametrize("policy,n,k,corner,form", SHAPES)
-    def test_scalar_path_unchanged(self, policy, n, k, corner, form, real_kernel, rng):
+    def test_scalar_path_unchanged(self, policy, n, k, corner, form, rng):
         sub = rng.standard_normal((k, k, k))
         mt = MemoryTracker()
-        lc, spectrum = self._conv(policy, n, real_kernel, batch=48, memory=mt)
+        lc, spectrum = self._conv(policy, n, batch=48, memory=mt)
         got = lc.convolve(sub, corner)
         peak = mt.peak_bytes
         plan, expected = _single_component_oracle(lc, spectrum, sub, corner)
-        assert plan.strategy[:2] == (form, form)
+        assert plan.strategy == (form, form)
         assert got.values.dtype == expected.dtype
         assert np.array_equal(got.values, expected)
+        # and the half-spectrum path is the exact convolution at the samples
+        exact = reference_subdomain_convolve(sub, corner, spectrum)
+        sc = got.pattern.sample_coords
+        scale = float(np.max(np.abs(exact)))
+        np.testing.assert_allclose(
+            got.values, exact[sc[:, 0], sc[:, 1], sc[:, 2]], rtol=1e-10, atol=1e-10 * scale
+        )
         # the same block as a stack of one: same bytes, same tracked peak
         (stacked,) = lc.convolve(sub[None], corner)
         assert np.array_equal(stacked.values, expected)
         assert mt.peak_bytes == peak and mt.current_bytes == 0
 
-    @pytest.mark.parametrize("real_kernel", [True, False], ids=["hermitian", "complex"])
     @pytest.mark.parametrize("policy,n,k,corner,form", SHAPES[:2])
     def test_stack_equals_separate_calls_bitwise(
-        self, policy, n, k, corner, form, real_kernel, rng
+        self, policy, n, k, corner, form, rng
     ):
         """Every stage keeps the per-component GEMM / FFT shapes, so a
         shared scalar kernel over C components is C one-component calls."""
         subs = rng.standard_normal((3, k, k, k))
-        lc, _spectrum = self._conv(policy, n, real_kernel, batch=40)
+        lc, _spectrum = self._conv(policy, n, batch=40)
         stacked = lc.convolve(subs, corner)
         assert len(stacked) == 3
         for sub, field in zip(subs, stacked):
@@ -351,7 +359,7 @@ class TestComponentAxis:
         peaks = []
         for comps in (1, 4):
             mt = MemoryTracker()
-            lc, _ = self._conv("flat:2", n, True, memory=mt)
+            lc, _ = self._conv("flat:2", n, memory=mt)
             lc.convolve(np.ones((comps, k, k, k)), corner)
             peaks.append(mt.peak_bytes)
         assert peaks[1] == 4 * peaks[0]  # no y_full_plane on a GEMM shape
@@ -359,8 +367,7 @@ class TestComponentAxis:
     def test_operator_multiplying_by_the_kernel_is_the_scalar_path(self, rng):
         n, k, corner = 32, 8, (0, 8, 16)
         subs = rng.standard_normal((2, k, k, k))
-        lc, spectrum = self._conv("flat:2", n, True)
-        kernel = np.real(spectrum)
+        lc, kernel = self._conv("flat:2", n)
         seen = []
 
         def multiply(spec, ix, iy):
@@ -368,10 +375,7 @@ class TestComponentAxis:
             spec *= kernel[ix, iy, :]
             return spec
 
-        op = LocalConvolution(
-            n, PencilOperator(multiply), lc.policy, real_kernel=True, batch=40
-        )
-        assert op.real_kernel
+        op = LocalConvolution(n, PencilOperator(multiply), lc.policy, batch=40)
         for a, b in zip(op.convolve(subs, corner), lc.convolve(subs, corner)):
             assert np.array_equal(a.values, b.values)
         # half-spectrum pencils, batch by batch, with their frequency rows
@@ -379,8 +383,6 @@ class TestComponentAxis:
         assert sum(shape[1] for shape, _ix, _iy in seen) == rows * n
         assert all(shape == (2, len(ix), n) for shape, ix, _iy in seen)
         assert max(ix.max() for _s, ix, _iy in seen) == rows - 1
-        # without the promise an operator runs the complex path
-        assert not LocalConvolution(n, PencilOperator(multiply), lc.policy).real_kernel
 
     def test_operator_may_mix_components(self, rng):
         n, k, corner = 16, 4, (4, 8, 0)

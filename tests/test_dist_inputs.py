@@ -368,13 +368,13 @@ def test_non_root_rank_allocates_its_blocks_not_the_field():
     is traced; it must hold its own blocks and nothing ``n^3``-sized.
 
     Rank 0 is scripted and its frames are allocated before tracing
-    starts, the kernel is already in the rank's table, and
-    ``real_kernel=False`` skips the Hermitian auto-detection (whose
-    temporaries are ``n^3`` of the *kernel*, not of the input).
+    starts, and the kernel is already in the rank's table.  The pipeline's
+    §3.1 check on that kernel walks it a few x-planes at a time, so it
+    allocates nothing ``n^3``-sized either.
     """
     n, k = 64, 8
     config = DistConfig(
-        n=n, k=k, sigma=2.0, policy="flat:4", num_ranks=2, real_kernel=False,
+        n=n, k=k, sigma=2.0, policy="flat:4", num_ranks=2,
         fail_rank=1, fail_stage="before_checkpoint",
     )
     decomp = DomainDecomposition(n=n, k=k)

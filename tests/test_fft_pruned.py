@@ -9,8 +9,9 @@ from repro.errors import ShapeError
 from repro.fft.pruned import (
     partial_idft,
     pencil_batches,
+    half_length,
     pruned_input_fft,
-    slab_from_subcube,
+    rslab_from_subcube,
     zstage_batch,
 )
 from repro.util.arrays import embed_subcube
@@ -38,18 +39,18 @@ class TestSlab:
     def test_slab_equals_padded_2d_transform(self, rng):
         sub = rng.standard_normal((3, 3, 3))
         corner = (1, 2, 0)
-        slab = slab_from_subcube(sub, corner, 8)
+        slab = rslab_from_subcube(sub, corner, 8)
         dense = embed_subcube(sub, (8, 8, 3), (1, 2, 0))
-        expected = np.fft.fft(np.fft.fft(dense, axis=0), axis=1)
+        expected = np.fft.fft(np.fft.rfft(dense, axis=0), axis=1)
         np.testing.assert_allclose(slab, expected, atol=1e-9)
 
     def test_slab_shape(self, rng):
-        slab = slab_from_subcube(rng.standard_normal((4, 4, 4)), (0, 0, 0), 16)
-        assert slab.shape == (16, 16, 4)
+        slab = rslab_from_subcube(rng.standard_normal((4, 4, 4)), (0, 0, 0), 16)
+        assert slab.shape == (half_length(16), 16, 4)
 
     def test_rejects_rank2(self):
         with pytest.raises(ShapeError):
-            slab_from_subcube(np.ones((4, 4)), (0, 0, 0), 8)
+            rslab_from_subcube(np.ones((4, 4)), (0, 0, 0), 8)
 
 
 class TestPencilBatches:
@@ -66,21 +67,23 @@ class TestPencilBatches:
 
 
 def pruned_fft3(sub, corner, n, batch=None):
-    """Full ``n^3`` spectrum of ``sub`` embedded at ``corner``, composed
-    from the slab and batched z stages the pipeline streams through."""
+    """The ``n//2 + 1`` non-redundant x rows of the ``n^3`` spectrum of
+    ``sub`` embedded at ``corner``, composed from the half slab and batched
+    z stages the pipeline streams through."""
     k = sub.shape[2]
-    flat = slab_from_subcube(sub, corner, n).reshape(n * n, k)
-    out = np.empty((n * n, n), dtype=np.complex128)
-    for sl in pencil_batches(n * n, batch or n * n):
+    rows = half_length(n) * n
+    flat = rslab_from_subcube(sub, corner, n).reshape(rows, k)
+    out = np.empty((rows, n), dtype=np.complex128)
+    for sl in pencil_batches(rows, batch or rows):
         out[sl] = zstage_batch(flat[sl], corner[2], n)
-    return out.reshape(n, n, n)
+    return out.reshape(half_length(n), n, n)
 
 
 class TestPrunedFFT3:
     @pytest.mark.parametrize("corner", [(0, 0, 0), (3, 5, 2), (12, 12, 12)])
     def test_matches_dense(self, corner, rng):
         sub = rng.standard_normal((4, 4, 4))
-        ref = np.fft.fftn(embed_subcube(sub, (16, 16, 16), corner))
+        ref = np.fft.fftn(embed_subcube(sub, (16, 16, 16), corner))[: half_length(16)]
         got = pruned_fft3(sub, corner, 16)
         np.testing.assert_allclose(got, ref, atol=1e-8)
 

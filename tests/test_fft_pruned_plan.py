@@ -27,7 +27,6 @@ from repro.fft.pruned import (
     pruned_input_fft,
     pruned_input_rfft,
     rslab_from_subcube,
-    slab_from_subcube,
 )
 from repro.fft.pruned_plan import (
     FFT_CROSSOVER,
@@ -36,6 +35,7 @@ from repro.fft.pruned_plan import (
     PrunedPlan,
     inverse_strategy,
 )
+from repro.util.arrays import embed_subcube
 
 
 class TestHermitianWeights:
@@ -127,11 +127,17 @@ class TestPrunedInputRfft:
         np.testing.assert_array_equal(got, base)
 
 
+def _full_slab(sub, corner, n):
+    """The full ``n x n x k`` complex slab: x and y FFTs of the padded box."""
+    dense = embed_subcube(sub, (n, n, sub.shape[2]), (corner[0], corner[1], 0))
+    return np.fft.fft(np.fft.fft(dense, axis=0), axis=1)
+
+
 class TestHalfSlab:
     def test_rslab_is_prefix_of_full_slab(self, rng):
         n, k = 16, 4
         sub = rng.standard_normal((k, k, k))
-        full = slab_from_subcube(sub, (4, 8, 0), n)
+        full = _full_slab(sub, (4, 8, 0), n)
         half = rslab_from_subcube(sub, (4, 8, 0), n)
         h = half_length(n)
         assert half.shape == (h, n, k)
@@ -140,7 +146,7 @@ class TestHalfSlab:
     def test_full_slab_recoverable_by_hermitian_symmetry(self, rng):
         n, k = 16, 4
         sub = rng.standard_normal((k, k, k))
-        full = slab_from_subcube(sub, (0, 4, 0), n)
+        full = _full_slab(sub, (0, 4, 0), n)
         half = rslab_from_subcube(sub, (0, 4, 0), n)
         fx, fy = 3, 5
         np.testing.assert_allclose(
@@ -194,8 +200,8 @@ class TestPrunedPlan:
         plan = PrunedPlan(n, coords, coords, coords)
         sub = rng.standard_normal((k, k, k))
         slab = plan.forward_slab(sub, (4, 0, 8))
-        np.testing.assert_array_equal(slab, slab_from_subcube(sub, (4, 0, 8), n))
-        flat = slab.reshape(n * n, k)
+        np.testing.assert_array_equal(slab, rslab_from_subcube(sub, (4, 0, 8), n))
+        flat = slab.reshape(half_length(n) * n, k)
         spec = plan.zstage(flat[:32], 8)
         np.testing.assert_allclose(
             plan.idft_z(spec), partial_idft(spec, coords, axis=1), atol=1e-12
@@ -204,7 +210,7 @@ class TestPrunedPlan:
     def test_hermitian_plan_shapes(self):
         n = 16
         coords = np.arange(n)
-        plan = PrunedPlan(n, coords, coords, coords, hermitian=True)
+        plan = PrunedPlan(n, coords, coords, coords)
         assert plan.slab_rows == half_length(n)
         assert plan.num_pencils == half_length(n) * n
         # one real matrix [Re M | -Im M] over the stacked real and imaginary rows
@@ -214,7 +220,7 @@ class TestPrunedPlan:
     def test_pencil_index_hoisting(self):
         n = 8
         plan = PrunedPlan(n, np.arange(n), np.arange(n), np.arange(n))
-        ix, iy = np.divmod(np.arange(n * n), n)
+        ix, iy = np.divmod(np.arange(half_length(n) * n), n)
         np.testing.assert_array_equal(plan.pencil_ix, ix)
         np.testing.assert_array_equal(plan.pencil_iy, iy)
 
@@ -237,26 +243,22 @@ class TestInverseStrategies:
     @given(
         # powers of two, odd, 2 * prime
         n=st.sampled_from([4, 8, 16, 32, 5, 9, 15, 27, 6, 10, 14, 22]),
-        hermitian=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_stages_match_the_oracle_at_every_retained_size(self, n, hermitian, seed):
+    def test_stages_match_the_oracle_at_every_retained_size(self, n, seed):
         rng = np.random.default_rng(seed)
-        rows = half_length(n) if hermitian else n
+        rows = half_length(n)
         spec = _complex(rng, (5, n))
         zred = _complex(rng, (3, n, 4))
         yred = _complex(rng, (rows, 3, 4))
         for m in range(1, n + 1):  # includes m = n and the crossover +- 1
             coords = np.sort(rng.choice(n, size=m, replace=False))
-            plan = PrunedPlan(n, coords, coords, coords, hermitian=hermitian)
+            plan = PrunedPlan(n, coords, coords, coords)
             want_z = partial_idft(spec, coords, axis=-1)
             want_y = partial_idft(zred, coords, axis=1)
-            if hermitian:
-                want_x = hermitian_partial_idft(yred, coords, n, axis=0)
-            else:
-                want_x = partial_idft(yred, coords, axis=0)
+            want_x = hermitian_partial_idft(yred, coords, n, axis=0)
             for form in ("gemm", "fft"):
-                plan._set_strategy(InverseStrategy(form, form, plan.strategy.x))
+                plan._set_strategy(InverseStrategy(form, form))
                 assert (plan.mat_z is None) == (plan.mat_y is None) == (form == "fft")
                 got_z = plan.idft_z(spec)
                 _assert_rel(got_z, want_z)
@@ -275,16 +277,14 @@ class TestInverseStrategies:
             edge = FFT_CROSSOVER * math.log2(n)
             for m in range(1, n + 1):
                 form = "fft" if m > edge else "gemm"
-                assert inverse_strategy(n, m, m, m, True) == (form, form, "real_gemm")
-                assert inverse_strategy(n, 1, m, n, False) == (
-                    "fft" if n > edge else "gemm", form, "gemm",
-                )
+                assert inverse_strategy(n, m, m) == (form, form)
+                assert inverse_strategy(n, m, n) == ("fft" if n > edge else "gemm", form)
 
     def test_matrices_built_only_for_axes_that_use_them(self):
         n = 64
         few, many = np.arange(0, n, 4), np.arange(n)
-        plan = PrunedPlan(n, few, many, few, hermitian=True)
-        assert plan.strategy == ("gemm", "fft", "real_gemm")
+        plan = PrunedPlan(n, few, many, few)
+        assert plan.strategy == ("gemm", "fft")
         assert plan.mat_y is None
         assert plan.mat_z.shape == (len(few), n)
         assert plan.mat_x.shape == (len(few), 2 * half_length(n))
@@ -304,7 +304,7 @@ def benchmark_shape_strategies():
         for corner in [(0, 0, 0), (n // 2, n // 2 - k, n - k)]:
             pattern = policy.pattern_for(n, k, corner)
             sets = [pattern.axis_coordinate_set(axis) for axis in range(3)]
-            picked.append(list(PrunedPlan(n, *sets, hermitian=True).strategy))
+            picked.append(list(PrunedPlan(n, *sets).strategy))
         out[f"{n}/{k}/{spec}"] = picked
     return out
 
@@ -314,9 +314,9 @@ def test_strategy_identical_in_a_fresh_process():
     arithmetic: the strategy must be a function of the shape alone."""
     here = benchmark_shape_strategies()
     # where the benchmark's workloads sit relative to the crossover
-    assert all(s == ["gemm", "gemm", "real_gemm"] for s in here["32/8/flat:2"])
-    assert all(s == ["gemm", "gemm", "real_gemm"] for s in here["64/16/banded"])
-    assert all(s == ["fft", "fft", "real_gemm"] for s in here["128/32/flat:2"])
+    assert all(s == ["gemm", "gemm"] for s in here["32/8/flat:2"])
+    assert all(s == ["gemm", "gemm"] for s in here["64/16/banded"])
+    assert all(s == ["fft", "fft"] for s in here["128/32/flat:2"])
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -349,7 +349,7 @@ class TestPlanCache:
         cache = PlanCache()
         c = np.array([0, 3, 7])
         p1 = cache.get(16, c, c, c)
-        p2 = cache.get(16, c, c, c, hermitian=True)
+        p2 = cache.get(32, c, c, c)
         p3 = cache.get(16, c, c, np.array([0, 1, 2]))
         assert p1 is not p2 and p1 is not p3
         assert cache.misses == 3
@@ -382,7 +382,8 @@ class TestPlanCache:
         cache = PlanCache()
         c = np.array([0, 1])
         p1 = cache.get(16, c, c, c)
-        p2 = cache.get(16, c, c, c, hermitian=True)
+        p2 = cache.get(16, c, c, np.array([0, 2]))
+        assert p1 is not p2
         assert p1.scratch is p2.scratch is cache.scratch
 
 

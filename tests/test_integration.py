@@ -162,8 +162,8 @@ class TestFftStrategyAcrossRuntimes:
         pattern = self.POLICY.pattern_for(self.N, self.K, (16, 32, 16))
         sets = [pattern.axis_coordinate_set(axis) for axis in range(3)]
         assert [len(s) for s in sets] == [42, 42, 42]
-        plan = PrunedPlan(self.N, *sets, hermitian=True)
-        assert plan.strategy == ("fft", "fft", "real_gemm")
+        plan = PrunedPlan(self.N, *sets)
+        assert plan.strategy == ("fft", "fft")
 
     def test_serial_within_paper_error(self, solved):
         spectrum, fields, serial = solved

@@ -19,7 +19,7 @@ from repro.kernels.properties import (
     decay_profile,
     effective_support_radius,
     fit_power_law_decay,
-    spectrum_is_real,
+    spectrum_is_hermitian_real,
 )
 from repro.massif.elasticity import isotropic_stiffness
 
@@ -47,6 +47,17 @@ class TestGaussianKernel:
         g = GaussianKernel(n=16, sigma=1.5)
         spec_complex = np.fft.fftn(np.fft.ifftshift(g.spatial()))
         assert np.abs(spec_complex.imag).max() < 1e-9 * np.abs(spec_complex).max()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_spectrum_is_an_owned_float64_cube(self, n):
+        """``8 n^3`` bytes held, not a strided view of the complex transform."""
+        g = GaussianKernel(n=n, sigma=1.5)
+        spec = g.spectrum()
+        assert spec.dtype == np.float64
+        assert spec.flags.c_contiguous and spec.base is None
+        assert spec.nbytes == 8 * n**3
+        expected = np.real(np.fft.fftn(np.fft.ifftshift(g.spatial())))
+        assert spec.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_spatial_centered(self):
         g = GaussianKernel(n=16, sigma=2.0)
@@ -291,11 +302,13 @@ class TestGammaOperator:
 
 class TestProperties:
     def test_gaussian_real_spectrum(self):
-        assert spectrum_is_real(GaussianKernel(n=16, sigma=2.0).spatial())
+        spatial = GaussianKernel(n=16, sigma=2.0).spatial()
+        assert spectrum_is_hermitian_real(np.fft.fftn(spatial))
+        assert spectrum_is_hermitian_real(GaussianKernel(n=16, sigma=2.0).spectrum())
 
     def test_shifted_kernel_not_real(self, rng):
         g = np.roll(GaussianKernel(n=16, sigma=2.0).spatial(), 3, axis=0)
-        assert not spectrum_is_real(g)
+        assert not spectrum_is_hermitian_real(np.fft.fftn(g))
 
     def test_decay_profile_monotone_for_gaussian(self):
         radii, means = decay_profile(GaussianKernel(n=32, sigma=2.0).spatial())

@@ -107,12 +107,15 @@ class TestTcpRendezvous:
 
 
 class TestParseRendezvous:
-    def test_file_scheme_absolute_and_relative(self, tmp_path):
+    def test_file_scheme_absolute_and_relative(self, tmp_path, monkeypatch):
         absolute = parse_rendezvous(f"file://{tmp_path}")
         assert isinstance(absolute, FileRendezvous)
         assert absolute.root == tmp_path
+        # a relative root is made under the working directory
+        monkeypatch.chdir(tmp_path)
         relative = parse_rendezvous("file://some/dir")
         assert str(relative.root) == "some/dir"
+        assert (tmp_path / "some" / "dir").is_dir()
 
     def test_file_scheme_without_directory(self):
         with pytest.raises(ConfigurationError, match="names no directory"):

@@ -183,6 +183,42 @@ class TestRankDeathRecovery:
             pool.submit(config, recover=False)
 
 
+class TestReplacementStarter:
+    """A replacement agent lives as long as the members it joins: a child
+    of a controller that spawned the pool, a detached process for a pool
+    started elsewhere (``pool up``), so it outlives a short-lived
+    controller and the next one can still dial it."""
+
+    @pytest.mark.parametrize("spawned_here", [True, False], ids=["child", "detached"])
+    def test_replacement_uses_the_members_starter(
+        self, tmp_path, monkeypatch, spawned_here
+    ):
+        import repro.pool.pool as pool_module
+        from repro.pool.membership import Roster
+        from repro.pool.rendezvous import AgentCard
+
+        started = []
+        fresh = AgentCard(agent_id="fresh", host="127.0.0.1", port=1, pid=1)
+
+        def children(url, count, host="127.0.0.1"):
+            started.append(("child", count))
+            return []
+
+        def detached(url, count, host="127.0.0.1"):
+            started.append(("detached", count))
+
+        monkeypatch.setattr(pool_module, "spawn_local_agents", children)
+        monkeypatch.setattr(pool_module, "start_detached_agents", detached)
+        monkeypatch.setattr(pool_module, "wait_for_cards", lambda *a, **kw: [fresh])
+        pool = RankPool(f"file://{tmp_path}")
+        member = AgentCard(agent_id="member", host="127.0.0.1", port=2, pid=2)
+        pool.roster = Roster.form([member])
+        if spawned_here:
+            pool._procs.append(object())  # a member this controller forked
+        assert pool._replacement_card() is fresh
+        assert started == [("child" if spawned_here else "detached", 1)]
+
+
 class TestInputDistribution:
     SHAPE = dict(n=16, k=4, policy="flat:2")
 

@@ -239,7 +239,6 @@ class TestBoundedRequestQueueUnit:
             k=K,
             kernel="g",
             policy=SamplingPolicy.flat_rate(4),
-            real_kernel=None,
             batch=None,
             submitted_at=clock.now(),
             deadline=None,

@@ -109,6 +109,16 @@ class TestConfigValidation:
         with pytest.raises(ShapeError):
             server.register_kernel("bad", np.zeros((N, N)))
 
+    def test_non_hermitian_kernel_rejected_at_registration(self, server, spectrum):
+        """A kernel the half-spectrum path cannot run exactly is refused
+        when it is registered, not request by request after retries."""
+        bad = spectrum.astype(np.complex128)
+        bad[1, 2, 3] += 1j * np.max(np.abs(spectrum))
+        with pytest.raises(ConfigurationError, match="§3.1"):
+            server.register_kernel("bad", bad)
+        handle = server.submit(np.ones((N, N, N)), kernel="bad")
+        assert handle.state is RequestState.REJECTED
+
     def test_zero_engines_rejected(self):
         with pytest.raises(ConfigurationError, match="max_engines"):
             ConvolutionServer(ServerConfig(n=N, k=K, max_engines=0))

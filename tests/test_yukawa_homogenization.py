@@ -22,7 +22,7 @@ from repro.dist.ledger import alltoall_rounds
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 from repro.kernels.green_massif import LameParameters
-from repro.kernels.properties import spectrum_is_real
+from repro.kernels.properties import spectrum_is_hermitian_real
 from repro.kernels.yukawa import YukawaKernel
 from repro.massif.elasticity import StiffnessField, isotropic_stiffness
 from repro.massif.homogenization import (
@@ -64,7 +64,7 @@ class TestYukawaKernel:
         np.testing.assert_allclose(u, f / ((2 * np.pi) ** 2 + 9.0), atol=1e-12)
 
     def test_real_spectrum_property(self):
-        assert spectrum_is_real(YukawaKernel(n=16, kappa=4.0).spatial())
+        assert spectrum_is_hermitian_real(YukawaKernel(n=16, kappa=4.0).spectrum())
 
     def test_pipeline_compatibility(self):
         """Yukawa solves run through the compressed pipeline."""
