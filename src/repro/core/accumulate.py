@@ -5,19 +5,22 @@ communication avoids all-to-all between FFT stages.  Only sparse samples
 are exchanged at the end of the computation."  (paper §3.1)
 
 Two entry points, one per runtime, both one
-:func:`~repro.octree.interpolate.reconstruct_box` per box over all the
-fields — its plan sums the cells the fields share, in the one tree order
-on sub-domain indices (:mod:`repro.octree.treesum`), before interpolating
-them, so a cell is contracted once however many sub-domains' octrees hold
-it:
+:class:`~repro.octree.interpolate.ReconstructionPlan` over all the fields
+and a set of boxes — the plan sums the cells the fields share, in the one
+tree order on sub-domain indices (:mod:`repro.octree.treesum`), before
+interpolating them, so a cell is contracted once however many sub-domains'
+octrees hold it:
 
 - :func:`accumulate_global` — in-process (``run_serial``, driver-side
-  recovery): the whole grid is the box.
+  recovery): one :func:`~repro.octree.interpolate.reconstruct_box`, the
+  whole grid as the one box.
 - :func:`accumulate_boxes` — the rank-side half of the distributed step
   (:func:`repro.dist.worker.rank_main`, after the single sparse exchange):
-  each of a rank's *own* sub-domain boxes, so no rank ever holds the
-  global dense grid.  :func:`repro.dist.launcher.assemble_blocks` places
-  the blocks.
+  one :func:`~repro.octree.interpolate.reconstruct_boxes` over the set of
+  a rank's *own* sub-domain boxes — one tree sum, each cell cut into a
+  piece per box it meets, congruent pieces contracted together across
+  boxes — so no rank ever holds the global dense grid.
+  :func:`repro.dist.launcher.assemble_blocks` places the blocks.
 
 What a rank needs of a peer's field for :func:`accumulate_boxes` is
 :func:`cells_touching_rank`: the cells whose extent meets one of its
@@ -41,7 +44,7 @@ from repro.core.decomposition import SubDomain
 from repro.errors import ConfigurationError
 from repro.octree.cell import samples_per_axis
 from repro.octree.compress import CellSubset, CompressedField
-from repro.octree.interpolate import as_operands, reconstruct_box
+from repro.octree.interpolate import as_operands, reconstruct_box, reconstruct_boxes
 from repro.octree.sampling import SamplingPattern
 from repro.octree.treesum import LEAF_BITS, Operand, TreeSum, chunked, group_rows
 from repro.util.lru import WeightedLRU
@@ -73,23 +76,26 @@ def accumulate_boxes(
     ``operands`` are fields keyed by sub-domain index, whole or cut to the
     cells that touch the targets (:func:`cells_touching_rank`), or
     :class:`~repro.octree.treesum.Operand` s — a rank's own leaves and the
-    partial sums its peers sent (:func:`union_touching_rank`).  Each block
-    is one :func:`~repro.octree.interpolate.reconstruct_box` of them, whose
-    plan sums shared cells in the one tree order on sub-domain indices, so
-    a block is bitwise the matching slice of :func:`accumulate_global` over
-    the leaves, whichever rank computed it, whichever partials it was sent
-    and whatever order they arrived in.  Returns the dense ``k^3`` block
-    per target, keyed by sub-domain index.
+    partial sums its peers sent (:func:`union_touching_rank`).  The blocks
+    are one :func:`~repro.octree.interpolate.reconstruct_boxes` of them
+    over the targets' box set, whose one plan sums shared cells once, in
+    the one tree order on sub-domain indices, so a block is bitwise the
+    matching slice of :func:`accumulate_global` over the leaves, whichever
+    rank computed it, whichever partials it was sent and whatever order
+    they arrived in.  Returns the dense ``k^3`` block per target, keyed by
+    sub-domain index: views of one ``(targets, k, k, k)`` array.
     """
+    targets = list(targets)
+    sizes = {target.size for target in targets}
+    if len(sizes) > 1:
+        raise ConfigurationError(f"targets of several sizes {sorted(sizes)}")
+    size = sizes.pop() if sizes else 0
     ordered = as_operands(operands if isinstance(operands, Mapping) else list(operands))
-    blocks: Dict[int, np.ndarray] = {}
-    for target in targets:
-        shape = (target.size,) * 3
-        if ordered:
-            blocks[target.index] = reconstruct_box(ordered, target.corner, shape, method)
-        else:
-            blocks[target.index] = np.zeros(shape, dtype=np.float64)
-    return blocks
+    shape = (size,) * 3
+    out = np.zeros((len(targets), *shape), dtype=np.float64)
+    if ordered and targets:
+        reconstruct_boxes(ordered, [t.corner for t in targets], shape, method, out)
+    return {target.index: block for target, block in zip(targets, out)}
 
 
 #: Cell subsets by ``(pattern geometry, k, ranks, rank)``, beside the

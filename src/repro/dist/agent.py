@@ -76,6 +76,9 @@ class RankAgent:
         #: kernel spectra this agent has been sent, by content key; it
         #: outlives jobs and meshes like the plan cache does
         self.spectra: WeightedLRU = WeightedLRU(SPECTRUM_TABLE_BYTES)
+        #: warm pipelines by (spectrum key, shape), bounded the same way
+        #: (:func:`~repro.dist.worker.warm_pipeline`)
+        self.pipelines: WeightedLRU = WeightedLRU(SPECTRUM_TABLE_BYTES)
         self._pending_form: Optional[
             Tuple[int, int, int, float, Optional[float]]
         ] = None
@@ -172,6 +175,7 @@ class RankAgent:
                     post=lambda kind, rank, blob: send((kind, rank, blob)),
                     abort=self._abort,
                     spectra=self.spectra,
+                    pipelines=self.pipelines,
                 )
                 send(("result", self.rank, result))
             except StaleGenerationError as exc:

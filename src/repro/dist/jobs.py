@@ -21,11 +21,13 @@ module adds is the bracketing a long-lived rank needs around it:
    plan cache; the cache's hit/miss difference over the job rides on the
    result as evidence that plans persisted.
 
-3. **Standing kernels.**  The agent's spectrum table
+3. **Standing kernels and pipelines.**  The agent's spectrum table
    (:data:`~repro.dist.inputs.SPECTRUM_TABLE_BYTES`, keyed on content)
    is handed to every job, so a kernel a rank has seen does not travel
-   again; a replacement agent starts with an empty table and simply
-   misses once.
+   again; so is its pipeline table, keyed on the kernel's table key and
+   the job's shape, so a warm job builds no pipeline and re-runs no §3.1
+   check on its kernel.  A replacement agent starts with empty tables
+   and simply misses once.
 
 4. **Checkpoint handoff.**  A recovery job (``PoolJob.checkpoint`` set)
    is a *resumed* ``rank_main``: the merged checkpoint of the failed
@@ -44,6 +46,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.dist.collectives import Communicator
+from repro.dist.inputs import Chunks
 from repro.dist.worker import DistConfig, RankResult, rank_main
 from repro.errors import StaleGenerationError
 from repro.fft.pruned_plan import default_cache
@@ -76,17 +79,21 @@ def fence_generation(seen: int, current: int) -> None:
 class PoolJob:
     """One unit of work shipped to a formed mesh.
 
-    ``field``/``spectrum`` ride only on the rank-0 copy (every other
-    rank is scattered its own blocks in-mesh, exactly like the cold
-    runtime; ``spectrum=None`` is the config's default kernel, which no
-    one ships).  ``checkpoint`` marks a recovery job: the merged
-    checkpoint blob of the failed attempt this job resumes from.
+    ``blocks``/``spectrum`` ride only on the rank-0 copy.  ``blocks``
+    are the job's active ``(sub-domain, k^3 block)`` pairs, cut once by
+    the driver (:meth:`~repro.core.decomposition.DomainDecomposition
+    .active_blocks`) — a recovery job's only those its checkpoint lacks —
+    never the dense ``n^3`` field: rank 0 keeps its own pairs and scatters
+    every other rank its share in-mesh, exactly like the cold runtime.
+    ``spectrum=None`` is the config's default kernel, which no one ships.
+    ``checkpoint`` marks a recovery job: the merged checkpoint blob of
+    the failed attempt this job resumes from.
     """
 
     job_id: int
     generation: int
     config: DistConfig
-    field: Optional[np.ndarray] = None
+    blocks: Optional[Chunks] = None
     spectrum: Optional[np.ndarray] = None
     checkpoint: Optional[bytes] = None
     #: recovery marker — must survive :meth:`stripped` so every rank
@@ -144,10 +151,12 @@ def execute_job(
     post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
     spectra: Optional[WeightedLRU] = None,
+    pipelines: Optional[WeightedLRU] = None,
 ) -> RankResult:
     """Run one rank's share of ``job`` on a formed communicator.
 
-    ``spectra`` is the agent's standing spectrum table.
+    ``spectra`` and ``pipelines`` are the agent's standing spectrum and
+    pipeline tables.
 
     Returns the rank result with per-job accounting: ``wire`` is the
     transport ledger's before/after difference, and ``plan_hits`` /
@@ -162,7 +171,7 @@ def execute_job(
     result = rank_main(
         comm,
         job.config,
-        field=job.field,
+        blocks=job.blocks,
         spectrum=job.spectrum,
         post=post,
         abort=abort,
@@ -170,6 +179,7 @@ def execute_job(
         checkpoint=job.checkpoint,
         resumed=job.recovery,
         spectra=spectra,
+        pipelines=pipelines,
     )
     result.wire = wire_delta(wire0, comm.transport.ledger.snapshot())
     result.plan_hits = cache.hits - hits0

@@ -31,6 +31,7 @@ formed — is a :class:`~repro.errors.PoolError`.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 from dataclasses import dataclass, field as dataclass_field
 from multiprocessing.connection import Connection, wait as connection_wait
@@ -40,6 +41,7 @@ import numpy as np
 
 from repro.dist.agent import RankAgent, serve_connection
 from repro.dist.collectives import Communicator
+from repro.dist.inputs import Chunks
 from repro.dist.jobs import PoolJob
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, RankResult, rank_main
@@ -76,6 +78,10 @@ class SpmdOutcome:
     #: — what a standing pool must replace; the rest reported an error
     #: and still answer
     dead: Set[int] = dataclass_field(default_factory=set)
+    #: bytes of the job messages the driver sent over the control
+    #: connections, all ranks (0 for thread ranks, which share the
+    #: driver's memory)
+    control_in_bytes: int = 0
 
     @property
     def clean(self) -> bool:
@@ -100,15 +106,19 @@ class SpmdOutcome:
 
 def run_spmd(
     config: DistConfig,
-    field: np.ndarray,
+    blocks: Chunks,
     spectrum: Optional[np.ndarray],
     clock: Optional[Clock] = None,
 ) -> SpmdOutcome:
-    """Run the full SPMD job on the configured transport (``spectrum=None``
-    is the default kernel of ``config``, evaluated rank-side)."""
+    """Run the full SPMD job on the configured transport.
+
+    ``blocks`` are the job's active ``(sub-domain, k^3 block)`` pairs
+    (:meth:`~repro.core.decomposition.DomainDecomposition.active_blocks`),
+    handed to rank 0; ``spectrum=None`` is the default kernel of
+    ``config``, evaluated rank-side."""
     clock = clock if clock is not None else MonotonicClock()
     if config.transport == "tcp":
-        return _run_processes(config, field, spectrum, clock)
+        return _run_processes(config, blocks, spectrum, clock)
     outcome = SpmdOutcome()
     lock = threading.Lock()
 
@@ -121,7 +131,7 @@ def run_spmd(
         return rank_main(
             comm,
             config,
-            field=field if root else None,
+            blocks=blocks if root else None,
             spectrum=spectrum if root else None,
             post=post,
             abort=abort,
@@ -286,9 +296,14 @@ def run_job(
     until each has answered, died, or run past :data:`RUN_DEADLINE_S`."""
     outcome = SpmdOutcome()
     pending: Dict[Connection, int] = {}
+    # each message pickled once, its length counted: rank 0's carries the
+    # inputs, every other rank gets the same stripped copy
+    messages = [pickle.dumps(("job", job)), pickle.dumps(("job", job.stripped()))]
     for rank, conn in sorted(conns.items()):
+        message = messages[0 if rank == 0 else 1]
         try:
-            conn.send(("job", job if rank == 0 else job.stripped()))
+            conn.send_bytes(message)
+            outcome.control_in_bytes += len(message)
             pending[conn] = rank
         except OSError:
             outcome.failures[rank] = "control connection dead at dispatch"
@@ -339,7 +354,7 @@ def _rank_process(rank: int, conn: Connection, inherited: list) -> None:
 
 def _run_processes(
     config: DistConfig,
-    field: np.ndarray,
+    blocks: Chunks,
     spectrum: Optional[np.ndarray],
     clock: Clock,
 ) -> SpmdOutcome:
@@ -369,7 +384,7 @@ def _run_processes(
             job_id=0,
             generation=COLD_GENERATION,
             config=config,
-            field=field,
+            blocks=blocks,
             spectrum=spectrum,
         )
         return run_job(conns, job, clock)

@@ -194,6 +194,7 @@ def _submit(args: argparse.Namespace) -> int:
                 f"exchange values {report.predicted_value_bytes} B "
                 f"(Eq 6 allgather {report.eq6_value_bytes} B), "
                 f"input {report.input_wire_bytes} B, "
+                f"control {report.control_in_bytes} B, "
                 f"plan misses {report.plan_misses}, "
                 f"{report.elapsed_s:.3f}s"
             )

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
+from repro.dist.inputs import Chunks
 from repro.dist.jobs import PoolJob
 from repro.dist.launcher import (
     DistRunReport,
@@ -204,6 +205,9 @@ class RankPool:
         field = np.asarray(field, dtype=np.float64)
 
         t0 = self.clock.now()
+        # the one scan of the dense field: rank 0 is handed these blocks,
+        # and the report audits these indices
+        blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
         # warm = at least one job already ran on this mesh: the agents'
         # processes, transports, and plan caches are all primed
         was_warm = self._mesh_formed and self._jobs_on_mesh > 0
@@ -214,7 +218,7 @@ class RankPool:
             job_id=self._next_job_id,
             generation=roster.generation,
             config=config,
-            field=field,
+            blocks=blocks,
             spectrum=spectrum,
             metadata=metadata,
         )
@@ -222,13 +226,13 @@ class RankPool:
 
         if outcome.clean:
             self._jobs_on_mesh += 1
-            return self._report(job, outcome, field, t0, warm=was_warm)
+            return self._report(job, outcome, blocks, t0, warm=was_warm)
         if not recover:
             raise PoolError(
                 f"job {job.job_id} failed on ranks "
                 f"{sorted(outcome.failures)}: {outcome.failures}"
             )
-        return self._recover_job(job, outcome, field, spectrum, t0)
+        return self._recover_job(job, outcome, t0)
 
     # -- internals ----------------------------------------------------------
     def _require_roster(self) -> Roster:
@@ -260,14 +264,10 @@ class RankPool:
         self._jobs_on_mesh = 0
 
     def _recover_job(
-        self,
-        job: PoolJob,
-        outcome: SpmdOutcome,
-        field: np.ndarray,
-        spectrum: Optional[np.ndarray],
-        t0: float,
+        self, job: PoolJob, outcome: SpmdOutcome, t0: float
     ) -> PoolJobReport:
-        """Replace the dead, re-form, resubmit with the merged checkpoint."""
+        """Replace the dead, re-form, resubmit with the merged checkpoint:
+        rank 0 is handed only the blocks the checkpoint lacks."""
         roster = self._require_roster()
         config = job.config
         blobs = outcome.all_checkpoint_blobs()
@@ -310,8 +310,8 @@ class RankPool:
                 job_id=job.job_id,
                 generation=roster.generation,
                 config=retry_config,
-                field=field,
-                spectrum=spectrum,
+                blocks=[pair for pair in job.blocks if pair[0].index not in merged],
+                spectrum=job.spectrum,
                 checkpoint=checkpoint,
                 metadata=job.metadata,
             )
@@ -321,7 +321,7 @@ class RankPool:
                 return self._report(
                     retry,
                     retry_outcome,
-                    field,
+                    job.blocks,
                     t0,
                     recovered=True,
                     exclude_indices=frozenset(merged),
@@ -338,9 +338,9 @@ class RankPool:
         return self._report(
             job,
             outcome,
-            field,
+            job.blocks,
             t0,
-            approx=recover_from_checkpoints(config, field, spectrum, blobs),
+            approx=recover_from_checkpoints(config, job.blocks, job.spectrum, blobs),
             generation=roster.generation,
             recovered=True,
             driver_fallback=True,
@@ -379,13 +379,14 @@ class RankPool:
         self,
         job: PoolJob,
         outcome: SpmdOutcome,
-        field: np.ndarray,
+        blocks: Chunks,
         t0: float,
         approx: Optional[np.ndarray] = None,
         **fields,
     ) -> PoolJobReport:
-        """``job``'s report from the attempt ``outcome``; ``approx`` is
-        assembled from its ranks' blocks unless the caller recovered it."""
+        """``job``'s report from the attempt ``outcome`` over the job's
+        active ``blocks``; ``approx`` is assembled from its ranks' blocks
+        unless the caller recovered it."""
         results = outcome.results.values()
         if approx is None:
             approx = assemble_blocks(job.config, outcome.results)
@@ -393,7 +394,7 @@ class RankPool:
         return build_report(
             PoolJobReport,
             job.config,
-            field,
+            [sub.index for sub, _block in blocks],
             outcome,
             approx,
             self.clock.now() - t0,

@@ -11,6 +11,7 @@ what is missing, and still produce output bitwise identical to
 import numpy as np
 import pytest
 
+from repro.core.decomposition import DomainDecomposition
 from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import dist_run
 from repro.dist.worker import (
@@ -143,7 +144,8 @@ class TestStreamedRecovery:
         )
         field = composite_field(config.n, config.seed)
         spectrum = default_spectrum(config)
-        outcome = run_spmd(config, field, spectrum)
+        blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
+        outcome = run_spmd(config, blocks, spectrum)
         assert 1 in outcome.failures
         # the dead rank posted per-chunk blobs before dying mid-window
         assert len(outcome.chunk_checkpoints.get(1, [])) >= 1

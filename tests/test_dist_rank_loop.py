@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import checkpoint_to_bytes
+from repro.core.decomposition import DomainDecomposition
 from repro.dist.collectives import Communicator
 from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import assemble_blocks
@@ -35,15 +36,17 @@ def reference():
 
 def _run_ranks(transports, config, field, spectrum, checkpoint=None, tables=None):
     """Run ``rank_main`` on one thread per transport endpoint; ``tables``
-    are the ranks' standing spectrum tables (``None``: a cold job)."""
+    are the ranks' standing spectrum tables (``None``: a cold job).  Rank
+    0 is handed ``field``'s active blocks, as a driver cuts them."""
     comms = [Communicator(t, recv_timeout_s=20.0) for t in transports]
+    blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
 
     def run(comm):
         root = comm.rank == 0
         return rank_main(
             comm,
             config,
-            field=field if root else None,
+            blocks=blocks if root else None,
             spectrum=spectrum if root else None,
             checkpoint=checkpoint if root else None,
             resumed=checkpoint is not None,

@@ -21,10 +21,13 @@ and tears it down, so tests never share agent processes.
 """
 
 import tempfile
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import checkpoint_from_bytes
+from repro.core.decomposition import DomainDecomposition
 from repro.dist.inputs import default_spectrum
 from repro.dist.wire import HEADER_BYTES
 from repro.dist.worker import (
@@ -114,7 +117,11 @@ class TestElasticMembership:
             job_id=99,
             generation=pool.roster.generation + 5,
             config=config,
-            field=composite_field(config.n, config.seed),
+            blocks=list(
+                DomainDecomposition(n=config.n, k=config.k).active_blocks(
+                    composite_field(config.n, config.seed)
+                )
+            ),
             spectrum=default_spectrum(config),
         )
         pool._conns[0].send(("job", stale))
@@ -248,6 +255,52 @@ class TestInputDistribution:
             default.approx, _serial(other, field, default_spectrum(other))
         )
 
+    def test_rank_zero_is_handed_the_active_blocks_not_the_field(
+        self, pool_at, monkeypatch
+    ):
+        """A half-cube field's job carries its active ``k^3`` blocks to
+        rank 0, never the ``n^3`` field, and a recovery job only the
+        blocks its checkpoint lacks."""
+        import repro.pool.pool as pool_module
+
+        jobs = []
+        run_job = pool_module.run_job
+
+        def recording(conns, job, clock):
+            jobs.append(job)
+            return run_job(conns, job, clock)
+
+        monkeypatch.setattr(pool_module, "run_job", recording)
+        ranks = 2
+        pool = pool_at(ranks)
+        config = _config(ranks, **self.SHAPE)
+        field = composite_field(config.n, config.seed)  # the central half-cube
+        decomposition = DomainDecomposition(n=config.n, k=config.k)
+        active = [sub.index for sub in decomposition.active_subdomains(field)]
+        expected = _serial(config, field, default_spectrum(config))
+
+        report = pool.submit(config, field=field)
+        (job,) = jobs
+        assert [sub.index for sub, _block in job.blocks] == active
+        assert len(active) == 8 < decomposition.num_domains
+        for sub, block in job.blocks:
+            assert block.shape == (config.k,) * 3
+            assert np.array_equal(block, field[sub.slices()])
+        assert job.stripped().blocks is None
+        assert 0 < report.control_in_bytes < field.nbytes
+        assert np.array_equal(report.approx, expected)
+
+        jobs.clear()
+        failing = _config(ranks, fail_rank=1, fail_stage="mid_window", overlap=True, **self.SHAPE)
+        report = pool.submit(failing, field=field)
+        first, retry = jobs
+        restored = checkpoint_from_bytes(retry.checkpoint)
+        assert restored and len(first.blocks) == len(active)
+        assert [sub.index for sub, _block in retry.blocks] == [
+            i for i in active if i not in restored
+        ]
+        assert report.recovered and np.array_equal(report.approx, expected)
+
     @pytest.mark.parametrize("victim", [1, 0], ids=["non-root", "root"])
     def test_kill_at_every_stage_on_a_warm_pool(self, pool_at, victim):
         ranks = 3
@@ -328,3 +381,59 @@ class TestPrivatePoolCleanup:
             self._cold_then_warm(composite_field(self.CONFIG.n, self.CONFIG.seed))
         assert len(seen) == 1  # the directory did exist while the pool was up
         assert list(tmpdir_root.iterdir()) == []
+
+
+def test_warm_agent_job_runs_no_kernel_check_and_builds_no_pipeline(monkeypatch):
+    """The rank agent keeps its pipeline beside its spectrum table: the
+    second job of a shape on a standing rank builds no pipeline and runs
+    the §3.1 check on no kernel.  The agents run on thread ranks over a
+    loopback fabric, so the patched functions see every call."""
+    import repro.core.local_conv as local_conv
+    import repro.dist.worker as worker
+    from repro.dist.agent import RankAgent
+    from repro.dist.collectives import Communicator
+    from repro.dist.launcher import assemble_blocks
+    from repro.dist.transport import LocalFabric
+
+    ranks = 2
+    config = DistConfig(num_ranks=ranks, n=16, k=4, policy="flat:2")
+    field = composite_field(config.n, config.seed)
+    spectrum = default_spectrum(config)
+    expected = _serial(config, field, spectrum)
+    blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
+    fabric = LocalFabric(ranks)
+    agents = [RankAgent(f"thread-{rank}") for rank in range(ranks)]
+    for rank, agent in enumerate(agents):
+        agent.comm = Communicator(fabric.endpoint(rank), recv_timeout_s=20.0)
+        agent.rank, agent.generation = rank, 1
+
+    def run(job_id):
+        job = PoolJob(job_id, 1, config, blocks=blocks, spectrum=spectrum)
+        replies = [[] for _ in agents]
+        threads = [
+            threading.Thread(
+                target=agent.handle,
+                args=(("job", job if rank == 0 else job.stripped()), replies[rank].append),
+            )
+            for rank, agent in enumerate(agents)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [reply[-1][0] for reply in replies] == ["result"] * ranks
+        return {rank: reply[-1][2] for rank, reply in enumerate(replies)}
+
+    try:
+        run(1)  # cold: the kernel ships, each rank builds and checks once
+        checks, builds = [], []
+        monkeypatch.setattr(local_conv, "check_hermitian_real", lambda *a: checks.append(a))
+        monkeypatch.setattr(worker, "build_pipeline", lambda *a, **kw: builds.append(a))
+        results = run(2)
+        assert (checks, builds) == ([], [])
+        assert sum(result.plan_misses for result in results.values()) == 0
+        assert np.array_equal(assemble_blocks(config, results), expected)
+    finally:
+        for agent in agents:
+            agent.teardown_mesh()
