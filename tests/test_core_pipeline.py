@@ -160,7 +160,8 @@ class TestPipelineDistributed:
         wires = _wires(rep)
         assert alltoall_rounds(wires, CATEGORY_EXCHANGE) == min(1, ranks - 1)
         assert alltoall_rounds(wires, CATEGORY_DATA) == 0
-        assert rep.eq6_value_bytes == expected_exchange_value_bytes(config, field)
+        active = [s.index for s in DomainDecomposition(n, k).active_subdomains(field)]
+        assert rep.eq6_value_bytes == expected_exchange_value_bytes(config, active)
         assert rep.predicted_value_bytes <= rep.eq6_value_bytes
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.decomposition import DomainDecomposition
 from repro.dist.agent import RankAgent
 from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import (
@@ -34,6 +35,12 @@ SMALL = dict(n=16, k=4, sigma=2.0, policy="flat:2")
 #: the calibrated reference point for the 5%-of-Eq-6 acceptance check
 #: (smaller grids carry proportionally more framing/metadata overhead)
 REFERENCE = dict(n=32, k=8, sigma=2.0, policy="flat:2")
+
+
+def _active(config, field):
+    """The indices of ``field``'s active sub-domains, as the driver finds them."""
+    decomp = DomainDecomposition(n=config.n, k=config.k)
+    return [sub.index for sub in decomp.active_subdomains(field)]
 
 
 def _serial(config):
@@ -133,15 +140,16 @@ class TestWireAccounting:
         field = composite_field(16, 0)
         two = DistConfig(num_ranks=2, transport="local", **SMALL)
         four = DistConfig(num_ranks=4, transport="local", **SMALL)
-        b2 = expected_exchange_value_bytes(two, field)
-        b4 = expected_exchange_value_bytes(four, field)
+        active = _active(two, field)
+        b2 = expected_exchange_value_bytes(two, active)
+        b4 = expected_exchange_value_bytes(four, active)
         assert b4 == 3 * b2  # (P-1) scaling, same sample count
 
     def test_naive_closed_form_is_reference_only(self):
         config = DistConfig(num_ranks=2, transport="local", **REFERENCE)
         field = composite_field(config.n, config.seed)
         naive = naive_eq6_bytes(config)
-        exact = expected_exchange_value_bytes(config, field)
+        exact = expected_exchange_value_bytes(config, _active(config, field))
         assert 0 < naive < exact  # closed form undercounts, recorded anyway
         banded = DistConfig(
             n=16, k=4, sigma=2.0, policy="banded", num_ranks=2, transport="local"
@@ -152,7 +160,7 @@ class TestWireAccounting:
         config = DistConfig(num_ranks=2, transport="local", **SMALL)
         object.__setattr__(config, "precision", "float16")
         with pytest.raises(ConfigurationError, match="precision"):
-            expected_exchange_value_bytes(config, composite_field(16, 0))
+            expected_exchange_value_bytes(config, _active(config, composite_field(16, 0)))
 
 
 class TestDistributedRunnerSelector:
@@ -171,7 +179,9 @@ class TestDistributedRunnerSelector:
         real = dist_run(config, field=field, spectrum=spectrum)
         assert np.array_equal(real.approx, serial.approx)
         assert len(real.rank_results) == 3
-        assert real.eq6_value_bytes == expected_exchange_value_bytes(config, field)
+        assert real.eq6_value_bytes == expected_exchange_value_bytes(
+            config, _active(config, field)
+        )
         assert 0 < real.predicted_value_bytes <= real.eq6_value_bytes
 
 
