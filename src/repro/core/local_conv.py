@@ -18,9 +18,12 @@ This is the operation Fig 2 draws inside one worker:
 All data-independent state (how each inverse stage is computed — a
 partial-iDFT matrix product while few coordinates are retained, a full
 inverse FFT plus a take of the retained ones past the plan's crossover —
-the matrices that needs, pad scratch buffers, pencil index arrays) lives in
-a :class:`~repro.fft.pruned_plan.PrunedPlan`, built once per pattern and
-shared across congruent sub-domains.
+and the matrices that needs) lives in a
+:class:`~repro.fft.pruned_plan.PrunedPlan`, built once per pattern in the
+process (:func:`~repro.fft.pruned_plan.plan_for`) and shared by every
+congruent sub-domain of every convolution.  The pad buffers the forward
+stages fill are each convolution's own, so two convolutions may run one
+plan at once.
 
 The method needs a kernel whose spectrum is real and symmetric (paper
 §3.1; Green's functions of self-adjoint operators), so a real field has
@@ -63,8 +66,8 @@ import numpy as np
 
 from repro.cluster.memory import MemoryTracker
 from repro.errors import ConfigurationError, ShapeError
-from repro.fft.pruned import pencil_batches
-from repro.fft.pruned_plan import PlanCache, PrunedPlan
+from repro.fft.pruned import PadScratch, pencil_batches, pencil_indices
+from repro.fft.pruned_plan import PrunedPlan, plan_for
 from repro.kernels.properties import check_hermitian_real
 from repro.core.policy import SamplingPolicy
 from repro.octree.compress import CompressedField
@@ -104,12 +107,9 @@ class LocalConvolution:
     policy:
         Compression hyperparameters (r-schedule).
     batch:
-        z-pencil batch size ``B`` (paper §5.4); defaults to ``n``.
+        z-pencil batch size ``B`` (paper §5.4); ``None`` means ``n``.
     memory:
         Optional device memory tracker to charge allocations against.
-    plans:
-        Optional shared :class:`~repro.fft.pruned_plan.PlanCache`; one is
-        created per instance otherwise.
     """
 
     #: Every kernel runs the half-spectrum path; kept for callers that
@@ -123,17 +123,17 @@ class LocalConvolution:
         policy: SamplingPolicy,
         batch: Optional[int] = None,
         memory: Optional[MemoryTracker] = None,
-        plans: Optional[PlanCache] = None,
     ):
         self.n = check_positive_int(n, "n")
         self.policy = policy
-        self.batch = check_positive_int(batch, "batch") if batch else n
+        self.batch = n if batch is None else check_positive_int(batch, "batch")
         self.memory = memory
-        self.plans = plans if plans is not None else PlanCache()
+        self._scratch = PadScratch()
         self._kernel_flat: Optional[np.ndarray] = None
         self._operator = None
         if isinstance(kernel_spectrum, PencilOperator):
             self._operator = kernel_spectrum.apply
+            self._pencils = pencil_indices(n)
         else:
             spec = np.asarray(kernel_spectrum)
             if spec.shape != (n, n, n):
@@ -176,7 +176,8 @@ class LocalConvolution:
                     "pattern (see build_box_pattern)"
                 )
             pattern = self.policy.pattern_for(self.n, kx, corner)
-        plan = self._plan_for(
+        plan = plan_for(
+            self.n,
             pattern.axis_coordinate_set(0),
             pattern.axis_coordinate_set(1),
             pattern.axis_coordinate_set(2),
@@ -205,21 +206,18 @@ class LocalConvolution:
         """
         sub, corner = self._validate(sub, corner)
         full = np.arange(self.n, dtype=np.intp)
-        boxes = self._staged_convolve(sub, corner, self._plan_for(full, full, full))
+        plan = plan_for(self.n, full, full, full)
+        boxes = self._staged_convolve(sub, corner, plan)
         return boxes[0] if sub.ndim == 3 else np.stack(boxes)
 
     # -- stages -------------------------------------------------------------
-    def _plan_for(
-        self, coords_x: np.ndarray, coords_y: np.ndarray, coords_z: np.ndarray
-    ) -> PrunedPlan:
-        return self.plans.get(self.n, coords_x, coords_y, coords_z)
-
-    def _pointwise(self, spec: np.ndarray, plan: PrunedPlan, sl: slice) -> np.ndarray:
+    def _pointwise(self, spec: np.ndarray, sl: slice) -> np.ndarray:
         """The pointwise step on the ``(C, B, n)`` spectra of batch ``sl``."""
         if self._operator is None:
             spec *= self._kernel_flat[sl]
             return spec
-        out = self._operator(spec, plan.pencil_ix[sl], plan.pencil_iy[sl])
+        ix, iy = self._pencils
+        out = self._operator(spec, ix[sl], iy[sl])
         if out.shape != spec.shape:
             raise ShapeError(
                 f"pointwise operator returned {out.shape} for a {spec.shape} batch"
@@ -241,7 +239,7 @@ class LocalConvolution:
         cbytes = COMPLEX_BYTES * comps
 
         with self._charge("slab", cbytes * rows * n * k):
-            slab = plan.forward_slab(sub, corner)
+            slab = plan.forward_slab(sub, corner, self._scratch)
             flat = slab.reshape(comps, plan.num_pencils, k)
 
             # An "fft" stage computes full-length pencils before keeping
@@ -257,8 +255,10 @@ class LocalConvolution:
                 ), self._charge("z_full_batch", z_full):
                     for sl in pencil_batches(plan.num_pencils, self.batch):
                         # components stack along the batch axis: one call
-                        spec = plan.zstage(flat[:, sl].reshape(-1, k), cz)
-                        spec = self._pointwise(spec.reshape(comps, -1, n), plan, sl)
+                        spec = plan.zstage(
+                            flat[:, sl].reshape(-1, k), cz, self._scratch
+                        )
+                        spec = self._pointwise(spec.reshape(comps, -1, n), sl)
                         for c in range(comps):
                             plan.idft_z(spec[c], out=zred[c, sl])
 

@@ -14,7 +14,11 @@ approximate result.  Many cores means many ranks:
 :class:`repro.pool.RankPool` runs a stream of them.  Each rank iterates
 the same :meth:`~LowCommConvolution3D.convolve_chunks` over its share of
 the sub-domains, and the result is bitwise identical to
-:meth:`~LowCommConvolution3D.run_serial`.
+:meth:`~LowCommConvolution3D.run_serial`.  A pipeline keeps no derived
+state of its own beyond its kernel: patterns and FFT plans come from the
+process-wide tables (:meth:`SamplingPolicy.pattern_for`,
+:func:`~repro.fft.pruned_plan.plan_for`), so a second pipeline of one
+shape builds neither.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from repro.cluster.memory import MemoryTracker
 from repro.core.accumulate import accumulate_global
 from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.local_conv import KernelSpectrum, LocalConvolution
-from repro.fft.pruned_plan import PlanCache
 from repro.core.policy import SamplingPolicy
 from repro.errors import ShapeError
 from repro.octree.compress import CompressedField
@@ -83,12 +86,6 @@ class LowCommConvolution3D:
         z-pencil batch size.
     memory:
         Optional tracker charged by every local convolution.
-    plans:
-        Optional shared :class:`~repro.fft.pruned_plan.PlanCache`.  A
-        long-lived caller (the standing rank pool) passes its
-        process-wide cache so FFT plans survive across pipelines; by
-        default each pipeline keeps its own cache (thread-safe for the
-        in-process rank threads, which each build their own pipeline).
     """
 
     def __init__(
@@ -99,7 +96,6 @@ class LowCommConvolution3D:
         policy: Optional[SamplingPolicy] = None,
         batch: Optional[int] = None,
         memory: Optional[MemoryTracker] = None,
-        plans: Optional[PlanCache] = None,
     ):
         self.decomposition = DomainDecomposition(n=n, k=k)
         self.policy = policy or SamplingPolicy()
@@ -110,7 +106,6 @@ class LowCommConvolution3D:
             policy=self.policy,
             batch=batch,
             memory=memory,
-            plans=plans,
         )
 
     @property

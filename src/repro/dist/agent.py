@@ -74,7 +74,7 @@ class RankAgent:
         self.rank = -1
         self.comm: Optional[Communicator] = None
         #: kernel spectra this agent has been sent, by content key; it
-        #: outlives jobs and meshes like the plan cache does
+        #: outlives jobs and meshes like the process's plan table does
         self.spectra: WeightedLRU = WeightedLRU(SPECTRUM_TABLE_BYTES)
         #: warm pipelines by (spectrum key, shape), bounded the same way
         #: (:func:`~repro.dist.worker.warm_pipeline`)

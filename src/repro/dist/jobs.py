@@ -17,9 +17,10 @@ module adds is the bracketing a long-lived rank needs around it:
    :mod:`~repro.util.copytrack` ledger is process-global and resettable,
    so it is simply reset at job start.
 
-2. **Warm plans.**  Every job builds its pipeline on the process-wide
-   plan cache; the cache's hit/miss difference over the job rides on the
-   result as evidence that plans persisted.
+2. **Warm plans.**  Every pipeline reads its FFT plans from the
+   process-wide plan table (:data:`~repro.fft.pruned_plan.PLANS`); the
+   table's hit/miss difference over the job rides on the result as
+   evidence that plans persisted.
 
 3. **Standing kernels and pipelines.**  The agent's spectrum table
    (:data:`~repro.dist.inputs.SPECTRUM_TABLE_BYTES`, keyed on content)
@@ -49,7 +50,7 @@ from repro.dist.collectives import Communicator
 from repro.dist.inputs import Chunks
 from repro.dist.worker import DistConfig, RankResult, rank_main
 from repro.errors import StaleGenerationError
-from repro.fft.pruned_plan import default_cache
+from repro.fft import pruned_plan
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
 
@@ -160,13 +161,13 @@ def execute_job(
 
     Returns the rank result with per-job accounting: ``wire`` is the
     transport ledger's before/after difference, and ``plan_hits`` /
-    ``plan_misses`` the plan-cache traffic attributable to this job.  A
+    ``plan_misses`` the plan table's traffic over this job.  A
     warm resubmission of the same shape shows ``plan_misses == 0`` — the
     measured proof that plans persisted across jobs.
     """
     copytrack.reset()  # per-job copy accounting (process-global ledger)
-    cache = default_cache()
-    hits0, misses0 = cache.hits, cache.misses
+    table = pruned_plan.PLANS
+    hits0, misses0 = table.hits, table.misses
     wire0 = comm.transport.ledger.snapshot()
     result = rank_main(
         comm,
@@ -175,13 +176,12 @@ def execute_job(
         spectrum=job.spectrum,
         post=post,
         abort=abort,
-        plans=cache,  # the warm path: plans survive from job to job
         checkpoint=job.checkpoint,
         resumed=job.recovery,
         spectra=spectra,
         pipelines=pipelines,
     )
     result.wire = wire_delta(wire0, comm.transport.ledger.snapshot())
-    result.plan_hits = cache.hits - hits0
-    result.plan_misses = cache.misses - misses0
+    result.plan_hits = table.hits - hits0
+    result.plan_misses = table.misses - misses0
     return result

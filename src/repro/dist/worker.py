@@ -12,9 +12,11 @@ exchange modes and both fresh and resumed jobs:
    own, and each peer receives the blocks of its own active sub-domains
    that the checkpoint does not already hold — no rank is handed the
    ``n^3`` field;
-2. the rank convolves those blocks locally with the warm pruned-plan
-   path (zero communication — the paper's claim), on a pipeline a
-   standing rank keeps from job to job (:func:`warm_pipeline`);
+2. the rank convolves those blocks locally (zero communication — the
+   paper's claim) with the process's FFT plans
+   (:func:`~repro.fft.pruned_plan.plan_for`), which outlive every job, on
+   a pipeline a standing rank keeps from job to job
+   (:func:`warm_pipeline`);
 3. the compressed results are packed into a self-describing
    :mod:`repro.core.checkpoint` blob and posted to the driver whole (this
    is the fault-tolerance state, per field), and each peer is sent, in
@@ -90,6 +92,7 @@ from repro.octree.serialize import decode_values, encode_values
 from repro.octree.treesum import LEAF_BITS, Operand, in_subtree, subtree
 from repro.util import copytrack
 from repro.util.lru import WeightedLRU
+from repro.util.validation import check_positive_int
 
 #: Stages at which an injected failure can trigger (see ``DistConfig``).
 #: The first three fire in both modes; the last three only in overlap
@@ -151,6 +154,8 @@ class DistConfig:
             )
         if self.window < 1:
             raise ConfigurationError(f"need window >= 1, got {self.window}")
+        if self.batch is not None:
+            check_positive_int(self.batch, "batch")
         if self.fail_stage is not None and self.fail_stage not in FAIL_STAGES:
             raise ConfigurationError(
                 f"fail_stage must be one of {FAIL_STAGES}, got {self.fail_stage!r}"
@@ -213,9 +218,10 @@ class RankResult:
     #: ledger reset at job start); under the loopback transport the
     #: ledger is process-global, so rank threads see shared totals
     copies: dict = dataclass_field(default_factory=dict)
-    #: process-wide plan-cache hits/misses attributable to this job
-    #: (:func:`~repro.dist.jobs.execute_job`; 0 for a thread rank, whose
-    #: pipeline owns a private cache) — a warm rank misses nothing
+    #: hits/misses of the process-wide plan table over this job, read by
+    #: :func:`~repro.dist.jobs.execute_job` in a rank process (0 for a
+    #: thread rank, which runs :func:`rank_main` directly) — a warm rank
+    #: misses nothing
     plan_hits: int = 0
     plan_misses: int = 0
 
@@ -230,17 +236,12 @@ def composite_field(n: int, seed: int = 0) -> np.ndarray:
 
 
 def build_pipeline(
-    config: DistConfig,
-    spectrum: Optional[np.ndarray] = None,
-    plans=None,
+    config: DistConfig, spectrum: Optional[np.ndarray] = None
 ) -> LowCommConvolution3D:
     """The pipeline object every rank (and the driver) constructs.
 
     ``spectrum=None`` is the job's default kernel,
     :func:`~repro.dist.inputs.default_spectrum` of ``config``.
-    ``plans`` optionally shares a :class:`~repro.fft.pruned_plan
-    .PlanCache` across pipelines — the standing rank pool passes its
-    process-wide cache so FFT plans survive from job to job.
     """
     return LowCommConvolution3D(
         config.n,
@@ -248,7 +249,6 @@ def build_pipeline(
         default_spectrum(config) if spectrum is None else spectrum,
         policy=parse_policy(config.policy),
         batch=config.batch,
-        plans=plans,
     )
 
 
@@ -256,21 +256,20 @@ def warm_pipeline(
     config: DistConfig,
     key: Optional[bytes],
     spectrum: np.ndarray,
-    plans=None,
     pipelines: Optional[WeightedLRU] = None,
 ) -> LowCommConvolution3D:
     """The job's pipeline from a standing rank's ``pipelines`` table,
     keyed on the spectrum's table key (:func:`~repro.dist.inputs
-    .share_spectrum`) and the shape it runs: a miss builds it on
-    ``plans`` — and runs the §3.1 check on its kernel — once, every later
-    job of the shape reuses it.  ``None`` (a cold rank, or a kernel a
-    cold rank never keyed) builds one for this job."""
+    .share_spectrum`) and the shape it runs: a miss builds it — and runs
+    the §3.1 check on its kernel — once, every later job of the shape
+    reuses it.  ``None`` (a cold rank, or a kernel a cold rank never
+    keyed) builds one for this job."""
     if pipelines is None or key is None:
-        return build_pipeline(config, spectrum, plans=plans)
+        return build_pipeline(config, spectrum)
     shape = (key, config.n, config.k, config.policy, config.batch)
     pipeline = pipelines.get(shape)
     if pipeline is None:
-        pipeline = build_pipeline(config, spectrum, plans=plans)
+        pipeline = build_pipeline(config, spectrum)
         # weighed by the kernel it keeps alive: the spectrum table's
         # array while that entry lives, its own once it is evicted
         pipeline = pipelines.put(shape, pipeline, spectrum.nbytes)
@@ -284,7 +283,6 @@ def rank_main(
     spectrum: Optional[np.ndarray] = None,
     post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
-    plans=None,
     checkpoint: Optional[bytes] = None,
     resumed: bool = False,
     spectra: Optional[WeightedLRU] = None,
@@ -317,9 +315,6 @@ def rank_main(
     abort:
         Crash hook for fault injection (never called unless this rank is
         ``config.fail_rank``).
-    plans:
-        Optional shared plan cache, forwarded to :func:`build_pipeline`
-        (the standing pool's warm-plan path).
     checkpoint, resumed:
         ``resumed`` (set on every rank) marks a job that continues a
         failed attempt; ``checkpoint`` (rank 0 only) is that attempt's
@@ -330,7 +325,7 @@ def rank_main(
         clean run, so the result is still bitwise ``run_serial``'s.
     spectra, pipelines:
         This rank's standing spectrum and pipeline tables, kept by the
-        caller from job to job exactly as ``plans`` is; a kernel found in
+        caller from job to job; a kernel found in
         ``spectra`` does not travel, and a pipeline found in
         ``pipelines`` (:func:`warm_pipeline`) is not rebuilt.  ``None``
         (the cold runtime) keeps nothing: the spectrum ships to every
@@ -349,7 +344,7 @@ def rank_main(
     restored: Dict[int, CompressedField] = (
         checkpoint_from_bytes(checkpoint) if resumed else {}
     )
-    pipeline = warm_pipeline(config, key, spectrum, plans, pipelines)
+    pipeline = warm_pipeline(config, key, spectrum, pipelines)
     shares = pipeline.decomposition.assign_round_robin(size)
     todo = scatter_blocks(comm, pipeline.decomposition, shares, blocks, skip=restored)
     own_subdomains = shares[rank]

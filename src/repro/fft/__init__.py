@@ -10,13 +10,14 @@ boundaries are what this package provides:
   paper's Step 2: a k^3 cube is transformed to an N x N x k slab (x,y
   stages) and then pencil-batched in z, never materializing the padded
   input.  The slab is the Hermitian (rfft-based) half spectrum; the
-  module also holds the reusable :class:`~repro.fft.pruned.PadScratch` pad buffers.
+  module also holds the reusable :class:`~repro.fft.pruned.PadScratch` pad
+  buffers a caller owns, and the one pencil index pair of each ``n``.
 - :mod:`repro.fft.pruned_plan` — :class:`~repro.fft.pruned_plan.PrunedPlan`
   precomputes all data-independent state of a pruned staged convolution
   (the per-axis inverse strategy — partial-iDFT GEMM or inverse FFT + take
-  — and its matrices, pad scratch, pencil indices);
-  :class:`~repro.fft.pruned_plan.PlanCache` shares plans across congruent
-  sampling patterns.
+  — and its matrices); :func:`~repro.fft.pruned_plan.plan_for` reads plans
+  from the one process-wide table, so congruent sampling patterns share a
+  plan whichever pipeline asks.
 """
 
 from repro.fft.pruned import (
@@ -36,11 +37,9 @@ from repro.fft.pruned import (
 from repro.fft.pruned_plan import (
     FFT_CROSSOVER,
     InverseStrategy,
-    PlanCache,
     PrunedPlan,
-    default_cache,
     inverse_strategy,
-    reset_default_cache,
+    plan_for,
 )
 
 __all__ = [
@@ -60,7 +59,5 @@ __all__ = [
     "InverseStrategy",
     "inverse_strategy",
     "FFT_CROSSOVER",
-    "PlanCache",
-    "default_cache",
-    "reset_default_cache",
+    "plan_for",
 ]

@@ -210,10 +210,25 @@ def zstage_batch(
 # rather than an lru_cache keyed by a tuple of (possibly thousands of)
 # ints: hashing the raw bytes once is far cheaper than tuple-hashing per
 # call, and congruent patterns across sub-domains share entries.  Every
-# plan cache builds through this one table, from rank and scheduler
-# threads alike, so it is thread-safe and bounded by bytes held (64 MiB;
-# a full matrix at n=128 is 256 KiB).
+# plan builds through this one table, from rank and scheduler threads
+# alike, so it is thread-safe and bounded by bytes held (64 MiB; a full
+# matrix at n=128 is 256 KiB).  The pencil index pair of each ``n`` lives
+# here too.
 _MATRIX_CACHE: "WeightedLRU[np.ndarray]" = WeightedLRU(max_weight=64 << 20)
+
+
+def pencil_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(fx, fy)`` frequency index of each of the ``(n//2 + 1) * n``
+    half-slab pencils, in the slab's flat order: one read-only pair per
+    ``n``, shared by every caller."""
+    key = ("pencils", n)
+    pair = _MATRIX_CACHE.get(key)
+    if pair is None:
+        pair = np.divmod(np.arange(half_length(n) * n, dtype=np.intp), n)
+        for index in pair:
+            index.setflags(write=False)
+        pair = _MATRIX_CACHE.put(key, pair, 2 * pair[0].nbytes)
+    return pair
 
 
 def _coords_array(coords: Sequence[int], n: int) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Precomputed execution plans for the pruned staged convolution.
 
 The staged pipeline's per-call overheads — choosing how each inverse stage
-is computed, building the matrices that choice needs, zero-filling pad
-buffers, recomputing pencil index arrays — are all functions of ``(n,
-sampling pattern)`` only, not of the data.  A :class:`PrunedPlan`
-precomputes them once; a :class:`PlanCache` shares plans across all sub-domains with congruent
-patterns (keyed by a digest of the coordinate arrays, not by
-thousands-of-ints tuples).  This is the plan-reuse lever distributed FFT
+is computed and building the matrices that choice needs — are functions
+of ``(n, sampling pattern)`` only, not of the data.  A :class:`PrunedPlan`
+precomputes them once, and :func:`plan_for` keeps every plan the process
+has built in one byte-bounded table, :data:`PLANS`, keyed by ``n`` and a
+digest of each coordinate array (not by thousands-of-ints tuples): every
+pipeline, rank thread and serve engine that meets a congruent pattern
+gets the same plan.  This is the plan-reuse lever distributed FFT
 libraries (FFTW wisdom, cuFFT plans, P3DFFT setup) get their constant
-factors from, applied to the paper's pruned transforms.
+factors from, applied to the paper's pruned transforms.  A plan is never
+changed once built; the pad buffers its forward stages fill belong to
+the caller (:class:`~repro.fft.pruned.PadScratch`), so concurrent callers
+of one plan never share one.
 
 Every plan is Hermitian: fields are real and kernel spectra real and
 centrosymmetric (paper §3.1), so the x stage is rfft-based, only the
@@ -32,9 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
-from collections import OrderedDict
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from repro.fft.pruned import (
     rslab_from_subcube,
     zstage_batch,
 )
+from repro.util.lru import WeightedLRU
 from repro.util.validation import check_positive_int
 
 
@@ -91,9 +94,6 @@ class PrunedPlan:
         Global grid edge.
     coords_x, coords_y, coords_z:
         Retained output coordinates per axis (the pattern's axis sets).
-    scratch:
-        Pad-buffer scratch to use; plans from one :class:`PlanCache`
-        share a single scratch so congruent stages reuse buffers.
     """
 
     def __init__(
@@ -102,29 +102,23 @@ class PrunedPlan:
         coords_x: Sequence[int],
         coords_y: Sequence[int],
         coords_z: Sequence[int],
-        scratch: Optional[PadScratch] = None,
     ):
         self.n = check_positive_int(n, "n")
-        self.scratch = scratch if scratch is not None else PadScratch()
         self.coords_x = _coords_array(coords_x, n)
         self.coords_y = _coords_array(coords_y, n)
         self.coords_z = _coords_array(coords_z, n)
         self.mat_x = hermitian_real_idft_matrix(n, self.coords_x)
         self._set_strategy(inverse_strategy(n, self.my, self.mz))
-        # Pencil bookkeeping: the half slab flattens to (slab_rows * n, k)
-        # and a pencil operator needs each pencil's (fx, fy) — hoisted
-        # here instead of a divmod per convolve call.
+        # the half slab flattens to (slab_rows * n, k) pencils
         self.slab_rows = half_length(n)
         self.num_pencils = self.slab_rows * n
-        self.pencil_ix, self.pencil_iy = np.divmod(
-            np.arange(self.num_pencils, dtype=np.intp), n
-        )
 
     def _set_strategy(self, strategy: InverseStrategy) -> None:
         """Record ``strategy`` and build the matrices it uses (shared via
         the module-level digest cache), and only those: an ``"fft"`` axis
         holds ``None``.  ``__init__`` passes the rule's answer; tests call
-        this to put a plan on a strategy the rule would not pick."""
+        this to put a plan of their own (never one from :data:`PLANS`) on a
+        strategy the rule would not pick."""
         n = self.n
         self.strategy = strategy
         self.mat_z = (
@@ -147,15 +141,36 @@ class PrunedPlan:
     def mz(self) -> int:
         return len(self.coords_z)
 
-    # -- forward stages ------------------------------------------------------
-    def forward_slab(self, sub: np.ndarray, corner: Sequence[int]) -> np.ndarray:
-        """x/y stages: the ``(slab_rows, n, k)`` half slab; leading
-        component axes of ``sub`` pass through."""
-        return rslab_from_subcube(sub, corner, self.n, scratch=self.scratch)
+    @property
+    def nbytes(self) -> int:
+        """Bytes the plan keeps alive: its coordinates and matrices."""
+        arrays = (
+            self.coords_x, self.coords_y, self.coords_z,
+            self.mat_x, self.mat_y, self.mat_z,
+        )
+        return sum(a.nbytes for a in arrays if a is not None)
 
-    def zstage(self, slab_rows: np.ndarray, corner_z: int) -> np.ndarray:
-        """Forward z transform of a pencil batch (plan-owned pad buffer)."""
-        return zstage_batch(slab_rows, corner_z, self.n, scratch=self.scratch)
+    # -- forward stages ------------------------------------------------------
+    def forward_slab(
+        self,
+        sub: np.ndarray,
+        corner: Sequence[int],
+        scratch: Optional[PadScratch] = None,
+    ) -> np.ndarray:
+        """x/y stages: the ``(slab_rows, n, k)`` half slab; leading
+        component axes of ``sub`` pass through.  ``scratch`` holds the
+        caller's pad buffers."""
+        return rslab_from_subcube(sub, corner, self.n, scratch=scratch)
+
+    def zstage(
+        self,
+        slab_rows: np.ndarray,
+        corner_z: int,
+        scratch: Optional[PadScratch] = None,
+    ) -> np.ndarray:
+        """Forward z transform of a pencil batch, padded in the caller's
+        ``scratch``."""
+        return zstage_batch(slab_rows, corner_z, self.n, scratch=scratch)
 
     # -- pruned inverse stages ----------------------------------------------
     # ``np.take`` runs with ``mode="clip"`` because the default ``"raise"``
@@ -211,82 +226,30 @@ class PrunedPlan:
         return np.matmul(self.mat_x, stacked).reshape((self.mx,) + arr.shape[1:])
 
 
-def _digest(coords: np.ndarray) -> bytes:
-    return hashlib.sha1(np.ascontiguousarray(coords, dtype=np.intp).tobytes()).digest()
 
 
-class PlanCache:
-    """Digest-keyed cache of :class:`PrunedPlan` objects.
-
-    All sub-domains whose patterns retain the same per-axis coordinate
-    sets (congruent patterns) share one plan — and all plans share one
-    :class:`PadScratch`, so pad buffers are reused across sub-domains too.
-    At ``max_plans`` the least recently *used* plan goes (a hit refreshes
-    recency), so a plan in active use outlives one that was only built
-    earlier.
-
-    Lookup/insert is thread-safe: the serving layer submits congruent
-    work from scheduler threads, so concurrent :meth:`get` calls on one
-    cache must neither corrupt the dict nor build duplicate plans.  The
-    lock is held across a miss's plan construction — deliberately, so a
-    burst of congruent first requests builds each plan exactly once
-    instead of racing N identical builds.
-    """
-
-    def __init__(self, max_plans: int = 64):
-        self.max_plans = check_positive_int(max_plans, "max_plans")
-        self.scratch = PadScratch()
-        self.hits = 0
-        self.misses = 0
-        self._plans: "OrderedDict[Tuple, PrunedPlan]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def get(
-        self,
-        n: int,
-        coords_x: Sequence[int],
-        coords_y: Sequence[int],
-        coords_z: Sequence[int],
-    ) -> PrunedPlan:
-        """Fetch (or build) the plan for one configuration."""
-        cx = _coords_array(coords_x, n)
-        cy = _coords_array(coords_y, n)
-        cz = _coords_array(coords_z, n)
-        key = (n, _digest(cx), _digest(cy), _digest(cz))
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.misses += 1
-                plan = PrunedPlan(n, cx, cy, cz, scratch=self.scratch)
-                if len(self._plans) >= self.max_plans:
-                    self._plans.popitem(last=False)
-                self._plans[key] = plan
-            else:
-                self.hits += 1
-                self._plans.move_to_end(key)
-            return plan
+#: Every plan :func:`plan_for` has built in this process, by ``(n,
+#: digests of the three coordinate arrays)``.  A plan is a pure function of
+#: that key, so pipelines, rank threads, serve engines and recovery all
+#: share one per congruent pattern, and a warm job builds none.  Weighed
+#: by :attr:`PrunedPlan.nbytes` (its matrices are also entries of the
+#: matrix table, so this overstates what the plans alone hold); bounded at
+#: 64 MiB (a ``banded`` n=64 / k=16 plan weighs about 75 kB, a full n=128
+#: one 136 kB).
+PLANS: "WeightedLRU[PrunedPlan]" = WeightedLRU(max_weight=64 << 20)
 
 
-_DEFAULT_CACHE = PlanCache()
-
-
-def default_cache() -> PlanCache:
-    """The process-wide plan cache: a standing pool's rank agent keeps
-    its plans here from job to job."""
-    return _DEFAULT_CACHE
-
-
-def reset_default_cache() -> PlanCache:  # repro-lint: disable=DEAD001 isolation hook of tests/conftest.py
-    """Replace the process-wide default cache with a cold one.
-
-    Plans, scratch buffers, and the hit/miss counters all reset.  This is
-    the test-isolation hook: the suite's autouse fixture calls it so no
-    test ever observes plans (or cache metrics) warmed by another test.
-    Returns the fresh cache.
-    """
-    global _DEFAULT_CACHE
-    _DEFAULT_CACHE = PlanCache()
-    return _DEFAULT_CACHE
+def plan_for(
+    n: int,
+    coords_x: Sequence[int],
+    coords_y: Sequence[int],
+    coords_z: Sequence[int],
+) -> PrunedPlan:
+    """The plan for one configuration from :data:`PLANS`, built on a miss."""
+    coords = [_coords_array(c, n) for c in (coords_x, coords_y, coords_z)]
+    key = (n,) + tuple(hashlib.sha1(c.tobytes()).digest() for c in coords)
+    plan = PLANS.get(key)
+    if plan is None:
+        plan = PrunedPlan(n, *coords)
+        plan = PLANS.put(key, plan, plan.nbytes)
+    return plan

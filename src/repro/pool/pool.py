@@ -76,7 +76,7 @@ class PoolJobReport(DistRunReport):
     driver_fallback: bool = False
     #: True when the mesh survived from a previous job (no re-formation)
     warm: bool = False
-    #: plan-cache hits/misses across ranks attributable to this job —
+    #: plan-table hits/misses across ranks over this job —
     #: a warm resubmission of the same shape shows ``plan_misses == 0``
     plan_hits: int = 0
     plan_misses: int = 0
@@ -209,7 +209,7 @@ class RankPool:
         # and the report audits these indices
         blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
         # warm = at least one job already ran on this mesh: the agents'
-        # processes, transports, and plan caches are all primed
+        # processes, transports, and plan tables are all primed
         was_warm = self._mesh_formed and self._jobs_on_mesh > 0
         if not self._mesh_formed:
             self._new_mesh()

@@ -5,8 +5,9 @@ iteration ... optimizing cluster usage", §5.1/conclusion) is a *serving*
 workload: a stream of independent convolution requests whose congruent
 members can share sampling patterns and pruned-FFT plans.  This package
 is the subsystem that accepts such a stream and drives the fast
-primitives (:class:`~repro.core.pipeline.LowCommConvolution3D`,
-:class:`~repro.fft.pruned_plan.PlanCache`) at high utilization:
+primitives (:class:`~repro.core.pipeline.LowCommConvolution3D` on the
+process-wide plan table, :func:`~repro.fft.pruned_plan.plan_for`) at high
+utilization:
 
 - :class:`ConvolutionServer` — the front door: bounded queue,
   reject-on-full admission control, per-request deadlines, retries;

@@ -7,7 +7,7 @@ that runs each request as a ``dist_run``-shaped job on a warm, connected
 :class:`~repro.core.pipeline.LowCommConvolution3D`.  One serving front door then
 spans hosts: admission control, batching, retries and request
 bookkeeping stay in the server exactly as they are, while execution
-lands on long-lived agent processes whose plan caches and transports
+lands on long-lived agent processes whose plan tables and transports
 persist across requests.
 
 **Fencing.**  Every submission carries the backend's last-observed

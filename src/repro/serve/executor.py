@@ -1,11 +1,12 @@
 """Batch execution: cached per-key pipelines, each request one run.
 
-The executor owns one warm
-:class:`~repro.core.pipeline.LowCommConvolution3D` per compatibility key
-(an LRU-bounded cache): every batch for a key reuses that pipeline's
-pattern cache and pruned-FFT plans, which is the entire throughput case
-for batched serving — congruent requests stop paying the per-request
-fixed costs a naive one-request-at-a-time service rebuilds every time.
+The executor keeps one warm
+:class:`~repro.core.pipeline.LowCommConvolution3D` per compatibility key,
+at most :data:`MAX_ENGINES` of them (least recently used go first).  An
+engine holds only its kernel: patterns and pruned-FFT plans come from the
+process-wide tables, so engines of one shape (two kernels, say) share
+them, and congruent requests stop paying the per-request fixed costs a
+naive one-request-at-a-time service rebuilds every time.
 
 Each request is one
 :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial` on the warm
@@ -23,7 +24,6 @@ deterministic failure-injection point the retry tests use.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,10 +33,14 @@ from repro.errors import ConfigurationError
 from repro.serve.request import CompatKey
 from repro.serve.scheduler import Batch
 from repro.util.clock import Clock
+from repro.util.lru import WeightedLRU
 
 #: Test seam: called as ``fault_hook(batch, attempt)`` before execution;
 #: raising simulates a worker failure for that attempt.
 FaultHook = Callable[[Batch, int], None]
+
+#: Warm engines an executor keeps: each weighs 1 in its table.
+MAX_ENGINES = 8
 
 
 class BatchExecutor:
@@ -46,25 +50,18 @@ class BatchExecutor:
         self,
         kernels: Dict[str, np.ndarray],
         clock: Clock,
-        max_engines: int = 8,
         fault_hook: Optional[FaultHook] = None,
     ):
-        if max_engines < 1:
-            raise ConfigurationError(f"need max_engines >= 1, got {max_engines}")
         self._kernels = kernels
         self._clock = clock
-        self.max_engines = max_engines
         self.fault_hook = fault_hook
-        self._engines: "OrderedDict[CompatKey, LowCommConvolution3D]" = (
-            OrderedDict()
-        )
+        self._engines: "WeightedLRU[LowCommConvolution3D]" = WeightedLRU(MAX_ENGINES)
 
     # -- engine cache --------------------------------------------------------
     def engine_for(self, key: CompatKey) -> LowCommConvolution3D:
         """The warm pipeline for ``key`` (built on first use, LRU-evicted)."""
         engine = self._engines.get(key)
         if engine is not None:
-            self._engines.move_to_end(key)
             return engine
         n, k, kernel_name, policy, batch = key
         spectrum = self._kernels.get(kernel_name)
@@ -73,10 +70,7 @@ class BatchExecutor:
                 f"kernel {kernel_name!r} is not registered with the server"
             )
         engine = LowCommConvolution3D(n, k, spectrum, policy, batch=batch)
-        while len(self._engines) >= self.max_engines:
-            self._engines.popitem(last=False)
-        self._engines[key] = engine
-        return engine
+        return self._engines.put(key, engine, 1)
 
     # -- execution -----------------------------------------------------------
     def execute(self, batch: Batch) -> Tuple[List[ConvolutionResult], float]:

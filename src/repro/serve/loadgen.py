@@ -166,7 +166,7 @@ def run_serve_benchmark(
     ``extras["pool_backed"]``.
     """
     policy = parse_policy(spec.policy)
-    # Warm process-wide caches (interpolation weights, default plan cache)
+    # Warm process-wide tables (patterns, FFT and reconstruction plans)
     # once so neither timed section gets a cold-start handicap the other
     # doesn't: the comparison targets steady-state serving.
     warm = LoadSpec(

@@ -3,7 +3,8 @@
 Ties the pieces together: admission-controlled bounded queue
 (:mod:`repro.serve.queue`), dynamic batching scheduler
 (:mod:`repro.serve.scheduler`), an executor that turns a batch into
-results (:mod:`repro.serve.executor` in process,
+results (:mod:`repro.serve.executor` in process, whose per-kernel engines
+share the process's pattern and FFT plan tables;
 :mod:`repro.serve.dist_backend` on a rank pool), and the metrics
 registry — all reading time through an injectable clock, so the whole
 lifecycle is testable without wall-clock sleeps.  Request bookkeeping
@@ -54,6 +55,7 @@ from repro.serve.request import ConvolutionRequest, RequestHandle, RequestState
 from repro.serve.scheduler import Batch, BatchingScheduler
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from repro.util.validation import check_positive_int
 
 
 @dataclass
@@ -87,8 +89,6 @@ class ServerConfig:
         Pencil batch forwarded to the convolution pipeline.
     default_policy:
         Sampling policy for requests that do not pass one.
-    max_engines:
-        LRU bound on warm per-compatibility-key engines.
     """
 
     n: int = 64
@@ -101,7 +101,6 @@ class ServerConfig:
     retry_backoff_s: float = 0.01
     batch: Optional[int] = None
     default_policy: SamplingPolicy = dataclass_field(default_factory=SamplingPolicy)
-    max_engines: int = 8
 
 
 class ConvolutionServer:
@@ -120,6 +119,8 @@ class ConvolutionServer:
             raise ConfigurationError(
                 f"sub-domain size k={self.config.k} must divide n={self.config.n}"
             )
+        if self.config.batch is not None:
+            check_positive_int(self.config.batch, "batch")
         self.clock = clock or MonotonicClock()
         self.metrics = metrics or MetricsRegistry()
         self._kernels: Dict[str, np.ndarray] = {}
@@ -139,17 +140,14 @@ class ConvolutionServer:
             self.executor = executor
         else:
             self.executor = BatchExecutor(
-                self._kernels,
-                self.clock,
-                max_engines=self.config.max_engines,
-                fault_hook=fault_hook,
+                self._kernels, self.clock, fault_hook=fault_hook
             )
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._shutdown_done = False
         # Serializes scheduling iterations: pump() may be called from the
         # background serve loop and from caller threads simultaneously, but
-        # engines (and their plan caches) must see one batch at a time.
+        # engines (and their pad buffers) must see one batch at a time.
         self._pump_lock = threading.Lock()
 
     # -- configuration -------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Two suite-wide behaviours live here besides the data fixtures:
 
-- **Singleton isolation** — the process-wide default
-  :class:`~repro.fft.pruned_plan.PlanCache` (plans, shared pad scratch,
-  and hit/miss metrics) is reset around every test by an autouse fixture,
-  so no test observes state warmed by another.  ``test_isolation.py``
+- **Singleton isolation** — the process-wide FFT plan table
+  (:data:`repro.fft.pruned_plan.PLANS`: plans and hit/miss counters) is
+  swapped for a fresh one around every test by an autouse fixture, so no
+  test observes plans warmed by another.  ``test_isolation.py``
   regression-tests this.
 - **Seed-randomized ordering** — setting ``REPRO_TEST_SHUFFLE_SEED=<int>``
   shuffles test order deterministically (no plugin needed), which is how
@@ -22,8 +22,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.fft.pruned_plan import reset_default_cache
+from repro.fft import pruned_plan
 from repro.kernels.gaussian import GaussianKernel
+from repro.util.lru import WeightedLRU
 
 _SHUFFLE_ENV = "REPRO_TEST_SHUFFLE_SEED"
 
@@ -52,11 +53,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(autouse=True)
-def _cold_plan_cache():
-    """Every test starts and ends with a cold default plan cache."""
-    reset_default_cache()
-    yield
-    reset_default_cache()
+def _cold_plan_table(monkeypatch):
+    """Every test runs on a cold plan table of the production bound."""
+    bound = pruned_plan.PLANS.max_weight
+    monkeypatch.setattr(pruned_plan, "PLANS", WeightedLRU(max_weight=bound))
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Tests for the local pruned compressed convolution — the pipeline's heart."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from repro.cluster.memory import MemoryTracker
 from repro.core.local_conv import LocalConvolution, PencilOperator
 from repro.core.policy import SamplingPolicy, parse_policy
 from repro.core.reference import reference_convolve, reference_subdomain_convolve
-from repro.errors import DeviceMemoryError, ShapeError
+from repro.errors import ConfigurationError, DeviceMemoryError, ShapeError
+from repro.fft import pruned_plan
 from repro.fft.pruned import pencil_batches
+from repro.fft.pruned_plan import plan_for
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.compress import CompressedField
 from repro.octree.interpolate import reconstruct_dense
@@ -114,8 +119,6 @@ class TestValidation:
     def test_non_cubic_needs_explicit_pattern(self, setup16):
         """Rectangular blocks are supported, but only with a caller-supplied
         box pattern (the cubic policy bands do not apply)."""
-        from repro.errors import ConfigurationError
-
         n, k, spec, _ = setup16
         lc = LocalConvolution(n, spec, SamplingPolicy())
         with pytest.raises(ConfigurationError, match="rectangular"):
@@ -126,6 +129,57 @@ class TestValidation:
         lc = LocalConvolution(n, spec, SamplingPolicy())
         with pytest.raises(ShapeError):
             lc.convolve(sub, (14, 0, 0))
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_non_positive_batch_rejected(self, setup16, batch):
+        """0 is not "unset": it is refused like every non-positive batch."""
+        n, k, spec, _ = setup16
+        with pytest.raises(ConfigurationError, match="batch"):
+            LocalConvolution(n, spec, SamplingPolicy(), batch=batch)
+        assert LocalConvolution(n, spec, SamplingPolicy(), batch=None).batch == n
+
+
+class TestSharedPlans:
+    def test_two_convolutions_in_two_threads_match_one_thread(self, rng):
+        """Two convolutions of one shape run the same cached plans at once;
+        each pads in its own scratch, so neither sees the other's data."""
+        n, k = 32, 8
+        spec = GaussianKernel(n=n, sigma=2.0).spectrum()
+        policy = SamplingPolicy.flat_rate(2)
+        corners = [(0, 8, 16), (8, 0, 24), (16, 16, 0), (24, 8, 8)]
+        blocks = [
+            [rng.standard_normal((k, k, k)) for _ in corners] for _ in range(2)
+        ]
+        solo = LocalConvolution(n, spec, policy, batch=64)
+        expected = [
+            [solo.convolve(sub, c).values for sub, c in zip(subs, corners)]
+            for subs in blocks
+        ]
+        misses = pruned_plan.PLANS.misses
+        convs = [LocalConvolution(n, spec, policy, batch=64) for _ in blocks]
+        barrier = threading.Barrier(2)
+        mismatches = [0, 0]
+
+        def run(slot):
+            barrier.wait()
+            for _ in range(20):
+                for sub, c, want in zip(blocks[slot], corners, expected[slot]):
+                    got = convs[slot].convolve(sub, c).values
+                    mismatches[slot] += not np.array_equal(got, want)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == [0, 0]
+        assert pruned_plan.PLANS.misses == misses  # every plan was shared
 
 
 class TestMemoryCharging:
@@ -160,8 +214,8 @@ class TestMemoryCharging:
         sets = [cf.pattern.axis_coordinate_set(axis) for axis in range(3)]
         m = len(sets[0])
         assert all(len(retained) == m for retained in sets)
-        plan = lc.plans.get(n, *sets)  # a hit: the plan it ran
-        assert lc.plans.misses == 1 and mt.current_bytes == 0
+        plan = plan_for(n, *sets)  # a hit: the plan it ran
+        assert pruned_plan.PLANS.misses == 1 and mt.current_bytes == 0
         return mt, m, plan.strategy
 
     def test_gemm_shape_peak_unchanged(self):
@@ -282,7 +336,7 @@ def _single_component_oracle(lc, spectrum, sub, corner):
     n = lc.n
     pattern = lc.policy.pattern_for(n, sub.shape[0], corner)
     sets = [pattern.axis_coordinate_set(axis) for axis in range(3)]
-    plan = lc.plans.get(n, *sets)
+    plan = plan_for(n, *sets)
     kernel = spectrum.reshape(n * n, n)
     k = sub.shape[2]
     flat = plan.forward_slab(sub, corner).reshape(plan.num_pencils, k)

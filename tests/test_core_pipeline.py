@@ -15,6 +15,7 @@ from repro.dist.ledger import CATEGORY_DATA, CATEGORY_EXCHANGE, alltoall_rounds
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, RankResult
 from repro.errors import CommunicationError, ConfigurationError, ShapeError
+from repro.fft import pruned_plan
 from repro.kernels.gaussian import GaussianKernel
 from repro.util.arrays import l2_relative_error
 
@@ -91,6 +92,26 @@ class TestPipelineSerial:
         pipe = LowCommConvolution3D(n, k, spec)
         with pytest.raises(ShapeError):
             pipe.run_serial(np.zeros((8, 8, 8)))
+
+    def test_warm_solve_over_many_patterns_misses_no_plan(self, rng):
+        """More distinct patterns than the old 64-plan bound, every fifth
+        sub-domain of n=32 / k=4 ``banded``: a warm solve, and a second
+        pipeline of the shape, build no plan."""
+        n, k = 32, 4
+        spec = GaussianKernel(n=n, sigma=2.0).spectrum()
+        policy = parse_policy("banded")
+        pipe = LowCommConvolution3D(n, k, spec, policy)
+        chunks = [
+            (sub, rng.standard_normal((k, k, k)))
+            for sub in list(pipe.decomposition)[::5]
+        ]
+        cold = [f.values for _s, f in pipe.convolve_chunks(chunks)]
+        built = pruned_plan.PLANS.misses
+        assert built == len(pruned_plan.PLANS) > 64
+        for again in (pipe, LowCommConvolution3D(n, k, spec, policy)):
+            warm = [f.values for _s, f in again.convolve_chunks(chunks)]
+            assert pruned_plan.PLANS.misses == built
+            assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
 
 
 def _dist(setup, ranks, rate=2):

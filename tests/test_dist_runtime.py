@@ -197,6 +197,8 @@ class TestConfigValidation:
             (dict(precision="float16"), "precision"),
             (dict(fail_stage="sometime"), "fail_stage"),
             (dict(fail_rank=5), "fail_rank"),
+            (dict(batch=0), "batch"),
+            (dict(batch=-1), "batch"),
         ],
     )
     def test_bad_values_rejected(self, kwargs, match):

@@ -1,5 +1,5 @@
-"""Tests for PrunedPlan/PlanCache, PadScratch, and the Hermitian
-(half-spectrum) pruned transform building blocks."""
+"""Tests for PrunedPlan and its process-wide table, PadScratch, and the
+Hermitian (half-spectrum) pruned transform building blocks."""
 
 import json
 import math
@@ -24,18 +24,21 @@ from repro.fft.pruned import (
     hermitian_weights,
     partial_idft,
     partial_idft_matrix,
+    pencil_indices,
     pruned_input_fft,
     pruned_input_rfft,
     rslab_from_subcube,
 )
+from repro.fft import pruned_plan
 from repro.fft.pruned_plan import (
     FFT_CROSSOVER,
     InverseStrategy,
-    PlanCache,
     PrunedPlan,
     inverse_strategy,
+    plan_for,
 )
 from repro.util.arrays import embed_subcube
+from repro.util.lru import WeightedLRU
 
 
 class TestHermitianWeights:
@@ -218,11 +221,16 @@ class TestPrunedPlan:
         assert plan.mat_x.dtype == np.float64
 
     def test_pencil_index_hoisting(self):
+        """One read-only ``(fx, fy)`` pair per ``n``, not a copy per plan."""
         n = 8
-        plan = PrunedPlan(n, np.arange(n), np.arange(n), np.arange(n))
         ix, iy = np.divmod(np.arange(half_length(n) * n), n)
-        np.testing.assert_array_equal(plan.pencil_ix, ix)
-        np.testing.assert_array_equal(plan.pencil_iy, iy)
+        pair = pencil_indices(n)
+        np.testing.assert_array_equal(pair[0], ix)
+        np.testing.assert_array_equal(pair[1], iy)
+        assert pencil_indices(n) is pair
+        assert not pair[0].flags.writeable and not pair[1].flags.writeable
+        plan = PrunedPlan(n, np.arange(n), np.arange(n), np.arange(n))
+        assert not hasattr(plan, "pencil_ix")
 
 
 def _complex(rng, shape):
@@ -336,64 +344,48 @@ def test_strategy_identical_in_a_fresh_process():
 
 
 class TestPlanCache:
+    """The process-wide plan table behind :func:`plan_for`."""
+
     def test_congruent_patterns_share_plan(self):
-        cache = PlanCache()
         c = np.array([0, 3, 7])
-        p1 = cache.get(16, c, c, c)
-        p2 = cache.get(16, c.copy(), c.copy(), c.copy())
+        p1 = plan_for(16, c, c, c)
+        p2 = plan_for(16, c.copy(), c.copy(), c.copy())
         assert p1 is p2
-        assert cache.hits == 1 and cache.misses == 1
-        assert len(cache) == 1
+        table = pruned_plan.PLANS
+        assert table.hits == 1 and table.misses == 1
+        assert len(table) == 1
 
     def test_distinct_configurations_get_distinct_plans(self):
-        cache = PlanCache()
         c = np.array([0, 3, 7])
-        p1 = cache.get(16, c, c, c)
-        p2 = cache.get(32, c, c, c)
-        p3 = cache.get(16, c, c, np.array([0, 1, 2]))
+        p1 = plan_for(16, c, c, c)
+        p2 = plan_for(32, c, c, c)
+        p3 = plan_for(16, c, c, np.array([0, 1, 2]))
         assert p1 is not p2 and p1 is not p3
-        assert cache.misses == 3
+        assert pruned_plan.PLANS.misses == 3
 
-    def test_eviction_bounds_size(self):
-        cache = PlanCache(max_plans=2)
-        for m in range(4):
-            coords = np.arange(m + 1)
-            cache.get(16, coords, coords, coords)
-        assert len(cache) == 2
-
-    def test_hit_refreshes_recency(self):
-        """Eviction is least-recently-*used*: a plan that was just asked
-        for must outlive one that was only built earlier."""
-        cache = PlanCache(max_plans=4)
-        sets = [np.arange(m + 1) for m in range(5)]
-        plans = [cache.get(16, c, c, c) for c in sets[:4]]
-        assert cache.get(16, sets[0], sets[0], sets[0]) is plans[0]  # touch the oldest
-        cache.get(16, sets[4], sets[4], sets[4])  # one over capacity
-        assert len(cache) == 4 and cache.misses == 5
-        assert cache.get(16, sets[0], sets[0], sets[0]) is plans[0]
-        assert cache.misses == 5  # the touched plan survived
-        for c, plan in zip(sets[2:4], plans[2:4]):
-            assert cache.get(16, c, c, c) is plan
-        assert cache.misses == 5
-        assert cache.get(16, sets[1], sets[1], sets[1]) is not plans[1]
-        assert cache.misses == 6  # exactly one plan was rebuilt
-
-    def test_plans_share_scratch(self):
-        cache = PlanCache()
-        c = np.array([0, 1])
-        p1 = cache.get(16, c, c, c)
-        p2 = cache.get(16, c, c, np.array([0, 2]))
-        assert p1 is not p2
-        assert p1.scratch is p2.scratch is cache.scratch
+    def test_eviction_bounds_size(self, monkeypatch):
+        """Plans are weighed by the bytes they keep alive, matrices
+        included, and the table holds no more than its bound."""
+        sets = [np.arange(m + 1) for m in range(4)]
+        plans = [PrunedPlan(16, c, c, c) for c in sets]
+        for plan in plans:
+            coords = plan.coords_x.nbytes + plan.coords_y.nbytes + plan.coords_z.nbytes
+            matrices = plan.mat_x.nbytes + plan.mat_y.nbytes + plan.mat_z.nbytes
+            assert plan.nbytes == coords + matrices
+        bound = plans[2].nbytes + plans[3].nbytes
+        table = WeightedLRU(max_weight=bound)
+        monkeypatch.setattr(pruned_plan, "PLANS", table)
+        for c in sets:
+            plan_for(16, c, c, c)
+        assert len(table) == 2 and table.weight == bound
 
 
 class TestPlanCacheThreadSafety:
-    def test_concurrent_congruent_gets_build_once(self):
-        # The serving layer submits congruent work from scheduler threads:
-        # hammer one cache from many threads and require exactly one build
-        # per distinct configuration, one shared plan object, and
-        # consistent hit/miss accounting.
-        cache = PlanCache()
+    def test_concurrent_congruent_gets_share_one_plan(self):
+        # Rank threads and serve engines read one table: hammer it from
+        # many threads and require one resident plan per configuration,
+        # handed to every thread, and consistent hit/miss accounting (a
+        # racing first lookup may build a plan the table then discards).
         coord_sets = [np.arange(m + 2) for m in range(4)]
         seen = [[] for _ in range(8)]
         barrier = threading.Barrier(8)
@@ -402,19 +394,26 @@ class TestPlanCacheThreadSafety:
             barrier.wait()  # maximize interleaving on the first gets
             for _ in range(50):
                 for coords in coord_sets:
-                    seen[slot].append(cache.get(16, coords, coords, coords))
+                    seen[slot].append(plan_for(16, coords, coords, coords))
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
 
-        assert len(cache) == len(coord_sets)
-        assert cache.misses == len(coord_sets)
-        assert cache.hits == 8 * 50 * len(coord_sets) - cache.misses
+        table = pruned_plan.PLANS
+        assert len(table) == len(coord_sets)
+        assert len(coord_sets) <= table.misses <= 8 * len(coord_sets)
+        assert table.hits + table.misses == 8 * 50 * len(coord_sets)
         # every thread saw the same plan object per configuration
-        canonical = [cache.get(16, c, c, c) for c in coord_sets]
+        canonical = [plan_for(16, c, c, c) for c in coord_sets]
         for slot in seen:
             for i, plan in enumerate(slot):
                 assert plan is canonical[i % len(coord_sets)]
@@ -422,8 +421,8 @@ class TestPlanCacheThreadSafety:
 
 class TestMatrixCacheThreadSafety:
     def test_concurrent_matrix_builds_past_the_bound(self):
-        """Every plan cache builds through one process-wide matrix table,
-        and ``local`` rank threads each own a plan cache: threads missing on
+        """Every plan builds through one process-wide matrix table, and
+        ``local`` rank threads build plans concurrently: threads missing on
         thousands of distinct coordinate sets at once (more than 256
         entries' worth) must neither raise nor read a wrong matrix."""
         n, threads, calls = 16, 8, 400

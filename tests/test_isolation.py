@@ -1,13 +1,12 @@
 """Regression tests for cross-test singleton isolation.
 
-The default :class:`~repro.fft.pruned_plan.PlanCache` that
-:func:`~repro.fft.pruned_plan.default_cache` returns is process-wide
-state: before the autouse ``_cold_plan_cache`` fixture existed, a test
-that warmed plans (or merely bumped the hit/miss metrics) leaked that
+The FFT plan table :data:`~repro.fft.pruned_plan.PLANS` is process-wide
+state: without the autouse ``_cold_plan_table`` fixture, a test that
+warmed plans (or merely bumped the hit/miss counters) would leak that
 state into every later test, hiding cold-start bugs and making
-cache-metric assertions order-dependent.  The two pipeline tests below run back-to-back, both
-warm the cache, and both assert they started cold — whichever order the
-suite (or a shuffled CI run) executes them in.
+table-metric assertions order-dependent.  The two pipeline tests below run
+back-to-back, both warm the table, and both assert they started cold —
+whichever order the suite (or a shuffled CI run) executes them in.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pipeline import LowCommConvolution3D
-from repro.fft.pruned_plan import default_cache, reset_default_cache
+from repro.fft import pruned_plan
 from repro.kernels.gaussian import GaussianKernel
 
 
@@ -28,13 +27,13 @@ def _run_small_pipeline() -> None:
 
 
 def _assert_cold_then_warm() -> None:
-    cache = default_cache()
-    assert len(cache) == 0, "default plan cache leaked plans from a prior test"
-    assert cache.hits == 0 and cache.misses == 0, (
-        "default plan cache leaked metrics from a prior test"
+    table = pruned_plan.PLANS
+    assert len(table) == 0, "plan table leaked plans from a prior test"
+    assert table.hits == 0 and table.misses == 0, (
+        "plan table leaked metrics from a prior test"
     )
-    default_cache().get(16, range(4), range(4), range(4))
-    assert len(default_cache()) >= 1  # this test itself warmed it
+    pruned_plan.plan_for(16, range(4), range(4), range(4))
+    assert len(pruned_plan.PLANS) >= 1  # this test itself warmed it
 
 
 def test_pipeline_sees_cold_caches_first() -> None:
@@ -46,13 +45,3 @@ def test_pipeline_sees_cold_caches_second() -> None:
     # identical twin: passes only if the previous test's warmth was reset
     _assert_cold_then_warm()
     _run_small_pipeline()
-
-
-def test_reset_returns_the_new_live_cache() -> None:
-    warmed = default_cache().get(16, range(4), range(4), range(4))
-    assert default_cache().misses == 1
-    fresh = reset_default_cache()
-    assert fresh is default_cache()
-    assert len(fresh) == 0 and fresh.hits == 0 and fresh.misses == 0
-    # the old plan object stays usable; the cache just forgot it
-    assert warmed.n == 16

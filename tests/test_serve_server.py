@@ -8,6 +8,7 @@ import pytest
 from repro.core import policy as policy_module
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
+from repro.fft import pruned_plan
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -71,11 +72,26 @@ class TestServedResults:
             server.submit(rng.standard_normal((N, N, N)), kernel="g")
             server.drain()
         assert server.executor.engine_count == 1
-        engine = next(iter(server.executor._engines.values()))
+        engine = server.executor.engine_for((N, K, "g", POLICY, None))
         assert isinstance(engine, LowCommConvolution3D)
+        assert server.executor.engine_count == 1  # that was a hit
         # every batch takes its patterns from the process-wide table: one
         # build per sub-domain, all in the first batch
         assert table.misses == len(table) == (N // K) ** 3
+
+    def test_second_kernel_builds_no_plan(self, server, spectrum, rng):
+        """Engines of one shape share the process's FFT plans: a second
+        kernel's engine finds every plan the first one built."""
+        server.register_kernel("g2", 2.0 * spectrum)
+        field = rng.standard_normal((N, N, N))
+        server.submit(field, kernel="g")
+        server.drain()
+        built = pruned_plan.PLANS.misses
+        assert built > 0
+        server.submit(field, kernel="g2")
+        server.drain()
+        assert server.executor.engine_count == 2
+        assert pruned_plan.PLANS.misses == built
 
 
 class TestLifecycle:
@@ -119,9 +135,10 @@ class TestConfigValidation:
         handle = server.submit(np.ones((N, N, N)), kernel="bad")
         assert handle.state is RequestState.REJECTED
 
-    def test_zero_engines_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_engines"):
-            ConvolutionServer(ServerConfig(n=N, k=K, max_engines=0))
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_non_positive_batch_rejected(self, batch):
+        with pytest.raises(ConfigurationError, match="batch"):
+            ConvolutionServer(ServerConfig(n=N, k=K, batch=batch))
 
 
 class TestBackgroundServing:
