@@ -8,8 +8,10 @@ whatever ``m`` is), and picks per axis from the shape alone:
 constant comes from.  For n in {32, 64, 128, 256} x m/n in {0.25 ... 1.0} it
 times both forms of
 
-- the **z stage**: ``idft_z`` on one ``(n, n)`` pencil batch (B = n, the
-  pipeline's default), contiguous along the transformed axis;
+- the **z stage**: ``idft_z`` on one ``(B, n)`` pencil batch at the
+  pipeline's default B (:func:`~repro.fft.pruned.default_pencil_batch`:
+  512 at n=32, 256 at n=64, n from n=128 up), contiguous along the
+  transformed axis;
 - the **y stage**: ``idft_y`` on a ``(rows, n, m)`` half-spectrum block
   (rows = n//2 + 1, capped so the block stays under 32 MiB; both forms work
   one row at a time, so the per-row time does not depend on the cap),
@@ -36,7 +38,7 @@ if __name__ == "__main__":  # before numpy loads its BLAS
 
 import numpy as np
 
-from repro.fft.pruned import half_length
+from repro.fft.pruned import default_pencil_batch, half_length
 from repro.fft.pruned_plan import FFT_CROSSOVER, InverseStrategy, PrunedPlan
 
 SIZES = (32, 64, 128, 256)
@@ -52,7 +54,7 @@ def retained(n: int, m: int) -> np.ndarray:
 
 def stage_input(n: int, m: int, stage: str, rng: np.random.Generator) -> np.ndarray:
     if stage == "z":
-        shape = (n, n)
+        shape = (default_pencil_batch(n), n)
     else:
         rows = max(1, min(half_length(n), Y_BLOCK_BYTES // (16 * n * m)))
         shape = (rows, n, m)

@@ -8,7 +8,9 @@ This is the operation Fig 2 draws inside one worker:
    (pruned input), pointwise multiply with the kernel spectrum pencil
    (cuFFT-callback role), and a *pruned-output* inverse that keeps the
    result only at the octree-retained z coordinates — the compression
-   callback, so the ``N^3`` cube never materializes;
+   callback, so the ``N^3`` cube never materializes.  Unless the caller
+   names ``B``, it is as many pencils as fit a fixed byte budget
+   (:func:`~repro.fft.pruned.default_pencil_batch`);
 3. the remaining inverse y and x stages are equally pruned to the
    octree-retained coordinate sets, the intermediate shrinking each stage;
 4. the octree samples are gathered from the final box into a
@@ -66,7 +68,12 @@ import numpy as np
 
 from repro.cluster.memory import MemoryTracker
 from repro.errors import ConfigurationError, ShapeError
-from repro.fft.pruned import PadScratch, pencil_batches, pencil_indices
+from repro.fft.pruned import (
+    PadScratch,
+    default_pencil_batch,
+    pencil_batches,
+    pencil_indices,
+)
 from repro.fft.pruned_plan import PrunedPlan, plan_for
 from repro.kernels.properties import check_hermitian_real
 from repro.core.policy import SamplingPolicy
@@ -107,7 +114,12 @@ class LocalConvolution:
     policy:
         Compression hyperparameters (r-schedule).
     batch:
-        z-pencil batch size ``B`` (paper §5.4); ``None`` means ``n``.
+        z-pencil batch size ``B`` (paper §5.4); ``None`` sizes it per
+        call from ``(n, components)`` by
+        :func:`~repro.fft.pruned.default_pencil_batch`: as many pencils as
+        fit 256 KiB of spectra, at least ``n`` and at most the half slab.
+        ``B`` only schedules work; results are bitwise the same at any
+        ``B`` of two pencils or more.
     memory:
         Optional device memory tracker to charge allocations against.
     """
@@ -126,7 +138,7 @@ class LocalConvolution:
     ):
         self.n = check_positive_int(n, "n")
         self.policy = policy
-        self.batch = n if batch is None else check_positive_int(batch, "batch")
+        self.batch = None if batch is None else check_positive_int(batch, "batch")
         self.memory = memory
         self._scratch = PadScratch()
         self._kernel_flat: Optional[np.ndarray] = None
@@ -237,23 +249,28 @@ class LocalConvolution:
         cz = corner[2]
         rows = plan.slab_rows  # n//2+1: the half spectrum
         cbytes = COMPLEX_BYTES * comps
+        batch = min(self.batch or default_pencil_batch(n, comps), plan.num_pencils)
 
         with self._charge("slab", cbytes * rows * n * k):
             slab = plan.forward_slab(sub, corner, self._scratch)
             flat = slab.reshape(comps, plan.num_pencils, k)
 
             # An "fft" stage computes full-length pencils before keeping
-            # the retained coordinates: one more (B, n) buffer per z batch,
-            # one (n, |Z|) plane at a time in the y stage.
+            # the retained coordinates: one more (B, n) buffer per z batch
+            # (components go one at a time), one (n, |Z|) plane at a time in
+            # the y stage.
             sz = plan.mz
-            z_full = cbytes * self.batch * n if plan.strategy.z == "fft" else 0
+            z_full = COMPLEX_BYTES * batch * n if plan.strategy.z == "fft" else 0
             y_full = COMPLEX_BYTES * n * sz if plan.strategy.y == "fft" else 0
             with self._charge("z_sampled", cbytes * plan.num_pencils * sz):
                 zred = np.empty((comps, plan.num_pencils, sz), dtype=np.complex128)
+                # the batch's pad buffer and spectrum; a stack also gathers
+                # its components' rows into one (C * B, k) operand
+                gathered = k if comps > 1 else 0
                 with self._charge(
-                    "pencil_batch", cbytes * self.batch * n * 2
+                    "pencil_batch", cbytes * batch * (2 * n + gathered)
                 ), self._charge("z_full_batch", z_full):
-                    for sl in pencil_batches(plan.num_pencils, self.batch):
+                    for sl in pencil_batches(plan.num_pencils, batch):
                         # components stack along the batch axis: one call
                         spec = plan.zstage(
                             flat[:, sl].reshape(-1, k), cz, self._scratch

@@ -83,7 +83,10 @@ class LowCommConvolution3D:
     policy:
         Compression hyperparameters.
     batch:
-        z-pencil batch size.
+        z-pencil batch size ``B``; ``None`` sizes it from ``(n,
+        components)`` by :func:`~repro.fft.pruned.default_pencil_batch`
+        (256 KiB of spectra, at least ``n``).  Results are bitwise the
+        same at any ``B`` of two pencils or more.
     memory:
         Optional tracker charged by every local convolution.
     """

@@ -117,7 +117,10 @@ class DistConfig:
 
     Frozen and built from plain values only, so it crosses process
     boundaries trivially.  ``fail_rank`` / ``fail_stage`` inject a crash
-    of one rank at a chosen pipeline stage (testing only).  A float32
+    of one rank at a chosen pipeline stage (testing only).  ``batch`` is
+    the z-pencil batch ``B``; ``None`` lets every rank size it from ``(n,
+    components)`` by :func:`~repro.fft.pruned.default_pencil_batch`, the
+    same ``B`` ``run_serial`` uses, so results stay bitwise.  A float32
     job's exchange sends every field alone, never a sum of several: a sum
     rounded to float32 would be a second rounding the serial oracle never
     makes.

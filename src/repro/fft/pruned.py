@@ -65,38 +65,37 @@ class PadScratch:
     Allocating and zero-filling a fresh padded buffer for every pencil
     batch is pure overhead once the placement ``(offset, extent)`` repeats
     — which it does for every batch of the same sub-domain.  A scratch
-    keeps one buffer per ``(input shape, axis, dtype kind)`` slot; the pad
-    region stays zero across calls, and only a change of placement forces
-    the previously written band to be cleared.
+    keeps one buffer per ``(input shape, axis, n, dtype kind)`` slot,
+    with the index of the band last written; the pad region stays zero
+    across calls, and only a change of offset forces that band to be
+    cleared.
     """
 
     def __init__(self) -> None:
         self._slots: Dict[Tuple, list] = {}
 
     def padded(self, x: np.ndarray, offset: int, n: int, axis: int) -> np.ndarray:
-        """Return a length-``n`` (along ``axis``) buffer with ``x`` placed
-        at ``offset`` and zeros elsewhere.  The buffer is reused across
-        calls and must be consumed before the next ``padded`` call."""
-        extent = x.shape[axis]
-        dtype = np.complex128 if np.iscomplexobj(x) else np.float64
-        key = (x.shape, axis, dtype)
-        shape = list(x.shape)
-        shape[axis] = n
+        """Return a length-``n`` (along ``axis``) buffer with the array
+        ``x`` placed at ``offset`` and zeros elsewhere.  The buffer is
+        reused across calls and must be consumed before the next
+        ``padded`` call; the caller checks that ``x`` fits."""
+        is_complex = x.dtype.kind == "c"
+        key = (x.shape, axis, n, is_complex)
         slot = self._slots.get(key)
-        if slot is None or slot[0].shape != tuple(shape):
-            buf = np.zeros(shape, dtype=dtype)
-            slot = [buf, offset, extent]
-            self._slots[key] = slot
-        else:
-            buf, last_offset, last_extent = slot
-            if (last_offset, last_extent) != (offset, extent):
-                stale = [slice(None)] * buf.ndim
-                stale[axis] = slice(last_offset, last_offset + last_extent)
-                buf[tuple(stale)] = 0
-                slot[1], slot[2] = offset, extent
-        sl = [slice(None)] * buf.ndim
-        sl[axis] = slice(offset, offset + extent)
-        buf[tuple(sl)] = x
+        if slot is None:
+            shape = list(x.shape)
+            shape[axis] = n
+            dtype = np.complex128 if is_complex else np.float64
+            slot = self._slots[key] = [np.zeros(shape, dtype=dtype), None, None]
+        buf, last_offset, band = slot
+        if offset != last_offset:
+            if band is not None:
+                buf[band] = 0
+            index = [slice(None)] * buf.ndim
+            index[axis] = slice(offset, offset + x.shape[axis])
+            band = slot[2] = tuple(index)
+            slot[1] = offset
+        buf[band] = x
         return buf
 
 
@@ -176,6 +175,30 @@ def rslab_from_subcube(
     return pruned_input_fft(stage_x, cy, n, axis=-2, scratch=scratch)
 
 
+#: Bytes of complex z spectra one pencil batch holds when the caller names
+#: no ``B``: the budget :func:`default_pencil_batch` sizes it from.  256 KiB
+#: gives B = 512 at n=32, 256 at n=64 and 128 at n=128, where a larger B
+#: stops paying (the warm ``run_serial`` sweep in EXPERIMENTS.md E8).
+PENCIL_BATCH_BYTES = 256 << 10
+
+
+def default_pencil_batch(n: int, components: int = 1) -> int:
+    """The pencil batch ``B`` of a convolution that names none.
+
+    As many pencils as fit :data:`PENCIL_BATCH_BYTES` of ``components``
+    stacked complex spectra of length ``n``, but at least ``n`` and at most
+    the ``(n//2 + 1) * n`` pencils of the half slab.  Each z-stage batch is
+    one padded FFT, multiply and inverse whatever its size, so on small
+    grids a byte budget makes a few large calls where ``B = n`` made
+    hundreds of small ones.  A pure function of ``(n, components)``: every
+    process computing part of one result picks the same ``B``, and ``B``
+    only schedules work (results are bitwise the same at any ``B`` of two
+    pencils or more; the rule never leaves a batch of one).
+    """
+    fit = PENCIL_BATCH_BYTES // (16 * n * components)
+    return max(n, min(fit, half_length(n) * n))
+
+
 def pencil_batches(total: int, batch: int) -> Iterator[slice]:
     """Yield contiguous slices covering ``range(total)`` in chunks of ``batch``.
 
@@ -196,14 +219,18 @@ def zstage_batch(
 ) -> np.ndarray:
     """Forward z-transform of a batch of pencils from the slab.
 
-    ``slab_rows`` has shape ``(B, k)`` (pencils x non-zero z extent); the
+    ``slab_rows`` is a ``(B, k)`` array (pencils x non-zero z extent); the
     return value has shape ``(B, n)`` — the full z spectrum of each pencil
-    with its data implicitly placed at ``corner_z``.
+    with its data implicitly placed at ``corner_z``.  This runs once per
+    pencil batch, so it checks only the batch's rank and placement and
+    goes straight to the pad buffer, not through
+    :func:`pruned_input_fft`'s argument checks.
     """
-    slab_rows = np.asarray(slab_rows)
     if slab_rows.ndim != 2:
         raise ShapeError("zstage_batch expects (B, k) pencil batches")
-    return pruned_input_fft(slab_rows, corner_z, n, axis=1, scratch=scratch)
+    _check_pad_bounds(slab_rows.shape[1], corner_z, n)
+    scratch = scratch if scratch is not None else PadScratch()
+    return np.fft.fft(scratch.padded(slab_rows, corner_z, n, 1), axis=1)
 
 
 # Partial-iDFT matrices are cached under a digest of the coordinate array

@@ -54,7 +54,8 @@ class LowCommMassifSolver(MassifSolver):
     policy:
         Compression hyperparameters.
     batch:
-        z-pencil batch size B.
+        z-pencil batch size B; ``None`` sizes it from ``n`` and the six
+        stacked components by :func:`~repro.fft.pruned.default_pencil_batch`.
 
     Accuracy note (reproduction finding, see EXPERIMENTS.md E9): the
     compressed convolution is a fixed *linear* perturbation of the exact

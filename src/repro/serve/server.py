@@ -86,7 +86,10 @@ class ServerConfig:
     retry_backoff_s:
         Base of the exponential retry backoff.
     batch:
-        Pencil batch forwarded to the convolution pipeline.
+        Pencil batch ``B`` forwarded to the convolution pipeline; ``None``
+        sizes it from ``(n, components)`` by
+        :func:`~repro.fft.pruned.default_pencil_batch`, as ``run_serial``
+        and pool ranks do.
     default_policy:
         Sampling policy for requests that do not pass one.
     """

@@ -8,11 +8,17 @@ import pytest
 
 from repro.cluster.memory import MemoryTracker
 from repro.core.local_conv import LocalConvolution, PencilOperator
+from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy, parse_policy
 from repro.core.reference import reference_convolve, reference_subdomain_convolve
 from repro.errors import ConfigurationError, DeviceMemoryError, ShapeError
 from repro.fft import pruned_plan
-from repro.fft.pruned import pencil_batches
+from repro.fft.pruned import (
+    PENCIL_BATCH_BYTES,
+    default_pencil_batch,
+    half_length,
+    pencil_batches,
+)
 from repro.fft.pruned_plan import plan_for
 from repro.kernels.gaussian import GaussianKernel
 from repro.octree.compress import CompressedField
@@ -41,14 +47,49 @@ class TestDenseDebugPath:
         ref = reference_subdomain_convolve(sub, corner, spec)
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
-    def test_batch_invariance(self, setup16):
+    #: (policy, n, k, corner, inverse strategy, B values), B = None the
+    #: default: a GEMM and an FFT inverse-strategy shape
+    BATCH_SHAPES = [
+        ("flat:2", 64, 16, (16, 32, 16), "fft", (1, 64, None, 2112)),
+        ("banded", 32, 8, (8, 0, 24), "gemm", (2, 32, None, 544)),
+    ]
+
+    def test_batch_invariance(self, setup16, rng):
+        """B only schedules work: bitwise the same results from 2 pencils
+        to the whole slab, for a dense kernel, a component stack and a
+        pencil operator.  A one-pencil batch turns the z-stage GEMM into a
+        matrix-vector product, whose rounding may differ in the last ulp,
+        so it is bitwise only on the FFT shape."""
         n, k, spec, sub = setup16
         outs = []
-        for batch in (1, 7, 256):
+        for batch in (1, 7, n, None, 256):
             lc = LocalConvolution(n, spec, SamplingPolicy(), batch=batch)
             outs.append(lc.convolve_dense_debug(sub, (4, 4, 4)))
-        np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-12)
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[2])
+
+        for policy, n, k, corner, form, batches in self.BATCH_SHAPES:
+            spectrum = GaussianKernel(n=n, sigma=2.0).spectrum()
+
+            def multiply(spec, ix, iy):
+                spec *= spectrum[ix, iy, :]
+                return spec
+
+            for kind in ("array", "stack", "operator"):
+                kernel = PencilOperator(multiply) if kind == "operator" else spectrum
+                block = rng.standard_normal((3, k, k, k) if kind == "stack" else (k, k, k))
+                results = []
+                for batch in batches:
+                    lc = LocalConvolution(n, kernel, parse_policy(policy), batch=batch)
+                    got = lc.convolve(block, corner)
+                    fields = got if kind == "stack" else [got]
+                    results.append([field.values for field in fields])
+                sets = [fields[0].pattern.axis_coordinate_set(axis) for axis in range(3)]
+                assert plan_for(n, *sets).strategy == (form, form)
+                for values in results[1:]:
+                    for a, b in zip(values, results[0]):
+                        assert np.array_equal(a, b), (policy, kind)
 
 
 class TestCompressedPath:
@@ -136,7 +177,74 @@ class TestValidation:
         n, k, spec, _ = setup16
         with pytest.raises(ConfigurationError, match="batch"):
             LocalConvolution(n, spec, SamplingPolicy(), batch=batch)
-        assert LocalConvolution(n, spec, SamplingPolicy(), batch=None).batch == n
+        # None leaves B to default_pencil_batch, per call
+        assert LocalConvolution(n, spec, SamplingPolicy(), batch=None).batch is None
+
+
+class TestDefaultBatch:
+    """``batch=None`` is B = clamp(budget // (16 n C), n, half slab): a
+    pure function of the grid and the stacked components."""
+
+    @pytest.mark.parametrize(
+        "n,comps,expected",
+        [(16, 1, 144), (32, 1, 512), (64, 1, 256), (128, 1, 128),
+         (256, 1, 256), (32, 6, 85), (64, 6, 64)],
+    )
+    def test_rule(self, n, comps, expected):
+        fit = PENCIL_BATCH_BYTES // (16 * n * comps)
+        assert default_pencil_batch(n, comps) == expected
+        assert expected == max(n, min(fit, half_length(n) * n))
+
+    def test_default_is_a_pure_function_of_n_and_components(self, monkeypatch):
+        """Serial, rank and serve pipelines and the MASSIF solver all leave
+        B unset, so each runs exactly the batches the rule gives for its
+        ``(n, C)``: what keeps every mode bitwise to ``run_serial``."""
+        from repro.dist.worker import DistConfig, build_pipeline
+        from repro.massif.elasticity import StiffnessField, isotropic_stiffness
+        from repro.massif.lowcomm_solver import LowCommMassifSolver
+        from repro.massif.microstructure import sphere_inclusion
+        from repro.kernels.green_massif import LameParameters
+        from repro.serve.executor import BatchExecutor
+        from repro.serve.server import ServerConfig
+        from repro.util.clock import ManualClock
+
+        n, k = 32, 8
+        spec = GaussianKernel(n=n, sigma=2.0).spectrum()
+        policy = parse_policy("flat:2")
+        phases = [
+            isotropic_stiffness(LameParameters.from_young_poisson(young, 0.3))
+            for young in (1.0, 5.0)
+        ]
+        executor = BatchExecutor({"g": spec}, ManualClock())
+        locals_ = {
+            "serial": LowCommConvolution3D(n, k, spec, policy).local,
+            "rank": build_pipeline(DistConfig(n=n, k=k, policy="flat:2")).local,
+            "serve": executor.engine_for(
+                (n, k, "g", policy, ServerConfig(n=n, k=k).batch)
+            ).local,
+            "massif": LowCommMassifSolver(
+                StiffnessField(sphere_inclusion(n, radius=5), phases), k=k
+            ).pipeline.local,
+        }
+        seen = []
+        zstage = pruned_plan.PrunedPlan.zstage
+
+        def recording(plan, rows, corner_z, scratch=None):
+            seen.append(rows.shape[0])
+            return zstage(plan, rows, corner_z, scratch)
+
+        monkeypatch.setattr(pruned_plan.PrunedPlan, "zstage", recording)
+        pencils = half_length(n) * n
+        for door, local in locals_.items():
+            assert local.batch is None, door
+            # the Gamma operator takes exactly the six symmetric components
+            for comps in (6,) if door == "massif" else (1, 6):
+                batch = default_pencil_batch(n, comps)
+                expected = [comps * len(range(start, min(start + batch, pencils)))
+                            for start in range(0, pencils, batch)]
+                seen.clear()
+                local.convolve(np.ones((comps, k, k, k)), (8, 16, 8))
+                assert seen == expected, (door, comps)
 
 
 class TestSharedPlans:
@@ -219,17 +327,23 @@ class TestMemoryCharging:
         return mt, m, plan.strategy
 
     def test_gemm_shape_peak_unchanged(self):
-        """n=32 / flat:2 stays on the GEMM: the tracked peak is still
-        slab + z + y + x (477 952 B before the strategies existed) — the
-        real GEMM stacks its operand in the spent z buffer, not a new one."""
+        """n=32 / flat:2 stays on the GEMM, and the real GEMM stacks its
+        operand in the spent z buffer, not a new one.  At B = n the tracked
+        peak is still slab + z + y + x (477 952 B before the strategies
+        existed); at the default B = 512 the z loop's pad buffer and
+        spectrum (2 x 256 KiB) decide it: 785 408 B."""
         n, k = 32, 8
-        mt, m, strategy = self._tracked(n, k, (8, 16, 8), batch=None)
-        assert strategy == ("gemm", "gemm")
-        rows = n // 2 + 1
-        expected = 16 * rows * n * k + 16 * rows * n * m + 16 * rows * m * m + 8 * m**3
-        assert mt.peak_bytes == expected == 477952
-        charged = {name: nbytes for op, name, nbytes in mt.events if op == "alloc"}
-        assert charged["z_full_batch"] == charged["y_full_plane"] == 0
+        for batch, expected in ((n, 477952), (None, 785408)):
+            mt, m, strategy = self._tracked(n, k, (8, 16, 8), batch=batch)
+            assert strategy == ("gemm", "gemm") and m == 22
+            rows = n // 2 + 1
+            slab, zred = 16 * rows * n * k, 16 * rows * n * m
+            stages = slab + zred + 16 * rows * m * m + 8 * m**3
+            pencils = 2 * 16 * (batch or default_pencil_batch(n)) * n
+            assert mt.peak_bytes == max(stages, slab + zred + pencils) == expected
+            charged = {name: nbytes for op, name, nbytes in mt.events if op == "alloc"}
+            assert charged["pencil_batch"] == pencils
+            assert charged["z_full_batch"] == charged["y_full_plane"] == 0
 
     @pytest.mark.parametrize("batch", [64, 1024])
     def test_fft_shape_peak_is_the_hand_computed_sum(self, batch):
@@ -409,14 +523,26 @@ class TestComponentAxis:
         assert np.array_equal(dense[1], lc.convolve_dense_debug(subs[1], corner))
 
     def test_stack_charges_every_component(self):
+        """At one B a stack's tracked peak is C times one component's (the
+        default B shrinks as C grows, so B is named here).  The z loop
+        charges the stack's pad buffer and spectrum, the (C * B, k) rows it
+        gathers, and one full-length (B, n) inverse temporary: the
+        components' inverses run one at a time."""
         n, k, corner = 32, 8, (8, 16, 8)
         peaks = []
         for comps in (1, 4):
             mt = MemoryTracker()
-            lc, _ = self._conv("flat:2", n, memory=mt)
+            lc, _ = self._conv("flat:2", n, batch=n, memory=mt)
             lc.convolve(np.ones((comps, k, k, k)), corner)
             peaks.append(mt.peak_bytes)
         assert peaks[1] == 4 * peaks[0]  # no y_full_plane on a GEMM shape
+        n, k, batch = 64, 16, 256
+        mt = MemoryTracker()
+        lc, _ = self._conv("flat:2", n, batch=batch, memory=mt)
+        lc.convolve(np.ones((3, k, k, k)), (16, 32, 16))
+        charged = {name: nbytes for op, name, nbytes in mt.events if op == "alloc"}
+        assert charged["pencil_batch"] == 16 * 3 * batch * (2 * n + k)
+        assert charged["z_full_batch"] == 16 * batch * n
 
     def test_operator_multiplying_by_the_kernel_is_the_scalar_path(self, rng):
         n, k, corner = 32, 8, (0, 8, 16)
