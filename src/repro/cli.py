@@ -310,6 +310,7 @@ def _serve(args: argparse.Namespace) -> int:
                 ["last job generation", last.get("generation", "-")],
                 ["last job plan misses", last.get("plan_misses", "-")],
                 ["pool wire bytes", counters.get("pool.wire_bytes", 0)],
+                ["pool control bytes", counters.get("pool.control_bytes", 0)],
             ],
             title="serve: dist-backed serving audit",
         )

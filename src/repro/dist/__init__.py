@@ -25,8 +25,8 @@ Layers, bottom up:
   point-to-point plus ``broadcast`` / ``scatter`` / ``alltoall`` /
   ``sparse_allgather``.
 - :mod:`repro.dist.inputs` — input distribution: each rank is scattered
-  only the ``k^3`` blocks it convolves, and kernel spectra stay rank-side
-  under a content digest.
+  only the ``k^3`` blocks it convolves, and the driver names kernels by
+  content key, sending one only to a rank whose table lacks it.
 - :mod:`repro.dist.worker` — what one rank executes: warm
   pruned-plan local convolutions of its round-robin sub-domains, octree
   compression, values-only exchange frames through the wire — each peer

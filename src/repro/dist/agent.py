@@ -18,7 +18,10 @@ rendezvous ``Listener``, serving a stream of them.  The messages:
 ``mesh (generation, endpoints)``
     Dial the full mesh (:class:`~repro.dist.tcp.TcpTransport` with the
     backoff dialer — ranks reach this step at different times) and
-    stand up a :class:`~repro.dist.collectives.Communicator` on it.
+    stand up a :class:`~repro.dist.collectives.Communicator` on it.  The
+    ``ready`` reply lists the kernel keys the agent's spectrum table
+    holds, so a driver that has never seen this agent ships it only the
+    kernels it lacks.
 ``job (PoolJob)``
     Fence the job's generation against the rank's own, then run
     :func:`~repro.dist.jobs.execute_job` on the formed communicator.
@@ -157,7 +160,8 @@ class RankAgent:
                 return True
             self.rank = rank
             self.generation = int(generation)
-            send(("ready", self.generation, self.rank))
+            keys = tuple(key for key, _spectrum in self.spectra.items())
+            send(("ready", self.generation, self.rank, keys))
             return True
         if op == "job":
             job: PoolJob = message[1]

@@ -59,8 +59,6 @@ from repro.util.clock import Clock, MonotonicClock
 #: *central wire-tag registry* (TAG001): every ``TAG_*`` constant lives
 #: here, values are unique, and every tag is paired with a receive-side
 #: dispatch somewhere in ``dist/`` or ``pool/``.
-#: A kernel spectrum array, to a rank whose table misses it.
-TAG_SPECTRUM = 1
 #: The scattered input: each rank's own ``(index, k^3 block)`` pairs.
 TAG_FIELD = 2
 TAG_EXCHANGE = 3
@@ -71,10 +69,6 @@ TAG_EXCHANGE_END = 5
 #: Broadcast tag for the merged checkpoint a resumed job restores from
 #: (``repro.dist.worker.rank_main``; only the standing pool resumes jobs).
 TAG_POOL_CHECKPOINT = 6
-#: Rank 0 announces the job's kernel: a descriptor or a content digest.
-TAG_SPECTRUM_KEY = 7
-#: A rank's have / need answer to an announced digest.
-TAG_SPECTRUM_NEED = 8
 #: One axis-swap transpose of a distributed FFT baseline.
 TAG_TRANSPOSE = 9
 

@@ -24,11 +24,13 @@ module adds is the bracketing a long-lived rank needs around it:
 
 3. **Standing kernels and pipelines.**  The agent's spectrum table
    (:data:`~repro.dist.inputs.SPECTRUM_TABLE_BYTES`, keyed on content)
-   is handed to every job, so a kernel a rank has seen does not travel
-   again; so is its pipeline table, keyed on the kernel's table key and
-   the job's shape, so a warm job builds no pipeline and re-runs no §3.1
-   check on its kernel.  A replacement agent starts with empty tables
-   and simply misses once.
+   is handed to every job, and the result reports the keys it holds
+   after the job (``RankResult.kernel_keys``), so the driver attaches a
+   kernel only to a job message for a rank that lacks it; so is its
+   pipeline table, keyed on the kernel's key and the job's shape, so a
+   warm job builds no pipeline and re-runs no §3.1 check on its kernel.
+   A replacement agent starts with empty tables, reports none, and is
+   sent the kernel once.
 
 4. **Checkpoint handoff.**  A recovery job (``PoolJob.checkpoint`` set)
    is a *resumed* ``rank_main``: the merged checkpoint of the failed
@@ -41,8 +43,8 @@ module adds is the bracketing a long-lived rank needs around it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, replace as dataclass_replace
+from typing import Callable, Dict, FrozenSet, Optional
 
 import numpy as np
 
@@ -80,12 +82,17 @@ def fence_generation(seen: int, current: int) -> None:
 class PoolJob:
     """One unit of work shipped to a formed mesh.
 
-    ``blocks``/``spectrum`` ride only on the rank-0 copy.  ``blocks``
-    are the job's active ``(sub-domain, k^3 block)`` pairs, cut once by
-    the driver (:meth:`~repro.core.decomposition.DomainDecomposition
-    .active_blocks`) — a recovery job's only those its checkpoint lacks —
-    never the dense ``n^3`` field: rank 0 keeps its own pairs and scatters
-    every other rank its share in-mesh, exactly like the cold runtime.
+    ``blocks`` and ``checkpoint`` ride only on rank 0's copy
+    (:meth:`for_rank`).  ``blocks`` are the job's active ``(sub-domain,
+    k^3 block)`` pairs, cut once by the driver
+    (:meth:`~repro.core.decomposition.DomainDecomposition.active_blocks`)
+    — a recovery job's only those its checkpoint lacks — never the dense
+    ``n^3`` field: rank 0 keeps its own pairs and scatters every other
+    rank its share in-mesh, exactly like the cold runtime.
+    ``kernel_key`` names the job's kernel on every rank's copy
+    (:mod:`repro.dist.inputs`; ``None`` on a cold job, whose ranks key
+    nothing); ``spectrum`` is the array, and it rides only on the copies
+    for the ranks in ``ship_to``, the ones whose tables lack the key.
     ``spectrum=None`` is the config's default kernel, which no one ships.
     ``checkpoint`` marks a recovery job: the merged checkpoint blob of
     the failed attempt this job resumes from.
@@ -95,9 +102,11 @@ class PoolJob:
     generation: int
     config: DistConfig
     blocks: Optional[Chunks] = None
+    kernel_key: Optional[bytes] = None
     spectrum: Optional[np.ndarray] = None
+    ship_to: FrozenSet[int] = frozenset()
     checkpoint: Optional[bytes] = None
-    #: recovery marker — must survive :meth:`stripped` so every rank
+    #: recovery marker — must survive :meth:`for_rank` so every rank
     #: (not just rank 0, which holds the blob) resumes from it
     recovery: bool = False
     #: opaque caller stamps echoed back on the
@@ -109,8 +118,9 @@ class PoolJob:
         if self.checkpoint is not None:
             self.recovery = True
 
-    def stripped(self) -> "PoolJob":
-        """The non-rank-0 copy: same stamps, no input payloads.
+    def for_rank(self, rank: int) -> "PoolJob":
+        """The copy the driver sends rank ``rank``: the input payloads
+        only on rank 0's, the spectrum only where ``ship_to`` has it.
 
         The ``recovery`` flag is kept: non-root ranks receive the merged
         checkpoint by in-mesh broadcast, but they must already know to
@@ -119,12 +129,13 @@ class PoolJob:
         kept too: it is tiny, and a rank error report that names its
         request is worth the copy.
         """
-        return PoolJob(
-            job_id=self.job_id,
-            generation=self.generation,
-            config=self.config,
-            recovery=self.recovery,
-            metadata=self.metadata,
+        root = rank == 0
+        return dataclass_replace(
+            self,
+            blocks=self.blocks if root else None,
+            checkpoint=self.checkpoint if root else None,
+            spectrum=self.spectrum if rank in self.ship_to else None,
+            ship_to=frozenset(),
         )
 
 
@@ -157,7 +168,8 @@ def execute_job(
     """Run one rank's share of ``job`` on a formed communicator.
 
     ``spectra`` and ``pipelines`` are the agent's standing spectrum and
-    pipeline tables.
+    pipeline tables; the result reports the keys ``spectra`` holds after
+    the job.
 
     Returns the rank result with per-job accounting: ``wire`` is the
     transport ledger's before/after difference, and ``plan_hits`` /
@@ -173,6 +185,7 @@ def execute_job(
         comm,
         job.config,
         blocks=job.blocks,
+        kernel_key=job.kernel_key,
         spectrum=job.spectrum,
         post=post,
         abort=abort,
@@ -184,4 +197,6 @@ def execute_job(
     result.wire = wire_delta(wire0, comm.transport.ledger.snapshot())
     result.plan_hits = table.hits - hits0
     result.plan_misses = table.misses - misses0
+    if spectra is not None:
+        result.kernel_keys = tuple(key for key, _spectrum in spectra.items())
     return result

@@ -90,8 +90,7 @@ class DistRunReport:
     #: naive Eq 6 closed form (``flat:R`` policies only, else 0)
     naive_eq6_bytes: int = 0
     #: measured: total bytes-on-wire of input distribution (scattered
-    #: blocks, kernel announcements and misses; a resumed job's
-    #: checkpoint broadcast too), all ranks
+    #: blocks; a resumed job's checkpoint broadcast too), all ranks
     input_wire_bytes: int = 0
     #: exact: the ``k^3`` float64 blocks rank 0 scatters to its peers
     #: (a resumed job's excludes the restored sub-domains)
@@ -103,7 +102,7 @@ class DistRunReport:
     max_exchange_hidden_s: float = 0.0
     #: measured: bytes of the job messages the driver pickled onto the
     #: rank processes' control connections, all ranks — rank 0's active
-    #: blocks and any given spectrum, the rest's stripped copies (0 for
+    #: blocks, and the kernel array for each rank that lacked it (0 for
     #: thread ranks); no wire ledger counts them
     control_in_bytes: int = 0
 
@@ -225,8 +224,8 @@ def predicted_input_bytes(
     Rank 0 sends each peer the float64 ``k^3`` block of every ``active``
     sub-domain index that peer owns (its own blocks never touch the
     wire), so the input side of the audit is a count of blocks.  The
-    kernel is not in it: a warm rank holds the spectrum and a default
-    kernel is never shipped.  ``exclude_indices`` as in
+    kernel is not in it: it never crosses the mesh (a rank that lacks it
+    gets it with its job message).  ``exclude_indices`` as in
     :func:`expected_exchange_value_bytes` — a resumed job scatters only
     the blocks its checkpoint lacks.
     """

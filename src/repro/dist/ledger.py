@@ -26,8 +26,8 @@ from repro.util.metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 
 #: Traffic category for the single sparse accumulation exchange.
 CATEGORY_EXCHANGE = "exchange"
-#: Traffic category for input distribution (scattered blocks, kernel
-#: announcements and misses, a resumed job's checkpoint).
+#: Traffic category for input distribution (scattered blocks, a resumed
+#: job's checkpoint).
 CATEGORY_BCAST = "bcast"
 #: Traffic category for handshakes, heartbeats, and graceful close.
 CATEGORY_CONTROL = "control"

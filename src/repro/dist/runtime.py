@@ -35,7 +35,7 @@ import pickle
 import threading
 from dataclasses import dataclass, field as dataclass_field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -114,8 +114,9 @@ def run_spmd(
 
     ``blocks`` are the job's active ``(sub-domain, k^3 block)`` pairs
     (:meth:`~repro.core.decomposition.DomainDecomposition.active_blocks`),
-    handed to rank 0; ``spectrum=None`` is the default kernel of
-    ``config``, evaluated rank-side."""
+    handed to rank 0; ``spectrum`` is handed to every rank, and
+    ``None`` is the default kernel of ``config``, evaluated rank-side.
+    A cold run keys no kernel: its ranks keep nothing past the job."""
     clock = clock if clock is not None else MonotonicClock()
     if config.transport == "tcp":
         return _run_processes(config, blocks, spectrum, clock)
@@ -127,12 +128,11 @@ def run_spmd(
             outcome.post(kind, rank, payload)
 
     def body(comm: Communicator, abort: Callable[[], None]) -> RankResult:
-        root = comm.rank == 0
         return rank_main(
             comm,
             config,
-            blocks=blocks if root else None,
-            spectrum=spectrum if root else None,
+            blocks=blocks if comm.rank == 0 else None,
+            spectrum=spectrum,
             post=post,
             abort=abort,
         )
@@ -259,9 +259,11 @@ def form_mesh(
     recv_timeout_s: float,
     heartbeat_s: Optional[float],
     clock: Clock,
-) -> None:
+) -> Dict[int, FrozenSet[bytes]]:
     """Two-phase formation of the generation-``generation`` mesh over the
-    ranks of ``hosts``: collect data ports, broadcast endpoints."""
+    ranks of ``hosts``: collect data ports, broadcast endpoints.  Returns
+    the kernel keys each rank's ``ready`` reply says its spectrum table
+    holds."""
     ranks = sorted(hosts)
 
     def gather(kind: str, timeout_s: float) -> Dict[int, tuple]:
@@ -286,7 +288,7 @@ def form_mesh(
     # to all first, then collect readiness
     for rank in ranks:
         conns[rank].send(("mesh", generation, endpoints))
-    gather("ready", 60.0)
+    return {rank: frozenset(reply[3]) for rank, reply in gather("ready", 60.0).items()}
 
 
 def run_job(
@@ -296,11 +298,14 @@ def run_job(
     until each has answered, died, or run past :data:`RUN_DEADLINE_S`."""
     outcome = SpmdOutcome()
     pending: Dict[Connection, int] = {}
-    # each message pickled once, its length counted: rank 0's carries the
-    # inputs, every other rank gets the same stripped copy
-    messages = [pickle.dumps(("job", job)), pickle.dumps(("job", job.stripped()))]
+    # each distinct message pickled once, its length counted: rank 0's
+    # carries the blocks, a rank's in job.ship_to the kernel array
+    messages: Dict[Tuple[bool, bool], bytes] = {}
     for rank, conn in sorted(conns.items()):
-        message = messages[0 if rank == 0 else 1]
+        form = (rank == 0, rank in job.ship_to)
+        if form not in messages:
+            messages[form] = pickle.dumps(("job", job.for_rank(rank)))
+        message = messages[form]
         try:
             conn.send_bytes(message)
             outcome.control_in_bytes += len(message)
@@ -386,6 +391,7 @@ def _run_processes(
             config=config,
             blocks=blocks,
             spectrum=spectrum,
+            ship_to=frozenset(conns),
         )
         return run_job(conns, job, clock)
     finally:

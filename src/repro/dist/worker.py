@@ -3,9 +3,10 @@
 :func:`rank_main` is the same for every rank, both transports, both
 exchange modes and both fresh and resumed jobs:
 
-1. input distribution (:mod:`repro.dist.inputs`): the ranks agree on the
-   kernel spectrum — by descriptor or content digest, the array itself
-   travels only to a rank whose spectrum table misses it — rank 0
+1. input distribution (:mod:`repro.dist.inputs`): the rank takes the
+   kernel the driver named from its spectrum table, or from the job
+   message, which carries the array only to a rank whose table lacks it
+   (ranks never agree on a kernel in-mesh) — rank 0
    broadcasts the merged checkpoint of the failed attempt when the job
    resumes one, and *scatters* the active blocks it was handed: the
    driver cut the field's active ``k^3`` blocks once, rank 0 keeps its
@@ -82,7 +83,7 @@ from repro.dist.collectives import (
     TAG_POOL_CHECKPOINT,
     Communicator,
 )
-from repro.dist.inputs import Chunks, default_spectrum, scatter_blocks, share_spectrum
+from repro.dist.inputs import Chunks, default_spectrum, job_spectrum, scatter_blocks
 from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.wire import FramePayload, Segments
 from repro.errors import ConfigurationError, ExchangeFrameError
@@ -227,6 +228,9 @@ class RankResult:
     #: misses nothing
     plan_hits: int = 0
     plan_misses: int = 0
+    #: the content keys in the rank process's spectrum table after the
+    #: job (() for a thread rank): what the driver ships kernels by
+    kernel_keys: Tuple[bytes, ...] = ()
 
 
 def composite_field(n: int, seed: int = 0) -> np.ndarray:
@@ -262,11 +266,11 @@ def warm_pipeline(
     pipelines: Optional[WeightedLRU] = None,
 ) -> LowCommConvolution3D:
     """The job's pipeline from a standing rank's ``pipelines`` table,
-    keyed on the spectrum's table key (:func:`~repro.dist.inputs
-    .share_spectrum`) and the shape it runs: a miss builds it — and runs
+    keyed on the kernel's key (:mod:`repro.dist.inputs`) and the shape
+    it runs: a miss builds it — and runs
     the §3.1 check on its kernel — once, every later job of the shape
-    reuses it.  ``None`` (a cold rank, or a kernel a cold rank never
-    keyed) builds one for this job."""
+    reuses it.  No table, or no key (a cold rank), builds one for this
+    job."""
     if pipelines is None or key is None:
         return build_pipeline(config, spectrum)
     shape = (key, config.n, config.k, config.policy, config.batch)
@@ -283,6 +287,7 @@ def rank_main(
     comm: Communicator,
     config: DistConfig,
     blocks: Optional[Chunks] = None,
+    kernel_key: Optional[bytes] = None,
     spectrum: Optional[np.ndarray] = None,
     post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
@@ -300,15 +305,20 @@ def rank_main(
         ``exchange_s``.
     config:
         Job parameters (identical on every rank).
-    blocks, spectrum:
-        Supplied on rank 0 only.  ``blocks`` are the job's active
-        ``(sub-domain, k^3 block)`` pairs, which the driver cut once
+    blocks:
+        Supplied on rank 0 only: the job's active ``(sub-domain, k^3
+        block)`` pairs, which the driver cut once
         (:meth:`~repro.core.decomposition.DomainDecomposition
         .active_blocks`); rank 0 keeps its own and scatters every peer
-        its share, so no rank is handed the ``n^3`` field.  Other ranks
-        receive the spectrum by key (see ``spectra``); ``spectrum=None``
-        on rank 0 selects the default kernel of ``config``, which every
-        rank evaluates for itself.
+        its share, so no rank is handed the ``n^3`` field.
+    kernel_key, spectrum:
+        The key the driver names the job's kernel by, and the array when
+        the driver sent it (:func:`~repro.dist.inputs.job_spectrum`): a
+        key found in ``spectra`` needs no array, a default kernel's
+        descriptor never has one, and an attached array is checked
+        against the key before it is cached.  ``kernel_key=None`` (a cold
+        rank) keys nothing: the rank convolves with ``spectrum``, or with
+        the default kernel of ``config`` when that is ``None`` too.
     post:
         Driver-side mailbox: ``post(kind, rank, payload)``.  The rank
         posts every checkpoint blob here before it reaches a peer
@@ -328,12 +338,9 @@ def rank_main(
         clean run, so the result is still bitwise ``run_serial``'s.
     spectra, pipelines:
         This rank's standing spectrum and pipeline tables, kept by the
-        caller from job to job; a kernel found in
-        ``spectra`` does not travel, and a pipeline found in
-        ``pipelines`` (:func:`warm_pipeline`) is not rebuilt.  ``None``
-        (the cold runtime) keeps nothing: the spectrum ships to every
-        peer, rank 0 convolves with the caller's array, and the pipeline
-        is built for the job.
+        caller from job to job; a pipeline found in ``pipelines``
+        (:func:`warm_pipeline`) is not rebuilt.  ``None`` (the cold
+        runtime) keeps nothing: the pipeline is built for the job.
     """
     rank, size = comm.rank, comm.size
     if rank == 0 and (blocks is None or (resumed and checkpoint is None)):
@@ -341,13 +348,13 @@ def rank_main(
             "rank 0 must be given the active blocks (and the merged "
             "checkpoint of the attempt a resumed job continues)"
         )
-    key, spectrum = share_spectrum(comm, config, spectrum, spectra)
+    spectrum = job_spectrum(config, kernel_key, spectrum, spectra)
     if resumed:
         checkpoint = comm.broadcast(checkpoint, root=0, tag=TAG_POOL_CHECKPOINT)
     restored: Dict[int, CompressedField] = (
         checkpoint_from_bytes(checkpoint) if resumed else {}
     )
-    pipeline = warm_pipeline(config, key, spectrum, pipelines)
+    pipeline = warm_pipeline(config, kernel_key, spectrum, pipelines)
     shares = pipeline.decomposition.assign_round_robin(size)
     todo = scatter_blocks(comm, pipeline.decomposition, shares, blocks, skip=restored)
     own_subdomains = shares[rank]

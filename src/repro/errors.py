@@ -67,11 +67,13 @@ class IdleTimeout(TransportError):
 
 
 class InputFrameError(CommunicationError):
-    """An input-distribution payload (scattered blocks, a kernel spectrum
-    or its announcement) failed validation.
+    """An input-distribution payload (scattered blocks, or a kernel array
+    sent under its key) failed validation, or a job named a kernel the
+    rank neither holds nor was sent.
 
-    Raised before anything is allocated from the payload's own lengths;
-    ``offset`` is the byte offset of the field that was rejected.
+    Raised before anything is allocated from the payload's own lengths
+    or cached; ``offset`` is the byte offset of the field that was
+    rejected (0 for a kernel).
     """
 
     def __init__(self, message: str, *, offset: int = 0):

@@ -65,10 +65,12 @@ class PadScratch:
     Allocating and zero-filling a fresh padded buffer for every pencil
     batch is pure overhead once the placement ``(offset, extent)`` repeats
     — which it does for every batch of the same sub-domain.  A scratch
-    keeps one buffer per ``(input shape, axis, n, dtype kind)`` slot,
-    with the index of the band last written; the pad region stays zero
-    across calls, and only a change of offset forces that band to be
-    cleared.
+    keeps one buffer per ``(trailing input shape, axis, n, dtype kind)``
+    slot, with the index of the band last written; the pad region stays
+    zero across calls, and only a change of offset forces that band to be
+    cleared.  When ``axis`` is not the leading one, a batch with fewer
+    leading rows (the last, shorter pencil batch of a sub-domain) is
+    served a leading-row view of the slot's buffer, not a slot of its own.
     """
 
     def __init__(self) -> None:
@@ -80,9 +82,10 @@ class PadScratch:
         reused across calls and must be consumed before the next
         ``padded`` call; the caller checks that ``x`` fits."""
         is_complex = x.dtype.kind == "c"
-        key = (x.shape, axis, n, is_complex)
+        axis %= x.ndim
+        key = (x.shape[1:] if axis else x.shape, axis, n, is_complex)
         slot = self._slots.get(key)
-        if slot is None:
+        if slot is None or len(slot[0]) < len(x):
             shape = list(x.shape)
             shape[axis] = n
             dtype = np.complex128 if is_complex else np.float64
@@ -95,6 +98,8 @@ class PadScratch:
             index[axis] = slice(offset, offset + x.shape[axis])
             band = slot[2] = tuple(index)
             slot[1] = offset
+        if axis and len(x) < len(buf):
+            buf = buf[: len(x)]
         buf[band] = x
         return buf
 

@@ -29,13 +29,13 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
 from multiprocessing.connection import Client, Connection
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 import numpy as np
 
 from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
-from repro.dist.inputs import Chunks
+from repro.dist.inputs import Chunks, KernelBook
 from repro.dist.jobs import PoolJob
 from repro.dist.launcher import (
     DistRunReport,
@@ -116,6 +116,11 @@ class RankPool:
         self._mesh_formed = False
         #: jobs completed on the currently-formed mesh (warm evidence)
         self._jobs_on_mesh = 0
+        #: the kernels this controller has named, by content key
+        self._kernels = KernelBook()
+        #: the kernel keys each rank last reported holding (mesh
+        #: ``ready`` replies, then every job's results)
+        self._held: Dict[int, FrozenSet[bytes]] = {}
 
     # -- membership ---------------------------------------------------------
     def spawn(self, count: int, host: str = "127.0.0.1") -> None:
@@ -181,7 +186,9 @@ class RankPool:
 
         ``spectrum=None`` is the default kernel of ``config``: every rank
         evaluates it for itself and nothing ships.  A spectrum that is
-        given travels only to ranks whose standing table lacks it.
+        given is named by its content key
+        (:class:`~repro.dist.inputs.KernelBook`) and travels, with the
+        job message, only to ranks whose standing table lacks it.
 
         ``metadata`` rides on the job and is echoed back on the report
         (the serving tier stamps ``request_id`` and ``job_index``);
@@ -214,15 +221,17 @@ class RankPool:
         if not self._mesh_formed:
             self._new_mesh()
         self._next_job_id += 1
+        kernel_key, spectrum = self._kernels.name(config, spectrum)
         job = PoolJob(
             job_id=self._next_job_id,
             generation=roster.generation,
             config=config,
             blocks=blocks,
+            kernel_key=kernel_key,
             spectrum=spectrum,
             metadata=metadata,
         )
-        outcome = run_job(self._conns, job, self.clock)
+        outcome = self._run(job)
 
         if outcome.clean:
             self._jobs_on_mesh += 1
@@ -249,10 +258,24 @@ class RankPool:
                 f"{card.host}:{card.port}: {exc}"
             ) from exc
 
+    def _run(self, job: PoolJob) -> SpmdOutcome:
+        """Run ``job`` on the mesh, its kernel attached for the ranks
+        that lack it, and note what every rank holds afterwards (nothing
+        known for a rank that returned no result: it is sent the kernel
+        again)."""
+        job.ship_to = frozenset(
+            rank for rank, keys in self._held.items() if job.kernel_key not in keys
+        )
+        outcome = run_job(self._conns, job, self.clock)
+        for rank in self._held:
+            result = outcome.results.get(rank)
+            self._held[rank] = frozenset(result.kernel_keys if result else ())
+        return outcome
+
     def _new_mesh(self) -> None:
         """Form the current generation's mesh; no job has run on it yet."""
         roster = self._require_roster()
-        form_mesh(
+        self._held = form_mesh(
             self._conns,
             {m.rank: m.card.host for m in roster.members()},
             roster.generation,
@@ -311,11 +334,12 @@ class RankPool:
                 generation=roster.generation,
                 config=retry_config,
                 blocks=[pair for pair in job.blocks if pair[0].index not in merged],
+                kernel_key=job.kernel_key,
                 spectrum=job.spectrum,
                 checkpoint=checkpoint,
                 metadata=job.metadata,
             )
-            retry_outcome = run_job(self._conns, retry, self.clock)
+            retry_outcome = self._run(retry)
             if retry_outcome.clean:
                 self._jobs_on_mesh += 1
                 return self._report(

@@ -19,7 +19,10 @@ resubmits once (counted in ``pool.generation_bumps``).
 
 **Wire bytes.**  Each job's exact per-job wire counters
 (:attr:`~repro.pool.pool.PoolJobReport.wire_totals`) add up in one
-``pool.wire_bytes`` counter of the server's metrics registry.
+``pool.wire_bytes`` counter of the server's metrics registry, and the
+job messages the driver sent its ranks (``control_in_bytes``: the
+blocks, and a kernel only for a rank that lacked it) in
+``pool.control_bytes``.
 
 Failover is the pool's checkpoint-handoff path, reused transparently: a
 rank death mid-job recovers in-mesh (survivors restore from posted
@@ -211,6 +214,7 @@ class PoolBackend:
         if report.driver_fallback:
             m.counter("pool.driver_fallbacks").inc()
         m.counter("pool.wire_bytes").inc(sent_wire_bytes(report.wire_totals))
+        m.counter("pool.control_bytes").inc(report.control_in_bytes)
 
     @staticmethod
     def _to_result(report: "PoolJobReport") -> ConvolutionResult:

@@ -159,9 +159,12 @@ class ConvolutionServer:
 
         The spectrum must be real and centrosymmetric (paper §3.1): one
         that is not raises :class:`~repro.errors.ConfigurationError` here,
-        not in every request that names it.
+        not in every request that names it.  The server keeps a private
+        read-only copy, so a later write to the caller's array changes no
+        served result and skips no check.
         """
-        spectrum = np.asarray(spectrum)
+        spectrum = np.array(spectrum)
+        spectrum.flags.writeable = False
         if spectrum.shape != (self.config.n,) * 3:
             raise ShapeError(
                 f"kernel {name!r} spectrum shape {spectrum.shape} != "

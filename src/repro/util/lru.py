@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Generic, Hashable, Optional, TypeVar
+from typing import Generic, Hashable, List, Optional, Tuple, TypeVar
 
 V = TypeVar("V")
 
@@ -60,3 +60,9 @@ class WeightedLRU(Generic[V]):
                 _key, (_value, evicted) = self._entries.popitem(last=False)
                 self.weight -= evicted
             return value
+
+    def items(self) -> List[Tuple[Hashable, V]]:
+        """The ``(key, value)`` entries, least recently used first; reading
+        them counts no hit and reorders nothing."""
+        with self._lock:
+            return [(key, entry[0]) for key, entry in self._entries.items()]

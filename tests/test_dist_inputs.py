@@ -1,21 +1,24 @@
 """Input distribution: scattered blocks and rank-side kernel spectra.
 
 A rank receives the ``k^3`` blocks it convolves and nothing else of the
-field, and a kernel spectrum travels only to a rank whose table misses
-its content digest.  The obligations, as tests:
+field, and a kernel reaches a rank only with a job message whose driver
+knows the rank's table lacks the kernel's content key.  The obligations,
+as tests:
 
 - **Bitwise over every mode**: rank count x transport x exchange mode x
   field shape (dense, half-cube, all-zero, one rank left with nothing),
   with generated field contents and kernels, assembles to exactly
   ``run_serial``'s grid — and the ``bcast`` wire category carries exactly
-  the predicted blocks plus a computable handful of framing bytes.
-- **Kernels ship on a miss only**: cold once, a second kernel once, the
-  first again never, and once more after an eviction; a resumed job
-  scatters only the blocks its checkpoint lacks.
-- **Hostile bytes**: a malformed scatter or spectrum frame raises
+  the predicted blocks plus a computable handful of framing bytes: no
+  kernel, key or answer ever crosses the mesh.
+- **Kernels ship on a miss only**: on a standing pool, cold once, a
+  second kernel once, the first again never, and once more after an
+  eviction; a resumed job scatters only the blocks its checkpoint lacks.
+- **Hostile bytes**: a malformed scatter frame raises
   :class:`InputFrameError` with the offending offset before anything is
-  allocated from its lengths, and a spectrum that does not hash to its
-  announced digest is rejected and never cached.
+  allocated from its lengths; an attached kernel array of the wrong
+  shape or dtype, or one that does not hash to its key, is rejected and
+  never cached, and a key a rank lacks with nothing attached fails it.
 - **No n^3 on a non-root rank**: what a non-root ``rank_main`` allocates
   before it starts convolving (traced) is its blocks, a fraction of one
   field.
@@ -34,19 +37,12 @@ from hypothesis import strategies as st
 
 from repro.core.checkpoint import checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
-from repro.dist.collectives import (
-    TAG_FIELD,
-    TAG_SPECTRUM,
-    TAG_SPECTRUM_KEY,
-    Communicator,
-)
+from repro.dist.collectives import TAG_FIELD, Communicator
 from repro.dist.inputs import (
     decode_blocks,
-    decode_spectrum,
     encode_blocks,
-    encode_spectrum,
-    share_spectrum,
-    spectrum_digest,
+    job_spectrum,
+    kernel_key,
 )
 from repro.dist.launcher import assemble_blocks, predicted_input_bytes
 from repro.dist.ledger import merge_wire_snapshots
@@ -56,6 +52,7 @@ from repro.dist.worker import DistConfig, build_pipeline, rank_main
 from repro.errors import InputFrameError
 from repro.kernels.gaussian import GaussianKernel
 from repro.util.clock import Clock
+from repro.pool import private_pool
 from repro.util.lru import WeightedLRU
 from tests.test_dist_rank_loop import _run_ranks
 from tests.test_dist_transport import _tcp_mesh
@@ -63,9 +60,8 @@ from tests.test_dist_transport import _tcp_mesh
 N, K = 16, 4
 SHAPE = dict(n=N, k=K, sigma=2.0, policy="flat:2")
 BLOCK_BYTES = 8 * K**3
-#: a scatter frame's own header, and a spectrum frame's
-SCATTER_HEADER, SPECTRUM_HEADER = 16, 32
-DESCRIPTOR_KEY, DIGEST_KEY = 17, 33
+#: a scatter frame's own header
+SCATTER_HEADER = 16
 
 
 def _spectrum(sigma: float) -> np.ndarray:
@@ -104,18 +100,10 @@ def _bcast_bytes(results) -> int:
     return totals.get("sent.bcast.bytes", 0)
 
 
-def _input_framing(ranks: int, blocks: int, key_bytes: int, answered: bool) -> int:
-    """Everything under ``bcast`` that is not a block or a shipped array:
-    per peer one scatter frame and one announcement, an 8-byte index per
-    block, and (digest keys) one have / need answer per peer."""
-    per_peer = 2 * HEADER_BYTES + SCATTER_HEADER + key_bytes
-    if answered:
-        per_peer += HEADER_BYTES + 1
-    return (ranks - 1) * per_peer + 8 * blocks
-
-
-def _shipped(spectrum: np.ndarray) -> int:
-    return HEADER_BYTES + SPECTRUM_HEADER + spectrum.nbytes
+def _input_framing(ranks: int, blocks: int) -> int:
+    """Everything under ``bcast`` that is not a block: per peer one
+    scatter frame, and an 8-byte index per block."""
+    return (ranks - 1) * (HEADER_BYTES + SCATTER_HEADER) + 8 * blocks
 
 
 # -- bitwise + exact accounting over every mode ---------------------------
@@ -141,14 +129,8 @@ def test_scattered_job_is_bitwise_serial_and_input_is_accounted(
 
     blocks = sum(r.num_chunks for rank, r in results.items() if rank)
     assert predicted_input_bytes(config, _active(config, field)) == BLOCK_BYTES * blocks
-    expected = BLOCK_BYTES * blocks
-    if spectrum is None:
-        expected += _input_framing(ranks, blocks, DESCRIPTOR_KEY, answered=False)
-    elif ranks > 1:
-        # a cold job: every peer misses the kernel exactly once
-        expected += _input_framing(ranks, blocks, DIGEST_KEY, answered=True)
-        expected += (ranks - 1) * _shipped(spectrum)
-    assert _bcast_bytes(results) == expected
+    # a cold job hands every rank the kernel; none of it crosses the mesh
+    assert _bcast_bytes(results) == BLOCK_BYTES * blocks + _input_framing(ranks, blocks)
 
     serial = build_pipeline(config, spectrum).run_serial(field)
     assert np.array_equal(assemble_blocks(config, results), serial.approx)
@@ -162,33 +144,39 @@ def _active(config, field):
 
 # -- kernels ship on a miss only ------------------------------------------
 @pytest.mark.parametrize("ranks", [2, 3])
-def test_kernel_ships_once_per_miss_and_again_after_eviction(ranks):
-    config = DistConfig(num_ranks=ranks, **SHAPE)
+def test_kernel_ships_once_per_miss_and_again_after_eviction(ranks, monkeypatch):
+    """On a standing pool whose rank tables hold two kernels, the driver
+    attaches a kernel to the job messages of exactly the ranks that lack
+    it: the control bytes count whole kernels shipped."""
+    import repro.dist.agent as agent
+
+    config = DistConfig(num_ranks=ranks, transport="tcp", **SHAPE)
     field = _field("half-cube", 7, ranks)
     a, b, c = _spectrum(1.5), _spectrum(2.0), _spectrum(2.5)
-    # room for two kernels: a third evicts the least recently used
-    tables = [WeightedLRU(2 * a.nbytes) for _ in range(ranks)]
-    warm = predicted_input_bytes(config, _active(config, field)) + _input_framing(
-        ranks, predicted_input_bytes(config, _active(config, field)) // BLOCK_BYTES,
-        DIGEST_KEY, answered=True,
-    )
-    ship = (ranks - 1) * _shipped(a)
+    # room for two kernels: a third evicts the least recently used (the
+    # agents are forked after the patch, so they inherit it)
+    monkeypatch.setattr(agent, "SPECTRUM_TABLE_BYTES", 2 * a.nbytes)
+    # a job's messages without a kernel are a fraction of one kernel
+    assert len(_active(config, field)) * BLOCK_BYTES < a.nbytes // 4
 
-    def job(spectrum):
-        results = _run_ranks(
-            _transports("local", ranks), config, field, spectrum, tables=tables
-        )
-        serial = build_pipeline(config, spectrum).run_serial(field)
-        assert np.array_equal(assemble_blocks(config, results), serial.approx)
-        return _bcast_bytes(results)
+    with private_pool(ranks) as pool:
 
-    assert job(a) == warm + ship  # cold: ships once
-    assert job(b) == warm + ship  # a second kernel: once
-    assert job(a) == warm  # the first again: nothing
-    assert job(c) == warm + ship  # a third: ships, evicts b (LRU)
-    assert job(a) == warm  # a survived the eviction
-    assert job(b) == warm + ship  # b did not: exactly one re-ship
-    assert job(b) == warm
+        def shipped(spectrum) -> int:
+            report = pool.submit(config, field=field, spectrum=spectrum)
+            serial = build_pipeline(config, spectrum).run_serial(field)
+            assert np.array_equal(report.approx, serial.approx)
+            assert report.input_wire_bytes == report.predicted_input_bytes + (
+                _input_framing(ranks, report.predicted_input_bytes // BLOCK_BYTES)
+            )
+            return report.control_in_bytes // a.nbytes
+
+        assert shipped(a) == ranks  # cold: to every rank, once
+        assert shipped(b) == ranks  # a second kernel: once
+        assert shipped(a) == 0  # the first again: nothing
+        assert shipped(c) == ranks  # a third: ships, evicts b (LRU)
+        assert shipped(a) == 0  # a survived the eviction
+        assert shipped(b) == ranks  # b did not: exactly one re-ship
+        assert shipped(b) == 0
 
 
 def test_default_kernel_never_ships_and_is_evaluated_once_per_table():
@@ -200,9 +188,7 @@ def test_default_kernel_never_ships_and_is_evaluated_once_per_table():
         results = _run_ranks(
             _transports("local", 2), config, field, None, tables=tables
         )
-        assert _bcast_bytes(results) == BLOCK_BYTES * blocks + _input_framing(
-            2, blocks, DESCRIPTOR_KEY, answered=False
-        )
+        assert _bcast_bytes(results) == BLOCK_BYTES * blocks + _input_framing(2, blocks)
     for table in tables:
         assert (len(table), table.misses, table.hits) == (1, 1, 1)
 
@@ -231,7 +217,7 @@ def test_resumed_job_scatters_only_blocks_the_checkpoint_lacks(overlap):
     assert predicted_input_bytes(config, _active(config, field), restored) == BLOCK_BYTES * blocks
     assert _bcast_bytes(results) == (
         BLOCK_BYTES * blocks
-        + _input_framing(ranks, blocks, DIGEST_KEY, answered=True)
+        + _input_framing(ranks, blocks)
         + (ranks - 1) * (HEADER_BYTES + len(checkpoint))
     )
     assert np.array_equal(assemble_blocks(config, results), serial.approx)
@@ -290,77 +276,82 @@ class TestHostileScatterFrame:
         fabric = LocalFabric(2)
         root = Communicator(fabric.endpoint(0), recv_timeout_s=5.0)
         victim = Communicator(fabric.endpoint(1), recv_timeout_s=5.0)
-        root.broadcast(struct.pack("<cqd", b"G", N, 2.0), tag=TAG_SPECTRUM_KEY)
         root.send_payload(1, _scatter_frame([2]), TAG_FIELD)
         with pytest.raises(InputFrameError, match="another rank's"):
             rank_main(victim, config)
 
 
-def _spectrum_frame(code=b"<f8", shape=(N, N, N), nbytes=8 * N**3) -> bytes:
-    return struct.pack("<4s4x3q", code, *shape) + bytes(nbytes)
-
-
 class TestHostileSpectrum:
+    """A kernel array reaches a rank only attached to its job message,
+    under the key the job names; the rank checks it before caching it."""
+
+    CONFIG = DistConfig(num_ranks=2, **SHAPE)
+
     @pytest.mark.parametrize("dtype", ["<f4", "<f8", "<c8", "<c16"])
     def test_round_trip(self, dtype):
         spectrum = np.random.default_rng(1).standard_normal((N, N, N)).astype(dtype)
-        frame = encode_spectrum(spectrum).tobytes()
-        decoded = decode_spectrum(frame, N)
-        assert decoded.dtype == spectrum.dtype
-        assert np.array_equal(decoded, spectrum)
-
-    @pytest.mark.parametrize(
-        "frame, offset, match",
-        [
-            (b"\x00" * 31, 31, "truncated spectrum header"),
-            (_spectrum_frame(code=b"|O8"), 0, "dtype"),
-            (_spectrum_frame(code=b"<i8"), 0, "dtype"),
-            # a shape that would imply an allocation beyond the grid
-            (_spectrum_frame(shape=(1 << 20,) * 3, nbytes=0), 8, "shape"),
-            (_spectrum_frame(shape=(N, N, 1)), 8, "shape"),
-            (_spectrum_frame(nbytes=8 * N**3 - 8), 32 + 8 * N**3 - 8, "needs"),
-            (_spectrum_frame(nbytes=8 * N**3 + 1), 32 + 8 * N**3, "needs"),
-        ],
-    )
-    def test_rejected_with_offset(self, frame, offset, match):
-        with pytest.raises(InputFrameError, match=match) as err:
-            decode_spectrum(frame, N)
-        assert err.value.offset == offset
+        key = kernel_key(spectrum)
+        table = WeightedLRU(1 << 20)
+        kept = job_spectrum(self.CONFIG, key, spectrum, table)
+        assert kept.dtype == spectrum.dtype and np.array_equal(kept, spectrum)
+        # a private read-only copy: the sender's array is not kept
+        assert kept is not spectrum and not kept.flags.writeable
+        # a later job naming the key alone gets the same array
+        assert job_spectrum(self.CONFIG, key, None, table) is kept
 
     def test_digest_covers_dtype_shape_and_bytes(self):
         base = _spectrum(2.0)
-        digests = {
-            spectrum_digest(encode_spectrum(variant))
+        zero, negative_zero = base.copy(), base.copy()
+        zero[0, 0, 0], negative_zero[0, 0, 0] = 0.0, -0.0
+        keys = {
+            kernel_key(variant)
             for variant in (base, base.astype(np.float32), base + 1e-9,
-                            np.ascontiguousarray(base.transpose(2, 1, 0)) * 1.0)
+                            base.reshape(N, N * N, 1), zero, negative_zero)
         }
-        assert len(digests) >= 3  # transposing a symmetric kernel may tie
-        assert spectrum_digest(encode_spectrum(base)) == spectrum_digest(
-            encode_spectrum(base).tobytes()
-        )
+        assert len(keys) == 6
+        # the key is of the array, not of its memory layout
+        assert kernel_key(base) == kernel_key(np.asfortranarray(base))
+
+    @pytest.mark.parametrize(
+        "mangle, match",
+        [
+            (lambda s: s[:, :, : N // 2], "shape"),
+            (lambda s: s.astype(np.int64), "dtype"),
+            (lambda s: s.astype(">f8"), "dtype"),
+            (lambda s: np.array(s, dtype=object), "dtype"),
+        ],
+        ids=["shape", "int64", "big-endian", "object"],
+    )
+    def test_malformed_array_fails_the_rank_and_is_never_cached(self, mangle, match):
+        spectrum = mangle(_spectrum(2.0))
+        table = WeightedLRU(1 << 20)
+        key = kernel_key(_spectrum(2.0))
+        with pytest.raises(InputFrameError, match=match):
+            rank_main(_victim(), self.CONFIG, kernel_key=key, spectrum=spectrum, spectra=table)
+        assert len(table) == 0
 
     def test_spectrum_not_matching_its_digest_is_rejected_and_never_cached(self):
-        config = DistConfig(num_ranks=2, **SHAPE)
-        fabric = LocalFabric(2)
-        root = Communicator(fabric.endpoint(0), recv_timeout_s=5.0)
-        victim = Communicator(fabric.endpoint(1), recv_timeout_s=5.0)
-        announced = spectrum_digest(encode_spectrum(_spectrum(2.0)))
-        root.broadcast(announced, tag=TAG_SPECTRUM_KEY)
-        root.send_payload(1, encode_spectrum(_spectrum(2.5)), TAG_SPECTRUM)
+        announced = kernel_key(_spectrum(2.0))
         table = WeightedLRU(1 << 20)
         with pytest.raises(InputFrameError, match="does not hash"):
-            share_spectrum(victim, config, None, table)
+            rank_main(
+                _victim(), self.CONFIG, kernel_key=announced,
+                spectrum=_spectrum(2.5), spectra=table,
+            )
         assert len(table) == 0 and table.get(announced) is None
 
     @pytest.mark.parametrize("key", [b"", b"H" + b"\x00" * 8, b"X" * 33])
     def test_unknown_announcement_is_rejected(self, key):
-        config = DistConfig(num_ranks=2, **SHAPE)
-        fabric = LocalFabric(2)
-        root = Communicator(fabric.endpoint(0), recv_timeout_s=5.0)
-        victim = Communicator(fabric.endpoint(1), recv_timeout_s=5.0)
-        root.send_payload(1, key, TAG_SPECTRUM_KEY)
-        with pytest.raises(InputFrameError, match="neither"):
-            share_spectrum(victim, config, None, WeightedLRU(1 << 20))
+        """A job that names a key the rank lacks, with no array
+        attached, fails the rank: its driver's view was stale."""
+        for table in (WeightedLRU(1 << 20), None):
+            with pytest.raises(InputFrameError, match="neither holds nor was sent"):
+                rank_main(_victim(), self.CONFIG, kernel_key=key, spectra=table)
+
+
+def _victim() -> Communicator:
+    """Rank 1 of a two-rank fabric whose rank 0 sends nothing."""
+    return Communicator(LocalFabric(2).endpoint(1), recv_timeout_s=5.0)
 
 
 # -- a non-root rank never holds an n^3 array -----------------------------
@@ -370,7 +361,7 @@ class _ReachedCompute(Exception):
 
 def test_non_root_rank_allocates_its_blocks_not_the_field():
     """Everything a non-root rank allocates up to the moment it starts
-    convolving — announcement, kernel lookup, scatter frame, pipeline —
+    convolving — kernel lookup, scatter frame, pipeline —
     is traced; it must hold its own blocks and nothing ``n^3``-sized.
 
     Rank 0 is scripted and its frames are allocated before tracing
@@ -393,10 +384,9 @@ def test_non_root_rank_allocates_its_blocks_not_the_field():
 
     fabric = LocalFabric(2)
     root = Communicator(fabric.endpoint(0))
-    wire = encode_spectrum(spectrum)
+    key = kernel_key(spectrum)
     table = WeightedLRU(1 << 30)
-    table.put(spectrum_digest(wire), spectrum, spectrum.nbytes)
-    root.send_payload(1, spectrum_digest(wire), TAG_SPECTRUM_KEY)
+    table.put(key, spectrum, spectrum.nbytes)
     root.send_payload(1, encode_blocks(k, decomp.active_blocks(field, own)), TAG_FIELD)
     victim = Communicator(fabric.endpoint(1), recv_timeout_s=20.0)
     peaks = []
@@ -408,7 +398,7 @@ def test_non_root_rank_allocates_its_blocks_not_the_field():
     tracemalloc.start()
     try:
         with pytest.raises(_ReachedCompute):
-            rank_main(victim, config, abort=reached_compute, spectra=table)
+            rank_main(victim, config, kernel_key=key, abort=reached_compute, spectra=table)
     finally:
         tracemalloc.stop()
     assert peaks and peaks[0] < field.nbytes // 8

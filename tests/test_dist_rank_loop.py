@@ -16,7 +16,7 @@ import pytest
 from repro.core.checkpoint import checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.dist.collectives import Communicator
-from repro.dist.inputs import default_spectrum
+from repro.dist.inputs import KernelBook, default_spectrum
 from repro.dist.launcher import assemble_blocks
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, build_pipeline, composite_field, rank_main
@@ -36,21 +36,30 @@ def reference():
 
 def _run_ranks(transports, config, field, spectrum, checkpoint=None, tables=None):
     """Run ``rank_main`` on one thread per transport endpoint; ``tables``
-    are the ranks' standing spectrum tables (``None``: a cold job).  Rank
-    0 is handed ``field``'s active blocks, as a driver cuts them."""
+    are the ranks' standing spectrum tables.  Rank 0 is handed ``field``'s
+    active blocks, as a driver cuts them.  A cold job (``tables=None``)
+    hands every rank ``spectrum`` and keys nothing; with tables, the job
+    names the kernel by its key and attaches the array only for a rank
+    whose table lacks it, as the pool's driver does."""
     comms = [Communicator(t, recv_timeout_s=20.0) for t in transports]
     blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
+    key = None
+    if tables is not None:
+        key, spectrum = KernelBook().name(config, spectrum)
 
     def run(comm):
         root = comm.rank == 0
+        table = None if tables is None else tables[comm.rank]
+        held = () if table is None else [held for held, _array in table.items()]
         return rank_main(
             comm,
             config,
             blocks=blocks if root else None,
-            spectrum=spectrum if root else None,
+            kernel_key=key,
+            spectrum=None if key in held else spectrum,
             checkpoint=checkpoint if root else None,
             resumed=checkpoint is not None,
-            spectra=None if tables is None else tables[comm.rank],
+            spectra=table,
         )
 
     try:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policy import parse_policy
+from repro.core.pipeline import LowCommConvolution3D
+from repro.core.policy import SamplingPolicy, parse_policy
 from repro.errors import ShapeError
 from repro.fft.pruned import (
     PadScratch,
@@ -37,6 +38,7 @@ from repro.fft.pruned_plan import (
     inverse_strategy,
     plan_for,
 )
+from repro.kernels.gaussian import GaussianKernel
 from repro.util.arrays import embed_subcube
 from repro.util.lru import WeightedLRU
 
@@ -57,6 +59,13 @@ class TestHermitianWeights:
     def test_half_length(self):
         assert half_length(8) == 5
         assert half_length(7) == 4
+
+
+class _FreshScratch(PadScratch):
+    """A fresh zero buffer every call: what no reuse at all computes."""
+
+    def padded(self, x, offset, n, axis):
+        return PadScratch().padded(x, offset, n, axis)
 
 
 class TestPadScratch:
@@ -90,6 +99,31 @@ class TestPadScratch:
         expect = np.zeros((3, 12))
         expect[:, 2:7] = y
         np.testing.assert_array_equal(buf2, expect)
+
+    def test_shorter_batch_is_served_from_the_full_batch_slot(self, rng):
+        """A sub-domain's last, shorter pencil batch reuses the leading
+        rows of the full batch's buffer, and transforms bitwise as a
+        fresh buffer does."""
+        scratch = PadScratch()
+        for rows in (8, 3, 8, 3):
+            x = rng.standard_normal((rows, 5)) + 1j * rng.standard_normal((rows, 5))
+            got = pruned_input_fft(x, 2, 12, axis=1, scratch=scratch)
+            np.testing.assert_array_equal(got, pruned_input_fft(x, 2, 12, axis=1))
+        assert len(scratch._slots) == 1
+
+    def test_a_pipeline_keeps_one_slot_per_stage(self, rng):
+        """One n=32 ``flat:2`` solve: the x, y and z stages' three slots,
+        no fourth for the z stage's remainder batch, and the result
+        bitwise a fresh pipeline's with scratch sharing no slot."""
+        n, k = 32, 8
+        spectrum = GaussianKernel(n=n, sigma=2.0).spectrum()
+        field = rng.standard_normal((n, n, n))
+        pipeline = LowCommConvolution3D(n, k, spectrum, policy=SamplingPolicy.flat_rate(2))
+        approx = pipeline.run_serial(field).approx
+        assert len(pipeline.local._scratch._slots) == 3
+        unshared = LowCommConvolution3D(n, k, spectrum, policy=SamplingPolicy.flat_rate(2))
+        unshared.local._scratch = _FreshScratch()
+        np.testing.assert_array_equal(unshared.run_serial(field).approx, approx)
 
     def test_separate_slots_per_dtype(self, rng):
         scratch = PadScratch()

@@ -9,9 +9,12 @@ The acceptance bar, as tests:
   (``plan_misses == 0``);
 - a rank killed mid-job is replaced in-mesh via the checkpoint handoff
   and the recovered result is still bitwise identical;
-- input distribution: a kernel ships to a rank once, a default kernel
-  never, and a replacement agent (empty spectrum table) misses exactly
-  once — at every fail stage, for a non-root rank and for rank 0;
+- input distribution: the driver attaches a kernel to a rank's job
+  message once, a default kernel never; a mutated array is a new kernel,
+  a second controller learns what warm agents hold from their mesh
+  replies, and a replacement agent (empty spectrum table) is sent the
+  kernel exactly once — at every fail stage, for a non-root rank and for
+  rank 0;
 - a job stamped with a dead generation is fenced, never executed;
 - a private pool (``serve-bench --pool auto``) leaves no rendezvous
   directory behind, also when its user raises.
@@ -28,8 +31,7 @@ import pytest
 
 from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
-from repro.dist.inputs import default_spectrum
-from repro.dist.wire import HEADER_BYTES
+from repro.dist.inputs import default_spectrum, kernel_key
 from repro.dist.worker import (
     FAIL_STAGES,
     STREAM_FAIL_STAGES,
@@ -235,25 +237,65 @@ class TestInputDistribution:
         config = _config(ranks, **self.SHAPE)
         field = composite_field(config.n, config.seed)
         spectrum = default_spectrum(config)
-        shipped = (ranks - 1) * (HEADER_BYTES + 32 + spectrum.nbytes)
-
-        cold = pool.submit(config, field=field, spectrum=spectrum)
-        warm = pool.submit(config, field=field, spectrum=spectrum)
-        assert cold.predicted_input_bytes == warm.predicted_input_bytes > 0
-        framing = warm.input_wire_bytes - warm.predicted_input_bytes
-        # per peer: announcement, have/need answer, scatter frame + indices
-        assert 0 < framing <= (ranks - 1) * 160
-        assert cold.input_wire_bytes == warm.input_wire_bytes + shipped
-        assert warm.input_wire_bytes < field.nbytes  # no dense field either
 
         # no spectrum given: the default kernel is evaluated rank-side and
         # nothing ships, even to ranks that never saw it
-        other = _config(ranks, **{**self.SHAPE, "sigma": 1.25})
-        default = pool.submit(other, field=field)
-        assert default.input_wire_bytes < warm.input_wire_bytes
-        assert np.array_equal(
-            default.approx, _serial(other, field, default_spectrum(other))
-        )
+        default = pool.submit(config, field=field)
+        cold = pool.submit(config, field=field, spectrum=spectrum)
+        warm = pool.submit(config, field=field, spectrum=spectrum)
+        for report in (default, cold, warm):
+            assert np.array_equal(report.approx, _serial(config, field, spectrum))
+            # no kernel, key or answer crosses the mesh: the blocks and
+            # one scatter frame (header and indices) per peer
+            framing = report.input_wire_bytes - report.predicted_input_bytes
+            assert 0 < framing <= (ranks - 1) * 100
+        assert cold.predicted_input_bytes == warm.predicted_input_bytes > 0
+        # the cold job attached the kernel to every rank's message once;
+        # the warm one names it by its 33-byte content key where the
+        # default job names a 17-byte descriptor, and ships nothing
+        assert ranks * spectrum.nbytes < cold.control_in_bytes - warm.control_in_bytes
+        assert cold.control_in_bytes - warm.control_in_bytes < ranks * (spectrum.nbytes + 256)
+        assert warm.control_in_bytes - default.control_in_bytes == ranks * (33 - 17)
+        assert warm.control_in_bytes < field.nbytes  # no dense field either
+
+    def test_a_mutated_kernel_is_shipped_again(self, pool_at):
+        """The driver knows a kernel by its bits, not by the array object:
+        an in-place write to the caller's array, ``0.0`` to ``-0.0``
+        included, is a new kernel, shipped and convolved with."""
+        ranks = 2
+        pool = pool_at(ranks)
+        config = _config(ranks, **self.SHAPE)
+        field = composite_field(config.n, config.seed)
+        spectrum = default_spectrum(config)
+        shipped = []
+        for value in (None, 0.0, 0.0, -0.0, 0.0):
+            if value is not None:
+                spectrum[0, 0, 0] = value  # self-conjugate: still §3.1-valid
+            report = pool.submit(config, field=field, spectrum=spectrum)
+            assert np.array_equal(report.approx, _serial(config, field, spectrum.copy()))
+            shipped.append(report.control_in_bytes // spectrum.nbytes)
+        # the ranks hold all three kernels: the last job ships nothing
+        assert shipped == [ranks, ranks, 0, ranks, 0]
+
+    def test_a_second_controller_on_warm_agents_ships_nothing(self, pool_at, tmp_path):
+        """A new controller learns what each agent holds from its mesh
+        ``ready`` reply, so its first job on a kernel the agents were
+        sent by an earlier controller ships nothing."""
+        ranks = 2
+        first = pool_at(ranks)
+        config = _config(ranks, **self.SHAPE)
+        field = composite_field(config.n, config.seed)
+        spectrum = default_spectrum(config)
+        cold = first.submit(config, field=field, spectrum=spectrum)
+        first.disconnect()
+        second = RankPool(f"file://{tmp_path}")
+        try:
+            second.connect(ranks)
+            report = second.submit(config, field=field, spectrum=spectrum.copy())
+        finally:
+            second.down()
+        assert np.array_equal(report.approx, cold.approx)
+        assert report.control_in_bytes < spectrum.nbytes < cold.control_in_bytes
 
     def test_rank_zero_is_handed_the_active_blocks_not_the_field(
         self, pool_at, monkeypatch
@@ -286,7 +328,7 @@ class TestInputDistribution:
         for sub, block in job.blocks:
             assert block.shape == (config.k,) * 3
             assert np.array_equal(block, field[sub.slices()])
-        assert job.stripped().blocks is None
+        assert job.for_rank(1).blocks is None
         assert 0 < report.control_in_bytes < field.nbytes
         assert np.array_equal(report.approx, expected)
 
@@ -302,7 +344,17 @@ class TestInputDistribution:
         assert report.recovered and np.array_equal(report.approx, expected)
 
     @pytest.mark.parametrize("victim", [1, 0], ids=["non-root", "root"])
-    def test_kill_at_every_stage_on_a_warm_pool(self, pool_at, victim):
+    def test_kill_at_every_stage_on_a_warm_pool(self, pool_at, victim, monkeypatch):
+        import repro.pool.pool as pool_module
+
+        jobs = []
+        run_job = pool_module.run_job
+
+        def recording(conns, job, clock):
+            jobs.append(job)
+            return run_job(conns, job, clock)
+
+        monkeypatch.setattr(pool_module, "run_job", recording)
         ranks = 3
         pool = pool_at(ranks)
         clean = _config(ranks, **self.SHAPE)
@@ -331,16 +383,16 @@ class TestInputDistribution:
             )
             assert report.predicted_input_bytes == block_bytes * scattered, stage
             assert report.predicted_input_bytes <= fresh.predicted_input_bytes
-            # rank 0 sends each peer an announcement, the checkpoint and a
-            # scatter frame; the kernel itself only to a replacement
-            # agent, whose table starts empty (a replaced rank 0 is
-            # handed the spectrum with the job, and the survivors hold it)
+            # rank 0 sends each peer the checkpoint and a scatter frame;
+            # the driver attaches the kernel to the retry's message for
+            # the replacement agent alone, whose table starts empty
             root_sent = report.rank_results[0].wire["counters"]
-            ships = 1 if victim else 0
-            assert root_sent["sent.bcast.frames"] == 3 * (ranks - 1) + ships, stage
+            assert root_sent["sent.bcast.frames"] == 2 * (ranks - 1), stage
+            assert jobs[-1].recovery and jobs[-1].ship_to == {victim}, stage
 
             after = pool.submit(clean, field=field, spectrum=spectrum)
-            assert not after.recovered, stage
+            assert not after.recovered and jobs[-1].ship_to == set(), stage
+            assert after.control_in_bytes < spectrum.nbytes, stage
             assert after.input_wire_bytes < spectrum.nbytes, stage
             assert np.array_equal(after.approx, expected), stage
 
@@ -399,6 +451,7 @@ def test_warm_agent_job_runs_no_kernel_check_and_builds_no_pipeline(monkeypatch)
     config = DistConfig(num_ranks=ranks, n=16, k=4, policy="flat:2")
     field = composite_field(config.n, config.seed)
     spectrum = default_spectrum(config)
+    key = kernel_key(spectrum)
     expected = _serial(config, field, spectrum)
     blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
     fabric = LocalFabric(ranks)
@@ -408,12 +461,15 @@ def test_warm_agent_job_runs_no_kernel_check_and_builds_no_pipeline(monkeypatch)
         agent.rank, agent.generation = rank, 1
 
     def run(job_id):
-        job = PoolJob(job_id, 1, config, blocks=blocks, spectrum=spectrum)
+        job = PoolJob(
+            job_id, 1, config, blocks=blocks, kernel_key=key, spectrum=spectrum,
+            ship_to=frozenset(range(ranks)) if job_id == 1 else frozenset(),
+        )
         replies = [[] for _ in agents]
         threads = [
             threading.Thread(
                 target=agent.handle,
-                args=(("job", job if rank == 0 else job.stripped()), replies[rank].append),
+                args=(("job", job.for_rank(rank)), replies[rank].append),
             )
             for rank, agent in enumerate(agents)
         ]

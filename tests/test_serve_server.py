@@ -57,6 +57,20 @@ class TestServedResults:
             np.testing.assert_array_equal(served.approx, expected.approx)
             assert served.total_samples == expected.total_samples
 
+    def test_a_write_to_the_registered_array_changes_no_result(self, server, spectrum, rng):
+        """The server keeps its own copy of a registered kernel: writing to
+        the caller's array after registering (here one that also breaks
+        the centrosymmetry §3.1 registration checked) changes nothing."""
+        field = rng.standard_normal((N, N, N))
+        expected = LowCommConvolution3D(N, K, spectrum.copy(), POLICY).run_serial(field)
+        first = server.submit(field, kernel="g")
+        server.drain()
+        spectrum[0, 0, 1] = 5.0
+        second = server.submit(field, kernel="g")
+        server.drain()
+        for handle in (first, second):
+            np.testing.assert_array_equal(handle.result().approx, expected.approx)
+
     def test_result_is_full_convolution_result(self, server, rng):
         handle = server.submit(rng.standard_normal((N, N, N)), kernel="g")
         server.drain()
