@@ -2,7 +2,7 @@
 
 Every frame on the wire carries a tag, and the protocol only works if
 three things hold project-wide: tags are **unique** (a collision routes
-a checkpoint payload into a field decoder), tags live in **one
+an exchange payload into a field decoder), tags live in **one
 registry** (``dist/collectives.py`` — a tag defined elsewhere is
 invisible to anyone auditing the protocol), and every tag that appears
 at a **send** site has a matching **receive-side dispatch** somewhere

@@ -105,13 +105,14 @@ def _dist_run(args: argparse.Namespace) -> int:
         ],
         ["bitwise identical to run_serial", bitwise],
         ["failed ranks", report.failed_ranks or "none"],
-        ["recovered from checkpoints", report.recovered],
+        ["recovered (job re-run)", report.recovered],
         ["exchange wire bytes (measured)", report.exchange_wire_bytes],
         ["exchange value bytes (per-destination exact)", report.predicted_value_bytes],
         ["exchange value bytes (Eq 6 allgather)", report.eq6_value_bytes],
         ["wire / model ratio", f"{report.wire_over_model:.4f}"],
         ["input wire bytes (measured)", report.input_wire_bytes],
         ["input block bytes (exact)", report.predicted_input_bytes],
+        ["control bytes back (measured)", report.control_out_bytes],
         ["slowest rank compute (s)", f"{report.max_compute_s:.3f}"],
         ["slowest rank exchange (s)", f"{report.max_exchange_s:.3f}"],
         ["exchange hidden behind compute (s)", f"{report.max_exchange_hidden_s:.3f}"],
@@ -444,7 +445,7 @@ def _build_parser() -> Tuple[
     serve.add_argument(
         "--kill-stage",
         choices=BARRIER_FAIL_STAGES,
-        default="before_checkpoint",
+        default="before_compute",
         help="pipeline stage --kill-job kills at (pool jobs run the "
         "barrier exchange)",
     )

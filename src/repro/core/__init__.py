@@ -42,7 +42,6 @@ from repro.core.distributed_runner import (
     strong_scaling_curve,
 )
 from repro.core.autotune import AutotuneResult, autotune
-from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.costmodel import (
     MemoryFootprint,
     memory_local_fft_bytes,
@@ -79,6 +78,4 @@ __all__ = [
     "table1_rows",
     "autotune",
     "AutotuneResult",
-    "checkpoint_to_bytes",
-    "checkpoint_from_bytes",
 ]

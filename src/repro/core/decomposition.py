@@ -93,7 +93,7 @@ class DomainDecomposition:
         when ``field`` has leading component axes.
 
         All-zero blocks contribute nothing (implicit sparsity), so they
-        are skipped everywhere: never convolved, checkpointed, exchanged
+        are skipped everywhere: never convolved, scattered, exchanged
         or counted by the Eq 6 accounting.  This is the one statement of
         that rule.
         """

@@ -38,11 +38,11 @@ Layers, bottom up:
 - :mod:`repro.dist.runtime` — the job driver: rank threads for ``local``
   (:func:`~repro.dist.runtime.run_local`, a harness for any per-rank
   body); for ``tcp``, processes forked for one job and driven by the mesh
-  formation, dispatch and post-draining :mod:`repro.pool` also calls.
+  formation, dispatch and reply-draining :mod:`repro.pool` also calls.
 - :mod:`repro.dist.traditional` — the Fig 1(a) baseline: slab and pencil
   distributed FFT convolution, every transpose one ``alltoall``.
 - :mod:`repro.dist.launcher` — :func:`dist_run`: the front door; survives
-  a rank death by recovering from the posted checkpoints, cross-validates
+  a rank death by solving the job again in process, cross-validates
   measured wire bytes against the exact per-destination count, and
   reports the paper's Eq 6 allgather count beside it.
 
@@ -57,7 +57,7 @@ from repro.dist.launcher import (
     dist_run,
     expected_exchange_value_bytes,
     predicted_input_bytes,
-    recover_from_checkpoints,
+    solve_in_process,
 )
 from repro.dist.ledger import WireLedger, merge_wire_snapshots, sent_wire_bytes
 from repro.dist.transport import LocalFabric, LocalTransport, SendWindow, Transport
@@ -86,6 +86,6 @@ __all__ = [
     "merge_wire_snapshots",
     "normalize_endpoints",
     "predicted_input_bytes",
-    "recover_from_checkpoints",
     "sent_wire_bytes",
+    "solve_in_process",
 ]

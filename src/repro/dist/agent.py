@@ -24,9 +24,9 @@ rendezvous ``Listener``, serving a stream of them.  The messages:
     kernels it lacks.
 ``job (PoolJob)``
     Fence the job's generation against the rank's own, then run
-    :func:`~repro.dist.jobs.execute_job` on the formed communicator.
-    Checkpoint/chunk posts stream back over the same control connection
-    before the final result — the driver's fault-tolerance mailbox.
+    :func:`~repro.dist.jobs.execute_job` on the formed communicator and
+    answer its result (or the error that ended it) — the one message a
+    job sends back over the control connection.
 ``shutdown``
     Tear down, exit the serve loop.
 
@@ -176,7 +176,6 @@ class RankAgent:
                 result = execute_job(
                     self.comm,
                     job,
-                    post=lambda kind, rank, blob: send((kind, rank, blob)),
                     abort=self._abort,
                     spectra=self.spectra,
                     pipelines=self.pipelines,

@@ -66,9 +66,6 @@ TAG_BARRIER = 4
 #: End-of-stream marker for the streamed exchange: one empty frame per
 #: peer closes that peer's chunk stream.
 TAG_EXCHANGE_END = 5
-#: Broadcast tag for the merged checkpoint a resumed job restores from
-#: (``repro.dist.worker.rank_main``; only the standing pool resumes jobs).
-TAG_POOL_CHECKPOINT = 6
 #: One axis-swap transpose of a distributed FFT baseline.
 TAG_TRANSPOSE = 9
 

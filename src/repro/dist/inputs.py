@@ -28,7 +28,7 @@ is handed, or the default kernel, and keeps nothing.
 **The field** (:func:`scatter_blocks`).  The driver cuts the ``k^3``
 blocks of the field's active sub-domains once and hands them to rank 0,
 which keeps its own and sends every peer one frame of only its
-``(index, block)`` pairs that the job still has to convolve — no rank is
+``(index, block)`` pairs — no rank is
 handed an ``n^3`` field, and rank 0 computes on the same
 ``(sub-domain, block)`` pairs its peers decode; a malformed frame's error
 carries the offset of the offending field.
@@ -238,7 +238,6 @@ def scatter_blocks(
     decomposition: DomainDecomposition,
     shares: List[List[SubDomain]],
     blocks: Optional[Chunks],
-    skip: Collection[int] = (),
 ) -> Chunks:
     """Hand every rank the blocks it convolves (SPMD); returns this
     rank's ``(sub-domain, block)`` pairs.
@@ -247,9 +246,8 @@ def scatter_blocks(
     on rank 0 only: the job's active ``(sub-domain, k^3 block)`` pairs,
     cut once by the driver (:meth:`~repro.core.decomposition
     .DomainDecomposition.active_blocks`).  A rank is sent the pairs of
-    its share that are not in ``skip`` (the indices a resumed job's
-    checkpoint already holds); rank 0 keeps its own pairs in the form
-    its peers decode theirs to.
+    its share; rank 0 keeps its own pairs in the form its peers decode
+    theirs to.
     """
     if comm.rank != 0:
         payload = comm.scatter(None, tag=TAG_FIELD)
@@ -258,8 +256,7 @@ def scatter_blocks(
     owner = {sub.index: rank for rank, share in enumerate(shares) for sub in share}
     chunks: List[Chunks] = [[] for _ in shares]
     for sub, block in blocks:
-        if sub.index not in skip:
-            chunks[owner[sub.index]].append((sub, block))
+        chunks[owner[sub.index]].append((sub, block))
     frames: List[FramePayload] = [b""]
     frames += [encode_blocks(decomposition.k, share) for share in chunks[1:]]
     comm.scatter(frames, tag=TAG_FIELD)

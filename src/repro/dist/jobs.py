@@ -32,13 +32,8 @@ module adds is the bracketing a long-lived rank needs around it:
    A replacement agent starts with empty tables, reports none, and is
    sent the kernel once.
 
-4. **Checkpoint handoff.**  A recovery job (``PoolJob.checkpoint`` set)
-   is a *resumed* ``rank_main``: the merged checkpoint of the failed
-   attempt is broadcast, and every rank is sent and computes only its
-   own sub-domains missing from it — survivors restore everything they
-   already did, while the replacement rank (seated at the dead member's
-   rank) computes exactly the dead rank's unfinished share, in whichever
-   exchange mode the job's ``overlap`` asks for.
+A job keeps no state past its result: a job that loses a rank is simply
+submitted again, whole, on the repaired mesh (:mod:`repro.pool.pool`).
 """
 
 from __future__ import annotations
@@ -82,20 +77,17 @@ def fence_generation(seen: int, current: int) -> None:
 class PoolJob:
     """One unit of work shipped to a formed mesh.
 
-    ``blocks`` and ``checkpoint`` ride only on rank 0's copy
-    (:meth:`for_rank`).  ``blocks`` are the job's active ``(sub-domain,
-    k^3 block)`` pairs, cut once by the driver
-    (:meth:`~repro.core.decomposition.DomainDecomposition.active_blocks`)
-    — a recovery job's only those its checkpoint lacks — never the dense
-    ``n^3`` field: rank 0 keeps its own pairs and scatters every other
-    rank its share in-mesh, exactly like the cold runtime.
+    ``blocks`` ride only on rank 0's copy (:meth:`for_rank`): the job's
+    active ``(sub-domain, k^3 block)`` pairs, cut once by the driver
+    (:meth:`~repro.core.decomposition.DomainDecomposition.active_blocks`),
+    never the dense ``n^3`` field: rank 0 keeps its own pairs and
+    scatters every other rank its share in-mesh, exactly like the cold
+    runtime.
     ``kernel_key`` names the job's kernel on every rank's copy
     (:mod:`repro.dist.inputs`; ``None`` on a cold job, whose ranks key
     nothing); ``spectrum`` is the array, and it rides only on the copies
     for the ranks in ``ship_to``, the ones whose tables lack the key.
     ``spectrum=None`` is the config's default kernel, which no one ships.
-    ``checkpoint`` marks a recovery job: the merged checkpoint blob of
-    the failed attempt this job resumes from.
     """
 
     job_id: int
@@ -105,35 +97,21 @@ class PoolJob:
     kernel_key: Optional[bytes] = None
     spectrum: Optional[np.ndarray] = None
     ship_to: FrozenSet[int] = frozenset()
-    checkpoint: Optional[bytes] = None
-    #: recovery marker — must survive :meth:`for_rank` so every rank
-    #: (not just rank 0, which holds the blob) resumes from it
-    recovery: bool = False
     #: opaque caller stamps echoed back on the
     #: :class:`~repro.pool.pool.PoolJobReport` — the serving tier stamps
     #: ``request_id`` and ``job_index``; the mesh never reads it
     metadata: Optional[Dict[str, object]] = None
 
-    def __post_init__(self) -> None:
-        if self.checkpoint is not None:
-            self.recovery = True
-
     def for_rank(self, rank: int) -> "PoolJob":
         """The copy the driver sends rank ``rank``: the input payloads
         only on rank 0's, the spectrum only where ``ship_to`` has it.
 
-        The ``recovery`` flag is kept: non-root ranks receive the merged
-        checkpoint by in-mesh broadcast, but they must already know to
-        expect it — a rank that ran the job as fresh would recompute (and
-        re-exchange) work the checkpoint already holds.  ``metadata`` is
-        kept too: it is tiny, and a rank error report that names its
-        request is worth the copy.
+        ``metadata`` is kept: it is tiny, and a rank error report that
+        names its request is worth the copy.
         """
-        root = rank == 0
         return dataclass_replace(
             self,
-            blocks=self.blocks if root else None,
-            checkpoint=self.checkpoint if root else None,
+            blocks=self.blocks if rank == 0 else None,
             spectrum=self.spectrum if rank in self.ship_to else None,
             ship_to=frozenset(),
         )
@@ -160,7 +138,6 @@ def wire_delta(before: dict, after: dict) -> dict:
 def execute_job(
     comm: Communicator,
     job: PoolJob,
-    post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
     spectra: Optional[WeightedLRU] = None,
     pipelines: Optional[WeightedLRU] = None,
@@ -187,10 +164,7 @@ def execute_job(
         blocks=job.blocks,
         kernel_key=job.kernel_key,
         spectrum=job.spectrum,
-        post=post,
         abort=abort,
-        checkpoint=job.checkpoint,
-        resumed=job.recovery,
         spectra=spectra,
         pipelines=pipelines,
     )

@@ -5,10 +5,9 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
 
 - assembles the global result from the per-rank blocks (bitwise identical
   to ``run_serial`` — asserted by the test suite and the CLI);
-- if any rank died, recovers from the checkpoint blobs the ranks posted
-  before the exchange: survivors' compressed results restore, the dead
-  rank's sub-domains are recomputed, and the accumulation is re-run
-  driver-side — still bitwise identical;
+- if any rank died, runs the job again in process
+  (:func:`solve_in_process`) over the blocks it still holds — bitwise
+  identical by construction, and nothing any rank computed is needed;
 - cross-validates the measured exchange traffic against an exact
   per-destination count: each peer is sent only the octree cells that
   touch its boxes, summed over the fields of each frame entry
@@ -33,8 +32,6 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.cluster.cost import sparse_sample_count
-from repro.core.accumulate import accumulate_global
-from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import parse_policy
 from repro.dist.inputs import Chunks
@@ -50,7 +47,6 @@ from repro.dist.worker import (
 )
 from repro.errors import ConfigurationError
 from repro.kernels.properties import check_hermitian_real
-from repro.octree.compress import CompressedField
 from repro.octree.sampling import SamplingPattern
 from repro.util.clock import Clock, MonotonicClock
 
@@ -71,7 +67,7 @@ class DistRunReport:
     elapsed_s: float
     #: ranks that died or errored (empty on a clean run)
     failed_ranks: List[int] = dataclass_field(default_factory=list)
-    #: True when the result came from a checkpoint-recovery path
+    #: True when a rank failed and the job was run again
     recovered: bool = False
     rank_results: Dict[int, RankResult] = dataclass_field(default_factory=dict)
     #: the ranks' per-job ledger counters, summed (``sent.exchange.bytes``...)
@@ -80,20 +76,17 @@ class DistRunReport:
     exchange_wire_bytes: int = 0
     #: exact per-destination accounting: itemsize times the samples in the
     #: distinct cells of each frame entry's fields that touch each peer's
-    #: boxes, summed over entries and peers (a resumed job's excludes the
-    #: sub-domains its checkpoint restored)
+    #: boxes, summed over entries and peers
     predicted_value_bytes: int = 0
     #: the paper's Eq 6 allgather count, ``(P-1) * itemsize * total sample
-    #: count`` — what an allgather of every sample would move (same
-    #: exclusions)
+    #: count`` — what an allgather of every sample would move
     eq6_value_bytes: int = 0
     #: naive Eq 6 closed form (``flat:R`` policies only, else 0)
     naive_eq6_bytes: int = 0
     #: measured: total bytes-on-wire of input distribution (scattered
-    #: blocks; a resumed job's checkpoint broadcast too), all ranks
+    #: blocks), all ranks
     input_wire_bytes: int = 0
     #: exact: the ``k^3`` float64 blocks rank 0 scatters to its peers
-    #: (a resumed job's excludes the restored sub-domains)
     predicted_input_bytes: int = 0
     max_compute_s: float = 0.0
     max_exchange_s: float = 0.0
@@ -105,6 +98,10 @@ class DistRunReport:
     #: blocks, and the kernel array for each rank that lacked it (0 for
     #: thread ranks); no wire ledger counts them
     control_in_bytes: int = 0
+    #: measured: bytes of the messages the rank processes pickled back
+    #: onto the control connections, all ranks — their results, whose
+    #: blocks are the dense grid (0 for thread ranks)
+    control_out_bytes: int = 0
 
     @property
     def wire_over_model(self) -> float:
@@ -143,11 +140,7 @@ def _patterns(config: DistConfig, active: Iterable[int]) -> Dict[int, SamplingPa
     }
 
 
-def expected_exchange_value_bytes(
-    config: DistConfig,
-    active: Iterable[int],
-    exclude_indices: Optional[frozenset] = None,
-) -> int:
+def expected_exchange_value_bytes(config: DistConfig, active: Iterable[int]) -> int:
     """The paper's Eq 6 accounting of the exchange's *value* payload, as
     an allgather.
 
@@ -157,38 +150,27 @@ def expected_exchange_value_bytes(
     values, each sent once per peer.  The real exchange ships each peer
     only the cells it interpolates
     (:attr:`DistRunReport.predicted_value_bytes`), so it moves less.
-
-    ``exclude_indices`` drops sub-domains from the accounting — a pool
-    recovery job re-exchanges only the entries absent from the merged
-    checkpoint, so its prediction excludes everything already restored.
     """
-    skip = exclude_indices or frozenset()
-    samples = sum(
-        p.sample_count for i, p in _patterns(config, active).items() if i not in skip
-    )
+    samples = sum(p.sample_count for p in _patterns(config, active).values())
     return _itemsize(config) * (config.num_ranks - 1) * samples
 
 
-def _per_destination_samples(
-    config: DistConfig, active: Iterable[int], exclude_indices: Optional[frozenset]
-) -> int:
+def _per_destination_samples(config: DistConfig, active: Iterable[int]) -> int:
     """The samples the exchange sends, counted per destination.
 
-    Fields are the ``active`` sub-domain indices minus
-    ``exclude_indices``.  Each rank's frames (one in barrier mode, one per
-    field streamed) are cut into entries by
+    Fields are the ``active`` sub-domain indices.  Each rank's frames
+    (one in barrier mode, one per field streamed) are cut into entries by
     :func:`~repro.dist.worker.exchange_entries`, and each entry sends each
     peer the union of its fields' cells that touch the peer's boxes.
     Patterns and unions come from the process-wide tables, so a warm
     job's audit builds none.
     """
     patterns = _patterns(config, active)
-    skip = exclude_indices or frozenset()
     ranks = config.num_ranks
     samples = 0
     for src in range(ranks):
         share = {i for i in patterns if i % ranks == src}
-        todo = sorted(share - skip)
+        todo = sorted(share)
         for frame in [[i] for i in todo] if config.overlap else [todo]:
             for entry in exchange_entries(frame, share - set(frame), config):
                 for dst in range(ranks):
@@ -214,24 +196,17 @@ def naive_eq6_bytes(config: DistConfig) -> int:
     return int((config.num_ranks - 1) * itemsize * points)
 
 
-def predicted_input_bytes(
-    config: DistConfig,
-    active: Iterable[int],
-    exclude_indices: Optional[frozenset] = None,
-) -> int:
+def predicted_input_bytes(config: DistConfig, active: Iterable[int]) -> int:
     """Exact accounting for the scattered input's *value* payload.
 
     Rank 0 sends each peer the float64 ``k^3`` block of every ``active``
     sub-domain index that peer owns (its own blocks never touch the
     wire), so the input side of the audit is a count of blocks.  The
     kernel is not in it: it never crosses the mesh (a rank that lacks it
-    gets it with its job message).  ``exclude_indices`` as in
-    :func:`expected_exchange_value_bytes` — a resumed job scatters only
-    the blocks its checkpoint lacks.
+    gets it with its job message).
     """
-    skip = exclude_indices or frozenset()
     ranks = config.num_ranks
-    blocks = sum(1 for i in active if i % ranks and i not in skip)
+    blocks = sum(1 for i in active if i % ranks)
     return 8 * config.k**3 * blocks
 
 
@@ -259,36 +234,19 @@ def assemble_blocks(
     return approx
 
 
-def recover_from_checkpoints(
-    config: DistConfig,
-    blocks: Chunks,
-    spectrum: Optional[np.ndarray],
-    checkpoint_blobs: List[bytes],
+def solve_in_process(
+    config: DistConfig, blocks: Chunks, spectrum: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Driver-side recovery: restore from checkpoints, recompute the rest.
+    """The job's grid computed in the driver's process: the fallback of a
+    job whose ranks failed.
 
-    ``blocks`` are the job's active ``(sub-domain, k^3 block)`` pairs;
-    ``checkpoint_blobs`` mixes whole-run blobs (barrier mode) and
-    per-chunk blobs (overlap mode) freely — every entry restores one or
-    more sub-domains, and whatever is missing is recomputed.  A rank that
-    died mid-exchange in overlap mode therefore only costs recomputing
-    the chunks it had not yet posted.
-
-    :func:`dist_run` takes this path when a rank died; the pool
-    controller falls back to it when a job loses so many ranks that
-    in-mesh handoff is impossible (e.g. the roster cannot be refilled).
-    Either way the result is bitwise identical to ``run_serial``.
+    ``blocks`` are the job's active ``(sub-domain, k^3 block)`` pairs,
+    and ``spectrum=None`` is the config's default kernel.  The pipeline
+    is the one every rank builds, summed in ``run_serial``'s order, so
+    the grid is bitwise ``run_serial``'s by construction.
     """
     pipeline = build_pipeline(config, spectrum)
-    merged: Dict[int, CompressedField] = {}
-    for blob in checkpoint_blobs:
-        merged.update(checkpoint_from_bytes(blob))
-    missing = [(sub, block) for sub, block in blocks if sub.index not in merged]
-    for sub, compressed in pipeline.convolve_chunks(missing):
-        merged[sub.index] = compressed
-    if not merged:
-        return np.zeros((config.n,) * 3, dtype=np.float64)
-    return accumulate_global(merged)
+    return pipeline.accumulate(list(pipeline.convolve_chunks(blocks)))
 
 
 def build_report(
@@ -298,7 +256,6 @@ def build_report(
     outcome: SpmdOutcome,
     approx: np.ndarray,
     elapsed_s: float,
-    exclude_indices: Optional[frozenset] = None,
     **fields,
 ):
     """The one report builder: measured traffic beside its prediction.
@@ -307,9 +264,7 @@ def build_report(
     found them when it cut the blocks (the predictions are of them, so
     the dense field is not scanned again); ``outcome`` is the attempt
     whose ranks are reported; ``approx`` the grid the caller assembled or
-    recovered; ``exclude_indices`` the sub-domains a resumed job restored
-    instead of moving (see :func:`expected_exchange_value_bytes`).
-    ``fields`` are the ``report_type``'s own (and ``recovered``).
+    solved.  ``fields`` are the ``report_type``'s own (and ``recovered``).
     """
     results = outcome.results
     wire_totals = merge_wire_snapshots([r.wire for r in results.values()])
@@ -327,15 +282,16 @@ def build_report(
         wire_totals=wire_totals,
         exchange_wire_bytes=wire_totals.get("sent.exchange.bytes", 0),
         predicted_value_bytes=_itemsize(config)
-        * _per_destination_samples(config, active, exclude_indices),
-        eq6_value_bytes=expected_exchange_value_bytes(config, active, exclude_indices),
+        * _per_destination_samples(config, active),
+        eq6_value_bytes=expected_exchange_value_bytes(config, active),
         naive_eq6_bytes=naive_eq6_bytes(config),
         input_wire_bytes=wire_totals.get("sent.bcast.bytes", 0),
-        predicted_input_bytes=predicted_input_bytes(config, active, exclude_indices),
+        predicted_input_bytes=predicted_input_bytes(config, active),
         max_compute_s=slowest("compute_s"),
         max_exchange_s=slowest("exchange_s"),
         max_exchange_hidden_s=slowest("exchange_hidden_s"),
         control_in_bytes=outcome.control_in_bytes,
+        control_out_bytes=outcome.control_out_bytes,
         **fields,
     )
 
@@ -354,7 +310,8 @@ def dist_run(
     given spectrum must be real and centrosymmetric (paper §3.1), or
     :class:`~repro.errors.ConfigurationError` is raised before any rank
     starts.  ``clock`` is the driver's time source (deadlines and
-    ``elapsed_s``).
+    ``elapsed_s``).  A job that loses a rank is solved again in process
+    (:func:`solve_in_process`) and reported ``recovered``.
     """
     clock = clock if clock is not None else MonotonicClock()
     if spectrum is not None:
@@ -369,9 +326,7 @@ def dist_run(
     if outcome.clean:
         approx = assemble_blocks(config, outcome.results)
     else:
-        approx = recover_from_checkpoints(
-            config, blocks, spectrum, outcome.all_checkpoint_blobs()
-        )
+        approx = solve_in_process(config, blocks, spectrum)
     return build_report(
         DistRunReport,
         config,

@@ -1,4 +1,4 @@
-"""The job driver: form a mesh of rank processes, dispatch, drain posts.
+"""The job driver: form a mesh of rank processes, dispatch, drain replies.
 
 Two execution substrates behind one entry point, :func:`run_spmd`:
 
@@ -19,11 +19,11 @@ Two execution substrates behind one entry point, :func:`run_spmd`:
   forked for it and shut down after it.
 
 Either way the driver ends up with a :class:`SpmdOutcome`: per-rank
-results, per-rank checkpoint blobs (posted *before* the exchange — the
-fault-tolerance state), and a record of which ranks failed and why.  The
-driver never aborts on a rank failure; deciding how to recover is the
-caller's job (:func:`~repro.dist.launcher.dist_run` recovers driver-side,
-the pool replaces the dead in-mesh).  A control plane that stops
+results, the bytes each control direction carried, and a record of which
+ranks failed and why.  The driver never aborts on a rank failure;
+deciding how to recover is the caller's job, and both callers run the
+job again (:func:`~repro.dist.launcher.dist_run` in process, the pool on
+a repaired mesh first).  A control plane that stops
 answering *outside* a job — a rank that hangs up while the mesh is being
 formed — is a :class:`~repro.errors.PoolError`.
 """
@@ -35,7 +35,7 @@ import pickle
 import threading
 from dataclasses import dataclass, field as dataclass_field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -63,15 +63,6 @@ class SpmdOutcome:
     """Everything the driver collected from one job attempt."""
 
     results: Dict[int, RankResult] = dataclass_field(default_factory=dict)
-    #: whole-run checkpoint blobs posted by ranks before the barrier-mode
-    #: exchange
-    checkpoints: Dict[int, bytes] = dataclass_field(default_factory=dict)
-    #: per-chunk checkpoint blobs posted by overlap-mode ranks as each
-    #: chunk completes (push order preserved) — the state that lets the
-    #: driver resume from a death mid-exchange
-    chunk_checkpoints: Dict[int, List[bytes]] = dataclass_field(
-        default_factory=dict
-    )
     #: failed ranks -> reason (empty on a clean run)
     failures: Dict[int, str] = dataclass_field(default_factory=dict)
     #: the failed ranks whose process is gone (control connection at EOF)
@@ -82,26 +73,15 @@ class SpmdOutcome:
     #: connections, all ranks (0 for thread ranks, which share the
     #: driver's memory)
     control_in_bytes: int = 0
+    #: bytes of the messages the ranks sent back over the control
+    #: connections, all ranks — their results, whose blocks are the dense
+    #: grid (0 for thread ranks)
+    control_out_bytes: int = 0
 
     @property
     def clean(self) -> bool:
         """True when every rank returned a result."""
         return not self.failures
-
-    def post(self, kind: str, rank: int, payload: bytes) -> None:
-        """File one checkpoint blob a rank posted (``rank_main``'s
-        ``post`` hook, or the same message off a control connection)."""
-        if kind == "checkpoint":
-            self.checkpoints[rank] = payload
-        elif kind == "chunk":
-            self.chunk_checkpoints.setdefault(rank, []).append(payload)
-
-    def all_checkpoint_blobs(self) -> List[bytes]:
-        """Every posted checkpoint blob, whole-run and per-chunk alike."""
-        blobs = list(self.checkpoints.values())
-        for chunks in self.chunk_checkpoints.values():
-            blobs.extend(chunks)
-        return blobs
 
 
 def run_spmd(
@@ -120,12 +100,6 @@ def run_spmd(
     clock = clock if clock is not None else MonotonicClock()
     if config.transport == "tcp":
         return _run_processes(config, blocks, spectrum, clock)
-    outcome = SpmdOutcome()
-    lock = threading.Lock()
-
-    def post(kind: str, rank: int, payload: bytes) -> None:
-        with lock:
-            outcome.post(kind, rank, payload)
 
     def body(comm: Communicator, abort: Callable[[], None]) -> RankResult:
         return rank_main(
@@ -133,7 +107,6 @@ def run_spmd(
             config,
             blocks=blocks if comm.rank == 0 else None,
             spectrum=spectrum,
-            post=post,
             abort=abort,
         )
 
@@ -143,7 +116,6 @@ def run_spmd(
         recv_timeout_s=config.recv_timeout_s,
         heartbeat_s=config.heartbeat_s,
         clock=clock,
-        outcome=outcome,
     )
 
 
@@ -157,7 +129,6 @@ def run_local(
     recv_timeout_s: float = 30.0,
     heartbeat_s: Optional[float] = None,
     clock: Optional[Clock] = None,
-    outcome: Optional[SpmdOutcome] = None,
 ) -> SpmdOutcome:
     """Run ``body(comm, abort)`` on ``num_ranks`` thread-ranks over one
     :class:`~repro.dist.transport.LocalFabric`; returns the outcome.
@@ -167,12 +138,10 @@ def run_local(
     and ``abort()`` kills the rank on the fabric (an injected crash).
     Every communicator is closed when its body returns or raises, so
     peers still waiting on a failed rank see its ``BYE`` at once instead
-    of sitting out their receive timeout.  ``outcome`` lets a body post
-    into the outcome it is filling (the checkpoint mailbox of
-    :func:`run_spmd`).
+    of sitting out their receive timeout.
     """
     clock = clock if clock is not None else MonotonicClock()
-    outcome = outcome if outcome is not None else SpmdOutcome()
+    outcome = SpmdOutcome()
     fabric = LocalFabric(num_ranks)
     lock = threading.Lock()
 
@@ -221,34 +190,35 @@ def run_local(
 # -- the control plane, driver side -------------------------------------------
 def _drain(
     pending: Dict[Connection, int], timeout_s: float, clock: Clock
-) -> Iterator[Tuple[int, Optional[tuple]]]:
-    """Yield ``(rank, message)`` as the ``pending`` control connections
-    speak, until ``pending`` is empty or ``timeout_s`` has passed.
+) -> Iterator[Tuple[int, Optional[bytes]]]:
+    """Yield ``(rank, pickled message)`` as the ``pending`` control
+    connections speak, until ``pending`` is empty or ``timeout_s`` has
+    passed.
 
     The caller takes a connection out of ``pending`` once it has what it
     wanted from it.  A connection at EOF — the process behind it is gone
-    — is taken out here and yields ``message=None``.
+    — is taken out here and yields ``None``.
     """
     deadline = clock.now() + float(timeout_s)
     while pending and clock.now() < deadline:
         for conn in connection_wait(list(pending), timeout=_POLL_S):
             rank = pending[conn]
             try:
-                message = conn.recv()
+                data = conn.recv_bytes()
             except (OSError, EOFError):
-                message = None
+                data = None
                 del pending[conn]
-            yield rank, message
+            yield rank, data
 
 
 def control_reply(
     conn: Connection, who: str, timeout_s: float, clock: Clock
 ) -> tuple:
     """The next control message from ``who``, deadline on ``clock``."""
-    for _rank, message in _drain({conn: 0}, timeout_s, clock):
-        if message is None:
+    for _rank, data in _drain({conn: 0}, timeout_s, clock):
+        if data is None:
             raise PoolError(f"{who} hung up mid-reply")
-        return message
+        return pickle.loads(data)
     raise PoolError(f"{who} sent no control reply within {timeout_s}s")
 
 
@@ -294,8 +264,9 @@ def form_mesh(
 def run_job(
     conns: Dict[int, Connection], job: PoolJob, clock: Clock
 ) -> SpmdOutcome:
-    """Dispatch ``job`` to every rank of a formed mesh and drain posts
-    until each has answered, died, or run past :data:`RUN_DEADLINE_S`."""
+    """Dispatch ``job`` to every rank of a formed mesh and drain replies
+    until each has answered, died, or run past :data:`RUN_DEADLINE_S`;
+    both directions' pickled bytes are counted on the outcome."""
     outcome = SpmdOutcome()
     pending: Dict[Connection, int] = {}
     # each distinct message pickled once, its length counted: rank 0's
@@ -313,16 +284,16 @@ def run_job(
         except OSError:
             outcome.failures[rank] = "control connection dead at dispatch"
             outcome.dead.add(rank)
-    for rank, message in _drain(pending, RUN_DEADLINE_S, clock):
-        if message is None:
+    for rank, data in _drain(pending, RUN_DEADLINE_S, clock):
+        if data is None:
             # the decisive death signal: the rank's process is gone
             outcome.failures[rank] = "rank process died (EOF)"
             outcome.dead.add(rank)
             continue
+        outcome.control_out_bytes += len(data)
+        message = pickle.loads(data)
         kind = message[0]
-        if kind in ("checkpoint", "chunk"):
-            outcome.post(kind, message[1], message[2])
-        elif kind == "result":
+        if kind == "result":
             outcome.results[rank] = message[2]
             del pending[conns[rank]]
         elif kind == "job-error":

@@ -1,33 +1,28 @@
 """What one rank executes: the SPMD body of the low-comm pipeline.
 
-:func:`rank_main` is the same for every rank, both transports, both
-exchange modes and both fresh and resumed jobs:
+:func:`rank_main` is the same for every rank, both transports and both
+exchange modes:
 
 1. input distribution (:mod:`repro.dist.inputs`): the rank takes the
    kernel the driver named from its spectrum table, or from the job
    message, which carries the array only to a rank whose table lacks it
-   (ranks never agree on a kernel in-mesh) — rank 0
-   broadcasts the merged checkpoint of the failed attempt when the job
-   resumes one, and *scatters* the active blocks it was handed: the
-   driver cut the field's active ``k^3`` blocks once, rank 0 keeps its
-   own, and each peer receives the blocks of its own active sub-domains
-   that the checkpoint does not already hold — no rank is handed the
-   ``n^3`` field;
+   (ranks never agree on a kernel in-mesh) — and rank 0 *scatters* the
+   active blocks it was handed: the driver cut the field's active ``k^3``
+   blocks once, rank 0 keeps its own, and each peer receives the blocks
+   of its own active sub-domains — no rank is handed the ``n^3`` field;
 2. the rank convolves those blocks locally (zero communication — the
    paper's claim) with the process's FFT plans
    (:func:`~repro.fft.pruned_plan.plan_for`), which outlive every job, on
    a pipeline a standing rank keeps from job to job
    (:func:`warm_pipeline`);
-3. the compressed results are packed into a self-describing
-   :mod:`repro.core.checkpoint` blob and posted to the driver whole (this
-   is the fault-tolerance state, per field), and each peer is sent, in
-   the single sparse exchange of Eq 6, a values-only frame
-   (:func:`exchange_frame`).  Its entries (:func:`exchange_entries`) are
-   the largest aligned subtrees of the rank's share that the frame
-   carries whole — at ``P = 2**p`` in barrier mode the whole share, else
-   one field each — and an entry carries the covered sub-domain indices,
-   a value count and the values of the distinct cells of those fields
-   that touch the peer's boxes, each summed over the fields holding it
+3. each peer is sent, in the single sparse exchange of Eq 6, a
+   values-only frame (:func:`exchange_frame`).  Its entries
+   (:func:`exchange_entries`) are the largest aligned subtrees of the
+   rank's share that the frame carries whole — at ``P = 2**p`` in barrier
+   mode the whole share, else one field each — and an entry carries the
+   covered sub-domain indices, a value count and the values of the
+   distinct cells of those fields that touch the peer's boxes, each
+   summed over the fields holding it
    (:func:`~repro.core.accumulate.union_touching_rank`) — no octree
    metadata, because the receiver derives the patterns and that union
    from the configuration it holds.  One frame per peer in ONE
@@ -50,7 +45,9 @@ blocks a rank returns — and the grid the driver assembles from them — are
 bitwise identical to
 :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial`.
 
-Fault injection lives here too: :class:`DistConfig` can name a rank and a
+Nothing a rank computes outlives its job: a job that loses a rank is run
+again (:mod:`repro.dist.launcher`, :mod:`repro.pool.pool`).  Fault
+injection lives here too: :class:`DistConfig` can name a rank and a
 pipeline stage at which that rank calls its ``abort`` hook (process exit
 for TCP, fabric kill for the loopback transport), which is how the
 recovery path is tested end to end.
@@ -70,19 +67,10 @@ from repro.core.accumulate import (
     cells_touching_rank,
     union_touching_rank,
 )
-from repro.core.checkpoint import (
-    checkpoint_from_bytes,
-    checkpoint_segments,
-    join_checkpoint_segments,
-)
 from repro.core.decomposition import DomainDecomposition, SubDomain
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import parse_policy
-from repro.dist.collectives import (
-    TAG_EXCHANGE,
-    TAG_POOL_CHECKPOINT,
-    Communicator,
-)
+from repro.dist.collectives import TAG_EXCHANGE, Communicator
 from repro.dist.inputs import Chunks, default_spectrum, job_spectrum, scatter_blocks
 from repro.dist.ledger import CATEGORY_EXCHANGE
 from repro.dist.wire import FramePayload, Segments
@@ -95,21 +83,13 @@ from repro.util import copytrack
 from repro.util.lru import WeightedLRU
 from repro.util.validation import check_positive_int
 
-#: Stages at which an injected failure can trigger (see ``DistConfig``).
-#: The first three fire in both modes; the last three only in overlap
-#: mode, at the streaming pipeline's interleaving points.
-FAIL_STAGES = (
-    "before_checkpoint",
-    "before_exchange",
-    "mid_exchange",
-    "post_chunk_checkpoint",
-    "stream_send",
-    "mid_window",
-)
 #: The stages that exist in both modes (barrier-style phase names).
-BARRIER_FAIL_STAGES = ("before_checkpoint", "before_exchange", "mid_exchange")
-#: The overlap-only members of :data:`FAIL_STAGES`.
-STREAM_FAIL_STAGES = ("post_chunk_checkpoint", "stream_send", "mid_window")
+BARRIER_FAIL_STAGES = ("before_compute", "before_exchange", "mid_exchange")
+#: The overlap-only stages, at the streaming pipeline's interleaving
+#: points.
+STREAM_FAIL_STAGES = ("stream_send", "mid_window")
+#: Stages at which an injected failure can trigger (see ``DistConfig``).
+FAIL_STAGES = BARRIER_FAIL_STAGES + STREAM_FAIL_STAGES
 
 
 @dataclass(frozen=True)
@@ -289,10 +269,7 @@ def rank_main(
     blocks: Optional[Chunks] = None,
     kernel_key: Optional[bytes] = None,
     spectrum: Optional[np.ndarray] = None,
-    post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
-    checkpoint: Optional[bytes] = None,
-    resumed: bool = False,
     spectra: Optional[WeightedLRU] = None,
     pipelines: Optional[WeightedLRU] = None,
 ) -> RankResult:
@@ -319,23 +296,9 @@ def rank_main(
         against the key before it is cached.  ``kernel_key=None`` (a cold
         rank) keys nothing: the rank convolves with ``spectrum``, or with
         the default kernel of ``config`` when that is ``None`` too.
-    post:
-        Driver-side mailbox: ``post(kind, rank, payload)``.  The rank
-        posts every checkpoint blob here before it reaches a peer
-        (``"checkpoint"`` once in barrier mode, ``"chunk"`` per chunk in
-        overlap mode) — the state the driver recovers from if a rank
-        dies.
     abort:
         Crash hook for fault injection (never called unless this rank is
         ``config.fail_rank``).
-    checkpoint, resumed:
-        ``resumed`` (set on every rank) marks a job that continues a
-        failed attempt; ``checkpoint`` (rank 0 only) is that attempt's
-        merged checkpoint blob.  Each rank then receives, computes and
-        exchanges only its own sub-domains *absent* from it — a survivor
-        usually nothing, a replacement exactly the dead rank's unfinished
-        share — and the merge holds the same per-sub-domain fields as a
-        clean run, so the result is still bitwise ``run_serial``'s.
     spectra, pipelines:
         This rank's standing spectrum and pipeline tables, kept by the
         caller from job to job; a pipeline found in ``pipelines``
@@ -343,20 +306,12 @@ def rank_main(
         runtime) keeps nothing: the pipeline is built for the job.
     """
     rank, size = comm.rank, comm.size
-    if rank == 0 and (blocks is None or (resumed and checkpoint is None)):
-        raise ConfigurationError(
-            "rank 0 must be given the active blocks (and the merged "
-            "checkpoint of the attempt a resumed job continues)"
-        )
+    if rank == 0 and blocks is None:
+        raise ConfigurationError("rank 0 must be given the active blocks")
     spectrum = job_spectrum(config, kernel_key, spectrum, spectra)
-    if resumed:
-        checkpoint = comm.broadcast(checkpoint, root=0, tag=TAG_POOL_CHECKPOINT)
-    restored: Dict[int, CompressedField] = (
-        checkpoint_from_bytes(checkpoint) if resumed else {}
-    )
     pipeline = warm_pipeline(config, kernel_key, spectrum, pipelines)
     shares = pipeline.decomposition.assign_round_robin(size)
-    todo = scatter_blocks(comm, pipeline.decomposition, shares, blocks, skip=restored)
+    todo = scatter_blocks(comm, pipeline.decomposition, shares, blocks)
     own_subdomains = shares[rank]
     now = comm.clock.now
 
@@ -369,28 +324,21 @@ def rank_main(
                 )
             abort()
 
-    #: what this rank sums: the restored fields, then its own fields as
-    #: they are computed, then its peers' fields and partial sums as they
-    #: arrive
-    merged: List[Operand] = [Operand.leaf(i, f) for i, f in sorted(restored.items())]
+    #: what this rank sums: its own fields as they are computed, then its
+    #: peers' fields and partial sums as they arrive
+    merged: List[Operand] = []
     #: the active sub-domains of this rank's share (an exchange entry sums
     #: only subtrees of them that one frame carries whole)
     share = {sub.index for sub, _block in todo}
-    share.update(i for i in restored if i % size == rank)
     sent_bytes = 0
 
-    def payloads(kind: str, pairs) -> List[FramePayload]:
-        """Post ``pairs`` whole and merge them; return one exchange frame
-        per peer (the own slot is empty: nothing of it travels)."""
+    def payloads(pairs) -> List[FramePayload]:
+        """Merge ``pairs``; return one exchange frame per peer (the own
+        slot is empty: nothing of it travels)."""
         nonlocal sent_bytes
-        # one encode per field (float32: one counted cast) feeds the
-        # posted blob, this rank's own merge slot and every peer's frame
+        # one encode per field (float32: one counted cast) feeds this
+        # rank's own merge slot and every peer's frame
         values = [encode_values(f, config.precision) for _s, f in pairs]
-        blob = join_checkpoint_segments(
-            checkpoint_segments(pairs, config.precision, values=values)
-        )
-        if post is not None:
-            post(kind, rank, blob)
         # the own slot round-trips through the wire precision like a
         # peer's, so float32 merges the same values on every rank
         for (sub, f), encoded in zip(pairs, values):
@@ -408,7 +356,7 @@ def rank_main(
                 sent_bytes += len(out[dst])
         return out
 
-    fail("before_checkpoint")
+    fail("before_compute")
     stream = (
         comm.sparse_allgather_stream(tag=TAG_EXCHANGE, window=config.window)
         if config.overlap
@@ -422,11 +370,7 @@ def rank_main(
         if stream is None:
             continue
         # overlap mode: this chunk streams while the next one computes
-        chunk = payloads("chunk", [(sub, compressed)])
-        if len(own) == 1:
-            # driver holds this chunk's checkpoint; peers never see it
-            fail("post_chunk_checkpoint")
-        stream.push(chunk)
+        stream.push(payloads([(sub, compressed)]))
         if len(own) == 1:
             # first chunk is (at least partially) on the wire
             fail("stream_send")
@@ -435,7 +379,7 @@ def rank_main(
             fail("mid_window")
     compute_end = now()
     if stream is None:
-        outgoing = payloads("checkpoint", own)
+        outgoing = payloads(own)
 
     fail("before_exchange")
     if stream is None and (config.fail_rank, config.fail_stage) == (rank, "mid_exchange"):
@@ -511,7 +455,7 @@ def exchange_entries(
     An entry covers the fields of the largest aligned subtree of the
     sender's share whose active sub-domains are all in the frame —
     ``others`` are the share's active sub-domains the frame lacks (a
-    resumed job's restored ones, a stream's other chunks) — and carries
+    stream's other chunks) — and carries
     their sum.  Barrier mode at ``P = 2**p`` ranks thus sends one entry,
     the whole share; other rank counts, streamed chunks and float32 jobs
     (a partial rounded to float32 would be a second rounding the serial
@@ -600,7 +544,7 @@ def merge_exchanged(
     Every rank owns its sub-domains round-robin, so an entry may only
     cover sub-domains that lie in one aligned subtree ``src`` owns whole,
     ascending, each once across the whole job (the merge may already hold
-    a resumed job's restored fields), and that subtree may hold no
+    the sender's earlier streamed fields), and that subtree may hold no
     sub-domain already merged — the tree sum would skip its adds.  A
     float32 entry covers one sub-domain.  The values fill the union of the
     covered sub-domains' cells that touch this rank's boxes

@@ -1,9 +1,9 @@
-"""Checkpoint and recovery format for compressed fields.
+"""A self-describing byte format for compressed fields.
 
-A rank posts its compressed results to the driver as checkpoint records
-(:mod:`repro.core.checkpoint`): the state the driver recovers from when a
-rank dies, and the merged checkpoint a resumed job broadcasts.  This
-module defines one record's byte-level format:
+A compressed field (an octree sampling pattern and its values) is
+written as one record, which the serialization benchmarks time and the
+paper's storage argument sizes.  This module defines the record's
+byte-level format:
 
 ``header | cell metadata (5 x int32 per cell) | cell sizes (int32) | values (float64)``
 
@@ -11,7 +11,7 @@ with a 9-field int64 header carrying a magic number, format version, grid
 size, sub-domain geometry, counts, and the value precision (float64 or
 float32 — the paper's lower-precision compression option).  The sampling
 pattern is fully reconstructible from the metadata + sizes, so a record is
-self-describing: the driver decodes it without the job's configuration
+self-describing: a reader decodes it without the job's configuration
 (the property the paper's "the last entry helps to decode the octree"
 remark is about).
 
@@ -78,8 +78,8 @@ def encode_values(field: CompressedField, precision: str = "float64") -> np.ndar
 
     float64 is the field's own buffer (no copy); ``precision="float32"``
     is exactly one counted downcast into a fresh buffer.  Encode once and
-    pass the result to the field's checkpoint record and to every exchange
-    frame cut from it, so they all share that one cast.
+    pass the result to the rank's own merge and to every exchange frame
+    cut from it, so they all share that one cast.
     """
     _check_precision(precision)
     if precision == "float64":
@@ -219,9 +219,9 @@ def _decode_values(
 
 
 #: Decoded :class:`SamplingPattern` objects, interned by content.  The
-#: same records are decoded again and again (every rank of a resumed job
-#: decodes the one broadcast checkpoint, a pool recovers job after job
-#: over the same sub-domains), and a pattern carries everything derived from its geometry — coordinate sets,
+#: same records are decoded again and again (a decode benchmark reads one
+#: record per sub-domain, run after run), and a pattern carries everything
+#: derived from its geometry — coordinate sets,
 #: packed metadata, the key reconstruction plans are cached under — so
 #: decoding the same bytes again returns the same object instead of
 #: validating the table and deriving its arrays again.  The key is the

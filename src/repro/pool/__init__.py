@@ -18,16 +18,16 @@ Layers:
 - :mod:`repro.pool.agent` — the long-lived rank agent process: the
   shared rank machine (:class:`~repro.dist.agent.RankAgent`, which runs
   :func:`~repro.dist.jobs.execute_job` — per-job ledger deltas, warm
-  plans, resumed jobs) behind a rendezvous card.
+  plans and kernels) behind a rendezvous card.
 - :mod:`repro.pool.pool` — :class:`RankPool`: the controller
   (``spawn``/``connect``/``submit``/``down``) over the shared
-  job driver (:mod:`repro.dist.runtime`), with in-mesh replacement and
-  recovery jobs, and :func:`private_pool`, a throwaway pool that cleans
-  up after itself.
+  job driver (:mod:`repro.dist.runtime`), which replaces a dead rank
+  in-mesh and runs its job again, and :func:`private_pool`, a throwaway
+  pool that cleans up after itself.
 - :mod:`repro.pool.cli` — ``python -m repro pool up|status|submit|down``.
 
-Everything is bitwise identical to ``run_serial`` — clean jobs and
-mid-job rank death with checkpoint handoff alike.
+Everything is bitwise identical to ``run_serial`` — clean jobs and jobs
+run again after a mid-job rank death alike.
 """
 
 from repro.dist.jobs import PoolJob, execute_job

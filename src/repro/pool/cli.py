@@ -195,6 +195,7 @@ def _submit(args: argparse.Namespace) -> int:
                 f"(Eq 6 allgather {report.eq6_value_bytes} B), "
                 f"input {report.input_wire_bytes} B, "
                 f"control {report.control_in_bytes} B, "
+                f"back {report.control_out_bytes} B, "
                 f"plan misses {report.plan_misses}, "
                 f"{report.elapsed_s:.3f}s"
             )

@@ -10,17 +10,16 @@ job driver a cold ``dist_run`` uses (:mod:`repro.dist.runtime`:
 from job to job: processes, transports, and FFT plans all persist, so
 only the first submission pays spawn + plan costs.
 
-Fault tolerance is in-mesh: when a rank dies mid-job (control
-connection EOF), the controller merges every checkpoint the job posted,
-seats a replacement at the dead member's rank
+Recovery is a re-run: when a rank dies mid-job (control connection
+EOF), the controller seats a replacement at the dead member's rank
 (:meth:`~repro.pool.membership.Roster.replace` — it inherits the dead
 rank's sub-domain share), re-forms the mesh under the bumped
-generation, and resubmits the job as a *recovery job* carrying the
-merged checkpoint (:mod:`~repro.pool.jobs`).  Survivors restore their
-finished work; the replacement computes only the dead rank's missing
-share; the result stays bitwise identical to ``run_serial``.  Should
-the recovery job itself fail, the controller falls back to the
-driver-side :func:`~repro.dist.recover_from_checkpoints` path.
+generation, and submits the same job again, whole, with its fault
+injection cleared.  Nothing a rank computed in the failed attempt is
+kept, so a clean job carries no recovery state, and the retry is
+bitwise identical to ``run_serial`` like any job.  Should the retry
+fail too, the driver solves the job in process
+(:func:`~repro.dist.launcher.solve_in_process`).
 """
 
 from __future__ import annotations
@@ -33,15 +32,14 @@ from typing import Dict, FrozenSet, Iterator, List, Optional
 
 import numpy as np
 
-from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
-from repro.dist.inputs import Chunks, KernelBook
+from repro.dist.inputs import KernelBook
 from repro.dist.jobs import PoolJob
 from repro.dist.launcher import (
     DistRunReport,
     assemble_blocks,
     build_report,
-    recover_from_checkpoints,
+    solve_in_process,
 )
 from repro.dist.runtime import SpmdOutcome, control_reply, form_mesh, run_job
 from repro.dist.worker import DistConfig, composite_field
@@ -71,8 +69,8 @@ class PoolJobReport(DistRunReport):
     #: dead ranks actually re-seated with a replacement agent in-mesh —
     #: the failover evidence a serving tier surfaces to its metrics
     replaced_ranks: List[int] = dataclass_field(default_factory=list)
-    #: True when the driver-side fallback produced the result (the
-    #: in-mesh recovery job could not run)
+    #: True when the driver solved the job in process (the retry on the
+    #: repaired mesh could not run, or failed too)
     driver_fallback: bool = False
     #: True when the mesh survived from a previous job (no re-formation)
     warm: bool = False
@@ -180,8 +178,8 @@ class RankPool:
         """Run one ``dist_run``-shaped job on the warm mesh.
 
         ``config.num_ranks`` must equal the roster size.  On a rank
-        death the job is recovered in-mesh when ``recover`` is true
-        (checkpoint handoff to a replacement agent), else the failure is
+        death the job is run again on a repaired mesh when ``recover`` is
+        true (a replacement agent at the dead rank), else the failure is
         raised as :class:`~repro.errors.PoolError`.
 
         ``spectrum=None`` is the default kernel of ``config``: every rank
@@ -235,7 +233,7 @@ class RankPool:
 
         if outcome.clean:
             self._jobs_on_mesh += 1
-            return self._report(job, outcome, blocks, t0, warm=was_warm)
+            return self._report(job, outcome, t0, warm=was_warm)
         if not recover:
             raise PoolError(
                 f"job {job.job_id} failed on ranks "
@@ -289,17 +287,17 @@ class RankPool:
     def _recover_job(
         self, job: PoolJob, outcome: SpmdOutcome, t0: float
     ) -> PoolJobReport:
-        """Replace the dead, re-form, resubmit with the merged checkpoint:
-        rank 0 is handed only the blocks the checkpoint lacks."""
+        """Replace the dead, re-form, and run ``job`` again, whole; solve
+        it in process if that fails too."""
         roster = self._require_roster()
-        config = job.config
-        blobs = outcome.all_checkpoint_blobs()
-        merged = {}
-        for blob in blobs:
-            merged.update(checkpoint_from_bytes(blob))
         failed_ranks = sorted(outcome.failures)
         replaced_ranks: List[int] = []
-
+        # the retry must not re-inject the fault that killed attempt one —
+        # the replacement sits at the same rank the injection targets
+        retry = dataclass_replace(
+            job,
+            config=dataclass_replace(job.config, fail_rank=None, fail_stage=None),
+        )
         try:
             for rank in sorted(outcome.dead):
                 replacement = self._replacement_card()
@@ -318,53 +316,29 @@ class RankPool:
                 self._dial(rank, roster.card(rank))
                 replaced_ranks.append(rank)
             self._new_mesh()
-            decomp = DomainDecomposition(n=config.n, k=config.k)
-            checkpoint = checkpoint_to_bytes(
-                [(decomp.subdomain(i), f) for i, f in sorted(merged.items())],
-                precision=config.precision,
-            )
-            # the retry must not re-inject the fault that killed attempt
-            # one — the replacement sits at the same rank the injection
-            # targets
-            retry_config = dataclass_replace(
-                config, fail_rank=None, fail_stage=None
-            )
-            retry = PoolJob(
-                job_id=job.job_id,
-                generation=roster.generation,
-                config=retry_config,
-                blocks=[pair for pair in job.blocks if pair[0].index not in merged],
-                kernel_key=job.kernel_key,
-                spectrum=job.spectrum,
-                checkpoint=checkpoint,
-                metadata=job.metadata,
-            )
+            retry.generation = roster.generation
             retry_outcome = self._run(retry)
             if retry_outcome.clean:
                 self._jobs_on_mesh += 1
                 return self._report(
                     retry,
                     retry_outcome,
-                    job.blocks,
                     t0,
                     recovered=True,
-                    exclude_indices=frozenset(merged),
                     failed_ranks=failed_ranks,
                     replaced_ranks=replaced_ranks,
                 )
-            blobs += retry_outcome.all_checkpoint_blobs()
         except PoolError:
             pass
-        # in-mesh recovery impossible (roster unfillable / retry failed):
-        # fall back to the driver-side checkpoint recovery; the report
-        # audits the whole job, beside the ranks of the first attempt
+        # the retry could not run (roster unfillable) or failed too: the
+        # driver solves the job; the report audits the whole job, beside
+        # the ranks of the first attempt
         self._mesh_formed = False
         return self._report(
             job,
             outcome,
-            job.blocks,
             t0,
-            approx=recover_from_checkpoints(config, job.blocks, job.spectrum, blobs),
+            approx=solve_in_process(job.config, job.blocks, job.spectrum),
             generation=roster.generation,
             recovered=True,
             driver_fallback=True,
@@ -403,14 +377,12 @@ class RankPool:
         self,
         job: PoolJob,
         outcome: SpmdOutcome,
-        blocks: Chunks,
         t0: float,
         approx: Optional[np.ndarray] = None,
         **fields,
     ) -> PoolJobReport:
-        """``job``'s report from the attempt ``outcome`` over the job's
-        active ``blocks``; ``approx`` is assembled from its ranks' blocks
-        unless the caller recovered it."""
+        """``job``'s report from the attempt ``outcome``; ``approx`` is
+        assembled from its ranks' blocks unless the driver solved it."""
         results = outcome.results.values()
         if approx is None:
             approx = assemble_blocks(job.config, outcome.results)
@@ -418,7 +390,7 @@ class RankPool:
         return build_report(
             PoolJobReport,
             job.config,
-            [sub.index for sub, _block in blocks],
+            [sub.index for sub, _block in job.blocks],
             outcome,
             approx,
             self.clock.now() - t0,

@@ -18,7 +18,7 @@ utilization:
 - :class:`PoolBackend` — the dist-backed executor and the way onto many
   cores: every batch runs as jobs on one standing
   :class:`~repro.pool.RankPool` mesh, with generation fencing and
-  transparent checkpoint-handoff failover;
+  transparent failover (a job that loses a rank runs again);
 - :mod:`repro.serve.loadgen` — a deterministic synthetic load generator
   behind ``python -m repro serve-bench``.
 

@@ -24,12 +24,12 @@ job messages the driver sent its ranks (``control_in_bytes``: the
 blocks, and a kernel only for a rank that lacked it) in
 ``pool.control_bytes``.
 
-Failover is the pool's checkpoint-handoff path, reused transparently: a
-rank death mid-job recovers in-mesh (survivors restore from posted
-checkpoints, a replacement recomputes the dead rank's share) and the
-request completes normally — bitwise identical to the single-process
-path — with the evidence surfaced as ``pool.recoveries`` /
-``pool.replacements`` counters and ``replaced_ranks`` on the report.
+Failover is the pool's re-run, reused transparently: a rank death
+mid-job seats a replacement agent and runs the job again on the
+repaired mesh, and the request completes normally — bitwise identical
+to the single-process path — with the evidence surfaced as
+``pool.recoveries`` / ``pool.replacements`` counters and
+``replaced_ranks`` on the report.
 
 Bitwise identity: the pool path is a reordering of
 :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial`, which the

@@ -13,18 +13,12 @@ Sites are dotted strings whose first component names the plane:
     The compute → socket hot path (frame joins, value-precision casts).
     The zero-copy data plane keeps this at **zero** for float64 payloads;
     float32 payloads record exactly one precision cast per direction.
-``ckpt.*``
-    Checkpoint-blob joins.  The driver's fault-tolerance mailbox needs a
-    contiguous ``bytes`` blob per rank (it crosses a multiprocessing
-    pipe), so this copy is required and accounted separately — it is not
-    an *intermediate* wire copy.
 ``arena.*``
     Explicit decodes into caller-owned buffers
     (:func:`repro.octree.serialize.deserialize_into`).
 
-This module lives in ``repro.util`` so the octree codec and the core
-checkpoint container can record into it without importing ``repro.dist``
-(which would be an import cycle).
+This module lives in ``repro.util`` so the octree codec can record into
+it without importing ``repro.dist`` (which would be an import cycle).
 """
 
 from __future__ import annotations
@@ -35,12 +29,11 @@ from typing import Dict, Iterable, Union
 Buffer = Union[bytes, bytearray, memoryview]
 
 #: Site names used by the shipped hot paths (see the module docstring for
-#: the ``wire.`` / ``ckpt.`` / ``arena.`` namespace contract).
+#: the ``wire.`` / ``arena.`` namespace contract).
 SITE_SERIALIZE_JOIN = "wire.serialize_join"
 SITE_FRAME_JOIN = "wire.frame_join"
 SITE_ENCODE_CAST = "wire.encode_cast"
 SITE_DECODE_CAST = "wire.decode_cast"
-SITE_CHECKPOINT_JOIN = "ckpt.blob_join"
 SITE_DESERIALIZE_INTO = "arena.deserialize_into"
 
 #: Prefix of the sites the zero-copy invariant is asserted over.

@@ -38,7 +38,7 @@ class KillAt:
     """
 
     rank: int
-    stage: str = "before_checkpoint"
+    stage: str = "before_compute"
     job_index: Optional[int] = None
     at_s: Optional[float] = None
 
@@ -88,7 +88,7 @@ class FaultSchedule:
         cls,
         job_index: int,
         rank: int = 1,
-        stage: str = "before_checkpoint",
+        stage: str = "before_compute",
     ) -> "FaultSchedule":
         """The common case: kill ``rank`` during job ``job_index``."""
         return cls([KillAt(rank=rank, stage=stage, job_index=job_index)])

@@ -12,7 +12,6 @@ stays within 1% of the per-destination value-byte prediction.
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import checkpoint_to_bytes
 from repro.dist.collectives import TAG_EXCHANGE
 from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import dist_run
@@ -43,7 +42,7 @@ class TestCopyLedger:
         led = copytrack.CopyLedger()
         led.record("wire.frame_join", 100)
         led.record("wire.frame_join", 50)
-        led.record("ckpt.blob_join", 7)
+        led.record("arena.deserialize_into", 7)
         assert led.snapshot()["total_bytes"] == 157
         assert led.snapshot()["wire_bytes"] == 150
         assert led.events(copytrack.WIRE_PREFIX) == 2
@@ -79,19 +78,12 @@ class TestCopyLedger:
         assert site_bytes(copytrack.ledger(), "wire.frame_join") == 4
 
 
-def _own_pairs(config, field, spectrum, rank):
-    """The ``(sub-domain, compressed field)`` pairs rank ``rank``
-    computes (driver-side replay)."""
-    pipeline = build_pipeline(config, spectrum)
-    own = pipeline.decomposition.assign_round_robin(config.num_ranks)[rank]
-    return list(
-        pipeline.convolve_chunks(pipeline.decomposition.active_blocks(field, own))
-    )
-
-
 def _own_fields(config, field, spectrum, rank):
     """The compressed fields rank ``rank`` would ship (driver-side replay)."""
-    return [compressed for _sub, compressed in _own_pairs(config, field, spectrum, rank)]
+    pipeline = build_pipeline(config, spectrum)
+    own = pipeline.decomposition.assign_round_robin(config.num_ranks)[rank]
+    blocks = pipeline.decomposition.active_blocks(field, own)
+    return [compressed for _sub, compressed in pipeline.convolve_chunks(blocks)]
 
 
 def _measured_legacy_wire_copies(own, blob_len, peers):
@@ -140,9 +132,8 @@ class TestZeroCopyAcceptance:
             assert result.copies["wire_bytes"] == 0, (
                 f"rank {rank} copied hot-path bytes: {result.copies}"
             )
-            # the only remaining copy is the fault-tolerance mailbox blob
-            sites = set(result.copies["sites"])
-            assert sites <= {copytrack.SITE_CHECKPOINT_JOIN}
+            # and nothing else is copied either
+            assert result.copies["sites"] == {}
 
     def test_at_least_90pct_reduction_vs_measured_legacy(self, reference_run):
         config, field, spectrum, _serial, report = reference_run
@@ -161,19 +152,6 @@ class TestZeroCopyAcceptance:
                 f"rank {rank}: {new} of {baseline} baseline bytes "
                 f"still copied ({reduction:.1%} reduction)"
             )
-
-    def test_checkpoint_join_matches_payload_bytes(self, reference_run):
-        """The one join is the whole checkpoint the driver is posted; the
-        peers' payloads, cut to their cells, are never joined and sum to
-        no more than that blob sent to every peer."""
-        config, field, spectrum, _serial, report = reference_run
-        peers = config.num_ranks - 1
-        for rank, result in report.rank_results.items():
-            posted = checkpoint_to_bytes(_own_pairs(config, field, spectrum, rank))
-            site = result.copies["sites"][copytrack.SITE_CHECKPOINT_JOIN]
-            assert site["bytes"] == len(posted)
-            assert site["events"] == 1  # barrier mode: one blob
-            assert result.exchange_payload_bytes <= peers * len(posted)
 
 
 class TestFloat32CopyAccounting:
@@ -202,9 +180,9 @@ class TestFloat32CopyAccounting:
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_one_encode_cast_per_field_per_job(self, overlap):
-        """The posted checkpoint and every peer's cut of a field share one
-        float32 downcast: a job casts each owned sample exactly once, at
-        any P (loopback ranks share the process ledger)."""
+        """A rank's own merge slot and every peer's cut of a field share
+        one float32 downcast: a job casts each owned sample exactly once,
+        at any P (loopback ranks share the process ledger)."""
         config = DistConfig(
             num_ranks=3, transport="local", precision="float32", n=16, k=4,
             sigma=2.0, policy="banded", overlap=overlap,
@@ -225,13 +203,13 @@ class TestLocalTransportAccounting:
         ledger (documented on RankResult.copies)."""
         config = DistConfig(
             num_ranks=2, transport="local", n=16, k=4, sigma=2.0,
-            policy="flat:2",
+            policy="flat:2", precision="float32",
         )
         report = dist_run(config)
-        snapshots = [
-            r.copies for r in report.rank_results.values()
-        ]
-        # every thread saw the same global ledger state (same totals
-        # modulo snapshot timing); all report the checkpoint joins
-        for snap in snapshots:
-            assert snap["sites"][copytrack.SITE_CHECKPOINT_JOIN]["events"] >= 2
+        results = report.rank_results.values()
+        # a rank snapshots after its peers' frames arrived, so every
+        # peer had cast its fields by then: each thread's snapshot holds
+        # every rank's casts, not only its own
+        for result in results:
+            casts = result.copies["sites"][copytrack.SITE_ENCODE_CAST]["events"]
+            assert casts == sum(r.num_chunks for r in results)

@@ -3,20 +3,18 @@
 ``DistConfig.fail_rank`` / ``fail_stage`` make one rank call its abort
 hook (``os._exit`` under TCP, a fabric kill on the loopback transport) at
 a chosen pipeline stage.  Whatever the stage, ``dist_run`` must detect
-the death, fall back to the checkpoint blobs the ranks posted, recompute
-what is missing, and still produce output bitwise identical to
-``run_serial``.
+the death, solve the job again in process, and still produce output
+bitwise identical to ``run_serial``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.decomposition import DomainDecomposition
 from repro.dist.inputs import default_spectrum
 from repro.dist.launcher import dist_run
 from repro.dist.worker import (
     BARRIER_FAIL_STAGES,
-    STREAM_FAIL_STAGES,
+    FAIL_STAGES,
     DistConfig,
     build_pipeline,
     composite_field,
@@ -66,23 +64,9 @@ class TestLocalRecovery:
         )
         _assert_recovers_bitwise(config)
 
-    def test_before_checkpoint_loses_that_ranks_state(self):
-        """Dying before posting the checkpoint means the driver must
-        *recompute* the dead rank's sub-domains, not just restore them."""
-        config = DistConfig(
-            num_ranks=2,
-            transport="local",
-            fail_rank=1,
-            fail_stage="before_checkpoint",
-            **SMALL,
-        )
-        report = _assert_recovers_bitwise(config)
-        # the dead rank never reported a result
-        assert 1 not in report.rank_results
-
 
 class TestTcpRecovery:
-    @pytest.mark.parametrize("stage", ["before_exchange", "mid_exchange"])
+    @pytest.mark.parametrize("stage", BARRIER_FAIL_STAGES)
     def test_process_death_recovers_bitwise(self, stage):
         config = DistConfig(
             num_ranks=3,
@@ -99,12 +83,11 @@ class TestStreamedRecovery:
 
     ``stream_send`` dies with the first chunk (at least partially) on the
     wire, ``mid_window`` with the send window half-way through the chunk
-    stream, ``post_chunk_checkpoint`` after the driver holds a chunk the
-    peers never saw.  Whatever the stage, recovery must rebuild a
-    bitwise-identical result from the per-chunk checkpoint blobs.
+    stream; the barrier-style stages fire in overlap mode too.  Whatever
+    the stage, the job solved again must be bitwise identical.
     """
 
-    @pytest.mark.parametrize("stage", STREAM_FAIL_STAGES)
+    @pytest.mark.parametrize("stage", FAIL_STAGES)
     def test_local_stream_crash_recovers_bitwise(self, stage):
         config = DistConfig(
             num_ranks=3,
@@ -116,7 +99,7 @@ class TestStreamedRecovery:
         )
         _assert_recovers_bitwise(config)
 
-    @pytest.mark.parametrize("stage", STREAM_FAIL_STAGES)
+    @pytest.mark.parametrize("stage", FAIL_STAGES)
     def test_tcp_stream_crash_recovers_bitwise(self, stage):
         config = DistConfig(
             num_ranks=3,
@@ -127,33 +110,6 @@ class TestStreamedRecovery:
             **SMALL,
         )
         _assert_recovers_bitwise(config)
-
-    def test_posted_chunks_survive_as_recovery_state(self):
-        """A rank dying mid-window has already posted some chunk
-        checkpoints — the driver resumes from them instead of
-        recomputing everything the dead rank did."""
-        from repro.dist.runtime import run_spmd
-
-        config = DistConfig(
-            num_ranks=2,
-            transport="local",
-            overlap=True,
-            fail_rank=1,
-            fail_stage="mid_window",
-            **SMALL,
-        )
-        field = composite_field(config.n, config.seed)
-        spectrum = default_spectrum(config)
-        blocks = list(DomainDecomposition(n=config.n, k=config.k).active_blocks(field))
-        outcome = run_spmd(config, blocks, spectrum)
-        assert 1 in outcome.failures
-        # the dead rank posted per-chunk blobs before dying mid-window
-        assert len(outcome.chunk_checkpoints.get(1, [])) >= 1
-        # and each posted blob is a valid one-entry checkpoint
-        from repro.core.checkpoint import checkpoint_from_bytes
-
-        for blob in outcome.all_checkpoint_blobs():
-            assert len(checkpoint_from_bytes(blob)) == 1
 
     def test_barrier_stages_still_work_with_overlap(self):
         """The legacy stage names also fire in overlap mode."""

@@ -13,7 +13,7 @@ as tests:
   kernel, key or answer ever crosses the mesh.
 - **Kernels ship on a miss only**: on a standing pool, cold once, a
   second kernel once, the first again never, and once more after an
-  eviction; a resumed job scatters only the blocks its checkpoint lacks.
+  eviction.
 - **Hostile bytes**: a malformed scatter frame raises
   :class:`InputFrameError` with the offending offset before anything is
   allocated from its lengths; an attached kernel array of the wrong
@@ -35,7 +35,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checkpoint import checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.dist.collectives import TAG_FIELD, Communicator
 from repro.dist.inputs import (
@@ -193,36 +192,6 @@ def test_default_kernel_never_ships_and_is_evaluated_once_per_table():
         assert (len(table), table.misses, table.hits) == (1, 1, 1)
 
 
-@pytest.mark.parametrize("overlap", [False, True], ids=["barrier", "overlap"])
-def test_resumed_job_scatters_only_blocks_the_checkpoint_lacks(overlap):
-    ranks = 3
-    config = DistConfig(num_ranks=ranks, overlap=overlap, **SHAPE)
-    field = _field("dense", 11, ranks)
-    spectrum = _spectrum(2.0)
-    serial = build_pipeline(config, spectrum).run_serial(field)
-    held = serial.per_domain[::2]
-    checkpoint = checkpoint_to_bytes(held)
-    restored = frozenset(sub.index for sub, _f in held)
-    tables = [WeightedLRU(1 << 20) for _ in range(ranks)]
-    _run_ranks(_transports("local", ranks), config, field, spectrum, tables=tables)
-
-    results = _run_ranks(
-        _transports("local", ranks), config, field, spectrum, checkpoint, tables
-    )
-    blocks = sum(r.num_chunks for rank, r in results.items() if rank)
-    assert blocks == sum(
-        1 for sub, _f in serial.per_domain
-        if sub.index not in restored and sub.index % ranks
-    )
-    assert predicted_input_bytes(config, _active(config, field), restored) == BLOCK_BYTES * blocks
-    assert _bcast_bytes(results) == (
-        BLOCK_BYTES * blocks
-        + _input_framing(ranks, blocks)
-        + (ranks - 1) * (HEADER_BYTES + len(checkpoint))
-    )
-    assert np.array_equal(assemble_blocks(config, results), serial.approx)
-
-
 # -- hostile bytes --------------------------------------------------------
 DECOMP = DomainDecomposition(n=N, k=K)
 OWNED = {sub.index for sub in DECOMP.assign_round_robin(2)[1]}
@@ -372,7 +341,7 @@ def test_non_root_rank_allocates_its_blocks_not_the_field():
     n, k = 64, 8
     config = DistConfig(
         n=n, k=k, sigma=2.0, policy="flat:4", num_ranks=2,
-        fail_rank=1, fail_stage="before_checkpoint",
+        fail_rank=1, fail_stage="before_compute",
     )
     decomp = DomainDecomposition(n=n, k=k)
     field = np.zeros((n, n, n))

@@ -333,16 +333,16 @@ class TestHostilePeer:
         twice = bytearray(struct.pack("<4q", 1, 2, index, index))
         self._rejects(bytes(twice) + frame[32:], "not ascending and distinct", 8)
 
-    def test_restored_leaf_inside_a_summed_subtree_is_rejected(self):
-        """A resumed job restores some fields on every rank; a sum over a
-        subtree holding one of them would add it twice."""
+    def test_sum_over_a_streamed_leaf_is_rejected(self):
+        """A streamed frame carries one field; a later frame whose sum
+        covers a subtree holding that field would add it twice."""
         mine = self._active(1)
-        restored = self._pairs(mine[:1])[0]
-        merged = [Operand.leaf(restored[0].index, restored[1])]
+        merged: list = []
+        worker.merge_exchanged(merged, self._frame(mine[:1]), self.CONFIG, src=1, rank=0)
         frame = self._frame(mine[1:])  # one summed entry over the rest
         assert struct.unpack_from("<q", frame, 8) == (len(mine) - 1,)
         self._rejects(frame, f"holds sub-domain {mine[0]}, which already arrived", 8, merged)
-        # the sender that knows about it sends the rest alone or in
+        # the sender that streamed it sends the rest alone or in
         # subtrees clear of it, which merge
         honest = self._frame(mine[1:], others={mine[0]})
         worker.merge_exchanged(merged, honest, self.CONFIG, src=1, rank=0)
@@ -431,7 +431,7 @@ class TestHostilePeer:
     def test_forged_frame_fails_the_rank_not_the_process(self, monkeypatch):
         """Rank 1 forges its exchange frame to rank 0 with a sub-domain
         rank 0 owns.  Rank 0 fails with the typed error; the driver
-        recovers from the posted checkpoints and the job stays bitwise."""
+        solves the job again in process and it stays bitwise."""
         config = self.CONFIG
         field, spectrum, serial = _serial(config)
         forged = self._frame([self._active(0)[0]])
@@ -474,8 +474,8 @@ class TestMutatedFrames:
 
     @classmethod
     def _valid(cls):
-        # rank 1's barrier frame to rank 0 in a resumed job that restored
-        # one of its fields: a summed entry, then a single-field one
+        # rank 1's frame to rank 0 after one of its fields was streamed
+        # and merged: a summed entry, then a single-field one
         mine = TestHostilePeer._active(1)
         frame = TestHostilePeer._frame(mine[1:], others={mine[0]})
         pairs = TestHostilePeer._pairs(mine[:1])

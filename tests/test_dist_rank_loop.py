@@ -1,11 +1,11 @@
-"""The one rank loop, bitwise: exchange mode x fresh/resumed x rank count.
+"""The one rank loop, bitwise: exchange mode x fresh/warm x rank count.
 
-``rank_main`` is a single loop over a rank's sub-domains that the
-checkpoint does not already hold; barrier and streamed exchange, and a
-fresh job and one resumed from a partial checkpoint, are the same code
-with different inputs.  Every combination must assemble to exactly
-``run_serial``'s grid, and a resumed job must compute only what its
-checkpoint lacks, in the exchange mode its config asks for.
+``rank_main`` is a single loop over a rank's active sub-domains; barrier
+and streamed exchange, and a fresh rank and a warm one (a second job on
+standing spectrum tables, the kernel named by its key and not attached),
+are the same code with different inputs.  Every combination must
+assemble to exactly ``run_serial``'s grid, computing each active
+sub-domain once, in the exchange mode its config asks for.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -13,13 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.dist.collectives import Communicator
 from repro.dist.inputs import KernelBook, default_spectrum
 from repro.dist.launcher import assemble_blocks
 from repro.dist.transport import LocalFabric
 from repro.dist.worker import DistConfig, build_pipeline, composite_field, rank_main
+from repro.util.lru import WeightedLRU
 from tests.test_dist_transport import _tcp_mesh
 
 SHAPE = dict(n=16, k=4, sigma=2.0, policy="flat:2")
@@ -34,7 +34,7 @@ def reference():
     return field, spectrum, serial
 
 
-def _run_ranks(transports, config, field, spectrum, checkpoint=None, tables=None):
+def _run_ranks(transports, config, field, spectrum, tables=None):
     """Run ``rank_main`` on one thread per transport endpoint; ``tables``
     are the ranks' standing spectrum tables.  Rank 0 is handed ``field``'s
     active blocks, as a driver cuts them.  A cold job (``tables=None``)
@@ -57,8 +57,6 @@ def _run_ranks(transports, config, field, spectrum, checkpoint=None, tables=None
             blocks=blocks if root else None,
             kernel_key=key,
             spectrum=None if key in held else spectrum,
-            checkpoint=checkpoint if root else None,
-            resumed=checkpoint is not None,
             spectra=table,
         )
 
@@ -71,16 +69,18 @@ def _run_ranks(transports, config, field, spectrum, checkpoint=None, tables=None
             comm.close()
 
 
-def _check(transports, overlap, resumed, reference):
+def _check(mesh, ranks, overlap, warm, reference):
+    """Run a job on ``mesh(ranks)`` transports — after a first job that
+    fills the ranks' spectrum tables, when ``warm`` — and check it."""
     field, spectrum, serial = reference
-    config = DistConfig(num_ranks=len(transports), overlap=overlap, **SHAPE)
-    # a strict subset of the active sub-domains, spread over the ranks
-    held = serial.per_domain[::2] if resumed else []
-    checkpoint = checkpoint_to_bytes(held) if resumed else None
-    results = _run_ranks(transports, config, field, spectrum, checkpoint)
+    config = DistConfig(num_ranks=ranks, overlap=overlap, **SHAPE)
+    tables = [WeightedLRU(1 << 20) for _ in range(ranks)] if warm else None
+    if warm:
+        _run_ranks(mesh(ranks), config, field, spectrum, tables)
+    results = _run_ranks(mesh(ranks), config, field, spectrum, tables)
 
     computed = sum(r.num_chunks for r in results.values())
-    assert computed == len(serial.per_domain) - len(held)
+    assert computed == len(serial.per_domain)
     for result in results.values():
         assert result.overlap == overlap
         frames = result.num_chunks + 1 if overlap else 1
@@ -88,14 +88,17 @@ def _check(transports, overlap, resumed, reference):
     assert np.array_equal(assemble_blocks(config, results), serial.approx)
 
 
-@pytest.mark.parametrize("ranks", [1, 2, 3])
-@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
-@pytest.mark.parametrize("overlap", [False, True], ids=["barrier", "streamed"])
-def test_rank_loop_is_bitwise_serial_local(overlap, resumed, ranks, reference):
+def _local_mesh(ranks):
     fabric = LocalFabric(ranks)
-    transports = [fabric.endpoint(r) for r in range(ranks)]
-    _check(transports, overlap, resumed, reference)
+    return [fabric.endpoint(r) for r in range(ranks)]
 
 
-def test_resumed_streamed_is_bitwise_serial_tcp(reference):
-    _check(_tcp_mesh(2), overlap=True, resumed=True, reference=reference)
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("overlap", [False, True], ids=["barrier", "streamed"])
+def test_rank_loop_is_bitwise_serial_local(overlap, warm, ranks, reference):
+    _check(_local_mesh, ranks, overlap, warm, reference)
+
+
+def test_warm_streamed_is_bitwise_serial_tcp(reference):
+    _check(_tcp_mesh, 2, overlap=True, warm=True, reference=reference)

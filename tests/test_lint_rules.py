@@ -286,13 +286,13 @@ class TestWireTagRule:
         assert findings == []
 
     def test_real_registry_is_the_single_home(self):
-        # the shipped tree keeps every TAG_* in dist/collectives.py,
-        # including the pool checkpoint tag this rule forced home, and
-        # no other module re-exports one under its own name
+        # the shipped tree keeps every TAG_* in dist/collectives.py, each
+        # value once, and the job module holds none under its own name
         from repro.dist import collectives, jobs
 
-        assert collectives.TAG_POOL_CHECKPOINT == 6
-        assert not hasattr(jobs, "TAG_POOL_CHECKPOINT")
+        tags = [value for name, value in vars(collectives).items() if name.startswith("TAG_")]
+        assert tags and len(set(tags)) == len(tags)
+        assert not [name for name in vars(jobs) if name.startswith("TAG_")]
 
 
 class TestGenerationFenceRule:

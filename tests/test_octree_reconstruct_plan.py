@@ -43,7 +43,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.accumulate import accumulate_boxes, accumulate_global
-from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.core.policy import SamplingPolicy
 from repro.dist.worker import DistConfig, exchange_frame, merge_exchanged
@@ -59,6 +58,7 @@ from repro.octree.interpolate import (
     reconstruct_dense,
 )
 from repro.octree.serialize import (
+    decode_values,
     deserialize_compressed,
     encode_values,
     serialize_compressed,
@@ -449,10 +449,11 @@ class TestAccumulateBoxes:
 
 
 # -- merged accumulation: shared cells summed before they are interpolated ----
-def _wire(field, sub, precision):
-    """``field`` as its checkpoint record round-trips at ``precision``."""
-    blob = checkpoint_to_bytes([(sub, field)], precision)
-    return checkpoint_from_bytes(blob)[sub.index]
+def _wire(field, precision):
+    """``field`` with its values round-tripped through the wire at
+    ``precision``, as every rank merges its own and its peers' fields."""
+    values = decode_values(encode_values(field, precision), precision)
+    return CompressedField(field.pattern, values)
 
 
 def _received(fields, config, rank):
@@ -480,9 +481,7 @@ def _check_merged_accumulation(n, k, policy, method, ranks, active, precision):
     decomposition = DomainDecomposition(n=n, k=k)
     fields = {i: _field(n, k, policy, i) for i in sorted(active)}
     if precision != "float64":
-        fields = {
-            i: _wire(f, decomposition.subdomain(i), precision) for i, f in fields.items()
-        }
+        fields = {i: _wire(f, precision) for i, f in fields.items()}
     dense = accumulate_global(fields, method=method)
 
     # against the per-field sum it replaces: a few ulps, never more

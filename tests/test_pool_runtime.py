@@ -7,8 +7,11 @@ The acceptance bar, as tests:
   per-destination value-byte prediction;
 - a warm resubmission reuses processes, transports, and FFT plans
   (``plan_misses == 0``);
-- a rank killed mid-job is replaced in-mesh via the checkpoint handoff
-  and the recovered result is still bitwise identical;
+- a rank killed mid-job is replaced in-mesh and the job runs again,
+  whole: the recovered result is still bitwise identical, and its report
+  moves and predicts exactly what a clean job's does;
+- a warm job's results are all its ranks send back over the control
+  connections;
 - input distribution: the driver attaches a kernel to a rank's job
   message once, a default kernel never; a mutated array is a new kernel,
   a second controller learns what warm agents hold from their mesh
@@ -23,18 +26,18 @@ Each test stands up its own pool over a private ``file://`` rendezvous
 and tears it down, so tests never share agent processes.
 """
 
+import dataclasses
 import tempfile
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import checkpoint_from_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.dist.inputs import default_spectrum, kernel_key
 from repro.dist.worker import (
+    BARRIER_FAIL_STAGES,
     FAIL_STAGES,
-    STREAM_FAIL_STAGES,
     DistConfig,
     build_pipeline,
     composite_field,
@@ -50,9 +53,8 @@ REFERENCE = dict(n=32, k=8, sigma=2.0, policy="flat:2")
 #: ``wire_over_model`` bound at REFERENCE, P=4.  Each peer is sent only
 #: the values of the cells touching its boxes (44% of the allgather's), and
 #: no octree metadata: what is left above the prediction is the frame,
-#: entry-count and per-field entry headers, 0.13% of the values (more on a
-#: recovery job, which moves fewer values): measured 1.0013 cold, 1.0019
-#: recovered.
+#: entry-count and per-field entry headers, 0.13% of the values: measured
+#: 1.0013, cold and recovered alike (a recovery runs the whole job again).
 WIRE_OVER_MODEL_ABS = 0.02
 
 
@@ -105,6 +107,19 @@ class TestWarmSubmission:
         assert warm.wire_over_model == pytest.approx(1.0, abs=WIRE_OVER_MODEL_ABS)
         assert warm.job_id != cold.job_id
 
+    def test_a_warm_job_sends_back_its_blocks_and_nothing_more(self, pool_at):
+        """The rank-to-driver direction of a warm two-rank job at the
+        benchmark's pool shape is the ranks' result blocks — together the
+        dense grid — plus a few pickled result records."""
+        pool = pool_at(2)
+        config = _config(2, n=64, k=16, policy="banded")
+        field = composite_field(config.n, config.seed)  # the central half-cube
+        pool.submit(config, field=field)
+        warm = pool.submit(config, field=field)
+        assert warm.warm and not warm.recovered
+        assert np.array_equal(warm.approx, _serial(config, field, None))
+        assert warm.approx.nbytes < warm.control_out_bytes <= warm.approx.nbytes + 16 * 1024
+
     def test_submit_rejects_wrong_pool_size(self, pool_at):
         pool = pool_at(2)
         with pytest.raises(ConfigurationError, match="pool has 2 members"):
@@ -138,11 +153,11 @@ class TestElasticMembership:
 
 
 class TestRankDeathRecovery:
-    def test_checkpoint_handoff_to_replacement_is_bitwise(self, pool_at):
+    def test_replacement_reruns_the_job_bitwise(self, pool_at):
         pool = pool_at(4)
         # rank 2 owns sub-domains at this shape, so the injected death
         # loses real work that the replacement must redo
-        config = _config(4, fail_rank=2, fail_stage="before_checkpoint")
+        config = _config(4, fail_rank=2, fail_stage="before_compute")
         field = composite_field(config.n, config.seed)
         spectrum = default_spectrum(config)
 
@@ -154,8 +169,7 @@ class TestRankDeathRecovery:
         # actually replaced
         assert 2 in report.failed_ranks
         assert np.array_equal(report.approx, _serial(config, field, spectrum))
-        # the retry's wire is audited against the prediction *minus* the
-        # restored sub-domains, so the bar holds through recovery too
+        # the retry is the whole job, so the bar holds through recovery too
         assert report.wire_over_model == pytest.approx(1.0, abs=WIRE_OVER_MODEL_ABS)
         assert pool.roster.generation > 1
 
@@ -165,9 +179,9 @@ class TestRankDeathRecovery:
         assert np.array_equal(clean.approx, _serial(config, field, spectrum))
 
     def test_driver_fallback_report_is_audited(self, pool_at, monkeypatch):
-        """No spare and none can be spawned: the driver recovers the job
-        from the posted checkpoints, and the report still says what the
-        job was predicted to move."""
+        """No spare and none can be spawned: the driver solves the job in
+        process, and the report still says what the job was predicted to
+        move."""
         pool = pool_at(2)
 
         def no_spare(self):
@@ -187,7 +201,7 @@ class TestRankDeathRecovery:
 
     def test_recover_false_surfaces_the_failure(self, pool_at):
         pool = pool_at(2)
-        config = _config(2, fail_rank=1, fail_stage="before_checkpoint")
+        config = _config(2, fail_rank=1, fail_stage="before_compute")
         with pytest.raises(PoolError, match="failed on ranks"):
             pool.submit(config, recover=False)
 
@@ -301,8 +315,8 @@ class TestInputDistribution:
         self, pool_at, monkeypatch
     ):
         """A half-cube field's job carries its active ``k^3`` blocks to
-        rank 0, never the ``n^3`` field, and a recovery job only the
-        blocks its checkpoint lacks."""
+        rank 0, never the ``n^3`` field, and a recovery job all of them
+        again, under the same kernel key."""
         import repro.pool.pool as pool_module
 
         jobs = []
@@ -336,11 +350,10 @@ class TestInputDistribution:
         failing = _config(ranks, fail_rank=1, fail_stage="mid_window", overlap=True, **self.SHAPE)
         report = pool.submit(failing, field=field)
         first, retry = jobs
-        restored = checkpoint_from_bytes(retry.checkpoint)
-        assert restored and len(first.blocks) == len(active)
-        assert [sub.index for sub, _block in retry.blocks] == [
-            i for i in active if i not in restored
-        ]
+        assert [sub.index for sub, _block in first.blocks] == active
+        assert retry.blocks is first.blocks
+        assert retry.kernel_key == first.kernel_key
+        assert (retry.config.fail_rank, retry.config.fail_stage) == (None, None)
         assert report.recovered and np.array_equal(report.approx, expected)
 
     @pytest.mark.parametrize("victim", [1, 0], ids=["non-root", "root"])
@@ -361,40 +374,43 @@ class TestInputDistribution:
         field = composite_field(clean.n, clean.seed)
         spectrum = default_spectrum(clean)
         expected = _serial(clean, field, spectrum)
-        fresh = pool.submit(clean, field=field, spectrum=spectrum)
-        block_bytes = 8 * clean.k**3
+        pool.submit(clean, field=field, spectrum=spectrum)
 
-        for stage in FAIL_STAGES:
+        # every stage of each exchange mode: the barrier stages in both
+        cases = [(s, False) for s in BARRIER_FAIL_STAGES] + [(s, True) for s in FAIL_STAGES]
+        for case in cases:
+            stage, overlap = case
             config = _config(
                 ranks,
                 fail_rank=victim,
                 fail_stage=stage,
-                overlap=stage in STREAM_FAIL_STAGES,
+                overlap=overlap,
                 **self.SHAPE,
             )
             report = pool.submit(config, field=field, spectrum=spectrum)
-            assert report.recovered and not report.driver_fallback, stage
-            assert report.replaced_ranks == [victim], stage
-            assert np.array_equal(report.approx, expected), stage
-            # the resumed job scatters only what its checkpoint lacks,
-            # which is exactly what the non-root ranks then convolve
-            scattered = sum(
-                r.num_chunks for rank, r in report.rank_results.items() if rank
-            )
-            assert report.predicted_input_bytes == block_bytes * scattered, stage
-            assert report.predicted_input_bytes <= fresh.predicted_input_bytes
-            # rank 0 sends each peer the checkpoint and a scatter frame;
-            # the driver attaches the kernel to the retry's message for
-            # the replacement agent alone, whose table starts empty
+            assert report.recovered and not report.driver_fallback, case
+            assert report.replaced_ranks == [victim], case
+            assert np.array_equal(report.approx, expected), case
+            # rank 0 sends each peer one scatter frame; the driver
+            # attaches the kernel to the retry's message for the
+            # replacement agent alone, whose table starts empty
             root_sent = report.rank_results[0].wire["counters"]
-            assert root_sent["sent.bcast.frames"] == 2 * (ranks - 1), stage
-            assert jobs[-1].recovery and jobs[-1].ship_to == {victim}, stage
+            assert root_sent["sent.bcast.frames"] == ranks - 1, case
+            assert jobs[-1].ship_to == {victim}, case
 
-            after = pool.submit(clean, field=field, spectrum=spectrum)
-            assert not after.recovered and jobs[-1].ship_to == set(), stage
-            assert after.control_in_bytes < spectrum.nbytes, stage
-            assert after.input_wire_bytes < spectrum.nbytes, stage
-            assert np.array_equal(after.approx, expected), stage
+            # the retry is the whole job: it moves and predicts exactly
+            # what a clean job of the same config does
+            after = pool.submit(
+                dataclasses.replace(config, fail_rank=None, fail_stage=None),
+                field=field,
+                spectrum=spectrum,
+            )
+            assert not after.recovered and jobs[-1].ship_to == set(), case
+            for count in ("predicted_value_bytes", "predicted_input_bytes", "exchange_wire_bytes"):
+                assert getattr(report, count) == getattr(after, count) > 0, (case, count)
+            assert after.control_in_bytes < spectrum.nbytes, case
+            assert after.input_wire_bytes < spectrum.nbytes, case
+            assert np.array_equal(after.approx, expected), case
 
 
 class TestPrivatePoolCleanup:

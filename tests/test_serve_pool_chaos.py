@@ -9,7 +9,7 @@ standing :class:`RankPool`, as tests:
   same stream;
 - a rank killed mid-batch under live load (via the
   :mod:`tests.chaos` fault schedule) costs **zero failed requests**: the
-  pool's checkpoint handoff seats a replacement, the roster generation
+  pool seats a replacement and runs the job again, the roster generation
   bumps, and the recovered results are still bitwise identical;
 - warm steady state shows ``plan_misses == 0`` on the job reports;
 - a pool-backed server and an in-process server keep the same request
